@@ -45,6 +45,7 @@ from .presence import (  # noqa: F401
     lexical_scorer,
     remote_presence,
     remote_scorer,
+    score_summaries,
     score_summary,
 )
 from .smu import (  # noqa: F401

@@ -19,6 +19,7 @@ from .data import (
     VALID_STRATEGIES,
     UnitFileRow,
     atomic_write_text,
+    is_finite_number,
     load_dataset,
     load_units,
 )
@@ -49,11 +50,16 @@ from .extract import (
     import_units,
 )
 from .manifest import write_manifest
-from .presence import lexical_scorer, remote_scorer, score_summary
+from .presence import (  # noqa: F401  (score_summary: kept importable from here)
+    lexical_scorer,
+    remote_scorer,
+    score_summaries,
+    score_summary,
+)
 from .services import ParseServiceClient
 from .smu import SPLIT_MODES
 from .stats import corpus_stats, easiness, summary_level, system_level
-from .text import split_sentences, tokenize
+from .text import split_sentences
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -390,14 +396,14 @@ def cmd_score(args) -> int:
         scorer = lexical_scorer
 
     lines = []
-    token_counts = {}
     for entry in sorted(entries, key=lambda e: e.example_id):
         units = [
             ContentUnit(r.text, r.strategy, reference_id=r.example_id)
             for r in grouped[entry.example_id]
         ]
-        for system in sorted(entry.systems, key=lambda s: s.system_id):
-            result = score_summary(units, system.summary, scorer)
+        systems = sorted(entry.systems, key=lambda s: s.system_id)
+        results = score_summaries(units, [s.summary for s in systems], scorer)
+        for system, result in zip(systems, results):
             lines.append(
                 json.dumps(
                     {
@@ -409,9 +415,6 @@ def cmd_score(args) -> int:
                     ensure_ascii=False,
                     separators=(",", ":"),
                 )
-            )
-            token_counts[f"{entry.example_id}/{system.system_id}"] = len(
-                tokenize(system.summary)
             )
 
     atomic_write_text(args.out, "".join(line + "\n" for line in lines))
@@ -425,7 +428,6 @@ def cmd_score(args) -> int:
             "concurrency": args.concurrency,
         },
         inputs=[args.input, args.units],
-        extra={"summary_token_counts": token_counts},
     )
     return EXIT_OK
 
@@ -505,8 +507,10 @@ def _load_scores(path) -> dict[tuple[str, str], float]:
             raise SchemaViolation(
                 "rows need string 'example_id' and 'system_id'", line=number
             )
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise SchemaViolation("'score' must be a number", line=number, field="score")
+        if not is_finite_number(value):
+            raise SchemaViolation(
+                "'score' must be a finite number", line=number, field="score"
+            )
         scores[(example_id, system_id)] = float(value)
     return scores
 

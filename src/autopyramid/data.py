@@ -19,6 +19,7 @@ fields ``example_id``, ``reference_index``, ``strategy``, ``text``.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -78,6 +79,20 @@ class UnitFileRow:
     text: str
 
 
+def is_finite_number(value) -> bool:
+    """An int or float, not a bool, with a finite float value.
+
+    ``json.loads`` accepts ``NaN`` and ``Infinity``, and overflows ``1e999``
+    to infinity; none of them is a usable score.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def _require(condition: bool, message: str, line: int, field: str):
     if not condition:
         raise SchemaViolation(message, line=line, field=field)
@@ -113,8 +128,8 @@ def _parse_system(value, line: int, field: str) -> SystemSummary:
     human_score = value.get("human_score")
     if human_score is not None:
         _require(
-            isinstance(human_score, (int, float)) and not isinstance(human_score, bool),
-            "'human_score' must be a number",
+            is_finite_number(human_score),
+            "'human_score' must be a finite number",
             line,
             f"{field}.human_score",
         )

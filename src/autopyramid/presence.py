@@ -12,13 +12,14 @@ needs no network, and a remote scorer backed by an entailment service.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import MalformedServiceReply, NoUnits
 from .extract import ContentUnit
 from .services import PresenceClient
-from .text import tokenize
+from .text import clipped_overlap, tokenize
 
 PresenceScorer = Callable[[list[tuple[str, str]]], list[float]]
 
@@ -62,7 +63,25 @@ def lexical_presence(premise: str, hypothesis: str) -> float:
 
 
 def lexical_scorer(pairs: list[tuple[str, str]]) -> list[float]:
-    return [lexical_presence(premise, hypothesis) for premise, hypothesis in pairs]
+    """:func:`lexical_presence` of every pair, tokenizing each distinct text
+    once per call."""
+    counted: dict[str, tuple[Counter, int]] = {}
+
+    def counts(text: str) -> tuple[Counter, int]:
+        known = counted.get(text)
+        if known is None:
+            tokens = tokenize(text)
+            known = counted[text] = (Counter(tokens), len(tokens))
+        return known
+
+    scores = []
+    for premise, hypothesis in pairs:
+        hyp_counts, hyp_length = counts(hypothesis)
+        if not hyp_length:
+            scores.append(0.0)
+            continue
+        scores.append(clipped_overlap(hyp_counts, counts(premise)[0]) / hyp_length)
+    return scores
 
 
 def remote_presence(
@@ -98,15 +117,33 @@ def remote_scorer(
     return scorer
 
 
+def score_summaries(
+    units: Sequence[ContentUnit], summaries: Sequence[str], scorer: PresenceScorer
+) -> list[PresenceResult]:
+    """Score every summary against every unit in one scorer call.
+
+    Each distinct (summary, unit) pair is scored once, so repeated summaries
+    or unit texts cost nothing extra. Results follow *summaries*, and each
+    keeps the unit order.
+    """
+    if not units:
+        raise NoUnits("cannot score a summary without units")
+    texts = [unit.text for unit in units]
+    pairs = list(dict.fromkeys((summary, text) for summary in summaries for text in texts))
+    probabilities = scorer(pairs)
+    if len(probabilities) != len(pairs):
+        raise MalformedServiceReply(
+            f"scorer answered {len(probabilities)} probabilities for {len(pairs)} pairs"
+        )
+    by_pair = dict(zip(pairs, probabilities))
+    return [
+        PresenceResult(tuple(float(by_pair[summary, text]) for text in texts))
+        for summary in summaries
+    ]
+
+
 def score_summary(
     units: Sequence[ContentUnit], summary: str, scorer: PresenceScorer
 ) -> PresenceResult:
     """Score *summary* against every unit; unit order is preserved."""
-    if not units:
-        raise NoUnits("cannot score a summary without units")
-    probabilities = scorer([(summary, unit.text) for unit in units])
-    if len(probabilities) != len(units):
-        raise MalformedServiceReply(
-            f"scorer answered {len(probabilities)} probabilities for {len(units)} units"
-        )
-    return PresenceResult(tuple(float(p) for p in probabilities))
+    return score_summaries(units, [summary], scorer)[0]

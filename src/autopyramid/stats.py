@@ -14,9 +14,11 @@ part of this package's contract:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
+from .data import is_finite_number
 from .errors import (
     AllZeroDifferences,
     DegenerateInput,
@@ -25,7 +27,13 @@ from .errors import (
     NoGoldUnits,
 )
 from .extract import ContentUnit
-from .text import rouge1_f1, split_sentences, tokenize
+from .text import (  # noqa: F401  (rouge1_f1: easiness is its matrix, kept importable)
+    clipped_overlap,
+    rouge1_f1,
+    split_sentences,
+    tokenize,
+    unigram_f1,
+)
 
 WILCOXON_EXACT_LIMIT = 12
 
@@ -59,7 +67,22 @@ def easiness(
         return EasinessReport(0.0, 0.0, (), (), degenerate=True)
     gold_texts = [u.text for u in gold]
     approx_texts = [u.text for u in approx]
-    scores = [[rouge1_f1(g, a) for a in approx_texts] for g in gold_texts]
+    # rouge1_f1 for every cell, with each text tokenized once
+    counted: dict[str, tuple[Counter, int]] = {}
+    for text in gold_texts + approx_texts:
+        if text not in counted:
+            tokens = tokenize(text)
+            counted[text] = (Counter(tokens), len(tokens))
+    approx_counts = [counted[a] for a in approx_texts]
+    scores = []
+    for g in gold_texts:
+        g_counts, g_length = counted[g]
+        scores.append(
+            [
+                unigram_f1(clipped_overlap(g_counts, a_counts), g_length, a_length)
+                for a_counts, a_length in approx_counts
+            ]
+        )
 
     gold_best = tuple(max(range(len(approx_texts)), key=row.__getitem__) for row in scores)
     approx_best = tuple(
@@ -81,20 +104,27 @@ def easiness(
 def _paired(x: Sequence[float], y: Sequence[float]) -> int:
     if len(x) != len(y):
         raise LengthMismatch(f"inputs have lengths {len(x)} and {len(y)}")
+    if not all(map(is_finite_number, x)) or not all(map(is_finite_number, y)):
+        raise DegenerateInput("correlation needs finite inputs")
     return len(x)
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
-    """Sample Pearson correlation; raises on constant input."""
+    """Sample Pearson correlation; raises on constant or non-finite input."""
     n = _paired(x, y)
     if n < 2:
         raise DegenerateInput("correlation needs at least two points")
-    mean_x = math.fsum(x) / n
-    mean_y = math.fsum(y) / n
-    dx = [v - mean_x for v in x]
-    dy = [v - mean_y for v in y]
-    sxx = math.fsum(d * d for d in dx)
-    syy = math.fsum(d * d for d in dy)
+    try:
+        mean_x = math.fsum(x) / n
+        mean_y = math.fsum(y) / n
+        dx = [v - mean_x for v in x]
+        dy = [v - mean_y for v in y]
+        sxx = math.fsum(d * d for d in dx)
+        syy = math.fsum(d * d for d in dy)
+    except OverflowError as exc:
+        raise DegenerateInput("inputs too large to correlate") from exc
+    if not (math.isfinite(sxx) and math.isfinite(syy)):
+        raise DegenerateInput("inputs too large to correlate")
     if sxx == 0.0 or syy == 0.0:
         raise DegenerateInput("constant input has no correlation")
     value = math.fsum(a * b for a, b in zip(dx, dy)) / math.sqrt(sxx * syy)

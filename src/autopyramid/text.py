@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
 # Unicode alphanumerics; underscore is punctuation here.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -80,6 +80,31 @@ def split_sentences(
     return spans
 
 
+def clipped_overlap(a: Mapping[str, int], b: Mapping[str, int]) -> int:
+    """Tokens two texts share, given their token counts.
+
+    Each token counts as often as it occurs in the side where it is rarer,
+    so the result is the clipped unigram overlap of the two texts.
+    """
+    if len(b) < len(a):
+        a, b = b, a
+    return sum(min(count, b.get(token, 0)) for token, count in a.items())
+
+
+def unigram_f1(overlap: int, candidate_length: int, reference_length: int) -> float:
+    """F1 of a clipped unigram *overlap* between texts of the given lengths.
+
+    0.0 whenever either side has no tokens or nothing is shared.
+    """
+    if not candidate_length or not reference_length:
+        return 0.0
+    precision = overlap / candidate_length
+    recall = overlap / reference_length
+    if precision + recall == 0:
+        return 0.0
+    return 2 * precision * recall / (precision + recall)
+
+
 def rouge1_f1(candidate: str, reference: str) -> float:
     """Unigram F1 with clipped counts and no stemming or stopword removal.
 
@@ -89,15 +114,7 @@ def rouge1_f1(candidate: str, reference: str) -> float:
     """
     cand = tokenize(candidate)
     ref = tokenize(reference)
-    if not cand or not ref:
-        return 0.0
-    ref_counts = Counter(ref)
-    overlap = sum(min(count, ref_counts[tok]) for tok, count in Counter(cand).items())
-    precision = overlap / len(cand)
-    recall = overlap / len(ref)
-    if precision + recall == 0:
-        return 0.0
-    return 2 * precision * recall / (precision + recall)
+    return unigram_f1(clipped_overlap(Counter(cand), Counter(ref)), len(cand), len(ref))
 
 
 def enumerate_ngrams(sentence: str, sizes: Iterable[int]) -> list[str]:

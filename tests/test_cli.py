@@ -249,7 +249,7 @@ def test_score_lexical_values(tmp_path):
     assert [(r["example_id"], r["system_id"]) for r in rows] == sorted(
         (r["example_id"], r["system_id"]) for r in rows
     )
-    assert "summary_token_counts" in manifest_of(scores)["extra"]
+    assert "summary_token_counts" not in manifest_of(scores).get("extra", {})
 
 
 def test_score_remote_against_stub(tmp_path, stub_service):
@@ -454,6 +454,51 @@ def test_metaeval_missing_score_row_exits_2(tmp_path, capsys):
     code = main(["metaeval", "--input", TOY, "--scores", scores])
     capsys.readouterr()
     assert code == 2
+
+
+def human_scores_as_scores():
+    return [
+        {"example_id": entry["example_id"], "system_id": system["system_id"],
+         "score": system["human_score"]}
+        for entry in read_jsonl(TOY)
+        for system in entry["systems"]
+    ]
+
+
+def test_metaeval_non_finite_human_score_exits_2(tmp_path, capsys):
+    lines = Path(TOY).read_text(encoding="utf-8").splitlines()
+    lines[1] = lines[1].replace('"human_score": 0.6', '"human_score": NaN')
+    dataset = tmp_path / "d.jsonl"
+    dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    scores = write_jsonl(tmp_path / "s.jsonl", human_scores_as_scores())
+    code = main(["metaeval", "--input", str(dataset), "--scores", scores])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "line 2" in err and "systems[0].human_score" in err
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_metaeval_non_finite_score_exits_2(tmp_path, capsys, bad):
+    rows = human_scores_as_scores()
+    rows[2]["score"] = bad
+    scores = write_jsonl(tmp_path / "s.jsonl", rows)
+    code = main(["metaeval", "--input", TOY, "--scores", scores])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "line 3" in err and "field score" in err
+
+
+def test_metaeval_overflowing_scores_are_not_a_correlation(tmp_path, capsys):
+    # finite scores whose squares overflow reach pearson, which refuses them
+    rows = human_scores_as_scores()
+    for k, row in enumerate(rows):
+        row["score"] = (-1) ** k * 1e200
+    scores = write_jsonl(tmp_path / "s.jsonl", rows)
+    out = tmp_path / "table.jsonl"
+    code = main(["metaeval", "--input", TOY, "--scores", scores, "--corr", "pearson", "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    assert [cell["value"] for cell in read_jsonl(out)] == [None, None]
 
 
 def test_stats_toy_dataset(tmp_path, capsys):

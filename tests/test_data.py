@@ -102,6 +102,17 @@ def test_load_dataset_schema_violations(tmp_path, mutate, field):
     assert info.value.field == field
 
 
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_load_dataset_rejects_non_finite_human_score(tmp_path, text):
+    row = json.dumps(valid_row()).replace('"human_score": 0.5', f'"human_score": {text}')
+    path = tmp_path / "d.jsonl"
+    path.write_text(json.dumps(valid_row("e0")) + "\n" + row + "\n", encoding="utf-8")
+    with pytest.raises(SchemaViolation) as info:
+        load_dataset(path)
+    assert info.value.line == 2
+    assert info.value.field == "systems[0].human_score"
+
+
 def test_load_dataset_bad_json(tmp_path):
     path = tmp_path / "d.jsonl"
     path.write_text("{not json}\n", encoding="utf-8")

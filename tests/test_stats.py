@@ -118,6 +118,24 @@ def test_pearson_errors():
         pearson([1, 2], [1, 2, 3])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400])
+def test_correlations_refuse_non_finite_input(bad):
+    # max(-1, min(1, nan)) is 1.0: a NaN must not pass as a perfect correlation
+    for correlate in (pearson, spearman):
+        with pytest.raises(DegenerateInput):
+            correlate([0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, bad])
+        with pytest.raises(DegenerateInput):
+            correlate([bad, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1])
+
+
+def test_pearson_refuses_overflowing_input():
+    # finite inputs whose squares overflow would otherwise correlate as 0.0
+    with pytest.raises(DegenerateInput):
+        pearson([1e200, -1e200, 3.0, 4.0], [1, 2, 3, 4])
+    with pytest.raises(DegenerateInput):
+        pearson([1e308, 1e308, -1e308, 5.0], [1, 2, 3, 4])
+
+
 def test_pearson_affine_invariance():
     rng = random.Random(8)
     for _ in range(30):
