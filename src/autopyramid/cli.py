@@ -74,6 +74,14 @@ STRATEGY_NAMES = {
 }
 
 
+def positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="autopyramid",
@@ -116,8 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     extract.add_argument(
         "--import-tag", default="imported_stu", choices=sorted(VALID_STRATEGIES)
     )
-    extract.add_argument("--batch-size", type=int, default=32)
-    extract.add_argument("--concurrency", type=int, default=4)
+    extract.add_argument("--batch-size", type=positive_int, default=32)
+    extract.add_argument("--concurrency", type=positive_int, default=4)
     extract.set_defaults(func=cmd_extract)
 
     score = sub.add_parser("score", help="presence-score system summaries")
@@ -126,8 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument("--out", required=True, help="score JSONL file to write")
     score.add_argument("--scorer", choices=("lexical", "remote"), default="lexical")
     score.add_argument("--nli-endpoint", help="presence service URL")
-    score.add_argument("--batch-size", type=int, default=32)
-    score.add_argument("--concurrency", type=int, default=4)
+    score.add_argument("--batch-size", type=positive_int, default=32)
+    score.add_argument("--concurrency", type=positive_int, default=4)
     score.set_defaults(func=cmd_score)
 
     intrinsic = sub.add_parser(

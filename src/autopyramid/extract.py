@@ -102,8 +102,8 @@ class ExtractionConfig:
             raise ValueError("ngram_fraction must be in (0, 1]")
         if not self.ngram_sizes or any(n < 1 for n in self.ngram_sizes):
             raise ValueError("ngram_sizes must be non-empty integers >= 1")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not math.isfinite(self.temperature) or self.temperature < 0:
+            raise ValueError("temperature must be a finite number >= 0")
         if self.split_mode not in SPLIT_MODES:
             raise ValueError(f"split_mode must be one of {SPLIT_MODES}")
 

@@ -13,20 +13,11 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
-from urllib.parse import urlsplit, urlunsplit
 
 from . import __version__
 from .data import atomic_write_text
 from .errors import FileUnreadable
-
-
-def redact_endpoint(url: str) -> str:
-    """Strip userinfo and query/fragment from a URL."""
-    parts = urlsplit(url)
-    host = parts.hostname or ""
-    if parts.port:
-        host = f"{host}:{parts.port}"
-    return urlunsplit((parts.scheme, host, parts.path, "", ""))
+from .services import redact_endpoint
 
 
 def _redact_config(config: dict) -> dict:

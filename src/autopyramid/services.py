@@ -8,21 +8,25 @@ Four endpoints are supported, all JSON over POST:
 * chat completions: ``{"model", "temperature", "messages"}`` ->
   first choice message content
 
-Requests are retried on connection failures and 5xx answers; the nominal
-backoff schedule is 1s/2s/4s with 3 attempts. Auth tokens are read from
-environment variables only and are never logged or echoed back.
+Requests are retried on connection failures, 5xx and 429 answers; the
+nominal backoff schedule is 1s/2s/4s with 3 attempts. Auth tokens are read
+from environment variables only and are never logged or echoed back, and
+error messages name an endpoint only in its redacted form.
+
+The transport is the standard library's ``urllib.request``, imported on the
+first request so that commands that never call a service do not load it.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
+from urllib.parse import quote, unquote, urlsplit, urlunsplit
 
-import requests
-
-from .errors import MalformedServiceReply, ServiceUnavailable
+from .errors import InputError, MalformedServiceReply, ServiceUnavailable
 
 DEFAULT_ATTEMPTS = 3
 DEFAULT_RETRY_SCHEDULE = (1.0, 2.0, 4.0)
@@ -43,6 +47,59 @@ def retry_schedule() -> tuple[float, ...]:
     return DEFAULT_RETRY_SCHEDULE
 
 
+# characters kept as they are when an endpoint's path and query are
+# percent-encoded for the request line
+_URL_SAFE = "!#$%&'()*+,/:;=?@[]~"
+
+
+def redact_endpoint(url: str) -> str:
+    """Strip userinfo and query/fragment from a URL."""
+    parts = urlsplit(url)
+    return urlunsplit((parts.scheme, parts.netloc.rpartition("@")[2], parts.path, "", ""))
+
+
+def _request_target(url: str) -> tuple[str, str | None]:
+    """The URL to send, without userinfo, and the ``user:password`` the
+    userinfo carried (``None`` without one).
+
+    Only http and https URLs that parse are accepted; anything else raises
+    :class:`InputError`, so no file, data or ftp URL is ever read.
+    """
+    try:
+        parts = urlsplit(url)
+        parts.port  # raises ValueError on a malformed port
+        # a host label the resolver would refuse also raises ValueError
+        (parts.hostname or "").encode("idna")
+    except ValueError as exc:
+        raise InputError(f"service endpoint is not a valid URL ({exc})") from exc
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise InputError(
+            f"service endpoint {redact_endpoint(url)} must be an http or https URL "
+            "with a host"
+        )
+    target = urlunsplit(
+        (
+            parts.scheme,
+            parts.netloc.rpartition("@")[2],
+            quote(parts.path, safe=_URL_SAFE),
+            quote(parts.query, safe=_URL_SAFE),
+            "",
+        )
+    )
+    if parts.password is None:
+        return target, None
+    return target, f"{unquote(parts.username)}:{unquote(parts.password)}"
+
+
+def _retry_delay(attempt: int, schedule: Sequence[float], retry_after: str | None) -> float:
+    """The pause before the next attempt: the schedule's step, or an integer
+    ``Retry-After`` capped at the schedule's largest step."""
+    value = (retry_after or "").strip()
+    if value.isascii() and value.isdigit():
+        return min(float(value), max(schedule))
+    return schedule[min(attempt, len(schedule) - 1)]
+
+
 def post_json(
     url: str,
     payload: dict,
@@ -55,36 +112,74 @@ def post_json(
 ) -> dict:
     """POST *payload* and return the parsed JSON reply.
 
-    Connection errors and 5xx answers are retried up to *attempts* times,
-    sleeping per *schedule* between tries. 4xx answers are not retried.
+    Connection errors, 5xx and 429 answers are retried up to *attempts*
+    times, sleeping per *schedule* between tries; an integer ``Retry-After``
+    on a 429 replaces that step, capped at the schedule's largest step.
+    Other 4xx answers and redirects are not retried or followed. *url* must
+    be http or https (else :class:`InputError`, before any attempt); its
+    userinfo is sent as HTTP Basic auth, which takes precedence over *token*.
     """
+    # imported here so that commands that never call a service skip them
+    import base64
+    import http.client
+    import urllib.error
+    import urllib.request
+
+    target, userinfo = _request_target(url)
+    where = redact_endpoint(url)
     if schedule is None:
         schedule = retry_schedule()
-    headers = {}
+    headers = {"Content-Type": "application/json"}
     if token:
         headers["Authorization"] = f"Bearer {token}"
+    if userinfo is not None:
+        credential = base64.b64encode(userinfo.encode("utf-8")).decode("ascii")
+        headers["Authorization"] = f"Basic {credential}"
+    data = json.dumps(payload, allow_nan=False).encode("utf-8")
+    # no redirect handler: a 3xx answer fails like a 4xx, so the request is
+    # never re-sent, with its credentials, to a host the reply names
+    opener = urllib.request.OpenerDirector()
+    for handler in (
+        urllib.request.ProxyHandler(),
+        urllib.request.HTTPHandler(),
+        urllib.request.HTTPSHandler(),
+        urllib.request.HTTPDefaultErrorHandler(),
+        urllib.request.HTTPErrorProcessor(),
+    ):
+        opener.add_handler(handler)
     failure = "no attempt made"
     for attempt in range(attempts):
+        retry_after = None
+        # a fresh Request each time: routing through a proxy rewrites it
+        request = urllib.request.Request(target, data=data, headers=headers, method="POST")
         try:
-            response = requests.post(url, json=payload, headers=headers, timeout=timeout)
-        except requests.RequestException as exc:
-            failure = exc.__class__.__name__
+            with opener.open(request, timeout=timeout) as response:
+                body = response.read()
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            if exc.code == 429:
+                retry_after = exc.headers.get("Retry-After")
+            elif exc.code < 500:
+                raise ServiceUnavailable(f"{where} answered {exc.code}") from None
+            failure = f"status {exc.code}"
+        except (OSError, http.client.HTTPException) as exc:
+            reason = getattr(exc, "reason", None)
+            failure = (reason if isinstance(reason, BaseException) else exc).__class__.__name__
         else:
-            if response.status_code >= 500:
-                failure = f"status {response.status_code}"
-            elif response.status_code >= 400:
-                raise ServiceUnavailable(f"{url} answered {response.status_code}")
-            else:
-                try:
-                    body = response.json()
-                except ValueError as exc:
-                    raise MalformedServiceReply(f"{url} returned non-JSON data") from exc
-                if not isinstance(body, dict):
-                    raise MalformedServiceReply(f"{url} returned a non-object reply")
-                return body
+            try:
+                reply = json.loads(body)
+            except ValueError as exc:
+                raise MalformedServiceReply(f"{where} returned non-JSON data") from exc
+            if not isinstance(reply, dict):
+                raise MalformedServiceReply(f"{where} returned a non-object reply")
+            return reply
         if attempt + 1 < attempts and schedule:
-            sleep(schedule[min(attempt, len(schedule) - 1)])
-    raise ServiceUnavailable(f"{url} failed after {attempts} attempts ({failure})")
+            sleep(_retry_delay(attempt, schedule, retry_after))
+    raise ServiceUnavailable(f"{where} failed after {attempts} attempts ({failure})")
+
+
+def _malformed(endpoint: str, problem: str) -> MalformedServiceReply:
+    return MalformedServiceReply(f"{redact_endpoint(endpoint)} {problem}")
 
 
 def _chunks(items: Sequence, size: int) -> list[Sequence]:
@@ -144,9 +239,8 @@ class BatchClient:
             reply = self._post(build(batch))
             values = parse(reply)
             if len(values) != len(batch):
-                raise MalformedServiceReply(
-                    f"{self.endpoint} answered {len(values)} items for a "
-                    f"batch of {len(batch)}"
+                raise _malformed(
+                    self.endpoint, f"answered {len(values)} items for a batch of {len(batch)}"
                 )
             return values
 
@@ -170,7 +264,7 @@ class GraphToTextClient(BatchClient):
         def parse(reply: dict) -> list[str]:
             texts = reply.get("texts")
             if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
-                raise MalformedServiceReply(f"{self.endpoint} reply lacks 'texts'")
+                raise _malformed(self.endpoint, "reply lacks 'texts'")
             return texts
 
         return self._run_batched(list(graphs), lambda b: {"graphs": list(b)}, parse)
@@ -185,7 +279,7 @@ class ParseServiceClient(BatchClient):
         def parse(reply: dict) -> list[str]:
             graphs = reply.get("graphs")
             if not isinstance(graphs, list) or not all(isinstance(g, str) for g in graphs):
-                raise MalformedServiceReply(f"{self.endpoint} reply lacks 'graphs'")
+                raise _malformed(self.endpoint, "reply lacks 'graphs'")
             return graphs
 
         return self._run_batched(list(sentences), lambda b: {"sentences": list(b)}, parse)
@@ -200,15 +294,13 @@ class PresenceClient(BatchClient):
         def parse(reply: dict) -> list[float]:
             probs = reply.get("probs")
             if not isinstance(probs, list):
-                raise MalformedServiceReply(f"{self.endpoint} reply lacks 'probs'")
+                raise _malformed(self.endpoint, "reply lacks 'probs'")
             for value in probs:
                 if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    raise MalformedServiceReply(
-                        f"{self.endpoint} returned a non-numeric probability"
-                    )
+                    raise _malformed(self.endpoint, "returned a non-numeric probability")
                 if not 0.0 <= value <= 1.0:
-                    raise MalformedServiceReply(
-                        f"{self.endpoint} returned probability {value} outside [0, 1]"
+                    raise _malformed(
+                        self.endpoint, f"returned probability {value} outside [0, 1]"
                     )
             return [float(v) for v in probs]
 
@@ -258,9 +350,7 @@ class ChatClient:
         try:
             content = reply["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
-            raise MalformedServiceReply(
-                f"{self.endpoint} reply has no first choice message"
-            ) from exc
+            raise _malformed(self.endpoint, "reply has no first choice message") from exc
         if not isinstance(content, str):
-            raise MalformedServiceReply(f"{self.endpoint} message content is not text")
+            raise _malformed(self.endpoint, "message content is not text")
         return content

@@ -14,8 +14,8 @@ def fast_retries(monkeypatch):
 def stub_service():
     created = []
 
-    def make(handler=None, failures=0, raw_body=None):
-        stub = StubService(handler or (lambda p, b: (200, {})), failures, raw_body)
+    def make(handler=None, failures=0, raw_body=None, drops=0):
+        stub = StubService(handler or (lambda p, b: (200, {})), failures, raw_body, drops)
         created.append(stub)
         return stub
 

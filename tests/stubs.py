@@ -8,40 +8,56 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 class StubService:
     """A local HTTP server with a programmable POST handler.
 
-    ``handler(path, payload) -> (status, reply_dict)`` decides responses;
-    ``failures`` makes the first N requests answer 500. Every request is
-    recorded as ``(path, payload, headers)``.
+    ``handler(path, payload) -> (status, reply_dict[, reply_headers])``
+    decides responses; ``failures`` makes the first N requests answer 500
+    and ``drops`` makes the next N close the connection without a reply.
+    Every request is recorded as ``(path, payload, headers)``, and its body
+    bytes in ``bodies``.
     """
 
-    def __init__(self, handler, failures=0, raw_body=None):
+    def __init__(self, handler, failures=0, raw_body=None, drops=0):
         self.handler = handler
         self.failures = failures
         self.raw_body = raw_body
+        self.drops = drops
         self.requests = []
+        self.bodies = []
         self._lock = threading.Lock()
         stub = self
 
         class _Handler(BaseHTTPRequestHandler):
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
-                payload = json.loads(self.rfile.read(length) or b"{}")
+                raw = self.rfile.read(length)
+                payload = json.loads(raw or b"{}")
                 with stub._lock:
                     stub.requests.append((self.path, payload, dict(self.headers)))
+                    stub.bodies.append(raw)
                     must_fail = stub.failures > 0
                     if must_fail:
                         stub.failures -= 1
+                    must_drop = not must_fail and stub.drops > 0
+                    if must_drop:
+                        stub.drops -= 1
+                if must_drop:
+                    self.close_connection = True
+                    return
                 if must_fail:
                     self.send_response(500)
                     self.send_header("Content-Length", "0")
                     self.end_headers()
                     return
+                headers = {}
                 if stub.raw_body is not None:
                     body = stub.raw_body
                     status = 200
                 else:
-                    status, reply = stub.handler(self.path, payload)
+                    status, reply, *extra = stub.handler(self.path, payload)
                     body = json.dumps(reply).encode("utf-8")
+                    headers = extra[0] if extra else {}
                 self.send_response(status)
+                for name, value in headers.items():
+                    self.send_header(name, value)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(body)))
                 self.end_headers()

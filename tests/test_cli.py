@@ -532,3 +532,62 @@ def test_missing_input_file_exits_2(tmp_path, capsys):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_service_failure_message_hides_endpoint_credentials(tmp_path, capsys):
+    units = tmp_path / "units.jsonl"
+    assert main(["extract", "--strategy", "sent", "--input", TOY, "--out", str(units)]) == 0
+    endpoint = dead_endpoint().replace("http://", "http://alice:s3cret@") + "/x"
+    code = main([
+        "score", "--input", TOY, "--units", str(units),
+        "--out", str(tmp_path / "s.jsonl"), "--scorer", "remote",
+        "--nli-endpoint", endpoint,
+    ])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "failed after 3 attempts" in err
+    assert "s3cret" not in err and "alice" not in err
+
+
+def test_non_http_endpoint_exits_2(tmp_path, capsys):
+    units = tmp_path / "units.jsonl"
+    assert main(["extract", "--strategy", "sent", "--input", TOY, "--out", str(units)]) == 0
+    code = main([
+        "score", "--input", TOY, "--units", str(units),
+        "--out", str(tmp_path / "s.jsonl"), "--scorer", "remote",
+        "--nli-endpoint", "file:///etc/hostname",
+    ])
+    assert code == 2
+    assert "http or https" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--batch-size", "--concurrency"])
+@pytest.mark.parametrize("value", ["0", "-3", "two"])
+def test_counts_below_one_are_usage_errors(tmp_path, capsys, stub_service, flag, value):
+    stub = stub_service(constant_presence(0.5))
+    units = tmp_path / "units.jsonl"
+    assert main(["extract", "--strategy", "sent", "--input", TOY, "--out", str(units)]) == 0
+    score = main([
+        "score", "--input", TOY, "--units", str(units), "--out", str(tmp_path / "s.jsonl"),
+        "--scorer", "remote", "--nli-endpoint", stub.url, flag, value,
+    ])
+    extract = main([
+        "extract", "--strategy", "smu", "--input", TOY, "--out", str(tmp_path / "u.jsonl"),
+        "--parse-endpoint", stub.url, flag, value,
+    ])
+    err = capsys.readouterr().err
+    assert (score, extract) == (2, 2)
+    assert err.count(f"argument {flag}") == 2
+    assert stub.requests == []
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_extract_sgu_rejects_non_finite_temperature(tmp_path, capsys, stub_service, value):
+    stub = stub_service(scripted_chat("A # B"))
+    code = main([
+        "extract", "--strategy", "sgu", "--input", TOY, "--out", str(tmp_path / "u.jsonl"),
+        "--llm-endpoint", stub.url, "--llm-model", "m", "--temperature", value,
+    ])
+    assert code == 2
+    assert "temperature" in capsys.readouterr().err
+    assert stub.requests == []

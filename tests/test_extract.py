@@ -46,6 +46,9 @@ def test_extraction_config_validation():
         ExtractionConfig(ngram_sizes=(0, 3))
     with pytest.raises(ValueError):
         ExtractionConfig(temperature=-1)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            ExtractionConfig(temperature=bad)
     with pytest.raises(ValueError):
         ExtractionConfig(split_mode="sideways")
 

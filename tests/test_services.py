@@ -1,6 +1,13 @@
+import base64
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from autopyramid.errors import MalformedServiceReply, ServiceUnavailable
+from autopyramid.errors import InputError, MalformedServiceReply, ServiceUnavailable
 from autopyramid.services import (
     DEFAULT_ATTEMPTS,
     DEFAULT_RETRY_SCHEDULE,
@@ -186,3 +193,166 @@ def test_batch_client_validates_parameters(stub_service):
         GraphToTextClient(stub.url, batch_size=0)
     with pytest.raises(ValueError):
         GraphToTextClient(stub.url, concurrency=0)
+
+
+def test_importing_the_cli_loads_no_http_code():
+    probe = (
+        "import sys, autopyramid.cli; "
+        "print(sorted(m for m in ('requests', 'urllib.request', 'http.client') "
+        "if m in sys.modules))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_post_json_body_bytes_and_content_type(stub_service):
+    stub = stub_service()
+    payload = {"pairs": [{"premise": "café ✓", "hypothesis": "a\nb"}], "t": 0.5}
+    post_json(stub.url, payload, schedule=())
+    assert stub.bodies == [json.dumps(payload, allow_nan=False).encode("utf-8")]
+    headers = {k.lower(): v for k, v in stub.requests[0][2].items()}
+    assert headers["content-type"] == "application/json"
+
+
+def test_post_json_rejects_non_finite_payload_before_sending(stub_service):
+    stub = stub_service()
+    with pytest.raises(ValueError):
+        post_json(stub.url, {"temperature": float("nan")}, schedule=())
+    assert stub.requests == []
+
+
+def test_post_json_sends_userinfo_as_basic_auth(stub_service):
+    stub = stub_service()
+    url = stub.url.replace("http://", "http://alice:s3cret@") + "/nli?v=1"
+    post_json(url, {}, token="ignored", schedule=())
+    path, _, headers = stub.requests[0]
+    assert path == "/nli?v=1"
+    assert headers["Authorization"] == "Basic " + base64.b64encode(b"alice:s3cret").decode()
+
+
+def test_post_json_percent_encodes_path(stub_service):
+    stub = stub_service()
+    post_json(stub.url + "/a b/é", {}, schedule=())
+    assert stub.requests[0][0] == "/a%20b/%C3%A9"
+
+
+@pytest.mark.parametrize(
+    "url",
+    [
+        "file:///etc/hostname",
+        "data:application/json,{}",
+        "ftp://127.0.0.1/x",
+        "http://[::1/x",
+        "http://127.0.0.1:port/x",
+        "http:///x",
+        "http://" + "a" * 64 + ".example/x",
+    ],
+)
+def test_post_json_accepts_only_http_urls_that_parse(stub_service, url):
+    stub = stub_service()
+    delays = []
+    with pytest.raises(InputError):
+        post_json(url, {}, schedule=(1.0, 2.0), sleep=delays.append)
+    assert stub.requests == []
+    assert delays == []
+
+
+def test_post_json_retries_dropped_connection(stub_service):
+    stub = stub_service(lambda path, body: (200, {"ok": True}), drops=1)
+    delays = []
+    assert post_json(stub.url, {}, schedule=(1.0, 2.0), sleep=delays.append) == {"ok": True}
+    assert len(stub.requests) == 2
+    assert delays == [1.0]
+    dead = stub_service(drops=99)
+    with pytest.raises(ServiceUnavailable, match="after 3 attempts"):
+        post_json(dead.url, {}, schedule=(1.0, 2.0), sleep=delays.append)
+    assert len(dead.requests) == 3
+
+
+def _throttled(*retry_after):
+    """Answer 429 with the given Retry-After values (None: no header), then 200."""
+    pending = list(retry_after)
+
+    def handler(path, body):
+        if not pending:
+            return 200, {"ok": True}
+        value = pending.pop(0)
+        return 429, {}, ({} if value is None else {"Retry-After": value})
+
+    return handler
+
+
+@pytest.mark.parametrize(
+    "retry_after, delays",
+    [
+        ((None, None), [1.0, 2.0]),
+        (("3", "0"), [3.0, 0.0]),
+        (("100", " 2 "), [4.0, 2.0]),
+        (("Wed, 21 Oct 2015 07:28:00 GMT", "-1"), [1.0, 2.0]),
+        (("1.5", "²"), [1.0, 2.0]),
+    ],
+)
+def test_post_json_retries_429_with_retry_after(stub_service, retry_after, delays):
+    stub = stub_service(_throttled(*retry_after))
+    slept = []
+    reply = post_json(stub.url, {}, schedule=(1.0, 2.0, 4.0), sleep=slept.append)
+    assert reply == {"ok": True}
+    assert len(stub.requests) == 3
+    assert slept == delays
+
+
+def test_post_json_429_retry_after_capped_by_schedule_in_force(stub_service):
+    stub = stub_service(_throttled("30", "30", "30"))
+    slept = []
+    with pytest.raises(ServiceUnavailable, match=r"status 429"):
+        post_json(stub.url, {}, schedule=(0.5,), sleep=slept.append)
+    assert slept == [0.5, 0.5]
+
+
+def test_post_json_redirect_is_not_followed(stub_service):
+    target = stub_service()
+    stub = stub_service(lambda path, body: (307, {}, {"Location": target.url + "/x"}))
+    delays = []
+    with pytest.raises(ServiceUnavailable, match="answered 307"):
+        post_json(stub.url, {}, token="sesame", schedule=(1.0,), sleep=delays.append)
+    assert len(stub.requests) == 1
+    assert target.requests == []
+    assert delays == []
+
+
+def test_error_messages_redact_endpoint_credentials(stub_service):
+    dead = dead_endpoint().replace("http://", "http://alice:s3cret@") + "/x?key=k3y"
+    with pytest.raises(ServiceUnavailable) as failed:
+        post_json(dead, {}, schedule=())
+    assert "s3cret" not in str(failed.value) and "k3y" not in str(failed.value)
+    url = stub_service(lambda path, body: (200, {"probs": "x"})).url
+    url = url.replace("http://", "http://alice:s3cret@")
+    listy = stub_service(raw_body=b"[]").url.replace("http://", "http://alice:s3cret@")
+    for call in (
+        lambda: PresenceClient(url).probabilities([("p", "h")]),
+        lambda: ChatClient(url, "m").complete([]),
+        lambda: post_json(listy, {}),
+    ):
+        with pytest.raises(MalformedServiceReply) as bad:
+            call()
+        assert "s3cret" not in str(bad.value) and "127.0.0.1" in str(bad.value)
+
+
+def test_post_json_honours_proxy_environment(stub_service, monkeypatch):
+    proxy = stub_service(lambda path, body: (200, {"via": path}))
+    for name in ("http_proxy", "HTTP_PROXY", "no_proxy", "NO_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("http_proxy", proxy.url)
+    # the proxy is handed the absolute URL; service.invalid is never resolved
+    assert post_json("http://service.invalid/nli", {}, schedule=()) == {
+        "via": "http://service.invalid/nli"
+    }
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    direct = stub_service(lambda path, body: (200, {"via": path}))
+    assert post_json(direct.url + "/nli", {}, schedule=()) == {"via": "/nli"}
+    assert len(proxy.requests) == 1
