@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DisconnectedGraph, FileUnreadable, FileUnwritable, MalformedPenman
 
@@ -170,7 +170,12 @@ class _Parser:
         self.edges: list[Edge] = []
         self.attributes: list[Attribute] = []
         self.references: list[tuple[str, _Token]] = []
-        root = self._node()
+        root = self._open_node()
+        # the nodes whose ')' is still to come, innermost last; a loop, not
+        # recursion, so any nesting depth parses
+        open_nodes = [root]
+        while open_nodes:
+            self._relation(open_nodes)
         trailing = self._peek()
         if trailing is not None:
             raise MalformedPenman(
@@ -190,7 +195,8 @@ class _Parser:
             attributes=tuple(self.attributes),
         )
 
-    def _node(self) -> str:
+    def _open_node(self) -> str:
+        """Read ``'(' variable '/' concept`` and record the node."""
         opener = self._next("'('")
         if opener.text != "(":
             raise MalformedPenman(
@@ -220,38 +226,38 @@ class _Parser:
                 concept_tok.column,
             )
         self.nodes[var] = concept
-        while True:
-            tok = self._next("a role or ')'")
-            if tok.text == ")":
-                return var
-            if not tok.text.startswith(":") or len(tok.text) < 2:
-                raise MalformedPenman(
-                    f"expected a role or ')' but found {tok.text!r}", tok.line, tok.column
-                )
-            role = tok.text
-            value = self._peek()
-            if value is None:
-                raise MalformedPenman(
-                    f"role {role!r} has no value", tok.line, tok.column
-                )
-            if value.text == "(":
-                # reserve the slot so edges keep text-encounter order even
-                # though the child subtree parses first
-                slot = len(self.edges)
-                self.edges.append(Edge(var, role, ""))
-                child = self._node()
-                self.edges[slot] = Edge(var, role, child)
-            elif value.text in (")", "/") or value.text.startswith(":"):
-                raise MalformedPenman(
-                    f"role {role!r} has no value", value.line, value.column
-                )
-            elif _is_constant(value.text):
-                self.pos += 1
-                self.attributes.append(Attribute(var, role, value.text))
-            else:
-                self.pos += 1
-                self.edges.append(Edge(var, role, value.text))
-                self.references.append((value.text, value))
+        return var
+
+    def _relation(self, open_nodes: list[str]) -> None:
+        """Read the innermost open node's next relation, or its ')'."""
+        var = open_nodes[-1]
+        tok = self._next("a role or ')'")
+        if tok.text == ")":
+            open_nodes.pop()
+            return
+        if not tok.text.startswith(":") or len(tok.text) < 2:
+            raise MalformedPenman(
+                f"expected a role or ')' but found {tok.text!r}", tok.line, tok.column
+            )
+        role = tok.text
+        value = self._peek()
+        if value is None:
+            raise MalformedPenman(f"role {role!r} has no value", tok.line, tok.column)
+        if value.text == "(":
+            # the edge goes in before the child's own edges, so edges keep
+            # text-encounter order
+            child = self._open_node()
+            self.edges.append(Edge(var, role, child))
+            open_nodes.append(child)
+        elif value.text in (")", "/") or value.text.startswith(":"):
+            raise MalformedPenman(f"role {role!r} has no value", value.line, value.column)
+        elif _is_constant(value.text):
+            self.pos += 1
+            self.attributes.append(Attribute(var, role, value.text))
+        else:
+            self.pos += 1
+            self.edges.append(Edge(var, role, value.text))
+            self.references.append((value.text, value))
 
 
 def parse_penman(text: str, first_line: int = 1) -> AmrGraph:
@@ -288,20 +294,30 @@ def serialize_penman(graph: AmrGraph) -> str:
     for attr in graph.attributes:
         attrs.setdefault(attr.source, []).append(attr)
     visited: set[str] = set()
+    parts: list[str] = []
+    # the edges each open node has still to emit, innermost last
+    pending: list[Iterator[Edge]] = []
 
-    def emit(var: str) -> str:
+    def open_node(var: str) -> None:
         visited.add(var)
-        parts = [f"({var} / {graph.nodes[var]}"]
+        parts.append(f"({var} / {graph.nodes[var]}")
         for attr in attrs.get(var, []):
-            parts.append(f"{attr.role} {attr.value}")
-        for edge in children.get(var, []):
-            if edge.target in visited:
-                parts.append(f"{edge.role} {edge.target}")
-            else:
-                parts.append(f"{edge.role} {emit(edge.target)}")
-        return " ".join(parts) + ")"
+            parts.append(f" {attr.role} {attr.value}")
+        pending.append(iter(children.get(var, [])))
 
-    text = emit(graph.root)
+    open_node(graph.root)
+    while pending:
+        for edge in pending[-1]:
+            if edge.target in visited:
+                parts.append(f" {edge.role} {edge.target}")
+            else:
+                parts.append(f" {edge.role} ")
+                open_node(edge.target)
+                break
+        else:
+            pending.pop()
+            parts.append(")")
+    text = "".join(parts)
     if len(visited) < len(graph.nodes):
         missing = [v for v in graph.nodes if v not in visited]
         raise DisconnectedGraph(

@@ -56,7 +56,7 @@ from .presence import (  # noqa: F401  (score_summary: kept importable from here
     score_summaries,
     score_summary,
 )
-from .services import ParseServiceClient
+from .services import ParseServiceClient, check_endpoint
 from .smu import SPLIT_MODES
 from .stats import corpus_stats, easiness, summary_level, system_level
 from .text import split_sentences
@@ -175,6 +175,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     try:
+        _check_endpoints(args)
         return args.func(args)
     except RemoteError as exc:
         print(f"autopyramid: {exc}", file=sys.stderr)
@@ -182,6 +183,17 @@ def main(argv=None) -> int:
     except AutoPyramidError as exc:
         print(f"autopyramid: {exc}", file=sys.stderr)
         return EXIT_INPUT
+
+
+def _check_endpoints(args) -> None:
+    """Refuse any given ``--*-endpoint`` that is not a usable http(s) URL,
+    before an input is read or an output written."""
+    for name, value in vars(args).items():
+        if name.endswith("_endpoint") and value is not None:
+            try:
+                check_endpoint(value)
+            except InputError as exc:
+                raise InputError(f"--{name.replace('_', '-')}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import random
 import re
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -30,7 +31,7 @@ from .errors import (
 )
 from .services import ChatClient
 from .smu import SPLIT_MODES, SmuCandidate, realize_baseline, realize_remote, split_graph
-from .text import enumerate_ngrams, split_sentences
+from .text import split_sentences, tokenize
 
 STRATEGIES = frozenset(
     {"gold_scu", "sentence_split", "ngram", "smu", "sgu", "imported_stu"}
@@ -123,26 +124,37 @@ def extract_ngram_units(reference: str, config: ExtractionConfig) -> list[Conten
     """A seeded random sample of the reference's n-grams.
 
     All n-grams of the configured sizes are pooled over the whole
-    reference; ``max(1, ceil(fraction * pool size))`` of them are drawn
-    without replacement and returned sorted by (sentence, n, start).
+    reference, ordered by (sentence, n, start); ``max(1, ceil(fraction *
+    pool size))`` pool positions are drawn without replacement with
+    ``random.Random(seed).sample`` and returned in pool order. Only the
+    drawn n-grams are ever joined into text.
     """
-    pool: list[tuple[int, int, int, str]] = []
+    sizes = sorted(set(config.ngram_sizes))
+    # the pool as runs of consecutive positions, one per (sentence, n):
+    # (first pool position, sentence index, tokens, n)
+    runs: list[tuple[int, int, list[str], int]] = []
+    size = 0
     for span in split_sentences(reference):
-        by_size: dict[int, int] = {}
-        for gram in enumerate_ngrams(span.text, config.ngram_sizes):
-            n = gram.count(" ") + 1
-            start = by_size.get(n, 0)
-            by_size[n] = start + 1
-            pool.append((span.index, n, start, gram))
-    if not pool:
+        tokens = tokenize(span.text)
+        for n in sizes:
+            if len(tokens) >= n:
+                runs.append((size, span.index, tokens, n))
+                size += len(tokens) - n + 1
+    if not size:
         raise EmptyReference("reference yields no n-grams")
-    count = min(len(pool), max(1, math.ceil(len(pool) * config.ngram_fraction)))
-    rng = random.Random(config.seed)
-    chosen = sorted(rng.sample(pool, count))
-    return [
-        ContentUnit(gram, "ngram", sentence_index=sentence)
-        for sentence, _, _, gram in chosen
-    ]
+    count = min(size, max(1, math.ceil(size * config.ngram_fraction)))
+    # sample's picks depend only on the population's length and the count,
+    # so drawing positions picks the same n-grams as drawing from a list
+    chosen = sorted(random.Random(config.seed).sample(range(size), count))
+    firsts = [run[0] for run in runs]
+    units = []
+    for position in chosen:
+        first, sentence, tokens, n = runs[bisect_right(firsts, position) - 1]
+        start = position - first
+        units.append(
+            ContentUnit(" ".join(tokens[start : start + n]), "ngram", sentence_index=sentence)
+        )
+    return units
 
 
 def extract_smu_units(

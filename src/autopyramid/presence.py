@@ -12,14 +12,14 @@ needs no network, and a remote scorer backed by an entailment service.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Sequence
 
 from .errors import MalformedServiceReply, NoUnits
 from .extract import ContentUnit
 from .services import PresenceClient
-from .text import clipped_overlap, tokenize
+from .text import bag_overlap, token_bag, tokenize
 
 PresenceScorer = Callable[[list[tuple[str, str]]], list[float]]
 
@@ -65,22 +65,13 @@ def lexical_presence(premise: str, hypothesis: str) -> float:
 def lexical_scorer(pairs: list[tuple[str, str]]) -> list[float]:
     """:func:`lexical_presence` of every pair, tokenizing each distinct text
     once per call."""
-    counted: dict[str, tuple[Counter, int]] = {}
-
-    def counts(text: str) -> tuple[Counter, int]:
-        known = counted.get(text)
-        if known is None:
-            tokens = tokenize(text)
-            known = counted[text] = (Counter(tokens), len(tokens))
-        return known
-
+    bags = {
+        text: token_bag(tokenize(text)) for text in dict.fromkeys(chain.from_iterable(pairs))
+    }
     scores = []
     for premise, hypothesis in pairs:
-        hyp_counts, hyp_length = counts(hypothesis)
-        if not hyp_length:
-            scores.append(0.0)
-            continue
-        scores.append(clipped_overlap(hyp_counts, counts(premise)[0]) / hyp_length)
+        hyp = bags[hypothesis]
+        scores.append(bag_overlap(hyp, bags[premise]) / hyp.length if hyp.length else 0.0)
     return scores
 
 

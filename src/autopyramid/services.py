@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
@@ -52,10 +53,24 @@ def retry_schedule() -> tuple[float, ...]:
 _URL_SAFE = "!#$%&'()*+,/:;=?@[]~"
 
 
+# RFC 3986, appendix B: scheme, authority and path of any string at all
+_URL_PARTS = re.compile(r"(?:([^:/?#]+):)?(?://([^/?#]*))?([^?#]*)")
+
+
 def redact_endpoint(url: str) -> str:
-    """Strip userinfo and query/fragment from a URL."""
-    parts = urlsplit(url)
-    return urlunsplit((parts.scheme, parts.netloc.rpartition("@")[2], parts.path, "", ""))
+    """Strip userinfo and query/fragment from a URL, even one that does not
+    parse (an unclosed IPv6 bracket)."""
+    try:
+        parts = urlsplit(url)
+        scheme, netloc, path = parts.scheme, parts.netloc, parts.path
+    except ValueError:
+        scheme, netloc, path = _URL_PARTS.match(url).groups("")
+    return urlunsplit((scheme, netloc.rpartition("@")[2], path, "", ""))
+
+
+def check_endpoint(url: str) -> None:
+    """Raise :class:`InputError` unless :func:`post_json` would send to *url*."""
+    _request_target(url)
 
 
 def _request_target(url: str) -> tuple[str, str | None]:
@@ -71,7 +86,9 @@ def _request_target(url: str) -> tuple[str, str | None]:
         # a host label the resolver would refuse also raises ValueError
         (parts.hostname or "").encode("idna")
     except ValueError as exc:
-        raise InputError(f"service endpoint is not a valid URL ({exc})") from exc
+        raise InputError(
+            f"service endpoint {redact_endpoint(url)} is not a valid URL ({exc})"
+        ) from exc
     if parts.scheme not in ("http", "https") or not parts.hostname:
         raise InputError(
             f"service endpoint {redact_endpoint(url)} must be an http or https URL "

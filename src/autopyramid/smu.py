@@ -86,24 +86,41 @@ class SmuCandidate:
     text: str | None = None
 
 
-def _dfs_order(graph: AmrGraph) -> list[str]:
+def _children(graph: AmrGraph) -> dict[str, list[Edge]]:
     children: dict[str, list[Edge]] = {}
     for edge in graph.edges:
         children.setdefault(edge.source, []).append(edge)
+    return children
+
+
+def _walk(
+    start: str, children: dict[str, list[Edge]], entered: dict[str, Edge | None]
+) -> list[str]:
+    """Depth-first preorder from *start* along edge direction, skipping and
+    extending *entered*, which maps each node to the edge it was first
+    reached by. A loop, not recursion, so any depth is walked."""
+    entered[start] = None
+    order = [start]
+    pending = [iter(children.get(start, []))]
+    while pending:
+        for edge in pending[-1]:
+            if edge.target not in entered:
+                entered[edge.target] = edge
+                order.append(edge.target)
+                pending.append(iter(children.get(edge.target, [])))
+                break
+        else:
+            pending.pop()
+    return order
+
+
+def _dfs_order(graph: AmrGraph) -> list[str]:
+    children = _children(graph)
+    entered: dict[str, Edge | None] = {}
     order: list[str] = []
-    seen: set[str] = set()
-
-    def walk(var: str) -> None:
-        seen.add(var)
-        order.append(var)
-        for edge in children.get(var, []):
-            if edge.target not in seen:
-                walk(edge.target)
-
-    walk(graph.root)
-    for var in graph.nodes:
-        if var not in seen:
-            walk(var)
+    for var in (graph.root, *graph.nodes):
+        if var not in entered:
+            order += _walk(var, children, entered)
     return order
 
 
@@ -112,20 +129,11 @@ def _defining_edges(graph: AmrGraph) -> dict[str, Edge | None]:
 
     This recovers the tree structure behind the stored edge list: a node's
     defining edge is where it would be expanded in serialized form, every
-    other mention of it is a re-entrancy.
+    other mention of it is a re-entrancy. Nodes the root does not reach
+    have None.
     """
-    children: dict[str, list[Edge]] = {}
-    for edge in graph.edges:
-        children.setdefault(edge.source, []).append(edge)
-    defining: dict[str, Edge | None] = {graph.root: None}
-
-    def walk(var: str) -> None:
-        for edge in children.get(var, []):
-            if edge.target not in defining:
-                defining[edge.target] = edge
-                walk(edge.target)
-
-    walk(graph.root)
+    defining: dict[str, Edge | None] = {}
+    _walk(graph.root, _children(graph), defining)
     for var in graph.nodes:
         defining.setdefault(var, None)
     return defining
@@ -172,21 +180,25 @@ def _build_candidate(
     stored = {core.edge for core in all_roles}
 
     def expand(var: str) -> None:
-        for edge in adjacency.get(var, []):
-            if edge in stored:
-                continue
-            target = edge.target
-            if target in nodes:
+        # the edges each expanded node has still to visit, innermost last
+        pending = [iter(adjacency.get(var, []))]
+        while pending:
+            for edge in pending[-1]:
+                if edge in stored:
+                    continue
                 edges.append(edge)
-            elif defining.get(target) == edge:
+                target = edge.target
+                if target in nodes:
+                    continue
                 nodes[target] = graph.nodes[target]
-                edges.append(edge)
-                expand(target)
+                if defining.get(target) == edge:
+                    pending.append(iter(adjacency.get(target, [])))
+                    break
+                # otherwise a re-entrant mention of a node defined
+                # elsewhere: keep the edge, copy only the concept
+                # (attributes travel below)
             else:
-                # re-entrant mention of a node defined elsewhere: keep the
-                # edge, copy only the concept (attributes travel below)
-                nodes[target] = graph.nodes[target]
-                edges.append(edge)
+                pending.pop()
 
     for core in group:
         filler = core.filler_var
@@ -215,9 +227,7 @@ def split_graph(graph: AmrGraph, mode: str = "one-cr") -> list[SmuCandidate]:
     if mode not in SPLIT_MODES:
         raise ValueError(f"unknown split mode {mode!r}, expected one of {SPLIT_MODES}")
     defining = _defining_edges(graph)
-    adjacency: dict[str, list[Edge]] = {}
-    for edge in graph.edges:
-        adjacency.setdefault(edge.source, []).append(edge)
+    adjacency = _children(graph)
 
     candidates = []
     for predicate in find_predicates(graph):
@@ -259,9 +269,7 @@ def realize_baseline(candidate: SmuCandidate) -> str:
     No inflection is attempted; tokens are joined by single spaces.
     """
     graph = candidate.subgraph
-    adjacency: dict[str, list[Edge]] = {}
-    for edge in graph.edges:
-        adjacency.setdefault(edge.source, []).append(edge)
+    adjacency = _children(graph)
     attrs: dict[str, list[Attribute]] = {}
     for attr in graph.attributes:
         attrs.setdefault(attr.source, []).append(attr)
@@ -276,7 +284,9 @@ def realize_baseline(candidate: SmuCandidate) -> str:
                 ops.append((int(match.group(1)), _strip_quotes(attr.value)))
         return [word for _, word in sorted(ops)]
 
-    def words_for(var: str) -> list[str]:
+    def template(var: str) -> list[str | Edge]:
+        """The node's own words, and the edges whose words go in between,
+        in template order."""
         visited.add(var)
         arg_edges = []
         other_edges = []
@@ -288,32 +298,35 @@ def realize_baseline(candidate: SmuCandidate) -> str:
                 other_edges.append(edge)
         arg_edges.sort(key=lambda item: item[0])
 
-        def descend(edge: Edge) -> list[str]:
-            if edge.target in visited:
-                return []
-            if edge.role == ":name":
-                return name_words(edge.target)
-            return words_for(edge.target)
-
-        words: list[str] = []
-        for index, edge in arg_edges:
-            if index == 0:
-                words.extend(descend(edge))
+        items: list[str | Edge] = [edge for index, edge in arg_edges if index == 0]
         if any(a.role == ":polarity" and a.value == "-" for a in attrs.get(var, [])):
-            words.append("not")
-        words.append(_lemma_of(graph.nodes[var]))
+            items.append("not")
+        items.append(_lemma_of(graph.nodes[var]))
         for attr in attrs.get(var, []):
             if attr.role == ":polarity":
                 continue
-            words.append(_strip_quotes(attr.value))
-        for index, edge in arg_edges:
-            if index != 0:
-                words.extend(descend(edge))
-        for edge in other_edges:
-            words.extend(descend(edge))
-        return [w for w in words if w]
+            items.append(_strip_quotes(attr.value))
+        items.extend(edge for index, edge in arg_edges if index != 0)
+        items.extend(other_edges)
+        return items
 
-    return " ".join(words_for(graph.root))
+    words: list[str] = []
+    # the items each node being realized has still to emit, innermost last
+    pending = [iter(template(graph.root))]
+    while pending:
+        for item in pending[-1]:
+            if isinstance(item, str):
+                words.append(item)
+            elif item.target in visited:
+                continue
+            elif item.role == ":name":
+                words.extend(name_words(item.target))
+            else:
+                pending.append(iter(template(item.target)))
+                break
+        else:
+            pending.pop()
+    return " ".join(w for w in words if w)
 
 
 def realize_remote(

@@ -14,7 +14,6 @@ part of this package's contract:
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,9 +27,11 @@ from .errors import (
 )
 from .extract import ContentUnit
 from .text import (  # noqa: F401  (rouge1_f1: easiness is its matrix, kept importable)
-    clipped_overlap,
+    TokenBag,
+    bag_overlap,
     rouge1_f1,
     split_sentences,
+    token_bag,
     tokenize,
     unigram_f1,
 )
@@ -68,19 +69,18 @@ def easiness(
     gold_texts = [u.text for u in gold]
     approx_texts = [u.text for u in approx]
     # rouge1_f1 for every cell, with each text tokenized once
-    counted: dict[str, tuple[Counter, int]] = {}
+    bags: dict[str, TokenBag] = {}
     for text in gold_texts + approx_texts:
-        if text not in counted:
-            tokens = tokenize(text)
-            counted[text] = (Counter(tokens), len(tokens))
-    approx_counts = [counted[a] for a in approx_texts]
+        if text not in bags:
+            bags[text] = token_bag(tokenize(text))
+    approx_bags = [bags[a] for a in approx_texts]
     scores = []
     for g in gold_texts:
-        g_counts, g_length = counted[g]
+        g_bag = bags[g]
         scores.append(
             [
-                unigram_f1(clipped_overlap(g_counts, a_counts), g_length, a_length)
-                for a_counts, a_length in approx_counts
+                unigram_f1(bag_overlap(g_bag, a_bag), g_bag.length, a_bag.length)
+                for a_bag in approx_bags
             ]
         )
 

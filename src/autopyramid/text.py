@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 # Unicode alphanumerics; underscore is punctuation here.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -89,6 +89,34 @@ def clipped_overlap(a: Mapping[str, int], b: Mapping[str, int]) -> int:
     if len(b) < len(a):
         a, b = b, a
     return sum(min(count, b.get(token, 0)) for token, count in a.items())
+
+
+class TokenBag(NamedTuple):
+    """The tokens of one text: the set of distinct tokens, the length, and
+    the token counts, which are ``None`` when no token repeats."""
+
+    distinct: frozenset
+    length: int
+    counts: Counter | None
+
+
+def token_bag(tokens: list[str]) -> TokenBag:
+    """The :class:`TokenBag` of one text's *tokens*."""
+    distinct = frozenset(tokens)
+    if len(distinct) == len(tokens):
+        return TokenBag(distinct, len(tokens), None)
+    return TokenBag(distinct, len(tokens), Counter(tokens))
+
+
+def bag_overlap(a: TokenBag, b: TokenBag) -> int:
+    """:func:`clipped_overlap` of two bags.
+
+    When either side has no repeated token, every shared token counts once,
+    so the overlap is the number of distinct tokens the two sides share.
+    """
+    if a.counts is None or b.counts is None:
+        return len(a.distinct & b.distinct)
+    return clipped_overlap(a.counts, b.counts)
 
 
 def unigram_f1(overlap: int, candidate_length: int, reference_length: int) -> float:

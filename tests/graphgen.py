@@ -48,3 +48,31 @@ def random_graph(rng: random.Random, max_nodes: int = 12, max_reentrancies: int 
             attributes.append(Attribute(var, role, value))
 
     return AmrGraph(root=variables[0], nodes=nodes, edges=tuple(edges), attributes=tuple(attributes))
+
+
+# far past the interpreter's default recursion limit of 1000
+DEEP = 3000
+
+
+def nested_penman(depth: int, separator: str = " ", innermost: str = "end") -> str:
+    """``want-01`` whose ``:ARG1`` opens a chain of *depth* nodes, each
+    nested inside the one before; with a newline *separator*, node ``n{i}``
+    sits on line ``i + 1``."""
+    opened = separator.join(f"(n{i} / thing :mod" for i in range(1, depth))
+    return (
+        f"(n0 / want-01 :ARG1{separator}{opened}{separator}(n{depth} / {innermost})"
+        + ")" * depth
+    )
+
+
+def chained_penman(length: int) -> str:
+    """``want-01`` with every node of a *length*-node chain as a direct child
+    but each node pointing at the next by reference: nesting stays shallow,
+    while the depth-first walk from the root is *length* deep."""
+    links = "".join(f" :mod (n{i} / thing :mod n{i + 1})" for i in range(2, length))
+    return f"(n0 / want-01 :ARG1 (n1 / thing :mod n2){links} :mod (n{length} / end))"
+
+
+def deep_realization(length: int) -> str:
+    """The template realization of either deep graph's one unit."""
+    return " ".join(["want"] + ["thing"] * (length - 1) + ["end"])

@@ -6,6 +6,10 @@ library: explicit loops, no shared helpers, brute-force enumeration.
 
 import itertools
 import math
+import random
+
+from autopyramid.extract import ContentUnit
+from autopyramid.text import enumerate_ngrams, split_sentences
 
 
 def split_alnum(text):
@@ -100,3 +104,25 @@ def wilcoxon_oracle(diffs):
         if min(plus, minus) <= w + 1e-9:
             hits += 1
     return w, hits / count
+
+
+def ngram_units_oracle(reference, config):
+    """The n-gram sample drawn the direct way, from a pool of every n-gram
+    string rather than of positions: the pool holds
+    (sentence, n, start, text) in (sentence, n, start) order, the seeded
+    sample is taken from it, and the picks are sorted. ``None`` for an
+    empty pool. It shares the sentence splitter and ``enumerate_ngrams``
+    with the package, so it checks which n-grams are drawn."""
+    pool = []
+    for span in split_sentences(reference):
+        by_size = {}
+        for gram in enumerate_ngrams(span.text, config.ngram_sizes):
+            n = gram.count(" ") + 1
+            start = by_size.get(n, 0)
+            by_size[n] = start + 1
+            pool.append((span.index, n, start, gram))
+    if not pool:
+        return None
+    count = min(len(pool), max(1, math.ceil(len(pool) * config.ngram_fraction)))
+    chosen = sorted(random.Random(config.seed).sample(pool, count))
+    return [ContentUnit(gram, "ngram", sentence_index=sentence) for sentence, _, _, gram in chosen]

@@ -2,6 +2,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autopyramid.amr import (
     AmrGraph,
@@ -17,7 +19,7 @@ from autopyramid.amr import (
 )
 from autopyramid.errors import DisconnectedGraph, FileUnreadable, MalformedPenman
 
-from graphgen import random_graph
+from graphgen import DEEP, chained_penman, nested_penman, random_graph
 
 WANT = "(w / want-01 :ARG0 (b / boy) :ARG1 (g / go-02 :ARG0 b))"
 
@@ -263,3 +265,57 @@ def test_golden_corpus_file_roundtrip(tmp_path):
     for left, right in zip(entries, again):
         assert serialize_penman(left.graph) == serialize_penman(right.graph)
         assert isomorphic(left.graph, right.graph)
+
+
+# ---------------------------------------------------------------------------
+# Depth: parsing and serializing walk with loops, never recursion
+
+
+def test_deeply_nested_graph_parses_and_serializes():
+    text = nested_penman(DEEP)
+    graph = parse_penman(text)
+    assert len(graph.nodes) == DEEP + 1
+    assert graph.edges[-1] == Edge(f"n{DEEP - 1}", ":mod", f"n{DEEP}")
+    assert serialize_penman(graph) == text
+    assert parse_penman(serialize_penman(graph)) == graph
+
+
+def test_long_reentrant_chain_serializes():
+    graph = parse_penman(chained_penman(DEEP))
+    text = serialize_penman(graph)
+    # every link of the chain is expanded inside the one before
+    assert text.startswith("(n0 / want-01 :ARG1 (n1 / thing :mod (n2 / thing :mod (n3")
+    assert serialize_penman(parse_penman(text)) == text
+
+
+def test_deeply_nested_errors_keep_their_position():
+    with pytest.raises(MalformedPenman) as info:
+        parse_penman(nested_penman(DEEP, "\n", innermost=":bad"))
+    assert (info.value.line, info.value.column) == (DEEP + 1, len(f"(n{DEEP} / ") + 1)
+    with pytest.raises(MalformedPenman, match="unexpected end of input"):
+        parse_penman(nested_penman(DEEP)[:-1])
+    with pytest.raises(MalformedPenman, match="unbalanced"):
+        parse_penman(nested_penman(DEEP) + ")")
+
+
+PENMAN_PIECES = [
+    "(", ")", "/", " ", "\n", "a", "b", "c", "want-01", "boy", ":ARG0", ":mod", ":",
+    '"x y"', '"', "-", "+", "3", "-2.5", "# ::snt s", "\\",
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(
+        st.text(),
+        st.lists(st.sampled_from(PENMAN_PIECES), max_size=60).map("".join),
+        st.lists(st.sampled_from(PENMAN_PIECES), max_size=60).map(" ".join),
+    )
+)
+def test_any_text_gives_a_graph_or_malformed_penman(text):
+    try:
+        graph = parse_penman(text)
+    except MalformedPenman:
+        return
+    assert isinstance(graph, AmrGraph)
+    assert parse_penman(serialize_penman(graph)).nodes == graph.nodes

@@ -108,6 +108,51 @@ def test_score_summaries_equals_score_summary(unit_list, summaries, scorer):
     ]
 
 
+# Texts for the two ways an overlap is counted: by distinct shared tokens
+# when either side repeats no token, by clipped counts when both repeat one.
+REPEAT_FREE = "the cat sat"
+REPEATS = "the cat the cat"
+ALSO_REPEATS = "cat cat sat sat the"
+
+
+@pytest.mark.parametrize(
+    "premise, hypothesis, expected",
+    [
+        (REPEAT_FREE, "cat sat on", 2 / 3),  # neither repeats
+        (REPEATS, REPEAT_FREE, 2 / 3),  # the premise repeats
+        (REPEAT_FREE, REPEATS, 2 / 4),  # the hypothesis repeats
+        (ALSO_REPEATS, REPEATS, 3 / 4),  # both repeat: "cat" twice, "the" once
+        (REPEATS, ALSO_REPEATS, 3 / 5),
+        ("", REPEATS, 0.0),
+        (REPEATS, "...", 0.0),
+    ],
+)
+def test_lexical_scorer_with_and_without_repeated_tokens(premise, hypothesis, expected):
+    assert lexical_presence(premise, hypothesis) == expected
+    assert lexical_scorer([(premise, hypothesis)]) == [expected]
+
+
+@pytest.mark.parametrize(
+    "gold_texts, approx_texts",
+    [
+        ([REPEAT_FREE, "a dog"], ["cat sat on", "the dog"]),  # nothing repeats
+        ([REPEATS, "a dog"], ["cat sat on", "the dog"]),  # gold repeats
+        ([REPEAT_FREE, "a dog"], [REPEATS, "dog dog a"]),  # approximations repeat
+        ([REPEATS, "dog a dog"], [ALSO_REPEATS, "dog dog a"]),  # both repeat
+    ],
+)
+def test_easiness_with_and_without_repeated_tokens(gold_texts, approx_texts):
+    gold, approx = units_of(gold_texts), units_of(approx_texts)
+    assert easiness(gold, approx) == easiness_by_cells(gold, approx)
+
+
+def test_easiness_counts_repeated_tokens_clipped():
+    report = easiness(units_of([REPEATS]), units_of([ALSO_REPEATS, REPEAT_FREE]))
+    # overlap 3 of 4 and 5 tokens, against 2 of 4 and 3 tokens
+    assert report.easiness_r == 2 * (3 / 4) * (3 / 5) / (3 / 4 + 3 / 5)
+    assert report.gold_best_match == (0,)
+
+
 # ---------------------------------------------------------------------------
 # work done once
 

@@ -1,7 +1,10 @@
 import json
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autopyramid.amr import parse_penman
 from autopyramid.errors import (
@@ -24,6 +27,7 @@ from autopyramid.extract import (
     extract_smu_units,
     import_units,
 )
+from oracles import ngram_units_oracle
 
 WANT = parse_penman("(w / want-01 :ARG0 (b / boy) :ARG1 (g / go-02 :ARG0 b))")
 
@@ -108,6 +112,39 @@ def test_ngram_units_count_formula():
 def test_ngram_units_empty_pool():
     with pytest.raises(EmptyReference):
         extract_ngram_units("a b", ExtractionConfig(ngram_sizes=(3, 4, 5)))
+
+
+NGRAM_WORDS = ["the", "The", "cat", "sat", "dog", "ran", "x1", "ß", "É", "Dr.", "U.S.", "a_b"]
+NGRAM_BREAKS = [".", "!", "?", ",", "--", "...", "\n"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from(NGRAM_WORDS + NGRAM_BREAKS), max_size=40).map(" ".join),
+    st.lists(st.integers(1, 6), min_size=1, max_size=5),
+    st.floats(0.0, 1.0, exclude_min=True),
+    st.integers(-(2**40), 2**64),
+)
+def test_ngram_units_equal_the_pool_of_strings(reference, sizes, fraction, seed):
+    config = ExtractionConfig(ngram_sizes=tuple(sizes), ngram_fraction=fraction, seed=seed)
+    expected = ngram_units_oracle(reference, config)
+    if expected is None:
+        with pytest.raises(EmptyReference):
+            extract_ngram_units(reference, config)
+    else:
+        assert extract_ngram_units(reference, config) == expected
+
+
+def test_ngram_units_equal_the_pool_of_strings_on_a_long_reference():
+    # pools above the size where random.sample switches to its set-based draw
+    rng = random.Random(7)
+    reference = " ".join(
+        " ".join(rng.choice(NGRAM_WORDS[:6]) for _ in range(rng.randint(5, 30))) + "."
+        for _ in range(12)
+    )
+    for sizes, fraction, seed in [((3, 4, 5), 0.05, 42), ((1, 2, 2), 0.5, 3), ((4,), 1.0, 0)]:
+        config = ExtractionConfig(ngram_sizes=sizes, ngram_fraction=fraction, seed=seed)
+        assert extract_ngram_units(reference, config) == ngram_units_oracle(reference, config)
 
 
 def test_smu_units_baseline_composition():

@@ -11,7 +11,7 @@ from autopyramid.smu import (
     split_graph,
 )
 
-from graphgen import random_graph
+from graphgen import DEEP, chained_penman, deep_realization, nested_penman, random_graph
 
 WANT = parse_penman("(w / want-01 :ARG0 (b / boy) :ARG1 (g / go-02 :ARG0 b))")
 
@@ -233,3 +233,14 @@ def test_realize_remote_unreachable_endpoint_gives_up():
     with pytest.raises(ServiceUnavailable) as info:
         realize_remote(split_graph(WANT), dead_endpoint())
     assert "3 attempts" in str(info.value)
+
+
+@pytest.mark.parametrize("make", [nested_penman, chained_penman])
+def test_split_and_realize_deep_graphs(make):
+    graph = parse_penman(make(DEEP))
+    assert [p.variable for p in find_predicates(graph)] == ["n0"]
+    for mode in ("one-cr", "all-deps"):
+        (candidate,) = split_graph(graph, mode)
+        assert len(candidate.subgraph.nodes) == DEEP + 1
+        assert realize_baseline(candidate) == deep_realization(DEEP)
+        assert serialize_penman(candidate.subgraph) == nested_penman(DEEP)

@@ -1,13 +1,17 @@
 import random
+from collections import Counter
 
 import pytest
 
 from autopyramid.text import (
     DEFAULT_ABBREVIATIONS,
     SentenceSpan,
+    bag_overlap,
+    clipped_overlap,
     enumerate_ngrams,
     rouge1_f1,
     split_sentences,
+    token_bag,
     tokenize,
 )
 
@@ -134,3 +138,19 @@ def test_default_abbreviations_match_contract():
     assert DEFAULT_ABBREVIATIONS == {
         "mr", "mrs", "dr", "prof", "e.g", "i.e", "u.s", "u.k", "no", "vs",
     }
+
+
+def test_token_bag_keeps_counts_only_when_a_token_repeats():
+    assert token_bag(["a", "b"]) == (frozenset({"a", "b"}), 2, None)
+    assert token_bag(["a", "b", "a"]) == (frozenset({"a", "b"}), 3, Counter(a=2, b=1))
+    assert token_bag([]) == (frozenset(), 0, None)
+
+
+def test_bag_overlap_equals_clipped_overlap():
+    rng = random.Random(11)
+    for _ in range(500):
+        a = random_words(rng, vocab=("a", "b", "c", "d")).split()
+        b = random_words(rng, vocab=("a", "b", "c", "d")).split()
+        want = clipped_overlap(Counter(a), Counter(b))
+        assert bag_overlap(token_bag(a), token_bag(b)) == want
+        assert bag_overlap(token_bag(b), token_bag(a)) == want
