@@ -18,6 +18,7 @@ for the block and is preserved by :func:`save_penman_file`.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
@@ -61,7 +62,9 @@ class AmrGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", dict(self.nodes))
-        object.__setattr__(self, "edges", tuple(Edge(*e) for e in self.edges))
+        object.__setattr__(
+            self, "edges", tuple(e if type(e) is Edge else Edge(*e) for e in self.edges)
+        )
         object.__setattr__(
             self, "attributes", tuple(Attribute(*a) for a in self.attributes)
         )
@@ -75,6 +78,9 @@ class AmrGraph:
         for var, concept in self.nodes.items():
             if not var or not concept:
                 raise ValueError(f"node {var!r} has an empty variable or concept")
+        # edges mostly come parent first, so this one pass in order usually
+        # reaches every node, and the full search is not needed
+        reached = {self.root}
         for source, role, target in self.edges:
             if source not in self.nodes:
                 raise ValueError(f"edge source {source!r} is not a node")
@@ -82,6 +88,10 @@ class AmrGraph:
                 raise ValueError(f"edge target {target!r} is not a node")
             if not role.startswith(":") or len(role) < 2:
                 raise ValueError(f"bad role label {role!r}")
+            if source in reached:
+                reached.add(target)
+            elif target in reached:
+                reached.add(source)
         for source, role, value in self.attributes:
             if source not in self.nodes:
                 raise ValueError(f"attribute owner {source!r} is not a node")
@@ -89,14 +99,12 @@ class AmrGraph:
                 raise ValueError(f"bad role label {role!r}")
             if value == "":
                 raise ValueError("empty attribute value")
-        unreachable = set(self.nodes) - _undirected_reach(self.root, self.edges)
-        if unreachable:
-            raise ValueError(
-                f"nodes not connected to root: {', '.join(sorted(unreachable))}"
-            )
-
-    def outgoing(self, var: str) -> list[Edge]:
-        return [e for e in self.edges if e.source == var]
+        if len(reached) < len(self.nodes):
+            unreachable = set(self.nodes) - _undirected_reach(self.root, self.edges)
+            if unreachable:
+                raise ValueError(
+                    f"nodes not connected to root: {', '.join(sorted(unreachable))}"
+                )
 
     def attributes_of(self, var: str) -> list[Attribute]:
         return [a for a in self.attributes if a.source == var]
@@ -121,143 +129,23 @@ def _undirected_reach(start: str, edges: Iterable[Edge]) -> set[str]:
 # Parsing
 
 
-class _Token(NamedTuple):
-    text: str
-    line: int
-    column: int
-
-
-_TOKEN_RE = re.compile(r'"(?:[^"\\]|\\.)*"|\(|\)|/|[^\s()/]+')
+# The line breaks of ``str.splitlines``: no token spans one, so a quoted
+# string that is not closed on its own line lexes as bare tokens.
+_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_TOKEN_RE = re.compile(rf'"(?:[^"\\{_BREAKS}]|\\[^{_BREAKS}])*"|\(|\)|/|[^\s()/]+')
 _NUMBER_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+_SYNTAX = ("(", ")", "/")
 
 
-def _lex(text: str, first_line: int = 1) -> list[_Token]:
-    tokens = []
-    for offset, line in enumerate(text.splitlines()):
-        for match in _TOKEN_RE.finditer(line):
-            tokens.append(_Token(match.group(), first_line + offset, match.start() + 1))
-    return tokens
-
-
-def _is_constant(token: str) -> bool:
-    if token.startswith('"'):
-        return True
-    if token in ("-", "+"):
-        return True
-    return bool(_NUMBER_RE.match(token))
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def _peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _next(self, expected: str) -> _Token:
-        tok = self._peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else _Token("", 1, 1)
-            raise MalformedPenman(
-                f"unexpected end of input, expected {expected}", last.line, last.column
-            )
-        self.pos += 1
-        return tok
-
-    def parse(self) -> AmrGraph:
-        self.nodes: dict[str, str] = {}
-        self.edges: list[Edge] = []
-        self.attributes: list[Attribute] = []
-        self.references: list[tuple[str, _Token]] = []
-        root = self._open_node()
-        # the nodes whose ')' is still to come, innermost last; a loop, not
-        # recursion, so any nesting depth parses
-        open_nodes = [root]
-        while open_nodes:
-            self._relation(open_nodes)
-        trailing = self._peek()
-        if trailing is not None:
-            raise MalformedPenman(
-                f"unexpected {trailing.text!r} after the graph (unbalanced parentheses?)",
-                trailing.line,
-                trailing.column,
-            )
-        for var, tok in self.references:
-            if var not in self.nodes:
-                raise MalformedPenman(
-                    f"reference to undefined variable {var!r}", tok.line, tok.column
-                )
-        return AmrGraph(
-            root=root,
-            nodes=self.nodes,
-            edges=tuple(self.edges),
-            attributes=tuple(self.attributes),
-        )
-
-    def _open_node(self) -> str:
-        """Read ``'(' variable '/' concept`` and record the node."""
-        opener = self._next("'('")
-        if opener.text != "(":
-            raise MalformedPenman(
-                f"expected '(' but found {opener.text!r}", opener.line, opener.column
-            )
-        var_tok = self._next("a variable")
-        var = var_tok.text
-        if var in ("(", ")", "/") or var.startswith(":") or var.startswith('"'):
-            raise MalformedPenman(
-                f"expected a variable but found {var!r}", var_tok.line, var_tok.column
-            )
-        if var in self.nodes:
-            raise MalformedPenman(
-                f"duplicate definition of variable {var!r}", var_tok.line, var_tok.column
-            )
-        slash = self._next("'/'")
-        if slash.text != "/":
-            raise MalformedPenman(
-                f"missing '/' after variable {var!r}", slash.line, slash.column
-            )
-        concept_tok = self._next("a concept")
-        concept = concept_tok.text
-        if concept in ("(", ")", "/") or concept.startswith(":"):
-            raise MalformedPenman(
-                f"expected a concept but found {concept!r}",
-                concept_tok.line,
-                concept_tok.column,
-            )
-        self.nodes[var] = concept
-        return var
-
-    def _relation(self, open_nodes: list[str]) -> None:
-        """Read the innermost open node's next relation, or its ')'."""
-        var = open_nodes[-1]
-        tok = self._next("a role or ')'")
-        if tok.text == ")":
-            open_nodes.pop()
-            return
-        if not tok.text.startswith(":") or len(tok.text) < 2:
-            raise MalformedPenman(
-                f"expected a role or ')' but found {tok.text!r}", tok.line, tok.column
-            )
-        role = tok.text
-        value = self._peek()
-        if value is None:
-            raise MalformedPenman(f"role {role!r} has no value", tok.line, tok.column)
-        if value.text == "(":
-            # the edge goes in before the child's own edges, so edges keep
-            # text-encounter order
-            child = self._open_node()
-            self.edges.append(Edge(var, role, child))
-            open_nodes.append(child)
-        elif value.text in (")", "/") or value.text.startswith(":"):
-            raise MalformedPenman(f"role {role!r} has no value", value.line, value.column)
-        elif _is_constant(value.text):
-            self.pos += 1
-            self.attributes.append(Attribute(var, role, value.text))
-        else:
-            self.pos += 1
-            self.edges.append(Edge(var, role, value.text))
-            self.references.append((value.text, value))
+def _position(text: str, first_line: int, index: int) -> tuple[int, int]:
+    """Line and column of token *index* of *text*, counting the lines of
+    ``str.splitlines``; worked out only for an error message."""
+    positions = (
+        (number, match.start() + 1)
+        for number, line in enumerate(text.splitlines(), start=first_line)
+        for match in _TOKEN_RE.finditer(line)
+    )
+    return next(itertools.islice(positions, index, None))
 
 
 def parse_penman(text: str, first_line: int = 1) -> AmrGraph:
@@ -268,10 +156,87 @@ def parse_penman(text: str, first_line: int = 1) -> AmrGraph:
     parentheses, a missing '/', duplicate variable definitions, and
     references to undefined variables.
     """
-    tokens = _lex(text, first_line)
-    if not tokens:
+    tokens = _TOKEN_RE.findall(text)
+    count = len(tokens)
+    if not count:
         raise MalformedPenman("empty input", first_line, 1)
-    return _Parser(tokens).parse()
+    # an empty string past the last token reads as the end of input
+    tokens.append("")
+
+    def fail(message: str, index: int) -> MalformedPenman:
+        return MalformedPenman(message, *_position(text, first_line, index))
+
+    def reject(index: int, expected: str, message: str) -> MalformedPenman:
+        """*message* about token *index*, or, past the last token, that
+        *expected* is missing."""
+        if tokens[index]:
+            return fail(message, index)
+        return fail(f"unexpected end of input, expected {expected}", count - 1)
+
+    nodes: dict[str, str] = {}
+    edges: list[Edge] = []
+    attributes: list[Attribute] = []
+    references: list[tuple[str, int]] = []
+
+    def open_node(pos: int) -> str:
+        """Record the node ``'(' variable '/' concept`` that starts at *pos*."""
+        if tokens[pos] != "(":
+            raise reject(pos, "'('", f"expected '(' but found {tokens[pos]!r}")
+        var = tokens[pos + 1]
+        if not var or var in _SYNTAX or var[0] in ':"':
+            raise reject(pos + 1, "a variable", f"expected a variable but found {var!r}")
+        if var in nodes:
+            raise fail(f"duplicate definition of variable {var!r}", pos + 1)
+        if tokens[pos + 2] != "/":
+            raise reject(pos + 2, "'/'", f"missing '/' after variable {var!r}")
+        concept = tokens[pos + 3]
+        if not concept or concept in _SYNTAX or concept[0] == ":":
+            raise reject(pos + 3, "a concept", f"expected a concept but found {concept!r}")
+        nodes[var] = concept
+        return var
+
+    root = open_node(0)
+    pos = 4
+    # the nodes whose ')' is still to come, innermost last; a loop, not
+    # recursion, so any nesting depth parses
+    open_nodes = [root]
+    while open_nodes:
+        role = tokens[pos]
+        if role == ")":
+            open_nodes.pop()
+            pos += 1
+            continue
+        if not role.startswith(":") or len(role) < 2:
+            raise reject(pos, "a role or ')'", f"expected a role or ')' but found {role!r}")
+        value = tokens[pos + 1]
+        if value == "(":
+            # the edge goes in before the child's own edges, so edges keep
+            # text-encounter order
+            child = open_node(pos + 1)
+            edges.append(Edge(open_nodes[-1], role, child))
+            open_nodes.append(child)
+            pos += 5
+        elif not value:
+            raise fail(f"role {role!r} has no value", pos)
+        elif value in _SYNTAX or value[0] == ":":
+            raise fail(f"role {role!r} has no value", pos + 1)
+        elif value[0] == '"' or value in ("-", "+") or _NUMBER_RE.match(value):
+            attributes.append(Attribute(open_nodes[-1], role, value))
+            pos += 2
+        else:
+            edges.append(Edge(open_nodes[-1], role, value))
+            references.append((value, pos + 1))
+            pos += 2
+    if pos < count:
+        raise fail(
+            f"unexpected {tokens[pos]!r} after the graph (unbalanced parentheses?)", pos
+        )
+    for var, index in references:
+        if var not in nodes:
+            raise fail(f"reference to undefined variable {var!r}", index)
+    return AmrGraph(
+        root=root, nodes=nodes, edges=tuple(edges), attributes=tuple(attributes)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +334,9 @@ def isomorphic(a: AmrGraph, b: AmrGraph) -> bool:
 
     The bijection must preserve the root, every concept, the edge multiset,
     and the attribute multiset. Backtracking over concept-compatible
-    candidates; meant for the small graphs this toolkit handles.
+    candidates, with a loop rather than recursion, so graphs of any size
+    compare; the search is exhaustive, so graphs with many interchangeable
+    nodes can take long.
     """
     if (
         len(a.nodes) != len(b.nodes)
@@ -378,61 +345,87 @@ def isomorphic(a: AmrGraph, b: AmrGraph) -> bool:
     ):
         return False
 
-    def attr_sig(g: AmrGraph, var: str):
-        return tuple(sorted((r, v) for s, r, v in g.attributes if s == var))
+    def signatures(g: AmrGraph) -> dict:
+        out: dict[str, list[str]] = {v: [] for v in g.nodes}
+        into: dict[str, list[str]] = {v: [] for v in g.nodes}
+        attrs: dict[str, list[tuple[str, str]]] = {v: [] for v in g.nodes}
+        for s, r, t in g.edges:
+            out[s].append(r)
+            into[t].append(r)
+        for s, r, v in g.attributes:
+            attrs[s].append((r, v))
+        return {
+            v: (
+                (g.nodes[v], tuple(sorted(out[v])), tuple(sorted(into[v]))),
+                tuple(sorted(attrs[v])),
+            )
+            for v in g.nodes
+        }
 
-    def degree_sig(g: AmrGraph, var: str):
-        out = sorted(r for s, r, _ in g.edges if s == var)
-        into = sorted(r for _, r, t in g.edges if t == var)
-        return (g.nodes[var], tuple(out), tuple(into))
+    def links(g: AmrGraph) -> dict[str, dict[str, list[tuple[str, bool]]]]:
+        """Per node, the sorted roles joining it to each neighbour:
+        ``(role, True)`` for an edge out of it, ``(role, False)`` into it."""
+        table: dict[str, dict[str, list[tuple[str, bool]]]] = {v: {} for v in g.nodes}
+        for s, r, t in g.edges:
+            table[s].setdefault(t, []).append((r, True))
+            table[t].setdefault(s, []).append((r, False))
+        for neighbours in table.values():
+            for roles in neighbours.values():
+                roles.sort()
+        return table
 
-    a_sig = {v: (degree_sig(a, v), attr_sig(a, v)) for v in a.nodes}
-    b_sig = {v: (degree_sig(b, v), attr_sig(b, v)) for v in b.nodes}
-    candidates = {
-        v: [w for w in b.nodes if b_sig[w] == a_sig[v]] for v in a.nodes
-    }
+    a_sig, b_sig = signatures(a), signatures(b)
+    by_sig: dict = {}
+    for w in b.nodes:
+        by_sig.setdefault(b_sig[w], []).append(w)
+    candidates = {v: by_sig.get(a_sig[v], []) for v in a.nodes}
     if any(not c for c in candidates.values()):
         return False
     if b.root not in candidates[a.root]:
         return False
     candidates[a.root] = [b.root]
+    a_links, b_links = links(a), links(b)
 
     order = sorted(a.nodes, key=lambda v: len(candidates[v]))
     mapping: dict[str, str] = {}
-    used: set[str] = set()
+    inverse: dict[str, str] = {}
 
-    def pair_roles(g: AmrGraph, x: str, y: str):
-        roles = [(r, True) for s, r, t in g.edges if s == x and t == y]
-        roles += [(r, False) for s, r, t in g.edges if s == y and t == x]
-        return sorted(roles)
+    def fits(var: str, cand: str) -> bool:
+        """Every mapped node is joined to *var* in *a* by the roles its image
+        is joined to *cand* in *b*."""
+        near_var, near_cand = a_links[var], b_links[cand]
+        return all(
+            near_cand.get(mapping[seen], []) == roles
+            for seen, roles in near_var.items()
+            if seen in mapping
+        ) and all(inverse[w] in near_var for w in near_cand if w in inverse)
 
-    def assign(i: int) -> bool:
-        if i == len(order):
-            mapped_edges = sorted(
-                (mapping[s], r, mapping[t]) for s, r, t in a.edges
-            )
-            if mapped_edges != sorted(b.edges):
-                return False
-            mapped_attrs = sorted((mapping[s], r, v) for s, r, v in a.attributes)
-            return mapped_attrs == sorted(b.attributes)
-        var = order[i]
-        for cand in candidates[var]:
-            if cand in used:
-                continue
-            if any(
-                pair_roles(a, var, seen) != pair_roles(b, cand, mapping[seen])
-                for seen in mapping
-            ):
-                continue
-            mapping[var] = cand
-            used.add(cand)
-            if assign(i + 1):
-                return True
-            del mapping[var]
-            used.discard(cand)
-        return False
+    def complete() -> bool:
+        mapped_edges = sorted((mapping[s], r, mapping[t]) for s, r, t in a.edges)
+        if mapped_edges != sorted(b.edges):
+            return False
+        mapped_attrs = sorted((mapping[s], r, v) for s, r, v in a.attributes)
+        return mapped_attrs == sorted(b.attributes)
 
-    return assign(0)
+    # the untried candidates of each assigned variable, in order
+    untried = [iter(candidates[order[0]])]
+    while untried:
+        var = order[len(untried) - 1]
+        if var in mapping:
+            del inverse[mapping.pop(var)]
+        for cand in untried[-1]:
+            if cand not in inverse and fits(var, cand):
+                mapping[var] = cand
+                inverse[cand] = var
+                break
+        else:
+            untried.pop()
+            continue
+        if len(untried) < len(order):
+            untried.append(iter(candidates[order[len(untried)]]))
+        elif complete():
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -114,35 +114,35 @@ def _parse_reference(value, line: int, field: str) -> Reference:
     return Reference(text=text, scus=tuple(scus))
 
 
-def _parse_system(value, line: int, field: str) -> SystemSummary:
-    _require(isinstance(value, dict), "system must be an object", line, field)
+def _system_error(message: str, line: int, index: int, name: str) -> SchemaViolation:
+    """The error for field *name* of system *index*; the field path is
+    built only here, when a system is rejected."""
+    return SchemaViolation(message, line=line, field=f"systems[{index}]{name}")
+
+
+def _parse_system(value, line: int, index: int) -> SystemSummary:
+    if not isinstance(value, dict):
+        raise _system_error("system must be an object", line, index, "")
     system_id = value.get("system_id")
-    _require(
-        isinstance(system_id, str) and system_id != "",
-        "missing string 'system_id'",
-        line,
-        f"{field}.system_id",
-    )
+    if not isinstance(system_id, str) or system_id == "":
+        raise _system_error("missing string 'system_id'", line, index, ".system_id")
     summary = value.get("summary")
-    _require(isinstance(summary, str), "missing string 'summary'", line, f"{field}.summary")
+    if not isinstance(summary, str):
+        raise _system_error("missing string 'summary'", line, index, ".summary")
     human_score = value.get("human_score")
     if human_score is not None:
-        _require(
-            is_finite_number(human_score),
-            "'human_score' must be a finite number",
-            line,
-            f"{field}.human_score",
-        )
+        if not is_finite_number(human_score):
+            raise _system_error(
+                "'human_score' must be a finite number", line, index, ".human_score"
+            )
         human_score = float(human_score)
     presence = value.get("scu_presence")
     if presence is not None:
-        _require(
-            isinstance(presence, list) and all(p in (0, 1) for p in presence),
-            "'scu_presence' must be a list of 0/1",
-            line,
-            f"{field}.scu_presence",
-        )
-        presence = tuple(int(p) for p in presence)
+        if not (isinstance(presence, list) and all(p in (0, 1) for p in presence)):
+            raise _system_error(
+                "'scu_presence' must be a list of 0/1", line, index, ".scu_presence"
+            )
+        presence = tuple(map(int, presence))
     return SystemSummary(
         system_id=system_id,
         summary=summary,
@@ -174,8 +174,7 @@ def _parse_entry(value, line: int) -> ReferenceEntry:
     systems_raw = value.get("systems", [])
     _require(isinstance(systems_raw, list), "'systems' must be a list", line, "systems")
     systems = tuple(
-        _parse_system(system, line, f"systems[{i}]")
-        for i, system in enumerate(systems_raw)
+        _parse_system(system, line, i) for i, system in enumerate(systems_raw)
     )
     seen_ids = set()
     for i, system in enumerate(systems):

@@ -31,7 +31,9 @@ from .services import GraphToTextClient
 
 _PREDICATE_RE = re.compile(r".+-(\d{2,})$")
 _CORE_RE = re.compile(r":ARG(\d+)$")
-_CORE_INVERSE_RE = re.compile(r":ARG(\d+)-of$")
+# a core role, forward or (with group 2) inverse
+_CORE_ROLE_RE = re.compile(r":ARG(\d+)(-of)?")
+_OP_RE = re.compile(r":op(\d+)")
 
 SPLIT_MODES = ("one-cr", "all-deps")
 
@@ -114,74 +116,63 @@ def _walk(
     return order
 
 
-def _dfs_order(graph: AmrGraph) -> list[str]:
-    children = _children(graph)
-    entered: dict[str, Edge | None] = {}
-    order: list[str] = []
-    for var in (graph.root, *graph.nodes):
-        if var not in entered:
-            order += _walk(var, children, entered)
-    return order
+def _traverse(graph: AmrGraph) -> tuple[dict, dict[str, Edge | None], list[str]]:
+    """The child map, the defining edges and the depth-first order of
+    *graph*, from one walk.
 
-
-def _defining_edges(graph: AmrGraph) -> dict[str, Edge | None]:
-    """First-visit edge per node in depth-first order; the root has None.
-
-    This recovers the tree structure behind the stored edge list: a node's
-    defining edge is where it would be expanded in serialized form, every
-    other mention of it is a re-entrancy. Nodes the root does not reach
-    have None.
+    A node's defining edge is the one the walk from the root first reaches
+    it by (None for the root): where it is expanded in serialized form, any
+    other mention being a re-entrancy. Nodes the root does not reach have
+    none, and the order walks on from each of them, in node order.
     """
+    children = _children(graph)
     defining: dict[str, Edge | None] = {}
-    _walk(graph.root, _children(graph), defining)
-    for var in graph.nodes:
-        defining.setdefault(var, None)
-    return defining
+    order = _walk(graph.root, children, defining)
+    if len(order) < len(graph.nodes):
+        entered = dict(defining)
+        for var in graph.nodes:
+            if var not in entered:
+                order += _walk(var, children, entered)
+    return children, defining, order
+
+
+def _predicates(graph: AmrGraph, order: list[str]) -> list[PredicateNode]:
+    predicates = []
+    for var in order:
+        concept = graph.nodes[var]
+        match = _PREDICATE_RE.match(concept)
+        if match:
+            predicates.append(PredicateNode(var, concept, int(match.group(1))))
+    return predicates
 
 
 def find_predicates(graph: AmrGraph) -> list[PredicateNode]:
     """All predicate nodes, ordered by first appearance in a depth-first
     traversal from the root."""
-    predicates = []
-    for var in _dfs_order(graph):
-        match = _PREDICATE_RE.match(graph.nodes[var])
-        if match:
-            predicates.append(
-                PredicateNode(var, graph.nodes[var], int(match.group(1)))
-            )
-    return predicates
-
-
-def _core_roles(graph: AmrGraph, predicate: PredicateNode) -> list[CoreRoleEdge]:
-    roles = []
-    for edge in graph.edges:
-        forward = _CORE_RE.fullmatch(edge.role)
-        if edge.source == predicate.variable and forward:
-            roles.append(CoreRoleEdge(edge, int(forward.group(1)), False))
-            continue
-        inverse = _CORE_INVERSE_RE.fullmatch(edge.role)
-        if edge.target == predicate.variable and inverse:
-            roles.append(CoreRoleEdge(edge, int(inverse.group(1)), True))
-    return roles
+    return _predicates(graph, _traverse(graph)[2])
 
 
 def _build_candidate(
     graph: AmrGraph,
     predicate: PredicateNode,
     group: tuple[CoreRoleEdge, ...],
-    all_roles: list[CoreRoleEdge],
+    stored: set[Edge],
     defining: dict[str, Edge | None],
-    adjacency: dict[str, list[Edge]],
+    children: dict[str, list[Edge]],
 ) -> SmuCandidate:
+    """The subgraph of *group*; every edge in *stored*, the predicate's
+    core-role edges as stored, is left out of the expansion, and only the
+    group's are put back, in normalized direction."""
     nodes: dict[str, str] = {predicate.variable: predicate.concept}
     edges: list[Edge] = []
-    # every stored core-role edge of this predicate is excluded from
-    # expansion; only the group's get re-added in normalized direction
-    stored = {core.edge for core in all_roles}
-
-    def expand(var: str) -> None:
+    for core in group:
+        filler = core.filler_var
+        edges.append(Edge(predicate.variable, core.role, filler))
+        if filler in nodes:
+            continue
+        nodes[filler] = graph.nodes[filler]
         # the edges each expanded node has still to visit, innermost last
-        pending = [iter(adjacency.get(var, []))]
+        pending = [iter(children.get(filler, ()))]
         while pending:
             for edge in pending[-1]:
                 if edge in stored:
@@ -192,20 +183,13 @@ def _build_candidate(
                     continue
                 nodes[target] = graph.nodes[target]
                 if defining.get(target) == edge:
-                    pending.append(iter(adjacency.get(target, [])))
+                    pending.append(iter(children.get(target, ())))
                     break
                 # otherwise a re-entrant mention of a node defined
                 # elsewhere: keep the edge, copy only the concept
                 # (attributes travel below)
             else:
                 pending.pop()
-
-    for core in group:
-        filler = core.filler_var
-        edges.append(Edge(predicate.variable, core.role, filler))
-        if filler not in nodes:
-            nodes[filler] = graph.nodes[filler]
-            expand(filler)
 
     attributes = tuple(a for a in graph.attributes if a.source in nodes)
     sub = AmrGraph(
@@ -226,18 +210,28 @@ def split_graph(graph: AmrGraph, mode: str = "one-cr") -> list[SmuCandidate]:
     """
     if mode not in SPLIT_MODES:
         raise ValueError(f"unknown split mode {mode!r}, expected one of {SPLIT_MODES}")
-    defining = _defining_edges(graph)
-    adjacency = _children(graph)
+    children, defining, order = _traverse(graph)
+    predicates = _predicates(graph, order)
+    # the core roles of every predicate, from one pass over the edges
+    roles: dict[str, list[CoreRoleEdge]] = {p.variable: [] for p in predicates}
+    for edge in graph.edges:
+        match = _CORE_ROLE_RE.fullmatch(edge.role)
+        if match:
+            inverse = match.group(2) is not None
+            owner = roles.get(edge.target if inverse else edge.source)
+            if owner is not None:
+                owner.append(CoreRoleEdge(edge, int(match.group(1)), inverse))
 
     candidates = []
-    for predicate in find_predicates(graph):
-        roles = _core_roles(graph, predicate)
-        if not roles:
+    for predicate in predicates:
+        cores = roles[predicate.variable]
+        if not cores:
             continue
-        groups = [(r,) for r in roles] if mode == "one-cr" else [tuple(roles)]
+        stored = {core.edge for core in cores}
+        groups = [(r,) for r in cores] if mode == "one-cr" else [tuple(cores)]
         for group in groups:
             candidates.append(
-                _build_candidate(graph, predicate, group, roles, defining, adjacency)
+                _build_candidate(graph, predicate, group, stored, defining, children)
             )
     return candidates
 
@@ -269,7 +263,7 @@ def realize_baseline(candidate: SmuCandidate) -> str:
     No inflection is attempted; tokens are joined by single spaces.
     """
     graph = candidate.subgraph
-    adjacency = _children(graph)
+    children = _children(graph)
     attrs: dict[str, list[Attribute]] = {}
     for attr in graph.attributes:
         attrs.setdefault(attr.source, []).append(attr)
@@ -278,8 +272,8 @@ def realize_baseline(candidate: SmuCandidate) -> str:
     def name_words(var: str) -> list[str]:
         visited.add(var)
         ops = []
-        for attr in attrs.get(var, []):
-            match = re.fullmatch(r":op(\d+)", attr.role)
+        for attr in attrs.get(var, ()):
+            match = _OP_RE.fullmatch(attr.role)
             if match:
                 ops.append((int(match.group(1)), _strip_quotes(attr.value)))
         return [word for _, word in sorted(ops)]
@@ -288,26 +282,31 @@ def realize_baseline(candidate: SmuCandidate) -> str:
         """The node's own words, and the edges whose words go in between,
         in template order."""
         visited.add(var)
-        arg_edges = []
-        other_edges = []
-        for edge in adjacency.get(var, []):
+        items: list[str | Edge] = []  # the :ARG0 edges first
+        numbered: list[tuple[int, Edge]] = []
+        others: list[Edge] = []
+        for edge in children.get(var, ()):
             match = _CORE_RE.fullmatch(edge.role)
-            if match:
-                arg_edges.append((int(match.group(1)), edge))
+            if match is None:
+                others.append(edge)
+            elif int(match.group(1)) == 0:
+                items.append(edge)
             else:
-                other_edges.append(edge)
-        arg_edges.sort(key=lambda item: item[0])
-
-        items: list[str | Edge] = [edge for index, edge in arg_edges if index == 0]
-        if any(a.role == ":polarity" and a.value == "-" for a in attrs.get(var, [])):
+                numbered.append((int(match.group(1)), edge))
+        values = []
+        negated = False
+        for attr in attrs.get(var, ()):
+            if attr.role != ":polarity":
+                values.append(_strip_quotes(attr.value))
+            elif attr.value == "-":
+                negated = True
+        if negated:
             items.append("not")
         items.append(_lemma_of(graph.nodes[var]))
-        for attr in attrs.get(var, []):
-            if attr.role == ":polarity":
-                continue
-            items.append(_strip_quotes(attr.value))
-        items.extend(edge for index, edge in arg_edges if index != 0)
-        items.extend(other_edges)
+        items += values
+        numbered.sort(key=lambda item: item[0])
+        items += [edge for _, edge in numbered]
+        items += others
         return items
 
     words: list[str] = []
@@ -326,7 +325,7 @@ def realize_baseline(candidate: SmuCandidate) -> str:
                 break
         else:
             pending.pop()
-    return " ".join(w for w in words if w)
+    return " ".join(filter(None, words))
 
 
 def realize_remote(

@@ -2,7 +2,9 @@
 
 import random
 
-from autopyramid.amr import AmrGraph, Attribute, Edge
+from hypothesis import strategies as st
+
+from autopyramid.amr import AmrGraph, Attribute, Edge, serialize_penman
 
 LEMMAS = [
     "boy", "girl", "dog", "city", "team", "person", "idea", "report",
@@ -19,7 +21,9 @@ ATTR_CHOICES = [
 ]
 
 
-def random_graph(rng: random.Random, max_nodes: int = 12, max_reentrancies: int = 2) -> AmrGraph:
+def random_graph(
+    rng: random.Random, max_nodes: int = 12, max_reentrancies: int = 2, roles=ROLES
+) -> AmrGraph:
     n = rng.randint(1, max_nodes)
     variables = [f"x{i}" for i in range(n)]
     nodes = {}
@@ -33,13 +37,13 @@ def random_graph(rng: random.Random, max_nodes: int = 12, max_reentrancies: int 
     edges = []
     for i in range(1, n):
         parent = variables[rng.randrange(i)]
-        edges.append(Edge(parent, rng.choice(ROLES), variables[i]))
+        edges.append(Edge(parent, rng.choice(roles), variables[i]))
 
     for _ in range(rng.randint(0, max_reentrancies)):
         if n < 2:
             break
         source, target = rng.sample(variables, 2)
-        edges.append(Edge(source, rng.choice(ROLES), target))
+        edges.append(Edge(source, rng.choice(roles), target))
 
     attributes = []
     for var in variables:
@@ -49,6 +53,11 @@ def random_graph(rng: random.Random, max_nodes: int = 12, max_reentrancies: int 
 
     return AmrGraph(root=variables[0], nodes=nodes, edges=tuple(edges), attributes=tuple(attributes))
 
+
+# seeds for the generators of this module, for hypothesis tests: drawn
+# uniformly, because a random.Random that hypothesis drives favours the
+# first of each set of choices
+SEEDS = st.integers(0, 2**32 - 1)
 
 # far past the interpreter's default recursion limit of 1000
 DEEP = 3000
@@ -76,3 +85,69 @@ def chained_penman(length: int) -> str:
 def deep_realization(length: int) -> str:
     """The template realization of either deep graph's one unit."""
     return " ".join(["want"] + ["thing"] * (length - 1) + ["end"])
+
+
+# what may stand between two tokens: every str.splitlines break the lexer
+# counts as a new line, and plain blanks
+SEPARATORS = [" ", "  ", "\t", "\n", "\r", "\r\n", "\x0c", "\u2028", "\x85"]
+# constant-like values: quoted strings with escapes, and with line breaks
+# inside, which end the string early (a token never spans a break), and
+# bare tokens on either side of the number rule
+VALUES = [
+    "-+",
+    "1e5",
+    ".5",
+    "+3.",
+    "e5",
+    '"plain"',
+    '"New York"',
+    '"quo\\"ted"',
+    '"back\\\\slash"',
+    '"open \\"',
+    '"two\nlines"',
+    '"cr\rbreak"',
+    '"form\x0cfeed"',
+    '"line\u2028sep"',
+    '"esc\\ break"',
+]
+
+
+def penman_text(rng: random.Random, max_nodes: int = 8, mangle: float = 0.3) -> str:
+    """One PENMAN block for checking the lexer and parser: a random graph with
+    constant-like values, serialized, each blank between tokens replaced by a
+    random separator. With probability *mangle* one character is dropped or
+    repeated, or the text is cut short, so that many blocks are malformed
+    somewhere."""
+    graph = random_graph(rng, max_nodes)
+    attributes = graph.attributes + tuple(
+        Attribute(var, ":value", rng.choice(VALUES))
+        for var in graph.nodes
+        if rng.random() < 0.3
+    )
+    graph = AmrGraph(graph.root, graph.nodes, graph.edges, attributes)
+    text = "".join(
+        rng.choice(SEPARATORS) if char == " " else char
+        for char in serialize_penman(graph)
+    )
+    if text and rng.random() < mangle:
+        at = rng.randrange(len(text))
+        text = rng.choice(
+            [text[:at] + text[at + 1 :], text[: at + 1] + text[at:], text[:at]]
+        )
+    return text
+
+
+COMMENTS = ["# a comment", "# ::snt a sentence", "  #indented", "#"]
+
+
+def penman_file(rng: random.Random, blocks: int = 3) -> str:
+    """Blank-line-separated blocks of :func:`penman_text` with ``#`` comment
+    lines, ``# ::snt`` among them, put in at newlines before and inside each
+    block."""
+    parts = []
+    for _ in range(blocks):
+        lines = penman_text(rng).split("\n")
+        for _ in range(rng.randint(0, 2)):
+            lines.insert(rng.randint(0, len(lines)), rng.choice(COMMENTS))
+        parts.append("\n".join(lines))
+    return "\n\n".join(parts) + "\n"

@@ -7,8 +7,13 @@ library: explicit loops, no shared helpers, brute-force enumeration.
 import itertools
 import math
 import random
+import re
+from typing import NamedTuple
 
+from autopyramid.amr import AmrGraph, Attribute, Edge
+from autopyramid.errors import MalformedPenman
 from autopyramid.extract import ContentUnit
+from autopyramid.smu import CoreRoleEdge, PredicateNode, SmuCandidate
 from autopyramid.text import enumerate_ngrams, split_sentences
 
 
@@ -126,3 +131,346 @@ def ngram_units_oracle(reference, config):
     count = min(len(pool), max(1, math.ceil(len(pool) * config.ngram_fraction)))
     chosen = sorted(random.Random(config.seed).sample(pool, count))
     return [ContentUnit(gram, "ngram", sentence_index=sentence) for sentence, _, _, gram in chosen]
+
+
+# ---------------------------------------------------------------------------
+# PENMAN graphs: the parser, splitter and template realizer written with a
+# position-carrying token per lexeme, per-predicate edge scans and one walk
+# per question. Slower, and shaped differently from the package's versions.
+
+
+class _Token(NamedTuple):
+    text: str
+    line: int
+    column: int
+
+
+_TOKEN_RE = re.compile(r'"(?:[^"\\]|\\.)*"|\(|\)|/|[^\s()/]+')
+_NUMBER_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
+def _lex(text, first_line=1):
+    """Tokens of each ``str.splitlines`` line, so no token spans a break."""
+    tokens = []
+    for offset, line in enumerate(text.splitlines()):
+        for match in _TOKEN_RE.finditer(line):
+            tokens.append(_Token(match.group(), first_line + offset, match.start() + 1))
+    return tokens
+
+
+def _is_constant(token):
+    if token.startswith('"'):
+        return True
+    if token in ("-", "+"):
+        return True
+    return bool(_NUMBER_RE.match(token))
+
+
+class _Parser:
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.pos = 0
+
+    def _peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def _next(self, expected):
+        tok = self._peek()
+        if tok is None:
+            last = self.tokens[-1] if self.tokens else _Token("", 1, 1)
+            raise MalformedPenman(
+                f"unexpected end of input, expected {expected}", last.line, last.column
+            )
+        self.pos += 1
+        return tok
+
+    def parse(self):
+        self.nodes = {}
+        self.edges = []
+        self.attributes = []
+        self.references = []
+        root = self._open_node()
+        open_nodes = [root]
+        while open_nodes:
+            self._relation(open_nodes)
+        trailing = self._peek()
+        if trailing is not None:
+            raise MalformedPenman(
+                f"unexpected {trailing.text!r} after the graph (unbalanced parentheses?)",
+                trailing.line,
+                trailing.column,
+            )
+        for var, tok in self.references:
+            if var not in self.nodes:
+                raise MalformedPenman(
+                    f"reference to undefined variable {var!r}", tok.line, tok.column
+                )
+        return AmrGraph(
+            root=root,
+            nodes=self.nodes,
+            edges=tuple(self.edges),
+            attributes=tuple(self.attributes),
+        )
+
+    def _open_node(self):
+        opener = self._next("'('")
+        if opener.text != "(":
+            raise MalformedPenman(
+                f"expected '(' but found {opener.text!r}", opener.line, opener.column
+            )
+        var_tok = self._next("a variable")
+        var = var_tok.text
+        if var in ("(", ")", "/") or var.startswith(":") or var.startswith('"'):
+            raise MalformedPenman(
+                f"expected a variable but found {var!r}", var_tok.line, var_tok.column
+            )
+        if var in self.nodes:
+            raise MalformedPenman(
+                f"duplicate definition of variable {var!r}", var_tok.line, var_tok.column
+            )
+        slash = self._next("'/'")
+        if slash.text != "/":
+            raise MalformedPenman(
+                f"missing '/' after variable {var!r}", slash.line, slash.column
+            )
+        concept_tok = self._next("a concept")
+        concept = concept_tok.text
+        if concept in ("(", ")", "/") or concept.startswith(":"):
+            raise MalformedPenman(
+                f"expected a concept but found {concept!r}",
+                concept_tok.line,
+                concept_tok.column,
+            )
+        self.nodes[var] = concept
+        return var
+
+    def _relation(self, open_nodes):
+        var = open_nodes[-1]
+        tok = self._next("a role or ')'")
+        if tok.text == ")":
+            open_nodes.pop()
+            return
+        if not tok.text.startswith(":") or len(tok.text) < 2:
+            raise MalformedPenman(
+                f"expected a role or ')' but found {tok.text!r}", tok.line, tok.column
+            )
+        role = tok.text
+        value = self._peek()
+        if value is None:
+            raise MalformedPenman(f"role {role!r} has no value", tok.line, tok.column)
+        if value.text == "(":
+            child = self._open_node()
+            self.edges.append(Edge(var, role, child))
+            open_nodes.append(child)
+        elif value.text in (")", "/") or value.text.startswith(":"):
+            raise MalformedPenman(f"role {role!r} has no value", value.line, value.column)
+        elif _is_constant(value.text):
+            self.pos += 1
+            self.attributes.append(Attribute(var, role, value.text))
+        else:
+            self.pos += 1
+            self.edges.append(Edge(var, role, value.text))
+            self.references.append((value.text, value))
+
+
+def parse_penman_oracle(text, first_line=1):
+    """``parse_penman`` through a list of positioned tokens and a parser
+    object that reads them one method call at a time."""
+    tokens = _lex(text, first_line)
+    if not tokens:
+        raise MalformedPenman("empty input", first_line, 1)
+    return _Parser(tokens).parse()
+
+
+_PREDICATE_RE = re.compile(r".+-(\d{2,})$")
+_CORE_RE = re.compile(r":ARG(\d+)$")
+_CORE_INVERSE_RE = re.compile(r":ARG(\d+)-of$")
+_OP_RE = r":op(\d+)"
+
+
+def _children(graph):
+    children = {}
+    for edge in graph.edges:
+        children.setdefault(edge.source, []).append(edge)
+    return children
+
+
+def _walk(start, children, entered):
+    entered[start] = None
+    order = [start]
+    pending = [iter(children.get(start, []))]
+    while pending:
+        for edge in pending[-1]:
+            if edge.target not in entered:
+                entered[edge.target] = edge
+                order.append(edge.target)
+                pending.append(iter(children.get(edge.target, [])))
+                break
+        else:
+            pending.pop()
+    return order
+
+
+def _dfs_order(graph):
+    children = _children(graph)
+    entered = {}
+    order = []
+    for var in (graph.root, *graph.nodes):
+        if var not in entered:
+            order += _walk(var, children, entered)
+    return order
+
+
+def _defining_edges(graph):
+    defining = {}
+    _walk(graph.root, _children(graph), defining)
+    for var in graph.nodes:
+        defining.setdefault(var, None)
+    return defining
+
+
+def _find_predicates(graph):
+    predicates = []
+    for var in _dfs_order(graph):
+        match = _PREDICATE_RE.match(graph.nodes[var])
+        if match:
+            predicates.append(PredicateNode(var, graph.nodes[var], int(match.group(1))))
+    return predicates
+
+
+def _core_roles(graph, predicate):
+    roles = []
+    for edge in graph.edges:
+        forward = _CORE_RE.fullmatch(edge.role)
+        if edge.source == predicate.variable and forward:
+            roles.append(CoreRoleEdge(edge, int(forward.group(1)), False))
+            continue
+        inverse = _CORE_INVERSE_RE.fullmatch(edge.role)
+        if edge.target == predicate.variable and inverse:
+            roles.append(CoreRoleEdge(edge, int(inverse.group(1)), True))
+    return roles
+
+
+def _build_candidate(graph, predicate, group, all_roles, defining, adjacency):
+    nodes = {predicate.variable: predicate.concept}
+    edges = []
+    stored = {core.edge for core in all_roles}
+
+    def expand(var):
+        pending = [iter(adjacency.get(var, []))]
+        while pending:
+            for edge in pending[-1]:
+                if edge in stored:
+                    continue
+                edges.append(edge)
+                target = edge.target
+                if target in nodes:
+                    continue
+                nodes[target] = graph.nodes[target]
+                if defining.get(target) == edge:
+                    pending.append(iter(adjacency.get(target, [])))
+                    break
+            else:
+                pending.pop()
+
+    for core in group:
+        filler = core.filler_var
+        edges.append(Edge(predicate.variable, core.role, filler))
+        if filler not in nodes:
+            nodes[filler] = graph.nodes[filler]
+            expand(filler)
+
+    attributes = tuple(a for a in graph.attributes if a.source in nodes)
+    sub = AmrGraph(root=predicate.variable, nodes=nodes, edges=tuple(edges), attributes=attributes)
+    return SmuCandidate(sub, predicate, group)
+
+
+def split_graph_oracle(graph, mode="one-cr"):
+    """``split_graph`` with the core roles of each predicate found by a scan
+    of every edge, and the child map and walks built apart."""
+    defining = _defining_edges(graph)
+    adjacency = _children(graph)
+    candidates = []
+    for predicate in _find_predicates(graph):
+        roles = _core_roles(graph, predicate)
+        if not roles:
+            continue
+        groups = [(r,) for r in roles] if mode == "one-cr" else [tuple(roles)]
+        for group in groups:
+            candidates.append(
+                _build_candidate(graph, predicate, group, roles, defining, adjacency)
+            )
+    return candidates
+
+
+def _strip_quotes(value):
+    if len(value) >= 2 and value.startswith('"') and value.endswith('"'):
+        return value[1:-1].replace('\\"', '"')
+    return value
+
+
+def _lemma_of(concept):
+    match = _PREDICATE_RE.match(concept)
+    if match:
+        return concept[: -(len(match.group(1)) + 1)]
+    return concept
+
+
+def realize_baseline_oracle(candidate):
+    """``realize_baseline`` with each node's template built from scans of
+    its attribute list and a string pattern for ``:opN``."""
+    graph = candidate.subgraph
+    adjacency = _children(graph)
+    attrs = {}
+    for attr in graph.attributes:
+        attrs.setdefault(attr.source, []).append(attr)
+    visited = set()
+
+    def name_words(var):
+        visited.add(var)
+        ops = []
+        for attr in attrs.get(var, []):
+            match = re.fullmatch(_OP_RE, attr.role)
+            if match:
+                ops.append((int(match.group(1)), _strip_quotes(attr.value)))
+        return [word for _, word in sorted(ops)]
+
+    def template(var):
+        visited.add(var)
+        arg_edges = []
+        other_edges = []
+        for edge in adjacency.get(var, []):
+            match = _CORE_RE.fullmatch(edge.role)
+            if match:
+                arg_edges.append((int(match.group(1)), edge))
+            else:
+                other_edges.append(edge)
+        arg_edges.sort(key=lambda item: item[0])
+        items = [edge for index, edge in arg_edges if index == 0]
+        if any(a.role == ":polarity" and a.value == "-" for a in attrs.get(var, [])):
+            items.append("not")
+        items.append(_lemma_of(graph.nodes[var]))
+        for attr in attrs.get(var, []):
+            if attr.role == ":polarity":
+                continue
+            items.append(_strip_quotes(attr.value))
+        items.extend(edge for index, edge in arg_edges if index != 0)
+        items.extend(other_edges)
+        return items
+
+    words = []
+    pending = [iter(template(graph.root))]
+    while pending:
+        for item in pending[-1]:
+            if isinstance(item, str):
+                words.append(item)
+            elif item.target in visited:
+                continue
+            elif item.role == ":name":
+                words.extend(name_words(item.target))
+            else:
+                pending.append(iter(template(item.target)))
+                break
+        else:
+            pending.pop()
+    return " ".join(w for w in words if w)

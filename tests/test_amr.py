@@ -1,10 +1,13 @@
 import random
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from autopyramid import amr
 from autopyramid.amr import (
     AmrGraph,
     Attribute,
@@ -19,7 +22,16 @@ from autopyramid.amr import (
 )
 from autopyramid.errors import DisconnectedGraph, FileUnreadable, MalformedPenman
 
-from graphgen import DEEP, chained_penman, nested_penman, random_graph
+from graphgen import (
+    DEEP,
+    SEEDS,
+    chained_penman,
+    nested_penman,
+    penman_file,
+    penman_text,
+    random_graph,
+)
+from oracles import parse_penman_oracle
 
 WANT = "(w / want-01 :ARG0 (b / boy) :ARG1 (g / go-02 :ARG0 b))"
 
@@ -319,3 +331,93 @@ def test_any_text_gives_a_graph_or_malformed_penman(text):
         return
     assert isinstance(graph, AmrGraph)
     assert parse_penman(serialize_penman(graph)).nodes == graph.nodes
+
+
+# ---------------------------------------------------------------------------
+# The parser against the reference in tests/oracles.py, and the line rules
+
+
+# every line break of str.splitlines
+LINE_BREAKS = [
+    "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+]
+
+
+@pytest.mark.parametrize("escaped", [False, True])
+@pytest.mark.parametrize("brk", LINE_BREAKS)
+def test_tokens_never_span_a_line_break(brk, escaped):
+    # a quoted string broken by a line break, escaped or not, lexes as two
+    # bare tokens
+    inside = "x" + "\\" * escaped + brk + "y"
+    with pytest.raises(MalformedPenman) as info:
+        parse_penman(f'(a / b :value "{inside}")')
+    assert str(info.value) == "line 2, column 1: expected a role or ')' but found 'y\"'"
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS)
+def test_error_lines_count_every_line_break(brk):
+    text = brk.join(["(a / b", ":ARG0", "(c", "/ d)", ":mod e)"])
+    with pytest.raises(MalformedPenman) as info:
+        parse_penman(text, first_line=3)
+    assert (info.value.line, info.value.column) == (7, 6)
+    assert "undefined variable 'e'" in str(info.value)
+
+
+def parse_outcome(parse, text, first_line=1):
+    """The graph, or the message and position of the error."""
+    try:
+        return parse(text, first_line)
+    except MalformedPenman as exc:
+        return str(exc), exc.line, exc.column
+
+
+LINE_PIECES = PENMAN_PIECES + [
+    "\r", "\r\n", "\x0c", "\u2028", "\x85", "\t", '"a\nb"', '"q\\"', '"\\\\"', "x0", "-+",
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(
+        st.text(),
+        st.lists(st.sampled_from(LINE_PIECES), max_size=60).map("".join),
+        SEEDS.map(lambda seed: penman_text(random.Random(seed))),
+    ),
+    st.integers(1, 40),
+)
+def test_parser_matches_the_reference(text, first_line):
+    assert parse_outcome(parse_penman, text, first_line) == parse_outcome(
+        parse_penman_oracle, text, first_line
+    )
+
+
+def load_outcome(path):
+    try:
+        return load_penman_file(path)
+    except MalformedPenman as exc:
+        return str(exc), exc.line, exc.column
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS)
+def test_penman_file_matches_the_reference_parser(seed):
+    rng = random.Random(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graphs.penman"
+        path.write_text(penman_file(rng), encoding="utf-8")
+        got = load_outcome(path)
+        with mock.patch.object(amr, "parse_penman", parse_penman_oracle):
+            assert load_outcome(path) == got
+
+
+def relabeled(text):
+    return text.replace("(n", "(m").replace(" n", " m")
+
+
+def test_isomorphic_compares_long_chains():
+    # each chain also points from its last node back into the chain; the
+    # two on the right differ only in which node that edge points at
+    chain = nested_penman(DEEP, innermost="end :ARG0 n1")
+    other = nested_penman(DEEP, innermost="end :ARG0 n2")
+    assert isomorphic(parse_penman(chain), parse_penman(relabeled(chain)))
+    assert not isomorphic(parse_penman(chain), parse_penman(relabeled(other)))

@@ -54,6 +54,15 @@ def test_load_dataset_valid(tmp_path):
     assert entry.pooled_scus() == ["the cat sat", "a dog barked"]
 
 
+def test_presence_labels_are_stored_as_ints(tmp_path):
+    row = valid_row()
+    row["systems"][0]["scu_presence"] = [True, 0.0]
+    path = write_jsonl(tmp_path / "d.jsonl", [row])
+    presence = load_dataset(path)[0].systems[0].scu_presence
+    assert presence == (1, 0)
+    assert [type(label) for label in presence] == [int, int]
+
+
 def test_load_dataset_skips_blank_lines(tmp_path):
     path = tmp_path / "d.jsonl"
     path.write_text(json.dumps(valid_row()) + "\n\n", encoding="utf-8")

@@ -1,17 +1,29 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from autopyramid.amr import isomorphic, parse_penman, serialize_penman
+from autopyramid.amr import AmrGraph, Edge, isomorphic, parse_penman, serialize_penman
 from autopyramid.errors import MalformedServiceReply
 from autopyramid.smu import (
+    SPLIT_MODES,
     find_predicates,
     realize_baseline,
     realize_remote,
     split_graph,
 )
 
-from graphgen import DEEP, chained_penman, deep_realization, nested_penman, random_graph
+from graphgen import (
+    DEEP,
+    ROLES,
+    SEEDS,
+    chained_penman,
+    deep_realization,
+    nested_penman,
+    random_graph,
+)
+from oracles import realize_baseline_oracle, split_graph_oracle
 
 WANT = parse_penman("(w / want-01 :ARG0 (b / boy) :ARG1 (g / go-02 :ARG0 b))")
 
@@ -188,6 +200,29 @@ def test_realize_baseline_never_empty():
         graph = random_graph(rng)
         for candidate in split_graph(graph):
             assert realize_baseline(candidate).strip()
+
+
+# names, two-digit and inverse core roles, and a role that only looks like one
+REFERENCE_ROLES = ROLES + [":name", ":ARG0-of", ":ARG10", ":ARG2-of", ":ARGx", ":op1"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(SEEDS, st.sampled_from(SPLIT_MODES), st.booleans())
+def test_split_and_realize_match_the_reference(seed, mode, turn_edges):
+    rng = random.Random(seed)
+    graph = random_graph(rng, max_nodes=14, max_reentrancies=4, roles=REFERENCE_ROLES)
+    if turn_edges:
+        # edges pointing at their parent leave nodes the root cannot reach
+        # along edge direction
+        edges = tuple(
+            Edge(e.target, e.role, e.source) if rng.random() < 0.3 else e for e in graph.edges
+        )
+        graph = AmrGraph(graph.root, graph.nodes, edges, graph.attributes)
+    candidates = split_graph(graph, mode)
+    assert candidates == split_graph_oracle(graph, mode)
+    assert [realize_baseline(c) for c in candidates] == [
+        realize_baseline_oracle(c) for c in candidates
+    ]
 
 
 class FakeGenerator:
