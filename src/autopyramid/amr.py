@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .errors import DisconnectedGraph, FileUnreadable, FileUnwritable, MalformedPenman
+from .data import read_input
+from .errors import DisconnectedGraph, FileUnwritable, MalformedPenman
 
 
 class Edge(NamedTuple):
@@ -47,44 +49,46 @@ class Attribute(NamedTuple):
 class AmrGraph:
     """A rooted, directed, edge-labeled graph.
 
-    ``nodes`` maps each variable to its single concept; ``edges`` and
-    ``attributes`` preserve input order, which drives deterministic
-    serialization. Construction validates the structural invariants:
+    ``nodes`` maps each variable to its single concept, read-only, and is
+    left out of the hash; ``edges`` and ``attributes`` preserve input
+    order, which drives deterministic serialization. Construction
+    validates the structural invariants:
     the root exists, every edge endpoint is a known variable, roles start
     with ':', and every node is connected to the root when edge direction
     is ignored.
     """
 
     root: str
-    nodes: dict[str, str]
+    nodes: Mapping[str, str] = field(hash=False)
     edges: tuple[Edge, ...] = ()
     attributes: tuple[Attribute, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", dict(self.nodes))
+        nodes = dict(self.nodes)
+        object.__setattr__(self, "nodes", MappingProxyType(nodes))
         object.__setattr__(
             self, "edges", tuple(e if type(e) is Edge else Edge(*e) for e in self.edges)
         )
         object.__setattr__(
             self, "attributes", tuple(Attribute(*a) for a in self.attributes)
         )
-        self._validate()
+        self._validate(nodes)
 
-    def _validate(self) -> None:
-        if not self.nodes:
+    def _validate(self, nodes: dict[str, str]) -> None:
+        if not nodes:
             raise ValueError("graph has no nodes")
-        if self.root not in self.nodes:
+        if self.root not in nodes:
             raise ValueError(f"root {self.root!r} is not a node")
-        for var, concept in self.nodes.items():
+        for var, concept in nodes.items():
             if not var or not concept:
                 raise ValueError(f"node {var!r} has an empty variable or concept")
         # edges mostly come parent first, so this one pass in order usually
         # reaches every node, and the full search is not needed
         reached = {self.root}
         for source, role, target in self.edges:
-            if source not in self.nodes:
+            if source not in nodes:
                 raise ValueError(f"edge source {source!r} is not a node")
-            if target not in self.nodes:
+            if target not in nodes:
                 raise ValueError(f"edge target {target!r} is not a node")
             if not role.startswith(":") or len(role) < 2:
                 raise ValueError(f"bad role label {role!r}")
@@ -93,14 +97,14 @@ class AmrGraph:
             elif target in reached:
                 reached.add(source)
         for source, role, value in self.attributes:
-            if source not in self.nodes:
+            if source not in nodes:
                 raise ValueError(f"attribute owner {source!r} is not a node")
             if not role.startswith(":") or len(role) < 2:
                 raise ValueError(f"bad role label {role!r}")
             if value == "":
                 raise ValueError("empty attribute value")
-        if len(reached) < len(self.nodes):
-            unreachable = set(self.nodes) - _undirected_reach(self.root, self.edges)
+        if len(reached) < len(nodes):
+            unreachable = set(nodes) - _undirected_reach(self.root, self.edges)
             if unreachable:
                 raise ValueError(
                     f"nodes not connected to root: {', '.join(sorted(unreachable))}"
@@ -443,18 +447,17 @@ class PenmanEntry:
 _SNT_PREFIX = "# ::snt "
 
 
-def load_penman_file(path) -> list[PenmanEntry]:
+def load_penman_file(path, *, digests: dict | None = None) -> list[PenmanEntry]:
     """Read blank-line-separated PENMAN blocks from *path*.
 
     '#'-prefixed lines are ignored except for ``# ::snt``, whose text is
     attached to the following graph. Parse errors carry file-absolute line
-    numbers.
+    numbers. When *digests* is given, the SHA-256 of the bytes read is
+    stored in it under ``str(path)``.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except OSError as exc:
-        raise FileUnreadable(f"cannot read {path}: {exc}") from exc
+    lines, digest = read_input(path)
+    if digests is not None:
+        digests[str(path)] = digest
 
     entries: list[PenmanEntry] = []
     block: list[str] = []

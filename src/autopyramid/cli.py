@@ -19,9 +19,11 @@ from .data import (
     VALID_STRATEGIES,
     UnitFileRow,
     atomic_write_text,
-    is_finite_number,
     load_dataset,
+    load_scores,
     load_units,
+    parse_unit_lines,
+    read_input,
 )
 from .data import save_units as write_unit_file
 from .errors import (
@@ -29,7 +31,6 @@ from .errors import (
     DegenerateInput,
     EmptyDataset,
     EmptyReference,
-    FileUnreadable,
     InputError,
     LengthMismatch,
     MalformedPenman,
@@ -37,7 +38,6 @@ from .errors import (
     NoGoldUnits,
     NoUnits,
     RemoteError,
-    SchemaViolation,
     ServiceUnavailable,
 )
 from .extract import (
@@ -47,7 +47,6 @@ from .extract import (
     extract_sentence_units,
     extract_sgu_units_many,
     extract_smu_units,
-    import_units,
 )
 from .manifest import write_manifest
 from .presence import (  # noqa: F401  (score_summary: kept importable from here)
@@ -229,17 +228,17 @@ def _each_reference(entries):
             yield entry, index, reference
 
 
-def _smu_graph_map(args, entries) -> dict:
+def _smu_graph_map(args, entries, digests: dict) -> dict:
     """Graphs per (example_id, reference_index), from a file or the parser
     service. File blocks are consumed positionally: dataset order, one block
-    per reference sentence."""
+    per reference sentence. The file's digest goes into *digests*."""
     wanted = [
         (entry.example_id, index, [s.text for s in split_sentences(reference.text)])
         for entry, index, reference in _each_reference(entries)
     ]
     graphs = {}
     if args.graphs:
-        blocks = load_penman_file(args.graphs)
+        blocks = load_penman_file(args.graphs, digests=digests)
         cursor = 0
         for example_id, index, sentences in wanted:
             take = blocks[cursor : cursor + len(sentences)]
@@ -279,31 +278,25 @@ def _smu_graph_map(args, entries) -> dict:
     raise InputError("--strategy smu needs --graphs or --parse-endpoint")
 
 
-def _import_rows(path, tag: str) -> list[UnitFileRow]:
+def _import_rows(path, tag: str, digests: dict) -> list[UnitFileRow]:
     """Unit rows from an external file: unit-schema JSONL keeps its example
     ids and reference indices, plain lines become bare rows."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            first = next((line for line in handle if line.strip()), "")
-    except OSError as exc:
-        raise FileUnreadable(f"cannot read {path}: {exc}") from exc
-    if first.lstrip().startswith("{"):
+    lines, digests[str(path)] = read_input(path)
+    content = [text for text in map(str.strip, lines) if text]
+    if content and content[0].startswith("{"):
         return [
             UnitFileRow(r.example_id, r.reference_index, tag, r.text)
-            for r in load_units(path)
+            for r in parse_unit_lines(lines)
         ]
-    return [
-        UnitFileRow(u.reference_id, 0, u.strategy, u.text)
-        for u in import_units(path, tag)
-    ]
+    return [UnitFileRow("", 0, tag, text) for text in content]
 
 
 def cmd_extract(args) -> int:
-    entries = load_dataset(args.input)
+    digests: dict = {}
+    entries = load_dataset(args.input, digests=digests)
     config = _extraction_config(args)
     rows: list[UnitFileRow] = []
     extra: dict = {}
-    inputs = [args.input]
 
     if args.strategy == "sent":
         for entry, index, reference in _each_reference(entries):
@@ -328,9 +321,7 @@ def cmd_extract(args) -> int:
                 UnitFileRow(entry.example_id, index, u.strategy, u.text) for u in units
             )
     elif args.strategy == "smu":
-        graph_map = _smu_graph_map(args, entries)
-        if args.graphs:
-            inputs.append(args.graphs)
+        graph_map = _smu_graph_map(args, entries, digests)
         for entry, index, _ in _each_reference(entries):
             units = extract_smu_units(graph_map[(entry.example_id, index)], config)
             rows.extend(
@@ -354,8 +345,7 @@ def cmd_extract(args) -> int:
     else:  # import
         if not args.import_path:
             raise InputError("--strategy import needs --import-path")
-        inputs.append(args.import_path)
-        rows.extend(_import_rows(args.import_path, args.import_tag))
+        rows.extend(_import_rows(args.import_path, args.import_tag, digests))
 
     write_unit_file(args.out, rows)
     write_manifest(
@@ -378,7 +368,7 @@ def cmd_extract(args) -> int:
             "batch_size": args.batch_size,
             "concurrency": args.concurrency,
         },
-        inputs=inputs,
+        inputs=digests,
         extra=extra or None,
     )
     return EXIT_OK
@@ -396,8 +386,11 @@ def _units_by_example(rows) -> dict[str, list[UnitFileRow]]:
 
 
 def cmd_score(args) -> int:
-    entries = load_dataset(args.input)
-    unit_rows = load_units(args.units)
+    digests: dict = {}
+    entries = load_dataset(args.input, digests=digests)
+    unit_rows = load_units(
+        args.units, digests=digests, example_ids={e.example_id for e in entries}
+    )
     grouped = _units_by_example(unit_rows)
 
     missing = [e.example_id for e in entries if not grouped.get(e.example_id)]
@@ -447,7 +440,7 @@ def cmd_score(args) -> int:
             "batch_size": args.batch_size,
             "concurrency": args.concurrency,
         },
-        inputs=[args.input, args.units],
+        inputs=digests,
     )
     return EXIT_OK
 
@@ -457,8 +450,13 @@ def cmd_score(args) -> int:
 
 
 def cmd_intrinsic(args) -> int:
-    entries = load_dataset(args.input)
-    grouped = _units_by_example(load_units(args.units))
+    digests: dict = {}
+    entries = load_dataset(args.input, digests=digests)
+    grouped = _units_by_example(
+        load_units(
+            args.units, digests=digests, example_ids={e.example_id for e in entries}
+        )
+    )
 
     reports = []
     for entry in entries:
@@ -495,7 +493,7 @@ def cmd_intrinsic(args) -> int:
             args.out,
             command="intrinsic",
             config={"aggregation": "per-example-mean"},
-            inputs=[args.input, args.units],
+            inputs=digests,
         )
     return EXIT_OK
 
@@ -504,42 +502,16 @@ def cmd_intrinsic(args) -> int:
 # metaeval
 
 
-def _load_scores(path) -> dict[tuple[str, str], float]:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except OSError as exc:
-        raise FileUnreadable(f"cannot read {path}: {exc}") from exc
-    scores = {}
-    for number, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            raw = json.loads(line)
-        except ValueError as exc:
-            raise SchemaViolation("not valid JSON", line=number) from exc
-        if not isinstance(raw, dict):
-            raise SchemaViolation("row must be an object", line=number)
-        example_id = raw.get("example_id")
-        system_id = raw.get("system_id")
-        value = raw.get("score")
-        if not isinstance(example_id, str) or not isinstance(system_id, str):
-            raise SchemaViolation(
-                "rows need string 'example_id' and 'system_id'", line=number
-            )
-        if not is_finite_number(value):
-            raise SchemaViolation(
-                "'score' must be a finite number", line=number, field="score"
-            )
-        scores[(example_id, system_id)] = float(value)
-    return scores
-
-
 def cmd_metaeval(args) -> int:
-    entries = load_dataset(args.input)
-    scores = _load_scores(args.scores)
+    digests: dict = {}
+    entries = load_dataset(args.input, digests=digests)
     if not entries:
         raise EmptyDataset("dataset has no entries")
+    scores = load_scores(
+        args.scores,
+        {(e.example_id, s.system_id) for e in entries for s in e.systems},
+        digests=digests,
+    )
 
     system_ids = sorted(s.system_id for s in entries[0].systems)
     if len(system_ids) < 2:
@@ -624,7 +596,7 @@ def cmd_metaeval(args) -> int:
             args.out,
             command="metaeval",
             config={"level": args.level, "corr": args.corr},
-            inputs=[args.input, args.scores],
+            inputs=digests,
         )
     return EXIT_OK
 
@@ -634,7 +606,8 @@ def cmd_metaeval(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    entries = load_dataset(args.input)
+    digests: dict = {}
+    entries = load_dataset(args.input, digests=digests)
     stats = corpus_stats(entries)
 
     rows = [
@@ -662,7 +635,7 @@ def cmd_stats(args) -> int:
             args.out, json.dumps(row, ensure_ascii=False, separators=(",", ":")) + "\n"
         )
         write_manifest(
-            args.out, command="stats", config={}, inputs=[args.input]
+            args.out, command="stats", config={}, inputs=digests
         )
     return EXIT_OK
 

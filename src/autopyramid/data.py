@@ -14,15 +14,22 @@ number and field path of the first problem.
 
 Unit files are also JSON Lines, one :class:`UnitFileRow` per line with
 fields ``example_id``, ``reference_index``, ``strategy``, ``text``.
+
+Every input file is read by :func:`read_input`, once: the loaders hand the
+SHA-256 of the bytes they parsed to the caller, which records it in the
+run manifest without reading the file again. Files must be UTF-8; lines
+are split by :meth:`str.splitlines` and counted from 1.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
 import tempfile
 from dataclasses import dataclass
+from itertools import starmap
 from typing import Iterable
 
 from .errors import (
@@ -41,6 +48,10 @@ VALID_STRATEGIES = (
     "sgu",
     "imported_stu",
 )
+
+# presence labels by value: a lookup both checks a label and makes it an
+# int, and true, 1.0 and -0.0 hash and compare equal to their int
+_LABELS = {0: 0, 1: 1}
 
 
 @dataclass(frozen=True)
@@ -93,25 +104,31 @@ def is_finite_number(value) -> bool:
         return False
 
 
-def _require(condition: bool, message: str, line: int, field: str):
-    if not condition:
-        raise SchemaViolation(message, line=line, field=field)
+_decode = json.JSONDecoder().decode
 
 
-def _parse_reference(value, line: int, field: str) -> Reference:
-    _require(isinstance(value, dict), "reference must be an object", line, field)
-    text = value.get("text")
-    _require(isinstance(text, str), "missing string 'text'", line, f"{field}.text")
-    scus = value.get("scus", [])
-    _require(isinstance(scus, list), "'scus' must be a list", line, f"{field}.scus")
-    for k, scu in enumerate(scus):
-        _require(
-            isinstance(scu, str) and scu.strip() != "",
-            "gold unit must be a non-empty string",
-            line,
-            f"{field}.scus[{k}]",
-        )
-    return Reference(text=text, scus=tuple(scus))
+def read_input(path) -> tuple[list[str], str]:
+    """The lines of *path* and the SHA-256 of its bytes, from one read.
+
+    Lines are split by :meth:`str.splitlines`, so they are the lines a
+    text-mode read would give. Bytes that are not UTF-8 raise
+    :class:`FileUnreadable` naming the file and the line that holds them.
+    """
+    try:
+        with open(path, "rb") as handle:
+            raw = handle.read()
+    except OSError as exc:
+        raise FileUnreadable(f"cannot read {path}: {exc}") from exc
+    digest = hashlib.sha256(raw).hexdigest()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((raw[: exc.start].decode("utf-8") + "x").splitlines())
+        raise FileUnreadable(
+            f"cannot read {path}: line {line} is not valid UTF-8"
+        ) from exc
+    del raw  # freed before the lines are made, to lower the peak
+    return text.splitlines(), digest
 
 
 def _system_error(message: str, line: int, index: int, name: str) -> SchemaViolation:
@@ -120,97 +137,126 @@ def _system_error(message: str, line: int, index: int, name: str) -> SchemaViola
     return SchemaViolation(message, line=line, field=f"systems[{index}]{name}")
 
 
-def _parse_system(value, line: int, index: int) -> SystemSummary:
-    if not isinstance(value, dict):
-        raise _system_error("system must be an object", line, index, "")
-    system_id = value.get("system_id")
-    if not isinstance(system_id, str) or system_id == "":
-        raise _system_error("missing string 'system_id'", line, index, ".system_id")
-    summary = value.get("summary")
-    if not isinstance(summary, str):
-        raise _system_error("missing string 'summary'", line, index, ".summary")
-    human_score = value.get("human_score")
-    if human_score is not None:
-        if not is_finite_number(human_score):
-            raise _system_error(
-                "'human_score' must be a finite number", line, index, ".human_score"
-            )
-        human_score = float(human_score)
-    presence = value.get("scu_presence")
-    if presence is not None:
-        if not (isinstance(presence, list) and all(p in (0, 1) for p in presence)):
-            raise _system_error(
-                "'scu_presence' must be a list of 0/1", line, index, ".scu_presence"
-            )
-        presence = tuple(map(int, presence))
-    return SystemSummary(
-        system_id=system_id,
-        summary=summary,
-        human_score=human_score,
-        scu_presence=presence,
-    )
-
-
 def _parse_entry(value, line: int) -> ReferenceEntry:
-    _require(isinstance(value, dict), "entry must be an object", line, "")
+    """Check one decoded dataset row, then build its records.
+
+    Errors come in a fixed order: the entry's own fields, each reference,
+    the fields of every system, then the first duplicate ``system_id``,
+    then the first presence list whose length is not the pooled unit count.
+    """
+    if type(value) is not dict:
+        raise SchemaViolation("entry must be an object", line=line, field="")
     example_id = value.get("example_id")
-    _require(
-        isinstance(example_id, str) and example_id != "",
-        "missing string 'example_id'",
-        line,
-        "example_id",
-    )
+    if type(example_id) is not str or not example_id:
+        raise SchemaViolation(
+            "missing string 'example_id'", line=line, field="example_id"
+        )
     references_raw = value.get("references")
-    _require(
-        isinstance(references_raw, list) and len(references_raw) >= 1,
-        "'references' must be a non-empty list",
-        line,
-        "references",
-    )
-    references = tuple(
-        _parse_reference(ref, line, f"references[{i}]")
-        for i, ref in enumerate(references_raw)
-    )
-    systems_raw = value.get("systems", [])
-    _require(isinstance(systems_raw, list), "'systems' must be a list", line, "systems")
-    systems = tuple(
-        _parse_system(system, line, i) for i, system in enumerate(systems_raw)
-    )
-    seen_ids = set()
-    for i, system in enumerate(systems):
-        if system.system_id in seen_ids:
+    if type(references_raw) is not list or not references_raw:
+        raise SchemaViolation(
+            "'references' must be a non-empty list", line=line, field="references"
+        )
+    pooled = 0
+    for i, reference in enumerate(references_raw):
+        if type(reference) is not dict:
             raise SchemaViolation(
-                f"duplicate system_id {system.system_id!r}",
-                line=line,
-                field=f"systems[{i}].system_id",
+                "reference must be an object", line=line, field=f"references[{i}]"
             )
-        seen_ids.add(system.system_id)
-    entry = ReferenceEntry(example_id=example_id, references=references, systems=systems)
-    pooled = len(entry.pooled_scus())
-    for i, system in enumerate(systems):
-        if system.scu_presence is not None and len(system.scu_presence) != pooled:
-            raise PresenceLengthMismatch(
-                f"{len(system.scu_presence)} presence labels for {pooled} gold units",
-                line=line,
-                field=f"systems[{i}].scu_presence",
+        if type(reference.get("text")) is not str:
+            raise SchemaViolation(
+                "missing string 'text'", line=line, field=f"references[{i}].text"
             )
-    return entry
+        scus = reference.get("scus", [])
+        if type(scus) is not list:
+            raise SchemaViolation(
+                "'scus' must be a list", line=line, field=f"references[{i}].scus"
+            )
+        for k, scu in enumerate(scus):
+            if type(scu) is not str or not scu or scu.isspace():
+                raise SchemaViolation(
+                    "gold unit must be a non-empty string",
+                    line=line,
+                    field=f"references[{i}].scus[{k}]",
+                )
+        pooled += len(scus)
+    systems_raw = value.get("systems", [])
+    if type(systems_raw) is not list:
+        raise SchemaViolation("'systems' must be a list", line=line, field="systems")
+    fields = []
+    seen_ids = set()
+    duplicate = mismatch = None
+    for i, system in enumerate(systems_raw):
+        if type(system) is not dict:
+            raise _system_error("system must be an object", line, i, "")
+        system_id = system.get("system_id")
+        if type(system_id) is not str or not system_id:
+            raise _system_error("missing string 'system_id'", line, i, ".system_id")
+        summary = system.get("summary")
+        if type(summary) is not str:
+            raise _system_error("missing string 'summary'", line, i, ".summary")
+        human_score = system.get("human_score")
+        if human_score is not None:
+            if not is_finite_number(human_score):
+                raise _system_error(
+                    "'human_score' must be a finite number", line, i, ".human_score"
+                )
+            human_score = float(human_score)
+        presence = system.get("scu_presence")
+        if presence is not None:
+            labels = None
+            if type(presence) is list:
+                try:
+                    labels = tuple(map(_LABELS.__getitem__, presence))
+                except (KeyError, TypeError):  # not a label, or not hashable
+                    pass
+            if labels is None:
+                raise _system_error(
+                    "'scu_presence' must be a list of 0/1", line, i, ".scu_presence"
+                )
+            presence = labels
+            if mismatch is None and len(presence) != pooled:
+                mismatch = i
+        if system_id in seen_ids:
+            if duplicate is None:
+                duplicate = i
+        else:
+            seen_ids.add(system_id)
+        fields.append((system_id, summary, human_score, presence))
+    if duplicate is not None:
+        raise SchemaViolation(
+            f"duplicate system_id {fields[duplicate][0]!r}",
+            line=line,
+            field=f"systems[{duplicate}].system_id",
+        )
+    if mismatch is not None:
+        raise PresenceLengthMismatch(
+            f"{len(fields[mismatch][3])} presence labels for {pooled} gold units",
+            line=line,
+            field=f"systems[{mismatch}].scu_presence",
+        )
+    return ReferenceEntry(
+        example_id,
+        tuple(Reference(r["text"], tuple(r.get("scus", ()))) for r in references_raw),
+        tuple(starmap(SystemSummary, fields)),
+    )
 
 
-def load_dataset(path) -> list[ReferenceEntry]:
-    """Read and validate a dataset file; entries come back in file order."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except OSError as exc:
-        raise FileUnreadable(f"cannot read {path}: {exc}") from exc
+def load_dataset(path, *, digests: dict | None = None) -> list[ReferenceEntry]:
+    """Read and validate a dataset file; entries come back in file order.
+
+    When *digests* is given, the SHA-256 of the bytes read is stored in it
+    under ``str(path)``.
+    """
+    lines, digest = read_input(path)
+    if digests is not None:
+        digests[str(path)] = digest
     entries = []
     seen = {}
     for number, line in enumerate(lines, start=1):
-        if not line.strip():
+        if not line or line.isspace():
             continue
         try:
-            raw = json.loads(line)
+            raw = _decode(line)
         except ValueError as exc:
             raise SchemaViolation("not valid JSON", line=number) from exc
         entry = _parse_entry(raw, number)
@@ -271,45 +317,130 @@ def save_units(path, rows: Iterable[UnitFileRow]) -> None:
     atomic_write_text(path, "".join(line + "\n" for line in payload))
 
 
-def load_units(path) -> list[UnitFileRow]:
-    """Read unit rows back; the inverse of :func:`save_units`."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except OSError as exc:
-        raise FileUnreadable(f"cannot read {path}: {exc}") from exc
+def parse_unit_lines(lines: list[str], example_ids=None) -> list[UnitFileRow]:
+    """Unit rows from the lines of a unit file, numbered from 1.
+
+    When *example_ids* is given, a row naming any other example is stray:
+    :class:`SchemaViolation` names the line of the first and the count.
+    """
     rows = []
+    stray = 0
     for number, line in enumerate(lines, start=1):
-        if not line.strip():
+        if not line or line.isspace():
             continue
         try:
-            raw = json.loads(line)
+            raw = _decode(line)
         except ValueError as exc:
             raise SchemaViolation("not valid JSON", line=number) from exc
-        _require(isinstance(raw, dict), "row must be an object", number, "")
+        if type(raw) is not dict:
+            raise SchemaViolation("row must be an object", line=number, field="")
         example_id = raw.get("example_id")
-        _require(isinstance(example_id, str), "missing string 'example_id'", number, "example_id")
+        if type(example_id) is not str:
+            raise SchemaViolation(
+                "missing string 'example_id'", line=number, field="example_id"
+            )
         reference_index = raw.get("reference_index")
-        _require(
-            isinstance(reference_index, int) and not isinstance(reference_index, bool)
-            and reference_index >= 0,
-            "'reference_index' must be a non-negative integer",
-            number,
-            "reference_index",
-        )
+        if type(reference_index) is not int or reference_index < 0:
+            raise SchemaViolation(
+                "'reference_index' must be a non-negative integer",
+                line=number,
+                field="reference_index",
+            )
         strategy = raw.get("strategy")
-        _require(
-            isinstance(strategy, str) and strategy in VALID_STRATEGIES,
-            f"'strategy' must be one of {', '.join(VALID_STRATEGIES)}",
-            number,
-            "strategy",
-        )
+        if type(strategy) is not str or strategy not in VALID_STRATEGIES:
+            raise SchemaViolation(
+                f"'strategy' must be one of {', '.join(VALID_STRATEGIES)}",
+                line=number,
+                field="strategy",
+            )
         text = raw.get("text")
-        _require(
-            isinstance(text, str) and text.strip() != "",
-            "missing non-empty string 'text'",
-            number,
-            "text",
-        )
+        if type(text) is not str or not text or text.isspace():
+            raise SchemaViolation(
+                "missing non-empty string 'text'", line=number, field="text"
+            )
+        if example_ids is not None and example_id not in example_ids:
+            if not stray:
+                first_stray = (number, example_id)
+            stray += 1
         rows.append(UnitFileRow(example_id, reference_index, strategy, text))
+    if stray:
+        number, example_id = first_stray
+        raise SchemaViolation(
+            f"example {example_id!r} is not in the dataset ({_stray_rows(stray)})",
+            line=number,
+            field="example_id",
+        )
     return rows
+
+
+def _stray_rows(count: int) -> str:
+    """How an error about the first stray row counts the rest."""
+    return "the only stray row" if count == 1 else f"the first of {count} stray rows"
+
+
+def load_units(
+    path, *, digests: dict | None = None, example_ids=None
+) -> list[UnitFileRow]:
+    """Read unit rows back; the inverse of :func:`save_units`.
+
+    *digests* and *example_ids* are as for :func:`load_dataset` and
+    :func:`parse_unit_lines`.
+    """
+    lines, digest = read_input(path)
+    if digests is not None:
+        digests[str(path)] = digest
+    return parse_unit_lines(lines, example_ids)
+
+
+def load_scores(
+    path, cells, *, digests: dict | None = None
+) -> dict[tuple[str, str], float]:
+    """Read a score file into ``{(example_id, system_id): score}``.
+
+    *cells* are the dataset's (example_id, system_id) pairs. A row for a
+    cell not among them, or for the cell of an earlier row, is stray:
+    :class:`SchemaViolation` names the line of the first and the count.
+    *digests* is as for :func:`load_dataset`.
+    """
+    lines, digest = read_input(path)
+    if digests is not None:
+        digests[str(path)] = digest
+    scores = {}
+    lines_of = {}
+    stray = 0
+    for number, line in enumerate(lines, start=1):
+        if not line or line.isspace():
+            continue
+        try:
+            raw = _decode(line)
+        except ValueError as exc:
+            raise SchemaViolation("not valid JSON", line=number) from exc
+        if type(raw) is not dict:
+            raise SchemaViolation("row must be an object", line=number)
+        example_id = raw.get("example_id")
+        system_id = raw.get("system_id")
+        value = raw.get("score")
+        if type(example_id) is not str or type(system_id) is not str:
+            raise SchemaViolation(
+                "rows need string 'example_id' and 'system_id'", line=number
+            )
+        if not is_finite_number(value):
+            raise SchemaViolation(
+                "'score' must be a finite number", line=number, field="score"
+            )
+        cell = (example_id, system_id)
+        if cell in lines_of:
+            reason = f"repeats line {lines_of[cell]}"
+        elif cell not in cells:
+            reason = "is not in the dataset"
+        else:
+            lines_of[cell] = number
+            scores[cell] = float(value)
+            continue
+        if not stray:
+            first_stray = (number, f"{example_id}/{system_id} {reason}")
+        stray += 1
+    if stray:
+        number, what = first_stray
+        raise SchemaViolation(f"{what} ({_stray_rows(stray)})", line=number)
+    return scores

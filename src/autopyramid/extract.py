@@ -17,18 +17,12 @@ import math
 import random
 import re
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 from .amr import AmrGraph
-from .data import load_units
-from .errors import (
-    EmptyReference,
-    EmptyReply,
-    FileUnreadable,
-    ServiceUnavailable,
-)
+from .data import parse_unit_lines, read_input
+from .errors import EmptyReference, EmptyReply, ServiceUnavailable
 from .services import ChatClient
 from .smu import SPLIT_MODES, SmuCandidate, realize_baseline, realize_remote, split_graph
 from .text import split_sentences, tokenize
@@ -241,6 +235,9 @@ def extract_sgu_units_many(
         return []
     if len(references) == 1 or config.concurrency == 1:
         return [extract_sgu_units(ref, config, client) for ref in references]
+    # imported here so that commands that start no thread skip it
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(
         max_workers=min(config.concurrency, len(references))
     ) as pool:
@@ -259,18 +256,11 @@ def import_units(path, strategy: str) -> list[ContentUnit]:
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except OSError as exc:
-        raise FileUnreadable(f"cannot read {path}: {exc}") from exc
-
-    content = [(i, line) for i, line in enumerate(lines, start=1) if line.strip()]
-    if not content:
-        return []
-    if content[0][1].lstrip().startswith("{"):
+    lines, _ = read_input(path)
+    content = [text for text in map(str.strip, lines) if text]
+    if content and content[0].startswith("{"):
         return [
             ContentUnit(row.text, strategy, reference_id=row.example_id)
-            for row in load_units(path)
+            for row in parse_unit_lines(lines)
         ]
-    return [ContentUnit(line.strip(), strategy) for _, line in content]
+    return [ContentUnit(text, strategy) for text in content]

@@ -2,8 +2,10 @@
 
 Every file a command writes gets ``<file>.manifest.json`` next to it with
 the command name, the effective configuration, SHA-256 digests of the
-inputs, the tool version, and a timestamp. Everything except the timestamp
-is deterministic, so reruns can be diffed. Endpoint URLs are stored with
+input bytes that were parsed (taken when each input was read, so a file
+replaced afterwards cannot change them), the tool version, and a
+timestamp. Everything except the timestamp is deterministic, so reruns
+can be diffed. Endpoint URLs are stored with
 credentials and query strings stripped; auth tokens live in environment
 variables and never reach the manifest.
 """
@@ -11,12 +13,10 @@ variables and never reach the manifest.
 from __future__ import annotations
 
 import datetime
-import hashlib
 import json
 
 from . import __version__
 from .data import atomic_write_text
-from .errors import FileUnreadable
 from .services import redact_endpoint
 
 
@@ -30,14 +30,6 @@ def _redact_config(config: dict) -> dict:
     return cleaned
 
 
-def file_digest(path) -> str:
-    try:
-        with open(path, "rb") as handle:
-            return hashlib.sha256(handle.read()).hexdigest()
-    except OSError as exc:
-        raise FileUnreadable(f"cannot read {path}: {exc}") from exc
-
-
 def manifest_path(out_path) -> str:
     return f"{out_path}.manifest.json"
 
@@ -47,13 +39,15 @@ def write_manifest(
     *,
     command: str,
     config: dict,
-    inputs: list,
+    inputs: dict,
     extra: dict | None = None,
 ) -> str:
+    """Write the manifest of *out_path*; *inputs* maps each input path to
+    the SHA-256 its loader took of the bytes it parsed."""
     payload = {
         "command": command,
         "config": _redact_config(config),
-        "inputs": {str(p): file_digest(p) for p in inputs},
+        "inputs": {str(p): digest for p, digest in inputs.items()},
         "tool_version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }

@@ -23,7 +23,6 @@ import json
 import os
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 from urllib.parse import quote, unquote, urlsplit, urlunsplit
 
@@ -264,6 +263,9 @@ class BatchClient:
         if len(batches) == 1:
             replies = [one(batches[0])]
         else:
+            # imported here so that commands that start no thread skip it
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=min(self.concurrency, len(batches))) as pool:
                 replies = list(pool.map(one, batches))
         out: list = []

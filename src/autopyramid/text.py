@@ -14,7 +14,9 @@ from typing import Iterable, Mapping, NamedTuple
 # Unicode alphanumerics; underscore is punctuation here.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
-_TERMINATORS = ".!?"
+# A terminator followed by whitespace or the end of the text; ``\S`` and
+# ``str.isspace`` agree on what whitespace is.
+_TERMINATOR_RE = re.compile(r"[.!?](?!\S)")
 
 # Lowercase, dot-free or dot-internal forms checked against the word
 # immediately preceding a period.
@@ -63,17 +65,14 @@ def split_sentences(
     """
     spans: list[SentenceSpan] = []
     start = 0
-    for i, ch in enumerate(text):
-        if ch not in _TERMINATORS:
+    for match in _TERMINATOR_RE.finditer(text):
+        end = match.end()
+        if text[end - 1] == "." and _abbreviation_before(text, end - 1, abbreviations):
             continue
-        if i + 1 < len(text) and not text[i + 1].isspace():
-            continue
-        if ch == "." and _abbreviation_before(text, i, abbreviations):
-            continue
-        piece = text[start : i + 1].strip()
+        piece = text[start:end].strip()
         if piece:
             spans.append(SentenceSpan(piece, len(spans)))
-        start = i + 1
+        start = end
     tail = text[start:].strip()
     if tail:
         spans.append(SentenceSpan(tail, len(spans)))

@@ -5,16 +5,37 @@ library: explicit loops, no shared helpers, brute-force enumeration.
 """
 
 import itertools
+import json
 import math
 import random
 import re
 from typing import NamedTuple
 
 from autopyramid.amr import AmrGraph, Attribute, Edge
-from autopyramid.errors import MalformedPenman
+from autopyramid.data import (
+    VALID_STRATEGIES,
+    Reference,
+    ReferenceEntry,
+    SystemSummary,
+    UnitFileRow,
+    is_finite_number,
+)
+from autopyramid.errors import (
+    DuplicateExampleId,
+    FileUnreadable,
+    MalformedPenman,
+    PresenceLengthMismatch,
+    SchemaViolation,
+)
 from autopyramid.extract import ContentUnit
 from autopyramid.smu import CoreRoleEdge, PredicateNode, SmuCandidate
-from autopyramid.text import enumerate_ngrams, split_sentences
+from autopyramid.text import (
+    DEFAULT_ABBREVIATIONS,
+    SentenceSpan,
+    _abbreviation_before,
+    enumerate_ngrams,
+    split_sentences,
+)
 
 
 def split_alnum(text):
@@ -474,3 +495,244 @@ def realize_baseline_oracle(candidate):
         else:
             pending.pop()
     return " ".join(w for w in words if w)
+
+
+# ---------------------------------------------------------------------------
+# Input files and sentences: the loaders written the direct way (a
+# text-mode read, ``json.loads``, ``isinstance`` checks, records built field
+# by field), and the sentence splitter as a loop over every character.
+
+
+def _require(condition: bool, message: str, line: int, field: str):
+    if not condition:
+        raise SchemaViolation(message, line=line, field=field)
+
+
+def _parse_reference(value, line: int, field: str) -> Reference:
+    _require(isinstance(value, dict), "reference must be an object", line, field)
+    text = value.get("text")
+    _require(isinstance(text, str), "missing string 'text'", line, f"{field}.text")
+    scus = value.get("scus", [])
+    _require(isinstance(scus, list), "'scus' must be a list", line, f"{field}.scus")
+    for k, scu in enumerate(scus):
+        _require(
+            isinstance(scu, str) and scu.strip() != "",
+            "gold unit must be a non-empty string",
+            line,
+            f"{field}.scus[{k}]",
+        )
+    return Reference(text=text, scus=tuple(scus))
+
+
+def _system_error(message: str, line: int, index: int, name: str) -> SchemaViolation:
+    """The error for field *name* of system *index*; the field path is
+    built only here, when a system is rejected."""
+    return SchemaViolation(message, line=line, field=f"systems[{index}]{name}")
+
+
+def _parse_system(value, line: int, index: int) -> SystemSummary:
+    if not isinstance(value, dict):
+        raise _system_error("system must be an object", line, index, "")
+    system_id = value.get("system_id")
+    if not isinstance(system_id, str) or system_id == "":
+        raise _system_error("missing string 'system_id'", line, index, ".system_id")
+    summary = value.get("summary")
+    if not isinstance(summary, str):
+        raise _system_error("missing string 'summary'", line, index, ".summary")
+    human_score = value.get("human_score")
+    if human_score is not None:
+        if not is_finite_number(human_score):
+            raise _system_error(
+                "'human_score' must be a finite number", line, index, ".human_score"
+            )
+        human_score = float(human_score)
+    presence = value.get("scu_presence")
+    if presence is not None:
+        if not (isinstance(presence, list) and all(p in (0, 1) for p in presence)):
+            raise _system_error(
+                "'scu_presence' must be a list of 0/1", line, index, ".scu_presence"
+            )
+        presence = tuple(map(int, presence))
+    return SystemSummary(
+        system_id=system_id,
+        summary=summary,
+        human_score=human_score,
+        scu_presence=presence,
+    )
+
+
+def _parse_entry(value, line: int) -> ReferenceEntry:
+    _require(isinstance(value, dict), "entry must be an object", line, "")
+    example_id = value.get("example_id")
+    _require(
+        isinstance(example_id, str) and example_id != "",
+        "missing string 'example_id'",
+        line,
+        "example_id",
+    )
+    references_raw = value.get("references")
+    _require(
+        isinstance(references_raw, list) and len(references_raw) >= 1,
+        "'references' must be a non-empty list",
+        line,
+        "references",
+    )
+    references = tuple(
+        _parse_reference(ref, line, f"references[{i}]")
+        for i, ref in enumerate(references_raw)
+    )
+    systems_raw = value.get("systems", [])
+    _require(isinstance(systems_raw, list), "'systems' must be a list", line, "systems")
+    systems = tuple(
+        _parse_system(system, line, i) for i, system in enumerate(systems_raw)
+    )
+    seen_ids = set()
+    for i, system in enumerate(systems):
+        if system.system_id in seen_ids:
+            raise SchemaViolation(
+                f"duplicate system_id {system.system_id!r}",
+                line=line,
+                field=f"systems[{i}].system_id",
+            )
+        seen_ids.add(system.system_id)
+    entry = ReferenceEntry(example_id=example_id, references=references, systems=systems)
+    pooled = len(entry.pooled_scus())
+    for i, system in enumerate(systems):
+        if system.scu_presence is not None and len(system.scu_presence) != pooled:
+            raise PresenceLengthMismatch(
+                f"{len(system.scu_presence)} presence labels for {pooled} gold units",
+                line=line,
+                field=f"systems[{i}].scu_presence",
+            )
+    return entry
+
+
+def load_dataset_oracle(path) -> list[ReferenceEntry]:
+    """Read and validate a dataset file; entries come back in file order."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+    except OSError as exc:
+        raise FileUnreadable(f"cannot read {path}: {exc}") from exc
+    entries = []
+    seen = {}
+    for number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            raw = json.loads(line)
+        except ValueError as exc:
+            raise SchemaViolation("not valid JSON", line=number) from exc
+        entry = _parse_entry(raw, number)
+        if entry.example_id in seen:
+            raise DuplicateExampleId(
+                f"example_id {entry.example_id!r} already used on line "
+                f"{seen[entry.example_id]}",
+                line=number,
+                field="example_id",
+            )
+        seen[entry.example_id] = number
+        entries.append(entry)
+    return entries
+
+
+def load_units_oracle(path) -> list[UnitFileRow]:
+    """Read unit rows back; the inverse of :func:`save_units`."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+    except OSError as exc:
+        raise FileUnreadable(f"cannot read {path}: {exc}") from exc
+    rows = []
+    for number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            raw = json.loads(line)
+        except ValueError as exc:
+            raise SchemaViolation("not valid JSON", line=number) from exc
+        _require(isinstance(raw, dict), "row must be an object", number, "")
+        example_id = raw.get("example_id")
+        _require(isinstance(example_id, str), "missing string 'example_id'", number, "example_id")
+        reference_index = raw.get("reference_index")
+        _require(
+            isinstance(reference_index, int) and not isinstance(reference_index, bool)
+            and reference_index >= 0,
+            "'reference_index' must be a non-negative integer",
+            number,
+            "reference_index",
+        )
+        strategy = raw.get("strategy")
+        _require(
+            isinstance(strategy, str) and strategy in VALID_STRATEGIES,
+            f"'strategy' must be one of {', '.join(VALID_STRATEGIES)}",
+            number,
+            "strategy",
+        )
+        text = raw.get("text")
+        _require(
+            isinstance(text, str) and text.strip() != "",
+            "missing non-empty string 'text'",
+            number,
+            "text",
+        )
+        rows.append(UnitFileRow(example_id, reference_index, strategy, text))
+    return rows
+
+
+def load_scores_oracle(path) -> dict[tuple[str, str], float]:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+    except OSError as exc:
+        raise FileUnreadable(f"cannot read {path}: {exc}") from exc
+    scores = {}
+    for number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            raw = json.loads(line)
+        except ValueError as exc:
+            raise SchemaViolation("not valid JSON", line=number) from exc
+        if not isinstance(raw, dict):
+            raise SchemaViolation("row must be an object", line=number)
+        example_id = raw.get("example_id")
+        system_id = raw.get("system_id")
+        value = raw.get("score")
+        if not isinstance(example_id, str) or not isinstance(system_id, str):
+            raise SchemaViolation(
+                "rows need string 'example_id' and 'system_id'", line=number
+            )
+        if not is_finite_number(value):
+            raise SchemaViolation(
+                "'score' must be a finite number", line=number, field="score"
+            )
+        scores[(example_id, system_id)] = float(value)
+    return scores
+
+
+def split_sentences_oracle(text, abbreviations=DEFAULT_ABBREVIATIONS):
+    """Split *text* into sentences on '.', '!', '?' at a word boundary.
+
+    A terminator only splits when followed by whitespace or end-of-text,
+    and a '.' does not split when the preceding word is in *abbreviations*.
+    Spans are trimmed and indexed consecutively from 0; empty spans are
+    never produced.
+    """
+    spans: list[SentenceSpan] = []
+    start = 0
+    for i, ch in enumerate(text):
+        if ch not in ".!?":
+            continue
+        if i + 1 < len(text) and not text[i + 1].isspace():
+            continue
+        if ch == "." and _abbreviation_before(text, i, abbreviations):
+            continue
+        piece = text[start : i + 1].strip()
+        if piece:
+            spans.append(SentenceSpan(piece, len(spans)))
+        start = i + 1
+    tail = text[start:].strip()
+    if tail:
+        spans.append(SentenceSpan(tail, len(spans)))
+    return spans

@@ -421,3 +421,20 @@ def test_isomorphic_compares_long_chains():
     other = nested_penman(DEEP, innermost="end :ARG0 n2")
     assert isomorphic(parse_penman(chain), parse_penman(relabeled(chain)))
     assert not isomorphic(parse_penman(chain), parse_penman(relabeled(other)))
+
+
+def test_graph_nodes_are_read_only():
+    graph = parse_penman("(b / boy)")
+    with pytest.raises(TypeError):
+        graph.nodes["x"] = "y"
+    with pytest.raises(TypeError):
+        del graph.nodes["b"]
+    assert dict(graph.nodes) == {"b": "boy"}
+
+
+def test_graphs_hash_and_equal_graphs_hash_equal():
+    text = "(w / want-01 :ARG0 (b / boy) :ARG1 (g / go-01 :ARG0 b) :polarity -)"
+    first, second = parse_penman(text), parse_penman(text)
+    assert first is not second and first == second
+    assert hash(first) == hash(second)
+    assert len({first, second, parse_penman("(b / boy)")}) == 2

@@ -1,8 +1,13 @@
+import builtins
+import hashlib
 import json
+import os
+import shutil
 from pathlib import Path
 
 import pytest
 
+from autopyramid import cli
 from autopyramid.cli import main
 
 from graphgen import DEEP, chained_penman, deep_realization, nested_penman
@@ -668,3 +673,151 @@ def test_bad_endpoint_exits_2_before_any_work(tmp_path, capsys, option, command,
     assert err.startswith(f"autopyramid: {option}: service endpoint {shown} ")
     assert "s3cret" not in err and "alice" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# Reading inputs: once, as UTF-8, and aligned with the dataset
+
+
+def sentence_units(tmp_path):
+    units = tmp_path / "units.jsonl"
+    assert main(["extract", "--strategy", "sent", "--input", TOY, "--out", str(units)]) == 0
+    return units
+
+
+ONE_GRAPH_DATASET = {
+    "example_id": "g1",
+    "references": [{"text": "The boy wants to go.", "scus": ["boy wants to go"]}],
+    "systems": [],
+}
+
+
+def bad_utf8_case(tmp_path, kind):
+    """The argv of a command whose *kind* input holds byte 0xff, and the
+    line that holds it."""
+    bad = tmp_path / f"bad-{kind}"
+    if kind == "dataset":
+        bad.write_bytes(Path(TOY).read_bytes().replace(b"cat", b"c\xfft", 2))
+        return ["stats", "--input", str(bad)], 1
+    if kind == "units":
+        bad.write_bytes(sentence_units(tmp_path).read_bytes().replace(b"dog", b"d\xffg"))
+        return ["score", "--input", TOY, "--units", str(bad), "--out", str(tmp_path / "s")], 2
+    if kind == "scores":
+        rows = human_scores_as_scores()
+        text = "".join(json.dumps(r) + "\n" for r in rows)
+        bad.write_bytes(text.encode() + b'{"example_id": "\xff"}\n')
+        return ["metaeval", "--input", TOY, "--scores", str(bad)], len(rows) + 1
+    dataset = write_jsonl(tmp_path / "d.jsonl", [ONE_GRAPH_DATASET])
+    bad.write_bytes(b"# ::snt The boy wants to go.\n(w / want-01 :ARG0 (b / b\xffy))\n")
+    argv = ["extract", "--strategy", "smu", "--input", dataset, "--graphs", str(bad),
+            "--out", str(tmp_path / "u")]
+    return argv, 2
+
+
+@pytest.mark.parametrize("kind", ["dataset", "units", "scores", "graphs"])
+def test_invalid_utf8_input_exits_2_naming_file_and_line(tmp_path, capsys, kind):
+    argv, line = bad_utf8_case(tmp_path, kind)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == f"autopyramid: cannot read {tmp_path / f'bad-{kind}'}: line {line} is not valid UTF-8\n"
+
+
+@pytest.mark.parametrize("command", ["score", "intrinsic"])
+def test_unit_rows_for_examples_not_in_the_dataset_exit_2(tmp_path, capsys, command):
+    units = sentence_units(tmp_path)
+    rows = read_jsonl(units)
+    rows.insert(2, dict(rows[0], example_id="nope"))
+    rows.append(dict(rows[0], example_id="gone"))
+    write_jsonl(units, rows)
+    argv = [command, "--input", TOY, "--units", str(units), "--out", str(tmp_path / "o")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "autopyramid: line 3, field example_id: example 'nope' is not in the dataset "
+        "(the first of 2 stray rows)\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
+def test_score_rows_for_cells_not_in_the_dataset_exit_2(tmp_path, capsys):
+    rows = human_scores_as_scores()
+    rows.append({"example_id": "e9", "system_id": "sysA", "score": 0.5})
+    scores = write_jsonl(tmp_path / "s.jsonl", rows)
+    capsys.readouterr()
+    assert main(["metaeval", "--input", TOY, "--scores", scores]) == 2
+    assert capsys.readouterr().err == (
+        f"autopyramid: line {len(rows)}: e9/sysA is not in the dataset (the only stray row)\n"
+    )
+
+
+def test_repeated_score_rows_exit_2(tmp_path, capsys):
+    rows = human_scores_as_scores()
+    rows[4:4] = [dict(rows[1], score=0.0), dict(rows[0], score=0.0)]
+    scores = write_jsonl(tmp_path / "s.jsonl", rows)
+    capsys.readouterr()
+    assert main(["metaeval", "--input", TOY, "--scores", scores]) == 2
+    first = f"{rows[1]['example_id']}/{rows[1]['system_id']}"
+    assert capsys.readouterr().err == (
+        f"autopyramid: line 5: {first} repeats line 2 (the first of 2 stray rows)\n"
+    )
+
+
+@pytest.mark.parametrize("loader", ["load_dataset", "load_units"])
+def test_manifest_names_the_bytes_parsed_when_the_file_is_replaced(
+    tmp_path, monkeypatch, loader
+):
+    dataset = tmp_path / "d.jsonl"
+    shutil.copy(TOY, dataset)
+    units = sentence_units(tmp_path)
+    source = dataset if loader == "load_dataset" else units
+    parsed = hashlib.sha256(source.read_bytes()).hexdigest()
+    real = getattr(cli, loader)
+
+    def load_then_replace(path, **kwargs):
+        loaded = real(path, **kwargs)
+        Path(path).write_text("replaced after loading\n", encoding="utf-8")
+        return loaded
+
+    monkeypatch.setattr(cli, loader, load_then_replace)
+    out = tmp_path / "scores.jsonl"
+    assert main(["score", "--input", str(dataset), "--units", str(units), "--out", str(out)]) == 0
+    assert manifest_of(out)["inputs"][str(source)] == parsed
+    assert source.read_text(encoding="utf-8") == "replaced after loading\n"
+
+
+def test_each_input_file_is_opened_once_per_command(tmp_path, monkeypatch):
+    units = sentence_units(tmp_path)
+    scores = write_jsonl(tmp_path / "scores.jsonl", human_scores_as_scores())
+    dataset = write_jsonl(tmp_path / "g.jsonl", [ONE_GRAPH_DATASET])
+    graphs = tmp_path / "g.penman"
+    graphs.write_text("(w / want-01 :ARG0 (b / boy) :ARG1 (g / go-02 :ARG0 b))\n", encoding="utf-8")
+    plain = tmp_path / "plain.txt"
+    plain.write_text("unit alpha\n", encoding="utf-8")
+    out = str(tmp_path / "out.jsonl")
+    commands = [
+        ["extract", "--strategy", "ngram", "--input", TOY],
+        ["extract", "--strategy", "smu", "--input", dataset, "--graphs", str(graphs)],
+        ["extract", "--strategy", "import", "--input", TOY, "--import-path", str(units)],
+        ["extract", "--strategy", "import", "--input", TOY, "--import-path", str(plain)],
+        ["score", "--input", TOY, "--units", str(units)],
+        ["intrinsic", "--input", TOY, "--units", str(units)],
+        ["metaeval", "--input", TOY, "--scores", scores],
+        ["stats", "--input", TOY],
+    ]
+    flags = {"--input", "--graphs", "--import-path", "--units", "--scores"}
+    real_open = builtins.open
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            opened.append(os.fspath(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    for argv in commands:
+        opened.clear()
+        assert main(argv + ["--out", out]) == 0, argv
+        inputs = [argv[i + 1] for i, flag in enumerate(argv) if flag in flags]
+        assert sorted(path for path in opened if path in inputs) == sorted(inputs), argv

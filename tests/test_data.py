@@ -1,6 +1,10 @@
+import copy
+import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autopyramid.data import (
     Reference,
@@ -8,15 +12,20 @@ from autopyramid.data import (
     SystemSummary,
     UnitFileRow,
     load_dataset,
+    load_scores,
     load_units,
+    read_input,
     save_units,
 )
 from autopyramid.errors import (
     DuplicateExampleId,
     FileUnreadable,
+    InputError,
     PresenceLengthMismatch,
     SchemaViolation,
 )
+
+from oracles import load_dataset_oracle, load_scores_oracle, load_units_oracle
 
 
 def write_jsonl(path, rows):
@@ -180,3 +189,236 @@ def test_loaded_entries_are_immutable_tuples(tmp_path):
     assert isinstance(entry, ReferenceEntry)
     assert isinstance(entry.references[0], Reference)
     assert isinstance(entry.systems[0], SystemSummary)
+
+
+# ---------------------------------------------------------------------------
+# The one reader, and each loader against the loader it replaced
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    """One file that each hypothesis example overwrites."""
+    return tmp_path_factory.mktemp("loaders") / "input"
+
+
+# every line break str.splitlines knows, some of which a text-mode read
+# does not translate, around text that is not a break
+BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+          "\u2028", "\u2029"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(BREAKS + ["a", "é", " ", "{}", "\t", "\x1f"]), max_size=30))
+def test_read_input_lines_are_those_of_a_text_mode_read(scratch, pieces):
+    raw = "".join(pieces).encode("utf-8")
+    scratch.write_bytes(raw)
+    with open(scratch, "r", encoding="utf-8") as handle:
+        expected = handle.read().splitlines()
+    lines, digest = read_input(scratch)
+    assert lines == expected
+    assert digest == hashlib.sha256(raw).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "raw, line",
+    [
+        (b"\xff", 1),
+        (b"ok\n\xff\n", 2),
+        (b"a\r\nb\rc\x85\xff", 3),  # \x85 is a stray byte here, not U+0085
+        ("a\r\nb\rc\x85".encode("utf-8") + b"\xff", 4),
+        ("a\u2028".encode("utf-8") + b"\n\n\xc3", 4),
+    ],
+)
+def test_read_input_names_the_file_and_line_of_bad_utf8(tmp_path, raw, line):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(raw)
+    with pytest.raises(FileUnreadable) as info:
+        read_input(path)
+    assert str(info.value) == f"cannot read {path}: line {line} is not valid UTF-8"
+
+
+def test_accepted_label_and_score_forms(tmp_path):
+    row = valid_row()
+    row["systems"][0].update(human_score=1, scu_presence=[True, -0.0])
+    row["systems"][1].update(human_score=0, scu_presence=[1.0, False])
+    path = write_jsonl(tmp_path / "d.jsonl", [row])
+    first, second = load_dataset(path)[0].systems
+    assert (first.scu_presence, second.scu_presence) == ((1, 0), (1, 0))
+    assert {type(label) for label in first.scu_presence + second.scu_presence} == {int}
+    assert (first.human_score, second.human_score) == (1.0, 0.0)
+    assert type(first.human_score) is float and type(second.human_score) is float
+
+
+def test_loaders_record_the_digest_of_the_bytes_read(tmp_path):
+    path = write_jsonl(tmp_path / "d.jsonl", [valid_row()])
+    digests = {}
+    load_dataset(path, digests=digests)
+    assert digests == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
+
+
+def test_unit_rows_for_unknown_examples_are_stray(tmp_path):
+    path = tmp_path / "u.jsonl"
+    rows = [UnitFileRow("e1", 0, "ngram", "a b c"), UnitFileRow("nope", 0, "ngram", "x"),
+            UnitFileRow("e1", 0, "ngram", "d e f"), UnitFileRow("gone", 0, "ngram", "y")]
+    save_units(path, rows)
+    assert load_units(path) == rows
+    with pytest.raises(SchemaViolation) as info:
+        load_units(path, example_ids={"e1"})
+    assert (info.value.line, info.value.field) == (2, "example_id")
+    assert "'nope'" in str(info.value) and "the first of 2 stray rows" in str(info.value)
+
+
+# JSON values that break one field or another
+ODD = [None, "", " ", "x", 0, 1, -1, 2, 0.5, 1.0, -0.0, True, False, float("nan"),
+       float("inf"), -float("inf"), 10**400, [], [0], [1, 0], ["1"], [[1]], {}, {"a": 1}]
+
+
+def _slots(value, path=()):
+    """Every (container, key) in a decoded JSON value, parents first."""
+    found = []
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in items:
+        found.append((value, key))
+        if isinstance(child, (dict, list)):
+            found.extend(_slots(child))
+    return found
+
+
+@st.composite
+def mutated(draw, value):
+    """*value* with up to three edits: a slot set to an odd value or to
+    a sibling's value, or a dict key dropped."""
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+        slots = _slots(value)
+        if not slots:
+            break
+        container, key = draw(st.sampled_from(slots))
+        action = draw(st.sampled_from(["odd", "sibling", "drop"]))
+        if action == "drop" and isinstance(container, dict):
+            del container[key]
+        elif action == "sibling" and len(container) > 1:
+            keys = list(container) if isinstance(container, dict) else range(len(container))
+            container[key] = json.loads(json.dumps(container[draw(st.sampled_from(keys))]))
+        else:
+            container[key] = copy.deepcopy(draw(st.sampled_from(ODD)))
+    return value
+
+
+@st.composite
+def jsonl_file(draw, rows):
+    """The bytes of a JSON Lines file holding *rows*, with blank and
+    broken lines mixed in and either line ending."""
+    lines = []
+    for row in rows:
+        while draw(st.integers(0, 5)) == 5:
+            lines.append(draw(st.sampled_from(["", " ", "\t", "{", "[1,", "nul"])))
+        lines.append(json.dumps(row))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return "".join(line + ending for line in lines).encode("utf-8")
+
+
+@st.composite
+def dataset_rows(draw):
+    rows = []
+    for e in range(draw(st.integers(1, 3))):
+        references = [
+            {"text": "A b. C d.", "scus": [f"unit {r} {k}" for k in range(draw(st.integers(0, 3)))]}
+            for r in range(draw(st.integers(1, 2)))
+        ]
+        pooled = sum(len(r["scus"]) for r in references)
+        systems = []
+        for i in range(draw(st.integers(0, 4))):
+            # some ids repeat, some scores are not finite numbers, some
+            # label lists are a label short or long: several per entry
+            system = {"system_id": f"s{draw(st.sampled_from([i, i, i, 0]))}", "summary": "A b."}
+            if draw(st.booleans()):
+                system["human_score"] = draw(st.sampled_from(
+                    [0.5, 1, 0, -0.0, 0.25, 0.75, 2, 0.125, float("nan"), 10**400, True]
+                ))
+            if draw(st.booleans()):
+                size = pooled + draw(st.sampled_from([0, 0, 0, 1, -1]))
+                system["scu_presence"] = draw(
+                    st.lists(st.sampled_from([0, 1, 0, 1, True, False, 1.0, 0.0, -0.0, 2]),
+                             min_size=max(size, 0), max_size=max(size, 0))
+                )
+            systems.append(system)
+        rows.append(draw(mutated({"example_id": f"e{e}", "references": references,
+                                  "systems": systems})))
+    if draw(st.booleans()):
+        rows.append(json.loads(json.dumps(draw(st.sampled_from(rows)))))
+    return rows
+
+
+def outcome(load, path):
+    """What a loader gives: the repr of its records, which tells 1 from
+    1.0 and True, or its error's type, text, line and field."""
+    try:
+        return repr(load(path))
+    except InputError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "field", None)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_load_dataset_matches_its_reference(scratch, data):
+    scratch.write_bytes(data.draw(jsonl_file(data.draw(dataset_rows()))))
+    assert outcome(load_dataset, scratch) == outcome(load_dataset_oracle, scratch)
+
+
+@st.composite
+def unit_rows(draw):
+    return [
+        draw(mutated({"example_id": f"e{i % 2}", "reference_index": draw(st.integers(0, 2)),
+                      "strategy": draw(st.sampled_from(["ngram", "smu", "sgu"])),
+                      "text": draw(st.sampled_from(["a unit", "x", " y "]))}))
+        for i in range(draw(st.integers(0, 4)))
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_load_units_matches_its_reference(scratch, data):
+    scratch.write_bytes(data.draw(jsonl_file(data.draw(unit_rows()))))
+    assert outcome(load_units, scratch) == outcome(load_units_oracle, scratch)
+
+
+@st.composite
+def score_rows(draw):
+    return [
+        draw(mutated({"example_id": draw(st.sampled_from(["e1", "e2"])),
+                      "system_id": draw(st.sampled_from(["a", "b", "c"])),
+                      "score": draw(st.sampled_from([0.5, 1, 0, -2.5]))}))
+        for _ in range(draw(st.integers(0, 5)))
+    ]
+
+
+SCORE_CELLS = {(e, s) for e in ("e1", "e2") for s in ("a", "b", "c")}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_load_scores_matches_its_reference_and_refuses_stray_rows(scratch, data):
+    scratch.write_bytes(data.draw(jsonl_file(data.draw(score_rows()))))
+    expected = outcome(load_scores_oracle, scratch)
+    if isinstance(expected, str):
+        # a valid file: the reference takes rows for any cell, and lets a
+        # repeated cell's last row win
+        first, count, seen = None, 0, {}
+        for number, line in enumerate(scratch.read_bytes().decode().splitlines(), 1):
+            if line.strip():
+                row = json.loads(line)
+                cell = (row["example_id"], row["system_id"])
+                if cell in seen:
+                    why = f"repeats line {seen[cell]}"
+                elif cell not in SCORE_CELLS:
+                    why = "is not in the dataset"
+                else:
+                    seen[cell] = number
+                    continue
+                count += 1
+                first = first or (number, f"{cell[0]}/{cell[1]} {why}")
+        if count:
+            many = "the only stray row" if count == 1 else f"the first of {count} stray rows"
+            number, what = first
+            expected = (SchemaViolation, f"line {number}: {what} ({many})", number, None)
+    assert outcome(lambda path: load_scores(path, SCORE_CELLS), scratch) == expected

@@ -1,9 +1,12 @@
+import hashlib
 import json
 
 import pytest
 
+from autopyramid.cli import main
+from autopyramid.data import read_input
 from autopyramid.errors import FileUnreadable
-from autopyramid.manifest import file_digest, redact_endpoint, write_manifest
+from autopyramid.manifest import manifest_path, redact_endpoint, write_manifest
 
 
 def test_redact_endpoint_strips_secrets():
@@ -18,17 +21,20 @@ def test_write_manifest_contents(tmp_path, monkeypatch):
     source.write_text('{"x": 1}\n', encoding="utf-8")
     out = tmp_path / "out.jsonl"
     out.write_text("", encoding="utf-8")
+    _, digest = read_input(source)
     path = write_manifest(
         out,
         command="score",
         config={"scorer": "remote", "nli_endpoint": "http://u:p@host/nli?k=v"},
-        inputs=[source],
+        inputs={str(source): digest},
         extra={"note": "hello"},
     )
     manifest = json.loads(open(path, encoding="utf-8").read())
     assert manifest["command"] == "score"
     assert manifest["config"]["nli_endpoint"] == "http://host/nli"
-    assert manifest["inputs"][str(source)] == file_digest(source)
+    assert manifest["inputs"] == {
+        str(source): hashlib.sha256(source.read_bytes()).hexdigest()
+    }
     assert manifest["tool_version"]
     assert manifest["timestamp"]
     assert manifest["extra"] == {"note": "hello"}
@@ -36,9 +42,13 @@ def test_write_manifest_contents(tmp_path, monkeypatch):
     assert "topsecret" not in open(path, encoding="utf-8").read()
 
 
-def test_write_manifest_missing_input(tmp_path):
+def test_write_manifest_missing_input(tmp_path, capsys):
+    # a digest comes only from the one read of an input, so a missing input
+    # fails there and no manifest names it
+    absent = tmp_path / "absent.jsonl"
     out = tmp_path / "out.jsonl"
     with pytest.raises(FileUnreadable):
-        write_manifest(
-            out, command="x", config={}, inputs=[tmp_path / "absent.jsonl"]
-        )
+        read_input(absent)
+    assert main(["stats", "--input", str(absent), "--out", str(out)]) == 2
+    assert "cannot read" in capsys.readouterr().err
+    assert not (tmp_path / manifest_path(out.name)).exists()

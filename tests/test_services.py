@@ -198,8 +198,8 @@ def test_batch_client_validates_parameters(stub_service):
 def test_importing_the_cli_loads_no_http_code():
     probe = (
         "import sys, autopyramid.cli; "
-        "print(sorted(m for m in ('requests', 'urllib.request', 'http.client') "
-        "if m in sys.modules))"
+        "print(sorted(m for m in ('requests', 'urllib.request', 'http.client', "
+        "'concurrent.futures') if m in sys.modules))"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -2,6 +2,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autopyramid.text import (
     DEFAULT_ABBREVIATIONS,
@@ -16,7 +18,7 @@ from autopyramid.text import (
 )
 
 
-from oracles import rouge1_f1_oracle
+from oracles import rouge1_f1_oracle, split_sentences_oracle
 
 
 def random_words(rng, n_max=8, vocab=("the", "cat", "sat", "dog", "ran", "a", "kiwi", "blue")):
@@ -154,3 +156,22 @@ def test_bag_overlap_equals_clipped_overlap():
         want = clipped_overlap(Counter(a), Counter(b))
         assert bag_overlap(token_bag(a), token_bag(b)) == want
         assert bag_overlap(token_bag(b), token_bag(a)) == want
+
+
+# terminators, abbreviations, words, '_', and whitespace that str.isspace
+# and the regex class \s must agree on
+SENTENCE_PIECES = [
+    ".", "!", "?", "...", "Dr.", "dr.", "e.g.", "U.S.", "u.s.", "No.", "Mr", "vs.",
+    "cat", "A1", "_", "._", "x_.", " ", "  ", "\n", "\t", "\x1c", "\x1d", "\x1e",
+    "\x1f", "\x85", "\xa0", "\u2028", "\u3000", "\x0b", "é.",
+]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    st.lists(st.sampled_from(SENTENCE_PIECES), max_size=25),
+    st.sampled_from([DEFAULT_ABBREVIATIONS, frozenset(), frozenset({"x_", "a1"})]),
+)
+def test_split_sentences_matches_the_character_loop(pieces, abbreviations):
+    text = "".join(pieces)
+    assert split_sentences(text, abbreviations) == split_sentences_oracle(text, abbreviations)
