@@ -74,6 +74,11 @@ class AmrGraph:
         )
         self._validate(nodes)
 
+    def __reduce__(self):
+        # the read-only node mapping does not pickle; a copy is rebuilt
+        # from a plain dict, through the same validation
+        return (AmrGraph, (self.root, dict(self.nodes), self.edges, self.attributes))
+
     def _validate(self, nodes: dict[str, str]) -> None:
         if not nodes:
             raise ValueError("graph has no nodes")
@@ -452,12 +457,9 @@ def load_penman_file(path, *, digests: dict | None = None) -> list[PenmanEntry]:
 
     '#'-prefixed lines are ignored except for ``# ::snt``, whose text is
     attached to the following graph. Parse errors carry file-absolute line
-    numbers. When *digests* is given, the SHA-256 of the bytes read is
-    stored in it under ``str(path)``.
+    numbers. *digests* is as for :func:`~autopyramid.data.read_input`.
     """
-    lines, digest = read_input(path)
-    if digests is not None:
-        digests[str(path)] = digest
+    lines = read_input(path, digests)
 
     entries: list[PenmanEntry] = []
     block: list[str] = []

@@ -19,11 +19,10 @@ from .data import (
     VALID_STRATEGIES,
     UnitFileRow,
     atomic_write_text,
+    import_rows,
     load_dataset,
     load_scores,
     load_units,
-    parse_unit_lines,
-    read_input,
 )
 from .data import save_units as write_unit_file
 from .errors import (
@@ -278,19 +277,6 @@ def _smu_graph_map(args, entries, digests: dict) -> dict:
     raise InputError("--strategy smu needs --graphs or --parse-endpoint")
 
 
-def _import_rows(path, tag: str, digests: dict) -> list[UnitFileRow]:
-    """Unit rows from an external file: unit-schema JSONL keeps its example
-    ids and reference indices, plain lines become bare rows."""
-    lines, digests[str(path)] = read_input(path)
-    content = [text for text in map(str.strip, lines) if text]
-    if content and content[0].startswith("{"):
-        return [
-            UnitFileRow(r.example_id, r.reference_index, tag, r.text)
-            for r in parse_unit_lines(lines)
-        ]
-    return [UnitFileRow("", 0, tag, text) for text in content]
-
-
 def cmd_extract(args) -> int:
     digests: dict = {}
     entries = load_dataset(args.input, digests=digests)
@@ -345,7 +331,7 @@ def cmd_extract(args) -> int:
     else:  # import
         if not args.import_path:
             raise InputError("--strategy import needs --import-path")
-        rows.extend(_import_rows(args.import_path, args.import_tag, digests))
+        rows.extend(import_rows(args.import_path, args.import_tag, digests=digests))
 
     write_unit_file(args.out, rows)
     write_manifest(

@@ -107,19 +107,22 @@ def is_finite_number(value) -> bool:
 _decode = json.JSONDecoder().decode
 
 
-def read_input(path) -> tuple[list[str], str]:
-    """The lines of *path* and the SHA-256 of its bytes, from one read.
+def read_input(path, digests: dict | None = None) -> list[str]:
+    """The lines of *path*, from one read of its bytes.
 
-    Lines are split by :meth:`str.splitlines`, so they are the lines a
-    text-mode read would give. Bytes that are not UTF-8 raise
-    :class:`FileUnreadable` naming the file and the line that holds them.
+    When *digests* is given, the SHA-256 of the bytes read is stored in it
+    under ``str(path)``. Lines are split by :meth:`str.splitlines`, so they
+    are the lines a text-mode read would give. Bytes that are not UTF-8
+    raise :class:`FileUnreadable` naming the file and the line that holds
+    them.
     """
     try:
         with open(path, "rb") as handle:
             raw = handle.read()
     except OSError as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
-    digest = hashlib.sha256(raw).hexdigest()
+    if digests is not None:
+        digests[str(path)] = hashlib.sha256(raw).hexdigest()
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -128,7 +131,7 @@ def read_input(path) -> tuple[list[str], str]:
             f"cannot read {path}: line {line} is not valid UTF-8"
         ) from exc
     del raw  # freed before the lines are made, to lower the peak
-    return text.splitlines(), digest
+    return text.splitlines()
 
 
 def _system_error(message: str, line: int, index: int, name: str) -> SchemaViolation:
@@ -244,12 +247,9 @@ def _parse_entry(value, line: int) -> ReferenceEntry:
 def load_dataset(path, *, digests: dict | None = None) -> list[ReferenceEntry]:
     """Read and validate a dataset file; entries come back in file order.
 
-    When *digests* is given, the SHA-256 of the bytes read is stored in it
-    under ``str(path)``.
+    *digests* is as for :func:`read_input`.
     """
-    lines, digest = read_input(path)
-    if digests is not None:
-        digests[str(path)] = digest
+    lines = read_input(path, digests)
     entries = []
     seen = {}
     for number, line in enumerate(lines, start=1):
@@ -383,13 +383,29 @@ def load_units(
 ) -> list[UnitFileRow]:
     """Read unit rows back; the inverse of :func:`save_units`.
 
-    *digests* and *example_ids* are as for :func:`load_dataset` and
+    *digests* and *example_ids* are as for :func:`read_input` and
     :func:`parse_unit_lines`.
     """
-    lines, digest = read_input(path)
-    if digests is not None:
-        digests[str(path)] = digest
-    return parse_unit_lines(lines, example_ids)
+    return parse_unit_lines(read_input(path, digests), example_ids)
+
+
+def import_rows(path, tag: str, *, digests: dict | None = None) -> list[UnitFileRow]:
+    """Unit rows from an external file, each tagged with strategy *tag*.
+
+    Two layouts are accepted: plain text with one unit per line, which
+    become rows with an empty example id, or JSON Lines in the unit-file
+    schema, whose example ids and reference indices are kept; *tag*
+    replaces the strategy the file carries. Blank lines are skipped in
+    both. *digests* is as for :func:`read_input`.
+    """
+    lines = read_input(path, digests)
+    content = [text for text in map(str.strip, lines) if text]
+    if content and content[0].startswith("{"):
+        return [
+            UnitFileRow(r.example_id, r.reference_index, tag, r.text)
+            for r in parse_unit_lines(lines)
+        ]
+    return [UnitFileRow("", 0, tag, text) for text in content]
 
 
 def load_scores(
@@ -400,11 +416,9 @@ def load_scores(
     *cells* are the dataset's (example_id, system_id) pairs. A row for a
     cell not among them, or for the cell of an earlier row, is stray:
     :class:`SchemaViolation` names the line of the first and the count.
-    *digests* is as for :func:`load_dataset`.
+    *digests* is as for :func:`read_input`.
     """
-    lines, digest = read_input(path)
-    if digests is not None:
-        digests[str(path)] = digest
+    lines = read_input(path, digests)
     scores = {}
     lines_of = {}
     stray = 0

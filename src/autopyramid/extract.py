@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .amr import AmrGraph
-from .data import parse_unit_lines, read_input
+from .data import import_rows
 from .errors import EmptyReference, EmptyReply, ServiceUnavailable
 from .services import ChatClient
 from .smu import SPLIT_MODES, SmuCandidate, realize_baseline, realize_remote, split_graph
@@ -249,18 +249,12 @@ def extract_sgu_units_many(
 def import_units(path, strategy: str) -> list[ContentUnit]:
     """Read pre-computed units from *path* and tag them with *strategy*.
 
-    Two layouts are accepted: plain text with one unit per line, or JSON
-    Lines in the unit-file schema (``example_id``, ``reference_index``,
-    ``strategy``, ``text``); the requested tag replaces whatever strategy
-    the file carries. Blank lines are skipped in both layouts.
+    The file layouts are those of :func:`~autopyramid.data.import_rows`;
+    a unit's ``reference_id`` is its row's example id.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    lines, _ = read_input(path)
-    content = [text for text in map(str.strip, lines) if text]
-    if content and content[0].startswith("{"):
-        return [
-            ContentUnit(row.text, strategy, reference_id=row.example_id)
-            for row in parse_unit_lines(lines)
-        ]
-    return [ContentUnit(text, strategy) for text in content]
+    return [
+        ContentUnit(row.text, strategy, reference_id=row.example_id)
+        for row in import_rows(path, strategy)
+    ]

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import tempfile
 from pathlib import Path
@@ -438,3 +440,11 @@ def test_graphs_hash_and_equal_graphs_hash_equal():
     assert first is not second and first == second
     assert hash(first) == hash(second)
     assert len({first, second, parse_penman("(b / boy)")}) == 2
+
+
+def test_graphs_survive_pickle_and_deepcopy():
+    graph = parse_penman(WANT)
+    for twin in (pickle.loads(pickle.dumps(graph)), copy.deepcopy(graph)):
+        assert twin == graph and hash(twin) == hash(graph)
+        with pytest.raises(TypeError):
+            twin.nodes["x"] = "y"

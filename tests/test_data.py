@@ -11,6 +11,7 @@ from autopyramid.data import (
     ReferenceEntry,
     SystemSummary,
     UnitFileRow,
+    import_rows,
     load_dataset,
     load_scores,
     load_units,
@@ -214,9 +215,9 @@ def test_read_input_lines_are_those_of_a_text_mode_read(scratch, pieces):
     scratch.write_bytes(raw)
     with open(scratch, "r", encoding="utf-8") as handle:
         expected = handle.read().splitlines()
-    lines, digest = read_input(scratch)
-    assert lines == expected
-    assert digest == hashlib.sha256(raw).hexdigest()
+    digests = {}
+    assert read_input(scratch, digests) == expected
+    assert digests == {str(scratch): hashlib.sha256(raw).hexdigest()}
 
 
 @pytest.mark.parametrize(
@@ -422,3 +423,27 @@ def test_load_scores_matches_its_reference_and_refuses_stray_rows(scratch, data)
             number, what = first
             expected = (SchemaViolation, f"line {number}: {what} ({many})", number, None)
     assert outcome(lambda path: load_scores(path, SCORE_CELLS), scratch) == expected
+
+
+def test_import_rows_reads_both_layouts_and_records_the_digest(tmp_path):
+    plain = tmp_path / "units.txt"
+    plain.write_text(" first unit \n\nsecond unit\n", encoding="utf-8")
+    schema = tmp_path / "units.jsonl"
+    schema.write_text(
+        "\n" + json.dumps(
+            {"example_id": "e2", "reference_index": 1, "strategy": "smu", "text": "a"}
+        ) + "\n",
+        encoding="utf-8",
+    )
+    digests = {}
+    assert import_rows(plain, "imported_stu", digests=digests) == [
+        UnitFileRow("", 0, "imported_stu", "first unit"),
+        UnitFileRow("", 0, "imported_stu", "second unit"),
+    ]
+    assert import_rows(schema, "imported_stu", digests=digests) == [
+        UnitFileRow("e2", 1, "imported_stu", "a"),
+    ]
+    assert digests == {
+        str(path): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (plain, schema)
+    }

@@ -21,12 +21,13 @@ def test_write_manifest_contents(tmp_path, monkeypatch):
     source.write_text('{"x": 1}\n', encoding="utf-8")
     out = tmp_path / "out.jsonl"
     out.write_text("", encoding="utf-8")
-    _, digest = read_input(source)
+    digests = {}
+    read_input(source, digests)
     path = write_manifest(
         out,
         command="score",
         config={"scorer": "remote", "nli_endpoint": "http://u:p@host/nli?k=v"},
-        inputs={str(source): digest},
+        inputs=digests,
         extra={"note": "hello"},
     )
     manifest = json.loads(open(path, encoding="utf-8").read())
