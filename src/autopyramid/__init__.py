@@ -14,10 +14,8 @@ from .amr import (  # noqa: F401
     Attribute,
     Edge,
     PenmanEntry,
-    isomorphic,
     load_penman_file,
     parse_penman,
-    save_penman_file,
     serialize_penman,
     subgraph,
 )
@@ -31,19 +29,15 @@ from .data import (  # noqa: F401
     save_units,
 )
 from .extract import (  # noqa: F401
-    ContentUnit,
     ExtractionConfig,
     extract_ngram_units,
     extract_sentence_units,
     extract_sgu_units,
     extract_smu_units,
-    import_units,
 )
 from .presence import (  # noqa: F401
     PresenceResult,
-    lexical_presence,
     lexical_scorer,
-    remote_presence,
     remote_scorer,
     score_summaries,
     score_summary,

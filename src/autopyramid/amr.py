@@ -13,7 +13,7 @@ Graphs are immutable once built and safe to share across threads.
 
 Files hold one graph per blank-line-separated block. Lines starting with
 '#' are comments; a ``# ::snt <text>`` comment carries the source sentence
-for the block and is preserved by :func:`save_penman_file`.
+for the block.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .data import read_input
-from .errors import DisconnectedGraph, FileUnwritable, MalformedPenman
+from .errors import DisconnectedGraph, MalformedPenman
 
 
 class Edge(NamedTuple):
@@ -114,9 +114,6 @@ class AmrGraph:
                 raise ValueError(
                     f"nodes not connected to root: {', '.join(sorted(unreachable))}"
                 )
-
-    def attributes_of(self, var: str) -> list[Attribute]:
-        return [a for a in self.attributes if a.source == var]
 
 
 def _undirected_reach(start: str, edges: Iterable[Edge]) -> set[str]:
@@ -335,109 +332,6 @@ def subgraph(graph: AmrGraph, keep_root: str, keep_edges: Iterable[Edge]) -> Amr
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism (used by round-trip checks)
-
-
-def isomorphic(a: AmrGraph, b: AmrGraph) -> bool:
-    """True when a variable bijection maps *a* onto *b* exactly.
-
-    The bijection must preserve the root, every concept, the edge multiset,
-    and the attribute multiset. Backtracking over concept-compatible
-    candidates, with a loop rather than recursion, so graphs of any size
-    compare; the search is exhaustive, so graphs with many interchangeable
-    nodes can take long.
-    """
-    if (
-        len(a.nodes) != len(b.nodes)
-        or len(a.edges) != len(b.edges)
-        or len(a.attributes) != len(b.attributes)
-    ):
-        return False
-
-    def signatures(g: AmrGraph) -> dict:
-        out: dict[str, list[str]] = {v: [] for v in g.nodes}
-        into: dict[str, list[str]] = {v: [] for v in g.nodes}
-        attrs: dict[str, list[tuple[str, str]]] = {v: [] for v in g.nodes}
-        for s, r, t in g.edges:
-            out[s].append(r)
-            into[t].append(r)
-        for s, r, v in g.attributes:
-            attrs[s].append((r, v))
-        return {
-            v: (
-                (g.nodes[v], tuple(sorted(out[v])), tuple(sorted(into[v]))),
-                tuple(sorted(attrs[v])),
-            )
-            for v in g.nodes
-        }
-
-    def links(g: AmrGraph) -> dict[str, dict[str, list[tuple[str, bool]]]]:
-        """Per node, the sorted roles joining it to each neighbour:
-        ``(role, True)`` for an edge out of it, ``(role, False)`` into it."""
-        table: dict[str, dict[str, list[tuple[str, bool]]]] = {v: {} for v in g.nodes}
-        for s, r, t in g.edges:
-            table[s].setdefault(t, []).append((r, True))
-            table[t].setdefault(s, []).append((r, False))
-        for neighbours in table.values():
-            for roles in neighbours.values():
-                roles.sort()
-        return table
-
-    a_sig, b_sig = signatures(a), signatures(b)
-    by_sig: dict = {}
-    for w in b.nodes:
-        by_sig.setdefault(b_sig[w], []).append(w)
-    candidates = {v: by_sig.get(a_sig[v], []) for v in a.nodes}
-    if any(not c for c in candidates.values()):
-        return False
-    if b.root not in candidates[a.root]:
-        return False
-    candidates[a.root] = [b.root]
-    a_links, b_links = links(a), links(b)
-
-    order = sorted(a.nodes, key=lambda v: len(candidates[v]))
-    mapping: dict[str, str] = {}
-    inverse: dict[str, str] = {}
-
-    def fits(var: str, cand: str) -> bool:
-        """Every mapped node is joined to *var* in *a* by the roles its image
-        is joined to *cand* in *b*."""
-        near_var, near_cand = a_links[var], b_links[cand]
-        return all(
-            near_cand.get(mapping[seen], []) == roles
-            for seen, roles in near_var.items()
-            if seen in mapping
-        ) and all(inverse[w] in near_var for w in near_cand if w in inverse)
-
-    def complete() -> bool:
-        mapped_edges = sorted((mapping[s], r, mapping[t]) for s, r, t in a.edges)
-        if mapped_edges != sorted(b.edges):
-            return False
-        mapped_attrs = sorted((mapping[s], r, v) for s, r, v in a.attributes)
-        return mapped_attrs == sorted(b.attributes)
-
-    # the untried candidates of each assigned variable, in order
-    untried = [iter(candidates[order[0]])]
-    while untried:
-        var = order[len(untried) - 1]
-        if var in mapping:
-            del inverse[mapping.pop(var)]
-        for cand in untried[-1]:
-            if cand not in inverse and fits(var, cand):
-                mapping[var] = cand
-                inverse[cand] = var
-                break
-        else:
-            untried.pop()
-            continue
-        if len(untried) < len(order):
-            untried.append(iter(candidates[order[len(untried)]]))
-        elif complete():
-            return True
-    return False
-
-
-# ---------------------------------------------------------------------------
 # Files
 
 
@@ -491,21 +385,3 @@ def load_penman_file(path, *, digests: dict | None = None) -> list[PenmanEntry]:
         block.append(line)
     flush()
     return entries
-
-
-def save_penman_file(path, entries: Iterable[PenmanEntry]) -> None:
-    """Write graphs as blank-line-separated blocks with ``# ::snt`` comments."""
-    blocks = []
-    for entry in entries:
-        lines = []
-        if entry.sentence:
-            lines.append(_SNT_PREFIX + entry.sentence)
-        lines.append(serialize_penman(entry.graph))
-        blocks.append("\n".join(lines))
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("\n\n".join(blocks))
-            if blocks:
-                handle.write("\n")
-    except OSError as exc:
-        raise FileUnwritable(f"cannot write {path}: {exc}") from exc

@@ -40,7 +40,6 @@ from .errors import (
     ServiceUnavailable,
 )
 from .extract import (
-    ContentUnit,
     ExtractionConfig,
     extract_ngram_units,
     extract_sentence_units,
@@ -62,15 +61,6 @@ from .text import split_sentences
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_SERVICE = 3
-
-STRATEGY_NAMES = {
-    "sent": "sentence_split",
-    "ngram": "ngram",
-    "smu": "smu",
-    "sgu": "sgu",
-    "import": "imported_stu",
-}
-
 
 def positive_int(text: str) -> int:
     """argparse type for counts that must be at least 1."""
@@ -97,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     extract.add_argument("--input", required=True, help="dataset JSONL file")
     extract.add_argument("--out", required=True, help="unit JSONL file to write")
     extract.add_argument(
-        "--strategy", required=True, choices=sorted(STRATEGY_NAMES)
+        "--strategy", required=True, choices=sorted(STRATEGIES)
     )
     extract.add_argument("--seed", type=int, default=42)
     extract.add_argument(
@@ -205,7 +195,6 @@ def _extraction_config(args) -> ExtractionConfig:
         raise InputError(f"bad --ngram-sizes {args.ngram_sizes!r}") from exc
     try:
         return ExtractionConfig(
-            strategy=STRATEGY_NAMES[args.strategy],
             ngram_sizes=sizes,
             ngram_fraction=args.ngram_fraction,
             seed=args.seed,
@@ -227,15 +216,19 @@ def _each_reference(entries):
             yield entry, index, reference
 
 
-def _smu_graph_map(args, entries, digests: dict) -> dict:
-    """Graphs per (example_id, reference_index), from a file or the parser
-    service. File blocks are consumed positionally: dataset order, one block
+def _reference_counts(entries) -> dict[str, int]:
+    return {entry.example_id: len(entry.references) for entry in entries}
+
+
+def _smu_graphs(args, entries, digests: dict) -> list[list]:
+    """The sentence graphs of each reference in dataset order, from a file
+    or the parser service. File blocks are consumed positionally: one block
     per reference sentence. The file's digest goes into *digests*."""
     wanted = [
         (entry.example_id, index, [s.text for s in split_sentences(reference.text)])
         for entry, index, reference in _each_reference(entries)
     ]
-    graphs = {}
+    graphs = []
     if args.graphs:
         blocks = load_penman_file(args.graphs, digests=digests)
         cursor = 0
@@ -247,7 +240,7 @@ def _smu_graph_map(args, entries, digests: dict) -> dict:
                     f"{index} needs {len(sentences)} graphs"
                 )
             cursor += len(sentences)
-            graphs[(example_id, index)] = [block.graph for block in take]
+            graphs.append([block.graph for block in take])
         if cursor != len(blocks):
             raise InputError(
                 f"graphs file has {len(blocks)} blocks but the dataset uses {cursor}"
@@ -262,7 +255,7 @@ def _smu_graph_map(args, entries, digests: dict) -> dict:
         flat = [s for _, _, sentences in wanted for s in sentences]
         penman_texts = client.parse_sentences(flat)
         cursor = 0
-        for example_id, index, sentences in wanted:
+        for _, _, sentences in wanted:
             parsed = []
             for text in penman_texts[cursor : cursor + len(sentences)]:
                 try:
@@ -272,66 +265,94 @@ def _smu_graph_map(args, entries, digests: dict) -> dict:
                         f"parse service returned an unparseable graph: {exc}"
                     ) from exc
             cursor += len(sentences)
-            graphs[(example_id, index)] = parsed
+            graphs.append(parsed)
         return graphs
     raise InputError("--strategy smu needs --graphs or --parse-endpoint")
+
+
+def _reference_rows(entries, tag: str, units_of) -> list[UnitFileRow]:
+    """Rows tagged *tag* for the unit texts ``units_of(k, text)`` of each
+    reference, *k* counting the references of the whole dataset from 0, in
+    dataset order. An :class:`EmptyReference` names its example and
+    reference."""
+    rows = []
+    for k, (entry, index, reference) in enumerate(_each_reference(entries)):
+        try:
+            texts = units_of(k, reference.text)
+        except EmptyReference as exc:
+            raise EmptyReference(
+                f"example {entry.example_id} reference {index}: {exc}"
+            ) from exc
+        rows.extend(UnitFileRow(entry.example_id, index, tag, text) for text in texts)
+    return rows
+
+
+# Each strategy's unit rows and manifest ``extra``, from (args, entries,
+# config, digests). The extractors are looked up as this module's globals
+# at call time, so that wrapping them here wraps every call.
+
+
+def _sentence_rows(args, entries, config, digests):
+    return _reference_rows(
+        entries, "sentence_split", lambda k, text: extract_sentence_units(text)
+    ), None
+
+
+def _ngram_rows(args, entries, config, digests):
+    return _reference_rows(
+        entries, "ngram", lambda k, text: extract_ngram_units(text, config)
+    ), None
+
+
+def _smu_rows(args, entries, config, digests):
+    graphs = _smu_graphs(args, entries, digests)
+    rows = _reference_rows(
+        entries, "smu", lambda k, text: extract_smu_units(graphs[k], config)
+    )
+    extra = {
+        "split_mode": args.split_mode,
+        "realizer": "remote" if args.gen_endpoint else "template",
+    }
+    return rows, extra
+
+
+def _sgu_rows(args, entries, config, digests):
+    texts = [reference.text for _, _, reference in _each_reference(entries)]
+    units = extract_sgu_units_many(texts, config)
+    extra = {
+        "sgu_prompt_framing": "system,example-user,example-assistant,reference-user",
+        "llm_model": args.llm_model,
+        "temperature": args.temperature,
+    }
+    return _reference_rows(entries, "sgu", lambda k, text: units[k]), extra
+
+
+def _imported_rows(args, entries, config, digests):
+    if not args.import_path:
+        raise InputError("--strategy import needs --import-path")
+    rows = import_rows(
+        args.import_path,
+        args.import_tag,
+        digests=digests,
+        reference_counts=_reference_counts(entries),
+    )
+    return rows, None
+
+
+STRATEGIES = {
+    "sent": _sentence_rows,
+    "ngram": _ngram_rows,
+    "smu": _smu_rows,
+    "sgu": _sgu_rows,
+    "import": _imported_rows,
+}
 
 
 def cmd_extract(args) -> int:
     digests: dict = {}
     entries = load_dataset(args.input, digests=digests)
     config = _extraction_config(args)
-    rows: list[UnitFileRow] = []
-    extra: dict = {}
-
-    if args.strategy == "sent":
-        for entry, index, reference in _each_reference(entries):
-            try:
-                units = extract_sentence_units(reference.text)
-            except EmptyReference as exc:
-                raise EmptyReference(
-                    f"example {entry.example_id} reference {index}: {exc}"
-                ) from exc
-            rows.extend(
-                UnitFileRow(entry.example_id, index, u.strategy, u.text) for u in units
-            )
-    elif args.strategy == "ngram":
-        for entry, index, reference in _each_reference(entries):
-            try:
-                units = extract_ngram_units(reference.text, config)
-            except EmptyReference as exc:
-                raise EmptyReference(
-                    f"example {entry.example_id} reference {index}: {exc}"
-                ) from exc
-            rows.extend(
-                UnitFileRow(entry.example_id, index, u.strategy, u.text) for u in units
-            )
-    elif args.strategy == "smu":
-        graph_map = _smu_graph_map(args, entries, digests)
-        for entry, index, _ in _each_reference(entries):
-            units = extract_smu_units(graph_map[(entry.example_id, index)], config)
-            rows.extend(
-                UnitFileRow(entry.example_id, index, u.strategy, u.text) for u in units
-            )
-        extra["split_mode"] = args.split_mode
-        extra["realizer"] = "remote" if args.gen_endpoint else "template"
-    elif args.strategy == "sgu":
-        spots = [(entry, index) for entry, index, _ in _each_reference(entries)]
-        texts = [ref.text for _, _, ref in _each_reference(entries)]
-        batches = extract_sgu_units_many(texts, config)
-        for (entry, index), units in zip(spots, batches):
-            rows.extend(
-                UnitFileRow(entry.example_id, index, u.strategy, u.text) for u in units
-            )
-        extra["sgu_prompt_framing"] = (
-            "system,example-user,example-assistant,reference-user"
-        )
-        extra["llm_model"] = args.llm_model
-        extra["temperature"] = args.temperature
-    else:  # import
-        if not args.import_path:
-            raise InputError("--strategy import needs --import-path")
-        rows.extend(import_rows(args.import_path, args.import_tag, digests=digests))
+    rows, extra = STRATEGIES[args.strategy](args, entries, config, digests)
 
     write_unit_file(args.out, rows)
     write_manifest(
@@ -355,7 +376,7 @@ def cmd_extract(args) -> int:
             "concurrency": args.concurrency,
         },
         inputs=digests,
-        extra=extra or None,
+        extra=extra,
     )
     return EXIT_OK
 
@@ -364,20 +385,19 @@ def cmd_extract(args) -> int:
 # score
 
 
-def _units_by_example(rows) -> dict[str, list[UnitFileRow]]:
-    grouped: dict[str, list[UnitFileRow]] = {}
+def _unit_texts(path, entries, digests) -> dict[str, list[str]]:
+    """The texts of unit file *path* by example id, in file order."""
+    grouped: dict[str, list[str]] = {}
+    rows = load_units(path, digests=digests, reference_counts=_reference_counts(entries))
     for row in rows:
-        grouped.setdefault(row.example_id, []).append(row)
+        grouped.setdefault(row.example_id, []).append(row.text)
     return grouped
 
 
 def cmd_score(args) -> int:
     digests: dict = {}
     entries = load_dataset(args.input, digests=digests)
-    unit_rows = load_units(
-        args.units, digests=digests, example_ids={e.example_id for e in entries}
-    )
-    grouped = _units_by_example(unit_rows)
+    grouped = _unit_texts(args.units, entries, digests)
 
     missing = [e.example_id for e in entries if not grouped.get(e.example_id)]
     if missing:
@@ -396,10 +416,7 @@ def cmd_score(args) -> int:
 
     lines = []
     for entry in sorted(entries, key=lambda e: e.example_id):
-        units = [
-            ContentUnit(r.text, r.strategy, reference_id=r.example_id)
-            for r in grouped[entry.example_id]
-        ]
+        units = grouped[entry.example_id]
         systems = sorted(entry.systems, key=lambda s: s.system_id)
         results = score_summaries(units, [s.summary for s in systems], scorer)
         for system, result in zip(systems, results):
@@ -438,22 +455,14 @@ def cmd_score(args) -> int:
 def cmd_intrinsic(args) -> int:
     digests: dict = {}
     entries = load_dataset(args.input, digests=digests)
-    grouped = _units_by_example(
-        load_units(
-            args.units, digests=digests, example_ids={e.example_id for e in entries}
-        )
-    )
+    grouped = _unit_texts(args.units, entries, digests)
 
     reports = []
     for entry in entries:
         pooled = entry.pooled_scus()
         if not pooled:
             raise NoGoldUnits(f"example {entry.example_id} has no gold units")
-        gold = [ContentUnit(text, "gold_scu") for text in pooled]
-        approx = [
-            ContentUnit(r.text, r.strategy) for r in grouped.get(entry.example_id, [])
-        ]
-        reports.append(easiness(gold, approx))
+        reports.append(easiness(pooled, grouped.get(entry.example_id, [])))
 
     mean_r = sum(r.easiness_r for r in reports) / len(reports)
     mean_p = sum(r.easiness_p for r in reports) / len(reports)

@@ -13,7 +13,10 @@ the entry's references. Loading validates everything and reports the line
 number and field path of the first problem.
 
 Unit files are also JSON Lines, one :class:`UnitFileRow` per line with
-fields ``example_id``, ``reference_index``, ``strategy``, ``text``.
+fields ``example_id``, ``reference_index``, ``strategy``, ``text``. A row
+is the one record of a unit: the extractors return plain texts, and a
+command tags them with their example, reference and one of
+``VALID_STRATEGIES``.
 
 Every input file is read by :func:`read_input`, once: the loaders hand the
 SHA-256 of the bytes they parsed to the caller, which records it in the
@@ -30,12 +33,13 @@ import os
 import tempfile
 from dataclasses import dataclass
 from itertools import starmap
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import (
     DuplicateExampleId,
     FileUnreadable,
     FileUnwritable,
+    InputError,
     PresenceLengthMismatch,
     SchemaViolation,
 )
@@ -105,6 +109,22 @@ def is_finite_number(value) -> bool:
 
 
 _decode = json.JSONDecoder().decode
+
+
+def _json_lines(lines: list[str]) -> Iterator[tuple[int, object]]:
+    """The number, from 1, and the decoded value of every non-blank line.
+
+    A line that does not decode, or nests deeper than the interpreter's
+    recursion limit, raises :class:`SchemaViolation` naming it.
+    """
+    for number, line in enumerate(lines, start=1):
+        if not line or line.isspace():
+            continue
+        try:
+            value = _decode(line)
+        except (ValueError, RecursionError) as exc:
+            raise SchemaViolation("not valid JSON", line=number) from exc
+        yield number, value
 
 
 def read_input(path, digests: dict | None = None) -> list[str]:
@@ -249,16 +269,9 @@ def load_dataset(path, *, digests: dict | None = None) -> list[ReferenceEntry]:
 
     *digests* is as for :func:`read_input`.
     """
-    lines = read_input(path, digests)
     entries = []
     seen = {}
-    for number, line in enumerate(lines, start=1):
-        if not line or line.isspace():
-            continue
-        try:
-            raw = _decode(line)
-        except ValueError as exc:
-            raise SchemaViolation("not valid JSON", line=number) from exc
+    for number, raw in _json_lines(read_input(path, digests)):
         entry = _parse_entry(raw, number)
         if entry.example_id in seen:
             raise DuplicateExampleId(
@@ -317,21 +330,17 @@ def save_units(path, rows: Iterable[UnitFileRow]) -> None:
     atomic_write_text(path, "".join(line + "\n" for line in payload))
 
 
-def parse_unit_lines(lines: list[str], example_ids=None) -> list[UnitFileRow]:
+def parse_unit_lines(lines: list[str], reference_counts=None) -> list[UnitFileRow]:
     """Unit rows from the lines of a unit file, numbered from 1.
 
-    When *example_ids* is given, a row naming any other example is stray:
-    :class:`SchemaViolation` names the line of the first and the count.
+    When *reference_counts* (example id to its number of references) is
+    given, a row naming any other example, or a reference index its example
+    does not have, is stray: :class:`SchemaViolation` names the line and
+    field of the first and the count.
     """
     rows = []
     stray = 0
-    for number, line in enumerate(lines, start=1):
-        if not line or line.isspace():
-            continue
-        try:
-            raw = _decode(line)
-        except ValueError as exc:
-            raise SchemaViolation("not valid JSON", line=number) from exc
+    for number, raw in _json_lines(lines):
         if type(raw) is not dict:
             raise SchemaViolation("row must be an object", line=number, field="")
         example_id = raw.get("example_id")
@@ -358,17 +367,21 @@ def parse_unit_lines(lines: list[str], example_ids=None) -> list[UnitFileRow]:
             raise SchemaViolation(
                 "missing non-empty string 'text'", line=number, field="text"
             )
-        if example_ids is not None and example_id not in example_ids:
-            if not stray:
-                first_stray = (number, example_id)
-            stray += 1
+        if reference_counts is not None:
+            count = reference_counts.get(example_id)
+            if count is None or reference_index >= count:
+                if not stray:
+                    first_stray = (number, example_id, reference_index, count)
+                stray += 1
         rows.append(UnitFileRow(example_id, reference_index, strategy, text))
     if stray:
-        number, example_id = first_stray
+        number, example_id, reference_index, count = first_stray
+        if count is None:
+            what, field = "is not in the dataset", "example_id"
+        else:
+            what, field = f"has no reference {reference_index}", "reference_index"
         raise SchemaViolation(
-            f"example {example_id!r} is not in the dataset ({_stray_rows(stray)})",
-            line=number,
-            field="example_id",
+            f"example {example_id!r} {what} ({_stray_rows(stray)})", line=number, field=field
         )
     return rows
 
@@ -379,33 +392,34 @@ def _stray_rows(count: int) -> str:
 
 
 def load_units(
-    path, *, digests: dict | None = None, example_ids=None
+    path, *, digests: dict | None = None, reference_counts=None
 ) -> list[UnitFileRow]:
     """Read unit rows back; the inverse of :func:`save_units`.
 
-    *digests* and *example_ids* are as for :func:`read_input` and
+    *digests* and *reference_counts* are as for :func:`read_input` and
     :func:`parse_unit_lines`.
     """
-    return parse_unit_lines(read_input(path, digests), example_ids)
+    return parse_unit_lines(read_input(path, digests), reference_counts)
 
 
-def import_rows(path, tag: str, *, digests: dict | None = None) -> list[UnitFileRow]:
-    """Unit rows from an external file, each tagged with strategy *tag*.
+def import_rows(
+    path, tag: str, *, digests: dict | None = None, reference_counts=None
+) -> list[UnitFileRow]:
+    """The rows of unit file *path*, each tagged with strategy *tag*.
 
-    Two layouts are accepted: plain text with one unit per line, which
-    become rows with an empty example id, or JSON Lines in the unit-file
-    schema, whose example ids and reference indices are kept; *tag*
-    replaces the strategy the file carries. Blank lines are skipped in
-    both. *digests* is as for :func:`read_input`.
+    Example ids and reference indices are kept; *tag* replaces the strategy
+    the file carries. Any problem, a line that is not JSON included, raises
+    :class:`InputError` naming the file, the line and the unit-file fields.
+    *digests* and *reference_counts* are as for :func:`load_units`.
     """
-    lines = read_input(path, digests)
-    content = [text for text in map(str.strip, lines) if text]
-    if content and content[0].startswith("{"):
-        return [
-            UnitFileRow(r.example_id, r.reference_index, tag, r.text)
-            for r in parse_unit_lines(lines)
-        ]
-    return [UnitFileRow("", 0, tag, text) for text in content]
+    try:
+        rows = load_units(path, digests=digests, reference_counts=reference_counts)
+    except SchemaViolation as exc:
+        raise InputError(
+            f"{path}, {exc}; an import file holds unit-file rows "
+            "(example_id, reference_index, strategy, text)"
+        ) from exc
+    return [UnitFileRow(r.example_id, r.reference_index, tag, r.text) for r in rows]
 
 
 def load_scores(
@@ -418,17 +432,10 @@ def load_scores(
     :class:`SchemaViolation` names the line of the first and the count.
     *digests* is as for :func:`read_input`.
     """
-    lines = read_input(path, digests)
     scores = {}
     lines_of = {}
     stray = 0
-    for number, line in enumerate(lines, start=1):
-        if not line or line.isspace():
-            continue
-        try:
-            raw = _decode(line)
-        except ValueError as exc:
-            raise SchemaViolation("not valid JSON", line=number) from exc
+    for number, raw in _json_lines(read_input(path, digests)):
         if type(raw) is not dict:
             raise SchemaViolation("row must be an object", line=number)
         example_id = raw.get("example_id")

@@ -1,11 +1,12 @@
-"""Unit extraction strategies behind one interface.
+"""Unit extraction strategies.
 
-A :class:`ContentUnit` is a single fact-like text snippet pulled from a
-reference summary. Five strategies produce them: gold units read from a
-dataset, sentence splitting, sampled n-grams, graph splitting with a text
-realizer, and a language model prompted to decompose the reference into
-'#'-separated fragments. Imported unit files cover strategies computed by
-external tools.
+A unit is a single fact-like text snippet pulled from a reference summary,
+and every extractor here returns units as plain texts. Four strategies
+produce them: sentence splitting, sampled n-grams, graph splitting with a
+text realizer, and a language model prompted to decompose the reference
+into '#'-separated fragments. Gold units come from the dataset, and units
+computed by external tools are imported as unit files
+(:func:`~autopyramid.data.import_rows`).
 
 All strategies are deterministic given their inputs, the configured seed,
 and (for remote strategies) the service replies.
@@ -21,15 +22,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .amr import AmrGraph
-from .data import import_rows
 from .errors import EmptyReference, EmptyReply, ServiceUnavailable
 from .services import ChatClient
-from .smu import SPLIT_MODES, SmuCandidate, realize_baseline, realize_remote, split_graph
+from .smu import SPLIT_MODES, realize_baseline, realize_remote, split_graph
 from .text import split_sentences, tokenize
-
-STRATEGIES = frozenset(
-    {"gold_scu", "sentence_split", "ngram", "smu", "sgu", "imported_stu"}
-)
 
 # Fixed instruction and one-shot exchange for the unit-splitting prompt.
 # The wording is part of the unit definition and must not drift.
@@ -61,26 +57,9 @@ ONE_SHOT_OUTPUT = (
 
 
 @dataclass(frozen=True)
-class ContentUnit:
-    """One unit with its provenance."""
-
-    text: str
-    strategy: str
-    sentence_index: int | None = None
-    reference_id: str = ""
-
-    def __post_init__(self):
-        if not self.text.strip():
-            raise ValueError("unit text is empty")
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-
-
-@dataclass(frozen=True)
 class ExtractionConfig:
     """Knobs shared by the extraction strategies."""
 
-    strategy: str = "sentence_split"
     ngram_sizes: tuple[int, ...] = (3, 4, 5)
     ngram_fraction: float = 0.05
     seed: int = 42
@@ -103,18 +82,15 @@ class ExtractionConfig:
             raise ValueError(f"split_mode must be one of {SPLIT_MODES}")
 
 
-def extract_sentence_units(reference: str) -> list[ContentUnit]:
+def extract_sentence_units(reference: str) -> list[str]:
     """One unit per sentence of *reference*, in order."""
-    spans = split_sentences(reference)
-    if not spans:
+    units = [span.text for span in split_sentences(reference)]
+    if not units:
         raise EmptyReference("reference has no sentences")
-    return [
-        ContentUnit(span.text, "sentence_split", sentence_index=span.index)
-        for span in spans
-    ]
+    return units
 
 
-def extract_ngram_units(reference: str, config: ExtractionConfig) -> list[ContentUnit]:
+def extract_ngram_units(reference: str, config: ExtractionConfig) -> list[str]:
     """A seeded random sample of the reference's n-grams.
 
     All n-grams of the configured sizes are pooled over the whole
@@ -125,14 +101,14 @@ def extract_ngram_units(reference: str, config: ExtractionConfig) -> list[Conten
     """
     sizes = sorted(set(config.ngram_sizes))
     # the pool as runs of consecutive positions, one per (sentence, n):
-    # (first pool position, sentence index, tokens, n)
-    runs: list[tuple[int, int, list[str], int]] = []
+    # (first pool position, tokens, n)
+    runs: list[tuple[int, list[str], int]] = []
     size = 0
     for span in split_sentences(reference):
         tokens = tokenize(span.text)
         for n in sizes:
             if len(tokens) >= n:
-                runs.append((size, span.index, tokens, n))
+                runs.append((size, tokens, n))
                 size += len(tokens) - n + 1
     if not size:
         raise EmptyReference("reference yields no n-grams")
@@ -143,46 +119,30 @@ def extract_ngram_units(reference: str, config: ExtractionConfig) -> list[Conten
     firsts = [run[0] for run in runs]
     units = []
     for position in chosen:
-        first, sentence, tokens, n = runs[bisect_right(firsts, position) - 1]
+        first, tokens, n = runs[bisect_right(firsts, position) - 1]
         start = position - first
-        units.append(
-            ContentUnit(" ".join(tokens[start : start + n]), "ngram", sentence_index=sentence)
-        )
+        units.append(" ".join(tokens[start : start + n]))
     return units
 
 
-def extract_smu_units(
-    graphs: Sequence[AmrGraph], config: ExtractionConfig
-) -> list[ContentUnit]:
+def extract_smu_units(graphs: Sequence[AmrGraph], config: ExtractionConfig) -> list[str]:
     """Split each sentence graph and realize the pieces as text.
 
     Uses the template realizer unless ``config.generator_endpoint`` is set.
-    Exact duplicate texts are dropped, keeping first occurrences.
+    Texts are stripped; empty ones and exact duplicates are dropped,
+    keeping first occurrences.
     """
-    indexed: list[tuple[int, SmuCandidate]] = []
-    for position, graph in enumerate(graphs):
-        for candidate in split_graph(graph, config.split_mode):
-            indexed.append((position, candidate))
+    candidates = [c for graph in graphs for c in split_graph(graph, config.split_mode)]
     if config.generator_endpoint:
-        realized = realize_remote(
-            [c for _, c in indexed],
+        texts = realize_remote(
+            candidates,
             config.generator_endpoint,
             batch_size=config.batch_size,
             concurrency=config.concurrency,
         )
-        texts = [c.text or "" for c in realized]
     else:
-        texts = [realize_baseline(c) for _, c in indexed]
-
-    units: list[ContentUnit] = []
-    seen: set[str] = set()
-    for (position, _), text in zip(indexed, texts):
-        cleaned = text.strip()
-        if not cleaned or cleaned in seen:
-            continue
-        seen.add(cleaned)
-        units.append(ContentUnit(cleaned, "smu", sentence_index=position))
-    return units
+        texts = [realize_baseline(c) for c in candidates]
+    return list(dict.fromkeys(filter(None, map(str.strip, texts))))
 
 
 def _parse_fragments(reply: str) -> list[str]:
@@ -204,7 +164,7 @@ def _prompt_messages(reference: str) -> list[dict]:
 
 def extract_sgu_units(
     reference: str, config: ExtractionConfig, client: ChatClient | None = None
-) -> list[ContentUnit]:
+) -> list[str]:
     """Ask the language model to decompose *reference* into units.
 
     The conversation is the fixed instruction, the one-shot example as a
@@ -221,14 +181,14 @@ def extract_sgu_units(
     fragments = _parse_fragments(reply)
     if not fragments:
         raise EmptyReply("the model reply contains no usable fragment")
-    return [ContentUnit(fragment, "sgu") for fragment in fragments]
+    return fragments
 
 
 def extract_sgu_units_many(
     references: Sequence[str],
     config: ExtractionConfig,
     client: ChatClient | None = None,
-) -> list[list[ContentUnit]]:
+) -> list[list[str]]:
     """SGU extraction for several references, at most ``config.concurrency``
     requests in flight, results in input order."""
     if not references:
@@ -244,17 +204,3 @@ def extract_sgu_units_many(
         return list(
             pool.map(lambda ref: extract_sgu_units(ref, config, client), references)
         )
-
-
-def import_units(path, strategy: str) -> list[ContentUnit]:
-    """Read pre-computed units from *path* and tag them with *strategy*.
-
-    The file layouts are those of :func:`~autopyramid.data.import_rows`;
-    a unit's ``reference_id`` is its row's example id.
-    """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    return [
-        ContentUnit(row.text, strategy, reference_id=row.example_id)
-        for row in import_rows(path, strategy)
-    ]

@@ -17,7 +17,6 @@ from itertools import chain
 from typing import Callable, Sequence
 
 from .errors import MalformedServiceReply, NoUnits
-from .extract import ContentUnit
 from .services import PresenceClient
 from .text import bag_overlap, token_bag, tokenize
 
@@ -41,30 +40,14 @@ class PresenceResult:
         return math.fsum(self.probabilities) / len(self.probabilities)
 
 
-def lexical_presence(premise: str, hypothesis: str) -> float:
-    """Clipped unigram recall of the hypothesis inside the premise.
+def lexical_scorer(pairs: list[tuple[str, str]]) -> list[float]:
+    """Clipped unigram recall of each hypothesis inside its premise.
 
     Offline stand-in for a trained entailment model: 1.0 when every
     hypothesis token (with multiplicity) occurs in the premise, 0.0 when
-    none does or the hypothesis has no tokens.
+    none does or the hypothesis has no tokens. Each distinct text is
+    tokenized once per call.
     """
-    hyp = tokenize(hypothesis)
-    if not hyp:
-        return 0.0
-    remaining: dict[str, int] = {}
-    for token in tokenize(premise):
-        remaining[token] = remaining.get(token, 0) + 1
-    overlap = 0
-    for token in hyp:
-        if remaining.get(token, 0) > 0:
-            remaining[token] -= 1
-            overlap += 1
-    return overlap / len(hyp)
-
-
-def lexical_scorer(pairs: list[tuple[str, str]]) -> list[float]:
-    """:func:`lexical_presence` of every pair, tokenizing each distinct text
-    once per call."""
     bags = {
         text: token_bag(tokenize(text)) for text in dict.fromkeys(chain.from_iterable(pairs))
     }
@@ -75,43 +58,22 @@ def lexical_scorer(pairs: list[tuple[str, str]]) -> list[float]:
     return scores
 
 
-def remote_presence(
-    pairs: Sequence[tuple[str, str]],
-    endpoint: str,
-    *,
-    batch_size: int = 32,
-    concurrency: int = 4,
-    client: PresenceClient | None = None,
-) -> list[float]:
-    """Probabilities from the presence service, one per pair, in order.
-
-    Requests go out in batches of *batch_size*; an empty pair list makes no
-    network call. Out-of-range or missing probabilities raise
-    :class:`MalformedServiceReply`.
-    """
-    if not pairs:
-        return []
-    if client is None:
-        client = PresenceClient(endpoint, batch_size=batch_size, concurrency=concurrency)
-    return client.probabilities(list(pairs))
-
-
 def remote_scorer(
     endpoint: str, *, batch_size: int = 32, concurrency: int = 4
 ) -> PresenceScorer:
-    """A scorer bound to a presence endpoint."""
-    client = PresenceClient(endpoint, batch_size=batch_size, concurrency=concurrency)
-
-    def scorer(pairs: list[tuple[str, str]]) -> list[float]:
-        return remote_presence(pairs, endpoint, client=client)
-
-    return scorer
+    """A scorer bound to a presence endpoint: requests of *batch_size*
+    pairs, up to *concurrency* in flight, and no request for no pairs.
+    Out-of-range or missing probabilities raise
+    :class:`MalformedServiceReply`."""
+    return PresenceClient(
+        endpoint, batch_size=batch_size, concurrency=concurrency
+    ).probabilities
 
 
 def score_summaries(
-    units: Sequence[ContentUnit], summaries: Sequence[str], scorer: PresenceScorer
+    units: Sequence[str], summaries: Sequence[str], scorer: PresenceScorer
 ) -> list[PresenceResult]:
-    """Score every summary against every unit in one scorer call.
+    """Score every summary against every unit text in one scorer call.
 
     Each distinct (summary, unit) pair is scored once, so repeated summaries
     or unit texts cost nothing extra. Results follow *summaries*, and each
@@ -119,8 +81,7 @@ def score_summaries(
     """
     if not units:
         raise NoUnits("cannot score a summary without units")
-    texts = [unit.text for unit in units]
-    pairs = list(dict.fromkeys((summary, text) for summary in summaries for text in texts))
+    pairs = list(dict.fromkeys((summary, unit) for summary in summaries for unit in units))
     probabilities = scorer(pairs)
     if len(probabilities) != len(pairs):
         raise MalformedServiceReply(
@@ -128,13 +89,13 @@ def score_summaries(
         )
     by_pair = dict(zip(pairs, probabilities))
     return [
-        PresenceResult(tuple(float(by_pair[summary, text]) for text in texts))
+        PresenceResult(tuple(float(by_pair[summary, unit]) for unit in units))
         for summary in summaries
     ]
 
 
 def score_summary(
-    units: Sequence[ContentUnit], summary: str, scorer: PresenceScorer
+    units: Sequence[str], summary: str, scorer: PresenceScorer
 ) -> PresenceResult:
     """Score *summary* against every unit; unit order is preserved."""
     return score_summaries(units, [summary], scorer)[0]

@@ -184,7 +184,8 @@ def post_json(
         else:
             try:
                 reply = json.loads(body)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
+                # RecursionError: nested deeper than the interpreter's limit
                 raise MalformedServiceReply(f"{where} returned non-JSON data") from exc
             if not isinstance(reply, dict):
                 raise MalformedServiceReply(f"{where} returned a non-object reply")
@@ -203,7 +204,9 @@ def _chunks(items: Sequence, size: int) -> list[Sequence]:
 
 
 class BatchClient:
-    """Shared plumbing: batched, order-preserving, bounded-concurrency POSTs."""
+    """Shared plumbing of the service clients: retried POSTs with the
+    client's token (``_post``), and batched, order-preserving,
+    bounded-concurrency requests (``_run_batched``)."""
 
     token_env: str | None = None
 
@@ -332,8 +335,9 @@ class PresenceClient(BatchClient):
         )
 
 
-class ChatClient:
-    """Client for a chat-completions style language model endpoint."""
+class ChatClient(BatchClient):
+    """Client for a chat-completions style language model endpoint; one
+    conversation per request."""
 
     token_env = LLM_TOKEN_ENV
 
@@ -348,23 +352,15 @@ class ChatClient:
         timeout: float = DEFAULT_TIMEOUT,
         sleep: Callable[[float], None] = time.sleep,
     ):
-        self.endpoint = endpoint
+        super().__init__(
+            endpoint, attempts=attempts, schedule=schedule, timeout=timeout, sleep=sleep
+        )
         self.model = model
         self.temperature = temperature
-        self.attempts = attempts
-        self.schedule = schedule
-        self.timeout = timeout
-        self.sleep = sleep
 
     def complete(self, messages: list[dict]) -> str:
-        reply = post_json(
-            self.endpoint,
-            {"model": self.model, "temperature": self.temperature, "messages": messages},
-            token=os.environ.get(self.token_env),
-            attempts=self.attempts,
-            schedule=self.schedule,
-            timeout=self.timeout,
-            sleep=self.sleep,
+        reply = self._post(
+            {"model": self.model, "temperature": self.temperature, "messages": messages}
         )
         try:
             content = reply["choices"][0]["message"]["content"]

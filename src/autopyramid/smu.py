@@ -22,7 +22,7 @@ offline template, :func:`realize_remote` calls a generation service.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .amr import AmrGraph, Attribute, Edge, serialize_penman
@@ -80,12 +80,11 @@ class CoreRoleEdge:
 @dataclass(frozen=True)
 class SmuCandidate:
     """One unit candidate: a subgraph rooted at its predicate, plus the
-    core roles it was cut around and, once realized, its text."""
+    core roles it was cut around."""
 
     subgraph: AmrGraph
     predicate: PredicateNode
     core_roles: tuple[CoreRoleEdge, ...]
-    text: str | None = None
 
 
 def _children(graph: AmrGraph) -> dict[str, list[Edge]]:
@@ -335,8 +334,8 @@ def realize_remote(
     batch_size: int = 32,
     concurrency: int = 4,
     client: GraphToTextClient | None = None,
-) -> list[SmuCandidate]:
-    """Fill in candidate texts via the graph-to-text service.
+) -> list[str]:
+    """The texts of the candidates, from the graph-to-text service.
 
     Subgraphs are serialized to PENMAN and sent in batches; the reply order
     matches the input order. An empty candidate list makes no network call.
@@ -353,4 +352,4 @@ def realize_remote(
         raise MalformedServiceReply(
             f"generation service answered {len(texts)} texts for {len(candidates)} graphs"
         )
-    return [replace(c, text=t) for c, t in zip(candidates, texts)]
+    return texts

@@ -25,7 +25,6 @@ from .errors import (
     LengthMismatch,
     NoGoldUnits,
 )
-from .extract import ContentUnit
 from .text import (  # noqa: F401  (rouge1_f1: easiness is its matrix, kept importable)
     TokenBag,
     bag_overlap,
@@ -59,15 +58,14 @@ class EasinessReport:
     degenerate: bool = False
 
 
-def easiness(
-    gold: Sequence[ContentUnit], approx: Sequence[ContentUnit]
-) -> EasinessReport:
+def easiness(gold: Sequence[str], approx: Sequence[str]) -> EasinessReport:
+    """The easiness of the unit texts *approx* against the gold unit texts."""
     if not gold:
         raise NoGoldUnits("easiness needs at least one gold unit")
     if not approx:
         return EasinessReport(0.0, 0.0, (), (), degenerate=True)
-    gold_texts = [u.text for u in gold]
-    approx_texts = [u.text for u in approx]
+    gold_texts = list(gold)
+    approx_texts = list(approx)
     # rouge1_f1 for every cell, with each text tokenized once
     bags: dict[str, TokenBag] = {}
     for text in gold_texts + approx_texts:

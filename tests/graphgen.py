@@ -5,6 +5,7 @@ import random
 from hypothesis import strategies as st
 
 from autopyramid.amr import AmrGraph, Attribute, Edge, serialize_penman
+from autopyramid.errors import FileUnwritable
 
 LEMMAS = [
     "boy", "girl", "dog", "city", "team", "person", "idea", "report",
@@ -151,3 +152,21 @@ def penman_file(rng: random.Random, blocks: int = 3) -> str:
             lines.insert(rng.randint(0, len(lines)), rng.choice(COMMENTS))
         parts.append("\n".join(lines))
     return "\n\n".join(parts) + "\n"
+
+
+def save_penman_file(path, entries) -> None:
+    """Write graphs as blank-line-separated blocks with ``# ::snt`` comments."""
+    blocks = []
+    for entry in entries:
+        lines = []
+        if entry.sentence:
+            lines.append("# ::snt " + entry.sentence)
+        lines.append(serialize_penman(entry.graph))
+        blocks.append("\n".join(lines))
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("\n\n".join(blocks))
+            if blocks:
+                handle.write("\n")
+    except OSError as exc:
+        raise FileUnwritable(f"cannot write {path}: {exc}") from exc

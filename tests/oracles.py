@@ -27,7 +27,6 @@ from autopyramid.errors import (
     PresenceLengthMismatch,
     SchemaViolation,
 )
-from autopyramid.extract import ContentUnit
 from autopyramid.smu import CoreRoleEdge, PredicateNode, SmuCandidate
 from autopyramid.text import (
     DEFAULT_ABBREVIATIONS,
@@ -35,6 +34,7 @@ from autopyramid.text import (
     _abbreviation_before,
     enumerate_ngrams,
     split_sentences,
+    tokenize,
 )
 
 
@@ -151,7 +151,7 @@ def ngram_units_oracle(reference, config):
         return None
     count = min(len(pool), max(1, math.ceil(len(pool) * config.ngram_fraction)))
     chosen = sorted(random.Random(config.seed).sample(pool, count))
-    return [ContentUnit(gram, "ngram", sentence_index=sentence) for sentence, _, _, gram in chosen]
+    return [gram for _, _, _, gram in chosen]
 
 
 # ---------------------------------------------------------------------------
@@ -736,3 +736,119 @@ def split_sentences_oracle(text, abbreviations=DEFAULT_ABBREVIATIONS):
     if tail:
         spans.append(SentenceSpan(tail, len(spans)))
     return spans
+
+
+def isomorphic(a: AmrGraph, b: AmrGraph) -> bool:
+    """True when a variable bijection maps *a* onto *b* exactly.
+
+    The bijection must preserve the root, every concept, the edge multiset,
+    and the attribute multiset. Backtracking over concept-compatible
+    candidates, with a loop rather than recursion, so graphs of any size
+    compare; the search is exhaustive, so graphs with many interchangeable
+    nodes can take long.
+    """
+    if (
+        len(a.nodes) != len(b.nodes)
+        or len(a.edges) != len(b.edges)
+        or len(a.attributes) != len(b.attributes)
+    ):
+        return False
+
+    def signatures(g: AmrGraph) -> dict:
+        out: dict[str, list[str]] = {v: [] for v in g.nodes}
+        into: dict[str, list[str]] = {v: [] for v in g.nodes}
+        attrs: dict[str, list[tuple[str, str]]] = {v: [] for v in g.nodes}
+        for s, r, t in g.edges:
+            out[s].append(r)
+            into[t].append(r)
+        for s, r, v in g.attributes:
+            attrs[s].append((r, v))
+        return {
+            v: (
+                (g.nodes[v], tuple(sorted(out[v])), tuple(sorted(into[v]))),
+                tuple(sorted(attrs[v])),
+            )
+            for v in g.nodes
+        }
+
+    def links(g: AmrGraph) -> dict[str, dict[str, list[tuple[str, bool]]]]:
+        """Per node, the sorted roles joining it to each neighbour:
+        ``(role, True)`` for an edge out of it, ``(role, False)`` into it."""
+        table: dict[str, dict[str, list[tuple[str, bool]]]] = {v: {} for v in g.nodes}
+        for s, r, t in g.edges:
+            table[s].setdefault(t, []).append((r, True))
+            table[t].setdefault(s, []).append((r, False))
+        for neighbours in table.values():
+            for roles in neighbours.values():
+                roles.sort()
+        return table
+
+    a_sig, b_sig = signatures(a), signatures(b)
+    by_sig: dict = {}
+    for w in b.nodes:
+        by_sig.setdefault(b_sig[w], []).append(w)
+    candidates = {v: by_sig.get(a_sig[v], []) for v in a.nodes}
+    if any(not c for c in candidates.values()):
+        return False
+    if b.root not in candidates[a.root]:
+        return False
+    candidates[a.root] = [b.root]
+    a_links, b_links = links(a), links(b)
+
+    order = sorted(a.nodes, key=lambda v: len(candidates[v]))
+    mapping: dict[str, str] = {}
+    inverse: dict[str, str] = {}
+
+    def fits(var: str, cand: str) -> bool:
+        """Every mapped node is joined to *var* in *a* by the roles its image
+        is joined to *cand* in *b*."""
+        near_var, near_cand = a_links[var], b_links[cand]
+        return all(
+            near_cand.get(mapping[seen], []) == roles
+            for seen, roles in near_var.items()
+            if seen in mapping
+        ) and all(inverse[w] in near_var for w in near_cand if w in inverse)
+
+    def complete() -> bool:
+        mapped_edges = sorted((mapping[s], r, mapping[t]) for s, r, t in a.edges)
+        if mapped_edges != sorted(b.edges):
+            return False
+        mapped_attrs = sorted((mapping[s], r, v) for s, r, v in a.attributes)
+        return mapped_attrs == sorted(b.attributes)
+
+    # the untried candidates of each assigned variable, in order
+    untried = [iter(candidates[order[0]])]
+    while untried:
+        var = order[len(untried) - 1]
+        if var in mapping:
+            del inverse[mapping.pop(var)]
+        for cand in untried[-1]:
+            if cand not in inverse and fits(var, cand):
+                mapping[var] = cand
+                inverse[cand] = var
+                break
+        else:
+            untried.pop()
+            continue
+        if len(untried) < len(order):
+            untried.append(iter(candidates[order[len(untried)]]))
+        elif complete():
+            return True
+    return False
+
+
+def lexical_presence(premise, hypothesis):
+    """Clipped unigram recall of the hypothesis inside the premise, one
+    pair at a time: the definition ``lexical_scorer`` must equal."""
+    hyp = tokenize(hypothesis)
+    if not hyp:
+        return 0.0
+    remaining = {}
+    for token in tokenize(premise):
+        remaining[token] = remaining.get(token, 0) + 1
+    overlap = 0
+    for token in hyp:
+        if remaining.get(token, 0) > 0:
+            remaining[token] -= 1
+            overlap += 1
+    return overlap / len(hyp)

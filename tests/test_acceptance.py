@@ -14,12 +14,12 @@ from pathlib import Path
 
 import pytest
 
-from autopyramid.amr import isomorphic, load_penman_file, parse_penman, serialize_penman
+from autopyramid.amr import load_penman_file, parse_penman, serialize_penman
 from autopyramid.cli import main
 from autopyramid.data import load_dataset
 from autopyramid.errors import MalformedServiceReply, ServiceUnavailable
-from autopyramid.extract import ContentUnit, ExtractionConfig, extract_sgu_units
-from autopyramid.presence import remote_presence, remote_scorer, score_summary
+from autopyramid.extract import ExtractionConfig, extract_sgu_units
+from autopyramid.presence import remote_scorer, score_summary
 from autopyramid.services import (
     DEFAULT_ATTEMPTS,
     DEFAULT_RETRY_SCHEDULE,
@@ -43,6 +43,7 @@ from autopyramid.text import rouge1_f1
 
 from graphgen import random_graph
 from oracles import (
+    isomorphic,
     ranks_oracle,
     rouge1_f1_oracle,
     summary_level_oracle,
@@ -124,17 +125,14 @@ def test_easiness_identities():
         vocab = ["fact", "one", "two", "cat", "dog", "ran", "sat", "blue"]
         for _ in range(50):
             units = [
-                ContentUnit(" ".join(rng.sample(vocab, rng.randint(1, 4))), "gold_scu")
+                " ".join(rng.sample(vocab, rng.randint(1, 4)))
                 for _ in range(rng.randint(1, 6))
             ]
             report = easiness(units, list(units))
             assert report.easiness_r == 1.0
             assert report.easiness_p == 1.0
 
-        derived = easiness(
-            [ContentUnit("the cat sat", "gold_scu")],
-            [ContentUnit("the cat", "ngram"), ContentUnit("a dog", "ngram")],
-        )
+        derived = easiness(["the cat sat"], ["the cat", "a dog"])
         assert abs(derived.easiness_r - 0.8) <= 1e-12
         assert abs(derived.easiness_p - 0.4) <= 1e-12
 
@@ -246,9 +244,7 @@ def test_service_contracts(tmp_path, stub_service):
             lambda path, body: (200, {"probs": [float(p["hypothesis"]) for p in body["pairs"]]})
         )
         pairs = [("s", f"0.{i:02d}") for i in range(1, 8)]
-        probs = remote_presence(
-            pairs, presence.url, client=PresenceClient(presence.url, batch_size=3)
-        )
+        probs = remote_scorer(presence.url, batch_size=3)(pairs)
         assert probs == [float(h) for _, h in pairs]
         out_of_range = stub_service(constant_presence(1.3))
         with pytest.raises(MalformedServiceReply):
@@ -260,7 +256,7 @@ def test_service_contracts(tmp_path, stub_service):
             "Some reference.",
             ExtractionConfig(llm_endpoint=chat.url, llm_model="splitter"),
         )
-        assert [u.text for u in units] == ["U1", "U2"]
+        assert units == ["U1", "U2"]
         roles = [m["role"] for m in chat.requests[0][1]["messages"]]
         assert roles == ["system", "user", "assistant", "user"]
         assert chat.requests[0][1]["temperature"] == 0.0
@@ -300,7 +296,7 @@ def test_sgu_reply_parses_to_published_units():
             ExtractionConfig(),
             client=Fixed(),
         )
-        assert [u.text for u in units] == [
+        assert units == [
             "Netherlands midfielder Wesley Sneijder",
             "Sneijder joined French Ligue 1 side Nice",
             "Joined on a free transfer",
@@ -334,7 +330,7 @@ def test_external_summary_level_correlation():
         metric_rows = []
         human_rows = []
         for entry in entries:
-            units = [ContentUnit(t, "gold_scu") for t in entry.pooled_scus()]
+            units = entry.pooled_scus()
             by_id = {s.system_id: s for s in entry.systems}
             metric_rows.append(
                 [

@@ -15,10 +15,8 @@ from autopyramid.amr import (
     Attribute,
     Edge,
     PenmanEntry,
-    isomorphic,
     load_penman_file,
     parse_penman,
-    save_penman_file,
     serialize_penman,
     subgraph,
 )
@@ -32,8 +30,9 @@ from graphgen import (
     penman_file,
     penman_text,
     random_graph,
+    save_penman_file,
 )
-from oracles import parse_penman_oracle
+from oracles import isomorphic, parse_penman_oracle
 
 WANT = "(w / want-01 :ARG0 (b / boy) :ARG1 (g / go-02 :ARG0 b))"
 

@@ -16,15 +16,11 @@ from hypothesis import strategies as st
 from autopyramid import presence, stats
 from autopyramid.cli import main
 from autopyramid.errors import MalformedServiceReply
-from autopyramid.extract import ContentUnit
-from autopyramid.presence import (
-    lexical_presence,
-    lexical_scorer,
-    score_summaries,
-    score_summary,
-)
+from autopyramid.presence import lexical_scorer, score_summaries, score_summary
 from autopyramid.stats import EasinessReport, easiness
 from autopyramid.text import rouge1_f1
+
+from oracles import lexical_presence
 
 
 WORDS = ["the", "The", "cat", "sat", "a", "A", "mat", "dog", "x1", "ß", "É"]
@@ -54,10 +50,6 @@ def pair_lists(draw):
     return list(zip(premises, hypotheses))
 
 
-def units_of(unit_list):
-    return [ContentUnit(t, "sentence_split") for t in unit_list]
-
-
 def pair_dependent(pairs):
     return [((len(p) * 31 + len(h)) % 11) / 10 for p, h in pairs]
 
@@ -75,7 +67,7 @@ def test_lexical_scorer_equals_lexical_presence(pairs):
 def easiness_by_cells(gold, approx):
     if not approx:
         return EasinessReport(0.0, 0.0, (), (), degenerate=True)
-    scores = [[rouge1_f1(g.text, a.text) for a in approx] for g in gold]
+    scores = [[rouge1_f1(g, a) for a in approx] for g in gold]
     columns = [[row[m] for row in scores] for m in range(len(approx))]
     return EasinessReport(
         math.fsum(max(row) for row in scores) / len(gold),
@@ -90,8 +82,7 @@ def easiness_by_cells(gold, approx):
     drawn_from_pool(min_size=1, max_size=8, elements=unit_texts),
     drawn_from_pool(max_size=8, elements=unit_texts),
 )
-def test_easiness_equals_cell_by_cell_rouge1(gold_texts, approx_texts):
-    gold, approx = units_of(gold_texts), units_of(approx_texts)
+def test_easiness_equals_cell_by_cell_rouge1(gold, approx):
     assert easiness(gold, approx) == easiness_by_cells(gold, approx)
 
 
@@ -101,8 +92,7 @@ def test_easiness_equals_cell_by_cell_rouge1(gold_texts, approx_texts):
     drawn_from_pool(max_size=8),
     st.sampled_from([lexical_scorer, pair_dependent]),
 )
-def test_score_summaries_equals_score_summary(unit_list, summaries, scorer):
-    units = units_of(unit_list)
+def test_score_summaries_equals_score_summary(units, summaries, scorer):
     assert score_summaries(units, summaries, scorer) == [
         score_summary(units, summary, scorer) for summary in summaries
     ]
@@ -133,7 +123,7 @@ def test_lexical_scorer_with_and_without_repeated_tokens(premise, hypothesis, ex
 
 
 @pytest.mark.parametrize(
-    "gold_texts, approx_texts",
+    "gold, approx",
     [
         ([REPEAT_FREE, "a dog"], ["cat sat on", "the dog"]),  # nothing repeats
         ([REPEATS, "a dog"], ["cat sat on", "the dog"]),  # gold repeats
@@ -141,13 +131,12 @@ def test_lexical_scorer_with_and_without_repeated_tokens(premise, hypothesis, ex
         ([REPEATS, "dog a dog"], [ALSO_REPEATS, "dog dog a"]),  # both repeat
     ],
 )
-def test_easiness_with_and_without_repeated_tokens(gold_texts, approx_texts):
-    gold, approx = units_of(gold_texts), units_of(approx_texts)
+def test_easiness_with_and_without_repeated_tokens(gold, approx):
     assert easiness(gold, approx) == easiness_by_cells(gold, approx)
 
 
 def test_easiness_counts_repeated_tokens_clipped():
-    report = easiness(units_of([REPEATS]), units_of([ALSO_REPEATS, REPEAT_FREE]))
+    report = easiness([REPEATS], [ALSO_REPEATS, REPEAT_FREE])
     # overlap 3 of 4 and 5 tokens, against 2 of 4 and 3 tokens
     assert report.easiness_r == 2 * (3 / 4) * (3 / 5) / (3 / 4 + 3 / 5)
     assert report.gold_best_match == (0,)
@@ -164,7 +153,7 @@ def test_score_summaries_makes_one_call_with_unique_pairs():
         calls.append(list(pairs))
         return pair_dependent(pairs)
 
-    units = units_of(["one", "two", "one"])
+    units = ["one", "two", "one"]
     results = score_summaries(units, ["s1", "s2", "s1"], recording)
     assert calls == [[("s1", "one"), ("s1", "two"), ("s2", "one"), ("s2", "two")]]
     assert results[0] == results[2]
@@ -173,7 +162,7 @@ def test_score_summaries_makes_one_call_with_unique_pairs():
 
 def test_score_summaries_rejects_wrong_scorer_arity():
     with pytest.raises(MalformedServiceReply):
-        score_summaries(units_of(["a", "b"]), ["s", "t"], lambda pairs: pairs[1:])
+        score_summaries(["a", "b"], ["s", "t"], lambda pairs: pairs[1:])
 
 
 def test_lexical_scoring_tokenizes_each_text_once(monkeypatch):
@@ -181,18 +170,18 @@ def test_lexical_scoring_tokenizes_each_text_once(monkeypatch):
     real = presence.tokenize
     monkeypatch.setattr(presence, "tokenize", lambda text: seen.append(text) or real(text))
     summaries = ["one two three", "three four", "one two three", "five"]
-    units = units_of(["one two", "three", "four five", "one two", "six"])
+    units = ["one two", "three", "four five", "one two", "six"]
     score_summaries(units, summaries, lexical_scorer)
     assert len(seen) <= len(summaries) + len(units)
-    assert sorted(seen) == sorted(set(summaries) | {u.text for u in units})
+    assert sorted(seen) == sorted(set(summaries) | set(units))
 
 
 def test_easiness_tokenizes_each_text_once(monkeypatch):
     seen = []
     real = stats.tokenize
     monkeypatch.setattr(stats, "tokenize", lambda text: seen.append(text) or real(text))
-    gold = units_of(["the cat", "a dog", "the cat"])
-    approx = units_of(["cat sat", "the dog", "a mat", "cat sat"])
+    gold = ["the cat", "a dog", "the cat"]
+    approx = ["cat sat", "the dog", "a mat", "cat sat"]
     easiness(gold, approx)
     assert Counter(seen) == Counter({"the cat": 1, "a dog": 1, "cat sat": 1, "the dog": 1, "a mat": 1})
 

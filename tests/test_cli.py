@@ -246,17 +246,20 @@ def test_extract_sgu_against_stub(tmp_path, stub_service):
     assert [m["role"] for m in body["messages"]] == ["system", "user", "assistant", "user"]
 
 
-def test_extract_import(tmp_path):
+def test_extract_import_of_plain_lines_exits_2_naming_the_schema(tmp_path, capsys):
     units = tmp_path / "in.txt"
     units.write_text("unit alpha\nunit beta\n", encoding="utf-8")
     out = tmp_path / "units.jsonl"
+    capsys.readouterr()
     assert main([
         "extract", "--strategy", "import", "--input", TOY,
         "--import-path", str(units), "--out", str(out),
-    ]) == 0
-    rows = read_jsonl(out)
-    assert [r["text"] for r in rows] == ["unit alpha", "unit beta"]
-    assert all(r["strategy"] == "imported_stu" for r in rows)
+    ]) == 2
+    assert capsys.readouterr().err == (
+        f"autopyramid: {units}, line 1: not valid JSON; an import file holds "
+        "unit-file rows (example_id, reference_index, strategy, text)\n"
+    )
+    assert not out.exists()
 
 
 def test_extract_import_jsonl_keeps_alignment(tmp_path):
@@ -264,7 +267,7 @@ def test_extract_import_jsonl_keeps_alignment(tmp_path):
     write_jsonl(
         source,
         [
-            {"example_id": "e1", "reference_index": 1, "strategy": "smu", "text": "one"},
+            {"example_id": "e3", "reference_index": 0, "strategy": "smu", "text": "one"},
             {"example_id": "e2", "reference_index": 0, "strategy": "smu", "text": "two"},
         ],
     )
@@ -274,8 +277,31 @@ def test_extract_import_jsonl_keeps_alignment(tmp_path):
         "--import-path", str(source), "--out", str(out),
     ]) == 0
     rows = read_jsonl(out)
-    assert [(r["example_id"], r["reference_index"]) for r in rows] == [("e1", 1), ("e2", 0)]
+    assert [(r["example_id"], r["reference_index"]) for r in rows] == [("e3", 0), ("e2", 0)]
     assert all(r["strategy"] == "imported_stu" for r in rows)
+
+
+@pytest.mark.parametrize(
+    "row, where",
+    [
+        ({"example_id": "e9"}, "field example_id: example 'e9' is not in the dataset"),
+        ({"reference_index": 1}, "field reference_index: example 'e1' has no reference 1"),
+    ],
+)
+def test_extract_import_misaligned_with_the_input_exits_2(tmp_path, capsys, row, where):
+    good = {"example_id": "e1", "reference_index": 0, "strategy": "smu", "text": "one"}
+    source = write_jsonl(tmp_path / "in.jsonl", [good, dict(good, **row)])
+    out = tmp_path / "units.jsonl"
+    capsys.readouterr()
+    assert main([
+        "extract", "--strategy", "import", "--input", TOY,
+        "--import-path", source, "--out", str(out),
+    ]) == 2
+    assert capsys.readouterr().err == (
+        f"autopyramid: {source}, line 2, {where} (the only stray row); an import file "
+        "holds unit-file rows (example_id, reference_index, strategy, text)\n"
+    )
+    assert not out.exists()
 
 
 def test_extract_import_needs_path(tmp_path, capsys):
@@ -379,7 +405,7 @@ def test_intrinsic_identity(tmp_path, capsys):
 
 def test_intrinsic_matches_library_composition(tmp_path):
     from autopyramid.data import load_dataset
-    from autopyramid.extract import ContentUnit, extract_sentence_units
+    from autopyramid.extract import extract_sentence_units
     from autopyramid.stats import easiness
 
     units = tmp_path / "units.jsonl"
@@ -391,9 +417,8 @@ def test_intrinsic_matches_library_composition(tmp_path):
     expect_r = []
     expect_p = []
     for entry in load_dataset(TOY):
-        gold = [ContentUnit(t, "gold_scu") for t in entry.pooled_scus()]
         approx = extract_sentence_units(entry.references[0].text)
-        result = easiness(gold, approx)
+        result = easiness(entry.pooled_scus(), approx)
         expect_r.append(result.easiness_r)
         expect_p.append(result.easiness_p)
     assert report["easiness_r"] == pytest.approx(sum(expect_r) / len(expect_r))
@@ -725,6 +750,22 @@ def test_invalid_utf8_input_exits_2_naming_file_and_line(tmp_path, capsys, kind)
 
 
 @pytest.mark.parametrize("command", ["score", "intrinsic"])
+def test_unit_rows_for_references_the_example_lacks_exit_2(tmp_path, capsys, command):
+    units = sentence_units(tmp_path)
+    rows = read_jsonl(units)
+    rows[3]["reference_index"] = 1
+    write_jsonl(units, rows)
+    argv = [command, "--input", TOY, "--units", str(units), "--out", str(tmp_path / "o")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"autopyramid: line 4, field reference_index: example {rows[3]['example_id']!r} "
+        "has no reference 1 (the only stray row)\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["score", "intrinsic"])
 def test_unit_rows_for_examples_not_in_the_dataset_exit_2(tmp_path, capsys, command):
     units = sentence_units(tmp_path)
     rows = read_jsonl(units)
@@ -793,14 +834,11 @@ def test_each_input_file_is_opened_once_per_command(tmp_path, monkeypatch):
     dataset = write_jsonl(tmp_path / "g.jsonl", [ONE_GRAPH_DATASET])
     graphs = tmp_path / "g.penman"
     graphs.write_text("(w / want-01 :ARG0 (b / boy) :ARG1 (g / go-02 :ARG0 b))\n", encoding="utf-8")
-    plain = tmp_path / "plain.txt"
-    plain.write_text("unit alpha\n", encoding="utf-8")
     out = str(tmp_path / "out.jsonl")
     commands = [
         ["extract", "--strategy", "ngram", "--input", TOY],
         ["extract", "--strategy", "smu", "--input", dataset, "--graphs", str(graphs)],
         ["extract", "--strategy", "import", "--input", TOY, "--import-path", str(units)],
-        ["extract", "--strategy", "import", "--input", TOY, "--import-path", str(plain)],
         ["score", "--input", TOY, "--units", str(units)],
         ["intrinsic", "--input", TOY, "--units", str(units)],
         ["metaeval", "--input", TOY, "--scores", scores],
@@ -821,3 +859,32 @@ def test_each_input_file_is_opened_once_per_command(tmp_path, monkeypatch):
         assert main(argv + ["--out", out]) == 0, argv
         inputs = [argv[i + 1] for i, flag in enumerate(argv) if flag in flags]
         assert sorted(path for path in opened if path in inputs) == sorted(inputs), argv
+
+
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("kind", ["dataset", "units", "scores"])
+def test_json_nested_past_the_recursion_limit_exits_2(tmp_path, capsys, kind):
+    deep = tmp_path / "deep.jsonl"
+    deep.write_text("\n" + DEEP_JSON + "\n", encoding="utf-8")
+    argv = {
+        "dataset": ["stats", "--input", str(deep)],
+        "units": ["score", "--input", TOY, "--units", str(deep), "--out", str(tmp_path / "s")],
+        "scores": ["metaeval", "--input", TOY, "--scores", str(deep)],
+    }[kind]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "autopyramid: line 2: not valid JSON\n"
+
+
+def test_service_reply_nested_past_the_recursion_limit_exits_3(tmp_path, capsys, stub_service):
+    units = sentence_units(tmp_path)
+    stub = stub_service(raw_body=DEEP_JSON.encode("ascii"))
+    capsys.readouterr()
+    code = main([
+        "score", "--input", TOY, "--units", str(units), "--out", str(tmp_path / "s"),
+        "--scorer", "remote", "--nli-endpoint", stub.url,
+    ])
+    assert code == 3
+    assert capsys.readouterr().err == f"autopyramid: {stub.url} returned non-JSON data\n"

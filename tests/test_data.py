@@ -264,7 +264,7 @@ def test_unit_rows_for_unknown_examples_are_stray(tmp_path):
     save_units(path, rows)
     assert load_units(path) == rows
     with pytest.raises(SchemaViolation) as info:
-        load_units(path, example_ids={"e1"})
+        load_units(path, reference_counts={"e1": 1})
     assert (info.value.line, info.value.field) == (2, "example_id")
     assert "'nope'" in str(info.value) and "the first of 2 stray rows" in str(info.value)
 
@@ -425,25 +425,65 @@ def test_load_scores_matches_its_reference_and_refuses_stray_rows(scratch, data)
     assert outcome(lambda path: load_scores(path, SCORE_CELLS), scratch) == expected
 
 
-def test_import_rows_reads_both_layouts_and_records_the_digest(tmp_path):
-    plain = tmp_path / "units.txt"
-    plain.write_text(" first unit \n\nsecond unit\n", encoding="utf-8")
-    schema = tmp_path / "units.jsonl"
-    schema.write_text(
-        "\n" + json.dumps(
-            {"example_id": "e2", "reference_index": 1, "strategy": "smu", "text": "a"}
-        ) + "\n",
-        encoding="utf-8",
-    )
+def test_import_rows_keeps_ids_takes_the_tag_and_records_the_digest(tmp_path):
+    path = write_jsonl(tmp_path / "units.jsonl", [
+        {"example_id": "e1", "reference_index": 0, "strategy": "smu", "text": "a unit"},
+        {"example_id": "e2", "reference_index": 1, "strategy": "smu", "text": "b unit"},
+    ])
+    path.write_text("\n" + path.read_text(encoding="utf-8"), encoding="utf-8")
     digests = {}
-    assert import_rows(plain, "imported_stu", digests=digests) == [
-        UnitFileRow("", 0, "imported_stu", "first unit"),
-        UnitFileRow("", 0, "imported_stu", "second unit"),
+    # the requested tag wins over whatever the file says
+    assert import_rows(path, "imported_stu", digests=digests) == [
+        UnitFileRow("e1", 0, "imported_stu", "a unit"),
+        UnitFileRow("e2", 1, "imported_stu", "b unit"),
     ]
-    assert import_rows(schema, "imported_stu", digests=digests) == [
-        UnitFileRow("e2", 1, "imported_stu", "a"),
-    ]
-    assert digests == {
-        str(path): hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in (plain, schema)
-    }
+    assert digests == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
+
+
+def test_import_rows_empty_file(tmp_path):
+    path = tmp_path / "none.jsonl"
+    path.write_text("", encoding="utf-8")
+    assert import_rows(path, "imported_stu") == []
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("first unit\nsecond unit\n", "line 1: not valid JSON"),
+        ('{"example_id": "e1", "reference_index": 0, "strategy": "smu", "text": "ok"}\n'
+         '{"example_id": "e1", "reference_index": 0, "strategy": "smu", "text": 5}\n',
+         "line 2, field text: missing non-empty string 'text'"),
+    ],
+)
+def test_import_rows_refuses_lines_that_are_not_unit_file_rows(tmp_path, text, where):
+    path = tmp_path / "units.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(InputError) as info:
+        import_rows(path, "imported_stu")
+    assert str(info.value) == (
+        f"{path}, {where}; an import file holds unit-file rows "
+        "(example_id, reference_index, strategy, text)"
+    )
+
+
+def test_import_rows_missing_file(tmp_path):
+    with pytest.raises(FileUnreadable):
+        import_rows(tmp_path / "gone.jsonl", "imported_stu")
+
+
+def test_unit_rows_for_references_the_example_lacks_are_stray(tmp_path):
+    path = tmp_path / "u.jsonl"
+    rows = [UnitFileRow("e1", 0, "ngram", "a b c"), UnitFileRow("e2", 1, "ngram", "x"),
+            UnitFileRow("e2", 2, "ngram", "y"), UnitFileRow("e1", 0, "ngram", "d e f")]
+    save_units(path, rows)
+    assert load_units(path, reference_counts={"e1": 1, "e2": 3}) == rows
+    with pytest.raises(SchemaViolation) as info:
+        load_units(path, reference_counts={"e1": 1, "e2": 2})
+    assert (info.value.line, info.value.field) == (3, "reference_index")
+    assert str(info.value) == (
+        "line 3, field reference_index: example 'e2' has no reference 2 (the only stray row)"
+    )
+    with pytest.raises(InputError) as info:
+        import_rows(path, "imported_stu", reference_counts={"e1": 1, "e2": 1})
+    assert "line 2, field reference_index: example 'e2' has no reference 1 " in str(info.value)
+    assert "(the first of 2 stray rows)" in str(info.value)

@@ -1,4 +1,3 @@
-import json
 import math
 import random
 
@@ -7,36 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from autopyramid.amr import parse_penman
-from autopyramid.errors import (
-    EmptyReference,
-    EmptyReply,
-    FileUnreadable,
-    SchemaViolation,
-    ServiceUnavailable,
-)
+from autopyramid.errors import EmptyReference, EmptyReply, ServiceUnavailable
 from autopyramid.extract import (
     ONE_SHOT_INPUT,
     ONE_SHOT_OUTPUT,
     SPLIT_INSTRUCTION,
-    ContentUnit,
     ExtractionConfig,
     extract_ngram_units,
     extract_sentence_units,
     extract_sgu_units,
     extract_sgu_units_many,
     extract_smu_units,
-    import_units,
 )
 from oracles import ngram_units_oracle
 
 WANT = parse_penman("(w / want-01 :ARG0 (b / boy) :ARG1 (g / go-02 :ARG0 b))")
-
-
-def test_content_unit_validation():
-    with pytest.raises(ValueError):
-        ContentUnit("  ", "ngram")
-    with pytest.raises(ValueError):
-        ContentUnit("fine", "mystery")
 
 
 def test_extraction_config_validation():
@@ -59,12 +43,8 @@ def test_extraction_config_validation():
 
 def test_sentence_units():
     units = extract_sentence_units("A man ran. A dog barked.")
-    assert [u.text for u in units] == ["A man ran.", "A dog barked."]
-    assert [u.sentence_index for u in units] == [0, 1]
-    assert all(u.strategy == "sentence_split" for u in units)
-
-    only = extract_sentence_units("One sentence")
-    assert [u.text for u in only] == ["One sentence"]
+    assert units == ["A man ran.", "A dog barked."]
+    assert extract_sentence_units("One sentence") == ["One sentence"]
 
     with pytest.raises(EmptyReference):
         extract_sentence_units("")
@@ -75,8 +55,7 @@ def test_ngram_units_sampling_rule():
     units = extract_ngram_units("a b c d", config)
     # pool is 3 n-grams, ceil(0.15) clamps to the minimum of one unit
     assert len(units) == 1
-    assert units[0].strategy == "ngram"
-    assert units[0].sentence_index == 0
+    assert units[0] in ("a b c", "b c d", "a b c d")
 
 
 def test_ngram_units_deterministic_under_seed():
@@ -89,15 +68,13 @@ def test_ngram_units_deterministic_under_seed():
 
 def test_ngram_units_full_pool_when_fraction_is_one():
     config = ExtractionConfig(ngram_sizes=(3,), ngram_fraction=1.0)
-    units = extract_ngram_units("a b c d e", config)
-    assert [u.text for u in units] == ["a b c", "b c d", "c d e"]
+    assert extract_ngram_units("a b c d e", config) == ["a b c", "b c d", "c d e"]
 
 
 def test_ngram_units_sorted_by_sentence_size_start():
     config = ExtractionConfig(ngram_sizes=(3, 4), ngram_fraction=1.0)
     units = extract_ngram_units("a b c d. e f g.", config)
-    assert [u.text for u in units] == ["a b c", "b c d", "a b c d", "e f g"]
-    assert [u.sentence_index for u in units] == [0, 0, 0, 1]
+    assert units == ["a b c", "b c d", "a b c d", "e f g"]
 
 
 def test_ngram_units_count_formula():
@@ -149,9 +126,7 @@ def test_ngram_units_equal_the_pool_of_strings_on_a_long_reference():
 
 def test_smu_units_baseline_composition():
     units = extract_smu_units([WANT], ExtractionConfig())
-    assert [u.text for u in units] == ["boy want", "want boy go", "boy go"]
-    assert all(u.strategy == "smu" for u in units)
-    assert [u.sentence_index for u in units] == [0, 0, 0]
+    assert units == ["boy want", "want boy go", "boy go"]
 
     assert extract_smu_units([], ExtractionConfig()) == []
     assert extract_smu_units([parse_penman("(b / boy)")], ExtractionConfig()) == []
@@ -160,8 +135,7 @@ def test_smu_units_baseline_composition():
 def test_smu_units_deduplicate_exact_texts():
     graphs = [WANT, WANT]
     units = extract_smu_units(graphs, ExtractionConfig())
-    assert [u.text for u in units] == ["boy want", "want boy go", "boy go"]
-    assert [u.sentence_index for u in units] == [0, 0, 0]
+    assert units == ["boy want", "want boy go", "boy go"]
 
 
 class ScriptedChat:
@@ -177,8 +151,7 @@ class ScriptedChat:
 def test_sgu_units_split_reply():
     chat = ScriptedChat("A # B # C")
     units = extract_sgu_units("Some reference.", ExtractionConfig(), client=chat)
-    assert [u.text for u in units] == ["A", "B", "C"]
-    assert all(u.strategy == "sgu" for u in units)
+    assert units == ["A", "B", "C"]
 
 
 def test_sgu_prompt_framing():
@@ -194,8 +167,7 @@ def test_sgu_prompt_framing():
 
 def test_sgu_units_sanitation():
     chat = ScriptedChat("  A  ##  B # . ")
-    units = extract_sgu_units("ref", ExtractionConfig(), client=chat)
-    assert [u.text for u in units] == ["A", "B"]
+    assert extract_sgu_units("ref", ExtractionConfig(), client=chat) == ["A", "B"]
 
 
 def test_sgu_units_empty_reply():
@@ -215,56 +187,13 @@ def test_sgu_units_many_preserves_order():
 
     config = ExtractionConfig(concurrency=3)
     batches = extract_sgu_units_many([f"ref {i}" for i in range(7)], config, EchoChat())
-    assert [units[0].text for units in batches] == [f"unit of ref {i}" for i in range(7)]
-
-
-def test_import_units_plain_lines(tmp_path):
-    path = tmp_path / "units.txt"
-    path.write_text("first unit\nsecond unit\n\nthird unit\n", encoding="utf-8")
-    units = import_units(path, "imported_stu")
-    assert [u.text for u in units] == ["first unit", "second unit", "third unit"]
-    assert all(u.strategy == "imported_stu" for u in units)
-
-
-def test_import_units_jsonl(tmp_path):
-    path = tmp_path / "units.jsonl"
-    rows = [
-        {"example_id": "e1", "reference_index": 0, "strategy": "smu", "text": "a unit"},
-        {"example_id": "e2", "reference_index": 0, "strategy": "smu", "text": "b unit"},
-    ]
-    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
-    units = import_units(path, "imported_stu")
-    assert [u.text for u in units] == ["a unit", "b unit"]
-    assert [u.reference_id for u in units] == ["e1", "e2"]
-    # the requested tag wins over whatever the file says
-    assert all(u.strategy == "imported_stu" for u in units)
-
-
-def test_import_units_empty_file(tmp_path):
-    path = tmp_path / "none.txt"
-    path.write_text("", encoding="utf-8")
-    assert import_units(path, "imported_stu") == []
-
-
-def test_import_units_malformed_jsonl_row(tmp_path):
-    path = tmp_path / "units.jsonl"
-    good = '{"example_id": "e1", "reference_index": 0, "strategy": "smu", "text": "ok"}'
-    bad = '{"example_id": "e1", "reference_index": 0, "strategy": "smu", "text": 5}'
-    path.write_text(good + "\n" + bad + "\n", encoding="utf-8")
-    with pytest.raises(SchemaViolation) as info:
-        import_units(path, "imported_stu")
-    assert info.value.line == 2
-
-
-def test_import_units_missing_file(tmp_path):
-    with pytest.raises(FileUnreadable):
-        import_units(tmp_path / "gone.txt", "imported_stu")
+    assert batches == [[f"unit of ref {i}"] for i in range(7)]
 
 
 def test_offline_units_never_longer_than_reference():
     reference = "The quick brown fox jumps over the lazy dog. It then sleeps."
     for unit in extract_sentence_units(reference):
-        assert len(unit.text) <= len(reference)
+        assert len(unit) <= len(reference)
     config = ExtractionConfig(ngram_fraction=1.0)
     for unit in extract_ngram_units(reference, config):
-        assert len(unit.text) <= len(reference)
+        assert len(unit) <= len(reference)

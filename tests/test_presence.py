@@ -3,18 +3,16 @@ import random
 import pytest
 
 from autopyramid.errors import MalformedServiceReply, NoUnits
-from autopyramid.extract import ContentUnit
 from autopyramid.presence import (
     PresenceResult,
-    lexical_presence,
     lexical_scorer,
-    remote_presence,
+    remote_scorer,
     score_summary,
 )
 
 
 def units_of(*texts):
-    return [ContentUnit(t, "sentence_split") for t in texts]
+    return list(texts)
 
 
 def test_score_summary_mean_of_probabilities():
@@ -74,16 +72,16 @@ def test_presence_result_validation():
         PresenceResult((0.5, 1.3))
 
 
-def test_lexical_presence_examples():
-    assert lexical_presence("the cat sat on the mat", "the cat sat") == 1.0
-    assert lexical_presence("the cat sat", "dog barked") == 0.0
-    assert lexical_presence("a b", "a c") == 0.5
-    assert lexical_presence("anything", "") == 0.0
+def test_lexical_scorer_examples():
+    assert lexical_scorer(
+        [("the cat sat on the mat", "the cat sat"), ("the cat sat", "dog barked"),
+         ("a b", "a c"), ("anything", "")]
+    ) == [1.0, 0.0, 0.5, 0.0]
 
 
-def test_lexical_presence_counts_are_clipped():
+def test_lexical_scorer_counts_are_clipped():
     # hypothesis needs "the" twice but the premise has it once
-    assert lexical_presence("the cat", "the the") == 0.5
+    assert lexical_scorer([("the cat", "the the")]) == [0.5]
 
 
 def test_lexical_scorer_verbatim_units_score_one():
@@ -93,24 +91,19 @@ def test_lexical_scorer_verbatim_units_score_one():
     assert result.pyramid_score == 1.0
 
 
-class FakePresenceClient:
-    def __init__(self, value=0.7):
-        self.value = value
-        self.calls = []
-
-    def probabilities(self, pairs):
-        self.calls.append(list(pairs))
-        return [self.value] * len(pairs)
+def echo_presence(path, body):
+    return 200, {"probs": [0.7] * len(body["pairs"])}
 
 
-def test_remote_presence_empty_no_call():
-    fake = FakePresenceClient()
-    assert remote_presence([], "http://unused", client=fake) == []
-    assert fake.calls == []
+def test_remote_scorer_empty_no_call(stub_service):
+    stub = stub_service(echo_presence)
+    assert remote_scorer(stub.url)([]) == []
+    assert stub.requests == []
 
 
-def test_remote_presence_stub_values():
-    fake = FakePresenceClient(0.7)
+def test_remote_scorer_stub_values(stub_service):
+    stub = stub_service(echo_presence)
     pairs = [("s", "a"), ("s", "b"), ("s", "c")]
-    assert remote_presence(pairs, "http://unused", client=fake) == [0.7, 0.7, 0.7]
-    assert fake.calls == [pairs]
+    assert remote_scorer(stub.url)(pairs) == [0.7, 0.7, 0.7]
+    (request,) = stub.requests
+    assert [(p["premise"], p["hypothesis"]) for p in request[1]["pairs"]] == pairs

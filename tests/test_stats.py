@@ -11,7 +11,6 @@ from autopyramid.errors import (
     LengthMismatch,
     NoGoldUnits,
 )
-from autopyramid.extract import ContentUnit
 from autopyramid.stats import (
     average_ranks,
     cohen_kappa,
@@ -35,7 +34,7 @@ from oracles import (
 
 
 def units_of(*texts):
-    return [ContentUnit(t, "gold_scu") for t in texts]
+    return list(texts)
 
 
 # --------------------------------------------------------------------------
@@ -90,10 +89,10 @@ def test_easiness_matches_bruteforce_means():
     approx = units_of("a b", "d e", "c")
     report = easiness(gold, approx)
     expect_r = sum(
-        max(rouge1_f1(g.text, a.text) for a in approx) for g in gold
+        max(rouge1_f1(g, a) for a in approx) for g in gold
     ) / len(gold)
     expect_p = sum(
-        max(rouge1_f1(a.text, g.text) for g in gold) for a in approx
+        max(rouge1_f1(a, g) for g in gold) for a in approx
     ) / len(approx)
     assert report.easiness_r == pytest.approx(expect_r, abs=1e-15)
     assert report.easiness_p == pytest.approx(expect_p, abs=1e-15)
