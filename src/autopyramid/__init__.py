@@ -17,7 +17,6 @@ from .amr import (  # noqa: F401
     load_penman_file,
     parse_penman,
     serialize_penman,
-    subgraph,
 )
 from .data import (  # noqa: F401
     Reference,
@@ -43,10 +42,6 @@ from .presence import (  # noqa: F401
     score_summary,
 )
 from .smu import (  # noqa: F401
-    CoreRoleEdge,
-    PredicateNode,
-    SmuCandidate,
-    find_predicates,
     realize_baseline,
     realize_remote,
     split_graph,
@@ -66,8 +61,6 @@ from .stats import (  # noqa: F401
     wilcoxon_signed_rank,
 )
 from .text import (  # noqa: F401
-    SentenceSpan,
-    enumerate_ngrams,
     rouge1_f1,
     split_sentences,
     tokenize,

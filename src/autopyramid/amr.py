@@ -1,4 +1,4 @@
-"""PENMAN graph model: parsing, serialization, and subgraph extraction.
+"""PENMAN graph model: parsing, serialization, and the depth-first walk.
 
 The accepted grammar is the core PENMAN notation::
 
@@ -246,6 +246,79 @@ def parse_penman(text: str, first_line: int = 1) -> AmrGraph:
 
 
 # ---------------------------------------------------------------------------
+# Traversal
+
+
+def child_map(graph: AmrGraph) -> dict[str, list[Edge]]:
+    """Each node's outgoing edges, in stored order; nodes without any are
+    left out."""
+    children: dict[str, list[Edge]] = {}
+    for edge in graph.edges:
+        children.setdefault(edge.source, []).append(edge)
+    return children
+
+
+def attribute_map(graph: AmrGraph) -> dict[str, list[Attribute]]:
+    """Each node's attributes, in stored order; nodes without any are left
+    out."""
+    attrs: dict[str, list[Attribute]] = {}
+    for attr in graph.attributes:
+        attrs.setdefault(attr.source, []).append(attr)
+    return attrs
+
+
+def walk(
+    start: str, children: Mapping[str, list[Edge]], entered: dict[str, Edge | None]
+) -> Iterator[tuple[Edge | None, bool]]:
+    """Depth-first from *start* along edge direction, children in stored
+    order.
+
+    Every node the walk enters goes into *entered*, mapped to its defining
+    edge, the one it was first reached by (None for *start*); a node
+    already there is not entered again. Yields ``(edge, True)`` when the
+    walk enters the target of *edge*, ``(edge, False)`` for an edge whose
+    target it has entered before, and ``(None, False)`` when it leaves a
+    node. A loop, not recursion, so any depth is walked.
+    """
+    entered[start] = None
+    # the edges each entered node has still to visit, innermost last
+    pending = [iter(children.get(start, ()))]
+    while pending:
+        for edge in pending[-1]:
+            if edge.target in entered:
+                yield edge, False
+            else:
+                entered[edge.target] = edge
+                yield edge, True
+                pending.append(iter(children.get(edge.target, ())))
+                break
+        else:
+            pending.pop()
+            yield None, False
+
+
+def preorder(
+    graph: AmrGraph, children: Mapping[str, list[Edge]]
+) -> tuple[dict[str, Edge | None], list[str]]:
+    """The defining edges of the walk from the root, and the depth-first
+    order of every node.
+
+    A node's defining edge is where it is expanded in serialized form, any
+    other mention being a re-entrancy. Nodes the root does not reach have
+    none, and the order walks on from each of them, in node order.
+    """
+    defining: dict[str, Edge | None] = {}
+    order = [graph.root]
+    order += [e.target for e, enters in walk(graph.root, children, defining) if enters]
+    entered = dict(defining)
+    for var in graph.nodes:
+        if var not in entered:
+            order.append(var)
+            order += [e.target for e, enters in walk(var, children, entered) if enters]
+    return defining, order
+
+
+# ---------------------------------------------------------------------------
 # Serialization
 
 
@@ -258,77 +331,30 @@ def serialize_penman(graph: AmrGraph) -> str:
     :class:`DisconnectedGraph` when some node cannot be reached from the
     root along edge direction.
     """
-    children: dict[str, list[Edge]] = {}
-    for edge in graph.edges:
-        children.setdefault(edge.source, []).append(edge)
-    attrs: dict[str, list[Attribute]] = {}
-    for attr in graph.attributes:
-        attrs.setdefault(attr.source, []).append(attr)
-    visited: set[str] = set()
+    attrs = attribute_map(graph)
+    entered: dict[str, Edge | None] = {}
     parts: list[str] = []
-    # the edges each open node has still to emit, innermost last
-    pending: list[Iterator[Edge]] = []
 
     def open_node(var: str) -> None:
-        visited.add(var)
         parts.append(f"({var} / {graph.nodes[var]}")
-        for attr in attrs.get(var, []):
+        for attr in attrs.get(var, ()):
             parts.append(f" {attr.role} {attr.value}")
-        pending.append(iter(children.get(var, [])))
 
     open_node(graph.root)
-    while pending:
-        for edge in pending[-1]:
-            if edge.target in visited:
-                parts.append(f" {edge.role} {edge.target}")
-            else:
-                parts.append(f" {edge.role} ")
-                open_node(edge.target)
-                break
-        else:
-            pending.pop()
+    for edge, enters in walk(graph.root, child_map(graph), entered):
+        if edge is None:
             parts.append(")")
-    text = "".join(parts)
-    if len(visited) < len(graph.nodes):
-        missing = [v for v in graph.nodes if v not in visited]
+        elif enters:
+            parts.append(f" {edge.role} ")
+            open_node(edge.target)
+        else:
+            parts.append(f" {edge.role} {edge.target}")
+    if len(entered) < len(graph.nodes):
+        missing = [v for v in graph.nodes if v not in entered]
         raise DisconnectedGraph(
             f"nodes unreachable from root {graph.root!r}: {', '.join(missing)}"
         )
-    return text
-
-
-def subgraph(graph: AmrGraph, keep_root: str, keep_edges: Iterable[Edge]) -> AmrGraph:
-    """A new graph from *keep_root*, the given edges, and their endpoints.
-
-    Concepts come along for every retained node, attributes come along for
-    retained nodes only. Raises :class:`DisconnectedGraph` when the kept
-    edges do not connect every retained node to *keep_root*.
-    """
-    kept = [Edge(*e) for e in keep_edges]
-    if keep_root not in graph.nodes:
-        raise ValueError(f"keep_root {keep_root!r} is not a node of the graph")
-    present = set(graph.edges)
-    for edge in kept:
-        if edge not in present:
-            raise ValueError(f"edge {edge} is not part of the graph")
-    retained = {keep_root}
-    for edge in kept:
-        retained.add(edge.source)
-        retained.add(edge.target)
-    reachable = _undirected_reach(keep_root, kept)
-    stranded = retained - reachable
-    if stranded:
-        raise DisconnectedGraph(
-            "kept edges do not connect "
-            f"{', '.join(sorted(stranded))} to root {keep_root!r}"
-        )
-    kept_set = set(kept)
-    return AmrGraph(
-        root=keep_root,
-        nodes={v: c for v, c in graph.nodes.items() if v in retained},
-        edges=tuple(e for e in graph.edges if e in kept_set),
-        attributes=tuple(a for a in graph.attributes if a.source in retained),
-    )
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from .errors import (
     DegenerateInput,
     EmptyDataset,
     EmptyReference,
+    GraphTooLarge,
     InputError,
     LengthMismatch,
     MalformedPenman,
@@ -225,7 +226,7 @@ def _smu_graphs(args, entries, digests: dict) -> list[list]:
     or the parser service. File blocks are consumed positionally: one block
     per reference sentence. The file's digest goes into *digests*."""
     wanted = [
-        (entry.example_id, index, [s.text for s in split_sentences(reference.text)])
+        (entry.example_id, index, split_sentences(reference.text))
         for entry, index, reference in _each_reference(entries)
     ]
     graphs = []
@@ -279,8 +280,8 @@ def _reference_rows(entries, tag: str, units_of) -> list[UnitFileRow]:
     for k, (entry, index, reference) in enumerate(_each_reference(entries)):
         try:
             texts = units_of(k, reference.text)
-        except EmptyReference as exc:
-            raise EmptyReference(
+        except (EmptyReference, GraphTooLarge) as exc:
+            raise type(exc)(
                 f"example {entry.example_id} reference {index}: {exc}"
             ) from exc
         rows.extend(UnitFileRow(entry.example_id, index, tag, text) for text in texts)
@@ -455,6 +456,8 @@ def cmd_score(args) -> int:
 def cmd_intrinsic(args) -> int:
     digests: dict = {}
     entries = load_dataset(args.input, digests=digests)
+    if not entries:
+        raise EmptyDataset("dataset has no entries")
     grouped = _unit_texts(args.units, entries, digests)
 
     reports = []

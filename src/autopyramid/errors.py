@@ -39,6 +39,10 @@ class EmptyReference(InputError):
     """A reference summary produced no extractable units."""
 
 
+class GraphTooLarge(InputError):
+    """A graph splits into more candidate nodes than the splitter allows."""
+
+
 class NoUnits(InputError):
     """Presence scoring was asked to run with an empty unit list."""
 

@@ -84,7 +84,7 @@ class ExtractionConfig:
 
 def extract_sentence_units(reference: str) -> list[str]:
     """One unit per sentence of *reference*, in order."""
-    units = [span.text for span in split_sentences(reference)]
+    units = split_sentences(reference)
     if not units:
         raise EmptyReference("reference has no sentences")
     return units
@@ -104,8 +104,8 @@ def extract_ngram_units(reference: str, config: ExtractionConfig) -> list[str]:
     # (first pool position, tokens, n)
     runs: list[tuple[int, list[str], int]] = []
     size = 0
-    for span in split_sentences(reference):
-        tokens = tokenize(span.text)
+    for sentence in split_sentences(reference):
+        tokens = tokenize(sentence)
         for n in sizes:
             if len(tokens) >= n:
                 runs.append((size, tokens, n))

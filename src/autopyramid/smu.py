@@ -9,7 +9,8 @@ predicate itself (``:time``, ``:manner``, ...) are pruned; modifiers deeper
 inside the role subtree stay. A re-entrant mention deeper in the subtree,
 pointing at a node defined elsewhere in the graph, keeps the edge but only
 copies the referenced node's concept and attributes, so every subgraph is
-self-contained.
+self-contained. Each candidate is that subgraph, an :class:`AmrGraph`
+rooted at the predicate with its core-role edges in forward direction.
 
 Two split modes exist: ``one-cr`` (the default) emits one subgraph per
 core role, ``all-deps`` groups all core roles of a predicate into a single
@@ -22,151 +23,45 @@ offline template, :func:`realize_remote` calls a generation service.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Sequence
 
-from .amr import AmrGraph, Attribute, Edge, serialize_penman
-from .errors import MalformedServiceReply
+from .amr import AmrGraph, Edge, attribute_map, child_map, preorder, serialize_penman
+from .errors import GraphTooLarge, MalformedServiceReply
 from .services import GraphToTextClient
 
 _PREDICATE_RE = re.compile(r".+-(\d{2,})$")
-_CORE_RE = re.compile(r":ARG(\d+)$")
 # a core role, forward or (with group 2) inverse
 _CORE_ROLE_RE = re.compile(r":ARG(\d+)(-of)?")
 _OP_RE = re.compile(r":op(\d+)")
 
 SPLIT_MODES = ("one-cr", "all-deps")
 
-
-@dataclass(frozen=True)
-class PredicateNode:
-    """A node whose concept carries a sense suffix, e.g. ``recruit-01``."""
-
-    variable: str
-    concept: str
-    sense: int
-
-    @property
-    def lemma(self) -> str:
-        return self.concept.rsplit("-", 1)[0]
-
-
-@dataclass(frozen=True)
-class CoreRoleEdge:
-    """A core-role edge of a predicate, in normalized (forward) reading.
-
-    ``edge`` is the stored edge as it appears in the graph; when ``inverse``
-    is set it carries an ``:ARGn-of`` label and the normalized direction
-    runs from its target (the predicate) to its source.
-    """
-
-    edge: Edge
-    arg_index: int
-    inverse: bool
-
-    @property
-    def predicate_var(self) -> str:
-        return self.edge.target if self.inverse else self.edge.source
-
-    @property
-    def filler_var(self) -> str:
-        return self.edge.source if self.inverse else self.edge.target
-
-    @property
-    def role(self) -> str:
-        return f":ARG{self.arg_index}"
-
-
-@dataclass(frozen=True)
-class SmuCandidate:
-    """One unit candidate: a subgraph rooted at its predicate, plus the
-    core roles it was cut around."""
-
-    subgraph: AmrGraph
-    predicate: PredicateNode
-    core_roles: tuple[CoreRoleEdge, ...]
-
-
-def _children(graph: AmrGraph) -> dict[str, list[Edge]]:
-    children: dict[str, list[Edge]] = {}
-    for edge in graph.edges:
-        children.setdefault(edge.source, []).append(edge)
-    return children
-
-
-def _walk(
-    start: str, children: dict[str, list[Edge]], entered: dict[str, Edge | None]
-) -> list[str]:
-    """Depth-first preorder from *start* along edge direction, skipping and
-    extending *entered*, which maps each node to the edge it was first
-    reached by. A loop, not recursion, so any depth is walked."""
-    entered[start] = None
-    order = [start]
-    pending = [iter(children.get(start, []))]
-    while pending:
-        for edge in pending[-1]:
-            if edge.target not in entered:
-                entered[edge.target] = edge
-                order.append(edge.target)
-                pending.append(iter(children.get(edge.target, [])))
-                break
-        else:
-            pending.pop()
-    return order
-
-
-def _traverse(graph: AmrGraph) -> tuple[dict, dict[str, Edge | None], list[str]]:
-    """The child map, the defining edges and the depth-first order of
-    *graph*, from one walk.
-
-    A node's defining edge is the one the walk from the root first reaches
-    it by (None for the root): where it is expanded in serialized form, any
-    other mention being a re-entrancy. Nodes the root does not reach have
-    none, and the order walks on from each of them, in node order.
-    """
-    children = _children(graph)
-    defining: dict[str, Edge | None] = {}
-    order = _walk(graph.root, children, defining)
-    if len(order) < len(graph.nodes):
-        entered = dict(defining)
-        for var in graph.nodes:
-            if var not in entered:
-                order += _walk(var, children, entered)
-    return children, defining, order
-
-
-def _predicates(graph: AmrGraph, order: list[str]) -> list[PredicateNode]:
-    predicates = []
-    for var in order:
-        concept = graph.nodes[var]
-        match = _PREDICATE_RE.match(concept)
-        if match:
-            predicates.append(PredicateNode(var, concept, int(match.group(1))))
-    return predicates
-
-
-def find_predicates(graph: AmrGraph) -> list[PredicateNode]:
-    """All predicate nodes, ordered by first appearance in a depth-first
-    traversal from the root."""
-    return _predicates(graph, _traverse(graph)[2])
+# The most nodes the candidates of one graph may hold together. A chain
+# that k core roles share is copied into each of their k candidates, so
+# the candidates of an n-node graph can hold about n * n / 2 nodes; the
+# bound keeps that linear. Sentence graphs need a few dozen, and a single
+# 3000-node candidate fits.
+MAX_SPLIT_NODES = 10_000
 
 
 def _build_candidate(
     graph: AmrGraph,
-    predicate: PredicateNode,
-    group: tuple[CoreRoleEdge, ...],
+    group: list[Edge],
     stored: set[Edge],
     defining: dict[str, Edge | None],
     children: dict[str, list[Edge]],
-) -> SmuCandidate:
-    """The subgraph of *group*; every edge in *stored*, the predicate's
-    core-role edges as stored, is left out of the expansion, and only the
-    group's are put back, in normalized direction."""
-    nodes: dict[str, str] = {predicate.variable: predicate.concept}
+    budget: int,
+) -> AmrGraph:
+    """The subgraph of the core roles *group*, each in forward direction
+    from the predicate. Every edge in *stored*, the predicate's core-role
+    edges as stored, is left out of the expansion. Raises
+    :class:`GraphTooLarge` when it would hold more than *budget* nodes."""
+    predicate = group[0].source
+    nodes: dict[str, str] = {predicate: graph.nodes[predicate]}
     edges: list[Edge] = []
     for core in group:
-        filler = core.filler_var
-        edges.append(Edge(predicate.variable, core.role, filler))
+        filler = core.target
+        edges.append(core)
         if filler in nodes:
             continue
         nodes[filler] = graph.nodes[filler]
@@ -189,49 +84,56 @@ def _build_candidate(
                 # (attributes travel below)
             else:
                 pending.pop()
-
+    if len(nodes) > budget:
+        raise GraphTooLarge(
+            f"the candidates of the graph rooted at {graph.root!r} hold more "
+            f"than {MAX_SPLIT_NODES} nodes"
+        )
     attributes = tuple(a for a in graph.attributes if a.source in nodes)
-    sub = AmrGraph(
-        root=predicate.variable,
-        nodes=nodes,
-        edges=tuple(edges),
-        attributes=attributes,
-    )
-    return SmuCandidate(sub, predicate, group)
+    return AmrGraph(predicate, nodes, tuple(edges), attributes)
 
 
-def split_graph(graph: AmrGraph, mode: str = "one-cr") -> list[SmuCandidate]:
-    """Cut *graph* into per-predicate core-role subgraphs.
+def split_graph(graph: AmrGraph, mode: str = "one-cr") -> list[AmrGraph]:
+    """Cut *graph* into per-predicate core-role subgraphs, each rooted at
+    its predicate and holding its core-role edges in forward direction.
 
     Predicates without any core role contribute nothing. Output order is
     deterministic: predicates in depth-first order, and within a predicate
-    its core roles in stored edge order.
+    its core roles in stored edge order. Raises :class:`GraphTooLarge`
+    when the subgraphs would hold more than :data:`MAX_SPLIT_NODES` nodes.
     """
     if mode not in SPLIT_MODES:
         raise ValueError(f"unknown split mode {mode!r}, expected one of {SPLIT_MODES}")
-    children, defining, order = _traverse(graph)
-    predicates = _predicates(graph, order)
-    # the core roles of every predicate, from one pass over the edges
-    roles: dict[str, list[CoreRoleEdge]] = {p.variable: [] for p in predicates}
+    children = child_map(graph)
+    defining, order = preorder(graph, children)
+    # the core roles of every predicate, from one pass over the edges:
+    # (the edge as stored, the edge in forward direction)
+    roles: dict[str, list[tuple[Edge, Edge]]] = {
+        var: [] for var in order if _PREDICATE_RE.match(graph.nodes[var])
+    }
     for edge in graph.edges:
         match = _CORE_ROLE_RE.fullmatch(edge.role)
         if match:
             inverse = match.group(2) is not None
-            owner = roles.get(edge.target if inverse else edge.source)
+            predicate = edge.target if inverse else edge.source
+            owner = roles.get(predicate)
             if owner is not None:
-                owner.append(CoreRoleEdge(edge, int(match.group(1)), inverse))
+                filler = edge.source if inverse else edge.target
+                forward = Edge(predicate, f":ARG{int(match.group(1))}", filler)
+                owner.append((edge, forward))
 
-    candidates = []
-    for predicate in predicates:
-        cores = roles[predicate.variable]
+    candidates: list[AmrGraph] = []
+    budget = MAX_SPLIT_NODES
+    for cores in roles.values():
         if not cores:
             continue
-        stored = {core.edge for core in cores}
-        groups = [(r,) for r in cores] if mode == "one-cr" else [tuple(cores)]
+        stored = {edge for edge, _ in cores}
+        forward = [core for _, core in cores]
+        groups = [[core] for core in forward] if mode == "one-cr" else [forward]
         for group in groups:
-            candidates.append(
-                _build_candidate(graph, predicate, group, stored, defining, children)
-            )
+            candidate = _build_candidate(graph, group, stored, defining, children, budget)
+            budget -= len(candidate.nodes)
+            candidates.append(candidate)
     return candidates
 
 
@@ -252,7 +154,7 @@ def _lemma_of(concept: str) -> str:
     return concept
 
 
-def realize_baseline(candidate: SmuCandidate) -> str:
+def realize_baseline(graph: AmrGraph) -> str:
     """Deterministic template realization of a candidate subgraph.
 
     At every node: an ``:ARG0`` subtree comes first, then "not" for
@@ -261,11 +163,8 @@ def realize_baseline(candidate: SmuCandidate) -> str:
     edge order. ``:name`` structures are spliced in as their literal parts.
     No inflection is attempted; tokens are joined by single spaces.
     """
-    graph = candidate.subgraph
-    children = _children(graph)
-    attrs: dict[str, list[Attribute]] = {}
-    for attr in graph.attributes:
-        attrs.setdefault(attr.source, []).append(attr)
+    children = child_map(graph)
+    attrs = attribute_map(graph)
     visited: set[str] = set()
 
     def name_words(var: str) -> list[str]:
@@ -285,8 +184,8 @@ def realize_baseline(candidate: SmuCandidate) -> str:
         numbered: list[tuple[int, Edge]] = []
         others: list[Edge] = []
         for edge in children.get(var, ()):
-            match = _CORE_RE.fullmatch(edge.role)
-            if match is None:
+            match = _CORE_ROLE_RE.fullmatch(edge.role)
+            if match is None or match.group(2):
                 others.append(edge)
             elif int(match.group(1)) == 0:
                 items.append(edge)
@@ -328,16 +227,16 @@ def realize_baseline(candidate: SmuCandidate) -> str:
 
 
 def realize_remote(
-    candidates: Sequence[SmuCandidate],
+    candidates: Sequence[AmrGraph],
     endpoint: str,
     *,
     batch_size: int = 32,
     concurrency: int = 4,
     client: GraphToTextClient | None = None,
 ) -> list[str]:
-    """The texts of the candidates, from the graph-to-text service.
+    """The texts of the candidate subgraphs, from the graph-to-text service.
 
-    Subgraphs are serialized to PENMAN and sent in batches; the reply order
+    They are serialized to PENMAN and sent in batches; the reply order
     matches the input order. An empty candidate list makes no network call.
     """
     if not candidates:
@@ -346,7 +245,7 @@ def realize_remote(
         client = GraphToTextClient(
             endpoint, batch_size=batch_size, concurrency=concurrency
         )
-    penman = [serialize_penman(c.subgraph) for c in candidates]
+    penman = [serialize_penman(c) for c in candidates]
     texts = client.generate(penman)
     if len(texts) != len(candidates):
         raise MalformedServiceReply(

@@ -1,4 +1,4 @@
-"""Deterministic text primitives: tokens, sentences, n-grams, unigram F1.
+"""Deterministic text primitives: tokens, sentences, unigram F1.
 
 Everything in this module is pure and dependency-free so that scores are
 reproducible bit-for-bit across machines.
@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 # Unicode alphanumerics; underscore is punctuation here.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -36,14 +35,6 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-@dataclass(frozen=True)
-class SentenceSpan:
-    """One sentence of a source text, with its 0-based position."""
-
-    text: str
-    index: int
-
-
 def _abbreviation_before(text: str, dot: int, abbreviations: frozenset[str]) -> bool:
     # Collect the word (letters, digits, internal dots) ending right before
     # the period at *dot*; "U.S." checks as "u.s", "Dr." as "dr".
@@ -55,15 +46,14 @@ def _abbreviation_before(text: str, dot: int, abbreviations: frozenset[str]) -> 
 
 def split_sentences(
     text: str, abbreviations: frozenset[str] = DEFAULT_ABBREVIATIONS
-) -> list[SentenceSpan]:
+) -> list[str]:
     """Split *text* into sentences on '.', '!', '?' at a word boundary.
 
     A terminator only splits when followed by whitespace or end-of-text,
     and a '.' does not split when the preceding word is in *abbreviations*.
-    Spans are trimmed and indexed consecutively from 0; empty spans are
-    never produced.
+    Sentences are trimmed, in text order; empty ones are never produced.
     """
-    spans: list[SentenceSpan] = []
+    sentences: list[str] = []
     start = 0
     for match in _TERMINATOR_RE.finditer(text):
         end = match.end()
@@ -71,12 +61,12 @@ def split_sentences(
             continue
         piece = text[start:end].strip()
         if piece:
-            spans.append(SentenceSpan(piece, len(spans)))
+            sentences.append(piece)
         start = end
     tail = text[start:].strip()
     if tail:
-        spans.append(SentenceSpan(tail, len(spans)))
-    return spans
+        sentences.append(tail)
+    return sentences
 
 
 def clipped_overlap(a: Mapping[str, int], b: Mapping[str, int]) -> int:
@@ -143,20 +133,3 @@ def rouge1_f1(candidate: str, reference: str) -> float:
     ref = tokenize(reference)
     return unigram_f1(clipped_overlap(Counter(cand), Counter(ref)), len(cand), len(ref))
 
-
-def enumerate_ngrams(sentence: str, sizes: Iterable[int]) -> list[str]:
-    """All n-grams of the tokenized *sentence* for each n in *sizes*.
-
-    Output is ordered by (n ascending, start position ascending); each
-    n-gram is its tokens joined by single spaces. Sentences shorter than n
-    contribute nothing for that n.
-    """
-    sorted_sizes = sorted(set(sizes))
-    if not sorted_sizes or sorted_sizes[0] < 1:
-        raise ValueError("sizes must be a non-empty collection of integers >= 1")
-    tokens = tokenize(sentence)
-    grams: list[str] = []
-    for n in sorted_sizes:
-        for start in range(len(tokens) - n + 1):
-            grams.append(" ".join(tokens[start : start + n]))
-    return grams

@@ -83,6 +83,14 @@ def chained_penman(length: int) -> str:
     return f"(n0 / want-01 :ARG1 (n1 / thing :mod n2){links} :mod (n{length} / end))"
 
 
+def shared_chain_penman(length: int) -> str:
+    """A *length*-node graph: ``want-01`` with an ``:ARG1`` to each other
+    node, and each of those pointing at the next by reference, so the
+    candidate of each core role holds the rest of the chain."""
+    links = "".join(f" :ARG1 (n{i} / thing :mod n{i + 1})" for i in range(1, length - 1))
+    return f"(n0 / want-01{links} :ARG1 (n{length - 1} / end))"
+
+
 def deep_realization(length: int) -> str:
     """The template realization of either deep graph's one unit."""
     return " ".join(["want"] + ["thing"] * (length - 1) + ["end"])

@@ -27,12 +27,9 @@ from autopyramid.errors import (
     PresenceLengthMismatch,
     SchemaViolation,
 )
-from autopyramid.smu import CoreRoleEdge, PredicateNode, SmuCandidate
 from autopyramid.text import (
     DEFAULT_ABBREVIATIONS,
-    SentenceSpan,
     _abbreviation_before,
-    enumerate_ngrams,
     split_sentences,
     tokenize,
 )
@@ -132,6 +129,24 @@ def wilcoxon_oracle(diffs):
     return w, hits / count
 
 
+def enumerate_ngrams(sentence, sizes):
+    """All n-grams of the tokenized *sentence* for each n in *sizes*.
+
+    Output is ordered by (n ascending, start position ascending); each
+    n-gram is its tokens joined by single spaces. Sentences shorter than n
+    contribute nothing for that n.
+    """
+    sorted_sizes = sorted(set(sizes))
+    if not sorted_sizes or sorted_sizes[0] < 1:
+        raise ValueError("sizes must be a non-empty collection of integers >= 1")
+    tokens = tokenize(sentence)
+    grams = []
+    for n in sorted_sizes:
+        for start in range(len(tokens) - n + 1):
+            grams.append(" ".join(tokens[start : start + n]))
+    return grams
+
+
 def ngram_units_oracle(reference, config):
     """The n-gram sample drawn the direct way, from a pool of every n-gram
     string rather than of positions: the pool holds
@@ -140,13 +155,13 @@ def ngram_units_oracle(reference, config):
     empty pool. It shares the sentence splitter and ``enumerate_ngrams``
     with the package, so it checks which n-grams are drawn."""
     pool = []
-    for span in split_sentences(reference):
+    for index, sentence in enumerate(split_sentences(reference)):
         by_size = {}
-        for gram in enumerate_ngrams(span.text, config.ngram_sizes):
+        for gram in enumerate_ngrams(sentence, config.ngram_sizes):
             n = gram.count(" ") + 1
             start = by_size.get(n, 0)
             by_size[n] = start + 1
-            pool.append((span.index, n, start, gram))
+            pool.append((index, n, start, gram))
     if not pool:
         return None
     count = min(len(pool), max(1, math.ceil(len(pool) * config.ngram_fraction)))
@@ -351,31 +366,28 @@ def _defining_edges(graph):
 
 
 def _find_predicates(graph):
-    predicates = []
-    for var in _dfs_order(graph):
-        match = _PREDICATE_RE.match(graph.nodes[var])
-        if match:
-            predicates.append(PredicateNode(var, graph.nodes[var], int(match.group(1))))
-    return predicates
+    return [var for var in _dfs_order(graph) if _PREDICATE_RE.match(graph.nodes[var])]
 
 
 def _core_roles(graph, predicate):
+    """Each core role of *predicate*: the edge as stored, the role in
+    forward reading, and the filler."""
     roles = []
     for edge in graph.edges:
         forward = _CORE_RE.fullmatch(edge.role)
-        if edge.source == predicate.variable and forward:
-            roles.append(CoreRoleEdge(edge, int(forward.group(1)), False))
+        if edge.source == predicate and forward:
+            roles.append((edge, f":ARG{int(forward.group(1))}", edge.target))
             continue
         inverse = _CORE_INVERSE_RE.fullmatch(edge.role)
-        if edge.target == predicate.variable and inverse:
-            roles.append(CoreRoleEdge(edge, int(inverse.group(1)), True))
+        if edge.target == predicate and inverse:
+            roles.append((edge, f":ARG{int(inverse.group(1))}", edge.source))
     return roles
 
 
 def _build_candidate(graph, predicate, group, all_roles, defining, adjacency):
-    nodes = {predicate.variable: predicate.concept}
+    nodes = {predicate: graph.nodes[predicate]}
     edges = []
-    stored = {core.edge for core in all_roles}
+    stored = {stored_edge for stored_edge, _, _ in all_roles}
 
     def expand(var):
         pending = [iter(adjacency.get(var, []))]
@@ -394,16 +406,14 @@ def _build_candidate(graph, predicate, group, all_roles, defining, adjacency):
             else:
                 pending.pop()
 
-    for core in group:
-        filler = core.filler_var
-        edges.append(Edge(predicate.variable, core.role, filler))
+    for _, role, filler in group:
+        edges.append(Edge(predicate, role, filler))
         if filler not in nodes:
             nodes[filler] = graph.nodes[filler]
             expand(filler)
 
     attributes = tuple(a for a in graph.attributes if a.source in nodes)
-    sub = AmrGraph(root=predicate.variable, nodes=nodes, edges=tuple(edges), attributes=attributes)
-    return SmuCandidate(sub, predicate, group)
+    return AmrGraph(root=predicate, nodes=nodes, edges=tuple(edges), attributes=attributes)
 
 
 def split_graph_oracle(graph, mode="one-cr"):
@@ -437,10 +447,9 @@ def _lemma_of(concept):
     return concept
 
 
-def realize_baseline_oracle(candidate):
+def realize_baseline_oracle(graph):
     """``realize_baseline`` with each node's template built from scans of
     its attribute list and a string pattern for ``:opN``."""
-    graph = candidate.subgraph
     adjacency = _children(graph)
     attrs = {}
     for attr in graph.attributes:
@@ -716,10 +725,9 @@ def split_sentences_oracle(text, abbreviations=DEFAULT_ABBREVIATIONS):
 
     A terminator only splits when followed by whitespace or end-of-text,
     and a '.' does not split when the preceding word is in *abbreviations*.
-    Spans are trimmed and indexed consecutively from 0; empty spans are
-    never produced.
+    Sentences are trimmed, in text order; empty ones are never produced.
     """
-    spans: list[SentenceSpan] = []
+    sentences = []
     start = 0
     for i, ch in enumerate(text):
         if ch not in ".!?":
@@ -730,12 +738,12 @@ def split_sentences_oracle(text, abbreviations=DEFAULT_ABBREVIATIONS):
             continue
         piece = text[start : i + 1].strip()
         if piece:
-            spans.append(SentenceSpan(piece, len(spans)))
+            sentences.append(piece)
         start = i + 1
     tail = text[start:].strip()
     if tail:
-        spans.append(SentenceSpan(tail, len(spans)))
-    return spans
+        sentences.append(tail)
+    return sentences
 
 
 def isomorphic(a: AmrGraph, b: AmrGraph) -> bool:

@@ -93,7 +93,7 @@ def test_penman_roundtrip_on_500_random_graphs():
 def test_splitting_hand_trace_and_golden_snapshot():
     with criterion("splitting-hand-traces"):
         want = parse_penman("(w / want-01 :ARG0 (b / boy) :ARG1 (g / go-02 :ARG0 b))")
-        assert [serialize_penman(c.subgraph) for c in split_graph(want)] == [
+        assert [serialize_penman(c) for c in split_graph(want)] == [
             "(w / want-01 :ARG0 (b / boy))",
             "(w / want-01 :ARG1 (g / go-02 :ARG0 (b / boy)))",
             "(g / go-02 :ARG0 (b / boy))",
@@ -108,7 +108,7 @@ def test_splitting_hand_trace_and_golden_snapshot():
                     "sentence": entry.sentence,
                     "candidates": [
                         {
-                            "penman": serialize_penman(c.subgraph),
+                            "penman": serialize_penman(c),
                             "text": realize_baseline(c),
                         }
                         for c in split_graph(entry.graph, mode)

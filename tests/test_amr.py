@@ -18,7 +18,6 @@ from autopyramid.amr import (
     load_penman_file,
     parse_penman,
     serialize_penman,
-    subgraph,
 )
 from autopyramid.errors import DisconnectedGraph, FileUnreadable, MalformedPenman
 
@@ -146,43 +145,6 @@ def test_serialize_disconnected_raises():
     )
     with pytest.raises(DisconnectedGraph):
         serialize_penman(graph)
-
-
-def test_subgraph_examples():
-    graph = parse_penman(WANT)
-    one = subgraph(graph, "w", [Edge("w", ":ARG0", "b")])
-    assert serialize_penman(one) == "(w / want-01 :ARG0 (b / boy))"
-
-    bare = subgraph(graph, "w", [])
-    assert serialize_penman(bare) == "(w / want-01)"
-
-    with pytest.raises(DisconnectedGraph):
-        subgraph(graph, "w", [Edge("g", ":ARG0", "b")])
-
-
-def test_subgraph_rejects_foreign_edges():
-    graph = parse_penman(WANT)
-    with pytest.raises(ValueError):
-        subgraph(graph, "w", [Edge("w", ":ARG9", "b")])
-    with pytest.raises(ValueError):
-        subgraph(graph, "zzz", [])
-
-
-def test_subgraph_keeps_attributes_of_retained_nodes_only():
-    graph = parse_penman('(s / sell-01 :polarity - :ARG1 (c / car :quant 2))')
-    kept = subgraph(graph, "s", [])
-    assert kept.attributes == (Attribute("s", ":polarity", "-"),)
-
-
-def test_subgraph_never_grows():
-    rng = random.Random(21)
-    for _ in range(50):
-        graph = random_graph(rng)
-        take = [e for e in graph.edges if e.source == graph.root]
-        sub = subgraph(graph, graph.root, take)
-        assert len(sub.nodes) <= len(graph.nodes)
-        assert len(sub.edges) <= len(graph.edges)
-        assert len(sub.attributes) <= len(graph.attributes)
 
 
 def test_isomorphic_relabeled():

@@ -10,7 +10,7 @@ import pytest
 from autopyramid import cli
 from autopyramid.cli import main
 
-from graphgen import DEEP, chained_penman, deep_realization, nested_penman
+from graphgen import DEEP, chained_penman, deep_realization, nested_penman, shared_chain_penman
 from stubs import constant_presence, dead_endpoint, scripted_chat
 
 DATA = Path(__file__).parent / "data"
@@ -190,6 +190,23 @@ def test_extract_smu_malformed_deep_graph_exits_2(tmp_path, capsys):
     ])
     assert code == 2
     assert f"line {DEEP + 1}," in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_extract_smu_bounds_a_shared_chain(tmp_path, capsys):
+    dataset = one_sentence_dataset(tmp_path)
+    graphs = tmp_path / "g.penman"
+    graphs.write_text(shared_chain_penman(1000) + "\n", encoding="utf-8")
+    out = tmp_path / "units.jsonl"
+    code = main([
+        "extract", "--strategy", "smu", "--input", dataset,
+        "--graphs", str(graphs), "--out", str(out),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "example g1 reference 0: " in err
+    assert "more than 10000 nodes" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 
@@ -424,6 +441,15 @@ def test_intrinsic_matches_library_composition(tmp_path):
     assert report["easiness_r"] == pytest.approx(sum(expect_r) / len(expect_r))
     assert report["easiness_p"] == pytest.approx(sum(expect_p) / len(expect_p))
     assert 0 < report["easiness_r"] < 1
+
+
+@pytest.mark.parametrize("content", ["", "\n  \n\n"])
+def test_intrinsic_empty_dataset_exits_2(tmp_path, capsys, content):
+    empty = tmp_path / "d.jsonl"
+    empty.write_text(content, encoding="utf-8")
+    code = main(["intrinsic", "--input", str(empty), "--units", str(empty)])
+    assert code == 2
+    assert capsys.readouterr().err == "autopyramid: dataset has no entries\n"
 
 
 def test_intrinsic_requires_gold_units(tmp_path, capsys):

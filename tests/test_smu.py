@@ -1,14 +1,15 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from autopyramid import smu
 from autopyramid.amr import AmrGraph, Edge, parse_penman, serialize_penman
-from autopyramid.errors import MalformedServiceReply
+from autopyramid.errors import GraphTooLarge, MalformedServiceReply
 from autopyramid.smu import (
     SPLIT_MODES,
-    find_predicates,
     realize_baseline,
     realize_remote,
     split_graph,
@@ -22,41 +23,29 @@ from graphgen import (
     deep_realization,
     nested_penman,
     random_graph,
+    shared_chain_penman,
 )
 from oracles import isomorphic, realize_baseline_oracle, split_graph_oracle
 
 WANT = parse_penman("(w / want-01 :ARG0 (b / boy) :ARG1 (g / go-02 :ARG0 b))")
 
 
-def test_find_predicates_want_graph():
-    predicates = find_predicates(WANT)
-    assert [(p.variable, p.concept, p.sense) for p in predicates] == [
-        ("w", "want-01", 1),
-        ("g", "go-02", 2),
-    ]
-    assert [p.lemma for p in predicates] == ["want", "go"]
-
-
-def test_find_predicates_examples():
-    assert find_predicates(parse_penman("(b / boy)")) == []
-    only = find_predicates(parse_penman("(r / recruit-01 :ARG1 (p / person))"))
-    assert [p.concept for p in only] == ["recruit-01"]
-
-
-def test_find_predicates_requires_two_digit_sense():
-    graph = parse_penman("(x / thing :mod (y / step-1) :mod (z / run-01))")
-    assert [p.concept for p in find_predicates(graph)] == ["run-01"]
-
-
 def test_split_want_graph_hand_trace():
     candidates = split_graph(WANT)
-    assert [serialize_penman(c.subgraph) for c in candidates] == [
+    assert [serialize_penman(c) for c in candidates] == [
         "(w / want-01 :ARG0 (b / boy))",
         "(w / want-01 :ARG1 (g / go-02 :ARG0 (b / boy)))",
         "(g / go-02 :ARG0 (b / boy))",
     ]
-    assert [c.predicate.variable for c in candidates] == ["w", "w", "g"]
-    assert [c.core_roles[0].arg_index for c in candidates] == [0, 1, 0]
+    assert [c.root for c in candidates] == ["w", "w", "g"]
+    assert [c.edges[0].role for c in candidates] == [":ARG0", ":ARG1", ":ARG0"]
+
+
+def test_split_requires_two_digit_sense():
+    graph = parse_penman(
+        "(x / thing :mod (y / step-1 :ARG0 (a / boy)) :mod (z / run-01 :ARG0 (b / dog)))"
+    )
+    assert [c.root for c in split_graph(graph)] == ["z"]
 
 
 def test_split_no_predicates_yields_nothing():
@@ -68,10 +57,10 @@ def test_split_no_predicates_yields_nothing():
 def test_split_inverse_core_role_normalized():
     graph = parse_penman("(b / boy :ARG0-of (r / run-01))")
     candidates = split_graph(graph)
-    assert [serialize_penman(c.subgraph) for c in candidates] == [
+    assert [serialize_penman(c) for c in candidates] == [
         "(r / run-01 :ARG0 (b / boy))"
     ]
-    assert candidates[0].core_roles[0].inverse
+    assert candidates[0].edges == (Edge("r", ":ARG0", "b"),)
 
 
 def test_split_prunes_predicate_level_modifiers():
@@ -81,7 +70,7 @@ def test_split_prunes_predicate_level_modifiers():
     )
     candidates = split_graph(graph)
     assert len(candidates) == 1
-    text = serialize_penman(candidates[0].subgraph)
+    text = serialize_penman(candidates[0])
     assert "twitter" not in text
     assert "Godfrey" in text
 
@@ -91,7 +80,7 @@ def test_split_keeps_modifiers_inside_role_subtree():
         "(r / recruit-01 :ARG1 (p / person) :time (t / today)"
         " :ARG2 (a / appear-01 :ARG1 p :time t))"
     )
-    by_penman = {serialize_penman(c.subgraph) for c in split_graph(graph)}
+    by_penman = {serialize_penman(c) for c in split_graph(graph)}
     assert by_penman == {
         "(r / recruit-01 :ARG1 (p / person))",
         # the role subtree keeps its own :time; re-entrant mentions of p and
@@ -106,7 +95,7 @@ def test_split_does_not_leak_sibling_core_roles():
     # carry that second core role along
     graph = parse_penman("(p / give-01 :ARG0 (x / person :ARG1-of p))")
     candidates = split_graph(graph)
-    assert [serialize_penman(c.subgraph) for c in candidates] == [
+    assert [serialize_penman(c) for c in candidates] == [
         "(p / give-01 :ARG0 (x / person))",
         "(p / give-01 :ARG1 (x / person))",
     ]
@@ -116,7 +105,7 @@ def test_split_cyclic_inverse_roles_terminate():
     graph = parse_penman("(b / boy :ARG1-of (l / like-01 :ARG0 b))")
     candidates = split_graph(graph)
     # core roles come in stored edge order: the inverse :ARG1-of edge first
-    assert [serialize_penman(c.subgraph) for c in candidates] == [
+    assert [serialize_penman(c) for c in candidates] == [
         "(l / like-01 :ARG1 (b / boy))",
         "(l / like-01 :ARG0 (b / boy))",
     ]
@@ -124,7 +113,7 @@ def test_split_cyclic_inverse_roles_terminate():
 
 def test_split_forward_self_loop():
     graph = parse_penman("(t / trust-01 :ARG0 (p / person) :ARG1 t)")
-    by_penman = [serialize_penman(c.subgraph) for c in split_graph(graph)]
+    by_penman = [serialize_penman(c) for c in split_graph(graph)]
     assert by_penman == [
         "(t / trust-01 :ARG0 (p / person))",
         "(t / trust-01 :ARG1 t)",
@@ -132,7 +121,7 @@ def test_split_forward_self_loop():
 
 
 def test_split_all_deps_mode():
-    assert [serialize_penman(c.subgraph) for c in split_graph(WANT, mode="all-deps")] == [
+    assert [serialize_penman(c) for c in split_graph(WANT, mode="all-deps")] == [
         "(w / want-01 :ARG0 (b / boy) :ARG1 (g / go-02 :ARG0 b))",
         "(g / go-02 :ARG0 (b / boy))",
     ]
@@ -146,12 +135,13 @@ def test_split_candidate_count_matches_core_role_count():
         graph = random_graph(rng)
         candidates = split_graph(graph)
         expected = 0
-        for predicate in find_predicates(graph):
+        predicates = [v for v, c in graph.nodes.items() if re.fullmatch(r".+-\d{2,}", c)]
+        for predicate in predicates:
             for edge in graph.edges:
-                if edge.source == predicate.variable and edge.role.lstrip(":").startswith("ARG"):
+                if edge.source == predicate and edge.role.lstrip(":").startswith("ARG"):
                     if edge.role[1:].replace("ARG", "", 1).isdigit():
                         expected += 1
-                if edge.target == predicate.variable and edge.role.startswith(":ARG") and edge.role.endswith("-of"):
+                if edge.target == predicate and edge.role.startswith(":ARG") and edge.role.endswith("-of"):
                     middle = edge.role[len(":ARG") : -len("-of")]
                     if middle.isdigit():
                         expected += 1
@@ -164,18 +154,20 @@ def test_split_is_deterministic_and_produces_valid_graphs():
         graph = random_graph(rng)
         first = split_graph(graph)
         second = split_graph(graph)
-        assert [serialize_penman(c.subgraph) for c in first] == [
-            serialize_penman(c.subgraph) for c in second
+        assert [serialize_penman(c) for c in first] == [
+            serialize_penman(c) for c in second
         ]
         for candidate in first:
-            assert candidate.subgraph.root == candidate.predicate.variable
-            text = serialize_penman(candidate.subgraph)
-            assert isomorphic(parse_penman(text), candidate.subgraph)
+            # rooted at its predicate, whose core role comes first
+            assert re.fullmatch(r".+-\d{2,}", graph.nodes[candidate.root])
+            assert candidate.edges[0].source == candidate.root
+            text = serialize_penman(candidate)
+            assert isomorphic(parse_penman(text), candidate)
 
 
 def test_realize_baseline_hand_traces():
     by_penman = {
-        serialize_penman(c.subgraph): realize_baseline(c) for c in split_graph(WANT)
+        serialize_penman(c): realize_baseline(c) for c in split_graph(WANT)
     }
     assert by_penman["(w / want-01 :ARG0 (b / boy))"] == "boy want"
     assert by_penman["(g / go-02 :ARG0 (b / boy))"] == "boy go"
@@ -238,8 +230,8 @@ def test_realize_remote_fills_in_order():
     candidates = split_graph(WANT)
     fake = FakeGenerator()
     texts = realize_remote(candidates, "http://unused", client=fake)
-    assert texts == [f"text for {serialize_penman(c.subgraph)}" for c in candidates]
-    assert fake.calls == [[serialize_penman(c.subgraph) for c in candidates]]
+    assert texts == [f"text for {serialize_penman(c)}" for c in candidates]
+    assert fake.calls == [[serialize_penman(c) for c in candidates]]
 
 
 def test_realize_remote_empty_makes_no_call():
@@ -269,9 +261,33 @@ def test_realize_remote_unreachable_endpoint_gives_up():
 @pytest.mark.parametrize("make", [nested_penman, chained_penman])
 def test_split_and_realize_deep_graphs(make):
     graph = parse_penman(make(DEEP))
-    assert [p.variable for p in find_predicates(graph)] == ["n0"]
     for mode in ("one-cr", "all-deps"):
         (candidate,) = split_graph(graph, mode)
-        assert len(candidate.subgraph.nodes) == DEEP + 1
+        assert candidate.root == "n0"
+        assert len(candidate.nodes) == DEEP + 1
         assert realize_baseline(candidate) == deep_realization(DEEP)
-        assert serialize_penman(candidate.subgraph) == nested_penman(DEEP)
+        assert serialize_penman(candidate) == nested_penman(DEEP)
+
+
+def test_split_bounds_the_nodes_of_a_shared_chain():
+    # every :ARG1 filler reaches the rest of the chain, so the candidates
+    # hold about 1000 * 1000 / 2 nodes, far past the bound
+    graph = parse_penman(shared_chain_penman(1000))
+    with pytest.raises(GraphTooLarge, match="'n0'.* more than 10000 nodes"):
+        split_graph(graph)
+    # 200 predicates, each the :ARG1 of the one before: about 200 * 200 / 2
+    # nodes in either mode
+    nested = "".join(f"(n{i} / go-01 :ARG1 " for i in range(200)) + "(e / end)" + ")" * 200
+    for mode in SPLIT_MODES:
+        with pytest.raises(GraphTooLarge):
+            split_graph(parse_penman(nested), mode)
+
+
+def test_split_bound_is_inclusive(monkeypatch):
+    graph = parse_penman(shared_chain_penman(20))
+    held = sum(len(c.nodes) for c in split_graph(graph))
+    monkeypatch.setattr(smu, "MAX_SPLIT_NODES", held)
+    assert len(split_graph(graph)) == 19
+    monkeypatch.setattr(smu, "MAX_SPLIT_NODES", held - 1)
+    with pytest.raises(GraphTooLarge):
+        split_graph(graph)

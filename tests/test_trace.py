@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from stubs import echo_generator
+
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "trace_cli.py"
 TOY = str(ROOT / "tests" / "data" / "toy.jsonl")
@@ -59,3 +61,44 @@ def test_traced_score_counts_the_lexical_scorer(tmp_path):
     )
     assert code == 0
     assert counts["presence.lexical_scorer.calls"] > 0
+
+
+def smu_inputs(tmp_path):
+    """A one-sentence dataset and its sentence graph."""
+    dataset = tmp_path / "d.jsonl"
+    row = {
+        "example_id": "g1",
+        "references": [{"text": "The boy wants to go.", "scus": []}],
+        "systems": [],
+    }
+    dataset.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    graphs = tmp_path / "g.penman"
+    graphs.write_text(
+        "(w / want-01 :ARG0 (b / boy) :ARG1 (g / go-02 :ARG0 b))\n", encoding="utf-8"
+    )
+    return ["--strategy", "smu", "--input", str(dataset), "--graphs", str(graphs)]
+
+
+def test_traced_smu_extract_counts_candidates_and_realizations(tmp_path):
+    out = tmp_path / "units.jsonl"
+    code, counts = traced(tmp_path, "extract", *smu_inputs(tmp_path), "--out", str(out))
+    assert code == 0
+    assert counts["extract.units"] == len(out.read_text(encoding="utf-8").splitlines())
+    assert counts["smu.split_graph.candidates"] > 0
+    assert counts["smu.realize_baseline.calls"] > 0
+
+
+def test_traced_remote_smu_extract_counts_serializations(tmp_path, stub_service):
+    stub = stub_service(echo_generator)
+    code, counts = traced(
+        tmp_path,
+        "extract",
+        *smu_inputs(tmp_path),
+        "--gen-endpoint",
+        stub.url,
+        "--out",
+        str(tmp_path / "units.jsonl"),
+    )
+    assert code == 0
+    assert counts["smu.realize_remote.calls"] > 0
+    assert counts["amr.serialize_penman.calls"] > 0
