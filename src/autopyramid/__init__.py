@@ -28,10 +28,9 @@ from .data import (  # noqa: F401
     save_units,
 )
 from .extract import (  # noqa: F401
-    ExtractionConfig,
     extract_ngram_units,
     extract_sentence_units,
-    extract_sgu_units,
+    extract_sgu_units_many,
     extract_smu_units,
 )
 from .presence import (  # noqa: F401

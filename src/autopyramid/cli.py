@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__
@@ -41,7 +42,6 @@ from .errors import (
     ServiceUnavailable,
 )
 from .extract import (
-    ExtractionConfig,
     extract_ngram_units,
     extract_sentence_units,
     extract_sgu_units_many,
@@ -54,7 +54,7 @@ from .presence import (  # noqa: F401  (score_summary: kept importable from here
     score_summaries,
     score_summary,
 )
-from .services import ParseServiceClient, check_endpoint
+from .services import ChatClient, GraphToTextClient, ParseServiceClient, check_endpoint
 from .smu import SPLIT_MODES
 from .stats import corpus_stats, easiness, summary_level, system_level
 from .text import split_sentences
@@ -69,6 +69,35 @@ def positive_int(text: str) -> int:
     if value < 1:
         raise ValueError(text)
     return value
+
+
+def fraction(text: str) -> float:
+    """argparse type for a share in (0, 1]."""
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise ValueError(text)
+    return value
+
+
+def temperature(text: str) -> float:
+    """argparse type for a finite sampling temperature of at least 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(text)
+    return value
+
+
+def _sizes(text: str) -> list[int]:
+    return [int(part) for part in text.split(",") if part.strip()]
+
+
+def ngram_sizes(text: str) -> str:
+    """argparse type for comma-separated n-gram sizes, each at least 1.
+    The text is kept as given, which is what the manifest records."""
+    sizes = _sizes(text)
+    if not sizes or min(sizes) < 1:
+        raise ValueError(text)
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,9 +121,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     extract.add_argument("--seed", type=int, default=42)
     extract.add_argument(
-        "--ngram-sizes", default="3,4,5", help="comma-separated window sizes"
+        "--ngram-sizes",
+        type=ngram_sizes,
+        default="3,4,5",
+        help="comma-separated window sizes",
     )
-    extract.add_argument("--ngram-fraction", type=float, default=0.05)
+    extract.add_argument("--ngram-fraction", type=fraction, default=0.05)
     extract.add_argument("--split-mode", choices=SPLIT_MODES, default="one-cr")
     extract.add_argument(
         "--graphs",
@@ -108,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     extract.add_argument("--llm-endpoint", help="chat-completions service URL")
     extract.add_argument("--llm-model", help="model identifier for sgu extraction")
-    extract.add_argument("--temperature", type=float, default=0.0)
+    extract.add_argument("--temperature", type=temperature, default=0.0)
     extract.add_argument("--import-path", help="unit file to import")
     extract.add_argument(
         "--import-tag", default="imported_stu", choices=sorted(VALID_STRATEGIES)
@@ -189,28 +221,6 @@ def _check_endpoints(args) -> None:
 # extract
 
 
-def _extraction_config(args) -> ExtractionConfig:
-    try:
-        sizes = tuple(int(part) for part in args.ngram_sizes.split(",") if part.strip())
-    except ValueError as exc:
-        raise InputError(f"bad --ngram-sizes {args.ngram_sizes!r}") from exc
-    try:
-        return ExtractionConfig(
-            ngram_sizes=sizes,
-            ngram_fraction=args.ngram_fraction,
-            seed=args.seed,
-            split_mode=args.split_mode,
-            llm_endpoint=args.llm_endpoint,
-            llm_model=args.llm_model,
-            temperature=args.temperature,
-            generator_endpoint=args.gen_endpoint,
-            batch_size=args.batch_size,
-            concurrency=args.concurrency,
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-
-
 def _each_reference(entries):
     for entry in entries:
         for index, reference in enumerate(entry.references):
@@ -229,46 +239,38 @@ def _smu_graphs(args, entries, digests: dict) -> list[list]:
         (entry.example_id, index, split_sentences(reference.text))
         for entry, index, reference in _each_reference(entries)
     ]
-    graphs = []
     if args.graphs:
-        blocks = load_penman_file(args.graphs, digests=digests)
-        cursor = 0
-        for example_id, index, sentences in wanted:
-            take = blocks[cursor : cursor + len(sentences)]
-            if len(take) < len(sentences):
-                raise InputError(
-                    f"graphs file ended early: example {example_id} reference "
-                    f"{index} needs {len(sentences)} graphs"
-                )
-            cursor += len(sentences)
-            graphs.append([block.graph for block in take])
-        if cursor != len(blocks):
-            raise InputError(
-                f"graphs file has {len(blocks)} blocks but the dataset uses {cursor}"
-            )
-        return graphs
-    if args.parse_endpoint:
+        flat = [block.graph for block in load_penman_file(args.graphs, digests=digests)]
+    elif args.parse_endpoint:
         client = ParseServiceClient(
             args.parse_endpoint,
             batch_size=args.batch_size,
             concurrency=args.concurrency,
         )
-        flat = [s for _, _, sentences in wanted for s in sentences]
-        penman_texts = client.parse_sentences(flat)
-        cursor = 0
-        for _, _, sentences in wanted:
-            parsed = []
-            for text in penman_texts[cursor : cursor + len(sentences)]:
-                try:
-                    parsed.append(parse_penman(text))
-                except MalformedPenman as exc:
-                    raise MalformedServiceReply(
-                        f"parse service returned an unparseable graph: {exc}"
-                    ) from exc
-            cursor += len(sentences)
-            graphs.append(parsed)
-        return graphs
-    raise InputError("--strategy smu needs --graphs or --parse-endpoint")
+        flat = []
+        for text in client.parse_sentences([s for _, _, sents in wanted for s in sents]):
+            try:
+                flat.append(parse_penman(text))
+            except MalformedPenman as exc:
+                raise MalformedServiceReply(
+                    f"parse service returned an unparseable graph: {exc}"
+                ) from exc
+    else:
+        raise InputError("--strategy smu needs --graphs or --parse-endpoint")
+    graphs = []
+    cursor = 0
+    for example_id, index, sentences in wanted:
+        take = flat[cursor : cursor + len(sentences)]
+        if len(take) < len(sentences):
+            raise InputError(
+                f"graphs file ended early: example {example_id} reference "
+                f"{index} needs {len(sentences)} graphs"
+            )
+        cursor += len(sentences)
+        graphs.append(take)
+    if cursor != len(flat):
+        raise InputError(f"graphs file has {len(flat)} blocks but the dataset uses {cursor}")
+    return graphs
 
 
 def _reference_rows(entries, tag: str, units_of) -> list[UnitFileRow]:
@@ -289,26 +291,36 @@ def _reference_rows(entries, tag: str, units_of) -> list[UnitFileRow]:
 
 
 # Each strategy's unit rows and manifest ``extra``, from (args, entries,
-# config, digests). The extractors are looked up as this module's globals
-# at call time, so that wrapping them here wraps every call.
+# digests). The extractors are looked up as this module's globals at call
+# time, so that wrapping them here wraps every call.
 
 
-def _sentence_rows(args, entries, config, digests):
+def _sentence_rows(args, entries, digests):
     return _reference_rows(
         entries, "sentence_split", lambda k, text: extract_sentence_units(text)
     ), None
 
 
-def _ngram_rows(args, entries, config, digests):
+def _ngram_rows(args, entries, digests):
+    sizes = _sizes(args.ngram_sizes)
     return _reference_rows(
-        entries, "ngram", lambda k, text: extract_ngram_units(text, config)
+        entries,
+        "ngram",
+        lambda k, text: extract_ngram_units(text, sizes, args.ngram_fraction, args.seed),
     ), None
 
 
-def _smu_rows(args, entries, config, digests):
+def _smu_rows(args, entries, digests):
     graphs = _smu_graphs(args, entries, digests)
+    generator = None
+    if args.gen_endpoint:
+        generator = GraphToTextClient(
+            args.gen_endpoint, batch_size=args.batch_size, concurrency=args.concurrency
+        )
     rows = _reference_rows(
-        entries, "smu", lambda k, text: extract_smu_units(graphs[k], config)
+        entries,
+        "smu",
+        lambda k, text: extract_smu_units(graphs[k], args.split_mode, generator),
     )
     extra = {
         "split_mode": args.split_mode,
@@ -317,9 +329,17 @@ def _smu_rows(args, entries, config, digests):
     return rows, extra
 
 
-def _sgu_rows(args, entries, config, digests):
+def _sgu_rows(args, entries, digests):
     texts = [reference.text for _, _, reference in _each_reference(entries)]
-    units = extract_sgu_units_many(texts, config)
+    if texts and not (args.llm_endpoint and args.llm_model):
+        raise ServiceUnavailable("no LLM endpoint/model configured for sgu units")
+    client = ChatClient(
+        args.llm_endpoint,
+        args.llm_model,
+        temperature=args.temperature,
+        concurrency=args.concurrency,
+    )
+    units = extract_sgu_units_many(texts, client)
     extra = {
         "sgu_prompt_framing": "system,example-user,example-assistant,reference-user",
         "llm_model": args.llm_model,
@@ -328,7 +348,7 @@ def _sgu_rows(args, entries, config, digests):
     return _reference_rows(entries, "sgu", lambda k, text: units[k]), extra
 
 
-def _imported_rows(args, entries, config, digests):
+def _imported_rows(args, entries, digests):
     if not args.import_path:
         raise InputError("--strategy import needs --import-path")
     rows = import_rows(
@@ -349,35 +369,25 @@ STRATEGIES = {
 }
 
 
+def _options(args) -> dict:
+    """The manifest config of a command: its options, less the paths of
+    its dataset, units, scores and output, which the manifest records
+    apart."""
+    return {
+        name: value
+        for name, value in vars(args).items()
+        if name not in ("command", "func", "input", "out", "units", "scores")
+    }
+
+
 def cmd_extract(args) -> int:
     digests: dict = {}
     entries = load_dataset(args.input, digests=digests)
-    config = _extraction_config(args)
-    rows, extra = STRATEGIES[args.strategy](args, entries, config, digests)
+    rows, extra = STRATEGIES[args.strategy](args, entries, digests)
 
     write_unit_file(args.out, rows)
     write_manifest(
-        args.out,
-        command="extract",
-        config={
-            "strategy": args.strategy,
-            "seed": args.seed,
-            "ngram_sizes": args.ngram_sizes,
-            "ngram_fraction": args.ngram_fraction,
-            "split_mode": args.split_mode,
-            "graphs": args.graphs,
-            "parse_endpoint": args.parse_endpoint,
-            "gen_endpoint": args.gen_endpoint,
-            "llm_endpoint": args.llm_endpoint,
-            "llm_model": args.llm_model,
-            "temperature": args.temperature,
-            "import_path": args.import_path,
-            "import_tag": args.import_tag,
-            "batch_size": args.batch_size,
-            "concurrency": args.concurrency,
-        },
-        inputs=digests,
-        extra=extra,
+        args.out, command="extract", config=_options(args), inputs=digests, extra=extra
     )
     return EXIT_OK
 
@@ -438,12 +448,7 @@ def cmd_score(args) -> int:
     write_manifest(
         args.out,
         command="score",
-        config={
-            "scorer": args.scorer,
-            "nli_endpoint": args.nli_endpoint,
-            "batch_size": args.batch_size,
-            "concurrency": args.concurrency,
-        },
+        config=_options(args),
         inputs=digests,
     )
     return EXIT_OK
@@ -593,7 +598,7 @@ def cmd_metaeval(args) -> int:
         write_manifest(
             args.out,
             command="metaeval",
-            config={"level": args.level, "corr": args.corr},
+            config=_options(args),
             inputs=digests,
         )
     return EXIT_OK
@@ -632,9 +637,7 @@ def cmd_stats(args) -> int:
         atomic_write_text(
             args.out, json.dumps(row, ensure_ascii=False, separators=(",", ":")) + "\n"
         )
-        write_manifest(
-            args.out, command="stats", config={}, inputs=digests
-        )
+        write_manifest(args.out, command="stats", config=_options(args), inputs=digests)
     return EXIT_OK
 
 

@@ -8,8 +8,9 @@ into '#'-separated fragments. Gold units come from the dataset, and units
 computed by external tools are imported as unit files
 (:func:`~autopyramid.data.import_rows`).
 
-All strategies are deterministic given their inputs, the configured seed,
-and (for remote strategies) the service replies.
+All strategies are deterministic given their inputs, the seed, and (for
+remote strategies) the service replies. Remote strategies take the client
+of their service, which holds its endpoint, batch size and concurrency.
 """
 
 from __future__ import annotations
@@ -18,13 +19,12 @@ import math
 import random
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Sequence
 
 from .amr import AmrGraph
-from .errors import EmptyReference, EmptyReply, ServiceUnavailable
-from .services import ChatClient
-from .smu import SPLIT_MODES, realize_baseline, realize_remote, split_graph
+from .errors import EmptyReference, EmptyReply
+from .services import ChatClient, GraphToTextClient
+from .smu import realize_baseline, realize_remote, split_graph
 from .text import split_sentences, tokenize
 
 # Fixed instruction and one-shot exchange for the unit-splitting prompt.
@@ -56,32 +56,6 @@ ONE_SHOT_OUTPUT = (
 )
 
 
-@dataclass(frozen=True)
-class ExtractionConfig:
-    """Knobs shared by the extraction strategies."""
-
-    ngram_sizes: tuple[int, ...] = (3, 4, 5)
-    ngram_fraction: float = 0.05
-    seed: int = 42
-    split_mode: str = "one-cr"
-    llm_endpoint: str | None = None
-    llm_model: str | None = None
-    temperature: float = 0.0
-    generator_endpoint: str | None = None
-    batch_size: int = 32
-    concurrency: int = 4
-
-    def __post_init__(self):
-        if not 0.0 < self.ngram_fraction <= 1.0:
-            raise ValueError("ngram_fraction must be in (0, 1]")
-        if not self.ngram_sizes or any(n < 1 for n in self.ngram_sizes):
-            raise ValueError("ngram_sizes must be non-empty integers >= 1")
-        if not math.isfinite(self.temperature) or self.temperature < 0:
-            raise ValueError("temperature must be a finite number >= 0")
-        if self.split_mode not in SPLIT_MODES:
-            raise ValueError(f"split_mode must be one of {SPLIT_MODES}")
-
-
 def extract_sentence_units(reference: str) -> list[str]:
     """One unit per sentence of *reference*, in order."""
     units = split_sentences(reference)
@@ -90,16 +64,24 @@ def extract_sentence_units(reference: str) -> list[str]:
     return units
 
 
-def extract_ngram_units(reference: str, config: ExtractionConfig) -> list[str]:
+def extract_ngram_units(
+    reference: str, sizes: Sequence[int], fraction: float, seed: int
+) -> list[str]:
     """A seeded random sample of the reference's n-grams.
 
-    All n-grams of the configured sizes are pooled over the whole
-    reference, ordered by (sentence, n, start); ``max(1, ceil(fraction *
-    pool size))`` pool positions are drawn without replacement with
+    All n-grams of the given *sizes* are pooled over the whole reference,
+    ordered by (sentence, n, start); ``max(1, ceil(fraction * pool size))``
+    pool positions are drawn without replacement with
     ``random.Random(seed).sample`` and returned in pool order. Only the
-    drawn n-grams are ever joined into text.
+    drawn n-grams are ever joined into text. Raises :class:`ValueError`
+    unless *sizes* is non-empty with every size at least 1 and *fraction*
+    is in (0, 1].
     """
-    sizes = sorted(set(config.ngram_sizes))
+    sizes = sorted(set(sizes))
+    if not sizes or sizes[0] < 1:
+        raise ValueError("ngram sizes must be non-empty integers >= 1")
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError("ngram fraction must be in (0, 1]")
     # the pool as runs of consecutive positions, one per (sentence, n):
     # (first pool position, tokens, n)
     runs: list[tuple[int, list[str], int]] = []
@@ -112,10 +94,10 @@ def extract_ngram_units(reference: str, config: ExtractionConfig) -> list[str]:
                 size += len(tokens) - n + 1
     if not size:
         raise EmptyReference("reference yields no n-grams")
-    count = min(size, max(1, math.ceil(size * config.ngram_fraction)))
+    count = min(size, max(1, math.ceil(size * fraction)))
     # sample's picks depend only on the population's length and the count,
     # so drawing positions picks the same n-grams as drawing from a list
-    chosen = sorted(random.Random(config.seed).sample(range(size), count))
+    chosen = sorted(random.Random(seed).sample(range(size), count))
     firsts = [run[0] for run in runs]
     units = []
     for position in chosen:
@@ -125,23 +107,20 @@ def extract_ngram_units(reference: str, config: ExtractionConfig) -> list[str]:
     return units
 
 
-def extract_smu_units(graphs: Sequence[AmrGraph], config: ExtractionConfig) -> list[str]:
+def extract_smu_units(
+    graphs: Sequence[AmrGraph], mode: str, generator: GraphToTextClient | None = None
+) -> list[str]:
     """Split each sentence graph and realize the pieces as text.
 
-    Uses the template realizer unless ``config.generator_endpoint`` is set.
-    Texts are stripped; empty ones and exact duplicates are dropped,
-    keeping first occurrences.
+    The pieces go to *generator*'s service, or to the template realizer
+    when it is ``None``. Texts are stripped; empty ones and exact
+    duplicates are dropped, keeping first occurrences.
     """
-    candidates = [c for graph in graphs for c in split_graph(graph, config.split_mode)]
-    if config.generator_endpoint:
-        texts = realize_remote(
-            candidates,
-            config.generator_endpoint,
-            batch_size=config.batch_size,
-            concurrency=config.concurrency,
-        )
-    else:
+    candidates = [c for graph in graphs for c in split_graph(graph, mode)]
+    if generator is None:
         texts = [realize_baseline(c) for c in candidates]
+    else:
+        texts = realize_remote(candidates, generator)
     return list(dict.fromkeys(filter(None, map(str.strip, texts))))
 
 
@@ -162,45 +141,18 @@ def _prompt_messages(reference: str) -> list[dict]:
     ]
 
 
-def extract_sgu_units(
-    reference: str, config: ExtractionConfig, client: ChatClient | None = None
-) -> list[str]:
-    """Ask the language model to decompose *reference* into units.
+def extract_sgu_units_many(references: Sequence[str], client: ChatClient) -> list[list[str]]:
+    """Ask the language model to decompose each reference into units, in
+    input order.
 
-    The conversation is the fixed instruction, the one-shot example as a
-    user/assistant turn pair, then the reference; temperature comes from
-    the config and defaults to 0. The reply is split on '#'.
+    Each conversation is the fixed instruction, the one-shot example as a
+    user/assistant turn pair, then the reference; *client* sends one per
+    request, with its model and temperature. Each reply is split on '#'.
     """
-    if client is None:
-        if not config.llm_endpoint or not config.llm_model:
-            raise ServiceUnavailable("no LLM endpoint/model configured for sgu units")
-        client = ChatClient(
-            config.llm_endpoint, config.llm_model, temperature=config.temperature
-        )
-    reply = client.complete(_prompt_messages(reference))
-    fragments = _parse_fragments(reply)
-    if not fragments:
-        raise EmptyReply("the model reply contains no usable fragment")
-    return fragments
-
-
-def extract_sgu_units_many(
-    references: Sequence[str],
-    config: ExtractionConfig,
-    client: ChatClient | None = None,
-) -> list[list[str]]:
-    """SGU extraction for several references, at most ``config.concurrency``
-    requests in flight, results in input order."""
-    if not references:
-        return []
-    if len(references) == 1 or config.concurrency == 1:
-        return [extract_sgu_units(ref, config, client) for ref in references]
-    # imported here so that commands that start no thread skip it
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(
-        max_workers=min(config.concurrency, len(references))
-    ) as pool:
-        return list(
-            pool.map(lambda ref: extract_sgu_units(ref, config, client), references)
-        )
+    units = []
+    for reply in client.complete([_prompt_messages(ref) for ref in references]):
+        fragments = _parse_fragments(reply)
+        if not fragments:
+            raise EmptyReply("the model reply contains no usable fragment")
+        units.append(fragments)
+    return units

@@ -336,36 +336,35 @@ class PresenceClient(BatchClient):
 
 
 class ChatClient(BatchClient):
-    """Client for a chat-completions style language model endpoint; one
-    conversation per request."""
+    """Client for a chat-completions style language model endpoint: one
+    conversation per request, up to ``concurrency`` in flight."""
 
     token_env = LLM_TOKEN_ENV
 
-    def __init__(
-        self,
-        endpoint: str,
-        model: str,
-        *,
-        temperature: float = 0.0,
-        attempts: int = DEFAULT_ATTEMPTS,
-        schedule: Sequence[float] | None = None,
-        timeout: float = DEFAULT_TIMEOUT,
-        sleep: Callable[[float], None] = time.sleep,
-    ):
-        super().__init__(
-            endpoint, attempts=attempts, schedule=schedule, timeout=timeout, sleep=sleep
-        )
+    def __init__(self, endpoint: str, model: str, *, temperature: float = 0.0, **options):
+        super().__init__(endpoint, **options, batch_size=1)
         self.model = model
         self.temperature = temperature
 
-    def complete(self, messages: list[dict]) -> str:
-        reply = self._post(
-            {"model": self.model, "temperature": self.temperature, "messages": messages}
+    def complete(self, conversations: Sequence[list[dict]]) -> list[str]:
+        """The first choice's message content for each conversation, in
+        order."""
+
+        def parse(reply: dict) -> list[str]:
+            try:
+                content = reply["choices"][0]["message"]["content"]
+            except (KeyError, IndexError, TypeError) as exc:
+                raise _malformed(self.endpoint, "reply has no first choice message") from exc
+            if not isinstance(content, str):
+                raise _malformed(self.endpoint, "message content is not text")
+            return [content]
+
+        return self._run_batched(
+            list(conversations),
+            lambda batch: {
+                "model": self.model,
+                "temperature": self.temperature,
+                "messages": batch[0],
+            },
+            parse,
         )
-        try:
-            content = reply["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise _malformed(self.endpoint, "reply has no first choice message") from exc
-        if not isinstance(content, str):
-            raise _malformed(self.endpoint, "message content is not text")
-        return content

@@ -36,12 +36,13 @@ _OP_RE = re.compile(r":op(\d+)")
 
 SPLIT_MODES = ("one-cr", "all-deps")
 
-# The most nodes the candidates of one graph may hold together. A chain
-# that k core roles share is copied into each of their k candidates, so
-# the candidates of an n-node graph can hold about n * n / 2 nodes; the
-# bound keeps that linear. Sentence graphs need a few dozen, and a single
-# 3000-node candidate fits.
-MAX_SPLIT_NODES = 10_000
+# The most nodes, edges and attributes the candidates of one graph may
+# hold together. A chain or a run of repeated edges that k core roles
+# share is copied into each of their k candidates, so the candidates of a
+# graph of size n can hold about n * n / 2 items; the bound keeps that
+# linear. Sentence graphs need a few dozen, and a single candidate of a
+# 3000-node chain (6001 items) fits.
+MAX_SPLIT_SIZE = 10_000
 
 
 def _build_candidate(
@@ -50,12 +51,15 @@ def _build_candidate(
     stored: set[Edge],
     defining: dict[str, Edge | None],
     children: dict[str, list[Edge]],
+    positions: dict[str, list[int]],
     budget: int,
 ) -> AmrGraph:
     """The subgraph of the core roles *group*, each in forward direction
     from the predicate. Every edge in *stored*, the predicate's core-role
-    edges as stored, is left out of the expansion. Raises
-    :class:`GraphTooLarge` when it would hold more than *budget* nodes."""
+    edges as stored, is left out of the expansion; *positions* gives each
+    node's attributes as indices into ``graph.attributes``. Raises
+    :class:`GraphTooLarge` when it would hold more than *budget* nodes,
+    edges and attributes."""
     predicate = group[0].source
     nodes: dict[str, str] = {predicate: graph.nodes[predicate]}
     edges: list[Edge] = []
@@ -84,12 +88,13 @@ def _build_candidate(
                 # (attributes travel below)
             else:
                 pending.pop()
-    if len(nodes) > budget:
+    held = sorted(i for var in nodes for i in positions.get(var, ()))
+    if len(nodes) + len(edges) + len(held) > budget:
         raise GraphTooLarge(
             f"the candidates of the graph rooted at {graph.root!r} hold more "
-            f"than {MAX_SPLIT_NODES} nodes"
+            f"than {MAX_SPLIT_SIZE} nodes, edges and attributes"
         )
-    attributes = tuple(a for a in graph.attributes if a.source in nodes)
+    attributes = tuple(graph.attributes[i] for i in held)
     return AmrGraph(predicate, nodes, tuple(edges), attributes)
 
 
@@ -100,7 +105,8 @@ def split_graph(graph: AmrGraph, mode: str = "one-cr") -> list[AmrGraph]:
     Predicates without any core role contribute nothing. Output order is
     deterministic: predicates in depth-first order, and within a predicate
     its core roles in stored edge order. Raises :class:`GraphTooLarge`
-    when the subgraphs would hold more than :data:`MAX_SPLIT_NODES` nodes.
+    when the subgraphs would hold more than :data:`MAX_SPLIT_SIZE` nodes,
+    edges and attributes together.
     """
     if mode not in SPLIT_MODES:
         raise ValueError(f"unknown split mode {mode!r}, expected one of {SPLIT_MODES}")
@@ -122,8 +128,12 @@ def split_graph(graph: AmrGraph, mode: str = "one-cr") -> list[AmrGraph]:
                 forward = Edge(predicate, f":ARG{int(match.group(1))}", filler)
                 owner.append((edge, forward))
 
+    # each node's attributes, as positions in stored order
+    positions: dict[str, list[int]] = {}
+    for i, attr in enumerate(graph.attributes):
+        positions.setdefault(attr.source, []).append(i)
     candidates: list[AmrGraph] = []
-    budget = MAX_SPLIT_NODES
+    budget = MAX_SPLIT_SIZE
     for cores in roles.values():
         if not cores:
             continue
@@ -131,8 +141,10 @@ def split_graph(graph: AmrGraph, mode: str = "one-cr") -> list[AmrGraph]:
         forward = [core for _, core in cores]
         groups = [[core] for core in forward] if mode == "one-cr" else [forward]
         for group in groups:
-            candidate = _build_candidate(graph, group, stored, defining, children, budget)
-            budget -= len(candidate.nodes)
+            candidate = _build_candidate(
+                graph, group, stored, defining, children, positions, budget
+            )
+            budget -= len(candidate.nodes) + len(candidate.edges) + len(candidate.attributes)
             candidates.append(candidate)
     return candidates
 
@@ -226,29 +238,17 @@ def realize_baseline(graph: AmrGraph) -> str:
     return " ".join(filter(None, words))
 
 
-def realize_remote(
-    candidates: Sequence[AmrGraph],
-    endpoint: str,
-    *,
-    batch_size: int = 32,
-    concurrency: int = 4,
-    client: GraphToTextClient | None = None,
-) -> list[str]:
-    """The texts of the candidate subgraphs, from the graph-to-text service.
+def realize_remote(graphs: Sequence[AmrGraph], client: GraphToTextClient) -> list[str]:
+    """The texts of *graphs*, from *client*'s graph-to-text service.
 
-    They are serialized to PENMAN and sent in batches; the reply order
-    matches the input order. An empty candidate list makes no network call.
+    They are serialized to PENMAN and sent in the client's batches; the
+    reply order matches the input order. No graph makes no network call.
     """
-    if not candidates:
+    if not graphs:
         return []
-    if client is None:
-        client = GraphToTextClient(
-            endpoint, batch_size=batch_size, concurrency=concurrency
-        )
-    penman = [serialize_penman(c) for c in candidates]
-    texts = client.generate(penman)
-    if len(texts) != len(candidates):
+    texts = client.generate([serialize_penman(g) for g in graphs])
+    if len(texts) != len(graphs):
         raise MalformedServiceReply(
-            f"generation service answered {len(texts)} texts for {len(candidates)} graphs"
+            f"generation service answered {len(texts)} texts for {len(graphs)} graphs"
         )
     return texts

@@ -23,9 +23,6 @@ DEFAULT_ABBREVIATIONS = frozenset(
     {"mr", "mrs", "dr", "prof", "e.g", "i.e", "u.s", "u.k", "no", "vs"}
 )
 
-TokenSeq = list[str]
-
-
 def tokenize(text: str) -> list[str]:
     """Lowercase *text* and split it on maximal runs of non-alphanumerics.
 

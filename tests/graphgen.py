@@ -91,6 +91,23 @@ def shared_chain_penman(length: int) -> str:
     return f"(n0 / want-01{links} :ARG1 (n{length - 1} / end))"
 
 
+def repeated_edge_penman(count: int) -> str:
+    """A 3-node graph: ``x-01`` with *count* core roles on one ``hub``, which
+    has *count* ``:mod`` edges to one node, so each of the *count*
+    candidates holds the same *count* + 1 edges."""
+    mods = " :mod b" * (count - 1)
+    roles = " :ARG1 h" * (count - 1)
+    return f"(p / x-01 :ARG0 (h / hub :mod (b / b){mods}){roles})"
+
+
+def attributed_predicates_penman(count: int) -> str:
+    """*count* one-node predicates under one root, each its own ``:ARG0``
+    and holding one attribute, so the graph has *count* small candidates
+    and *count* attributes."""
+    ops = "".join(f" :op{i + 1} (p{i} / x-01 :ARG0 p{i} :quant {i})" for i in range(count))
+    return f"(r / and{ops})"
+
+
 def deep_realization(length: int) -> str:
     """The template realization of either deep graph's one unit."""
     return " ".join(["want"] + ["thing"] * (length - 1) + ["end"])

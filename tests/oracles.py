@@ -147,7 +147,7 @@ def enumerate_ngrams(sentence, sizes):
     return grams
 
 
-def ngram_units_oracle(reference, config):
+def ngram_units_oracle(reference, sizes, fraction, seed):
     """The n-gram sample drawn the direct way, from a pool of every n-gram
     string rather than of positions: the pool holds
     (sentence, n, start, text) in (sentence, n, start) order, the seeded
@@ -157,15 +157,15 @@ def ngram_units_oracle(reference, config):
     pool = []
     for index, sentence in enumerate(split_sentences(reference)):
         by_size = {}
-        for gram in enumerate_ngrams(sentence, config.ngram_sizes):
+        for gram in enumerate_ngrams(sentence, sizes):
             n = gram.count(" ") + 1
             start = by_size.get(n, 0)
             by_size[n] = start + 1
             pool.append((index, n, start, gram))
     if not pool:
         return None
-    count = min(len(pool), max(1, math.ceil(len(pool) * config.ngram_fraction)))
-    chosen = sorted(random.Random(config.seed).sample(pool, count))
+    count = min(len(pool), max(1, math.ceil(len(pool) * fraction)))
+    chosen = sorted(random.Random(seed).sample(pool, count))
     return [gram for _, _, _, gram in chosen]
 
 

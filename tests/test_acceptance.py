@@ -18,11 +18,12 @@ from autopyramid.amr import load_penman_file, parse_penman, serialize_penman
 from autopyramid.cli import main
 from autopyramid.data import load_dataset
 from autopyramid.errors import MalformedServiceReply, ServiceUnavailable
-from autopyramid.extract import ExtractionConfig, extract_sgu_units
+from autopyramid.extract import extract_sgu_units_many
 from autopyramid.presence import remote_scorer, score_summary
 from autopyramid.services import (
     DEFAULT_ATTEMPTS,
     DEFAULT_RETRY_SCHEDULE,
+    ChatClient,
     GraphToTextClient,
     PresenceClient,
     post_json,
@@ -252,11 +253,8 @@ def test_service_contracts(tmp_path, stub_service):
 
         # chat: one-shot framing reaches the wire
         chat = stub_service(scripted_chat("U1 # U2"))
-        units = extract_sgu_units(
-            "Some reference.",
-            ExtractionConfig(llm_endpoint=chat.url, llm_model="splitter"),
-        )
-        assert units == ["U1", "U2"]
+        units = extract_sgu_units_many(["Some reference."], ChatClient(chat.url, "splitter"))
+        assert units == [["U1", "U2"]]
         roles = [m["role"] for m in chat.requests[0][1]["messages"]]
         assert roles == ["system", "user", "assistant", "user"]
         assert chat.requests[0][1]["temperature"] == 0.0
@@ -287,14 +285,15 @@ def test_sgu_reply_parses_to_published_units():
         )
 
         class Fixed:
-            def complete(self, messages):
-                return reply
+            def complete(self, conversations):
+                return [reply for _ in conversations]
 
-        units = extract_sgu_units(
-            "Netherlands midfielder Wesley Sneijder has joined French Ligue 1 "
-            "side Nice on a free transfer.",
-            ExtractionConfig(),
-            client=Fixed(),
+        (units,) = extract_sgu_units_many(
+            [
+                "Netherlands midfielder Wesley Sneijder has joined French Ligue 1 "
+                "side Nice on a free transfer."
+            ],
+            Fixed(),
         )
         assert units == [
             "Netherlands midfielder Wesley Sneijder",

@@ -1,3 +1,4 @@
+import argparse
 import builtins
 import hashlib
 import json
@@ -10,7 +11,14 @@ import pytest
 from autopyramid import cli
 from autopyramid.cli import main
 
-from graphgen import DEEP, chained_penman, deep_realization, nested_penman, shared_chain_penman
+from graphgen import (
+    DEEP,
+    chained_penman,
+    deep_realization,
+    nested_penman,
+    repeated_edge_penman,
+    shared_chain_penman,
+)
 from stubs import constant_presence, dead_endpoint, scripted_chat
 
 DATA = Path(__file__).parent / "data"
@@ -206,6 +214,24 @@ def test_extract_smu_bounds_a_shared_chain(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "example g1 reference 0: " in err
     assert "more than 10000 nodes" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_extract_smu_bounds_repeated_edges(tmp_path, capsys):
+    # 3 nodes, but every one of the 1000 candidates holds the hub's 1000 edges
+    dataset = one_sentence_dataset(tmp_path)
+    graphs = tmp_path / "g.penman"
+    graphs.write_text(repeated_edge_penman(1000) + "\n", encoding="utf-8")
+    out = tmp_path / "units.jsonl"
+    code = main([
+        "extract", "--strategy", "smu", "--input", dataset,
+        "--graphs", str(graphs), "--out", str(out),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "example g1 reference 0: " in err
+    assert "more than 10000 nodes, edges and attributes" in err
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -695,6 +721,41 @@ def test_extract_sgu_rejects_non_finite_temperature(tmp_path, capsys, stub_servi
     assert code == 2
     assert "temperature" in capsys.readouterr().err
     assert stub.requests == []
+
+
+@pytest.mark.parametrize("strategy", ["sent", "ngram"])
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("--ngram-fraction", "0"),
+        ("--ngram-fraction", "1.5"),
+        ("--ngram-sizes", ""),
+        ("--ngram-sizes", "0,3"),
+        ("--ngram-sizes", "a"),
+        ("--temperature", "-1"),
+        ("--temperature", "nan"),
+    ],
+)
+def test_extract_rejects_bad_option_values(tmp_path, capsys, strategy, option, value):
+    out = tmp_path / "u.jsonl"
+    code = main([
+        "extract", "--strategy", strategy, "--input", TOY, "--out", str(out), option, value,
+    ])
+    assert code == 2
+    assert f"argument {option}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_extract_manifest_config_holds_every_option(tmp_path):
+    (subparsers,) = [
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    options = {a.dest for a in subparsers.choices["extract"]._actions} - {"help"}
+    out = tmp_path / "u.jsonl"
+    assert main(["extract", "--strategy", "sent", "--input", TOY, "--out", str(out)]) == 0
+    config = manifest_of(out)["config"]
+    assert set(config) == options - {"input", "out"}
+    assert config["ngram_sizes"] == "3,4,5" and config["batch_size"] == 32
 
 
 @pytest.mark.parametrize(

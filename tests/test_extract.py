@@ -6,15 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from autopyramid.amr import parse_penman
-from autopyramid.errors import EmptyReference, EmptyReply, ServiceUnavailable
+from autopyramid.errors import EmptyReference, EmptyReply
 from autopyramid.extract import (
     ONE_SHOT_INPUT,
     ONE_SHOT_OUTPUT,
     SPLIT_INSTRUCTION,
-    ExtractionConfig,
     extract_ngram_units,
     extract_sentence_units,
-    extract_sgu_units,
     extract_sgu_units_many,
     extract_smu_units,
 )
@@ -23,22 +21,13 @@ from oracles import ngram_units_oracle
 WANT = parse_penman("(w / want-01 :ARG0 (b / boy) :ARG1 (g / go-02 :ARG0 b))")
 
 
-def test_extraction_config_validation():
-    with pytest.raises(ValueError):
-        ExtractionConfig(ngram_fraction=0.0)
-    with pytest.raises(ValueError):
-        ExtractionConfig(ngram_fraction=1.5)
-    with pytest.raises(ValueError):
-        ExtractionConfig(ngram_sizes=())
-    with pytest.raises(ValueError):
-        ExtractionConfig(ngram_sizes=(0, 3))
-    with pytest.raises(ValueError):
-        ExtractionConfig(temperature=-1)
-    for bad in (float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            ExtractionConfig(temperature=bad)
-    with pytest.raises(ValueError):
-        ExtractionConfig(split_mode="sideways")
+def test_ngram_units_reject_bad_sizes_and_fractions():
+    for sizes in ((), (0, 3), (-1,)):
+        with pytest.raises(ValueError, match="sizes"):
+            extract_ngram_units("a b c d", sizes, 0.5, 42)
+    for fraction in (0.0, 1.5, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="fraction"):
+            extract_ngram_units("a b c d", (3,), fraction, 42)
 
 
 def test_sentence_units():
@@ -51,44 +40,39 @@ def test_sentence_units():
 
 
 def test_ngram_units_sampling_rule():
-    config = ExtractionConfig(ngram_sizes=(3, 4), ngram_fraction=0.05)
-    units = extract_ngram_units("a b c d", config)
+    units = extract_ngram_units("a b c d", (3, 4), 0.05, 42)
     # pool is 3 n-grams, ceil(0.15) clamps to the minimum of one unit
     assert len(units) == 1
     assert units[0] in ("a b c", "b c d", "a b c d")
 
 
 def test_ngram_units_deterministic_under_seed():
-    config = ExtractionConfig(ngram_fraction=0.3, seed=42)
     text = "the quick brown fox jumps over the lazy dog. it runs far away today."
-    assert extract_ngram_units(text, config) == extract_ngram_units(text, config)
-    other = extract_ngram_units(text, ExtractionConfig(ngram_fraction=0.3, seed=43))
-    assert other != extract_ngram_units(text, config)
+    units = extract_ngram_units(text, (3, 4, 5), 0.3, 42)
+    assert extract_ngram_units(text, (3, 4, 5), 0.3, 42) == units
+    assert extract_ngram_units(text, (3, 4, 5), 0.3, 43) != units
 
 
 def test_ngram_units_full_pool_when_fraction_is_one():
-    config = ExtractionConfig(ngram_sizes=(3,), ngram_fraction=1.0)
-    assert extract_ngram_units("a b c d e", config) == ["a b c", "b c d", "c d e"]
+    assert extract_ngram_units("a b c d e", (3,), 1.0, 42) == ["a b c", "b c d", "c d e"]
 
 
 def test_ngram_units_sorted_by_sentence_size_start():
-    config = ExtractionConfig(ngram_sizes=(3, 4), ngram_fraction=1.0)
-    units = extract_ngram_units("a b c d. e f g.", config)
+    units = extract_ngram_units("a b c d. e f g.", (3, 4), 1.0, 42)
     assert units == ["a b c", "b c d", "a b c d", "e f g"]
 
 
 def test_ngram_units_count_formula():
     text = ". ".join("w%d x y z q" % i for i in range(6))
+    pool_size = len(extract_ngram_units(text, (3, 4, 5), 1.0, 42))
     for fraction in (0.05, 0.2, 0.5, 1.0):
-        config = ExtractionConfig(ngram_fraction=fraction)
-        pool_size = len(extract_ngram_units(text, ExtractionConfig(ngram_fraction=1.0)))
-        units = extract_ngram_units(text, config)
+        units = extract_ngram_units(text, (3, 4, 5), fraction, 42)
         assert len(units) == max(1, math.ceil(fraction * pool_size))
 
 
 def test_ngram_units_empty_pool():
     with pytest.raises(EmptyReference):
-        extract_ngram_units("a b", ExtractionConfig(ngram_sizes=(3, 4, 5)))
+        extract_ngram_units("a b", (3, 4, 5), 0.05, 42)
 
 
 NGRAM_WORDS = ["the", "The", "cat", "sat", "dog", "ran", "x1", "ß", "É", "Dr.", "U.S.", "a_b"]
@@ -103,13 +87,12 @@ NGRAM_BREAKS = [".", "!", "?", ",", "--", "...", "\n"]
     st.integers(-(2**40), 2**64),
 )
 def test_ngram_units_equal_the_pool_of_strings(reference, sizes, fraction, seed):
-    config = ExtractionConfig(ngram_sizes=tuple(sizes), ngram_fraction=fraction, seed=seed)
-    expected = ngram_units_oracle(reference, config)
+    expected = ngram_units_oracle(reference, sizes, fraction, seed)
     if expected is None:
         with pytest.raises(EmptyReference):
-            extract_ngram_units(reference, config)
+            extract_ngram_units(reference, sizes, fraction, seed)
     else:
-        assert extract_ngram_units(reference, config) == expected
+        assert extract_ngram_units(reference, sizes, fraction, seed) == expected
 
 
 def test_ngram_units_equal_the_pool_of_strings_on_a_long_reference():
@@ -120,44 +103,67 @@ def test_ngram_units_equal_the_pool_of_strings_on_a_long_reference():
         for _ in range(12)
     )
     for sizes, fraction, seed in [((3, 4, 5), 0.05, 42), ((1, 2, 2), 0.5, 3), ((4,), 1.0, 0)]:
-        config = ExtractionConfig(ngram_sizes=sizes, ngram_fraction=fraction, seed=seed)
-        assert extract_ngram_units(reference, config) == ngram_units_oracle(reference, config)
+        expected = ngram_units_oracle(reference, sizes, fraction, seed)
+        assert extract_ngram_units(reference, sizes, fraction, seed) == expected
 
 
 def test_smu_units_baseline_composition():
-    units = extract_smu_units([WANT], ExtractionConfig())
+    units = extract_smu_units([WANT], "one-cr")
     assert units == ["boy want", "want boy go", "boy go"]
 
-    assert extract_smu_units([], ExtractionConfig()) == []
-    assert extract_smu_units([parse_penman("(b / boy)")], ExtractionConfig()) == []
+    assert extract_smu_units([], "one-cr") == []
+    assert extract_smu_units([parse_penman("(b / boy)")], "one-cr") == []
 
 
 def test_smu_units_deduplicate_exact_texts():
     graphs = [WANT, WANT]
-    units = extract_smu_units(graphs, ExtractionConfig())
+    units = extract_smu_units(graphs, "one-cr")
     assert units == ["boy want", "want boy go", "boy go"]
 
 
-class ScriptedChat:
+class FakeGenerator:
+    """A generator with the client's shape: the graphs' PENMAN texts in,
+    one text each out."""
+
     def __init__(self, reply):
         self.reply = reply
-        self.messages = []
+        self.calls = []
 
-    def complete(self, messages):
-        self.messages.append(messages)
-        return self.reply
+    def generate(self, graphs):
+        self.calls.append(list(graphs))
+        return [self.reply(g) for g in graphs]
+
+
+def test_smu_units_through_a_generator():
+    generator = FakeGenerator(lambda g: f" {g.split()[0]} ")
+    assert extract_smu_units([WANT, WANT], "all-deps", generator) == ["(w", "(g"]
+    # one call for all candidates of the graphs given, none for no candidate
+    assert len(generator.calls) == 1 and len(generator.calls[0]) == 4
+    assert extract_smu_units([parse_penman("(b / boy)")], "one-cr", generator) == []
+    assert len(generator.calls) == 1
+
+
+class ScriptedChat:
+    """A chat client's shape: one reply per conversation, in order."""
+
+    def __init__(self, reply):
+        self.reply = reply
+        self.conversations = []
+
+    def complete(self, conversations):
+        self.conversations.extend(conversations)
+        return [self.reply(c) if callable(self.reply) else self.reply for c in conversations]
 
 
 def test_sgu_units_split_reply():
     chat = ScriptedChat("A # B # C")
-    units = extract_sgu_units("Some reference.", ExtractionConfig(), client=chat)
-    assert units == ["A", "B", "C"]
+    assert extract_sgu_units_many(["Some reference."], chat) == [["A", "B", "C"]]
 
 
 def test_sgu_prompt_framing():
     chat = ScriptedChat("A")
-    extract_sgu_units("The reference text.", ExtractionConfig(), client=chat)
-    (messages,) = chat.messages
+    extract_sgu_units_many(["The reference text."], chat)
+    (messages,) = chat.conversations
     assert [m["role"] for m in messages] == ["system", "user", "assistant", "user"]
     assert messages[0]["content"] == SPLIT_INSTRUCTION
     assert messages[1]["content"] == ONE_SHOT_INPUT
@@ -167,33 +173,27 @@ def test_sgu_prompt_framing():
 
 def test_sgu_units_sanitation():
     chat = ScriptedChat("  A  ##  B # . ")
-    assert extract_sgu_units("ref", ExtractionConfig(), client=chat) == ["A", "B"]
+    assert extract_sgu_units_many(["ref"], chat) == [["A", "B"]]
 
 
 def test_sgu_units_empty_reply():
     with pytest.raises(EmptyReply):
-        extract_sgu_units("ref", ExtractionConfig(), client=ScriptedChat("  #  # "))
-
-
-def test_sgu_units_requires_endpoint():
-    with pytest.raises(ServiceUnavailable):
-        extract_sgu_units("ref", ExtractionConfig())
+        # the second reference's reply has no fragment
+        extract_sgu_units_many(["A", " # "], ScriptedChat(lambda c: c[-1]["content"]))
+    with pytest.raises(EmptyReply):
+        extract_sgu_units_many(["ref"], ScriptedChat("  #  # "))
 
 
 def test_sgu_units_many_preserves_order():
-    class EchoChat:
-        def complete(self, messages):
-            return f"unit of {messages[-1]['content']}"
-
-    config = ExtractionConfig(concurrency=3)
-    batches = extract_sgu_units_many([f"ref {i}" for i in range(7)], config, EchoChat())
-    assert batches == [[f"unit of ref {i}"] for i in range(7)]
+    chat = ScriptedChat(lambda messages: f"unit of {messages[-1]['content']}")
+    units = extract_sgu_units_many([f"ref {i}" for i in range(7)], chat)
+    assert units == [[f"unit of ref {i}"] for i in range(7)]
+    assert extract_sgu_units_many([], chat) == []
 
 
 def test_offline_units_never_longer_than_reference():
     reference = "The quick brown fox jumps over the lazy dog. It then sleeps."
     for unit in extract_sentence_units(reference):
         assert len(unit) <= len(reference)
-    config = ExtractionConfig(ngram_fraction=1.0)
-    for unit in extract_ngram_units(reference, config):
+    for unit in extract_ngram_units(reference, (3, 4, 5), 1.0, 42):
         assert len(unit) <= len(reference)

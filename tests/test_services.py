@@ -3,6 +3,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -170,21 +172,46 @@ def test_presence_client_token_from_environment(stub_service, monkeypatch):
 def test_chat_client_payload_and_reply(stub_service):
     stub = stub_service(scripted_chat("A # B"))
     client = ChatClient(stub.url, "unit-splitter-1", temperature=0.0)
-    content = client.complete([{"role": "user", "content": "hi"}])
-    assert content == "A # B"
+    content = client.complete([[{"role": "user", "content": "hi"}]])
+    assert content == ["A # B"]
     body = stub.requests[0][1]
     assert body["model"] == "unit-splitter-1"
     assert body["temperature"] == 0.0
     assert body["messages"] == [{"role": "user", "content": "hi"}]
 
 
+def test_chat_client_sends_one_conversation_per_request(stub_service):
+    lock = threading.Lock()
+    inflight = {"now": 0, "most": 0}
+
+    def handler(path, body):
+        with lock:
+            inflight["now"] += 1
+            inflight["most"] = max(inflight["most"], inflight["now"])
+        time.sleep(0.02)
+        with lock:
+            inflight["now"] -= 1
+        return 200, {"choices": [{"message": {"content": body["messages"][-1]["content"].upper()}}]}
+
+    stub = stub_service(handler)
+    client = ChatClient(stub.url, "m", temperature=0.5, concurrency=2)
+    conversations = [[{"role": "user", "content": f"ref {i}"}] for i in range(5)]
+    assert client.complete(conversations) == [f"REF {i}" for i in range(5)]
+    bodies = [body for _, body, _ in stub.requests]
+    assert sorted(b["messages"][0]["content"] for b in bodies) == [f"ref {i}" for i in range(5)]
+    assert {(b["model"], b["temperature"]) for b in bodies} == {("m", 0.5)}
+    assert inflight["most"] <= 2
+    assert client.complete([]) == []
+    assert len(stub.requests) == 5
+
+
 def test_chat_client_rejects_malformed_reply(stub_service):
     stub = stub_service(lambda path, body: (200, {"choices": []}))
     with pytest.raises(MalformedServiceReply):
-        ChatClient(stub.url, "m").complete([])
+        ChatClient(stub.url, "m").complete([[]])
     wrong = stub_service(lambda path, body: (200, {"choices": [{"message": {"content": 5}}]}))
     with pytest.raises(MalformedServiceReply):
-        ChatClient(wrong.url, "m").complete([])
+        ChatClient(wrong.url, "m").complete([[]])
 
 
 def test_batch_client_validates_parameters(stub_service):
@@ -335,7 +362,7 @@ def test_error_messages_redact_endpoint_credentials(stub_service):
     listy = stub_service(raw_body=b"[]").url.replace("http://", "http://alice:s3cret@")
     for call in (
         lambda: PresenceClient(url).probabilities([("p", "h")]),
-        lambda: ChatClient(url, "m").complete([]),
+        lambda: ChatClient(url, "m").complete([[]]),
         lambda: post_json(listy, {}),
     ):
         with pytest.raises(MalformedServiceReply) as bad:

@@ -19,10 +19,12 @@ from graphgen import (
     DEEP,
     ROLES,
     SEEDS,
+    attributed_predicates_penman,
     chained_penman,
     deep_realization,
     nested_penman,
     random_graph,
+    repeated_edge_penman,
     shared_chain_penman,
 )
 from oracles import isomorphic, realize_baseline_oracle, split_graph_oracle
@@ -218,6 +220,9 @@ def test_split_and_realize_match_the_reference(seed, mode, turn_edges):
 
 
 class FakeGenerator:
+    """A generator with the client's shape: PENMAN texts in, one text each
+    out."""
+
     def __init__(self):
         self.calls = []
 
@@ -229,14 +234,14 @@ class FakeGenerator:
 def test_realize_remote_fills_in_order():
     candidates = split_graph(WANT)
     fake = FakeGenerator()
-    texts = realize_remote(candidates, "http://unused", client=fake)
+    texts = realize_remote(candidates, fake)
     assert texts == [f"text for {serialize_penman(c)}" for c in candidates]
     assert fake.calls == [[serialize_penman(c) for c in candidates]]
 
 
 def test_realize_remote_empty_makes_no_call():
     fake = FakeGenerator()
-    assert realize_remote([], "http://unused", client=fake) == []
+    assert realize_remote([], fake) == []
     assert fake.calls == []
 
 
@@ -246,15 +251,16 @@ def test_realize_remote_rejects_wrong_count():
             return ["only one"]
 
     with pytest.raises(MalformedServiceReply):
-        realize_remote(split_graph(WANT), "http://unused", client=Short())
+        realize_remote(split_graph(WANT), Short())
 
 
 def test_realize_remote_unreachable_endpoint_gives_up():
     from autopyramid.errors import ServiceUnavailable
+    from autopyramid.services import GraphToTextClient
     from stubs import dead_endpoint
 
     with pytest.raises(ServiceUnavailable) as info:
-        realize_remote(split_graph(WANT), dead_endpoint())
+        realize_remote(split_graph(WANT), GraphToTextClient(dead_endpoint()))
     assert "3 attempts" in str(info.value)
 
 
@@ -283,11 +289,38 @@ def test_split_bounds_the_nodes_of_a_shared_chain():
             split_graph(parse_penman(nested), mode)
 
 
-def test_split_bound_is_inclusive(monkeypatch):
-    graph = parse_penman(shared_chain_penman(20))
-    held = sum(len(c.nodes) for c in split_graph(graph))
-    monkeypatch.setattr(smu, "MAX_SPLIT_NODES", held)
-    assert len(split_graph(graph)) == 19
-    monkeypatch.setattr(smu, "MAX_SPLIT_NODES", held - 1)
-    with pytest.raises(GraphTooLarge):
+def test_split_bounds_the_edges_of_a_repeated_edge():
+    # 1000 candidates of 3 nodes each, but of 1000 edges each
+    graph = parse_penman(repeated_edge_penman(1000))
+    with pytest.raises(GraphTooLarge, match="'p'.* more than 10000 nodes, edges"):
         split_graph(graph)
+
+
+def test_split_bound_is_inclusive(monkeypatch):
+    for graph in (
+        parse_penman(shared_chain_penman(20)),
+        parse_penman(repeated_edge_penman(20)),
+        parse_penman(attributed_predicates_penman(20)),
+    ):
+        candidates = split_graph(graph)
+        held = sum(len(c.nodes) + len(c.edges) + len(c.attributes) for c in candidates)
+        monkeypatch.setattr(smu, "MAX_SPLIT_SIZE", held)
+        assert split_graph(graph) == candidates
+        monkeypatch.setattr(smu, "MAX_SPLIT_SIZE", held - 1)
+        with pytest.raises(GraphTooLarge):
+            split_graph(graph)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        attributed_predicates_penman(300),
+        # attributes of the predicate stored after those of its filler
+        "(p / x-01 :ARG0 (c / thing :quant 1 :ARG1-of (q / y-02 :mod 2)) :polarity - :ARG1 c)",
+    ],
+)
+def test_split_takes_attributes_in_stored_order(text):
+    graph = parse_penman(text)
+    for mode in SPLIT_MODES:
+        assert split_graph(graph, mode) == split_graph_oracle(graph, mode)

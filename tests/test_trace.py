@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from stubs import echo_generator
+from stubs import echo_generator, scripted_chat
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "trace_cli.py"
@@ -102,3 +102,26 @@ def test_traced_remote_smu_extract_counts_serializations(tmp_path, stub_service)
     assert code == 0
     assert counts["smu.realize_remote.calls"] > 0
     assert counts["amr.serialize_penman.calls"] > 0
+
+
+def test_traced_sgu_extract_counts_the_units_written(tmp_path, stub_service):
+    stub = stub_service(scripted_chat("First fact # Second fact"))
+    out = tmp_path / "units.jsonl"
+    code, counts = traced(
+        tmp_path,
+        "extract",
+        "--strategy",
+        "sgu",
+        "--input",
+        TOY,
+        "--llm-endpoint",
+        stub.url,
+        "--llm-model",
+        "splitter",
+        "--out",
+        str(out),
+    )
+    assert code == 0
+    written = len(out.read_text(encoding="utf-8").splitlines())
+    assert written > 0
+    assert counts["extract.units"] == written
