@@ -32,6 +32,7 @@ from .extract import (  # noqa: F401
     extract_sentence_units,
     extract_sgu_units_many,
     extract_smu_units,
+    extract_smu_units_many,
 )
 from .presence import (  # noqa: F401
     PresenceResult,

@@ -363,10 +363,12 @@ def serialize_penman(graph: AmrGraph) -> str:
 
 @dataclass(frozen=True)
 class PenmanEntry:
-    """One graph from a PENMAN file plus its optional source sentence."""
+    """One graph from a PENMAN file plus its optional source sentence, and
+    the file line its graph starts on."""
 
     graph: AmrGraph
     sentence: str | None = None
+    line: int | None = None
 
 
 _SNT_PREFIX = "# ::snt "
@@ -390,7 +392,7 @@ def load_penman_file(path, *, digests: dict | None = None) -> list[PenmanEntry]:
         nonlocal block, sentence
         if any(line.strip() for line in block):
             graph = parse_penman("\n".join(block), first_line=block_start)
-            entries.append(PenmanEntry(graph, sentence))
+            entries.append(PenmanEntry(graph, sentence, block_start))
         block = []
         sentence = None
 

@@ -30,7 +30,6 @@ from .errors import (
     AutoPyramidError,
     DegenerateInput,
     EmptyDataset,
-    EmptyReference,
     GraphTooLarge,
     InputError,
     LengthMismatch,
@@ -38,6 +37,7 @@ from .errors import (
     MalformedServiceReply,
     NoGoldUnits,
     NoUnits,
+    ReferenceFailure,
     RemoteError,
     ServiceUnavailable,
 )
@@ -46,10 +46,12 @@ from .extract import (
     extract_sentence_units,
     extract_sgu_units_many,
     extract_smu_units,
+    extract_smu_units_many,
 )
 from .manifest import write_manifest
 from .presence import (  # noqa: F401  (score_summary: kept importable from here)
     lexical_scorer,
+    prescored,
     remote_scorer,
     score_summaries,
     score_summary,
@@ -231,16 +233,21 @@ def _reference_counts(entries) -> dict[str, int]:
     return {entry.example_id: len(entry.references) for entry in entries}
 
 
-def _smu_graphs(args, entries, digests: dict) -> list[list]:
+def _smu_graphs(args, entries, digests: dict) -> tuple[list[list], list[int] | None]:
     """The sentence graphs of each reference in dataset order, from a file
-    or the parser service. File blocks are consumed positionally: one block
-    per reference sentence. The file's digest goes into *digests*."""
+    or the parser service, and the file line of every graph in that order
+    (``None`` from the service). File blocks are consumed positionally: one
+    block per reference sentence. The file's digest goes into *digests*."""
     wanted = [
         (entry.example_id, index, split_sentences(reference.text))
         for entry, index, reference in _each_reference(entries)
     ]
+    lines = None
     if args.graphs:
-        flat = [block.graph for block in load_penman_file(args.graphs, digests=digests)]
+        flat, lines = [], []
+        for block in load_penman_file(args.graphs, digests=digests):
+            flat.append(block.graph)
+            lines.append(block.line)
     elif args.parse_endpoint:
         client = ParseServiceClient(
             args.parse_endpoint,
@@ -270,24 +277,55 @@ def _smu_graphs(args, entries, digests: dict) -> list[list]:
         graphs.append(take)
     if cursor != len(flat):
         raise InputError(f"graphs file has {len(flat)} blocks but the dataset uses {cursor}")
-    return graphs
+    return graphs, lines
 
 
-def _reference_rows(entries, tag: str, units_of) -> list[UnitFileRow]:
-    """Rows tagged *tag* for the unit texts ``units_of(k, text)`` of each
-    reference, *k* counting the references of the whole dataset from 0, in
-    dataset order. An :class:`EmptyReference` names its example and
-    reference."""
-    rows = []
-    for k, (entry, index, reference) in enumerate(_each_reference(entries)):
-        try:
-            texts = units_of(k, reference.text)
-        except (EmptyReference, GraphTooLarge) as exc:
-            raise type(exc)(
-                f"example {entry.example_id} reference {index}: {exc}"
-            ) from exc
-        rows.extend(UnitFileRow(entry.example_id, index, tag, text) for text in texts)
-    return rows
+def _reference_rows(
+    entries, tag: str, units_of_many, where=lambda exc: ""
+) -> list[UnitFileRow]:
+    """Rows tagged *tag* for the unit texts of each reference, from
+    ``units_of_many(texts)``, which gets the texts of every reference in
+    dataset order and returns one unit list per reference.
+
+    This is the one place that names a failed reference: a
+    :class:`ReferenceFailure` that carries its reference's position is
+    raised again with the example and the reference, then ``where(exc)``
+    when that is not empty.
+    """
+    references = list(_each_reference(entries))
+    try:
+        units = units_of_many([reference.text for _, _, reference in references])
+    except ReferenceFailure as exc:
+        if exc.reference is None:
+            raise
+        entry, index, _ = references[exc.reference]
+        named = f"example {entry.example_id} reference {index}"
+        detail = where(exc)
+        if detail:
+            named = f"{named}: {detail}"
+        raise type(exc)(f"{named}: {exc}") from exc
+    return [
+        UnitFileRow(entry.example_id, index, tag, text)
+        for (entry, index, _), texts in zip(references, units)
+        for text in texts
+    ]
+
+
+def _one_by_one(units_of):
+    """An extractor of many references from ``units_of(k, text)``, which
+    extracts the units of reference *k* alone; a failure carries *k*."""
+
+    def units_of_many(texts):
+        units = []
+        for k, text in enumerate(texts):
+            try:
+                units.append(units_of(k, text))
+            except ReferenceFailure as exc:
+                exc.reference = k
+                raise
+        return units
+
+    return units_of_many
 
 
 # Each strategy's unit rows and manifest ``extra``, from (args, entries,
@@ -297,7 +335,7 @@ def _reference_rows(entries, tag: str, units_of) -> list[UnitFileRow]:
 
 def _sentence_rows(args, entries, digests):
     return _reference_rows(
-        entries, "sentence_split", lambda k, text: extract_sentence_units(text)
+        entries, "sentence_split", _one_by_one(lambda k, text: extract_sentence_units(text))
     ), None
 
 
@@ -306,22 +344,36 @@ def _ngram_rows(args, entries, digests):
     return _reference_rows(
         entries,
         "ngram",
-        lambda k, text: extract_ngram_units(text, sizes, args.ngram_fraction, args.seed),
+        _one_by_one(
+            lambda k, text: extract_ngram_units(text, sizes, args.ngram_fraction, args.seed)
+        ),
     ), None
 
 
 def _smu_rows(args, entries, digests):
-    graphs = _smu_graphs(args, entries, digests)
-    generator = None
+    graphs, lines = _smu_graphs(args, entries, digests)
+
+    def where(exc):
+        if isinstance(exc, GraphTooLarge) and lines is not None and exc.graph is not None:
+            line = lines[sum(map(len, graphs[: exc.reference])) + exc.graph]
+            return f"graph at line {line} of {args.graphs}"
+        return ""
+
     if args.gen_endpoint:
+        # one /gen call for the whole command; the template realizer stays
+        # per reference
         generator = GraphToTextClient(
             args.gen_endpoint, batch_size=args.batch_size, concurrency=args.concurrency
         )
-    rows = _reference_rows(
-        entries,
-        "smu",
-        lambda k, text: extract_smu_units(graphs[k], args.split_mode, generator),
-    )
+
+        def units_of_many(texts):
+            return extract_smu_units_many(graphs, args.split_mode, generator)
+
+    else:
+        units_of_many = _one_by_one(
+            lambda k, text: extract_smu_units(graphs[k], args.split_mode)
+        )
+    rows = _reference_rows(entries, "smu", units_of_many, where)
     extra = {
         "split_mode": args.split_mode,
         "realizer": "remote" if args.gen_endpoint else "template",
@@ -330,8 +382,7 @@ def _smu_rows(args, entries, digests):
 
 
 def _sgu_rows(args, entries, digests):
-    texts = [reference.text for _, _, reference in _each_reference(entries)]
-    if texts and not (args.llm_endpoint and args.llm_model):
+    if entries and not (args.llm_endpoint and args.llm_model):
         raise ServiceUnavailable("no LLM endpoint/model configured for sgu units")
     client = ChatClient(
         args.llm_endpoint,
@@ -339,13 +390,14 @@ def _sgu_rows(args, entries, digests):
         temperature=args.temperature,
         concurrency=args.concurrency,
     )
-    units = extract_sgu_units_many(texts, client)
     extra = {
         "sgu_prompt_framing": "system,example-user,example-assistant,reference-user",
         "llm_model": args.llm_model,
         "temperature": args.temperature,
     }
-    return _reference_rows(entries, "sgu", lambda k, text: units[k]), extra
+    return _reference_rows(
+        entries, "sgu", lambda texts: extract_sgu_units_many(texts, client)
+    ), extra
 
 
 def _imported_rows(args, entries, digests):
@@ -414,21 +466,35 @@ def cmd_score(args) -> int:
     if missing:
         raise NoUnits(f"no units for examples: {', '.join(sorted(missing))}")
 
+    examples = [
+        (entry, grouped[entry.example_id], sorted(entry.systems, key=lambda s: s.system_id))
+        for entry in sorted(entries, key=lambda e: e.example_id)
+    ]
     if args.scorer == "remote":
         if not args.nli_endpoint:
             raise ServiceUnavailable("--scorer remote needs --nli-endpoint")
-        scorer = remote_scorer(
-            args.nli_endpoint,
-            batch_size=args.batch_size,
-            concurrency=args.concurrency,
+        # every pair of the command in one batched call; the lexical scorer
+        # stays per example, so that one example's token bags are alive at
+        # a time
+        pairs = (
+            (system.summary, unit)
+            for _, units, systems in examples
+            for system in systems
+            for unit in units
+        )
+        scorer = prescored(
+            pairs,
+            remote_scorer(
+                args.nli_endpoint,
+                batch_size=args.batch_size,
+                concurrency=args.concurrency,
+            ),
         )
     else:
         scorer = lexical_scorer
 
     lines = []
-    for entry in sorted(entries, key=lambda e: e.example_id):
-        units = grouped[entry.example_id]
-        systems = sorted(entry.systems, key=lambda s: s.system_id)
+    for entry, units, systems in examples:
         results = score_summaries(units, [s.summary for s in systems], scorer)
         for system, result in zip(systems, results):
             lines.append(

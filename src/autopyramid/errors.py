@@ -20,6 +20,14 @@ class RemoteError(AutoPyramidError):
     """An external service failed or misbehaved."""
 
 
+class ReferenceFailure(AutoPyramidError):
+    """A failure that concerns one reference summary. An extractor given
+    many references sets ``reference`` to the position of the one that
+    failed, so that the caller can name it."""
+
+    reference: int | None = None
+
+
 class MalformedPenman(InputError):
     """PENMAN text that does not follow the accepted grammar."""
 
@@ -35,12 +43,16 @@ class DisconnectedGraph(InputError):
     """A graph operation required connectivity that does not hold."""
 
 
-class EmptyReference(InputError):
+class EmptyReference(InputError, ReferenceFailure):
     """A reference summary produced no extractable units."""
 
 
-class GraphTooLarge(InputError):
-    """A graph splits into more candidate nodes than the splitter allows."""
+class GraphTooLarge(InputError, ReferenceFailure):
+    """A graph splits into more candidate nodes than the splitter allows.
+    ``graph`` is its position among the graphs of its reference, when
+    known."""
+
+    graph: int | None = None
 
 
 class NoUnits(InputError):
@@ -107,5 +119,5 @@ class MalformedServiceReply(RemoteError):
     """A remote endpoint answered with an unusable payload."""
 
 
-class EmptyReply(RemoteError):
+class EmptyReply(RemoteError, ReferenceFailure):
     """The language model replied without any usable unit fragment."""

@@ -22,7 +22,7 @@ from bisect import bisect_right
 from typing import Sequence
 
 from .amr import AmrGraph
-from .errors import EmptyReference, EmptyReply
+from .errors import EmptyReference, EmptyReply, GraphTooLarge
 from .services import ChatClient, GraphToTextClient
 from .smu import realize_baseline, realize_remote, split_graph
 from .text import split_sentences, tokenize
@@ -110,18 +110,52 @@ def extract_ngram_units(
 def extract_smu_units(
     graphs: Sequence[AmrGraph], mode: str, generator: GraphToTextClient | None = None
 ) -> list[str]:
-    """Split each sentence graph and realize the pieces as text.
+    """The units of one reference from its sentence graphs: the one-reference
+    form of :func:`extract_smu_units_many`."""
+    return extract_smu_units_many([graphs], mode, generator)[0]
 
-    The pieces go to *generator*'s service, or to the template realizer
+
+def extract_smu_units_many(
+    graph_lists: Sequence[Sequence[AmrGraph]],
+    mode: str,
+    generator: GraphToTextClient | None = None,
+) -> list[list[str]]:
+    """Split the sentence graphs of each reference and realize the pieces
+    as text, one unit list per reference, in input order.
+
+    The pieces of every reference go to *generator*'s service in one call,
+    each serialized as the split reaches it, or to the template realizer
     when it is ``None``. Texts are stripped; empty ones and exact
-    duplicates are dropped, keeping first occurrences.
+    duplicates within a reference are dropped, keeping first occurrences.
+    A :class:`GraphTooLarge` carries the positions of its reference and
+    of its graph within the reference.
     """
-    candidates = [c for graph in graphs for c in split_graph(graph, mode)]
+    counts = []
+
+    def candidates():
+        for k, graphs in enumerate(graph_lists):
+            count = 0
+            for j, graph in enumerate(graphs):
+                try:
+                    pieces = split_graph(graph, mode)
+                except GraphTooLarge as exc:
+                    exc.reference, exc.graph = k, j
+                    raise
+                count += len(pieces)
+                yield from pieces
+            counts.append(count)
+
     if generator is None:
-        texts = [realize_baseline(c) for c in candidates]
+        texts = [realize_baseline(c) for c in candidates()]
     else:
-        texts = realize_remote(candidates, generator)
-    return list(dict.fromkeys(filter(None, map(str.strip, texts))))
+        texts = realize_remote(candidates(), generator)
+    units = []
+    start = 0
+    for count in counts:
+        chunk = texts[start : start + count]
+        units.append(list(dict.fromkeys(filter(None, map(str.strip, chunk)))))
+        start += count
+    return units
 
 
 def _parse_fragments(reply: str) -> list[str]:
@@ -147,12 +181,16 @@ def extract_sgu_units_many(references: Sequence[str], client: ChatClient) -> lis
 
     Each conversation is the fixed instruction, the one-shot example as a
     user/assistant turn pair, then the reference; *client* sends one per
-    request, with its model and temperature. Each reply is split on '#'.
+    request, with its model and temperature. Each reply is split on '#'; a
+    reply with no fragment raises :class:`EmptyReply` carrying the position
+    of its reference.
     """
     units = []
-    for reply in client.complete([_prompt_messages(ref) for ref in references]):
+    for k, reply in enumerate(client.complete([_prompt_messages(ref) for ref in references])):
         fragments = _parse_fragments(reply)
         if not fragments:
-            raise EmptyReply("the model reply contains no usable fragment")
+            exc = EmptyReply("the model reply contains no usable fragment")
+            exc.reference = k
+            raise exc
         units.append(fragments)
     return units

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import MalformedServiceReply, NoUnits
 from .services import PresenceClient
@@ -70,6 +70,24 @@ def remote_scorer(
     ).probabilities
 
 
+def _probabilities(pairs: list[tuple[str, str]], scorer: PresenceScorer) -> dict:
+    """One *scorer* call on the distinct *pairs*, by pair."""
+    probabilities = scorer(pairs)
+    if len(probabilities) != len(pairs):
+        raise MalformedServiceReply(
+            f"scorer answered {len(probabilities)} probabilities for {len(pairs)} pairs"
+        )
+    return dict(zip(pairs, probabilities))
+
+
+def prescored(pairs: Iterable[tuple[str, str]], scorer: PresenceScorer) -> PresenceScorer:
+    """A scorer that answers from one *scorer* call on the distinct pairs
+    of *pairs*, so that the pairs of many examples share one batched call
+    and each example still reads its own. It knows no other pair."""
+    by_pair = _probabilities(list(dict.fromkeys(pairs)), scorer)
+    return lambda wanted: [by_pair[pair] for pair in wanted]
+
+
 def score_summaries(
     units: Sequence[str], summaries: Sequence[str], scorer: PresenceScorer
 ) -> list[PresenceResult]:
@@ -82,12 +100,7 @@ def score_summaries(
     if not units:
         raise NoUnits("cannot score a summary without units")
     pairs = list(dict.fromkeys((summary, unit) for summary in summaries for unit in units))
-    probabilities = scorer(pairs)
-    if len(probabilities) != len(pairs):
-        raise MalformedServiceReply(
-            f"scorer answered {len(probabilities)} probabilities for {len(pairs)} pairs"
-        )
-    by_pair = dict(zip(pairs, probabilities))
+    by_pair = _probabilities(pairs, scorer)
     return [
         PresenceResult(tuple(float(by_pair[summary, unit]) for unit in units))
         for summary in summaries

@@ -15,6 +15,13 @@ error messages name an endpoint only in its redacted form.
 
 The transport is the standard library's ``urllib.request``, imported on the
 first request so that commands that never call a service do not load it.
+A client builds its opener once, on its first request. Each request opens a
+fresh connection, and connections are not reused: when a server writes a
+reply's headers and body in separate sends, as ``perfbench/stub.py`` does,
+Nagle's algorithm and delayed ACKs stall every reused keep-alive
+connection (45 ms a request through ``http.client``, against 2.7 ms with a
+fresh connection, on CPython 3.11.7). Commands batch their requests
+instead, so they open few connections.
 """
 
 from __future__ import annotations
@@ -116,6 +123,25 @@ def _retry_delay(attempt: int, schedule: Sequence[float], retry_after: str | Non
     return schedule[min(attempt, len(schedule) - 1)]
 
 
+def build_opener():
+    """The ``urllib`` opener :func:`post_json` sends through: proxies as the
+    environment names them at this call, http and https, and no redirect
+    handler, so a 3xx answer fails like a 4xx and the request is never
+    re-sent, with its credentials, to a host the reply names."""
+    import urllib.request
+
+    opener = urllib.request.OpenerDirector()
+    for handler in (
+        urllib.request.ProxyHandler(),
+        urllib.request.HTTPHandler(),
+        urllib.request.HTTPSHandler(),
+        urllib.request.HTTPDefaultErrorHandler(),
+        urllib.request.HTTPErrorProcessor(),
+    ):
+        opener.add_handler(handler)
+    return opener
+
+
 def post_json(
     url: str,
     payload: dict,
@@ -125,6 +151,7 @@ def post_json(
     schedule: Sequence[float] | None = None,
     timeout: float = DEFAULT_TIMEOUT,
     sleep: Callable[[float], None] = time.sleep,
+    opener=None,
 ) -> dict:
     """POST *payload* and return the parsed JSON reply.
 
@@ -134,6 +161,7 @@ def post_json(
     Other 4xx answers and redirects are not retried or followed. *url* must
     be http or https (else :class:`InputError`, before any attempt); its
     userinfo is sent as HTTP Basic auth, which takes precedence over *token*.
+    *opener* is one from :func:`build_opener`, built per call when omitted.
     """
     # imported here so that commands that never call a service skip them
     import base64
@@ -152,17 +180,8 @@ def post_json(
         credential = base64.b64encode(userinfo.encode("utf-8")).decode("ascii")
         headers["Authorization"] = f"Basic {credential}"
     data = json.dumps(payload, allow_nan=False).encode("utf-8")
-    # no redirect handler: a 3xx answer fails like a 4xx, so the request is
-    # never re-sent, with its credentials, to a host the reply names
-    opener = urllib.request.OpenerDirector()
-    for handler in (
-        urllib.request.ProxyHandler(),
-        urllib.request.HTTPHandler(),
-        urllib.request.HTTPSHandler(),
-        urllib.request.HTTPDefaultErrorHandler(),
-        urllib.request.HTTPErrorProcessor(),
-    ):
-        opener.add_handler(handler)
+    if opener is None:
+        opener = build_opener()
     failure = "no attempt made"
     for attempt in range(attempts):
         retry_after = None
@@ -205,8 +224,8 @@ def _chunks(items: Sequence, size: int) -> list[Sequence]:
 
 class BatchClient:
     """Shared plumbing of the service clients: retried POSTs with the
-    client's token (``_post``), and batched, order-preserving,
-    bounded-concurrency requests (``_run_batched``)."""
+    client's token through one opener (``_post``), and batched,
+    order-preserving, bounded-concurrency requests (``_run_batched``)."""
 
     token_env: str | None = None
 
@@ -232,6 +251,8 @@ class BatchClient:
         self.schedule = schedule
         self.sleep = sleep
         self.timeout = timeout
+        # built on the first request, then shared by every later one
+        self._opener = None
 
     def _token(self) -> str | None:
         return os.environ.get(self.token_env) if self.token_env else None
@@ -245,6 +266,7 @@ class BatchClient:
             schedule=self.schedule,
             timeout=self.timeout,
             sleep=self.sleep,
+            opener=self._opener,
         )
 
     def _run_batched(self, items: Sequence, build: Callable, parse: Callable) -> list:
@@ -252,6 +274,8 @@ class BatchClient:
         stitch replies back together in input order."""
         if not items:
             return []
+        if self._opener is None:
+            self._opener = build_opener()
         batches = _chunks(items, self.batch_size)
 
         def one(batch):

@@ -23,7 +23,7 @@ offline template, :func:`realize_remote` calls a generation service.
 from __future__ import annotations
 
 import re
-from typing import Sequence
+from typing import Iterable
 
 from .amr import AmrGraph, Edge, attribute_map, child_map, preorder, serialize_penman
 from .errors import GraphTooLarge, MalformedServiceReply
@@ -238,17 +238,20 @@ def realize_baseline(graph: AmrGraph) -> str:
     return " ".join(filter(None, words))
 
 
-def realize_remote(graphs: Sequence[AmrGraph], client: GraphToTextClient) -> list[str]:
+def realize_remote(graphs: Iterable[AmrGraph], client: GraphToTextClient) -> list[str]:
     """The texts of *graphs*, from *client*'s graph-to-text service.
 
-    They are serialized to PENMAN and sent in the client's batches; the
-    reply order matches the input order. No graph makes no network call.
+    Each graph is serialized to PENMAN as it is consumed, so an iterator
+    of graphs is never held whole; the texts go in the client's batches,
+    and the reply order matches the input order. No graph makes no
+    network call.
     """
-    if not graphs:
+    penman = [serialize_penman(g) for g in graphs]
+    if not penman:
         return []
-    texts = client.generate([serialize_penman(g) for g in graphs])
-    if len(texts) != len(graphs):
+    texts = client.generate(penman)
+    if len(texts) != len(penman):
         raise MalformedServiceReply(
-            f"generation service answered {len(texts)} texts for {len(graphs)} graphs"
+            f"generation service answered {len(texts)} texts for {len(penman)} graphs"
         )
     return texts

@@ -206,6 +206,8 @@ def test_penman_file_comments_and_blank_lines(tmp_path):
     assert len(loaded) == 2
     assert loaded[0].sentence == "A boy."
     assert loaded[1].sentence is None
+    # the line each graph starts on, past comments and blank lines
+    assert [entry.line for entry in loaded] == [3, 7]
 
 
 def test_penman_file_error_uses_absolute_lines(tmp_path):

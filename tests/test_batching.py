@@ -1,26 +1,37 @@
-"""Presence scoring and easiness do each piece of work once.
+"""Presence scoring and easiness do each piece of work once, and remote
+work fills its batches.
 
 The batched forms (``lexical_scorer``, ``score_summaries``, ``easiness``)
-must equal their per-pair or per-cell definitions exactly, and the CLI must
-score each example in one scorer call.
+must equal their per-pair or per-cell definitions exactly. The CLI scores
+each example in one lexical scorer call, and sends the presence pairs and
+the graph-to-text candidates of a whole command in one batched call each.
 """
 
 import json
 import math
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from autopyramid import presence, stats
+from autopyramid import cli, presence, stats
+from autopyramid.amr import parse_penman
 from autopyramid.cli import main
+from autopyramid.data import load_dataset
 from autopyramid.errors import MalformedServiceReply
+from autopyramid.extract import extract_smu_units
 from autopyramid.presence import lexical_scorer, score_summaries, score_summary
+from autopyramid.services import GraphToTextClient, PresenceClient
+from autopyramid.smu import split_graph
 from autopyramid.stats import EasinessReport, easiness
 from autopyramid.text import rouge1_f1
 
 from oracles import lexical_presence
+from stubs import echo_generator
+
+TOY = str(Path(__file__).parent / "data" / "toy.jsonl")
 
 
 WORDS = ["the", "The", "cat", "sat", "a", "A", "mat", "dog", "x1", "ß", "É"]
@@ -221,20 +232,19 @@ def by_length(path, payload):
     return 200, {"probs": [len(p["hypothesis"]) % 10 / 10 for p in payload["pairs"]]}
 
 
-def test_remote_score_batches_each_example(tmp_path, stub_service):
+def test_remote_score_batches_the_whole_command(tmp_path, stub_service):
     dataset, units = remote_dataset(tmp_path)
     stub = stub_service(by_length)
     scores = tmp_path / "scores.jsonl"
     assert main([
         "score", "--input", dataset, "--units", units, "--out", str(scores),
         "--scorer", "remote", "--nli-endpoint", stub.url,
-        "--batch-size", "2", "--concurrency", "2",
+        "--batch-size", "5", "--concurrency", "2",
     ]) == 0
-    # e1: 2 distinct summaries x 3 units; e2: 2 summaries x 2 units
-    unique_pairs = {"e1": 6, "e2": 4}
+    # e1: 2 distinct summaries x 3 units; e2: 2 summaries x 2 units; one
+    # call for both fills 2 requests, where a call per example needs 3
     batches = [payload["pairs"] for _, payload, _ in stub.requests]
-    assert len(batches) == sum(math.ceil(n / 2) for n in unique_pairs.values())
-    assert all(1 <= len(batch) <= 2 for batch in batches)
+    assert [len(batch) for batch in batches] == [5, 5]
     sent = Counter((p["premise"], p["hypothesis"]) for batch in batches for p in batch)
     assert set(sent.values()) == {1}
     assert sum(1 for premise, _ in sent if premise == "alpha beta gamma") == 3
@@ -253,3 +263,159 @@ def test_remote_score_wrong_count_exits_3(tmp_path, stub_service, capsys):
     capsys.readouterr()
     assert code == 3
     assert not (tmp_path / "s.jsonl").exists()
+
+
+# ---------------------------------------------------------------------------
+# one batched call per command, on the toy dataset
+
+
+def by_pair(path, payload):
+    return 200, {
+        "probs": [
+            (len(p["premise"]) * 7 + len(p["hypothesis"])) % 11 / 10 for p in payload["pairs"]
+        ]
+    }
+
+
+def failing_after(count, handler):
+    """A stub handler that answers 503 from its (*count* + 1)-th request on."""
+    served = []
+
+    def answer(path, payload):
+        served.append(path)
+        if len(served) > count:
+            return 503, {}
+        return handler(path, payload)
+
+    return answer
+
+
+def toy_units(tmp_path):
+    units = tmp_path / "units.jsonl"
+    assert main(["extract", "--strategy", "sent", "--input", TOY, "--out", str(units)]) == 0
+    grouped = {}
+    for row in map(json.loads, units.read_text(encoding="utf-8").splitlines()):
+        grouped.setdefault(row["example_id"], []).append(row["text"])
+    return str(units), grouped
+
+
+def score_args(units, out, endpoint, batch_size):
+    return [
+        "score", "--input", TOY, "--units", units, "--out", str(out),
+        "--scorer", "remote", "--nli-endpoint", endpoint, "--batch-size", str(batch_size),
+    ]
+
+
+@pytest.mark.parametrize("batch_size", [2, 3])
+def test_remote_score_sends_the_command_in_full_batches(tmp_path, stub_service, batch_size):
+    units, grouped = toy_units(tmp_path)
+    stub = stub_service(by_pair)
+    scores = tmp_path / "scores.jsonl"
+    assert main(score_args(units, scores, stub.url, batch_size)) == 0
+    entries = sorted(load_dataset(TOY), key=lambda e: e.example_id)
+    distinct = {
+        (system.summary, unit)
+        for entry in entries
+        for system in entry.systems
+        for unit in grouped[entry.example_id]
+    }
+    assert len(stub.requests) == math.ceil(len(distinct) / batch_size)
+
+    # the same bytes as scoring each example alone against the same stub
+    client = PresenceClient(stub.url, batch_size=batch_size)
+    lines = []
+    for entry in entries:
+        units_of = grouped[entry.example_id]
+        systems = sorted(entry.systems, key=lambda s: s.system_id)
+        results = score_summaries(units_of, [s.summary for s in systems], client.probabilities)
+        for system, result in zip(systems, results):
+            row = {
+                "example_id": entry.example_id,
+                "system_id": system.system_id,
+                "score": result.pyramid_score,
+                "units": len(units_of),
+            }
+            lines.append(json.dumps(row, ensure_ascii=False, separators=(",", ":")) + "\n")
+    assert scores.read_bytes() == "".join(lines).encode("utf-8")
+
+
+def test_remote_score_failing_partway_exits_3_and_writes_nothing(
+    tmp_path, stub_service, capsys
+):
+    units, _ = toy_units(tmp_path)
+    stub = stub_service(failing_after(2, by_pair))
+    scores = tmp_path / "scores.jsonl"
+    assert main(score_args(units, scores, stub.url, 2)) == 3
+    assert "503" in capsys.readouterr().err
+    assert len(stub.requests) > 2
+    assert not scores.exists()
+
+
+def test_lexical_scorer_is_called_once_per_example(tmp_path, monkeypatch):
+    # one example's token bags at a time: the lexical scorer is not batched
+    # across the command
+    units, grouped = toy_units(tmp_path)
+    calls = []
+
+    def recording(pairs):
+        calls.append(pairs)
+        return lexical_scorer(pairs)
+
+    monkeypatch.setattr(cli, "lexical_scorer", recording)
+    scores = tmp_path / "scores.jsonl"
+    assert main(["score", "--input", TOY, "--units", units, "--out", str(scores)]) == 0
+    entries = sorted(load_dataset(TOY), key=lambda e: e.example_id)
+    assert len(calls) == len(entries)
+    for pairs, entry in zip(calls, entries):
+        assert {unit for _, unit in pairs} == set(grouped[entry.example_id])
+
+
+# one graph per sentence of the toy references, two per reference
+TOY_GRAPHS = [
+    "(s / sit-01 :ARG1 (c / cat) :ARG2 (m / mat))",
+    "(b / bark-01 :ARG0 (d / dog))",
+    "(f / fall-01 :ARG1 (r / rain) :duration (d / day))",
+    "(c / cancel-01 :ARG1 (g / game))",
+    "(p / pass-01 :ARG0 (s / senate) :ARG1 (b / bill))",
+    "(v / vote-01 :ARG1-of (c / close-10))",
+]
+
+
+def smu_args(tmp_path, endpoint):
+    graphs = tmp_path / "toy.penman"
+    graphs.write_text("\n\n".join(TOY_GRAPHS) + "\n", encoding="utf-8")
+    return [
+        "extract", "--strategy", "smu", "--input", TOY, "--graphs", str(graphs),
+        "--gen-endpoint", endpoint, "--batch-size", "2",
+    ]
+
+
+def test_remote_smu_sends_the_command_in_full_batches(tmp_path, stub_service):
+    stub = stub_service(echo_generator)
+    out = tmp_path / "units.jsonl"
+    assert main([*smu_args(tmp_path, stub.url), "--out", str(out)]) == 0
+    parsed = [parse_penman(text) for text in TOY_GRAPHS]
+    candidates = sum(len(split_graph(graph, "one-cr")) for graph in parsed)
+    batched = len(stub.requests)
+    assert batched == math.ceil(candidates / 2) == 4
+
+    # the unit file equals the units of each reference realized alone
+    client = GraphToTextClient(stub.url, batch_size=2)
+    expected = [
+        {"example_id": example_id, "reference_index": 0, "strategy": "smu", "text": text}
+        for example_id, graphs in zip(["e1", "e2", "e3"], [parsed[:2], parsed[2:4], parsed[4:]])
+        for text in extract_smu_units(graphs, "one-cr", client)
+    ]
+    assert [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()] == expected
+    # which took more requests: 3 + 2 + 3 candidates, in batches of 2
+    assert len(stub.requests) - batched == 5
+
+
+def test_remote_smu_failing_partway_exits_3_and_writes_nothing(
+    tmp_path, stub_service, capsys
+):
+    stub = stub_service(failing_after(1, echo_generator))
+    out = tmp_path / "units.jsonl"
+    assert main([*smu_args(tmp_path, stub.url), "--out", str(out)]) == 3
+    assert "503" in capsys.readouterr().err
+    assert not out.exists()

@@ -19,7 +19,7 @@ from graphgen import (
     repeated_edge_penman,
     shared_chain_penman,
 )
-from stubs import constant_presence, dead_endpoint, scripted_chat
+from stubs import constant_presence, dead_endpoint, echo_generator, scripted_chat
 
 DATA = Path(__file__).parent / "data"
 TOY = str(DATA / "toy.jsonl")
@@ -204,7 +204,9 @@ def test_extract_smu_malformed_deep_graph_exits_2(tmp_path, capsys):
 def test_extract_smu_bounds_a_shared_chain(tmp_path, capsys):
     dataset = one_sentence_dataset(tmp_path)
     graphs = tmp_path / "g.penman"
-    graphs.write_text(shared_chain_penman(1000) + "\n", encoding="utf-8")
+    graphs.write_text(
+        "# ::snt The thing is wanted.\n" + shared_chain_penman(1000) + "\n", encoding="utf-8"
+    )
     out = tmp_path / "units.jsonl"
     code = main([
         "extract", "--strategy", "smu", "--input", dataset,
@@ -212,7 +214,7 @@ def test_extract_smu_bounds_a_shared_chain(tmp_path, capsys):
     ])
     assert code == 2
     err = capsys.readouterr().err
-    assert "example g1 reference 0: " in err
+    assert f"example g1 reference 0: graph at line 2 of {graphs}: " in err
     assert "more than 10000 nodes" in err
     assert "Traceback" not in err
     assert not out.exists()
@@ -233,6 +235,53 @@ def test_extract_smu_bounds_repeated_edges(tmp_path, capsys):
     assert "example g1 reference 0: " in err
     assert "more than 10000 nodes, edges and attributes" in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_extract_remote_smu_names_the_reference_and_line_of_a_large_graph(
+    tmp_path, stub_service, capsys
+):
+    rows = [
+        {
+            "example_id": f"g{i}",
+            "references": [{"text": "The thing is wanted.", "scus": []}],
+            "systems": [],
+        }
+        for i in (1, 2)
+    ]
+    dataset = write_jsonl(tmp_path / "d.jsonl", rows)
+    graphs = tmp_path / "g.penman"
+    graphs.write_text(
+        "(w / want-01 :ARG1 (t / thing))\n\n" + shared_chain_penman(1000) + "\n",
+        encoding="utf-8",
+    )
+    stub = stub_service(echo_generator)
+    out = tmp_path / "units.jsonl"
+    code = main([
+        "extract", "--strategy", "smu", "--input", dataset, "--graphs", str(graphs),
+        "--gen-endpoint", stub.url, "--out", str(out),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"example g2 reference 0: graph at line 3 of {graphs}: " in err
+    assert "Traceback" not in err
+    # the split fails before any candidate is sent
+    assert stub.requests == []
+    assert not out.exists()
+
+
+def test_extract_sgu_empty_reply_names_the_example_and_reference(
+    tmp_path, stub_service, capsys
+):
+    stub = stub_service(scripted_chat(" # "))
+    out = tmp_path / "units.jsonl"
+    code = main([
+        "extract", "--strategy", "sgu", "--input", TOY, "--out", str(out),
+        "--llm-endpoint", stub.url, "--llm-model", "splitter-1",
+    ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "example e1 reference 0: the model reply contains no usable fragment" in err
     assert not out.exists()
 
 

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from autopyramid import extract, smu
 from autopyramid.amr import parse_penman
-from autopyramid.errors import EmptyReference, EmptyReply
+from autopyramid.errors import EmptyReference, EmptyReply, GraphTooLarge
 from autopyramid.extract import (
     ONE_SHOT_INPUT,
     ONE_SHOT_OUTPUT,
@@ -15,6 +16,7 @@ from autopyramid.extract import (
     extract_sentence_units,
     extract_sgu_units_many,
     extract_smu_units,
+    extract_smu_units_many,
 )
 from oracles import ngram_units_oracle
 
@@ -143,6 +145,53 @@ def test_smu_units_through_a_generator():
     assert len(generator.calls) == 1
 
 
+def test_smu_units_many_equal_the_per_reference_units_in_one_call():
+    boy = parse_penman("(b / boy)")
+    run = parse_penman("(r / run-01 :ARG0 (d / dog) :ARG1 (p / park))")
+    graph_lists = [[WANT], [], [boy], [WANT, run, WANT], [run]]
+    reply = lambda g: f" {g.split()[2]} "  # the concept of the candidate's root
+    generator = FakeGenerator(reply)
+    many = extract_smu_units_many(graph_lists, "one-cr", generator)
+    # duplicates are dropped within a reference, not across references
+    assert many == [
+        extract_smu_units(graphs, "one-cr", FakeGenerator(reply)) for graphs in graph_lists
+    ]
+    assert many[0] == many[3][:2] and many[4] == many[3][2:]
+    assert len(generator.calls) == 1 and len(generator.calls[0]) == 3 + 0 + 0 + 8 + 2
+    for mode in ("one-cr", "all-deps"):
+        assert extract_smu_units_many(graph_lists, mode) == [
+            extract_smu_units(graphs, mode) for graphs in graph_lists
+        ]
+    assert extract_smu_units_many([], "one-cr", generator) == []
+    assert len(generator.calls) == 1
+
+
+def test_smu_units_many_serialize_each_candidate_as_it_is_split(monkeypatch):
+    events = []
+    real_split, real_serialize = extract.split_graph, smu.serialize_penman
+
+    def split(graph, mode):
+        events.append("split")
+        return real_split(graph, mode)
+
+    def serialize(graph):
+        events.append("serialize")
+        return real_serialize(graph)
+
+    monkeypatch.setattr(extract, "split_graph", split)
+    monkeypatch.setattr(smu, "serialize_penman", serialize)
+    extract_smu_units_many([[WANT], [WANT]], "one-cr", FakeGenerator(str))
+    assert events == (["split"] + ["serialize"] * 3) * 2
+
+
+def test_smu_units_many_give_the_position_of_a_graph_too_large(monkeypatch):
+    monkeypatch.setattr(smu, "MAX_SPLIT_SIZE", 10)
+    small = parse_penman("(b / bark-01 :ARG0 (d / dog))")
+    with pytest.raises(GraphTooLarge) as info:
+        extract_smu_units_many([[small], [small, WANT]], "one-cr", FakeGenerator(str))
+    assert (info.value.reference, info.value.graph) == (1, 1)
+
+
 class ScriptedChat:
     """A chat client's shape: one reply per conversation, in order."""
 
@@ -177,9 +226,10 @@ def test_sgu_units_sanitation():
 
 
 def test_sgu_units_empty_reply():
-    with pytest.raises(EmptyReply):
+    with pytest.raises(EmptyReply) as info:
         # the second reference's reply has no fragment
         extract_sgu_units_many(["A", " # "], ScriptedChat(lambda c: c[-1]["content"]))
+    assert info.value.reference == 1
     with pytest.raises(EmptyReply):
         extract_sgu_units_many(["ref"], ScriptedChat("  #  # "))
 

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from autopyramid import services
 from autopyramid.errors import InputError, MalformedServiceReply, ServiceUnavailable
 from autopyramid.services import (
     DEFAULT_ATTEMPTS,
@@ -383,3 +384,32 @@ def test_post_json_honours_proxy_environment(stub_service, monkeypatch):
     direct = stub_service(lambda path, body: (200, {"via": path}))
     assert post_json(direct.url + "/nli", {}, schedule=()) == {"via": "/nli"}
     assert len(proxy.requests) == 1
+
+
+def test_client_builds_one_opener_for_all_its_requests(stub_service, monkeypatch):
+    built = []
+    real = services.build_opener
+    monkeypatch.setattr(services, "build_opener", lambda: built.append(1) or real())
+    stub = stub_service(echo_generator)
+    client = GraphToTextClient(stub.url, batch_size=1, concurrency=2)
+    assert client.generate([]) == [] and built == []
+    assert client.generate(["a", "b", "c"]) == ["T:a", "T:b", "T:c"]
+    assert client.generate(["d"]) == ["T:d"]
+    assert len(stub.requests) == 4 and len(built) == 1
+    # a direct post builds its own, reading the proxy environment anew
+    post_json(stub.url, {"graphs": []}, schedule=())
+    assert len(built) == 2
+
+
+def test_shared_opener_under_concurrent_requests(stub_service):
+    stub = stub_service(echo_generator)
+    client = GraphToTextClient(stub.url, batch_size=1, concurrency=8, timeout=10.0)
+    graphs = [f"g{i}" for i in range(64)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        texts = client.generate(graphs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert texts == [f"T:{g}" for g in graphs]
+    assert sorted(payload["graphs"][0] for _, payload, _ in stub.requests) == sorted(graphs)
