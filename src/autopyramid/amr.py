@@ -22,7 +22,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 from .data import read_input
 from .errors import DisconnectedGraph, MalformedPenman
@@ -109,26 +109,19 @@ class AmrGraph:
             if value == "":
                 raise ValueError("empty attribute value")
         if len(reached) < len(nodes):
-            unreachable = set(nodes) - _undirected_reach(self.root, self.edges)
+            # the full search: a walk over the edges taken both ways
+            both: dict[str, list[Edge]] = {}
+            for source, role, target in self.edges:
+                both.setdefault(source, []).append(Edge(source, role, target))
+                both.setdefault(target, []).append(Edge(target, role, source))
+            entered: dict[str, Edge | None] = {}
+            for _ in walk(self.root, both, entered):
+                pass
+            unreachable = set(nodes) - entered.keys()
             if unreachable:
                 raise ValueError(
                     f"nodes not connected to root: {', '.join(sorted(unreachable))}"
                 )
-
-
-def _undirected_reach(start: str, edges: Iterable[Edge]) -> set[str]:
-    neighbors: dict[str, list[str]] = {}
-    for source, _, target in edges:
-        neighbors.setdefault(source, []).append(target)
-        neighbors.setdefault(target, []).append(source)
-    seen = {start}
-    stack = [start]
-    while stack:
-        for other in neighbors.get(stack.pop(), []):
-            if other not in seen:
-                seen.add(other)
-                stack.append(other)
-    return seen
 
 
 # ---------------------------------------------------------------------------

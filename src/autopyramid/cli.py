@@ -1,5 +1,10 @@
 """Command-line surface: extract, score, intrinsic, metaeval, stats.
 
+Every command runs the same way: :func:`main` reads and digests the
+dataset named by ``--input``, the command computes its rows from it, and
+one writer, :func:`_write_output`, writes the rows to ``--out`` and then
+the output's manifest; a command given no ``--out`` writes nothing.
+
 Exit codes are stable: 0 on success, 2 for input or usage problems, 3 when
 an external service fails. Every output file is written atomically and
 accompanied by a ``.manifest.json`` sidecar; given the same inputs, seed,
@@ -10,7 +15,6 @@ timestamp.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -21,6 +25,7 @@ from .data import (
     UnitFileRow,
     atomic_write_text,
     import_rows,
+    json_line,
     load_dataset,
     load_scores,
     load_units,
@@ -199,7 +204,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     try:
         _check_endpoints(args)
-        return args.func(args)
+        digests: dict = {}
+        entries = load_dataset(args.input, digests=digests)
+        return args.func(args, entries, digests)
     except RemoteError as exc:
         print(f"autopyramid: {exc}", file=sys.stderr)
         return EXIT_SERVICE
@@ -421,27 +428,34 @@ STRATEGIES = {
 }
 
 
-def _options(args) -> dict:
-    """The manifest config of a command: its options, less the paths of
-    its dataset, units, scores and output, which the manifest records
-    apart."""
-    return {
-        name: value
-        for name, value in vars(args).items()
-        if name not in ("command", "func", "input", "out", "units", "scores")
-    }
+# the arguments a manifest's config leaves out: the command, and the paths
+# of its dataset, units, scores and output, which the manifest records apart
+_NOT_CONFIG = ("command", "func", "input", "out", "units", "scores")
 
 
-def cmd_extract(args) -> int:
-    digests: dict = {}
-    entries = load_dataset(args.input, digests=digests)
-    rows, extra = STRATEGIES[args.strategy](args, entries, digests)
+def _write_output(args, digests, rows, *, config=None, extra=None) -> int:
+    """Write *rows* to ``--out``, then its manifest; nothing without ``--out``.
 
-    write_unit_file(args.out, rows)
-    write_manifest(
-        args.out, command="extract", config=_options(args), inputs=digests, extra=extra
-    )
+    Unit rows go through the unit-file writer, which checks them; any other
+    row is one JSON line. The manifest's config is *config*, else the
+    command's options.
+    """
+    if args.out:
+        if args.command == "extract":
+            write_unit_file(args.out, rows)
+        else:
+            atomic_write_text(args.out, "".join(map(json_line, rows)))
+        if config is None:
+            config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
+        write_manifest(
+            args.out, command=args.command, config=config, inputs=digests, extra=extra
+        )
     return EXIT_OK
+
+
+def cmd_extract(args, entries, digests) -> int:
+    rows, extra = STRATEGIES[args.strategy](args, entries, digests)
+    return _write_output(args, digests, rows, extra=extra)
 
 
 # ---------------------------------------------------------------------------
@@ -457,9 +471,7 @@ def _unit_texts(path, entries, digests) -> dict[str, list[str]]:
     return grouped
 
 
-def cmd_score(args) -> int:
-    digests: dict = {}
-    entries = load_dataset(args.input, digests=digests)
+def cmd_score(args, entries, digests) -> int:
     grouped = _unit_texts(args.units, entries, digests)
 
     missing = [e.example_id for e in entries if not grouped.get(e.example_id)]
@@ -493,40 +505,26 @@ def cmd_score(args) -> int:
     else:
         scorer = lexical_scorer
 
-    lines = []
+    rows = []
     for entry, units, systems in examples:
         results = score_summaries(units, [s.summary for s in systems], scorer)
         for system, result in zip(systems, results):
-            lines.append(
-                json.dumps(
-                    {
-                        "example_id": entry.example_id,
-                        "system_id": system.system_id,
-                        "score": result.pyramid_score,
-                        "units": len(units),
-                    },
-                    ensure_ascii=False,
-                    separators=(",", ":"),
-                )
+            rows.append(
+                {
+                    "example_id": entry.example_id,
+                    "system_id": system.system_id,
+                    "score": result.pyramid_score,
+                    "units": len(units),
+                }
             )
-
-    atomic_write_text(args.out, "".join(line + "\n" for line in lines))
-    write_manifest(
-        args.out,
-        command="score",
-        config=_options(args),
-        inputs=digests,
-    )
-    return EXIT_OK
+    return _write_output(args, digests, rows)
 
 
 # ---------------------------------------------------------------------------
 # intrinsic
 
 
-def cmd_intrinsic(args) -> int:
-    digests: dict = {}
-    entries = load_dataset(args.input, digests=digests)
+def cmd_intrinsic(args, entries, digests) -> int:
     if not entries:
         raise EmptyDataset("dataset has no entries")
     grouped = _unit_texts(args.units, entries, digests)
@@ -542,38 +540,24 @@ def cmd_intrinsic(args) -> int:
     mean_p = sum(r.easiness_p for r in reports) / len(reports)
     degenerate = sum(1 for r in reports if r.degenerate)
 
-    header = f"{'examples':>8}  {'easiness_r':>10}  {'easiness_p':>10}  {'empty_approx':>12}"
-    line = f"{len(reports):>8}  {mean_r:>10.4f}  {mean_p:>10.4f}  {degenerate:>12}"
-    print(header)
-    print(line)
+    print(f"{'examples':>8}  {'easiness_r':>10}  {'easiness_p':>10}  {'empty_approx':>12}")
+    print(f"{len(reports):>8}  {mean_r:>10.4f}  {mean_p:>10.4f}  {degenerate:>12}")
 
-    if args.out:
-        row = {
-            "examples": len(reports),
-            "easiness_r": mean_r,
-            "easiness_p": mean_p,
-            "empty_approx": degenerate,
-            "aggregation": "per-example-mean",
-        }
-        atomic_write_text(
-            args.out, json.dumps(row, ensure_ascii=False, separators=(",", ":")) + "\n"
-        )
-        write_manifest(
-            args.out,
-            command="intrinsic",
-            config={"aggregation": "per-example-mean"},
-            inputs=digests,
-        )
-    return EXIT_OK
+    row = {
+        "examples": len(reports),
+        "easiness_r": mean_r,
+        "easiness_p": mean_p,
+        "empty_approx": degenerate,
+        "aggregation": "per-example-mean",
+    }
+    return _write_output(args, digests, [row], config={"aggregation": "per-example-mean"})
 
 
 # ---------------------------------------------------------------------------
 # metaeval
 
 
-def cmd_metaeval(args) -> int:
-    digests: dict = {}
-    entries = load_dataset(args.input, digests=digests)
+def cmd_metaeval(args, entries, digests) -> int:
     if not entries:
         raise EmptyDataset("dataset has no entries")
     scores = load_scores(
@@ -619,30 +603,23 @@ def cmd_metaeval(args) -> int:
     for level in levels:
         for kind in kinds:
             compute = system_level if level == "system" else summary_level
+            cell = {
+                "level": level,
+                "corr": kind,
+                "value": None,
+                "examples": len(metric_matrix),
+                "systems": len(system_ids),
+                "skipped": None,
+            }
             try:
                 report = compute(metric_matrix, human_matrix, kind)
-                cells.append(
-                    {
-                        "level": level,
-                        "corr": kind,
-                        "value": report.value,
-                        "examples": report.examples,
-                        "systems": report.systems,
-                        "skipped": report.skipped if level == "summary" else None,
-                    }
-                )
             except DegenerateInput as exc:
-                cells.append(
-                    {
-                        "level": level,
-                        "corr": kind,
-                        "value": None,
-                        "examples": len(metric_matrix),
-                        "systems": len(system_ids),
-                        "skipped": None,
-                        "note": str(exc),
-                    }
-                )
+                cell["note"] = str(exc)
+            else:
+                cell["value"] = report.value
+                if level == "summary":
+                    cell["skipped"] = report.skipped
+            cells.append(cell)
 
     print(f"{'level':<8} {'corr':<9} {'value':>8} {'examples':>8} {'systems':>8} {'skipped':>8}")
     for cell in cells:
@@ -653,58 +630,33 @@ def cmd_metaeval(args) -> int:
             f"{cell['examples']:>8} {cell['systems']:>8} {skipped:>8}"
         )
 
-    if args.out:
-        atomic_write_text(
-            args.out,
-            "".join(
-                json.dumps(cell, ensure_ascii=False, separators=(",", ":")) + "\n"
-                for cell in cells
-            ),
-        )
-        write_manifest(
-            args.out,
-            command="metaeval",
-            config=_options(args),
-            inputs=digests,
-        )
-    return EXIT_OK
+    return _write_output(args, digests, cells)
 
 
 # ---------------------------------------------------------------------------
 # stats
 
 
-def cmd_stats(args) -> int:
-    digests: dict = {}
-    entries = load_dataset(args.input, digests=digests)
+# each corpus statistic's printed label, by its field, in output order
+_STATS_LABELS = {
+    "examples": "examples",
+    "avg_sentences": "avg sentences/reference",
+    "avg_words": "avg words/reference",
+    "avg_words_per_sentence": "avg words/sentence",
+    "refs_per_example": "references/example",
+    "avg_scus": "avg gold units/example",
+}
+
+
+def cmd_stats(args, entries, digests) -> int:
     stats = corpus_stats(entries)
-
-    rows = [
-        ("examples", f"{stats.examples}"),
-        ("avg sentences/reference", f"{stats.avg_sentences:.2f}"),
-        ("avg words/reference", f"{stats.avg_words:.2f}"),
-        ("avg words/sentence", f"{stats.avg_words_per_sentence:.2f}"),
-        ("references/example", f"{stats.refs_per_example:.2f}"),
-        ("avg gold units/example", f"{stats.avg_scus:.2f}"),
-    ]
-    width = max(len(name) for name, _ in rows)
-    for name, value in rows:
-        print(f"{name:<{width}}  {value}")
-
-    if args.out:
-        row = {
-            "examples": stats.examples,
-            "avg_sentences": stats.avg_sentences,
-            "avg_words": stats.avg_words,
-            "avg_words_per_sentence": stats.avg_words_per_sentence,
-            "refs_per_example": stats.refs_per_example,
-            "avg_scus": stats.avg_scus,
-        }
-        atomic_write_text(
-            args.out, json.dumps(row, ensure_ascii=False, separators=(",", ":")) + "\n"
-        )
-        write_manifest(args.out, command="stats", config=_options(args), inputs=digests)
-    return EXIT_OK
+    row = {field: getattr(stats, field) for field in _STATS_LABELS}
+    width = max(map(len, _STATS_LABELS.values()))
+    for field, label in _STATS_LABELS.items():
+        value = row[field]
+        shown = f"{value:.2f}" if isinstance(value, float) else value
+        print(f"{label:<{width}}  {shown}")
+    return _write_output(args, digests, [row])
 
 
 if __name__ == "__main__":

@@ -305,6 +305,14 @@ def atomic_write_text(path, text: str) -> None:
         raise FileUnwritable(f"cannot write {path}: {exc}") from exc
 
 
+_encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+
+
+def json_line(row) -> str:
+    """*row* as one compact JSON line of an output file, non-ASCII kept."""
+    return _encode(row) + "\n"
+
+
 def save_units(path, rows: Iterable[UnitFileRow]) -> None:
     """Write unit rows as JSON Lines; rejects rows with empty text."""
     payload = []
@@ -315,32 +323,24 @@ def save_units(path, rows: Iterable[UnitFileRow]) -> None:
             raise SchemaViolation(
                 f"unknown strategy {row.strategy!r}", line=i + 1, field="strategy"
             )
-        payload.append(
-            json.dumps(
-                {
-                    "example_id": row.example_id,
-                    "reference_index": row.reference_index,
-                    "strategy": row.strategy,
-                    "text": row.text,
-                },
-                ensure_ascii=False,
-                separators=(",", ":"),
-            )
-        )
-    atomic_write_text(path, "".join(line + "\n" for line in payload))
+        payload.append(json_line(vars(row)))  # the fields, in declared order
+    atomic_write_text(path, "".join(payload))
 
 
-def parse_unit_lines(lines: list[str], reference_counts=None) -> list[UnitFileRow]:
-    """Unit rows from the lines of a unit file, numbered from 1.
+def load_units(
+    path, *, digests: dict | None = None, reference_counts=None
+) -> list[UnitFileRow]:
+    """Read unit rows back; the inverse of :func:`save_units`.
 
     When *reference_counts* (example id to its number of references) is
     given, a row naming any other example, or a reference index its example
     does not have, is stray: :class:`SchemaViolation` names the line and
-    field of the first and the count.
+    field of the first and the count. *digests* is as for
+    :func:`read_input`.
     """
     rows = []
     stray = 0
-    for number, raw in _json_lines(lines):
+    for number, raw in _json_lines(read_input(path, digests)):
         if type(raw) is not dict:
             raise SchemaViolation("row must be an object", line=number, field="")
         example_id = raw.get("example_id")
@@ -389,17 +389,6 @@ def parse_unit_lines(lines: list[str], reference_counts=None) -> list[UnitFileRo
 def _stray_rows(count: int) -> str:
     """How an error about the first stray row counts the rest."""
     return "the only stray row" if count == 1 else f"the first of {count} stray rows"
-
-
-def load_units(
-    path, *, digests: dict | None = None, reference_counts=None
-) -> list[UnitFileRow]:
-    """Read unit rows back; the inverse of :func:`save_units`.
-
-    *digests* and *reference_counts* are as for :func:`read_input` and
-    :func:`parse_unit_lines`.
-    """
-    return parse_unit_lines(read_input(path, digests), reference_counts)
 
 
 def import_rows(

@@ -27,6 +27,7 @@ instead, so they open few connections.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import time
@@ -43,15 +44,26 @@ LLM_TOKEN_ENV = "AUTOPYRAMID_LLM_TOKEN"
 NLI_TOKEN_ENV = "AUTOPYRAMID_NLI_TOKEN"
 AMR_TOKEN_ENV = "AUTOPYRAMID_AMR_TOKEN"
 
-# test/automation hook: a comma-separated float list overriding the backoff
+# test/automation hook: comma-separated seconds overriding the backoff
 RETRY_SCHEDULE_ENV = "AUTOPYRAMID_RETRY_SCHEDULE"
 
 
 def retry_schedule() -> tuple[float, ...]:
+    """The backoff from the environment, else the default; each step must
+    be a finite, non-negative number of seconds (else :class:`InputError`)."""
     raw = os.environ.get(RETRY_SCHEDULE_ENV)
-    if raw:
-        return tuple(float(part) for part in raw.split(","))
-    return DEFAULT_RETRY_SCHEDULE
+    if not raw:
+        return DEFAULT_RETRY_SCHEDULE
+    try:
+        schedule = tuple(map(float, raw.split(",")))
+    except ValueError:
+        schedule = None
+    if schedule is None or not all(0 <= step < math.inf for step in schedule):
+        raise InputError(
+            f"{RETRY_SCHEDULE_ENV} must be comma-separated finite, non-negative "
+            f"seconds, not {raw!r}"
+        )
+    return schedule
 
 
 # characters kept as they are when an endpoint's path and query are

@@ -14,6 +14,7 @@ part of this package's contract:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -108,7 +109,8 @@ def _paired(x: Sequence[float], y: Sequence[float]) -> int:
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
-    """Sample Pearson correlation; raises on constant or non-finite input."""
+    """Sample Pearson correlation; raises on constant or non-finite input,
+    and on deviations whose squares overflow."""
     n = _paired(x, y)
     if n < 2:
         raise DegenerateInput("correlation needs at least two points")
@@ -123,8 +125,17 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
         raise DegenerateInput("inputs too large to correlate") from exc
     if not (math.isfinite(sxx) and math.isfinite(syy)):
         raise DegenerateInput("inputs too large to correlate")
-    if sxx == 0.0 or syy == 0.0:
+    # exact, where a mean that does not round back to the constant would
+    # leave deviations of rounding noise
+    if min(x) == max(x) or min(y) == max(y):
         raise DegenerateInput("constant input has no correlation")
+    if not all(sys.float_info.min <= s < math.inf for s in (sxx, syy, sxx * syy)):
+        # squares or their product left the normal range; deviations
+        # scaled to a largest magnitude of 1 give sums between 1 and n
+        top_x, top_y = max(map(abs, dx)), max(map(abs, dy))
+        dx, dy = [d / top_x for d in dx], [d / top_y for d in dy]
+        sxx = math.fsum(d * d for d in dx)
+        syy = math.fsum(d * d for d in dy)
     value = math.fsum(a * b for a, b in zip(dx, dy)) / math.sqrt(sxx * syy)
     return max(-1.0, min(1.0, value))
 

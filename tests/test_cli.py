@@ -458,6 +458,29 @@ def test_score_remote_unreachable_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("schedule", ["x", "nan", "-1", "inf", "0.01,"])
+def test_bad_retry_schedule_exits_2_naming_the_variable(
+    tmp_path, capsys, monkeypatch, stub_service, schedule
+):
+    # the first request fails, so a schedule that is read would be slept on
+    stub = stub_service(constant_presence(0.7), failures=1)
+    units = tmp_path / "units.jsonl"
+    assert main(["extract", "--strategy", "sent", "--input", TOY, "--out", str(units)]) == 0
+    monkeypatch.setenv("AUTOPYRAMID_RETRY_SCHEDULE", schedule)
+    out = tmp_path / "scores.jsonl"
+    capsys.readouterr()
+    code = main([
+        "score", "--input", TOY, "--units", str(units), "--out", str(out),
+        "--scorer", "remote", "--nli-endpoint", stub.url,
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "AUTOPYRAMID_RETRY_SCHEDULE" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert not Path(f"{out}.manifest.json").exists()
+
+
 def test_score_empty_units_exits_2(tmp_path, capsys):
     units = tmp_path / "units.jsonl"
     units.write_text("", encoding="utf-8")
@@ -678,6 +701,27 @@ def test_metaeval_overflowing_scores_are_not_a_correlation(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert [cell["value"] for cell in read_jsonl(out)] == [None, None]
+
+
+@pytest.mark.parametrize("metric_scale", [1e-160, 1.0])
+def test_metaeval_pearson_of_human_scores_near_the_subnormal_range(
+    tmp_path, capsys, metric_scale
+):
+    # human scores times 1e-160 have deviations whose squares are subnormal
+    # and whose sums multiply to zero; with two systems every cell is 1
+    rows = read_jsonl(TOY)
+    for entry in rows:
+        for system in entry["systems"]:
+            system["human_score"] *= 1e-160
+    dataset = write_jsonl(tmp_path / "d.jsonl", rows)
+    scores = human_scores_as_scores()
+    for row in scores:
+        row["score"] *= metric_scale
+    scores = write_jsonl(tmp_path / "s.jsonl", scores)
+    code = main(["metaeval", "--input", dataset, "--scores", scores, "--corr", "pearson"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert [line.split()[2] for line in out.splitlines()[1:]] == ["1.0000", "1.0000"]
 
 
 def test_stats_toy_dataset(tmp_path, capsys):

@@ -146,6 +146,27 @@ def test_pearson_affine_invariance():
         assert pearson(ys, xs) == pytest.approx(base, abs=1e-12)
 
 
+@pytest.mark.parametrize("k", [1e-200, 1e-160, 1e100, 1e150])
+def test_pearson_scale_invariance_outside_the_normal_range(k):
+    # squares that underflow, or a product of sums that overflows, must not
+    # change the value
+    rng = random.Random(11)
+    for _ in range(30):
+        xs = [rng.random() for _ in range(6)]
+        ys = [rng.random() for _ in range(6)]
+        base = pearson(xs, ys)
+        scaled = [k * v for v in xs]
+        assert pearson(scaled, ys) == pytest.approx(base, abs=1e-12)
+        assert pearson(scaled, [k * v for v in ys]) == pytest.approx(base, abs=1e-12)
+    assert pearson([1e100, -1e100, 0], [1e100, -1e100, 0]) == 1.0
+
+
+def test_pearson_constant_input_whose_mean_does_not_round_back():
+    # fsum([0.1] * 3) / 3 is not 0.1, so the deviations are rounding noise
+    with pytest.raises(DegenerateInput, match="constant"):
+        pearson([0.1] * 3, [1, 2, 3])
+
+
 def test_average_ranks_with_ties():
     assert average_ranks([10, 20, 20, 30]) == [1.0, 2.5, 2.5, 4.0]
     assert average_ranks([3, 1, 2]) == [3.0, 1.0, 2.0]
