@@ -3,7 +3,10 @@
 Every command runs the same way: :func:`main` reads and digests the
 dataset named by ``--input``, the command computes its rows from it, and
 one writer, :func:`_write_output`, writes the rows to ``--out`` and then
-the output's manifest; a command given no ``--out`` writes nothing.
+the output's manifest; a command given no ``--out`` writes nothing. A
+command imports only the modules it runs: graph code for ``--strategy
+smu``, the HTTP client for a given endpoint, presence scoring for
+``score`` and statistics for the report commands.
 
 Exit codes are stable: 0 on success, 2 for input or usage problems, 3 when
 an external service fails. Every output file is written atomically and
@@ -17,10 +20,11 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from importlib import import_module
 
-from . import __version__
-from .amr import load_penman_file, parse_penman
+from . import __version__, _lazy_names
 from .data import (
+    SPLIT_MODES,
     VALID_STRATEGIES,
     UnitFileRow,
     atomic_write_text,
@@ -46,25 +50,40 @@ from .errors import (
     RemoteError,
     ServiceUnavailable,
 )
-from .extract import (
-    extract_ngram_units,
-    extract_sentence_units,
-    extract_sgu_units_many,
-    extract_smu_units,
-    extract_smu_units_many,
-)
 from .manifest import write_manifest
-from .presence import (  # noqa: F401  (score_summary: kept importable from here)
-    lexical_scorer,
-    prescored,
-    remote_scorer,
-    score_summaries,
-    score_summary,
-)
-from .services import ChatClient, GraphToTextClient, ParseServiceClient, check_endpoint
-from .smu import SPLIT_MODES
-from .stats import corpus_stats, easiness, summary_level, system_level
 from .text import split_sentences
+
+# The names only some commands use load with their first use, and are
+# called through this module, ``_lazy``, so that a name set on it (a
+# wrapper) is the one called. score_summary is kept importable from here.
+__getattr__ = _lazy_names(
+    globals(),
+    {
+        "amr": "load_penman_file parse_penman",
+        "extract": "extract_ngram_units extract_sentence_units extract_sgu_units_many "
+        "extract_smu_units extract_smu_units_many",
+        "presence": "lexical_scorer prescored remote_scorer score_summaries score_summary",
+        "services": "ChatClient GraphToTextClient ParseServiceClient check_endpoint",
+        "stats": "corpus_stats easiness summary_level system_level",
+    },
+)
+_lazy = sys.modules[__name__]
+
+# The modules each command, and each strategy of extract, reads those
+# names from. main imports them before it reads the dataset, so that
+# compiling them does not add to the peak memory the dataset sets; the
+# HTTP client loads with the first endpoint checked.
+_MODULES = {
+    "sent": ("extract",),
+    "ngram": ("extract",),
+    "smu": ("extract", "amr", "smu"),
+    "sgu": ("extract",),
+    "import": (),
+    "score": ("presence",),
+    "intrinsic": ("stats",),
+    "metaeval": ("stats",),
+    "stats": ("stats",),
+}
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -204,6 +223,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     try:
         _check_endpoints(args)
+        for module in _MODULES[args.strategy if args.command == "extract" else args.command]:
+            import_module(f".{module}", __package__)
         digests: dict = {}
         entries = load_dataset(args.input, digests=digests)
         return args.func(args, entries, digests)
@@ -221,7 +242,7 @@ def _check_endpoints(args) -> None:
     for name, value in vars(args).items():
         if name.endswith("_endpoint") and value is not None:
             try:
-                check_endpoint(value)
+                _lazy.check_endpoint(value)
             except InputError as exc:
                 raise InputError(f"--{name.replace('_', '-')}: {exc}") from exc
 
@@ -252,11 +273,11 @@ def _smu_graphs(args, entries, digests: dict) -> tuple[list[list], list[int] | N
     lines = None
     if args.graphs:
         flat, lines = [], []
-        for block in load_penman_file(args.graphs, digests=digests):
+        for block in _lazy.load_penman_file(args.graphs, digests=digests):
             flat.append(block.graph)
             lines.append(block.line)
     elif args.parse_endpoint:
-        client = ParseServiceClient(
+        client = _lazy.ParseServiceClient(
             args.parse_endpoint,
             batch_size=args.batch_size,
             concurrency=args.concurrency,
@@ -264,7 +285,7 @@ def _smu_graphs(args, entries, digests: dict) -> tuple[list[list], list[int] | N
         flat = []
         for text in client.parse_sentences([s for _, _, sents in wanted for s in sents]):
             try:
-                flat.append(parse_penman(text))
+                flat.append(_lazy.parse_penman(text))
             except MalformedPenman as exc:
                 raise MalformedServiceReply(
                     f"parse service returned an unparseable graph: {exc}"
@@ -336,13 +357,15 @@ def _one_by_one(units_of):
 
 
 # Each strategy's unit rows and manifest ``extra``, from (args, entries,
-# digests). The extractors are looked up as this module's globals at call
-# time, so that wrapping them here wraps every call.
+# digests). The extractors are read off this module at call time, so that
+# wrapping them here wraps every call.
 
 
 def _sentence_rows(args, entries, digests):
     return _reference_rows(
-        entries, "sentence_split", _one_by_one(lambda k, text: extract_sentence_units(text))
+        entries,
+        "sentence_split",
+        _one_by_one(lambda k, text: _lazy.extract_sentence_units(text)),
     ), None
 
 
@@ -352,7 +375,9 @@ def _ngram_rows(args, entries, digests):
         entries,
         "ngram",
         _one_by_one(
-            lambda k, text: extract_ngram_units(text, sizes, args.ngram_fraction, args.seed)
+            lambda k, text: _lazy.extract_ngram_units(
+                text, sizes, args.ngram_fraction, args.seed
+            )
         ),
     ), None
 
@@ -369,16 +394,16 @@ def _smu_rows(args, entries, digests):
     if args.gen_endpoint:
         # one /gen call for the whole command; the template realizer stays
         # per reference
-        generator = GraphToTextClient(
+        generator = _lazy.GraphToTextClient(
             args.gen_endpoint, batch_size=args.batch_size, concurrency=args.concurrency
         )
 
         def units_of_many(texts):
-            return extract_smu_units_many(graphs, args.split_mode, generator)
+            return _lazy.extract_smu_units_many(graphs, args.split_mode, generator)
 
     else:
         units_of_many = _one_by_one(
-            lambda k, text: extract_smu_units(graphs[k], args.split_mode)
+            lambda k, text: _lazy.extract_smu_units(graphs[k], args.split_mode)
         )
     rows = _reference_rows(entries, "smu", units_of_many, where)
     extra = {
@@ -391,7 +416,7 @@ def _smu_rows(args, entries, digests):
 def _sgu_rows(args, entries, digests):
     if entries and not (args.llm_endpoint and args.llm_model):
         raise ServiceUnavailable("no LLM endpoint/model configured for sgu units")
-    client = ChatClient(
+    client = _lazy.ChatClient(
         args.llm_endpoint,
         args.llm_model,
         temperature=args.temperature,
@@ -403,7 +428,7 @@ def _sgu_rows(args, entries, digests):
         "temperature": args.temperature,
     }
     return _reference_rows(
-        entries, "sgu", lambda texts: extract_sgu_units_many(texts, client)
+        entries, "sgu", lambda texts: _lazy.extract_sgu_units_many(texts, client)
     ), extra
 
 
@@ -494,20 +519,20 @@ def cmd_score(args, entries, digests) -> int:
             for system in systems
             for unit in units
         )
-        scorer = prescored(
+        scorer = _lazy.prescored(
             pairs,
-            remote_scorer(
+            _lazy.remote_scorer(
                 args.nli_endpoint,
                 batch_size=args.batch_size,
                 concurrency=args.concurrency,
             ),
         )
     else:
-        scorer = lexical_scorer
+        scorer = _lazy.lexical_scorer
 
     rows = []
     for entry, units, systems in examples:
-        results = score_summaries(units, [s.summary for s in systems], scorer)
+        results = _lazy.score_summaries(units, [s.summary for s in systems], scorer)
         for system, result in zip(systems, results):
             rows.append(
                 {
@@ -534,7 +559,7 @@ def cmd_intrinsic(args, entries, digests) -> int:
         pooled = entry.pooled_scus()
         if not pooled:
             raise NoGoldUnits(f"example {entry.example_id} has no gold units")
-        reports.append(easiness(pooled, grouped.get(entry.example_id, [])))
+        reports.append(_lazy.easiness(pooled, grouped.get(entry.example_id, [])))
 
     mean_r = sum(r.easiness_r for r in reports) / len(reports)
     mean_p = sum(r.easiness_p for r in reports) / len(reports)
@@ -602,7 +627,7 @@ def cmd_metaeval(args, entries, digests) -> int:
     cells = []
     for level in levels:
         for kind in kinds:
-            compute = system_level if level == "system" else summary_level
+            compute = _lazy.system_level if level == "system" else _lazy.summary_level
             cell = {
                 "level": level,
                 "corr": kind,
@@ -649,7 +674,7 @@ _STATS_LABELS = {
 
 
 def cmd_stats(args, entries, digests) -> int:
-    stats = corpus_stats(entries)
+    stats = _lazy.corpus_stats(entries)
     row = {field: getattr(stats, field) for field in _STATS_LABELS}
     width = max(map(len, _STATS_LABELS.values()))
     for field, label in _STATS_LABELS.items():

@@ -10,7 +10,8 @@ One :class:`ReferenceEntry` per line, UTF-8, with exactly these fields::
 ``human_score`` and ``scu_presence`` are optional per system; when present
 the presence labels must align with the gold units pooled across all of
 the entry's references. Loading validates everything and reports the line
-number and field path of the first problem.
+number and field path of the first problem. The records are named tuples,
+immutable and compared by their fields.
 
 Unit files are also JSON Lines, one :class:`UnitFileRow` per line with
 fields ``example_id``, ``reference_index``, ``strategy``, ``text``. A row
@@ -31,9 +32,8 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
 from itertools import starmap
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     DuplicateExampleId,
@@ -53,27 +53,27 @@ VALID_STRATEGIES = (
     "imported_stu",
 )
 
+# how :func:`~autopyramid.smu.split_graph` groups a predicate's core roles
+SPLIT_MODES = ("one-cr", "all-deps")
+
 # presence labels by value: a lookup both checks a label and makes it an
 # int, and true, 1.0 and -0.0 hash and compare equal to their int
 _LABELS = {0: 0, 1: 1}
 
 
-@dataclass(frozen=True)
-class Reference:
+class Reference(NamedTuple):
     text: str
     scus: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class SystemSummary:
+class SystemSummary(NamedTuple):
     system_id: str
     summary: str
     human_score: float | None = None
     scu_presence: tuple[int, ...] | None = None
 
 
-@dataclass(frozen=True)
-class ReferenceEntry:
+class ReferenceEntry(NamedTuple):
     example_id: str
     references: tuple[Reference, ...]
     systems: tuple[SystemSummary, ...] = ()
@@ -86,8 +86,7 @@ class ReferenceEntry:
         return pooled
 
 
-@dataclass(frozen=True)
-class UnitFileRow:
+class UnitFileRow(NamedTuple):
     example_id: str
     reference_index: int
     strategy: str
@@ -286,7 +285,9 @@ def load_dataset(path, *, digests: dict | None = None) -> list[ReferenceEntry]:
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write *text* to *path* via a temp file and rename."""
+    """Write *text* to *path* via a temp file and rename. A failure raises
+    :class:`FileUnwritable` naming *path* and the system's reason, never
+    the temp file, which is gone by then."""
     directory = os.path.dirname(os.fspath(path)) or "."
     try:
         fd, temp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -302,7 +303,8 @@ def atomic_write_text(path, text: str) -> None:
             os.unlink(temp)
             raise
     except OSError as exc:
-        raise FileUnwritable(f"cannot write {path}: {exc}") from exc
+        reason = exc.strerror or type(exc).__name__
+        raise FileUnwritable(f"cannot write {path}: {reason}") from exc
 
 
 _encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
@@ -323,7 +325,7 @@ def save_units(path, rows: Iterable[UnitFileRow]) -> None:
             raise SchemaViolation(
                 f"unknown strategy {row.strategy!r}", line=i + 1, field="strategy"
             )
-        payload.append(json_line(vars(row)))  # the fields, in declared order
+        payload.append(json_line(row._asdict()))  # the fields, in declared order
     atomic_write_text(path, "".join(payload))
 
 

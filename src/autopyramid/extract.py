@@ -18,14 +18,22 @@ from __future__ import annotations
 import math
 import random
 import re
+import sys
 from bisect import bisect_right
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .amr import AmrGraph
+from . import _lazy_names
 from .errors import EmptyReference, EmptyReply, GraphTooLarge
-from .services import ChatClient, GraphToTextClient
-from .smu import realize_baseline, realize_remote, split_graph
 from .text import split_sentences, tokenize
+
+if TYPE_CHECKING:
+    from .amr import AmrGraph
+    from .services import ChatClient, GraphToTextClient
+
+# the graph splitter and realizers load with their first use, and are
+# called through this module, so that a name set on it is the one called
+__getattr__ = _lazy_names(globals(), {"smu": "realize_baseline realize_remote split_graph"})
+_lazy = sys.modules[__name__]
 
 # Fixed instruction and one-shot exchange for the unit-splitting prompt.
 # The wording is part of the unit definition and must not drift.
@@ -137,7 +145,7 @@ def extract_smu_units_many(
             count = 0
             for j, graph in enumerate(graphs):
                 try:
-                    pieces = split_graph(graph, mode)
+                    pieces = _lazy.split_graph(graph, mode)
                 except GraphTooLarge as exc:
                     exc.reference, exc.graph = k, j
                     raise
@@ -146,9 +154,9 @@ def extract_smu_units_many(
             counts.append(count)
 
     if generator is None:
-        texts = [realize_baseline(c) for c in candidates()]
+        texts = [_lazy.realize_baseline(c) for c in candidates()]
     else:
-        texts = realize_remote(candidates(), generator)
+        texts = _lazy.realize_remote(candidates(), generator)
     units = []
     start = 0
     for count in counts:

@@ -14,10 +14,26 @@ from __future__ import annotations
 
 import datetime
 import json
+import re
 
 from . import __version__
 from .data import atomic_write_text
-from .services import redact_endpoint
+
+
+def redact_endpoint(url: str) -> str:
+    """Strip userinfo and query/fragment from a URL, even one that does not
+    parse (an unclosed IPv6 bracket)."""
+    # imported here so that a command given no endpoint skips it
+    from urllib.parse import urlsplit, urlunsplit
+
+    try:
+        parts = urlsplit(url)
+        scheme, netloc, path = parts.scheme, parts.netloc, parts.path
+    except ValueError:
+        # RFC 3986, appendix B: scheme, authority and path of any string
+        parts = re.match(r"(?:([^:/?#]+):)?(?://([^/?#]*))?([^?#]*)", url)
+        scheme, netloc, path = parts.groups("")
+    return urlunsplit((scheme, netloc.rpartition("@")[2], path, "", ""))
 
 
 def _redact_config(config: dict) -> dict:

@@ -12,28 +12,35 @@ needs no network, and a remote scorer backed by an entailment service.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import MalformedServiceReply, NoUnits
-from .services import PresenceClient
 from .text import bag_overlap, token_bag, tokenize
 
 PresenceScorer = Callable[[list[tuple[str, str]]], list[float]]
 
 
-@dataclass(frozen=True)
-class PresenceResult:
-    """Per-unit presence probabilities for one summary."""
-
+class _Probabilities(NamedTuple):
     probabilities: tuple[float, ...]
 
-    def __post_init__(self):
-        if not self.probabilities:
+
+class PresenceResult(_Probabilities):
+    """Per-unit presence probabilities for one summary."""
+
+    __slots__ = ()
+
+    def __new__(cls, probabilities: tuple[float, ...]):
+        if not probabilities:
             raise ValueError("a presence result needs at least one probability")
-        if any(not 0.0 <= p <= 1.0 for p in self.probabilities):
+        if any(not 0.0 <= p <= 1.0 for p in probabilities):
             raise ValueError("probabilities must lie in [0, 1]")
+        return super().__new__(cls, probabilities)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would skip the checks
+        return cls(*iterable)
 
     @property
     def pyramid_score(self) -> float:
@@ -65,6 +72,9 @@ def remote_scorer(
     pairs, up to *concurrency* in flight, and no request for no pairs.
     Out-of-range or missing probabilities raise
     :class:`MalformedServiceReply`."""
+    # imported here so that the lexical scorer never loads the HTTP client
+    from .services import PresenceClient
+
     return PresenceClient(
         endpoint, batch_size=batch_size, concurrency=concurrency
     ).probabilities

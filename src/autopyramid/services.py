@@ -27,14 +27,13 @@ instead, so they open few connections.
 from __future__ import annotations
 
 import json
-import math
 import os
-import re
 import time
 from typing import Callable, Sequence
 from urllib.parse import quote, unquote, urlsplit, urlunsplit
 
 from .errors import InputError, MalformedServiceReply, ServiceUnavailable
+from .manifest import redact_endpoint
 
 DEFAULT_ATTEMPTS = 3
 DEFAULT_RETRY_SCHEDULE = (1.0, 2.0, 4.0)
@@ -46,11 +45,14 @@ AMR_TOKEN_ENV = "AUTOPYRAMID_AMR_TOKEN"
 
 # test/automation hook: comma-separated seconds overriding the backoff
 RETRY_SCHEDULE_ENV = "AUTOPYRAMID_RETRY_SCHEDULE"
+# the longest step it may set: one day, far below what ``time.sleep`` refuses
+MAX_RETRY_STEP = 86400.0
 
 
 def retry_schedule() -> tuple[float, ...]:
     """The backoff from the environment, else the default; each step must
-    be a finite, non-negative number of seconds (else :class:`InputError`)."""
+    be a number of seconds from 0 to :data:`MAX_RETRY_STEP` (else
+    :class:`InputError`)."""
     raw = os.environ.get(RETRY_SCHEDULE_ENV)
     if not raw:
         return DEFAULT_RETRY_SCHEDULE
@@ -58,10 +60,10 @@ def retry_schedule() -> tuple[float, ...]:
         schedule = tuple(map(float, raw.split(",")))
     except ValueError:
         schedule = None
-    if schedule is None or not all(0 <= step < math.inf for step in schedule):
+    if schedule is None or not all(0 <= step <= MAX_RETRY_STEP for step in schedule):
         raise InputError(
-            f"{RETRY_SCHEDULE_ENV} must be comma-separated finite, non-negative "
-            f"seconds, not {raw!r}"
+            f"{RETRY_SCHEDULE_ENV} must be comma-separated seconds, each from 0 "
+            f"to {MAX_RETRY_STEP:g}, not {raw!r}"
         )
     return schedule
 
@@ -69,21 +71,6 @@ def retry_schedule() -> tuple[float, ...]:
 # characters kept as they are when an endpoint's path and query are
 # percent-encoded for the request line
 _URL_SAFE = "!#$%&'()*+,/:;=?@[]~"
-
-
-# RFC 3986, appendix B: scheme, authority and path of any string at all
-_URL_PARTS = re.compile(r"(?:([^:/?#]+):)?(?://([^/?#]*))?([^?#]*)")
-
-
-def redact_endpoint(url: str) -> str:
-    """Strip userinfo and query/fragment from a URL, even one that does not
-    parse (an unclosed IPv6 bracket)."""
-    try:
-        parts = urlsplit(url)
-        scheme, netloc, path = parts.scheme, parts.netloc, parts.path
-    except ValueError:
-        scheme, netloc, path = _URL_PARTS.match(url).groups("")
-    return urlunsplit((scheme, netloc.rpartition("@")[2], path, "", ""))
 
 
 def check_endpoint(url: str) -> None:

@@ -23,18 +23,19 @@ offline template, :func:`realize_remote` calls a generation service.
 from __future__ import annotations
 
 import re
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .amr import AmrGraph, Edge, attribute_map, child_map, preorder, serialize_penman
+from .data import SPLIT_MODES
 from .errors import GraphTooLarge, MalformedServiceReply
-from .services import GraphToTextClient
+
+if TYPE_CHECKING:
+    from .services import GraphToTextClient
 
 _PREDICATE_RE = re.compile(r".+-(\d{2,})$")
 # a core role, forward or (with group 2) inverse
 _CORE_ROLE_RE = re.compile(r":ARG(\d+)(-of)?")
 _OP_RE = re.compile(r":op(\d+)")
-
-SPLIT_MODES = ("one-cr", "all-deps")
 
 # The most nodes, edges and attributes the candidates of one graph may
 # hold together. A chain or a run of repeated edges that k core roles

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .data import is_finite_number
 from .errors import (
@@ -43,8 +42,7 @@ WILCOXON_EXACT_LIMIT = 12
 # Easiness
 
 
-@dataclass(frozen=True)
-class EasinessReport:
+class EasinessReport(NamedTuple):
     """Best-match unigram-F1 agreement between gold units and approximations.
 
     ``easiness_r`` averages, over gold units, the best F1 any approximation
@@ -165,8 +163,7 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float:
 _CORRELATIONS = {"pearson": pearson, "spearman": spearman}
 
 
-@dataclass(frozen=True)
-class CorrelationReport:
+class CorrelationReport(NamedTuple):
     """One correlation cell of the meta-evaluation."""
 
     level: str
@@ -317,8 +314,7 @@ def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> tuple[float,
 # Corpus statistics
 
 
-@dataclass(frozen=True)
-class CorpusStats:
+class CorpusStats(NamedTuple):
     """Reference-summary statistics over a dataset."""
 
     avg_sentences: float

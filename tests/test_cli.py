@@ -1,5 +1,6 @@
 import argparse
 import builtins
+import errno
 import hashlib
 import json
 import os
@@ -458,7 +459,7 @@ def test_score_remote_unreachable_exits_3(tmp_path, capsys):
     assert code == 3
 
 
-@pytest.mark.parametrize("schedule", ["x", "nan", "-1", "inf", "0.01,"])
+@pytest.mark.parametrize("schedule", ["x", "nan", "-1", "inf", "0.01,", "1e300", "0,86400.5"])
 def test_bad_retry_schedule_exits_2_naming_the_variable(
     tmp_path, capsys, monkeypatch, stub_service, schedule
 ):
@@ -475,10 +476,30 @@ def test_bad_retry_schedule_exits_2_naming_the_variable(
     ])
     err = capsys.readouterr().err
     assert code == 2
-    assert "AUTOPYRAMID_RETRY_SCHEDULE" in err
+    assert "AUTOPYRAMID_RETRY_SCHEDULE" in err and "86400" in err
     assert "Traceback" not in err
+    assert stub.requests == []
     assert not out.exists()
     assert not Path(f"{out}.manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "where, reason",
+    [("a directory", errno.EISDIR), ("under a missing directory", errno.ENOENT)],
+    ids=["directory", "missing-directory"],
+)
+def test_unwritable_out_names_the_path_and_reason_only(tmp_path, capsys, where, reason):
+    if where == "a directory":
+        out = tmp_path / "taken"
+        out.mkdir()
+    else:
+        out = tmp_path / "missing" / "stats.jsonl"
+    errors = []
+    for _ in range(2):
+        assert main(["stats", "--input", TOY, "--out", str(out)]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == f"autopyramid: cannot write {out}: {os.strerror(reason)}\n"
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_score_empty_units_exits_2(tmp_path, capsys):

@@ -14,6 +14,7 @@ from autopyramid.errors import InputError, MalformedServiceReply, ServiceUnavail
 from autopyramid.services import (
     DEFAULT_ATTEMPTS,
     DEFAULT_RETRY_SCHEDULE,
+    MAX_RETRY_STEP,
     ChatClient,
     GraphToTextClient,
     ParseServiceClient,
@@ -42,6 +43,15 @@ def test_retry_schedule_env_override(monkeypatch):
     assert retry_schedule() == (0.5, 3.0)
     monkeypatch.delenv("AUTOPYRAMID_RETRY_SCHEDULE")
     assert retry_schedule() == DEFAULT_RETRY_SCHEDULE
+
+
+def test_retry_schedule_steps_are_capped_at_one_day(monkeypatch):
+    assert MAX_RETRY_STEP == 86400.0
+    monkeypatch.setenv("AUTOPYRAMID_RETRY_SCHEDULE", "0,86400")
+    assert retry_schedule() == (0.0, 86400.0)
+    monkeypatch.setenv("AUTOPYRAMID_RETRY_SCHEDULE", "86400.001")
+    with pytest.raises(InputError, match="AUTOPYRAMID_RETRY_SCHEDULE"):
+        retry_schedule()
 
 
 def test_post_json_roundtrip(stub_service):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from stubs import echo_generator, scripted_chat
+from stubs import constant_presence, echo_generator, scripted_chat
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "trace_cli.py"
@@ -125,3 +125,48 @@ def test_traced_sgu_extract_counts_the_units_written(tmp_path, stub_service):
     written = len(out.read_text(encoding="utf-8").splitlines())
     assert written > 0
     assert counts["extract.units"] == written
+
+
+GOLDEN = ROOT / "tests" / "data" / "golden"
+
+
+def test_traced_intrinsic_counts_easiness_cells(tmp_path):
+    code, counts = traced(
+        tmp_path, "intrinsic", "--input", TOY, "--units", str(GOLDEN / "units.jsonl")
+    )
+    assert code == 0
+    assert counts["stats.easiness.cells"] > 0
+
+
+def test_traced_metaeval_counts_system_level_correlations(tmp_path):
+    code, counts = traced(
+        tmp_path, "metaeval", "--input", TOY, "--scores", str(GOLDEN / "scores.jsonl")
+    )
+    assert code == 0
+    assert counts["stats.system_level.calls"] > 0
+
+
+def test_traced_stats_counts_corpus_stats(tmp_path):
+    code, counts = traced(tmp_path, "stats", "--input", TOY)
+    assert code == 0
+    assert counts["stats.corpus_stats.calls"] > 0
+
+
+def test_traced_remote_score_counts_the_remote_scorer(tmp_path, stub_service):
+    stub = stub_service(constant_presence(0.5))
+    code, counts = traced(
+        tmp_path,
+        "score",
+        "--input",
+        TOY,
+        "--units",
+        str(GOLDEN / "units.jsonl"),
+        "--scorer",
+        "remote",
+        "--nli-endpoint",
+        stub.url,
+        "--out",
+        str(tmp_path / "scores.jsonl"),
+    )
+    assert code == 0
+    assert counts["presence.remote_scorer.calls"] > 0
