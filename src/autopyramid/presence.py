@@ -16,7 +16,7 @@ from itertools import chain
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import MalformedServiceReply, NoUnits
-from .text import bag_overlap, token_bag, tokenize
+from .text import TokenBag, bag_overlap, tokenize
 
 PresenceScorer = Callable[[list[tuple[str, str]]], list[float]]
 
@@ -53,10 +53,11 @@ def lexical_scorer(pairs: list[tuple[str, str]]) -> list[float]:
     Offline stand-in for a trained entailment model: 1.0 when every
     hypothesis token (with multiplicity) occurs in the premise, 0.0 when
     none does or the hypothesis has no tokens. Each distinct text is
-    tokenized once per call.
+    tokenized once per call, and a text's token counts are built only when
+    both sides of one of its pairs repeat a token.
     """
     bags = {
-        text: token_bag(tokenize(text)) for text in dict.fromkeys(chain.from_iterable(pairs))
+        text: TokenBag(tokenize(text)) for text in dict.fromkeys(chain.from_iterable(pairs))
     }
     scores = []
     for premise, hypothesis in pairs:

@@ -30,7 +30,6 @@ from .text import (  # noqa: F401  (rouge1_f1: easiness is its matrix, kept impo
     bag_overlap,
     rouge1_f1,
     split_sentences,
-    token_bag,
     tokenize,
     unigram_f1,
 )
@@ -69,7 +68,7 @@ def easiness(gold: Sequence[str], approx: Sequence[str]) -> EasinessReport:
     bags: dict[str, TokenBag] = {}
     for text in gold_texts + approx_texts:
         if text not in bags:
-            bags[text] = token_bag(tokenize(text))
+            bags[text] = TokenBag(tokenize(text))
     approx_bags = [bags[a] for a in approx_texts]
     scores = []
     for g in gold_texts:
@@ -98,11 +97,11 @@ def easiness(gold: Sequence[str], approx: Sequence[str]) -> EasinessReport:
 # Correlations
 
 
-def _paired(x: Sequence[float], y: Sequence[float]) -> int:
+def _paired(x: Sequence[float], y: Sequence[float], what: str = "correlation") -> int:
     if len(x) != len(y):
         raise LengthMismatch(f"inputs have lengths {len(x)} and {len(y)}")
     if not all(map(is_finite_number, x)) or not all(map(is_finite_number, y)):
-        raise DegenerateInput("correlation needs finite inputs")
+        raise DegenerateInput(f"{what} needs finite inputs")
     return len(x)
 
 
@@ -139,7 +138,10 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
 
 
 def average_ranks(values: Sequence[float]) -> list[float]:
-    """1-based ranks; tied values share the mean of their rank positions."""
+    """1-based ranks; tied values share the mean of their rank positions.
+    Raises on non-finite input, which has no rank."""
+    if not all(map(is_finite_number, values)):
+        raise DegenerateInput("ranking needs finite inputs")
     order = sorted(range(len(values)), key=values.__getitem__)
     ranks = [0.0] * len(values)
     i = 0
@@ -268,10 +270,10 @@ def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> tuple[float,
     Returns ``(W, p)`` with W = min(W+, W-). Zero differences are dropped
     first; if nothing remains, :class:`AllZeroDifferences` is raised. For
     n <= 12 the p-value enumerates all 2^n sign assignments exactly; for
-    larger n a normal approximation with tie correction is used.
+    larger n a normal approximation with tie correction is used. Raises
+    :class:`DegenerateInput` on non-finite input or differences.
     """
-    if len(x) != len(y):
-        raise LengthMismatch(f"inputs have lengths {len(x)} and {len(y)}")
+    _paired(x, y, "the signed-rank test")
     diffs = [a - b for a, b in zip(x, y) if a - b != 0]
     n = len(diffs)
     if n == 0:

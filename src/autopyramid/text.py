@@ -8,10 +8,17 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 # Unicode alphanumerics; underscore is punctuation here.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+
+# The same tokens for ASCII text, one byte at a time: letters lowercased,
+# digits kept, every other byte a space (the upper half only pads the
+# table to 256 bytes; ASCII text has none of them).
+_ASCII_TOKEN_BYTES = bytes(
+    ord(ch.lower()) if ch.isalnum() else ord(" ") for ch in map(chr, range(128))
+) + b" " * 128
 
 # A terminator followed by whitespace or the end of the text; ``\S`` and
 # ``str.isspace`` agree on what whitespace is.
@@ -27,8 +34,11 @@ def tokenize(text: str) -> list[str]:
     """Lowercase *text* and split it on maximal runs of non-alphanumerics.
 
     Empty fragments are dropped, so the result contains only non-empty,
-    whitespace-free tokens. An empty input yields an empty list.
+    whitespace-free tokens. An empty input yields an empty list. ASCII text
+    takes a byte-table path that gives the same tokens as the regex.
     """
+    if text.isascii():
+        return text.encode().translate(_ASCII_TOKEN_BYTES).decode().split()
     return _TOKEN_RE.findall(text.lower())
 
 
@@ -77,21 +87,29 @@ def clipped_overlap(a: Mapping[str, int], b: Mapping[str, int]) -> int:
     return sum(min(count, b.get(token, 0)) for token, count in a.items())
 
 
-class TokenBag(NamedTuple):
-    """The tokens of one text: the set of distinct tokens, the length, and
-    the token counts, which are ``None`` when no token repeats."""
+class TokenBag:
+    """The tokens of one text: the set of distinct tokens and the length.
 
-    distinct: frozenset
-    length: int
-    counts: Counter | None
+    Per-token counts matter only when both sides of an overlap repeat a
+    token, so a bag builds them then, once, and never for a text whose
+    tokens do not repeat.
+    """
 
+    __slots__ = ("distinct", "length", "_repeating", "_counts")
 
-def token_bag(tokens: list[str]) -> TokenBag:
-    """The :class:`TokenBag` of one text's *tokens*."""
-    distinct = frozenset(tokens)
-    if len(distinct) == len(tokens):
-        return TokenBag(distinct, len(tokens), None)
-    return TokenBag(distinct, len(tokens), Counter(tokens))
+    def __init__(self, tokens: list[str]):
+        self.distinct = frozenset(tokens)
+        self.length = len(tokens)
+        # the tokens, kept only when one repeats
+        self._repeating = tokens if len(self.distinct) < self.length else None
+        self._counts: Counter | None = None
+
+    @property
+    def counts(self) -> Counter | None:
+        """The token counts, or ``None`` when no token repeats."""
+        if self._counts is None and self._repeating is not None:
+            self._counts = Counter(self._repeating)
+        return self._counts
 
 
 def bag_overlap(a: TokenBag, b: TokenBag) -> int:
@@ -100,7 +118,7 @@ def bag_overlap(a: TokenBag, b: TokenBag) -> int:
     When either side has no repeated token, every shared token counts once,
     so the overlap is the number of distinct tokens the two sides share.
     """
-    if a.counts is None or b.counts is None:
+    if a._repeating is None or b._repeating is None:
         return len(a.distinct & b.distinct)
     return clipped_overlap(a.counts, b.counts)
 
@@ -126,7 +144,7 @@ def rouge1_f1(candidate: str, reference: str) -> float:
     the reference; recall divides the same overlap by the reference length.
     Returns 0.0 whenever either side has no tokens or no token is shared.
     """
-    cand = tokenize(candidate)
-    ref = tokenize(reference)
-    return unigram_f1(clipped_overlap(Counter(cand), Counter(ref)), len(cand), len(ref))
+    cand = TokenBag(tokenize(candidate))
+    ref = TokenBag(tokenize(reference))
+    return unigram_f1(bag_overlap(cand, ref), cand.length, ref.length)
 

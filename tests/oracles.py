@@ -31,7 +31,6 @@ from autopyramid.text import (
     DEFAULT_ABBREVIATIONS,
     _abbreviation_before,
     split_sentences,
-    tokenize,
 )
 
 
@@ -139,7 +138,7 @@ def enumerate_ngrams(sentence, sizes):
     sorted_sizes = sorted(set(sizes))
     if not sorted_sizes or sorted_sizes[0] < 1:
         raise ValueError("sizes must be a non-empty collection of integers >= 1")
-    tokens = tokenize(sentence)
+    tokens = split_alnum(sentence.lower())
     grams = []
     for n in sorted_sizes:
         for start in range(len(tokens) - n + 1):
@@ -848,11 +847,11 @@ def isomorphic(a: AmrGraph, b: AmrGraph) -> bool:
 def lexical_presence(premise, hypothesis):
     """Clipped unigram recall of the hypothesis inside the premise, one
     pair at a time: the definition ``lexical_scorer`` must equal."""
-    hyp = tokenize(hypothesis)
+    hyp = split_alnum(hypothesis.lower())
     if not hyp:
         return 0.0
     remaining = {}
-    for token in tokenize(premise):
+    for token in split_alnum(premise.lower()):
         remaining[token] = remaining.get(token, 0) + 1
     overlap = 0
     for token in hyp:

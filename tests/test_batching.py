@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from autopyramid import cli, presence, stats
+from autopyramid import cli, presence, stats, text
 from autopyramid.amr import parse_penman
 from autopyramid.cli import main
 from autopyramid.data import load_dataset
@@ -195,6 +195,23 @@ def test_easiness_tokenizes_each_text_once(monkeypatch):
     approx = ["cat sat", "the dog", "a mat", "cat sat"]
     easiness(gold, approx)
     assert Counter(seen) == Counter({"the cat": 1, "a dog": 1, "cat sat": 1, "the dog": 1, "a mat": 1})
+
+
+def test_lexical_scorer_counts_tokens_only_where_both_sides_repeat(monkeypatch):
+    built = []
+    real = text.Counter
+    monkeypatch.setattr(
+        text, "Counter", lambda tokens: built.append(" ".join(tokens)) or real(tokens)
+    )
+    pairs = [
+        (REPEATS, REPEAT_FREE),  # one side repeats: no counts
+        (REPEAT_FREE, ALSO_REPEATS),
+        (REPEATS, ALSO_REPEATS),  # both repeat: counts for each
+        (ALSO_REPEATS, REPEATS),  # built once per text
+        (REPEATS, "dog dog"),
+    ]
+    assert lexical_scorer(pairs) == [lexical_presence(p, h) for p, h in pairs]
+    assert Counter(built) == Counter({REPEATS: 1, ALSO_REPEATS: 1, "dog dog": 1})
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,26 @@ def test_average_ranks_with_ties():
     assert average_ranks([]) == []
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400])
+def test_rank_statistics_refuse_non_finite_input(bad):
+    # NaN compares unequal to everything, so it would sort and rank anywhere
+    with pytest.raises(DegenerateInput, match="finite"):
+        average_ranks([bad, 1, 0, 2])
+    with pytest.raises(DegenerateInput, match="signed-rank test needs finite"):
+        wilcoxon_signed_rank([bad, 1, 2, 3], [0, 0, 0, 0])
+    with pytest.raises(DegenerateInput, match="signed-rank test needs finite"):
+        wilcoxon_signed_rank([0, 1, 2], [bad, 0, 0])
+
+
+def test_wilcoxon_refuses_infinite_pairs_and_overflowing_differences():
+    # inf - inf is NaN, not a zero difference to drop
+    with pytest.raises(DegenerateInput, match="signed-rank test needs finite"):
+        wilcoxon_signed_rank([math.inf, 1, 2], [math.inf, 0, 0])
+    # finite inputs whose difference overflows
+    with pytest.raises(DegenerateInput, match="finite"):
+        wilcoxon_signed_rank([1e308, 1, 2], [-1e308, 0, 0])
+
+
 def test_spearman_examples():
     assert spearman([1, 2, 3], [10, 20, 30]) == 1.0
     assert spearman([1, 2, 3], [30, 20, 10]) == -1.0

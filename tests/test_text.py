@@ -7,16 +7,16 @@ from hypothesis import strategies as st
 
 from autopyramid.text import (
     DEFAULT_ABBREVIATIONS,
+    TokenBag,
     bag_overlap,
     clipped_overlap,
     rouge1_f1,
     split_sentences,
-    token_bag,
     tokenize,
 )
 
 
-from oracles import enumerate_ngrams, rouge1_f1_oracle, split_sentences_oracle
+from oracles import enumerate_ngrams, rouge1_f1_oracle, split_alnum, split_sentences_oracle
 
 
 def random_words(rng, n_max=8, vocab=("the", "cat", "sat", "dog", "ran", "a", "kiwi", "blue")):
@@ -32,6 +32,37 @@ def test_tokenize_examples():
 def test_tokenize_drops_punctuation_and_underscores():
     assert tokenize("foo_bar--baz!!") == ["foo", "bar", "baz"]
     assert tokenize("   \t\n ") == []
+
+
+def test_tokenize_lowercases_before_it_splits():
+    # "İ" lowercases to "i" and a combining dot, which is not alphanumeric
+    assert tokenize("İstanbul") == ["i", "stanbul"]
+    assert tokenize("Straße x²_ǅ") == ["straße", "x²", "ǆ"]
+
+
+# characters where ASCII and Unicode text, or the regex and str.isalnum,
+# could part ways: underscore, digits, DEL, letters whose lowercase differs
+# in length or class, a superscript digit, a combining mark, Unicode spaces
+MIXED_PIECES = [
+    "_", "0", "9", "\x7f", "ß", "İ", "ǅ", "²", "\u0301", "\xa0", "\u2028",
+    "Ab", "z", " ", ".",
+]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    st.one_of(
+        st.text(st.characters(min_codepoint=0, max_codepoint=127)),
+        st.lists(
+            st.one_of(
+                st.sampled_from(MIXED_PIECES), st.characters(min_codepoint=0, max_codepoint=127)
+            ),
+            max_size=25,
+        ).map("".join),
+    )
+)
+def test_tokenize_matches_the_character_loop(text):
+    assert tokenize(text) == split_alnum(text.lower())
 
 
 def test_tokenize_rejoin_idempotent():
@@ -139,10 +170,18 @@ def test_default_abbreviations_match_contract():
     }
 
 
-def test_token_bag_keeps_counts_only_when_a_token_repeats():
-    assert token_bag(["a", "b"]) == (frozenset({"a", "b"}), 2, None)
-    assert token_bag(["a", "b", "a"]) == (frozenset({"a", "b"}), 3, Counter(a=2, b=1))
-    assert token_bag([]) == (frozenset(), 0, None)
+def test_token_bag_has_counts_only_when_a_token_repeats():
+    inputs = [["a", "b"], ["a", "b", "a"], []]
+    for a in inputs:
+        for b in inputs:
+            assert bag_overlap(TokenBag(a), TokenBag(b)) == clipped_overlap(Counter(a), Counter(b))
+    bags = [TokenBag(tokens) for tokens in inputs]
+    assert [(bag.distinct, bag.length) for bag in bags] == [
+        (frozenset({"a", "b"}), 2),
+        (frozenset({"a", "b"}), 3),
+        (frozenset(), 0),
+    ]
+    assert [bag.counts for bag in bags] == [None, Counter(a=2, b=1), None]
 
 
 def test_bag_overlap_equals_clipped_overlap():
@@ -151,8 +190,8 @@ def test_bag_overlap_equals_clipped_overlap():
         a = random_words(rng, vocab=("a", "b", "c", "d")).split()
         b = random_words(rng, vocab=("a", "b", "c", "d")).split()
         want = clipped_overlap(Counter(a), Counter(b))
-        assert bag_overlap(token_bag(a), token_bag(b)) == want
-        assert bag_overlap(token_bag(b), token_bag(a)) == want
+        assert bag_overlap(TokenBag(a), TokenBag(b)) == want
+        assert bag_overlap(TokenBag(b), TokenBag(a)) == want
 
 
 # terminators, abbreviations, words, '_', and whitespace that str.isspace

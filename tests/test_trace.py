@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from autopyramid.data import load_dataset, load_units
 from stubs import constant_presence, echo_generator, scripted_chat
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,6 +51,13 @@ def test_traced_extract_counts_the_units_written(tmp_path, strategy):
     assert counts["extract.units"] == written
 
 
+def unit_texts(path):
+    grouped = {}
+    for row in load_units(path):
+        grouped.setdefault(row.example_id, []).append(row.text)
+    return grouped
+
+
 def test_traced_score_counts_the_lexical_scorer(tmp_path):
     units = tmp_path / "units.jsonl"
     code, _ = traced(
@@ -61,6 +69,13 @@ def test_traced_score_counts_the_lexical_scorer(tmp_path):
     )
     assert code == 0
     assert counts["presence.lexical_scorer.calls"] > 0
+    # one scorer call per example, each distinct summary or unit text of
+    # which goes through presence.tokenize once
+    grouped = unit_texts(units)
+    assert counts["presence.tokenize.calls"] == sum(
+        len({s.summary for s in entry.systems} | set(grouped[entry.example_id]))
+        for entry in load_dataset(TOY)
+    )
 
 
 def smu_inputs(tmp_path):
@@ -136,6 +151,14 @@ def test_traced_intrinsic_counts_easiness_cells(tmp_path):
     )
     assert code == 0
     assert counts["stats.easiness.cells"] > 0
+    # one easiness call per example; an example without approximations
+    # tokenizes nothing
+    grouped = unit_texts(GOLDEN / "units.jsonl")
+    assert counts["stats.tokenize.calls"] == sum(
+        len(set(entry.pooled_scus()) | set(grouped[entry.example_id]))
+        for entry in load_dataset(TOY)
+        if grouped.get(entry.example_id)
+    )
 
 
 def test_traced_metaeval_counts_system_level_correlations(tmp_path):
