@@ -8,10 +8,15 @@ Four endpoints are supported, all JSON over POST:
 * chat completions: ``{"model", "temperature", "messages"}`` ->
   first choice message content
 
-Requests are retried on connection failures, 5xx and 429 answers; the
-nominal backoff schedule is 1s/2s/4s with 3 attempts. Auth tokens are read
-from environment variables only and are never logged or echoed back, and
-error messages name an endpoint only in its redacted form.
+The retry contract is fixed: every request gets :data:`DEFAULT_ATTEMPTS`
+tries, each with :data:`DEFAULT_TIMEOUT` seconds, and connection failures,
+5xx and 429 answers are retried after the steps of :func:`retry_schedule`,
+nominally 1s/2s/4s. ``AUTOPYRAMID_RETRY_SCHEDULE`` is its one override, and
+tests record the pauses by replacing this module's ``sleep``. Auth tokens
+are read from environment variables only and are never logged or echoed
+back; a token that cannot go in an HTTP header (a character outside
+Latin-1, a CR or an LF) is refused before any request. Error messages name
+an endpoint only in its redacted form.
 
 The transport is the standard library's ``urllib.request``, imported on the
 first request so that commands that never call a service do not load it.
@@ -28,7 +33,7 @@ from __future__ import annotations
 
 import json
 import os
-import time
+from time import sleep
 from typing import Callable, Sequence
 from urllib.parse import quote, unquote, urlsplit, urlunsplit
 
@@ -73,12 +78,7 @@ def retry_schedule() -> tuple[float, ...]:
 _URL_SAFE = "!#$%&'()*+,/:;=?@[]~"
 
 
-def check_endpoint(url: str) -> None:
-    """Raise :class:`InputError` unless :func:`post_json` would send to *url*."""
-    _request_target(url)
-
-
-def _request_target(url: str) -> tuple[str, str | None]:
+def check_endpoint(url: str) -> tuple[str, str | None]:
     """The URL to send, without userinfo, and the ``user:password`` the
     userinfo carried (``None`` without one).
 
@@ -141,26 +141,27 @@ def build_opener():
     return opener
 
 
-def post_json(
-    url: str,
-    payload: dict,
-    *,
-    token: str | None = None,
-    attempts: int = DEFAULT_ATTEMPTS,
-    schedule: Sequence[float] | None = None,
-    timeout: float = DEFAULT_TIMEOUT,
-    sleep: Callable[[float], None] = time.sleep,
-    opener=None,
-) -> dict:
+def _env_token(name: str) -> str | None:
+    """The auth token in the environment variable *name*, if any. One that
+    cannot go in an HTTP header (a character outside Latin-1, a CR or an
+    LF) raises :class:`InputError` naming *name*, never the value."""
+    token = os.environ.get(name)
+    if token and (max(token) > "\xff" or "\r" in token or "\n" in token):
+        raise InputError(f"{name} must hold only Latin-1 characters and no line break")
+    return token
+
+
+def post_json(url: str, payload: dict, *, token: str | None = None, opener=None) -> dict:
     """POST *payload* and return the parsed JSON reply.
 
-    Connection errors, 5xx and 429 answers are retried up to *attempts*
-    times, sleeping per *schedule* between tries; an integer ``Retry-After``
-    on a 429 replaces that step, capped at the schedule's largest step.
-    Other 4xx answers and redirects are not retried or followed. *url* must
-    be http or https (else :class:`InputError`, before any attempt); its
-    userinfo is sent as HTTP Basic auth, which takes precedence over *token*.
-    *opener* is one from :func:`build_opener`, built per call when omitted.
+    Connection errors, 5xx and 429 answers are tried up to
+    :data:`DEFAULT_ATTEMPTS` times, sleeping per :func:`retry_schedule`
+    between tries; an integer ``Retry-After`` on a 429 replaces that step,
+    capped at the schedule's largest step. Other 4xx answers and redirects
+    are not retried or followed. *url* must be http or https (else
+    :class:`InputError`, before any attempt); its userinfo is sent as HTTP
+    Basic auth, which takes precedence over *token*. *opener* is one from
+    :func:`build_opener`, built per call when omitted.
     """
     # imported here so that commands that never call a service skip them
     import base64
@@ -168,10 +169,9 @@ def post_json(
     import urllib.error
     import urllib.request
 
-    target, userinfo = _request_target(url)
+    target, userinfo = check_endpoint(url)
     where = redact_endpoint(url)
-    if schedule is None:
-        schedule = retry_schedule()
+    schedule = retry_schedule()
     headers = {"Content-Type": "application/json"}
     if token:
         headers["Authorization"] = f"Bearer {token}"
@@ -182,12 +182,12 @@ def post_json(
     if opener is None:
         opener = build_opener()
     failure = "no attempt made"
-    for attempt in range(attempts):
+    for attempt in range(DEFAULT_ATTEMPTS):
         retry_after = None
         # a fresh Request each time: routing through a proxy rewrites it
         request = urllib.request.Request(target, data=data, headers=headers, method="POST")
         try:
-            with opener.open(request, timeout=timeout) as response:
+            with opener.open(request, timeout=DEFAULT_TIMEOUT) as response:
                 body = response.read()
         except urllib.error.HTTPError as exc:
             exc.close()
@@ -208,37 +208,23 @@ def post_json(
             if not isinstance(reply, dict):
                 raise MalformedServiceReply(f"{where} returned a non-object reply")
             return reply
-        if attempt + 1 < attempts and schedule:
+        if attempt + 1 < DEFAULT_ATTEMPTS:
             sleep(_retry_delay(attempt, schedule, retry_after))
-    raise ServiceUnavailable(f"{where} failed after {attempts} attempts ({failure})")
+    raise ServiceUnavailable(f"{where} failed after {DEFAULT_ATTEMPTS} attempts ({failure})")
 
 
 def _malformed(endpoint: str, problem: str) -> MalformedServiceReply:
     return MalformedServiceReply(f"{redact_endpoint(endpoint)} {problem}")
 
 
-def _chunks(items: Sequence, size: int) -> list[Sequence]:
-    return [items[i : i + size] for i in range(0, len(items), size)]
-
-
 class BatchClient:
-    """Shared plumbing of the service clients: retried POSTs with the
-    client's token through one opener (``_post``), and batched,
-    order-preserving, bounded-concurrency requests (``_run_batched``)."""
+    """Shared plumbing of the service clients: batched, order-preserving,
+    bounded-concurrency POSTs with the client's token through one opener
+    (``_run_batched``)."""
 
     token_env: str | None = None
 
-    def __init__(
-        self,
-        endpoint: str,
-        *,
-        batch_size: int = 32,
-        concurrency: int = 4,
-        attempts: int = DEFAULT_ATTEMPTS,
-        schedule: Sequence[float] | None = None,
-        timeout: float = DEFAULT_TIMEOUT,
-        sleep: Callable[[float], None] = time.sleep,
-    ):
+    def __init__(self, endpoint: str, *, batch_size: int = 32, concurrency: int = 4):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if concurrency < 1:
@@ -246,39 +232,22 @@ class BatchClient:
         self.endpoint = endpoint
         self.batch_size = batch_size
         self.concurrency = concurrency
-        self.attempts = attempts
-        self.schedule = schedule
-        self.sleep = sleep
-        self.timeout = timeout
         # built on the first request, then shared by every later one
         self._opener = None
-
-    def _token(self) -> str | None:
-        return os.environ.get(self.token_env) if self.token_env else None
-
-    def _post(self, payload: dict) -> dict:
-        return post_json(
-            self.endpoint,
-            payload,
-            token=self._token(),
-            attempts=self.attempts,
-            schedule=self.schedule,
-            timeout=self.timeout,
-            sleep=self.sleep,
-            opener=self._opener,
-        )
 
     def _run_batched(self, items: Sequence, build: Callable, parse: Callable) -> list:
         """POST every batch, fan out up to ``concurrency`` at a time, and
         stitch replies back together in input order."""
         if not items:
             return []
+        token = _env_token(self.token_env) if self.token_env else None
         if self._opener is None:
             self._opener = build_opener()
-        batches = _chunks(items, self.batch_size)
+        size = self.batch_size
+        batches = [items[i : i + size] for i in range(0, len(items), size)]
 
         def one(batch):
-            reply = self._post(build(batch))
+            reply = post_json(self.endpoint, build(batch), token=token, opener=self._opener)
             values = parse(reply)
             if len(values) != len(batch):
                 raise _malformed(
@@ -349,13 +318,10 @@ class PresenceClient(BatchClient):
                     )
             return [float(v) for v in probs]
 
-        return self._run_batched(
-            list(pairs),
-            lambda batch: {
-                "pairs": [{"premise": p, "hypothesis": h} for p, h in batch]
-            },
-            parse,
-        )
+        def build(batch):
+            return {"pairs": [{"premise": p, "hypothesis": h} for p, h in batch]}
+
+        return self._run_batched(list(pairs), build, parse)
 
 
 class ChatClient(BatchClient):
@@ -364,8 +330,10 @@ class ChatClient(BatchClient):
 
     token_env = LLM_TOKEN_ENV
 
-    def __init__(self, endpoint: str, model: str, *, temperature: float = 0.0, **options):
-        super().__init__(endpoint, **options, batch_size=1)
+    def __init__(
+        self, endpoint: str, model: str, *, temperature: float = 0.0, concurrency: int = 4
+    ):
+        super().__init__(endpoint, batch_size=1, concurrency=concurrency)
         self.model = model
         self.temperature = temperature
 
@@ -382,12 +350,7 @@ class ChatClient(BatchClient):
                 raise _malformed(self.endpoint, "message content is not text")
             return [content]
 
-        return self._run_batched(
-            list(conversations),
-            lambda batch: {
-                "model": self.model,
-                "temperature": self.temperature,
-                "messages": batch[0],
-            },
-            parse,
-        )
+        def build(batch):
+            return {"model": self.model, "temperature": self.temperature, "messages": batch[0]}
+
+        return self._run_batched(list(conversations), build, parse)

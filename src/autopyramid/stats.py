@@ -80,16 +80,11 @@ def easiness(gold: Sequence[str], approx: Sequence[str]) -> EasinessReport:
             ]
         )
 
-    gold_best = tuple(max(range(len(approx_texts)), key=row.__getitem__) for row in scores)
-    approx_best = tuple(
-        max(range(len(gold_texts)), key=lambda j: scores[j][m])
-        for m in range(len(approx_texts))
-    )
-    easiness_r = math.fsum(max(row) for row in scores) / len(gold_texts)
-    easiness_p = math.fsum(
-        max(scores[j][m] for j in range(len(gold_texts)))
-        for m in range(len(approx_texts))
-    ) / len(approx_texts)
+    columns = list(zip(*scores))
+    gold_best = tuple(max(range(len(row)), key=row.__getitem__) for row in scores)
+    approx_best = tuple(max(range(len(column)), key=column.__getitem__) for column in columns)
+    easiness_r = math.fsum(map(max, scores)) / len(gold_texts)
+    easiness_p = math.fsum(map(max, columns)) / len(approx_texts)
     return EasinessReport(easiness_r, easiness_p, gold_best, approx_best)
 
 

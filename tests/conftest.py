@@ -5,9 +5,20 @@ from stubs import StubService
 
 @pytest.fixture(autouse=True)
 def fast_retries(monkeypatch):
-    # keep forced-failure paths quick; the nominal schedule is asserted
-    # against the module constant, not by sleeping for real
+    # the only schedule override in the tests: keep forced-failure paths
+    # quick. A test that asserts the nominal schedule deletes the variable
+    # and records the pauses with ``slept`` instead of sleeping for real.
     monkeypatch.setenv("AUTOPYRAMID_RETRY_SCHEDULE", "0,0")
+
+
+@pytest.fixture
+def slept(monkeypatch):
+    """The pauses between retries, recorded in order instead of slept."""
+    from autopyramid import services
+
+    delays = []
+    monkeypatch.setattr(services, "sleep", delays.append)
+    return delays
 
 
 @pytest.fixture

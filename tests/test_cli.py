@@ -459,6 +459,40 @@ def test_score_remote_unreachable_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("token", ["tök✓", "abc\ndef", "abc\rdef"])
+@pytest.mark.parametrize("service", ["presence", "chat"])
+def test_token_unfit_for_a_header_exits_2_naming_only_the_variable(
+    tmp_path, capsys, monkeypatch, stub_service, service, token
+):
+    units = tmp_path / "units.jsonl"
+    assert main(["extract", "--strategy", "sent", "--input", TOY, "--out", str(units)]) == 0
+    out = tmp_path / "out.jsonl"
+    if service == "presence":
+        stub = stub_service(constant_presence(0.7))
+        variable = "AUTOPYRAMID_NLI_TOKEN"
+        argv = [
+            "score", "--input", TOY, "--units", str(units), "--out", str(out),
+            "--scorer", "remote", "--nli-endpoint", stub.url,
+        ]
+    else:
+        stub = stub_service(scripted_chat("A # B"))
+        variable = "AUTOPYRAMID_LLM_TOKEN"
+        argv = [
+            "extract", "--strategy", "sgu", "--input", TOY, "--out", str(out),
+            "--llm-endpoint", stub.url, "--llm-model", "m",
+        ]
+    monkeypatch.setenv(variable, token)
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert variable in err
+    assert "Traceback" not in err
+    assert not any(part in err for part in token.splitlines())
+    assert stub.requests == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("schedule", ["x", "nan", "-1", "inf", "0.01,", "1e300", "0,86400.5"])
 def test_bad_retry_schedule_exits_2_naming_the_variable(
     tmp_path, capsys, monkeypatch, stub_service, schedule

@@ -56,58 +56,89 @@ def test_retry_schedule_steps_are_capped_at_one_day(monkeypatch):
 
 def test_post_json_roundtrip(stub_service):
     stub = stub_service(lambda path, body: (200, {"echo": body}))
-    reply = post_json(stub.url, {"x": 1}, schedule=())
+    reply = post_json(stub.url, {"x": 1})
     assert reply == {"echo": {"x": 1}}
     assert stub.requests[0][1] == {"x": 1}
 
 
 def test_post_json_sends_bearer_token(stub_service):
     stub = stub_service(lambda path, body: (200, {}))
-    post_json(stub.url, {}, token="sesame", schedule=())
+    post_json(stub.url, {}, token="sesame")
     assert stub.requests[0][2].get("Authorization") == "Bearer sesame"
-    post_json(stub.url, {}, token=None, schedule=())
+    post_json(stub.url, {}, token=None)
     assert "Authorization" not in stub.requests[1][2]
 
 
-def test_post_json_retries_then_succeeds(stub_service):
+def test_post_json_retries_then_succeeds(stub_service, monkeypatch, slept):
+    monkeypatch.delenv("AUTOPYRAMID_RETRY_SCHEDULE")
     stub = stub_service(lambda path, body: (200, {"ok": True}), failures=2)
-    delays = []
-    reply = post_json(stub.url, {}, schedule=(1.0, 2.0, 4.0), sleep=delays.append)
+    reply = post_json(stub.url, {})
     assert reply == {"ok": True}
     assert len(stub.requests) == 3
-    assert delays == [1.0, 2.0]
+    assert slept == [1.0, 2.0]
 
 
-def test_post_json_gives_up_after_three_attempts(stub_service):
+def test_post_json_gives_up_after_three_attempts(stub_service, monkeypatch, slept):
+    monkeypatch.delenv("AUTOPYRAMID_RETRY_SCHEDULE")
     stub = stub_service(lambda path, body: (200, {}), failures=99)
-    delays = []
     with pytest.raises(ServiceUnavailable):
-        post_json(stub.url, {}, schedule=(1.0, 2.0, 4.0), sleep=delays.append)
+        post_json(stub.url, {})
     assert len(stub.requests) == 3
-    assert delays == [1.0, 2.0]
+    assert slept == [1.0, 2.0]
 
 
-def test_post_json_unreachable_endpoint():
-    delays = []
+def test_post_json_unreachable_endpoint(slept):
     with pytest.raises(ServiceUnavailable):
-        post_json(dead_endpoint(), {}, schedule=(0.0, 0.0), sleep=delays.append)
-    assert len(delays) == 2
+        post_json(dead_endpoint(), {})
+    assert len(slept) == 2
 
 
 def test_post_json_4xx_is_not_retried(stub_service):
     stub = stub_service(lambda path, body: (404, {}))
     with pytest.raises(ServiceUnavailable):
-        post_json(stub.url, {}, schedule=(0.0, 0.0))
+        post_json(stub.url, {})
     assert len(stub.requests) == 1
+
+
+@pytest.mark.parametrize(
+    "handler, call, answer",
+    [
+        (
+            constant_presence(0.5),
+            lambda url: PresenceClient(url).probabilities([("p", "h")]),
+            [0.5],
+        ),
+        (
+            scripted_chat("done"),
+            lambda url: ChatClient(url, "m").complete([[{"role": "user", "content": "hi"}]]),
+            ["done"],
+        ),
+    ],
+    ids=["presence", "chat"],
+)
+def test_clients_retry_on_the_default_schedule(
+    stub_service, monkeypatch, slept, handler, call, answer
+):
+    monkeypatch.delenv("AUTOPYRAMID_RETRY_SCHEDULE")
+    stub = stub_service(handler, failures=2)
+    assert call(stub.url) == answer
+    assert len(stub.requests) == 3
+    assert slept == [1.0, 2.0]
+    slept.clear()
+    dead = stub_service(handler, failures=3)
+    with pytest.raises(ServiceUnavailable, match="after 3 attempts"):
+        call(dead.url)
+    assert len(dead.requests) == 3
+    assert slept == [1.0, 2.0]
 
 
 def test_post_json_rejects_non_json(stub_service):
     stub = stub_service(None, raw_body=b"this is not json")
     with pytest.raises(MalformedServiceReply):
-        post_json(stub.url, {}, schedule=())
+        post_json(stub.url, {})
     listy = stub_service(None, raw_body=b"[1, 2, 3]")
     with pytest.raises(MalformedServiceReply):
-        post_json(listy.url, {}, schedule=())
+        post_json(listy.url, {})
 
 
 def test_generator_client_batches_and_orders(stub_service):
@@ -178,6 +209,19 @@ def test_presence_client_token_from_environment(stub_service, monkeypatch):
     stub = stub_service(constant_presence(0.5))
     PresenceClient(stub.url).probabilities([("p", "h")])
     assert stub.requests[0][2].get("Authorization") == "Bearer hushhush"
+
+
+def test_client_token_must_fit_an_http_header(stub_service, monkeypatch):
+    stub = stub_service(constant_presence(0.5))
+    monkeypatch.setenv("AUTOPYRAMID_NLI_TOKEN", "café")
+    PresenceClient(stub.url).probabilities([("p", "h")])
+    assert stub.requests[0][2].get("Authorization") == "Bearer café"
+    for token in ("tök✓", "abc\ndef", "abc\rdef"):
+        monkeypatch.setenv("AUTOPYRAMID_NLI_TOKEN", token)
+        with pytest.raises(InputError, match="AUTOPYRAMID_NLI_TOKEN") as refused:
+            PresenceClient(stub.url).probabilities([("p", "h")])
+        assert not any(part in str(refused.value) for part in token.splitlines())
+    assert len(stub.requests) == 1
 
 
 def test_chat_client_payload_and_reply(stub_service):
@@ -251,7 +295,7 @@ def test_importing_the_cli_loads_no_http_code():
 def test_post_json_body_bytes_and_content_type(stub_service):
     stub = stub_service()
     payload = {"pairs": [{"premise": "café ✓", "hypothesis": "a\nb"}], "t": 0.5}
-    post_json(stub.url, payload, schedule=())
+    post_json(stub.url, payload)
     assert stub.bodies == [json.dumps(payload, allow_nan=False).encode("utf-8")]
     headers = {k.lower(): v for k, v in stub.requests[0][2].items()}
     assert headers["content-type"] == "application/json"
@@ -260,14 +304,14 @@ def test_post_json_body_bytes_and_content_type(stub_service):
 def test_post_json_rejects_non_finite_payload_before_sending(stub_service):
     stub = stub_service()
     with pytest.raises(ValueError):
-        post_json(stub.url, {"temperature": float("nan")}, schedule=())
+        post_json(stub.url, {"temperature": float("nan")})
     assert stub.requests == []
 
 
 def test_post_json_sends_userinfo_as_basic_auth(stub_service):
     stub = stub_service()
     url = stub.url.replace("http://", "http://alice:s3cret@") + "/nli?v=1"
-    post_json(url, {}, token="ignored", schedule=())
+    post_json(url, {}, token="ignored")
     path, _, headers = stub.requests[0]
     assert path == "/nli?v=1"
     assert headers["Authorization"] == "Basic " + base64.b64encode(b"alice:s3cret").decode()
@@ -275,7 +319,7 @@ def test_post_json_sends_userinfo_as_basic_auth(stub_service):
 
 def test_post_json_percent_encodes_path(stub_service):
     stub = stub_service()
-    post_json(stub.url + "/a b/é", {}, schedule=())
+    post_json(stub.url + "/a b/é", {})
     assert stub.requests[0][0] == "/a%20b/%C3%A9"
 
 
@@ -291,24 +335,24 @@ def test_post_json_percent_encodes_path(stub_service):
         "http://" + "a" * 64 + ".example/x",
     ],
 )
-def test_post_json_accepts_only_http_urls_that_parse(stub_service, url):
+def test_post_json_accepts_only_http_urls_that_parse(stub_service, monkeypatch, slept, url):
+    monkeypatch.setenv("AUTOPYRAMID_RETRY_SCHEDULE", "1,2")
     stub = stub_service()
-    delays = []
     with pytest.raises(InputError):
-        post_json(url, {}, schedule=(1.0, 2.0), sleep=delays.append)
+        post_json(url, {})
     assert stub.requests == []
-    assert delays == []
+    assert slept == []
 
 
-def test_post_json_retries_dropped_connection(stub_service):
+def test_post_json_retries_dropped_connection(stub_service, monkeypatch, slept):
+    monkeypatch.setenv("AUTOPYRAMID_RETRY_SCHEDULE", "1,2")
     stub = stub_service(lambda path, body: (200, {"ok": True}), drops=1)
-    delays = []
-    assert post_json(stub.url, {}, schedule=(1.0, 2.0), sleep=delays.append) == {"ok": True}
+    assert post_json(stub.url, {}) == {"ok": True}
     assert len(stub.requests) == 2
-    assert delays == [1.0]
+    assert slept == [1.0]
     dead = stub_service(drops=99)
     with pytest.raises(ServiceUnavailable, match="after 3 attempts"):
-        post_json(dead.url, {}, schedule=(1.0, 2.0), sleep=delays.append)
+        post_json(dead.url, {})
     assert len(dead.requests) == 3
 
 
@@ -335,38 +379,40 @@ def _throttled(*retry_after):
         (("1.5", "²"), [1.0, 2.0]),
     ],
 )
-def test_post_json_retries_429_with_retry_after(stub_service, retry_after, delays):
+def test_post_json_retries_429_with_retry_after(
+    stub_service, monkeypatch, slept, retry_after, delays
+):
+    monkeypatch.delenv("AUTOPYRAMID_RETRY_SCHEDULE")
     stub = stub_service(_throttled(*retry_after))
-    slept = []
-    reply = post_json(stub.url, {}, schedule=(1.0, 2.0, 4.0), sleep=slept.append)
+    reply = post_json(stub.url, {})
     assert reply == {"ok": True}
     assert len(stub.requests) == 3
     assert slept == delays
 
 
-def test_post_json_429_retry_after_capped_by_schedule_in_force(stub_service):
+def test_post_json_429_retry_after_capped_by_schedule_in_force(stub_service, monkeypatch, slept):
+    monkeypatch.setenv("AUTOPYRAMID_RETRY_SCHEDULE", "0.5")
     stub = stub_service(_throttled("30", "30", "30"))
-    slept = []
     with pytest.raises(ServiceUnavailable, match=r"status 429"):
-        post_json(stub.url, {}, schedule=(0.5,), sleep=slept.append)
+        post_json(stub.url, {})
     assert slept == [0.5, 0.5]
 
 
-def test_post_json_redirect_is_not_followed(stub_service):
+def test_post_json_redirect_is_not_followed(stub_service, monkeypatch, slept):
+    monkeypatch.setenv("AUTOPYRAMID_RETRY_SCHEDULE", "1")
     target = stub_service()
     stub = stub_service(lambda path, body: (307, {}, {"Location": target.url + "/x"}))
-    delays = []
     with pytest.raises(ServiceUnavailable, match="answered 307"):
-        post_json(stub.url, {}, token="sesame", schedule=(1.0,), sleep=delays.append)
+        post_json(stub.url, {}, token="sesame")
     assert len(stub.requests) == 1
     assert target.requests == []
-    assert delays == []
+    assert slept == []
 
 
 def test_error_messages_redact_endpoint_credentials(stub_service):
     dead = dead_endpoint().replace("http://", "http://alice:s3cret@") + "/x?key=k3y"
     with pytest.raises(ServiceUnavailable) as failed:
-        post_json(dead, {}, schedule=())
+        post_json(dead, {})
     assert "s3cret" not in str(failed.value) and "k3y" not in str(failed.value)
     url = stub_service(lambda path, body: (200, {"probs": "x"})).url
     url = url.replace("http://", "http://alice:s3cret@")
@@ -387,12 +433,12 @@ def test_post_json_honours_proxy_environment(stub_service, monkeypatch):
         monkeypatch.delenv(name, raising=False)
     monkeypatch.setenv("http_proxy", proxy.url)
     # the proxy is handed the absolute URL; service.invalid is never resolved
-    assert post_json("http://service.invalid/nli", {}, schedule=()) == {
+    assert post_json("http://service.invalid/nli", {}) == {
         "via": "http://service.invalid/nli"
     }
     monkeypatch.setenv("no_proxy", "127.0.0.1")
     direct = stub_service(lambda path, body: (200, {"via": path}))
-    assert post_json(direct.url + "/nli", {}, schedule=()) == {"via": "/nli"}
+    assert post_json(direct.url + "/nli", {}) == {"via": "/nli"}
     assert len(proxy.requests) == 1
 
 
@@ -407,13 +453,13 @@ def test_client_builds_one_opener_for_all_its_requests(stub_service, monkeypatch
     assert client.generate(["d"]) == ["T:d"]
     assert len(stub.requests) == 4 and len(built) == 1
     # a direct post builds its own, reading the proxy environment anew
-    post_json(stub.url, {"graphs": []}, schedule=())
+    post_json(stub.url, {"graphs": []})
     assert len(built) == 2
 
 
 def test_shared_opener_under_concurrent_requests(stub_service):
     stub = stub_service(echo_generator)
-    client = GraphToTextClient(stub.url, batch_size=1, concurrency=8, timeout=10.0)
+    client = GraphToTextClient(stub.url, batch_size=1, concurrency=8)
     graphs = [f"g{i}" for i in range(64)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
