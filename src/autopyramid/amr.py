@@ -9,7 +9,10 @@ The accepted grammar is the core PENMAN notation::
 
 A bare token in value position is a variable reference (a re-entrancy) and
 must be defined somewhere in the same graph; forward references are fine.
-Graphs are immutable once built and safe to share across threads.
+Graphs are immutable once built and safe to share across threads. A graph
+is checked once, where it enters: ``AmrGraph(...)``, unpickling and copying
+validate it, while :func:`parse_penman` checks the text as it reads it and
+so returns graphs that need no second check.
 
 Files hold one graph per blank-line-separated block. Lines starting with
 '#' are comments; a ``# ::snt <text>`` comment carries the source sentence
@@ -51,11 +54,15 @@ class AmrGraph:
 
     ``nodes`` maps each variable to its single concept, read-only, and is
     left out of the hash; ``edges`` and ``attributes`` preserve input
-    order, which drives deterministic serialization. Construction
-    validates the structural invariants:
-    the root exists, every edge endpoint is a known variable, roles start
-    with ':', and every node is connected to the root when edge direction
-    is ignored.
+    order, which drives deterministic serialization. ``AmrGraph(...)``,
+    unpickling and copying validate the structural invariants: the root
+    exists, variables and concepts are not empty, every edge endpoint is a
+    known variable, roles start with ':', attribute values are not empty,
+    and every node is connected to the root when edge direction is
+    ignored. The two producers that hold these invariants by construction,
+    :func:`parse_penman` and the splitter in :mod:`autopyramid.smu`, build
+    through :meth:`_trusted` instead, so each graph is checked once, where
+    it enters.
     """
 
     root: str
@@ -73,6 +80,24 @@ class AmrGraph:
             self, "attributes", tuple(Attribute(*a) for a in self.attributes)
         )
         self._validate(nodes)
+
+    @classmethod
+    def _trusted(
+        cls,
+        root: str,
+        nodes: dict[str, str],
+        edges: tuple[Edge, ...],
+        attributes: tuple[Attribute, ...],
+    ) -> AmrGraph:
+        """A graph whose invariants the caller has established: *nodes* is
+        a fresh dict the graph takes over, read-only, and *edges* and
+        *attributes* hold only :class:`Edge` and :class:`Attribute`."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "root", root)
+        object.__setattr__(graph, "nodes", MappingProxyType(nodes))
+        object.__setattr__(graph, "edges", edges)
+        object.__setattr__(graph, "attributes", attributes)
+        return graph
 
     def __reduce__(self):
         # the read-only node mapping does not pickle; a copy is rebuilt
@@ -233,9 +258,10 @@ def parse_penman(text: str, first_line: int = 1) -> AmrGraph:
     for var, index in references:
         if var not in nodes:
             raise fail(f"reference to undefined variable {var!r}", index)
-    return AmrGraph(
-        root=root, nodes=nodes, edges=tuple(edges), attributes=tuple(attributes)
-    )
+    # every invariant holds by now: variables, concepts, roles and values
+    # are checked as they are read, every reference is defined, and every
+    # node but the root is opened below an open node, so all are connected
+    return AmrGraph._trusted(root, nodes, tuple(edges), tuple(attributes))
 
 
 # ---------------------------------------------------------------------------

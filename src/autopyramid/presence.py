@@ -12,7 +12,7 @@ needs no network, and a remote scorer backed by an entailment service.
 from __future__ import annotations
 
 import math
-from itertools import chain
+from itertools import chain, product
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import MalformedServiceReply, NoUnits
@@ -81,21 +81,22 @@ def remote_scorer(
     ).probabilities
 
 
-def _probabilities(pairs: list[tuple[str, str]], scorer: PresenceScorer) -> dict:
-    """One *scorer* call on the distinct *pairs*, by pair."""
+def _probabilities(pairs: list[tuple[str, str]], scorer: PresenceScorer) -> list:
+    """One *scorer* call on the distinct *pairs*, one probability a pair."""
     probabilities = scorer(pairs)
     if len(probabilities) != len(pairs):
         raise MalformedServiceReply(
             f"scorer answered {len(probabilities)} probabilities for {len(pairs)} pairs"
         )
-    return dict(zip(pairs, probabilities))
+    return probabilities
 
 
 def prescored(pairs: Iterable[tuple[str, str]], scorer: PresenceScorer) -> PresenceScorer:
     """A scorer that answers from one *scorer* call on the distinct pairs
     of *pairs*, so that the pairs of many examples share one batched call
     and each example still reads its own. It knows no other pair."""
-    by_pair = _probabilities(list(dict.fromkeys(pairs)), scorer)
+    distinct = list(dict.fromkeys(pairs))
+    by_pair = dict(zip(distinct, _probabilities(distinct, scorer)))
     return lambda wanted: [by_pair[pair] for pair in wanted]
 
 
@@ -110,12 +111,23 @@ def score_summaries(
     """
     if not units:
         raise NoUnits("cannot score a summary without units")
-    pairs = list(dict.fromkeys((summary, unit) for summary in summaries for unit in units))
-    by_pair = _probabilities(pairs, scorer)
-    return [
-        PresenceResult(tuple(float(by_pair[summary, unit]) for unit in units))
-        for summary in summaries
-    ]
+    # the distinct pairs are a matrix: a row per distinct summary, a column
+    # per distinct unit, in the order of first appearance
+    rows = list(dict.fromkeys(summaries))
+    columns = list(dict.fromkeys(units))
+    probabilities = _probabilities(list(product(rows, columns)), scorer)
+    width = len(columns)
+    picks = None
+    if width < len(units):
+        column_of = {unit: j for j, unit in enumerate(columns)}
+        picks = [column_of[unit] for unit in units]
+    by_summary = {}
+    for i, summary in enumerate(rows):
+        row = probabilities[i * width : (i + 1) * width]
+        if picks is not None:
+            row = [row[j] for j in picks]
+        by_summary[summary] = PresenceResult(tuple(map(float, row)))
+    return [by_summary[summary] for summary in summaries]
 
 
 def score_summary(

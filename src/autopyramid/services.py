@@ -141,14 +141,19 @@ def build_opener():
     return opener
 
 
-def _env_token(name: str) -> str | None:
-    """The auth token in the environment variable *name*, if any. One that
-    cannot go in an HTTP header (a character outside Latin-1, a CR or an
-    LF) raises :class:`InputError` naming *name*, never the value."""
-    token = os.environ.get(name)
+def _check_token(token: str | None, name: str) -> str | None:
+    """*token*, unless it cannot go in an HTTP header (a character outside
+    Latin-1, a CR or an LF): then :class:`InputError` naming *name*, never
+    the value."""
     if token and (max(token) > "\xff" or "\r" in token or "\n" in token):
         raise InputError(f"{name} must hold only Latin-1 characters and no line break")
     return token
+
+
+def _env_token(name: str) -> str | None:
+    """The auth token in the environment variable *name*, if any, checked
+    by :func:`_check_token`."""
+    return _check_token(os.environ.get(name), name)
 
 
 def post_json(url: str, payload: dict, *, token: str | None = None, opener=None) -> dict:
@@ -160,8 +165,10 @@ def post_json(url: str, payload: dict, *, token: str | None = None, opener=None)
     capped at the schedule's largest step. Other 4xx answers and redirects
     are not retried or followed. *url* must be http or https (else
     :class:`InputError`, before any attempt); its userinfo is sent as HTTP
-    Basic auth, which takes precedence over *token*. *opener* is one from
-    :func:`build_opener`, built per call when omitted.
+    Basic auth, which takes precedence over *token*. A *token* that cannot
+    go in an HTTP header raises :class:`InputError`, before any attempt and
+    without the value. *opener* is one from :func:`build_opener`, built per
+    call when omitted.
     """
     # imported here so that commands that never call a service skip them
     import base64
@@ -170,6 +177,7 @@ def post_json(url: str, payload: dict, *, token: str | None = None, opener=None)
     import urllib.request
 
     target, userinfo = check_endpoint(url)
+    _check_token(token, "the auth token")
     where = redact_endpoint(url)
     schedule = retry_schedule()
     headers = {"Content-Type": "application/json"}

@@ -11,6 +11,10 @@ pointing at a node defined elsewhere in the graph, keeps the edge but only
 copies the referenced node's concept and attributes, so every subgraph is
 self-contained. Each candidate is that subgraph, an :class:`AmrGraph`
 rooted at the predicate with its core-role edges in forward direction.
+Candidates are built without a second validation: they hold only nodes,
+edges and attributes of the validated input graph plus forward core-role
+edges, and every node is reached by expanding from the predicate, so they
+are rooted, closed and connected by construction.
 
 Two split modes exist: ``one-cr`` (the default) emits one subgraph per
 core role, ``all-deps`` groups all core roles of a predicate into a single
@@ -22,7 +26,6 @@ offline template, :func:`realize_remote` calls a generation service.
 
 from __future__ import annotations
 
-import re
 from typing import TYPE_CHECKING, Iterable
 
 from .amr import AmrGraph, Edge, attribute_map, child_map, preorder, serialize_penman
@@ -32,10 +35,6 @@ from .errors import GraphTooLarge, MalformedServiceReply
 if TYPE_CHECKING:
     from .services import GraphToTextClient
 
-_PREDICATE_RE = re.compile(r".+-(\d{2,})$")
-# a core role, forward or (with group 2) inverse
-_CORE_ROLE_RE = re.compile(r":ARG(\d+)(-of)?")
-_OP_RE = re.compile(r":op(\d+)")
 
 # The most nodes, edges and attributes the candidates of one graph may
 # hold together. A chain or a run of repeated edges that k core roles
@@ -44,6 +43,33 @@ _OP_RE = re.compile(r":op(\d+)")
 # linear. Sentence graphs need a few dozen, and a single candidate of a
 # 3000-node chain (6001 items) fits.
 MAX_SPLIT_SIZE = 10_000
+
+
+# Roles and senses are read with string tests rather than patterns: they
+# run for every edge and node. ``str.isdecimal`` accepts exactly the
+# characters of ``\d`` (any Unicode decimal digit, which ``int`` reads).
+
+
+def _core_role(role: str) -> tuple[int, bool] | None:
+    """The index of *role* if it is a core role, ``:ARGn`` or the inverse
+    ``:ARGn-of``, and whether it is the inverse; None for any other."""
+    if not role.startswith(":ARG"):
+        return None
+    digits = role[4:]
+    if digits.isdecimal():
+        return int(digits), False
+    if digits.endswith("-of") and digits[:-3].isdecimal():
+        return int(digits[:-3]), True
+    return None
+
+
+def _predicate_lemma(concept: str) -> str | None:
+    """The lemma of *concept* if it is a predicate, one with a sense suffix
+    of two or more digits such as ``want-01``; None for any other."""
+    lemma, _, sense = concept.rpartition("-")
+    if lemma and len(sense) >= 2 and sense.isdecimal():
+        return lemma
+    return None
 
 
 def _build_candidate(
@@ -96,7 +122,7 @@ def _build_candidate(
             f"than {MAX_SPLIT_SIZE} nodes, edges and attributes"
         )
     attributes = tuple(graph.attributes[i] for i in held)
-    return AmrGraph(predicate, nodes, tuple(edges), attributes)
+    return AmrGraph._trusted(predicate, nodes, tuple(edges), attributes)
 
 
 def split_graph(graph: AmrGraph, mode: str = "one-cr") -> list[AmrGraph]:
@@ -116,18 +142,17 @@ def split_graph(graph: AmrGraph, mode: str = "one-cr") -> list[AmrGraph]:
     # the core roles of every predicate, from one pass over the edges:
     # (the edge as stored, the edge in forward direction)
     roles: dict[str, list[tuple[Edge, Edge]]] = {
-        var: [] for var in order if _PREDICATE_RE.match(graph.nodes[var])
+        var: [] for var in order if _predicate_lemma(graph.nodes[var]) is not None
     }
     for edge in graph.edges:
-        match = _CORE_ROLE_RE.fullmatch(edge.role)
-        if match:
-            inverse = match.group(2) is not None
+        core = _core_role(edge.role)
+        if core is not None:
+            index, inverse = core
             predicate = edge.target if inverse else edge.source
             owner = roles.get(predicate)
             if owner is not None:
                 filler = edge.source if inverse else edge.target
-                forward = Edge(predicate, f":ARG{int(match.group(1))}", filler)
-                owner.append((edge, forward))
+                owner.append((edge, Edge(predicate, f":ARG{index}", filler)))
 
     # each node's attributes, as positions in stored order
     positions: dict[str, list[int]] = {}
@@ -160,13 +185,6 @@ def _strip_quotes(value: str) -> str:
     return value
 
 
-def _lemma_of(concept: str) -> str:
-    match = _PREDICATE_RE.match(concept)
-    if match:
-        return concept[: -(len(match.group(1)) + 1)]
-    return concept
-
-
 def realize_baseline(graph: AmrGraph) -> str:
     """Deterministic template realization of a candidate subgraph.
 
@@ -183,10 +201,9 @@ def realize_baseline(graph: AmrGraph) -> str:
     def name_words(var: str) -> list[str]:
         visited.add(var)
         ops = []
-        for attr in attrs.get(var, ()):
-            match = _OP_RE.fullmatch(attr.role)
-            if match:
-                ops.append((int(match.group(1)), _strip_quotes(attr.value)))
+        for _, role, value in attrs.get(var, ()):
+            if role.startswith(":op") and role[3:].isdecimal():
+                ops.append((int(role[3:]), _strip_quotes(value)))
         return [word for _, word in sorted(ops)]
 
     def template(var: str) -> list[str | Edge]:
@@ -197,13 +214,13 @@ def realize_baseline(graph: AmrGraph) -> str:
         numbered: list[tuple[int, Edge]] = []
         others: list[Edge] = []
         for edge in children.get(var, ()):
-            match = _CORE_ROLE_RE.fullmatch(edge.role)
-            if match is None or match.group(2):
+            core = _core_role(edge.role)
+            if core is None or core[1]:
                 others.append(edge)
-            elif int(match.group(1)) == 0:
+            elif core[0] == 0:
                 items.append(edge)
             else:
-                numbered.append((int(match.group(1)), edge))
+                numbered.append((core[0], edge))
         values = []
         negated = False
         for attr in attrs.get(var, ()):
@@ -213,7 +230,8 @@ def realize_baseline(graph: AmrGraph) -> str:
                 negated = True
         if negated:
             items.append("not")
-        items.append(_lemma_of(graph.nodes[var]))
+        concept = graph.nodes[var]
+        items.append(_predicate_lemma(concept) or concept)
         items += values
         numbered.sort(key=lambda item: item[0])
         items += [edge for _, edge in numbered]

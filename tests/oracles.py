@@ -320,7 +320,24 @@ def parse_penman_oracle(text, first_line=1):
 _PREDICATE_RE = re.compile(r".+-(\d{2,})$")
 _CORE_RE = re.compile(r":ARG(\d+)$")
 _CORE_INVERSE_RE = re.compile(r":ARG(\d+)-of$")
+_CORE_ROLE_RE = re.compile(r":ARG(\d+)(-of)?")
 _OP_RE = r":op(\d+)"
+
+
+def core_role_oracle(role):
+    """The index of a core role and whether it is an inverse, by pattern;
+    None for any other role."""
+    match = _CORE_ROLE_RE.fullmatch(role)
+    if match is None:
+        return None
+    return int(match.group(1)), match.group(2) is not None
+
+
+def predicate_lemma_oracle(concept):
+    """The lemma of a predicate concept, by pattern; None for any other."""
+    if _PREDICATE_RE.match(concept) is None:
+        return None
+    return _lemma_of(concept)
 
 
 def _children(graph):

@@ -295,6 +295,9 @@ def test_any_text_gives_a_graph_or_malformed_penman(text):
     except MalformedPenman:
         return
     assert isinstance(graph, AmrGraph)
+    # the parser builds without validation: its graph must be one the
+    # public constructor accepts unchanged
+    assert graph == AmrGraph(graph.root, dict(graph.nodes), graph.edges, graph.attributes)
     assert parse_penman(serialize_penman(graph)).nodes == graph.nodes
 
 
@@ -411,3 +414,23 @@ def test_graphs_survive_pickle_and_deepcopy():
         assert twin == graph and hash(twin) == hash(graph)
         with pytest.raises(TypeError):
             twin.nodes["x"] = "y"
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("root", "x", "root 'x' is not a node"),
+        ("edges", (Edge("w", ":ARG0", "x"),), "edge target 'x' is not a node"),
+        ("edges", (Edge("w", "ARG0", "b"),), "bad role label 'ARG0'"),
+        ("attributes", (Attribute("w", ":polarity", ""),), "empty attribute value"),
+        ("edges", (), "nodes not connected to root: b, g"),
+    ],
+)
+def test_pickle_and_copies_still_validate(field, value, message):
+    # a parsed graph skips validation; its copies go through it again
+    graph = parse_penman(WANT)
+    object.__setattr__(graph, field, value)
+    for rebuild in (lambda g: pickle.loads(pickle.dumps(g)), copy.copy, copy.deepcopy):
+        with pytest.raises(ValueError) as refused:
+            rebuild(graph)
+        assert str(refused.value) == message

@@ -9,6 +9,7 @@ the graph-to-text candidates of a whole command in one batched call each.
 
 import json
 import math
+import zlib
 from collections import Counter
 from pathlib import Path
 
@@ -169,6 +170,36 @@ def test_score_summaries_makes_one_call_with_unique_pairs():
     assert calls == [[("s1", "one"), ("s1", "two"), ("s2", "one"), ("s2", "two")]]
     assert results[0] == results[2]
     assert len(results[0].probabilities) == 3
+
+
+def pair_specific(pairs):
+    """A probability that differs from pair to pair."""
+    return [zlib.crc32(f"{p}\0{h}".encode("utf-8", "surrogatepass")) / 2**32 for p, h in pairs]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(drawn_from_pool(min_size=1, max_size=8), drawn_from_pool(max_size=8))
+def test_score_summaries_sends_the_distinct_pairs_in_first_seen_order(units, summaries):
+    calls = []
+
+    def recording(pairs):
+        calls.append(list(pairs))
+        return pair_specific(pairs)
+
+    results = score_summaries(units, summaries, recording)
+    # the pairs and scores of scoring by a table of the distinct pairs
+    pairs = list(dict.fromkeys((s, u) for s in summaries for u in units))
+    by_pair = dict(zip(pairs, pair_specific(pairs)))
+    assert calls == [pairs]
+    assert [r.probabilities for r in results] == [
+        tuple(by_pair[s, u] for u in units) for s in summaries
+    ]
+
+
+@pytest.mark.parametrize("bad", [math.nan, -0.5, 1.5, math.inf])
+def test_score_summaries_refuses_probabilities_out_of_range(bad):
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        score_summaries(["a", "b"], ["s"], lambda pairs: [0.5, bad])
 
 
 def test_score_summaries_rejects_wrong_scorer_arity():

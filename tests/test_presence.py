@@ -70,6 +70,12 @@ def test_presence_result_validation():
         PresenceResult(())
     with pytest.raises(ValueError):
         PresenceResult((0.5, 1.3))
+    for bad in (float("nan"), -0.0 - 1e-300, float("-inf")):
+        with pytest.raises(ValueError):
+            PresenceResult((0.5, bad))
+    with pytest.raises(TypeError):
+        PresenceResult((0.5, "0.5"))
+    assert PresenceResult((0, 1.0, 0.0)).pyramid_score == 1 / 3
 
 
 def test_lexical_scorer_examples():

@@ -224,6 +224,17 @@ def test_client_token_must_fit_an_http_header(stub_service, monkeypatch):
     assert len(stub.requests) == 1
 
 
+def test_post_json_token_must_fit_an_http_header(stub_service):
+    stub = stub_service(lambda path, body: (200, {}))
+    post_json(stub.url, {}, token="café")
+    assert stub.requests[0][2].get("Authorization") == "Bearer café"
+    for token in ("tök✓", "abc\ndef", "abc\rdef", "abc\r\n"):
+        with pytest.raises(InputError, match="auth token") as refused:
+            post_json(stub.url, {}, token=token)
+        assert not any(part in str(refused.value) for part in token.splitlines())
+    assert len(stub.requests) == 1
+
+
 def test_chat_client_payload_and_reply(stub_service):
     stub = stub_service(scripted_chat("A # B"))
     client = ChatClient(stub.url, "unit-splitter-1", temperature=0.0)

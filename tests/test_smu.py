@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 
@@ -27,7 +29,13 @@ from graphgen import (
     repeated_edge_penman,
     shared_chain_penman,
 )
-from oracles import isomorphic, realize_baseline_oracle, split_graph_oracle
+from oracles import (
+    core_role_oracle,
+    isomorphic,
+    predicate_lemma_oracle,
+    realize_baseline_oracle,
+    split_graph_oracle,
+)
 
 WANT = parse_penman("(w / want-01 :ARG0 (b / boy) :ARG1 (g / go-02 :ARG0 b))")
 
@@ -214,9 +222,91 @@ def test_split_and_realize_match_the_reference(seed, mode, turn_edges):
         graph = AmrGraph(graph.root, graph.nodes, edges, graph.attributes)
     candidates = split_graph(graph, mode)
     assert candidates == split_graph_oracle(graph, mode)
+    # the splitter builds without validation: each candidate must be one
+    # the public constructor accepts unchanged
+    for c in candidates:
+        assert c == AmrGraph(c.root, dict(c.nodes), c.edges, c.attributes)
     assert [realize_baseline(c) for c in candidates] == [
         realize_baseline_oracle(c) for c in candidates
     ]
+
+
+# Pieces of roles and concepts near the edges of the core-role and sense
+# rules: Unicode decimal digits, a superscript digit (not decimal), and
+# prefixes and suffixes that almost fit.
+ROLE_PIECES = [
+    ":ARG", ":ARG1", ":ARG1-of", "-of", "-o", "of", ":AR", ":arg", ":op", "-", "-01",
+    "0", "1", "12", "١", "２", "²", "x", " ", "_", "+", "\r", "\u2028",
+]
+role_like = st.one_of(
+    st.lists(st.sampled_from(ROLE_PIECES), max_size=5).map("".join),
+    st.tuples(
+        st.sampled_from([":ARG", ":AR", ":arg", "x-", "x-0", "-", ""]),
+        st.text("019١٢２²", max_size=3),
+        st.sampled_from(["", "-of", "-o", "of", "-", "-01", "x"]),
+    ).map("".join),
+    st.text(st.characters(blacklist_characters="\n"), max_size=12),
+)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(role_like)
+def test_role_and_sense_helpers_match_the_patterns(text):
+    assert smu._core_role(text) == core_role_oracle(text)
+    assert smu._predicate_lemma(text) == predicate_lemma_oracle(text)
+
+
+@pytest.mark.parametrize(
+    "text, core, lemma",
+    [
+        (":ARG", None, None),
+        (":ARG-of", None, None),
+        (":ARG1-of", (1, True), None),
+        (":ARG١٢", (12, False), None),
+        (":ARG２-of", (2, True), None),
+        (":ARG²", None, None),
+        ("-01", None, None),
+        ("want-01", None, "want"),
+        ("a-b-١٢", None, "a-b"),
+        ("go-1", None, None),
+        ("go-0²", None, None),
+    ],
+)
+def test_role_and_sense_helpers_edge_cases(text, core, lemma):
+    assert smu._core_role(text) == core == core_role_oracle(text)
+    assert smu._predicate_lemma(text) == lemma == predicate_lemma_oracle(text)
+
+
+def test_name_parts_follow_decimal_op_indices():
+    graph = parse_penman(
+        '(s / see-01 :ARG0 (p / person :name (n / name :op２ "B" :op١ "A" '
+        ':op² "X" :op "Y" :opx "Z")))'
+    )
+    texts = [realize_baseline(c) for c in split_graph(graph)]
+    assert texts == [realize_baseline_oracle(c) for c in split_graph(graph)]
+    assert texts == ["person A B see"]
+
+
+@pytest.mark.parametrize("mode", SPLIT_MODES)
+def test_split_candidates_behave_like_validated_graphs(mode):
+    graph = parse_penman(
+        "(w / want-01 :ARG0 (b / boy :quant 2) :ARG1 (g / go-02 :ARG0 b) :ARG1-of (h / hope-01))"
+    )
+    for candidate in split_graph(graph, mode):
+        validated = AmrGraph(
+            candidate.root, dict(candidate.nodes), candidate.edges, candidate.attributes
+        )
+        assert candidate == validated and hash(candidate) == hash(validated)
+        assert repr(candidate) == repr(validated)
+        for twin in (
+            pickle.loads(pickle.dumps(candidate)),
+            copy.copy(candidate),
+            copy.deepcopy(candidate),
+        ):
+            assert twin == candidate and hash(twin) == hash(candidate)
+        with pytest.raises(TypeError):
+            candidate.nodes["x"] = "y"
+        assert len({candidate, validated}) == 1
 
 
 class FakeGenerator:
