@@ -12,13 +12,24 @@ Exit codes are stable: 0 on success, 2 for input or usage problems, 3 when
 an external service fails. Every output file is written atomically and
 accompanied by a ``.manifest.json`` sidecar; given the same inputs, seed,
 and service replies, reruns are byte-identical except for the manifest
-timestamp.
+timestamp. A report that cannot be written to standard output (a pipe
+whose reader has gone) ends the command with exit 2 and one line on
+standard error, before ``--out`` is written; a closed standard output
+takes no report and is no error.
+
+:func:`main` runs a command in process and returns its exit code. A
+process runs it through :func:`run_and_exit`, the target of ``python -m
+autopyramid.cli`` and of the ``autopyramid`` console script: it flushes
+standard output and error and ends the process with ``os._exit``, which
+skips the interpreter's teardown (every output is written and closed by
+then). A flush that fails leaves through ``sys.exit`` instead.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from importlib import import_module
 
@@ -39,6 +50,7 @@ from .errors import (
     AutoPyramidError,
     DegenerateInput,
     EmptyDataset,
+    FileUnwritable,
     GraphTooLarge,
     InputError,
     LengthMismatch,
@@ -234,6 +246,41 @@ def main(argv=None) -> int:
     except AutoPyramidError as exc:
         print(f"autopyramid: {exc}", file=sys.stderr)
         return EXIT_INPUT
+
+
+def run_and_exit():
+    """Run :func:`main` on the process's arguments, then end the process
+    with its exit code and without the interpreter's teardown."""
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except (OSError, ValueError):  # a failed write, or a stream closed
+        sys.exit(code)
+    os._exit(code)
+
+
+def _report(lines) -> None:
+    """Print *lines* to standard output and flush it, so that a report that
+    cannot be written fails the command before its output is written."""
+    out = sys.stdout
+    if out is None:  # closed: the report goes nowhere, as print's would
+        return
+    try:
+        out.write("".join(f"{line}\n" for line in lines))
+        out.flush()
+    except OSError as exc:
+        # what is left unwritten goes to the null device, so that no later
+        # flush, the one at exit included, fails again
+        try:
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, out.fileno())
+            os.close(null)
+        except OSError:
+            pass
+        reason = exc.strerror or type(exc).__name__
+        raise FileUnwritable(f"cannot write standard output: {reason}") from exc
 
 
 def _check_endpoints(args) -> None:
@@ -565,8 +612,10 @@ def cmd_intrinsic(args, entries, digests) -> int:
     mean_p = sum(r.easiness_p for r in reports) / len(reports)
     degenerate = sum(1 for r in reports if r.degenerate)
 
-    print(f"{'examples':>8}  {'easiness_r':>10}  {'easiness_p':>10}  {'empty_approx':>12}")
-    print(f"{len(reports):>8}  {mean_r:>10.4f}  {mean_p:>10.4f}  {degenerate:>12}")
+    _report([
+        f"{'examples':>8}  {'easiness_r':>10}  {'easiness_p':>10}  {'empty_approx':>12}",
+        f"{len(reports):>8}  {mean_r:>10.4f}  {mean_p:>10.4f}  {degenerate:>12}",
+    ])
 
     row = {
         "examples": len(reports),
@@ -646,14 +695,15 @@ def cmd_metaeval(args, entries, digests) -> int:
                     cell["skipped"] = report.skipped
             cells.append(cell)
 
-    print(f"{'level':<8} {'corr':<9} {'value':>8} {'examples':>8} {'systems':>8} {'skipped':>8}")
+    lines = [f"{'level':<8} {'corr':<9} {'value':>8} {'examples':>8} {'systems':>8} {'skipped':>8}"]
     for cell in cells:
         value = "n/a" if cell["value"] is None else f"{cell['value']:.4f}"
         skipped = "-" if cell["skipped"] is None else str(cell["skipped"])
-        print(
+        lines.append(
             f"{cell['level']:<8} {cell['corr']:<9} {value:>8} "
             f"{cell['examples']:>8} {cell['systems']:>8} {skipped:>8}"
         )
+    _report(lines)
 
     return _write_output(args, digests, cells)
 
@@ -677,12 +727,14 @@ def cmd_stats(args, entries, digests) -> int:
     stats = _lazy.corpus_stats(entries)
     row = {field: getattr(stats, field) for field in _STATS_LABELS}
     width = max(map(len, _STATS_LABELS.values()))
+    lines = []
     for field, label in _STATS_LABELS.items():
         value = row[field]
         shown = f"{value:.2f}" if isinstance(value, float) else value
-        print(f"{label:<{width}}  {shown}")
+        lines.append(f"{label:<{width}}  {shown}")
+    _report(lines)
     return _write_output(args, digests, [row])
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run_and_exit()

@@ -11,7 +11,9 @@ One :class:`ReferenceEntry` per line, UTF-8, with exactly these fields::
 the presence labels must align with the gold units pooled across all of
 the entry's references. Loading validates everything and reports the line
 number and field path of the first problem. The records are named tuples,
-immutable and compared by their fields.
+immutable and compared by their fields; the loaders build them with
+``tuple.__new__``, which skips the per-field arguments of the generated
+constructor and is safe because no record checks its fields.
 
 Unit files are also JSON Lines, one :class:`UnitFileRow` per line with
 fields ``example_id``, ``reference_index``, ``strategy``, ``text``. A row
@@ -32,7 +34,6 @@ import json
 import math
 import os
 import tempfile
-from itertools import starmap
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
@@ -59,6 +60,9 @@ SPLIT_MODES = ("one-cr", "all-deps")
 # presence labels by value: a lookup both checks a label and makes it an
 # int, and true, 1.0 and -0.0 hash and compare equal to their int
 _LABELS = {0: 0, 1: 1}
+
+# a record from a tuple of all its fields
+_record = tuple.__new__
 
 
 class Reference(NamedTuple):
@@ -204,7 +208,7 @@ def _parse_entry(value, line: int) -> ReferenceEntry:
     systems_raw = value.get("systems", [])
     if type(systems_raw) is not list:
         raise SchemaViolation("'systems' must be a list", line=line, field="systems")
-    fields = []
+    systems = []
     seen_ids = set()
     duplicate = mismatch = None
     for i, system in enumerate(systems_raw):
@@ -217,7 +221,10 @@ def _parse_entry(value, line: int) -> ReferenceEntry:
         if type(summary) is not str:
             raise _system_error("missing string 'summary'", line, i, ".summary")
         human_score = system.get("human_score")
-        if human_score is not None:
+        # a finite float passes inline (inf - inf and nan - nan are nan)
+        if human_score is not None and not (
+            type(human_score) is float and human_score - human_score == 0.0
+        ):
             if not is_finite_number(human_score):
                 raise _system_error(
                     "'human_score' must be a finite number", line, i, ".human_score"
@@ -243,24 +250,23 @@ def _parse_entry(value, line: int) -> ReferenceEntry:
                 duplicate = i
         else:
             seen_ids.add(system_id)
-        fields.append((system_id, summary, human_score, presence))
+        systems.append(_record(SystemSummary, (system_id, summary, human_score, presence)))
     if duplicate is not None:
         raise SchemaViolation(
-            f"duplicate system_id {fields[duplicate][0]!r}",
+            f"duplicate system_id {systems[duplicate].system_id!r}",
             line=line,
             field=f"systems[{duplicate}].system_id",
         )
     if mismatch is not None:
         raise PresenceLengthMismatch(
-            f"{len(fields[mismatch][3])} presence labels for {pooled} gold units",
+            f"{len(systems[mismatch].scu_presence)} presence labels for {pooled} gold units",
             line=line,
             field=f"systems[{mismatch}].scu_presence",
         )
-    return ReferenceEntry(
-        example_id,
-        tuple(Reference(r["text"], tuple(r.get("scus", ()))) for r in references_raw),
-        tuple(starmap(SystemSummary, fields)),
+    references = tuple(
+        [_record(Reference, (r["text"], tuple(r.get("scus", ())))) for r in references_raw]
     )
+    return _record(ReferenceEntry, (example_id, references, tuple(systems)))
 
 
 def load_dataset(path, *, digests: dict | None = None) -> list[ReferenceEntry]:
@@ -375,7 +381,7 @@ def load_units(
                 if not stray:
                     first_stray = (number, example_id, reference_index, count)
                 stray += 1
-        rows.append(UnitFileRow(example_id, reference_index, strategy, text))
+        rows.append(_record(UnitFileRow, (example_id, reference_index, strategy, text)))
     if stray:
         number, example_id, reference_index, count = first_stray
         if count is None:
@@ -436,10 +442,12 @@ def load_scores(
             raise SchemaViolation(
                 "rows need string 'example_id' and 'system_id'", line=number
             )
-        if not is_finite_number(value):
-            raise SchemaViolation(
-                "'score' must be a finite number", line=number, field="score"
-            )
+        if not (type(value) is float and value - value == 0.0):
+            if not is_finite_number(value):
+                raise SchemaViolation(
+                    "'score' must be a finite number", line=number, field="score"
+                )
+            value = float(value)
         cell = (example_id, system_id)
         if cell in lines_of:
             reason = f"repeats line {lines_of[cell]}"
@@ -447,7 +455,7 @@ def load_scores(
             reason = "is not in the dataset"
         else:
             lines_of[cell] = number
-            scores[cell] = float(value)
+            scores[cell] = value
             continue
         if not stray:
             first_stray = (number, f"{example_id}/{system_id} {reason}")

@@ -12,9 +12,9 @@ variables and never reach the manifest.
 
 from __future__ import annotations
 
-import datetime
 import json
 import re
+import time
 
 from . import __version__
 from .data import atomic_write_text
@@ -46,6 +46,15 @@ def _redact_config(config: dict) -> dict:
     return cleaned
 
 
+def _utc_timestamp(ns: int) -> str:
+    """*ns* nanoseconds since the epoch as ``datetime.isoformat()`` writes
+    that UTC time to the microsecond (no fraction at 0), without importing
+    ``datetime``."""
+    seconds, ns = divmod(ns, 1_000_000_000)
+    fraction = f".{ns // 1000:06d}" if ns >= 1000 else ""
+    return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds)) + fraction + "+00:00"
+
+
 def manifest_path(out_path) -> str:
     return f"{out_path}.manifest.json"
 
@@ -65,7 +74,7 @@ def write_manifest(
         "config": _redact_config(config),
         "inputs": {str(p): digest for p, digest in inputs.items()},
         "tool_version": __version__,
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "timestamp": _utc_timestamp(time.time_ns()),
     }
     if extra:
         payload["extra"] = extra

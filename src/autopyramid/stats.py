@@ -103,7 +103,11 @@ def _paired(x: Sequence[float], y: Sequence[float], what: str = "correlation") -
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Sample Pearson correlation; raises on constant or non-finite input,
     and on deviations whose squares overflow."""
-    n = _paired(x, y)
+    return _pearson(x, y, _paired(x, y))
+
+
+def _pearson(x: Sequence[float], y: Sequence[float], n: int) -> float:
+    """:func:`pearson` of *n* pairs already checked by :func:`_paired`."""
     if n < 2:
         raise DegenerateInput("correlation needs at least two points")
     try:
@@ -137,6 +141,11 @@ def average_ranks(values: Sequence[float]) -> list[float]:
     Raises on non-finite input, which has no rank."""
     if not all(map(is_finite_number, values)):
         raise DegenerateInput("ranking needs finite inputs")
+    return _average_ranks(values)
+
+
+def _average_ranks(values: Sequence[float]) -> list[float]:
+    """:func:`average_ranks` of values already checked to be finite."""
     order = sorted(range(len(values)), key=values.__getitem__)
     ranks = [0.0] * len(values)
     i = 0
@@ -153,8 +162,8 @@ def average_ranks(values: Sequence[float]) -> list[float]:
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> float:
     """Pearson correlation of average ranks."""
-    _paired(x, y)
-    return pearson(average_ranks(x), average_ranks(y))
+    n = _paired(x, y)
+    return _pearson(_average_ranks(x), _average_ranks(y), n)
 
 
 _CORRELATIONS = {"pearson": pearson, "spearman": spearman}

@@ -18,7 +18,9 @@ from autopyramid.data import (
     ReferenceEntry,
     SystemSummary,
     UnitFileRow,
+    _json_lines,
     is_finite_number,
+    read_input,
 )
 from autopyramid.errors import (
     DuplicateExampleId,
@@ -733,6 +735,202 @@ def load_scores_oracle(path) -> dict[tuple[str, str], float]:
                 "'score' must be a finite number", line=number, field="score"
             )
         scores[(example_id, system_id)] = float(value)
+    return scores
+
+
+# ---------------------------------------------------------------------------
+# The loaders' row checks with every record built by its constructor and
+# every number checked by is_finite_number: the references for the
+# loaders, which build records with tuple.__new__ and pass a finite float
+# inline. The lines come from the loaders' own reader.
+
+_REFERENCE_LABELS = {0: 0, 1: 1}
+
+
+def _reference_system_error(message, line, index, name):
+    return SchemaViolation(message, line=line, field=f"systems[{index}]{name}")
+
+
+def parse_entry_reference(value, line: int) -> ReferenceEntry:
+    """One decoded dataset row as :func:`autopyramid.data._parse_entry`
+    checks it, its errors in the same order."""
+    if type(value) is not dict:
+        raise SchemaViolation("entry must be an object", line=line, field="")
+    example_id = value.get("example_id")
+    if type(example_id) is not str or not example_id:
+        raise SchemaViolation("missing string 'example_id'", line=line, field="example_id")
+    references_raw = value.get("references")
+    if type(references_raw) is not list or not references_raw:
+        raise SchemaViolation(
+            "'references' must be a non-empty list", line=line, field="references"
+        )
+    pooled = 0
+    for i, reference in enumerate(references_raw):
+        if type(reference) is not dict:
+            raise SchemaViolation(
+                "reference must be an object", line=line, field=f"references[{i}]"
+            )
+        if type(reference.get("text")) is not str:
+            raise SchemaViolation(
+                "missing string 'text'", line=line, field=f"references[{i}].text"
+            )
+        scus = reference.get("scus", [])
+        if type(scus) is not list:
+            raise SchemaViolation(
+                "'scus' must be a list", line=line, field=f"references[{i}].scus"
+            )
+        for k, scu in enumerate(scus):
+            if type(scu) is not str or not scu or scu.isspace():
+                raise SchemaViolation(
+                    "gold unit must be a non-empty string",
+                    line=line,
+                    field=f"references[{i}].scus[{k}]",
+                )
+        pooled += len(scus)
+    systems_raw = value.get("systems", [])
+    if type(systems_raw) is not list:
+        raise SchemaViolation("'systems' must be a list", line=line, field="systems")
+    fields = []
+    seen_ids = set()
+    duplicate = mismatch = None
+    for i, system in enumerate(systems_raw):
+        if type(system) is not dict:
+            raise _reference_system_error("system must be an object", line, i, "")
+        system_id = system.get("system_id")
+        if type(system_id) is not str or not system_id:
+            raise _reference_system_error("missing string 'system_id'", line, i, ".system_id")
+        summary = system.get("summary")
+        if type(summary) is not str:
+            raise _reference_system_error("missing string 'summary'", line, i, ".summary")
+        human_score = system.get("human_score")
+        if human_score is not None:
+            if not is_finite_number(human_score):
+                raise _reference_system_error(
+                    "'human_score' must be a finite number", line, i, ".human_score"
+                )
+            human_score = float(human_score)
+        presence = system.get("scu_presence")
+        if presence is not None:
+            labels = None
+            if type(presence) is list:
+                try:
+                    labels = tuple(map(_REFERENCE_LABELS.__getitem__, presence))
+                except (KeyError, TypeError):
+                    pass
+            if labels is None:
+                raise _reference_system_error(
+                    "'scu_presence' must be a list of 0/1", line, i, ".scu_presence"
+                )
+            presence = labels
+            if mismatch is None and len(presence) != pooled:
+                mismatch = i
+        if system_id in seen_ids:
+            if duplicate is None:
+                duplicate = i
+        else:
+            seen_ids.add(system_id)
+        fields.append((system_id, summary, human_score, presence))
+    if duplicate is not None:
+        raise SchemaViolation(
+            f"duplicate system_id {fields[duplicate][0]!r}",
+            line=line,
+            field=f"systems[{duplicate}].system_id",
+        )
+    if mismatch is not None:
+        raise PresenceLengthMismatch(
+            f"{len(fields[mismatch][3])} presence labels for {pooled} gold units",
+            line=line,
+            field=f"systems[{mismatch}].scu_presence",
+        )
+    return ReferenceEntry(
+        example_id,
+        tuple(Reference(r["text"], tuple(r.get("scus", ()))) for r in references_raw),
+        tuple(itertools.starmap(SystemSummary, fields)),
+    )
+
+
+def _reference_stray_rows(count):
+    return "the only stray row" if count == 1 else f"the first of {count} stray rows"
+
+
+def load_units_reference(path, *, reference_counts=None) -> list[UnitFileRow]:
+    """:func:`autopyramid.data.load_units`, row checks and stray rows."""
+    rows = []
+    stray = 0
+    for number, raw in _json_lines(read_input(path)):
+        if type(raw) is not dict:
+            raise SchemaViolation("row must be an object", line=number, field="")
+        example_id = raw.get("example_id")
+        if type(example_id) is not str:
+            raise SchemaViolation("missing string 'example_id'", line=number, field="example_id")
+        reference_index = raw.get("reference_index")
+        if type(reference_index) is not int or reference_index < 0:
+            raise SchemaViolation(
+                "'reference_index' must be a non-negative integer",
+                line=number,
+                field="reference_index",
+            )
+        strategy = raw.get("strategy")
+        if type(strategy) is not str or strategy not in VALID_STRATEGIES:
+            raise SchemaViolation(
+                f"'strategy' must be one of {', '.join(VALID_STRATEGIES)}",
+                line=number,
+                field="strategy",
+            )
+        text = raw.get("text")
+        if type(text) is not str or not text or text.isspace():
+            raise SchemaViolation("missing non-empty string 'text'", line=number, field="text")
+        if reference_counts is not None:
+            count = reference_counts.get(example_id)
+            if count is None or reference_index >= count:
+                if not stray:
+                    first_stray = (number, example_id, reference_index, count)
+                stray += 1
+        rows.append(UnitFileRow(example_id, reference_index, strategy, text))
+    if stray:
+        number, example_id, reference_index, count = first_stray
+        if count is None:
+            what, field = "is not in the dataset", "example_id"
+        else:
+            what, field = f"has no reference {reference_index}", "reference_index"
+        raise SchemaViolation(
+            f"example {example_id!r} {what} ({_reference_stray_rows(stray)})",
+            line=number,
+            field=field,
+        )
+    return rows
+
+
+def load_scores_reference(path, cells) -> dict[tuple[str, str], float]:
+    """:func:`autopyramid.data.load_scores`, row checks and stray rows."""
+    scores = {}
+    lines_of = {}
+    stray = 0
+    for number, raw in _json_lines(read_input(path)):
+        if type(raw) is not dict:
+            raise SchemaViolation("row must be an object", line=number)
+        example_id = raw.get("example_id")
+        system_id = raw.get("system_id")
+        value = raw.get("score")
+        if type(example_id) is not str or type(system_id) is not str:
+            raise SchemaViolation("rows need string 'example_id' and 'system_id'", line=number)
+        if not is_finite_number(value):
+            raise SchemaViolation("'score' must be a finite number", line=number, field="score")
+        cell = (example_id, system_id)
+        if cell in lines_of:
+            reason = f"repeats line {lines_of[cell]}"
+        elif cell not in cells:
+            reason = "is not in the dataset"
+        else:
+            lines_of[cell] = number
+            scores[cell] = float(value)
+            continue
+        if not stray:
+            first_stray = (number, f"{example_id}/{system_id} {reason}")
+        stray += 1
+    if stray:
+        number, what = first_stray
+        raise SchemaViolation(f"{what} ({_reference_stray_rows(stray)})", line=number)
     return scores
 
 

@@ -11,6 +11,7 @@ from autopyramid.data import (
     ReferenceEntry,
     SystemSummary,
     UnitFileRow,
+    _parse_entry,
     import_rows,
     load_dataset,
     load_scores,
@@ -26,7 +27,14 @@ from autopyramid.errors import (
     SchemaViolation,
 )
 
-from oracles import load_dataset_oracle, load_scores_oracle, load_units_oracle
+from oracles import (
+    load_dataset_oracle,
+    load_scores_oracle,
+    load_scores_reference,
+    load_units_oracle,
+    load_units_reference,
+    parse_entry_reference,
+)
 
 
 def write_jsonl(path, rows):
@@ -334,7 +342,8 @@ def dataset_rows(draw):
             system = {"system_id": f"s{draw(st.sampled_from([i, i, i, 0]))}", "summary": "A b."}
             if draw(st.booleans()):
                 system["human_score"] = draw(st.sampled_from(
-                    [0.5, 1, 0, -0.0, 0.25, 0.75, 2, 0.125, float("nan"), 10**400, True]
+                    [0.5, 1, 0, -0.0, 0.25, 0.75, 2, 0.125, float("nan"), float("inf"),
+                     -float("inf"), 10**400, True]
                 ))
             if draw(st.booleans()):
                 size = pooled + draw(st.sampled_from([0, 0, 0, 1, -1]))
@@ -388,7 +397,8 @@ def score_rows(draw):
     return [
         draw(mutated({"example_id": draw(st.sampled_from(["e1", "e2"])),
                       "system_id": draw(st.sampled_from(["a", "b", "c"])),
-                      "score": draw(st.sampled_from([0.5, 1, 0, -2.5]))}))
+                      "score": draw(st.sampled_from([0.5, 1, 0, -2.5, 1e308, float("nan"),
+                                                     -float("inf"), 10**400, True]))}))
         for _ in range(draw(st.integers(0, 5)))
     ]
 
@@ -423,6 +433,53 @@ def test_load_scores_matches_its_reference_and_refuses_stray_rows(scratch, data)
             number, what = first
             expected = (SchemaViolation, f"line {number}: {what} ({many})", number, None)
     assert outcome(lambda path: load_scores(path, SCORE_CELLS), scratch) == expected
+
+
+# ---------------------------------------------------------------------------
+# The loaders against the same row checks with every record built by its
+# constructor and every number checked by is_finite_number
+
+
+def record_outcome(load):
+    """What ``load()`` gives: its records, and the repr that tells their
+    types and 1 from 1.0 and True; or its error's type, text, line and
+    field."""
+    try:
+        records = load()
+    except InputError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "field", None)
+    return records, repr(records)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_parse_entry_matches_its_constructor_built_reference(data):
+    rows = data.draw(dataset_rows())
+    if data.draw(st.booleans()):  # a row that is not an object
+        rows.append(copy.deepcopy(data.draw(st.sampled_from(ODD))))
+    for number, row in enumerate(rows, start=1):
+        assert record_outcome(lambda: _parse_entry(row, number)) == record_outcome(
+            lambda: parse_entry_reference(row, number)
+        )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_load_units_matches_its_constructor_built_reference(scratch, data):
+    scratch.write_bytes(data.draw(jsonl_file(data.draw(unit_rows()))))
+    counts = data.draw(st.sampled_from([None, {"e0": 3, "e1": 3}, {"e0": 1, "e1": 2}, {"e1": 3}]))
+    assert record_outcome(lambda: load_units(scratch, reference_counts=counts)) == record_outcome(
+        lambda: load_units_reference(scratch, reference_counts=counts)
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_load_scores_matches_its_constructor_built_reference(scratch, data):
+    scratch.write_bytes(data.draw(jsonl_file(data.draw(score_rows()))))
+    assert record_outcome(lambda: load_scores(scratch, SCORE_CELLS)) == record_outcome(
+        lambda: load_scores_reference(scratch, SCORE_CELLS)
+    )
 
 
 def test_import_rows_keeps_ids_takes_the_tag_and_records_the_digest(tmp_path):

@@ -114,3 +114,14 @@ def test_the_module_entry_point_resolves_names_on_first_use():
     done = python("-m", "autopyramid.cli", "stats", "--input", TOY)
     assert done.returncode == 0, done.stderr
     assert done.stdout == (DATA / "golden" / "stats.stdout").read_text(encoding="utf-8")
+
+
+def test_writing_a_manifest_loads_no_datetime(tmp_path):
+    # the manifest's timestamp is formatted with the time module alone
+    probe = (
+        "import sys; from autopyramid import cli; code = cli.main(sys.argv[1:]); "
+        "print(code, 'datetime' in sys.modules)"
+    )
+    done = python("-c", probe, "stats", "--input", TOY, "--out", str(tmp_path / "o"))
+    assert done.stdout.splitlines()[-1] == "0 False", done.stderr
+    assert (tmp_path / "o.manifest.json").exists()

@@ -1,5 +1,7 @@
+import datetime
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -53,3 +55,30 @@ def test_write_manifest_missing_input(tmp_path, capsys):
     assert main(["stats", "--input", str(absent), "--out", str(out)]) == 2
     assert "cannot read" in capsys.readouterr().err
     assert not (tmp_path / manifest_path(out.name)).exists()
+
+
+@pytest.mark.parametrize(
+    "ns",
+    [0, 1_700_000_000_000_000_000, 1_700_000_000_000_000_999, 1_700_000_000_123_456_789,
+     253_402_300_799_999_999_999],
+    ids=["epoch", "zero-us", "zero-us-ns-left", "nonzero-us", "last-us-of-9999"],
+)
+def test_the_timestamp_is_what_datetime_isoformat_gives(tmp_path, monkeypatch, ns):
+    epoch = datetime.datetime(1970, 1, 1, tzinfo=datetime.timezone.utc)
+    expected = (epoch + datetime.timedelta(microseconds=ns // 1000)).isoformat()
+    assert ("." in expected) == (ns // 1000 % 1_000_000 != 0)
+    monkeypatch.setattr(time, "time_ns", lambda: ns)
+    out = tmp_path / "out.jsonl"
+    out.write_text("", encoding="utf-8")
+    path = write_manifest(out, command="stats", config={}, inputs={})
+    assert json.loads(open(path, encoding="utf-8").read())["timestamp"] == expected
+
+
+def test_the_timestamp_is_the_time_of_writing(tmp_path):
+    out = tmp_path / "out.jsonl"
+    out.write_text("", encoding="utf-8")
+    before = datetime.datetime.now(datetime.timezone.utc)
+    path = write_manifest(out, command="stats", config={}, inputs={})
+    after = datetime.datetime.now(datetime.timezone.utc)
+    written = json.loads(open(path, encoding="utf-8").read())["timestamp"]
+    assert before <= datetime.datetime.fromisoformat(written) <= after
