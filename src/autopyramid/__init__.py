@@ -25,8 +25,7 @@ _NAMES = {
     "presence": "PresenceResult lexical_scorer remote_scorer score_summaries score_summary",
     "smu": "realize_baseline realize_remote split_graph",
     "stats": "CorpusStats CorrelationReport EasinessReport average_ranks cohen_kappa "
-    "corpus_stats easiness pearson spearman summary_level system_level "
-    "wilcoxon_signed_rank",
+    "corpus_stats easiness pearson spearman summary_level system_level",
     "text": "rouge1_f1 split_sentences tokenize",
 }
 

@@ -55,14 +55,17 @@ class AmrGraph:
     ``nodes`` maps each variable to its single concept, read-only, and is
     left out of the hash; ``edges`` and ``attributes`` preserve input
     order, which drives deterministic serialization. ``AmrGraph(...)``,
-    unpickling and copying validate the structural invariants: the root
-    exists, variables and concepts are not empty, every edge endpoint is a
-    known variable, roles start with ':', attribute values are not empty,
-    and every node is connected to the root when edge direction is
-    ignored. The two producers that hold these invariants by construction,
-    :func:`parse_penman` and the splitter in :mod:`autopyramid.smu`, build
-    through :meth:`_trusted` instead, so each graph is checked once, where
-    it enters.
+    unpickling and copying validate the invariants: the root exists, every
+    edge endpoint is a known variable, every node is connected to the root
+    when edge direction is ignored, and each token reads back from
+    :func:`serialize_penman`'s text as itself. A variable is a bare token
+    that is not a constant, a concept a bare token or a quoted string, a
+    role ':' and a bare token, and an attribute value a constant (a
+    well-escaped quoted string, a number, '-' or '+'); the serializer
+    quotes nothing. The two producers that hold these invariants by
+    construction, :func:`parse_penman` and the splitter in
+    :mod:`autopyramid.smu`, build through :meth:`_trusted` instead, so each
+    graph is checked once, where it enters.
     """
 
     root: str
@@ -110,8 +113,10 @@ class AmrGraph:
         if self.root not in nodes:
             raise ValueError(f"root {self.root!r} is not a node")
         for var, concept in nodes.items():
-            if not var or not concept:
-                raise ValueError(f"node {var!r} has an empty variable or concept")
+            if not _NAME_RE.fullmatch(var) or _CONSTANT_RE.fullmatch(var):
+                raise ValueError(f"bad variable {var!r}")
+            if not (_NAME_RE.fullmatch(concept) or _QUOTED_RE.fullmatch(concept)):
+                raise ValueError(f"bad concept {concept!r} of node {var!r}")
         # edges mostly come parent first, so this one pass in order usually
         # reaches every node, and the full search is not needed
         reached = {self.root}
@@ -120,7 +125,7 @@ class AmrGraph:
                 raise ValueError(f"edge source {source!r} is not a node")
             if target not in nodes:
                 raise ValueError(f"edge target {target!r} is not a node")
-            if not role.startswith(":") or len(role) < 2:
+            if not _ROLE_RE.fullmatch(role):
                 raise ValueError(f"bad role label {role!r}")
             if source in reached:
                 reached.add(target)
@@ -129,10 +134,10 @@ class AmrGraph:
         for source, role, value in self.attributes:
             if source not in nodes:
                 raise ValueError(f"attribute owner {source!r} is not a node")
-            if not role.startswith(":") or len(role) < 2:
+            if not _ROLE_RE.fullmatch(role):
                 raise ValueError(f"bad role label {role!r}")
-            if value == "":
-                raise ValueError("empty attribute value")
+            if not _CONSTANT_RE.fullmatch(value):
+                raise ValueError(f"attribute value {value!r} is not a constant")
         if len(reached) < len(nodes):
             # the full search: a walk over the edges taken both ways
             both: dict[str, list[Edge]] = {}
@@ -156,9 +161,19 @@ class AmrGraph:
 # The line breaks of ``str.splitlines``: no token spans one, so a quoted
 # string that is not closed on its own line lexes as bare tokens.
 _BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-_TOKEN_RE = re.compile(rf'"(?:[^"\\{_BREAKS}]|\\[^{_BREAKS}])*"|\(|\)|/|[^\s()/]+')
-_NUMBER_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+_QUOTED = rf'"(?:[^"\\{_BREAKS}]|\\[^{_BREAKS}])*"'
+_TOKEN_RE = re.compile(rf"{_QUOTED}|\(|\)|/|[^\s()/]+")
+_NUMBER = r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?"
+_NUMBER_RE = re.compile(_NUMBER + "$")
 _SYNTAX = ("(", ")", "/")
+
+# The tokens a graph is built from, each matched whole as parse_penman
+# reads it back from serialized text: a bare name (not a quoted string's
+# start, nor a role), a role, a quoted string, and a constant.
+_NAME_RE = re.compile(r'[^\s()/":][^\s()/]*')
+_ROLE_RE = re.compile(r":[^\s()/]+")
+_QUOTED_RE = re.compile(_QUOTED)
+_CONSTANT_RE = re.compile(rf"{_QUOTED}|[-+]|{_NUMBER}")
 
 
 def _position(text: str, first_line: int, index: int) -> tuple[int, int]:
@@ -177,8 +192,9 @@ def parse_penman(text: str, first_line: int = 1) -> AmrGraph:
 
     Re-entrant variable mentions become edges, never new nodes. Raises
     :class:`MalformedPenman` with line and column for unbalanced
-    parentheses, a missing '/', duplicate variable definitions, and
-    references to undefined variables.
+    parentheses, a missing '/', a variable that reads as a constant, an
+    unclosed quoted string, duplicate variable definitions, and references
+    to undefined variables.
     """
     tokens = _TOKEN_RE.findall(text)
     count = len(tokens)
@@ -209,6 +225,10 @@ def parse_penman(text: str, first_line: int = 1) -> AmrGraph:
         var = tokens[pos + 1]
         if not var or var in _SYNTAX or var[0] in ':"':
             raise reject(pos + 1, "a variable", f"expected a variable but found {var!r}")
+        # a variable that reads as a constant would read back as a value;
+        # no constant starts with a letter
+        if not var[0].isalpha() and _CONSTANT_RE.fullmatch(var):
+            raise fail(f"expected a variable but found {var!r}", pos + 1)
         if var in nodes:
             raise fail(f"duplicate definition of variable {var!r}", pos + 1)
         if tokens[pos + 2] != "/":
@@ -216,6 +236,8 @@ def parse_penman(text: str, first_line: int = 1) -> AmrGraph:
         concept = tokens[pos + 3]
         if not concept or concept in _SYNTAX or concept[0] == ":":
             raise reject(pos + 3, "a concept", f"expected a concept but found {concept!r}")
+        if concept[0] == '"' and not _QUOTED_RE.fullmatch(concept):
+            raise fail(f"unclosed quoted string {concept!r}", pos + 3)
         nodes[var] = concept
         return var
 
@@ -244,6 +266,8 @@ def parse_penman(text: str, first_line: int = 1) -> AmrGraph:
             raise fail(f"role {role!r} has no value", pos)
         elif value in _SYNTAX or value[0] == ":":
             raise fail(f"role {role!r} has no value", pos + 1)
+        elif value[0] == '"' and not _QUOTED_RE.fullmatch(value):
+            raise fail(f"unclosed quoted string {value!r}", pos + 1)
         elif value[0] == '"' or value in ("-", "+") or _NUMBER_RE.match(value):
             attributes.append(Attribute(open_nodes[-1], role, value))
             pos += 2

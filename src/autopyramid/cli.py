@@ -22,7 +22,10 @@ process runs it through :func:`run_and_exit`, the target of ``python -m
 autopyramid.cli`` and of the ``autopyramid`` console script: it flushes
 standard output and error and ends the process with ``os._exit``, which
 skips the interpreter's teardown (every output is written and closed by
-then). A flush that fails leaves through ``sys.exit`` instead.
+then). Output still in standard output's buffer that cannot be written,
+the text of ``--help`` or ``--version`` into a pipe whose reader has gone,
+ends a successful command with exit 2 and the same one line. Any other
+flush that fails leaves through ``sys.exit`` instead.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ import argparse
 import math
 import os
 import sys
-from importlib import import_module
 
 from . import __version__, _lazy_names
 from .data import (
@@ -80,22 +82,6 @@ __getattr__ = _lazy_names(
     },
 )
 _lazy = sys.modules[__name__]
-
-# The modules each command, and each strategy of extract, reads those
-# names from. main imports them before it reads the dataset, so that
-# compiling them does not add to the peak memory the dataset sets; the
-# HTTP client loads with the first endpoint checked.
-_MODULES = {
-    "sent": ("extract",),
-    "ngram": ("extract",),
-    "smu": ("extract", "amr", "smu"),
-    "sgu": ("extract",),
-    "import": (),
-    "score": ("presence",),
-    "intrinsic": ("stats",),
-    "metaeval": ("stats",),
-    "stats": ("stats",),
-}
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -235,8 +221,6 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     try:
         _check_endpoints(args)
-        for module in _MODULES[args.strategy if args.command == "extract" else args.command]:
-            import_module(f".{module}", __package__)
         digests: dict = {}
         entries = load_dataset(args.input, digests=digests)
         return args.func(args, entries, digests)
@@ -250,12 +234,19 @@ def main(argv=None) -> int:
 
 def run_and_exit():
     """Run :func:`main` on the process's arguments, then end the process
-    with its exit code and without the interpreter's teardown."""
+    with its exit code and without the interpreter's teardown. Output left
+    in standard output's buffer (``--help``, ``--version``) that cannot be
+    written makes a successful exit code 2, with one line on standard
+    error."""
     code = main()
     try:
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:
-                stream.flush()
+        try:
+            _write_stdout("")
+        except FileUnwritable as exc:
+            print(f"autopyramid: {exc}", file=sys.stderr)
+            code = code or EXIT_INPUT
+        if sys.stderr is not None:
+            sys.stderr.flush()
     except (OSError, ValueError):  # a failed write, or a stream closed
         sys.exit(code)
     os._exit(code)
@@ -264,11 +255,18 @@ def run_and_exit():
 def _report(lines) -> None:
     """Print *lines* to standard output and flush it, so that a report that
     cannot be written fails the command before its output is written."""
+    _write_stdout("".join(f"{line}\n" for line in lines))
+
+
+def _write_stdout(text: str) -> None:
+    """Write *text* to standard output and flush it; a closed standard
+    output takes nothing, as print's would. A write or flush that fails
+    raises :class:`FileUnwritable`."""
     out = sys.stdout
-    if out is None:  # closed: the report goes nowhere, as print's would
+    if out is None:
         return
     try:
-        out.write("".join(f"{line}\n" for line in lines))
+        out.write(text)
         out.flush()
     except OSError as exc:
         # what is left unwritten goes to the null device, so that no later

@@ -75,10 +75,6 @@ class DegenerateInput(InputError):
     """A statistic is undefined for the given input (e.g. zero variance)."""
 
 
-class AllZeroDifferences(InputError):
-    """Signed-rank test input where every paired difference is zero."""
-
-
 class FileUnreadable(InputError):
     """A required input file is missing or cannot be read."""
 

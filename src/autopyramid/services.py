@@ -276,6 +276,18 @@ class BatchClient:
             out.extend(values)
         return out
 
+    def _strings(self, items: Sequence[str], request: str, reply: str) -> list[str]:
+        """*items* posted in batches as a list under the key *request*; each
+        reply must hold a list of strings under the key *reply*."""
+
+        def parse(body: dict) -> list[str]:
+            values = body.get(reply)
+            if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+                raise _malformed(self.endpoint, f"reply lacks {reply!r}")
+            return values
+
+        return self._run_batched(list(items), lambda batch: {request: batch}, parse)
+
 
 class GraphToTextClient(BatchClient):
     """Client for the graph-to-text generation service."""
@@ -283,13 +295,7 @@ class GraphToTextClient(BatchClient):
     token_env = AMR_TOKEN_ENV
 
     def generate(self, graphs: Sequence[str]) -> list[str]:
-        def parse(reply: dict) -> list[str]:
-            texts = reply.get("texts")
-            if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
-                raise _malformed(self.endpoint, "reply lacks 'texts'")
-            return texts
-
-        return self._run_batched(list(graphs), lambda b: {"graphs": list(b)}, parse)
+        return self._strings(graphs, "graphs", "texts")
 
 
 class ParseServiceClient(BatchClient):
@@ -298,13 +304,7 @@ class ParseServiceClient(BatchClient):
     token_env = AMR_TOKEN_ENV
 
     def parse_sentences(self, sentences: Sequence[str]) -> list[str]:
-        def parse(reply: dict) -> list[str]:
-            graphs = reply.get("graphs")
-            if not isinstance(graphs, list) or not all(isinstance(g, str) for g in graphs):
-                raise _malformed(self.endpoint, "reply lacks 'graphs'")
-            return graphs
-
-        return self._run_batched(list(sentences), lambda b: {"sentences": list(b)}, parse)
+        return self._strings(sentences, "sentences", "graphs")
 
 
 class PresenceClient(BatchClient):

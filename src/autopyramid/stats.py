@@ -1,14 +1,8 @@
 """Evaluation statistics: easiness, correlations, agreement, corpus counts.
 
 The correlation helpers are written out longhand rather than delegated to a
-stats library because their tie handling and exact-test conventions are
-part of this package's contract:
-
-* ``spearman`` is exactly the Pearson correlation of average ranks.
-* ``wilcoxon_signed_rank`` drops zero differences, ranks the absolute
-  values with average ranks, reports W = min(W+, W-), and computes the
-  two-sided p exactly by enumerating all sign assignments up to n = 12
-  (normal approximation with tie correction above that).
+stats library because their tie handling is part of this package's
+contract: ``spearman`` is exactly the Pearson correlation of average ranks.
 """
 
 from __future__ import annotations
@@ -18,13 +12,7 @@ import sys
 from typing import NamedTuple, Sequence
 
 from .data import is_finite_number
-from .errors import (
-    AllZeroDifferences,
-    DegenerateInput,
-    EmptyDataset,
-    LengthMismatch,
-    NoGoldUnits,
-)
+from .errors import DegenerateInput, EmptyDataset, LengthMismatch, NoGoldUnits
 from .text import (  # noqa: F401  (rouge1_f1: easiness is its matrix, kept importable)
     TokenBag,
     bag_overlap,
@@ -33,8 +21,6 @@ from .text import (  # noqa: F401  (rouge1_f1: easiness is its matrix, kept impo
     tokenize,
     unigram_f1,
 )
-
-WILCOXON_EXACT_LIMIT = 12
 
 
 # ---------------------------------------------------------------------------
@@ -92,11 +78,11 @@ def easiness(gold: Sequence[str], approx: Sequence[str]) -> EasinessReport:
 # Correlations
 
 
-def _paired(x: Sequence[float], y: Sequence[float], what: str = "correlation") -> int:
+def _paired(x: Sequence[float], y: Sequence[float]) -> int:
     if len(x) != len(y):
         raise LengthMismatch(f"inputs have lengths {len(x)} and {len(y)}")
     if not all(map(is_finite_number, x)) or not all(map(is_finite_number, y)):
-        raise DegenerateInput(f"{what} needs finite inputs")
+        raise DegenerateInput("correlation needs finite inputs")
     return len(x)
 
 
@@ -242,7 +228,7 @@ def summary_level(
 
 
 # ---------------------------------------------------------------------------
-# Agreement and significance
+# Agreement
 
 
 def cohen_kappa(a: Sequence, b: Sequence) -> float:
@@ -262,58 +248,6 @@ def cohen_kappa(a: Sequence, b: Sequence) -> float:
     if expected == 1.0:
         return 1.0
     return (observed - expected) / (1.0 - expected)
-
-
-def _normal_cdf(z: float) -> float:
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
-
-
-def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
-    """Two-sided Wilcoxon signed-rank test on paired samples.
-
-    Returns ``(W, p)`` with W = min(W+, W-). Zero differences are dropped
-    first; if nothing remains, :class:`AllZeroDifferences` is raised. For
-    n <= 12 the p-value enumerates all 2^n sign assignments exactly; for
-    larger n a normal approximation with tie correction is used. Raises
-    :class:`DegenerateInput` on non-finite input or differences.
-    """
-    _paired(x, y, "the signed-rank test")
-    diffs = [a - b for a, b in zip(x, y) if a - b != 0]
-    n = len(diffs)
-    if n == 0:
-        raise AllZeroDifferences("all paired differences are zero")
-    ranks = average_ranks([abs(d) for d in diffs])
-    w_plus = math.fsum(r for d, r in zip(diffs, ranks) if d > 0)
-    w_minus = math.fsum(r for d, r in zip(diffs, ranks) if d < 0)
-    statistic = min(w_plus, w_minus)
-
-    if n <= WILCOXON_EXACT_LIMIT:
-        # doubled ranks are integers even with ties, so the enumeration
-        # compares exactly
-        doubled = [round(2 * r) for r in ranks]
-        total = sum(doubled)
-        observed = round(2 * statistic)
-        hits = 0
-        for mask in range(1 << n):
-            positive = 0
-            for i in range(n):
-                if mask >> i & 1:
-                    positive += doubled[i]
-            if min(positive, total - positive) <= observed:
-                hits += 1
-        p = hits / (1 << n)
-    else:
-        mean = n * (n + 1) / 4.0
-        variance = n * (n + 1) * (2 * n + 1) / 24.0
-        counts: dict[float, int] = {}
-        for d in diffs:
-            counts[abs(d)] = counts.get(abs(d), 0) + 1
-        variance -= math.fsum(t**3 - t for t in counts.values()) / 48.0
-        if variance <= 0:
-            raise DegenerateInput("tie correction removed all variance")
-        z = (statistic - mean) / math.sqrt(variance)
-        p = min(1.0, 2.0 * _normal_cdf(z))
-    return statistic, p
 
 
 # ---------------------------------------------------------------------------

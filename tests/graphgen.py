@@ -150,7 +150,9 @@ def penman_text(rng: random.Random, max_nodes: int = 8, mangle: float = 0.3) -> 
         for var in graph.nodes
         if rng.random() < 0.3
     )
-    graph = AmrGraph(graph.root, graph.nodes, graph.edges, attributes)
+    # built unchecked: a value here need not be a constant the constructor
+    # accepts, so that the text holds what a hand-written file might
+    graph = AmrGraph._trusted(graph.root, dict(graph.nodes), graph.edges, attributes)
     text = "".join(
         rng.choice(SEPARATORS) if char == " " else char
         for char in serialize_penman(graph)

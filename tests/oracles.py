@@ -182,7 +182,8 @@ class _Token(NamedTuple):
     column: int
 
 
-_TOKEN_RE = re.compile(r'"(?:[^"\\]|\\.)*"|\(|\)|/|[^\s()/]+')
+_QUOTED_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
+_TOKEN_RE = re.compile(_QUOTED_RE.pattern + r"|\(|\)|/|[^\s()/]+")
 _NUMBER_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
@@ -257,7 +258,7 @@ class _Parser:
             )
         var_tok = self._next("a variable")
         var = var_tok.text
-        if var in ("(", ")", "/") or var.startswith(":") or var.startswith('"'):
+        if var in ("(", ")", "/") or var.startswith(":") or _is_constant(var):
             raise MalformedPenman(
                 f"expected a variable but found {var!r}", var_tok.line, var_tok.column
             )
@@ -278,8 +279,14 @@ class _Parser:
                 concept_tok.line,
                 concept_tok.column,
             )
+        self._check_quoted(concept_tok)
         self.nodes[var] = concept
         return var
+
+    @staticmethod
+    def _check_quoted(tok):
+        if tok.text.startswith('"') and not _QUOTED_RE.fullmatch(tok.text):
+            raise MalformedPenman(f"unclosed quoted string {tok.text!r}", tok.line, tok.column)
 
     def _relation(self, open_nodes):
         var = open_nodes[-1]
@@ -302,6 +309,7 @@ class _Parser:
         elif value.text in (")", "/") or value.text.startswith(":"):
             raise MalformedPenman(f"role {role!r} has no value", value.line, value.column)
         elif _is_constant(value.text):
+            self._check_quoted(value)
             self.pos += 1
             self.attributes.append(Attribute(var, role, value.text))
         else:

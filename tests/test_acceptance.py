@@ -38,7 +38,6 @@ from autopyramid.stats import (
     spearman,
     summary_level,
     system_level,
-    wilcoxon_signed_rank,
 )
 from autopyramid.text import rouge1_f1
 
@@ -52,6 +51,7 @@ from oracles import (
     wilcoxon_oracle,
 )
 from stubs import constant_presence, scripted_chat
+from test_signed_rank import wilcoxon_signed_rank
 
 DATA = Path(__file__).parent / "data"
 TOY = str(DATA / "toy.jsonl")

@@ -110,6 +110,25 @@ def test_parse_rejects_malformed(bad):
         parse_penman(bad)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(1 / x)", "line 1, column 2: expected a variable but found '1'"),
+        ("(- / x)", "line 1, column 2: expected a variable but found '-'"),
+        ("(a / b :ARG0 (.5e3 / c))", "line 1, column 15: expected a variable but found '.5e3'"),
+        ('(a / "abc)', "line 1, column 6: unclosed quoted string '\"abc'"),
+        ('(a / ")', "line 1, column 6: unclosed quoted string '\"'"),
+        ('(a / b :op1 "x\\")', "line 1, column 13: unclosed quoted string '\"x\\\\\"'"),
+    ],
+)
+def test_parse_refuses_tokens_the_constructor_refuses(text, message):
+    # a variable that reads as a constant, and a quote not closed on its
+    # line, would not read back from serialized text as themselves
+    with pytest.raises(MalformedPenman) as info:
+        parse_penman(text)
+    assert str(info.value) == message
+
+
 def test_parse_error_carries_position():
     with pytest.raises(MalformedPenman) as info:
         parse_penman("(w / want-01\n  :ARG0 undefined)")
@@ -145,6 +164,88 @@ def test_serialize_disconnected_raises():
     )
     with pytest.raises(DisconnectedGraph):
         serialize_penman(graph)
+
+
+@pytest.mark.parametrize(
+    "nodes, edges, attributes",
+    [
+        ({"a": "want 01"}, (), ()),
+        ({"a": "x)"}, (), ()),
+        ({"a": '"abc'}, (), ()),
+        ({"a/b": "x"}, (), ()),
+        ({"1": "x"}, (), ()),
+        ({"-": "x"}, (), ()),
+        ({'"a"': "x"}, (), ()),
+        ({"a": "x", "b": "y"}, (Edge("a", ":AR G0", "b"),), ()),
+        ({"a": "x"}, (), (Attribute("a", ":op1", "Bob"),)),
+        ({"a": "x"}, (), (Attribute("a", ":op1", '"a"b"'),)),
+        ({"a": "x"}, (), (Attribute("a", ":op1", '"open\\"'),)),
+        ({"a": "x"}, (), (Attribute("a", ":op1", "1 2"),)),
+    ],
+    ids=[
+        "concept-space", "concept-paren", "concept-open-quote", "variable-slash",
+        "variable-number", "variable-minus", "variable-quoted", "role-space", "value-bare",
+        "value-inner-quote", "value-escaped-close", "value-two-numbers",
+    ],
+)
+def test_tokens_that_would_not_read_back_are_refused(nodes, edges, attributes):
+    root = next(iter(nodes))
+    with pytest.raises(ValueError):
+        AmrGraph(root, nodes, edges, attributes)
+
+
+# any text at all, and runs of the characters PENMAN gives a meaning to
+TOKEN_PIECES = ["(", ")", "/", " ", "\t", "\n", ":", '"', "\\", "-", "+", "1", ".", "e", "a", "é"]
+ANY_TEXT = st.one_of(
+    st.text(max_size=6), st.lists(st.sampled_from(TOKEN_PIECES), min_size=1, max_size=5).map("".join)
+)
+# tokens of each kind that mostly are well formed: names (some of them
+# numbers, '-' or '+'), roles, quoted strings (some badly escaped) and
+# constants
+NAMES = st.one_of(
+    st.text(alphabet="abxé", min_size=1, max_size=3), st.text(alphabet="ab01-+.", min_size=1, max_size=4)
+)
+ROLES = st.text(alphabet="ab1- ", min_size=1, max_size=3).map(":".__add__)
+QUOTED = st.text(alphabet='ab é()\\"', max_size=5).map('"{}"'.format)
+VALUES = st.one_of(st.sampled_from(["-", "+", "7", "-2.5", "1e5", ".5"]), QUOTED)
+
+
+@st.composite
+def graph_parts(draw):
+    """The root, nodes, edges and attributes of a graph, in the order
+    serialize_penman writes them: each child of the root entered once,
+    each node's attributes, and maybe an edge from the last child back to
+    the root. Each token is drawn from its kind, but for at most one,
+    drawn from any text."""
+    odd_one = draw(st.integers(0, 16))  # 0, or past the last token: none
+    drawn = 0
+
+    def token(kind):
+        nonlocal drawn
+        drawn += 1
+        return draw(ANY_TEXT if drawn == odd_one else kind)
+
+    variables = draw(st.lists(NAMES, min_size=1, max_size=4, unique=True))
+    variables = list(dict.fromkeys(token(st.just(var)) for var in variables))
+    nodes = {var: token(NAMES | QUOTED) for var in variables}
+    root, *children = variables
+    edges = [Edge(root, token(ROLES), child) for child in children]
+    if children and draw(st.booleans()):
+        edges.append(Edge(children[-1], token(ROLES), root))
+    attributes = [
+        Attribute(var, token(ROLES), token(VALUES)) for var in variables if draw(st.booleans())
+    ]
+    return root, nodes, tuple(edges), tuple(attributes)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(graph_parts())
+def test_a_graph_is_refused_or_reads_back_from_its_text(parts):
+    try:
+        graph = AmrGraph(*parts)
+    except ValueError:
+        return
+    assert parse_penman(serialize_penman(graph)) == graph
 
 
 def test_isomorphic_relabeled():
@@ -315,11 +416,12 @@ LINE_BREAKS = [
 @pytest.mark.parametrize("brk", LINE_BREAKS)
 def test_tokens_never_span_a_line_break(brk, escaped):
     # a quoted string broken by a line break, escaped or not, lexes as two
-    # bare tokens
+    # bare tokens, the first of them an unclosed quote
     inside = "x" + "\\" * escaped + brk + "y"
     with pytest.raises(MalformedPenman) as info:
         parse_penman(f'(a / b :value "{inside}")')
-    assert str(info.value) == "line 2, column 1: expected a role or ')' but found 'y\"'"
+    first = '"x' + "\\" * escaped
+    assert str(info.value) == f"line 1, column 15: unclosed quoted string {first!r}"
 
 
 @pytest.mark.parametrize("brk", LINE_BREAKS)
@@ -408,9 +510,13 @@ def test_graphs_hash_and_equal_graphs_hash_equal():
     assert len({first, second, parse_penman("(b / boy)")}) == 2
 
 
-def test_graphs_survive_pickle_and_deepcopy():
-    graph = parse_penman(WANT)
-    for twin in (pickle.loads(pickle.dumps(graph)), copy.deepcopy(graph)):
+# the second holds a token of each kind that is not a plain name
+@pytest.mark.parametrize(
+    "text", [WANT, '(x1 / "a b" :op1 "q\\"" :ARG0 (-x / 1) :quant -2.5e1 :mod +)']
+)
+def test_graphs_survive_pickle_and_deepcopy(text):
+    graph = parse_penman(text)
+    for twin in (pickle.loads(pickle.dumps(graph)), copy.copy(graph), copy.deepcopy(graph)):
         assert twin == graph and hash(twin) == hash(graph)
         with pytest.raises(TypeError):
             twin.nodes["x"] = "y"
@@ -422,7 +528,7 @@ def test_graphs_survive_pickle_and_deepcopy():
         ("root", "x", "root 'x' is not a node"),
         ("edges", (Edge("w", ":ARG0", "x"),), "edge target 'x' is not a node"),
         ("edges", (Edge("w", "ARG0", "b"),), "bad role label 'ARG0'"),
-        ("attributes", (Attribute("w", ":polarity", ""),), "empty attribute value"),
+        ("attributes", (Attribute("w", ":polarity", ""),), "attribute value '' is not a constant"),
         ("edges", (), "nodes not connected to root: b, g"),
     ],
 )

@@ -162,6 +162,22 @@ def test_a_report_into_a_pipe_nobody_reads_exits_2_and_writes_nothing(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["--version"], ["stats", "--help"]], ids=["help", "version", "stats-help"]
+)
+def test_help_into_a_pipe_nobody_reads_exits_2_with_one_line(argv):
+    # buffered: argparse's text waits in the buffer, and the flush at exit fails
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = as_process(argv, stdout=write, stderr=subprocess.PIPE, capture_output=False)
+    finally:
+        os.close(write)
+    reason = os.strerror(errno.EPIPE)
+    assert done.returncode == 2
+    assert done.stderr.decode() == f"autopyramid: cannot write standard output: {reason}\n"
+
+
 def test_a_closed_stdout_takes_no_report_and_is_no_error(tmp_path, capsys):
     out = tmp_path / "closed" / "st.jsonl"
     out.parent.mkdir()
@@ -203,17 +219,30 @@ class UnflushableIO(io.StringIO):
 
 
 @pytest.mark.parametrize(
-    "stdout, leaves",
-    [(io.StringIO, Exited), (lambda: None, Exited), (UnflushableIO, SystemExit)],
-    ids=["flushed", "closed", "unflushable"],
+    "stdout, stderr, code, leaves, with_code",
+    [
+        (io.StringIO, io.StringIO, 3, Exited, 3),
+        (lambda: None, io.StringIO, 3, Exited, 3),
+        (UnflushableIO, io.StringIO, 0, Exited, 2),
+        (UnflushableIO, io.StringIO, 3, Exited, 3),
+        (io.StringIO, UnflushableIO, 3, SystemExit, 3),
+    ],
+    ids=["flushed", "closed", "unflushable", "unflushable-after-failure", "unflushable-stderr"],
 )
-def test_run_and_exit_ends_with_os_exit_unless_a_flush_fails(monkeypatch, stdout, leaves):
-    monkeypatch.setattr(cli, "main", lambda: 3)
+def test_run_and_exit_ends_with_os_exit_unless_stderr_fails(
+    monkeypatch, stdout, stderr, code, leaves, with_code
+):
+    monkeypatch.setattr(cli, "main", lambda: code)
     monkeypatch.setattr(os, "_exit", _exit)
     monkeypatch.setattr(sys, "stdout", stdout())
+    monkeypatch.setattr(sys, "stderr", stderr())
+    err = sys.stderr
     with pytest.raises(leaves) as info:
         cli.run_and_exit()
-    assert (info.value.args[0] if leaves is Exited else info.value.code) == 3
+    assert (info.value.args[0] if leaves is Exited else info.value.code) == with_code
+    reason = os.strerror(errno.EPIPE)
+    line = f"autopyramid: cannot write standard output: {reason}\n"
+    assert err.getvalue() == (line if stdout is UnflushableIO else "")
 
 
 def test_run_and_exit_lets_an_exception_from_main_propagate(monkeypatch):

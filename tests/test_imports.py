@@ -1,10 +1,9 @@
-"""Each command loads only the modules it runs, before it reads its dataset.
+"""Each command loads only the modules it runs.
 
 Every command runs on toy in a fresh interpreter, which then reports the
-package modules it holds at exit and when the dataset was read, and
-whether ``dataclasses`` was loaded at start and at exit. A module that a
-command does not run, imported at the top of another, shows up here as a
-changed set.
+package modules it holds at exit, and whether ``dataclasses`` was loaded
+at start and at exit. A module that a command does not run, imported at
+the top of another, shows up here as a changed set.
 """
 
 import os
@@ -28,17 +27,9 @@ import sys
 at_start = "dataclasses" in sys.modules
 from autopyramid import cli
 
-def held():
-    return sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("autopyramid."))
-
-def load_dataset(*args, **kwargs):
-    global at_load
-    at_load = held()
-    return read(*args, **kwargs)
-
-read, cli.load_dataset = cli.load_dataset, load_dataset
 code = cli.main(sys.argv[1:])
-print(code, at_start, "dataclasses" in sys.modules, at_load == held(), *held())
+held = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("autopyramid."))
+print(code, at_start, "dataclasses" in sys.modules, *held)
 """
 
 # what every command loads: the command line, its dataset and its output
@@ -55,14 +46,11 @@ def python(*args):
 
 def loaded(*argv):
     """The package modules a fresh run of the command *argv* held at exit,
-    and whether ``dataclasses`` was loaded at start and at exit. Every
-    module must be loaded before the dataset is read, so that compiling
-    it does not add to the memory the dataset holds."""
+    and whether ``dataclasses`` was loaded at start and at exit."""
     done = python("-c", PROBE, *argv)
     assert done.returncode == 0, done.stderr
-    code, at_start, at_exit, all_before_load, *modules = done.stdout.splitlines()[-1].split()
+    code, at_start, at_exit, *modules = done.stdout.splitlines()[-1].split()
     assert code == "0", done.stderr
-    assert all_before_load == "True"
     return set(modules), at_start == "True", at_exit == "True"
 
 

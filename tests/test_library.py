@@ -44,7 +44,7 @@ EXPORTED = {
     "stats": [
         "CorpusStats", "CorrelationReport", "EasinessReport", "average_ranks",
         "cohen_kappa", "corpus_stats", "easiness", "pearson", "spearman",
-        "summary_level", "system_level", "wilcoxon_signed_rank",
+        "summary_level", "system_level",
     ],
     "text": ["rouge1_f1", "split_sentences", "tokenize"],
 }

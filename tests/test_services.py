@@ -438,6 +438,44 @@ def test_error_messages_redact_endpoint_credentials(stub_service):
         assert "s3cret" not in str(bad.value) and "127.0.0.1" in str(bad.value)
 
 
+# one request of each client, by the service it calls
+_CALLS = {
+    "gen": lambda url: GraphToTextClient(url).generate(["(a / a1)"]),
+    "parse": lambda url: ParseServiceClient(url).parse_sentences(["s"]),
+    "presence": lambda url: PresenceClient(url).probabilities([("p", "h")]),
+    "chat": lambda url: ChatClient(url, "m").complete([[]]),
+}
+
+
+@pytest.mark.parametrize(
+    "service, reply, problem",
+    [
+        ("gen", {"texts": "x"}, "reply lacks 'texts'"),
+        ("gen", {"texts": [1]}, "reply lacks 'texts'"),
+        ("gen", {"texts": []}, "answered 0 items for a batch of 1"),
+        ("parse", {"graphs": None}, "reply lacks 'graphs'"),
+        ("parse", {"graphs": ["(a / b)", "(c / d)"]}, "answered 2 items for a batch of 1"),
+        ("presence", {"probs": "x"}, "reply lacks 'probs'"),
+        ("presence", {"probs": [True]}, "returned a non-numeric probability"),
+        ("presence", {"probs": [1.5]}, "returned probability 1.5 outside [0, 1]"),
+        ("chat", {"choices": []}, "reply has no first choice message"),
+        ("chat", {"choices": [{"message": {"content": 5}}]}, "message content is not text"),
+    ],
+    ids=[
+        "texts", "texts-not-text", "texts-short", "graphs", "graphs-long", "probs",
+        "probs-bool", "probs-range", "no-choice", "content",
+    ],
+)
+def test_each_malformed_reply_is_named_with_the_redacted_endpoint(
+    stub_service, service, reply, problem
+):
+    stub = stub_service(lambda path, body: (200, reply))
+    url = stub.url.replace("http://", "http://alice:s3cret@") + "/svc?key=k3y"
+    with pytest.raises(MalformedServiceReply) as bad:
+        _CALLS[service](url)
+    assert str(bad.value) == f"{stub.url}/svc {problem}"
+
+
 def test_post_json_honours_proxy_environment(stub_service, monkeypatch):
     proxy = stub_service(lambda path, body: (200, {"via": path}))
     for name in ("http_proxy", "HTTP_PROXY", "no_proxy", "NO_PROXY"):
