@@ -22,15 +22,22 @@ process runs it through :func:`run_and_exit`, the target of ``python -m
 autopyramid.cli`` and of the ``autopyramid`` console script: it flushes
 standard output and error and ends the process with ``os._exit``, which
 skips the interpreter's teardown (every output is written and closed by
-then). Output still in standard output's buffer that cannot be written,
-the text of ``--help`` or ``--version`` into a pipe whose reader has gone,
-ends a successful command with exit 2 and the same one line. Any other
-flush that fails leaves through ``sys.exit`` instead.
+then). The text of ``--help`` and ``--version`` is written like a
+report, so it too fails with exit 2 and that line, buffered or not.
+Output left in standard output's buffer that cannot be written at exit
+does the same; a failed flush of standard error leaves through
+``sys.exit`` instead.
+
+Inputs are read with automatic garbage collection paused, then frozen out
+of it (:func:`_loaded`); collection is on for the command's own work. A
+caller of :func:`main` that has the collector off or objects of its own
+frozen gets neither: its collector is left as it is.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -124,8 +131,19 @@ def ngram_sizes(text: str) -> str:
     return text
 
 
+class _Parser(argparse.ArgumentParser):
+    """Writes standard output through :func:`_write_stdout`; argparse's own
+    write drops an ``OSError``. Subcommand parsers are of this class too."""
+
+    def _print_message(self, message, file=None):
+        if message and file is not None and file is sys.stdout:
+            _write_stdout(message)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="autopyramid",
         description="Automated Pyramid scoring: unit extraction, presence "
         "scoring, and metric meta-evaluation.",
@@ -213,23 +231,53 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# True while main runs a command for a caller that had the collector on
+# and nothing frozen: gc.unfreeze() cannot tell our objects from theirs.
+_freezing = False
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run the command *argv* names and return its exit code. The collector
+    is left as it was found: enabled or not, and frozen or not."""
+    global _freezing
+    _freezing = gc.isenabled() and not gc.get_freeze_count()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_INPUT
-    try:
+        args = build_parser().parse_args(argv)
         _check_endpoints(args)
         digests: dict = {}
-        entries = load_dataset(args.input, digests=digests)
+        entries = _loaded(load_dataset, args.input, digests=digests)
         return args.func(args, entries, digests)
+    except SystemExit as exc:  # argparse: usage, --help, --version
+        return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     except RemoteError as exc:
         print(f"autopyramid: {exc}", file=sys.stderr)
         return EXIT_SERVICE
     except AutoPyramidError as exc:
         print(f"autopyramid: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        if _freezing:
+            _freezing = False
+            gc.unfreeze()
+
+
+def _loaded(load, *args, **kwargs):
+    """``load(*args, **kwargs)``, under :func:`main` with automatic
+    collection paused, then everything frozen out of later collections:
+    the records hold no cycle to find. Young garbage (the argument
+    parser's cycles) is collected first. Collection is on again after, as
+    ``http.client`` leaves a cycle per reply. The library loaders leave
+    the collector alone."""
+    if not _freezing:
+        return load(*args, **kwargs)
+    gc.collect(1)
+    gc.disable()
+    try:
+        loaded = load(*args, **kwargs)
+    finally:
+        gc.enable()
+    gc.freeze()
+    return loaded
 
 
 def run_and_exit():
@@ -318,7 +366,7 @@ def _smu_graphs(args, entries, digests: dict) -> tuple[list[list], list[int] | N
     lines = None
     if args.graphs:
         flat, lines = [], []
-        for block in _lazy.load_penman_file(args.graphs, digests=digests):
+        for block in _loaded(_lazy.load_penman_file, args.graphs, digests=digests):
             flat.append(block.graph)
             lines.append(block.line)
     elif args.parse_endpoint:
@@ -480,7 +528,8 @@ def _sgu_rows(args, entries, digests):
 def _imported_rows(args, entries, digests):
     if not args.import_path:
         raise InputError("--strategy import needs --import-path")
-    rows = import_rows(
+    rows = _loaded(
+        import_rows,
         args.import_path,
         args.import_tag,
         digests=digests,
@@ -535,7 +584,9 @@ def cmd_extract(args, entries, digests) -> int:
 def _unit_texts(path, entries, digests) -> dict[str, list[str]]:
     """The texts of unit file *path* by example id, in file order."""
     grouped: dict[str, list[str]] = {}
-    rows = load_units(path, digests=digests, reference_counts=_reference_counts(entries))
+    rows = _loaded(
+        load_units, path, digests=digests, reference_counts=_reference_counts(entries)
+    )
     for row in rows:
         grouped.setdefault(row.example_id, []).append(row.text)
     return grouped
@@ -632,7 +683,8 @@ def cmd_intrinsic(args, entries, digests) -> int:
 def cmd_metaeval(args, entries, digests) -> int:
     if not entries:
         raise EmptyDataset("dataset has no entries")
-    scores = load_scores(
+    scores = _loaded(
+        load_scores,
         args.scores,
         {(e.example_id, s.system_id) for e in entries for s in e.systems},
         digests=digests,

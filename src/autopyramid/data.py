@@ -24,7 +24,10 @@ command tags them with their example, reference and one of
 Every input file is read by :func:`read_input`, once: the loaders hand the
 SHA-256 of the bytes they parsed to the caller, which records it in the
 run manifest without reading the file again. Files must be UTF-8; lines
-are split by :meth:`str.splitlines` and counted from 1.
+are split by :meth:`str.splitlines` and counted from 1. Each row goes
+straight to the JSON scanner and decodes or fails as
+``json.JSONDecoder.decode`` would (see :func:`_json_lines`). The loaders
+leave the garbage collector alone; the command line pauses it around them.
 """
 
 from __future__ import annotations
@@ -101,8 +104,12 @@ def is_finite_number(value) -> bool:
     """An int or float, not a bool, with a finite float value.
 
     ``json.loads`` accepts ``NaN`` and ``Infinity``, and overflows ``1e999``
-    to infinity; none of them is a usable score.
+    to infinity; none of them is a usable score. ``_parse_entry`` and
+    :func:`load_scores` inline the first test, for exact floats, to save a
+    call per row.
     """
+    if type(value) is float:  # inf - inf and nan - nan are nan
+        return value - value == 0.0
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
     try:
@@ -111,22 +118,29 @@ def is_finite_number(value) -> bool:
         return False
 
 
-_decode = json.JSONDecoder().decode
+_scan = json.JSONDecoder().scan_once
 
 
 def _json_lines(lines: list[str]) -> Iterator[tuple[int, object]]:
     """The number, from 1, and the decoded value of every non-blank line.
 
-    A line that does not decode, or nests deeper than the interpreter's
-    recursion limit, raises :class:`SchemaViolation` naming it.
+    The JSON scanner decodes a line from its first character that is not a
+    space or tab, and only spaces and tabs may follow the value: values
+    and errors are those of ``json.JSONDecoder.decode`` (lines from
+    :meth:`str.splitlines` hold no other JSON whitespace) without its two
+    regex matches. A line that does not decode, or nests deeper than the
+    interpreter's recursion limit, raises :class:`SchemaViolation` naming
+    it.
     """
     for number, line in enumerate(lines, start=1):
         if not line or line.isspace():
             continue
         try:
-            value = _decode(line)
-        except (ValueError, RecursionError) as exc:
+            value, end = _scan(line, len(line) - len(line.lstrip(" \t")))
+        except (StopIteration, ValueError, RecursionError) as exc:
             raise SchemaViolation("not valid JSON", line=number) from exc
+        if end != len(line) and line[end:].strip(" \t"):  # extra data
+            raise SchemaViolation("not valid JSON", line=number)
         yield number, value
 
 

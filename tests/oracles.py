@@ -642,6 +642,20 @@ def _parse_entry(value, line: int) -> ReferenceEntry:
     return entry
 
 
+def json_lines_oracle(lines) -> list[tuple[int, object]]:
+    """The number, from 1, and the value of every line that is not blank,
+    each decoded alone by a fresh ``json.JSONDecoder().decode``."""
+    decoded = []
+    for number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            decoded.append((number, json.JSONDecoder().decode(line)))
+        except (ValueError, RecursionError) as exc:
+            raise SchemaViolation("not valid JSON", line=number) from exc
+    return decoded
+
+
 def load_dataset_oracle(path) -> list[ReferenceEntry]:
     """Read and validate a dataset file; entries come back in file order."""
     try:

@@ -11,6 +11,7 @@ from autopyramid.data import (
     ReferenceEntry,
     SystemSummary,
     UnitFileRow,
+    _json_lines,
     _parse_entry,
     import_rows,
     load_dataset,
@@ -28,6 +29,7 @@ from autopyramid.errors import (
 )
 
 from oracles import (
+    json_lines_oracle,
     load_dataset_oracle,
     load_scores_oracle,
     load_scores_reference,
@@ -433,6 +435,33 @@ def test_load_scores_matches_its_reference_and_refuses_stray_rows(scratch, data)
             number, what = first
             expected = (SchemaViolation, f"line {number}: {what} ({many})", number, None)
     assert outcome(lambda path: load_scores(path, SCORE_CELLS), scratch) == expected
+
+
+# the pieces of a line: JSON values, two values, broken values, the
+# whitespace JSON allows and whitespace it does not (some of it line
+# breaks to str.splitlines), and nesting deeper than any recursion limit
+DEEP = 50_000
+LINE_PIECES = [
+    "1", "-2.5e3", "1e999", '"a b"', '"\\u00e9"', "true", "null", "NaN", "Infinity",
+    "-Infinity", "{}", "[]", '{"a": [1, {"b": null}]}', "1 2", "{} {}", "[1,", "{", "nul",
+    '"x', " ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0",
+    "\u2028", "\u3000", "[" * DEEP + "]" * DEEP, "[" * DEEP,
+]
+
+
+def lines_outcome(decode, lines):
+    """The repr of what *decode* gives, which tells 1 from 1.0 and True
+    and shows NaN, or its error's type, text and line."""
+    try:
+        return repr(list(decode(lines)))
+    except SchemaViolation as exc:
+        return type(exc), str(exc), exc.line
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(st.lists(st.sampled_from(LINE_PIECES), max_size=4).map("".join), max_size=6))
+def test_json_lines_decodes_each_line_as_decode_does(lines):
+    assert lines_outcome(_json_lines, lines) == lines_outcome(json_lines_oracle, lines)
 
 
 # ---------------------------------------------------------------------------

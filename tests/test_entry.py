@@ -10,6 +10,7 @@ went missing would lose the report.
 """
 
 import errno
+import gc
 import io
 import json
 import os
@@ -162,20 +163,84 @@ def test_a_report_into_a_pipe_nobody_reads_exits_2_and_writes_nothing(
     assert list(tmp_path.iterdir()) == []
 
 
+HELP = [["--help"], ["--version"], ["stats", "--help"]]
+
+
 @pytest.mark.parametrize(
-    "argv", [["--help"], ["--version"], ["stats", "--help"]], ids=["help", "version", "stats-help"]
+    "argv, unbuffered",
+    [(argv, False) for argv in HELP] + [(argv, True) for argv in HELP],
+    ids=["help", "version", "stats-help",
+         "help-unbuffered", "version-unbuffered", "stats-help-unbuffered"],
 )
-def test_help_into_a_pipe_nobody_reads_exits_2_with_one_line(argv):
-    # buffered: argparse's text waits in the buffer, and the flush at exit fails
+def test_help_into_a_pipe_nobody_reads_exits_2_with_one_line(argv, unbuffered):
+    # buffered: argparse's text waits in the buffer, and the flush at exit
+    # fails; unbuffered: argparse's own write fails at once, and would drop
+    # the error
     read, write = os.pipe()
     os.close(read)
     try:
-        done = as_process(argv, stdout=write, stderr=subprocess.PIPE, capture_output=False)
+        done = as_process(
+            argv, env=child_env(unbuffered), stdout=write, stderr=subprocess.PIPE,
+            capture_output=False,
+        )
     finally:
         os.close(write)
     reason = os.strerror(errno.EPIPE)
     assert done.returncode == 2
     assert done.stderr.decode() == f"autopyramid: cannot write standard output: {reason}\n"
+
+
+@pytest.fixture(params=["enabled", "disabled", "frozen"])
+def collector(request):
+    """The collector as the caller of a test leaves it: enabled, disabled,
+    or enabled with the caller's own objects frozen; the state it had is
+    put back after the test."""
+    was = gc.isenabled()
+    (gc.disable if request.param == "disabled" else gc.enable)()
+    if request.param == "frozen":
+        gc.freeze()
+    yield request.param
+    gc.unfreeze()
+    (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["stats", "--input", TOY], 0),
+        (["metaeval", "--input", TOY, "--scores", SCORES], 0),
+        (["intrinsic", "--input", TOY, "--units", "BAD"], 2),
+        (["stats"], 2),
+    ],
+    ids=["stats", "metaeval", "bad-units", "usage"],
+)
+def test_main_leaves_the_collector_as_it_found_it(capsys, collector, bad_dataset, argv, code):
+    argv = [bad_dataset if part == "BAD" else part for part in argv]
+    frozen = gc.get_freeze_count()
+    assert cli.main(argv) == code
+    capsys.readouterr()
+    assert gc.isenabled() is (collector != "disabled")
+    assert gc.get_freeze_count() == frozen
+
+
+def test_a_service_is_called_with_collection_as_the_caller_had_it(
+    tmp_path, collector, stub_service
+):
+    # the inputs are frozen only when the caller had collection on and
+    # nothing frozen; collection is never left off for the service call
+    frozen = gc.get_freeze_count()
+    seen = []
+
+    def presence(path, payload):
+        seen.append((gc.isenabled(), gc.get_freeze_count() > frozen))
+        return 200, {"probs": [0.5] * len(payload["pairs"])}
+
+    stub = stub_service(presence)
+    argv = ["score", "--input", TOY, "--units", UNITS, "--out", str(tmp_path / "s.jsonl"),
+            "--scorer", "remote", "--nli-endpoint", stub.url]
+    assert cli.main(argv) == 0
+    on = collector != "disabled"
+    assert seen and set(seen) == {(on, collector == "enabled")}
 
 
 def test_a_closed_stdout_takes_no_report_and_is_no_error(tmp_path, capsys):
