@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
-from .data import read_input
+from .data import _BREAKS, read_input
 from .errors import DisconnectedGraph, MalformedPenman
 
 
@@ -158,9 +158,8 @@ class AmrGraph:
 # Parsing
 
 
-# The line breaks of ``str.splitlines``: no token spans one, so a quoted
-# string that is not closed on its own line lexes as bare tokens.
-_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# No token spans a line break of ``str.splitlines`` (``_BREAKS``), so a
+# quoted string that is not closed on its own line lexes as bare tokens.
 _QUOTED = rf'"(?:[^"\\{_BREAKS}]|\\[^{_BREAKS}])*"'
 _TOKEN_RE = re.compile(rf"{_QUOTED}|\(|\)|/|[^\s()/]+")
 _NUMBER = r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?"
@@ -422,10 +421,10 @@ def load_penman_file(path, *, digests: dict | None = None) -> list[PenmanEntry]:
 
     '#'-prefixed lines are ignored except for ``# ::snt``, whose text is
     attached to the following graph. Parse errors carry file-absolute line
-    numbers. *digests* is as for :func:`~autopyramid.data.read_input`.
+    numbers. The lines come from :func:`~autopyramid.data.read_input` as
+    it reads the file, so only the block being read is held beside the
+    entries; *digests* is as for that function.
     """
-    lines = read_input(path, digests)
-
     entries: list[PenmanEntry] = []
     block: list[str] = []
     block_start = 1
@@ -439,7 +438,7 @@ def load_penman_file(path, *, digests: dict | None = None) -> list[PenmanEntry]:
         block = []
         sentence = None
 
-    for number, line in enumerate(lines, start=1):
+    for number, line in enumerate(read_input(path, digests), start=1):
         stripped = line.strip()
         if not stripped:
             flush()

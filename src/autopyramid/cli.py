@@ -1,9 +1,10 @@
 """Command-line surface: extract, score, intrinsic, metaeval, stats.
 
-Every command runs the same way: :func:`main` reads and digests the
-dataset named by ``--input``, the command computes its rows from it, and
-one writer, :func:`_write_output`, writes the rows to ``--out`` and then
-the output's manifest; a command given no ``--out`` writes nothing. A
+Every command runs the same way: :func:`main` reads the dataset named by
+``--input``, the command computes its rows from it, and one writer,
+:func:`_write_output`, writes the rows to ``--out`` and then the output's
+manifest; a command given no ``--out`` writes nothing, and so takes no
+digest of its inputs and does not import ``hashlib``. A
 command imports only the modules it runs: graph code for ``--strategy
 smu``, the HTTP client for a given endpoint, presence scoring for
 ``score`` and statistics for the report commands.
@@ -244,7 +245,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         _check_endpoints(args)
-        digests: dict = {}
+        # the inputs' digests go into the output's manifest: none without one
+        digests = {} if args.out else None
         entries = _loaded(load_dataset, args.input, digests=digests)
         return args.func(args, entries, digests)
     except SystemExit as exc:  # argparse: usage, --help, --version
@@ -354,7 +356,7 @@ def _reference_counts(entries) -> dict[str, int]:
     return {entry.example_id: len(entry.references) for entry in entries}
 
 
-def _smu_graphs(args, entries, digests: dict) -> tuple[list[list], list[int] | None]:
+def _smu_graphs(args, entries, digests) -> tuple[list[list], list[int] | None]:
     """The sentence graphs of each reference in dataset order, from a file
     or the parser service, and the file line of every graph in that order
     (``None`` from the service). File blocks are consumed positionally: one
@@ -555,15 +557,16 @@ _NOT_CONFIG = ("command", "func", "input", "out", "units", "scores")
 def _write_output(args, digests, rows, *, config=None, extra=None) -> int:
     """Write *rows* to ``--out``, then its manifest; nothing without ``--out``.
 
-    Unit rows go through the unit-file writer, which checks them; any other
-    row is one JSON line. The manifest's config is *config*, else the
-    command's options.
+    *rows* are unit rows from ``extract``, which go through the unit-file
+    writer that checks them, and the output's JSON lines from any other
+    command, written as they are. The manifest's config is *config*, else
+    the command's options.
     """
     if args.out:
         if args.command == "extract":
             write_unit_file(args.out, rows)
         else:
-            atomic_write_text(args.out, "".join(map(json_line, rows)))
+            atomic_write_text(args.out, rows)
         if config is None:
             config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
         write_manifest(
@@ -626,19 +629,18 @@ def cmd_score(args, entries, digests) -> int:
     else:
         scorer = _lazy.lexical_scorer
 
-    rows = []
+    lines = []  # each row is encoded as it is scored
     for entry, units, systems in examples:
         results = _lazy.score_summaries(units, [s.summary for s in systems], scorer)
         for system, result in zip(systems, results):
-            rows.append(
-                {
-                    "example_id": entry.example_id,
-                    "system_id": system.system_id,
-                    "score": result.pyramid_score,
-                    "units": len(units),
-                }
-            )
-    return _write_output(args, digests, rows)
+            row = {
+                "example_id": entry.example_id,
+                "system_id": system.system_id,
+                "score": result.pyramid_score,
+                "units": len(units),
+            }
+            lines.append(json_line(row))
+    return _write_output(args, digests, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +675,9 @@ def cmd_intrinsic(args, entries, digests) -> int:
         "empty_approx": degenerate,
         "aggregation": "per-example-mean",
     }
-    return _write_output(args, digests, [row], config={"aggregation": "per-example-mean"})
+    return _write_output(
+        args, digests, [json_line(row)], config={"aggregation": "per-example-mean"}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -755,7 +759,7 @@ def cmd_metaeval(args, entries, digests) -> int:
         )
     _report(lines)
 
-    return _write_output(args, digests, cells)
+    return _write_output(args, digests, list(map(json_line, cells)))
 
 
 # ---------------------------------------------------------------------------
@@ -783,7 +787,7 @@ def cmd_stats(args, entries, digests) -> int:
         shown = f"{value:.2f}" if isinstance(value, float) else value
         lines.append(f"{label:<{width}}  {shown}")
     _report(lines)
-    return _write_output(args, digests, [row])
+    return _write_output(args, digests, [json_line(row)])
 
 
 if __name__ == "__main__":

@@ -80,6 +80,6 @@ def write_manifest(
         payload["extra"] = extra
     target = manifest_path(out_path)
     atomic_write_text(
-        target, json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+        target, [json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True), "\n"]
     )
     return target

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from autopyramid import cli
+from autopyramid import cli, data
 from autopyramid.cli import main
 
 from graphgen import (
@@ -982,6 +982,37 @@ def test_invalid_utf8_input_exits_2_naming_file_and_line(tmp_path, capsys, kind)
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err == f"autopyramid: cannot read {tmp_path / f'bad-{kind}'}: line {line} is not valid UTF-8\n"
+
+
+@pytest.mark.parametrize("chunk_size", [1, 2, 3, 4, 7, data.CHUNK_SIZE])
+def test_a_bad_row_before_bad_utf8_exits_2_naming_the_row(tmp_path, capsys, monkeypatch, chunk_size):
+    # the first problem in file order is the error, whichever chunks the
+    # row and the byte fall in
+    monkeypatch.setattr(data, "CHUNK_SIZE", chunk_size)
+    rows = Path(TOY).read_bytes().splitlines()
+    bad = tmp_path / "d.jsonl"
+    bad.write_bytes(rows[0] + b"\n{\n" + rows[1] + b"\n" + rows[2] + b"\nx\xff\n")
+    capsys.readouterr()
+    assert main(["stats", "--input", str(bad)]) == 2
+    assert capsys.readouterr().err == "autopyramid: line 2: not valid JSON\n"
+
+
+UNITS = str(DATA / "golden" / "units.jsonl")
+SCORES = str(DATA / "golden" / "scores.jsonl")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["stats"], ["intrinsic", "--units", UNITS], ["metaeval", "--scores", SCORES]],
+    ids=["stats", "intrinsic", "metaeval"],
+)
+def test_a_command_without_out_takes_no_digest(monkeypatch, capsys, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a digest was taken")
+
+    monkeypatch.setattr(hashlib, "sha256", refuse)
+    assert main(argv + ["--input", TOY]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("command", ["score", "intrinsic"])

@@ -1,11 +1,16 @@
 import copy
+import gc
 import hashlib
 import json
+import sys
+import tracemalloc
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from autopyramid import data
 from autopyramid.data import (
     Reference,
     ReferenceEntry,
@@ -217,17 +222,42 @@ def scratch(tmp_path_factory):
 BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
           "\u2028", "\u2029"]
 
+# the reader's chunk sizes under test: a break, a character of up to four
+# bytes and a line each fall across chunk boundaries at the small ones
+CHUNK_SIZES = [1, 2, 3, 4, 7, data.CHUNK_SIZE]
+
+# a line longer than ten chunks at every small size
+LONG = "ab" * 40
+
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.sampled_from(BREAKS + ["a", "é", " ", "{}", "\t", "\x1f"]), max_size=30))
+@given(st.lists(
+    st.sampled_from(BREAKS + ["a", "é", "𝄞", " ", "{}", "\t", "\x1f", LONG]), max_size=30
+))
 def test_read_input_lines_are_those_of_a_text_mode_read(scratch, pieces):
     raw = "".join(pieces).encode("utf-8")
     scratch.write_bytes(raw)
     with open(scratch, "r", encoding="utf-8") as handle:
         expected = handle.read().splitlines()
-    digests = {}
-    assert read_input(scratch, digests) == expected
-    assert digests == {str(scratch): hashlib.sha256(raw).hexdigest()}
+    for chunk_size in CHUNK_SIZES:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(data, "CHUNK_SIZE", chunk_size)
+            digests = {}
+            assert list(read_input(scratch, digests)) == expected, chunk_size
+            assert digests == {str(scratch): hashlib.sha256(raw).hexdigest()}, chunk_size
+
+
+@pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
+def test_read_input_joins_what_a_chunk_boundary_splits(tmp_path, chunk_size, monkeypatch):
+    monkeypatch.setattr(data, "CHUNK_SIZE", chunk_size)
+    path = tmp_path / "split.jsonl"
+    # "\r" ends the first chunk and "\n" starts the second; then a line
+    # of more than ten chunks, and a four-byte character whose first two
+    # bytes end a chunk
+    text = "x" * (chunk_size - 1) + "\r\n" + "y" * (10 * chunk_size + 3) + "\n"
+    text += "z" * ((chunk_size - 2 - len(text)) % chunk_size) + "𝄞\n"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert list(read_input(path)) == text.splitlines()
 
 
 @pytest.mark.parametrize(
@@ -238,14 +268,85 @@ def test_read_input_lines_are_those_of_a_text_mode_read(scratch, pieces):
         (b"a\r\nb\rc\x85\xff", 3),  # \x85 is a stray byte here, not U+0085
         ("a\r\nb\rc\x85".encode("utf-8") + b"\xff", 4),
         ("a\u2028".encode("utf-8") + b"\n\n\xc3", 4),
+        ("𝄞\r\n𝄞".encode("utf-8") + b"\xff", 2),
+        ("a\r\n".encode("utf-8") + "𝄞".encode("utf-8")[:3], 2),  # cut short at the end
+        ((LONG + "\n" + LONG).encode("utf-8") + b"\xed\xa0\x80\n", 2),  # a surrogate
     ],
 )
-def test_read_input_names_the_file_and_line_of_bad_utf8(tmp_path, raw, line):
+def test_read_input_names_the_file_and_line_of_bad_utf8(tmp_path, monkeypatch, raw, line):
     path = tmp_path / "bad.jsonl"
     path.write_bytes(raw)
-    with pytest.raises(FileUnreadable) as info:
-        read_input(path)
-    assert str(info.value) == f"cannot read {path}: line {line} is not valid UTF-8"
+    for chunk_size in CHUNK_SIZES:
+        monkeypatch.setattr(data, "CHUNK_SIZE", chunk_size)
+        given = []
+        with pytest.raises(FileUnreadable) as info:
+            given.extend(read_input(path))
+        assert str(info.value) == f"cannot read {path}: line {line} is not valid UTF-8"
+        # the lines before the bad one come first
+        assert len(given) == line - 1, chunk_size
+
+
+@pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
+def test_a_bad_row_before_bad_utf8_is_the_error(tmp_path, monkeypatch, chunk_size):
+    monkeypatch.setattr(data, "CHUNK_SIZE", chunk_size)
+    path = tmp_path / "d.jsonl"
+    row = json.dumps(valid_row())
+    path.write_bytes(f"{row}\n{{\n\n\n".encode("utf-8") + b"\xff\n")
+    with pytest.raises(SchemaViolation) as info:
+        load_dataset(path)
+    assert info.value.line == 2
+
+
+@pytest.mark.parametrize("bad", ["[]", "{"], ids=["not-an-entry", "not-json"])
+def test_a_loader_that_stops_on_a_bad_row_leaves_no_file_open(tmp_path, monkeypatch, bad):
+    path = tmp_path / "d.jsonl"
+    path.write_text(json.dumps(valid_row()) + f"\n{bad}\n" + json.dumps(valid_row()) + "\n")
+    monkeypatch.setattr(data, "CHUNK_SIZE", 16)
+    handles = []
+
+    def recording_open(*args, **kwargs):
+        handles.append(open(*args, **kwargs))
+        return handles[-1]
+
+    monkeypatch.setattr(data, "open", recording_open, raising=False)
+    gc.collect()
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        with pytest.raises(SchemaViolation) as info:
+            load_dataset(path)
+        assert info.value.line == 2
+        # closed while the error, and the frames it holds, are still alive
+        assert len(handles) == 1 and handles[0].closed
+        del handles[:], info
+        gc.collect()
+    assert unraisable == []
+
+
+def test_load_dataset_holds_its_records_plus_about_one_chunk(tmp_path):
+    path = tmp_path / "big.jsonl"
+    rows = []
+    for e in range(500):
+        row = valid_row(f"e{e}")
+        row["systems"] = [
+            {"system_id": f"s{i}", "summary": f"summary {e} of system {i}, " * 12,
+             "human_score": i / 16, "scu_presence": [i % 2, 1]}
+            for i in range(16)
+        ]
+        rows.append(json.dumps(row))
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    size = path.stat().st_size
+    assert size >= 8 * data.CHUNK_SIZE
+    tracemalloc.start()
+    try:
+        entries = load_dataset(path)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(entries) == 500
+    # a whole-file read holds about the file's size beyond the records
+    assert peak - retained < size / 4, (peak - retained, size)
 
 
 def test_accepted_label_and_score_forms(tmp_path):

@@ -113,3 +113,15 @@ def test_writing_a_manifest_loads_no_datetime(tmp_path):
     done = python("-c", probe, "stats", "--input", TOY, "--out", str(tmp_path / "o"))
     assert done.stdout.splitlines()[-1] == "0 False", done.stderr
     assert (tmp_path / "o.manifest.json").exists()
+
+
+@pytest.mark.parametrize("out, loaded", [(False, False), (True, True)], ids=["no-out", "out"])
+def test_only_a_command_with_out_loads_hashlib(tmp_path, out, loaded):
+    # the inputs' digests are for the output's manifest
+    probe = (
+        "import sys; from autopyramid import cli; code = cli.main(sys.argv[1:]); "
+        "print(code, 'hashlib' in sys.modules)"
+    )
+    argv = ["stats", "--input", TOY] + (["--out", str(tmp_path / "o")] if out else [])
+    done = python("-c", probe, *argv)
+    assert done.stdout.splitlines()[-1] == f"0 {loaded}", done.stderr

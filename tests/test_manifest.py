@@ -24,7 +24,7 @@ def test_write_manifest_contents(tmp_path, monkeypatch):
     out = tmp_path / "out.jsonl"
     out.write_text("", encoding="utf-8")
     digests = {}
-    read_input(source, digests)
+    assert list(read_input(source, digests)) == ['{"x": 1}']
     path = write_manifest(
         out,
         command="score",
