@@ -4,7 +4,11 @@ Every command runs the same way: :func:`main` reads the dataset named by
 ``--input``, the command computes its rows from it, and one writer,
 :func:`_write_output`, writes the rows to ``--out`` and then the output's
 manifest; a command given no ``--out`` writes nothing, and so takes no
-digest of its inputs and does not import ``hashlib``. A
+digest of its inputs and does not import ``hashlib``. ``score`` computes
+its rows while the writer writes them, so its temp file beside ``--out``
+is there for the whole scoring run, and a process killed by a signal in
+that time leaves it behind; any error it raises still wins over a failed
+write, as when the rows were made first. A
 command imports only the modules it runs: graph code for ``--strategy
 smu``, the HTTP client for a given endpoint, presence scoring for
 ``score`` and statistics for the report commands.
@@ -559,8 +563,9 @@ def _write_output(args, digests, rows, *, config=None, extra=None) -> int:
 
     *rows* are unit rows from ``extract``, which go through the unit-file
     writer that checks them, and the output's JSON lines from any other
-    command, written as they are. The manifest's config is *config*, else
-    the command's options.
+    command, written as they are. Either may be a generator, consumed as
+    the file is written; an error it raises leaves ``--out`` as it was.
+    The manifest's config is *config*, else the command's options.
     """
     if args.out:
         if args.command == "extract":
@@ -629,18 +634,19 @@ def cmd_score(args, entries, digests) -> int:
     else:
         scorer = _lazy.lexical_scorer
 
-    lines = []  # each row is encoded as it is scored
-    for entry, units, systems in examples:
-        results = _lazy.score_summaries(units, [s.summary for s in systems], scorer)
-        for system, result in zip(systems, results):
-            row = {
-                "example_id": entry.example_id,
-                "system_id": system.system_id,
-                "score": result.pyramid_score,
-                "units": len(units),
-            }
-            lines.append(json_line(row))
-    return _write_output(args, digests, lines)
+    def lines():  # each row is written as it is scored
+        for entry, units, systems in examples:
+            results = _lazy.score_summaries(units, [s.summary for s in systems], scorer)
+            for system, result in zip(systems, results):
+                row = {
+                    "example_id": entry.example_id,
+                    "system_id": system.system_id,
+                    "score": result.pyramid_score,
+                    "units": len(units),
+                }
+                yield json_line(row)
+
+    return _write_output(args, digests, lines())
 
 
 # ---------------------------------------------------------------------------
@@ -687,12 +693,13 @@ def cmd_intrinsic(args, entries, digests) -> int:
 def cmd_metaeval(args, entries, digests) -> int:
     if not entries:
         raise EmptyDataset("dataset has no entries")
-    scores = _loaded(
-        load_scores,
-        args.scores,
-        {(e.example_id, s.system_id) for e in entries for s in e.systems},
-        digests=digests,
-    )
+    # each cell maps to itself, so that the scores are keyed by these tuples
+    cells = {}
+    for entry in entries:
+        for system in entry.systems:
+            cell = (entry.example_id, system.system_id)
+            cells[cell] = cell
+    scores = _loaded(load_scores, args.scores, cells, digests=digests)
 
     system_ids = sorted(s.system_id for s in entries[0].systems)
     if len(system_ids) < 2:

@@ -33,6 +33,12 @@ that are not UTF-8 fails on the row. Each row goes straight to the JSON
 scanner and decodes or fails as ``json.JSONDecoder.decode`` would (see
 :func:`_json_lines`). The loaders leave the garbage collector alone; the
 command line pauses it around them.
+
+Within one load, equal values the records repeat are held once: a
+dataset's ``system_id`` strings and ``scu_presence`` tuples, a unit
+file's example ids and strategies. A score file's scores are keyed by the
+caller's own cell tuples. Outputs are written as their rows are made:
+:func:`atomic_write_text` takes any iterable of text pieces.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ import json
 import math
 import os
 import tempfile
+from array import array
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
@@ -258,12 +265,15 @@ def _system_error(message: str, line: int, index: int, name: str) -> SchemaViola
     return SchemaViolation(message, line=line, field=f"systems[{index}]{name}")
 
 
-def _parse_entry(value, line: int) -> ReferenceEntry:
+def _parse_entry(value, line: int, hold) -> ReferenceEntry:
     """Check one decoded dataset row, then build its records.
 
     Errors come in a fixed order: the entry's own fields, each reference,
     the fields of every system, then the first duplicate ``system_id``,
     then the first presence list whose length is not the pooled unit count.
+    ``hold(value, value)`` gives the one object kept for values equal to
+    *value* (a dict's ``setdefault``); each ``system_id`` and presence
+    tuple goes through it.
     """
     if type(value) is not dict:
         raise SchemaViolation("entry must be an object", line=line, field="")
@@ -337,7 +347,7 @@ def _parse_entry(value, line: int) -> ReferenceEntry:
                 raise _system_error(
                     "'scu_presence' must be a list of 0/1", line, i, ".scu_presence"
                 )
-            presence = labels
+            presence = hold(labels, labels)
             if mismatch is None and len(presence) != pooled:
                 mismatch = i
         if system_id in seen_ids:
@@ -345,7 +355,8 @@ def _parse_entry(value, line: int) -> ReferenceEntry:
                 duplicate = i
         else:
             seen_ids.add(system_id)
-        systems.append(_record(SystemSummary, (system_id, summary, human_score, presence)))
+        system = (hold(system_id, system_id), summary, human_score, presence)
+        systems.append(_record(SystemSummary, system))
     if duplicate is not None:
         raise SchemaViolation(
             f"duplicate system_id {systems[duplicate].system_id!r}",
@@ -371,8 +382,9 @@ def load_dataset(path, *, digests: dict | None = None) -> list[ReferenceEntry]:
     """
     entries = []
     seen = {}
+    hold = {}.setdefault  # strings and tuples never compare equal
     for number, raw in _json_lines(read_input(path, digests)):
-        entry = _parse_entry(raw, number)
+        entry = _parse_entry(raw, number, hold)
         if entry.example_id in seen:
             raise DuplicateExampleId(
                 f"example_id {entry.example_id!r} already used on line "
@@ -385,12 +397,18 @@ def load_dataset(path, *, digests: dict | None = None) -> list[ReferenceEntry]:
     return entries
 
 
-def atomic_write_text(path, pieces: list[str]) -> None:
+def atomic_write_text(path, pieces: Iterable[str]) -> None:
     """Write the text *pieces* make, in order, to *path* via a temp file and
-    rename, with no joined copy of them. A failure raises
-    :class:`FileUnwritable` naming *path* and the system's reason, never
-    the temp file, which is gone by then."""
+    rename. *pieces* may be any iterable, a generator included: each piece
+    is written as it comes, so neither the pieces nor their joined text
+    are held, and the temp file is there while they are made. A failure to
+    write raises :class:`FileUnwritable` naming *path* and the system's
+    reason, never the temp file, once the rest of *pieces* has been made:
+    an error in making them passes through as it is and wins, as it did
+    when every piece was made before the write. Either way the temp file
+    is gone and *path* is as it was."""
     directory = os.path.dirname(os.fspath(path)) or "."
+    pieces = iter(pieces)
     try:
         fd, temp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
@@ -405,6 +423,8 @@ def atomic_write_text(path, pieces: list[str]) -> None:
             os.unlink(temp)
             raise
     except OSError as exc:
+        for _ in pieces:  # so that an error in making the rest wins
+            pass
         reason = exc.strerror or type(exc).__name__
         raise FileUnwritable(f"cannot write {path}: {reason}") from exc
 
@@ -418,8 +438,12 @@ def json_line(row) -> str:
 
 
 def save_units(path, rows: Iterable[UnitFileRow]) -> None:
-    """Write unit rows as JSON Lines; rejects rows with empty text."""
-    payload = []
+    """Write unit rows as JSON Lines, each line as its row is checked;
+    rejects rows with empty text, and then leaves *path* as it was."""
+    atomic_write_text(path, _unit_lines(rows))
+
+
+def _unit_lines(rows: Iterable[UnitFileRow]) -> Iterator[str]:
     for i, row in enumerate(rows):
         if not row.text.strip():
             raise SchemaViolation("unit text is empty", line=i + 1, field="text")
@@ -427,8 +451,7 @@ def save_units(path, rows: Iterable[UnitFileRow]) -> None:
             raise SchemaViolation(
                 f"unknown strategy {row.strategy!r}", line=i + 1, field="strategy"
             )
-        payload.append(json_line(row._asdict()))  # the fields, in declared order
-    atomic_write_text(path, payload)
+        yield json_line(row._asdict())  # the fields, in declared order
 
 
 def load_units(
@@ -440,10 +463,11 @@ def load_units(
     given, a row naming any other example, or a reference index its example
     does not have, is stray: :class:`SchemaViolation` names the line and
     field of the first and the count. *digests* is as for
-    :func:`read_input`.
+    :func:`read_input`. Equal example ids and strategies are held once.
     """
     rows = []
     stray = 0
+    hold = {}.setdefault
     for number, raw in _json_lines(read_input(path, digests)):
         if type(raw) is not dict:
             raise SchemaViolation("row must be an object", line=number, field="")
@@ -477,7 +501,8 @@ def load_units(
                 if not stray:
                     first_stray = (number, example_id, reference_index, count)
                 stray += 1
-        rows.append(_record(UnitFileRow, (example_id, reference_index, strategy, text)))
+        row = (hold(example_id, example_id), reference_index, hold(strategy, strategy), text)
+        rows.append(_record(UnitFileRow, row))
     if stray:
         number, example_id, reference_index, count = first_stray
         if count is None:
@@ -512,7 +537,9 @@ def import_rows(
             f"{path}, {exc}; an import file holds unit-file rows "
             "(example_id, reference_index, strategy, text)"
         ) from exc
-    return [UnitFileRow(r.example_id, r.reference_index, tag, r.text) for r in rows]
+    for i, row in enumerate(rows):  # in place: no second list of the rows
+        rows[i] = _record(UnitFileRow, (row.example_id, row.reference_index, tag, row.text))
+    return rows
 
 
 def load_scores(
@@ -520,13 +547,15 @@ def load_scores(
 ) -> dict[tuple[str, str], float]:
     """Read a score file into ``{(example_id, system_id): score}``.
 
-    *cells* are the dataset's (example_id, system_id) pairs. A row for a
-    cell not among them, or for the cell of an earlier row, is stray:
-    :class:`SchemaViolation` names the line of the first and the count.
-    *digests* is as for :func:`read_input`.
+    *cells* maps each of the dataset's (example_id, system_id) pairs to
+    itself, and each score is stored under the pair *cells* holds, not a
+    copy made from the row. A row for a cell not among them, or for the
+    cell of an earlier row, is stray: :class:`SchemaViolation` names the
+    line of the first, and of the row it repeats if it does, and the
+    count. *digests* is as for :func:`read_input`.
     """
     scores = {}
-    lines_of = {}
+    lines = array("q")  # the line of each score, in the order of *scores*
     stray = 0
     for number, raw in _json_lines(read_input(path, digests)):
         if type(raw) is not dict:
@@ -544,16 +573,16 @@ def load_scores(
                     "'score' must be a finite number", line=number, field="score"
                 )
             value = float(value)
-        cell = (example_id, system_id)
-        if cell in lines_of:
-            reason = f"repeats line {lines_of[cell]}"
-        elif cell not in cells:
-            reason = "is not in the dataset"
-        else:
-            lines_of[cell] = number
+        cell = cells.get((example_id, system_id))
+        if cell is not None and cell not in scores:
             scores[cell] = value
+            lines.append(number)
             continue
         if not stray:
+            if cell is None:
+                reason = "is not in the dataset"
+            else:  # searched for this message alone, so no cell keeps its line
+                reason = f"repeats line {lines[list(scores).index(cell)]}"
             first_stray = (number, f"{example_id}/{system_id} {reason}")
         stray += 1
     if stray:

@@ -11,6 +11,7 @@ import pytest
 
 from autopyramid import cli, data
 from autopyramid.cli import main
+from autopyramid.errors import InputError, ServiceUnavailable
 
 from graphgen import (
     DEEP,
@@ -422,6 +423,63 @@ def test_score_lexical_values(tmp_path):
         (r["example_id"], r["system_id"]) for r in rows
     )
     assert "summary_token_counts" not in manifest_of(scores).get("extra", {})
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["no-out", "out-exists"])
+def test_a_scorer_failing_on_a_later_example_leaves_out_as_it_was(
+    tmp_path, capsys, monkeypatch, existing
+):
+    units = tmp_path / "units.jsonl"
+    scores = tmp_path / "scores.jsonl"
+    manifest = Path(f"{scores}.manifest.json")
+    assert main(["extract", "--strategy", "sent", "--input", TOY, "--out", str(units)]) == 0
+    argv = ["score", "--input", TOY, "--units", str(units), "--out", str(scores)]
+    if existing:
+        assert main(argv) == 0
+        before = scores.read_bytes(), manifest.read_bytes()
+    calls = []
+
+    def scorer(pairs):
+        calls.append(pairs)
+        if len(calls) == 2:
+            # the rows of the first example are being written
+            assert len(list(tmp_path.glob("*.tmp"))) == 1
+            raise InputError("no presence for the second example")
+        return [0.5] * len(pairs)
+
+    monkeypatch.setattr(cli, "lexical_scorer", scorer)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "autopyramid: no presence for the second example\n"
+    assert len(calls) == 2
+    assert not list(tmp_path.glob("*.tmp"))
+    if existing:
+        assert (scores.read_bytes(), manifest.read_bytes()) == before
+    else:
+        assert not scores.exists() and not manifest.exists()
+
+
+def test_a_failing_scorer_wins_over_an_unwritable_out(tmp_path, capsys, monkeypatch):
+    # the scorer's error and exit code, as when every row was scored before
+    # the output was opened
+    units = tmp_path / "units.jsonl"
+    assert main(["extract", "--strategy", "sent", "--input", TOY, "--out", str(units)]) == 0
+    calls = []
+
+    def scorer(pairs):
+        calls.append(pairs)
+        if len(calls) == 2:
+            raise ServiceUnavailable("presence service down")
+        return [0.5] * len(pairs)
+
+    monkeypatch.setattr(cli, "lexical_scorer", scorer)
+    capsys.readouterr()
+    out = tmp_path / "missing" / "scores.jsonl"
+    argv = ["score", "--input", TOY, "--units", str(units), "--out", str(out)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "autopyramid: presence service down\n"
+    assert len(calls) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["units.jsonl", "units.jsonl.manifest.json"]
 
 
 def test_score_remote_against_stub(tmp_path, stub_service):

@@ -1,7 +1,9 @@
 import copy
+import errno
 import gc
 import hashlib
 import json
+import os
 import sys
 import tracemalloc
 import warnings
@@ -28,6 +30,7 @@ from autopyramid.data import (
 from autopyramid.errors import (
     DuplicateExampleId,
     FileUnreadable,
+    FileUnwritable,
     InputError,
     PresenceLengthMismatch,
     SchemaViolation,
@@ -187,6 +190,130 @@ def test_save_units_rejects_empty_text(tmp_path):
         save_units(tmp_path / "u.jsonl", [UnitFileRow("e1", 0, "ngram", "  ")])
     with pytest.raises(SchemaViolation):
         save_units(tmp_path / "u.jsonl", [UnitFileRow("e1", 0, "private", "x")])
+    assert list(tmp_path.iterdir()) == []
+    # after valid rows, which are written as they are checked: the same
+    # error, and a file already there is left as it was
+    path = tmp_path / "u.jsonl"
+    path.write_bytes(b"old\n")
+    good = [UnitFileRow("e1", 0, "ngram", f"unit {i}") for i in range(3)]
+    with pytest.raises(SchemaViolation) as info:
+        save_units(path, iter(good + [UnitFileRow("e1", 0, "ngram", " \t")]))
+    assert (str(info.value), info.value.line, info.value.field) == (
+        "line 4, field text: unit text is empty", 4, "text"
+    )
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == b"old\n"
+    # and into a directory that is not there, the row's error still wins
+    with pytest.raises(SchemaViolation) as info:
+        save_units(tmp_path / "missing" / "u.jsonl", iter(good + [UnitFileRow("e1", 0, "ngram", "")]))
+    assert (info.value.line, info.value.field) == (4, "text")
+
+
+@pytest.mark.parametrize("existing", [None, b"old\n"], ids=["new", "existing"])
+def test_atomic_write_text_passes_an_error_making_a_piece_through(tmp_path, existing):
+    path = tmp_path / "out.txt"
+    if existing is not None:
+        path.write_bytes(existing)
+    error = SchemaViolation("unit text is empty", line=2, field="text")
+
+    def pieces():
+        yield "one\n"
+        assert len(list(tmp_path.glob("*.tmp"))) == 1  # the first is written
+        raise error
+
+    with pytest.raises(SchemaViolation) as info:
+        data.atomic_write_text(path, pieces())
+    assert info.value is error
+    assert [p.name for p in tmp_path.iterdir()] == ([] if existing is None else [path.name])
+    if existing is not None:
+        assert path.read_bytes() == existing
+
+
+def fail_every_write(monkeypatch):
+    """Make each write to a file that ``os.fdopen`` opens fail: disk full."""
+    fdopen = os.fdopen
+
+    def full_disk(fd, *args, **kwargs):
+        handle = fdopen(fd, *args, **kwargs)
+
+        def write(text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        handle.write = write
+        return handle
+
+    monkeypatch.setattr(os, "fdopen", full_disk)
+
+
+def test_atomic_write_text_names_a_failing_write(tmp_path, monkeypatch):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"old\n")
+    fail_every_write(monkeypatch)
+    made = []
+
+    def pieces():
+        for piece in ("one\n", "two\n"):
+            made.append(piece)
+            yield piece
+
+    with pytest.raises(FileUnwritable) as info:
+        data.atomic_write_text(path, pieces())
+    assert str(info.value) == f"cannot write {path}: {os.strerror(errno.ENOSPC)}"
+    assert made == ["one\n", "two\n"]
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == b"old\n"
+
+
+@pytest.mark.parametrize("failing", ["write", "temp-file"])
+def test_an_error_making_a_later_piece_wins_over_a_failed_write(
+    tmp_path, monkeypatch, failing
+):
+    # as when every piece was made before the write began
+    if failing == "write":
+        path = tmp_path / "out.txt"
+        fail_every_write(monkeypatch)
+    else:
+        path = tmp_path / "missing" / "out.txt"
+    error = SchemaViolation("unit text is empty", line=3, field="text")
+    made = []
+
+    def pieces():
+        for piece in ("one\n", "two\n"):
+            made.append(piece)
+            yield piece
+        raise error
+
+    with pytest.raises(SchemaViolation) as info:
+        data.atomic_write_text(path, pieces())
+    assert info.value is error
+    assert made == ["one\n", "two\n"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_load_holds_each_repeated_value_once(tmp_path):
+    path = write_jsonl(tmp_path / "d.jsonl", [valid_row("e1"), valid_row("e2")])
+    first, second = load_dataset(path)
+    for one, other in zip(first.systems, second.systems):
+        assert one.system_id is other.system_id
+    assert first.systems[0].scu_presence is second.systems[0].scu_presence
+    units = tmp_path / "u.jsonl"
+    save_units(units, [UnitFileRow("example-1", 0, "ngram", "a b"),
+                       UnitFileRow("example-2", 0, "ngram", "c d"),
+                       UnitFileRow("example-1", 0, "ngram", "e f")])
+    for rows in (load_units(units), import_rows(units, "imported_stu")):
+        assert rows[0].example_id is rows[2].example_id
+        assert rows[0].strategy is rows[1].strategy is rows[2].strategy
+
+
+def test_load_scores_keys_scores_by_the_cells_given(tmp_path):
+    cells = {cell: cell for cell in [("e1", "sysA"), ("e1", "sysB"), ("e2", "sysA")]}
+    path = write_jsonl(tmp_path / "s.jsonl", [
+        {"example_id": "e1", "system_id": "sysB", "score": 1},
+        {"example_id": "e1", "system_id": "sysA", "score": 0.5},
+    ])
+    scores = load_scores(path, cells)
+    assert scores == {("e1", "sysB"): 1.0, ("e1", "sysA"): 0.5}
+    assert all(key is cells[key] for key in scores)
 
 
 def test_load_units_validates(tmp_path):
@@ -506,7 +633,7 @@ def score_rows(draw):
     ]
 
 
-SCORE_CELLS = {(e, s) for e in ("e1", "e2") for s in ("a", "b", "c")}
+SCORE_CELLS = {(e, s): (e, s) for e in ("e1", "e2") for s in ("a", "b", "c")}
 
 
 @settings(max_examples=300, deadline=None)
@@ -588,7 +715,7 @@ def test_parse_entry_matches_its_constructor_built_reference(data):
     if data.draw(st.booleans()):  # a row that is not an object
         rows.append(copy.deepcopy(data.draw(st.sampled_from(ODD))))
     for number, row in enumerate(rows, start=1):
-        assert record_outcome(lambda: _parse_entry(row, number)) == record_outcome(
+        assert record_outcome(lambda: _parse_entry(row, number, {}.setdefault)) == record_outcome(
             lambda: parse_entry_reference(row, number)
         )
 

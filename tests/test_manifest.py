@@ -32,7 +32,9 @@ def test_write_manifest_contents(tmp_path, monkeypatch):
         inputs=digests,
         extra={"note": "hello"},
     )
-    manifest = json.loads(open(path, encoding="utf-8").read())
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    manifest = json.loads(text)
     assert manifest["command"] == "score"
     assert manifest["config"]["nli_endpoint"] == "http://host/nli"
     assert manifest["inputs"] == {
@@ -42,7 +44,7 @@ def test_write_manifest_contents(tmp_path, monkeypatch):
     assert manifest["timestamp"]
     assert manifest["extra"] == {"note": "hello"}
     # the token never lands anywhere in the manifest
-    assert "topsecret" not in open(path, encoding="utf-8").read()
+    assert "topsecret" not in text
 
 
 def test_write_manifest_missing_input(tmp_path, capsys):
@@ -71,7 +73,8 @@ def test_the_timestamp_is_what_datetime_isoformat_gives(tmp_path, monkeypatch, n
     out = tmp_path / "out.jsonl"
     out.write_text("", encoding="utf-8")
     path = write_manifest(out, command="stats", config={}, inputs={})
-    assert json.loads(open(path, encoding="utf-8").read())["timestamp"] == expected
+    with open(path, encoding="utf-8") as handle:
+        assert json.load(handle)["timestamp"] == expected
 
 
 def test_the_timestamp_is_the_time_of_writing(tmp_path):
@@ -80,5 +83,6 @@ def test_the_timestamp_is_the_time_of_writing(tmp_path):
     before = datetime.datetime.now(datetime.timezone.utc)
     path = write_manifest(out, command="stats", config={}, inputs={})
     after = datetime.datetime.now(datetime.timezone.utc)
-    written = json.loads(open(path, encoding="utf-8").read())["timestamp"]
+    with open(path, encoding="utf-8") as handle:
+        written = json.load(handle)["timestamp"]
     assert before <= datetime.datetime.fromisoformat(written) <= after
