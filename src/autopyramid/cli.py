@@ -32,17 +32,11 @@ report, so it too fails with exit 2 and that line, buffered or not.
 Output left in standard output's buffer that cannot be written at exit
 does the same; a failed flush of standard error leaves through
 ``sys.exit`` instead.
-
-Inputs are read with automatic garbage collection paused, then frozen out
-of it (:func:`_loaded`); collection is on for the command's own work. A
-caller of :func:`main` that has the collector off or objects of its own
-frozen gets neither: its collector is left as it is.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
 import math
 import os
 import sys
@@ -236,22 +230,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# True while main runs a command for a caller that had the collector on
-# and nothing frozen: gc.unfreeze() cannot tell our objects from theirs.
-_freezing = False
-
-
 def main(argv=None) -> int:
     """Run the command *argv* names and return its exit code. The collector
-    is left as it was found: enabled or not, and frozen or not."""
-    global _freezing
-    _freezing = gc.isenabled() and not gc.get_freeze_count()
+    is left as it was found."""
     try:
         args = build_parser().parse_args(argv)
         _check_endpoints(args)
         # the inputs' digests go into the output's manifest: none without one
         digests = {} if args.out else None
-        entries = _loaded(load_dataset, args.input, digests=digests)
+        entries = load_dataset(args.input, digests=digests)
         return args.func(args, entries, digests)
     except SystemExit as exc:  # argparse: usage, --help, --version
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
@@ -261,29 +248,6 @@ def main(argv=None) -> int:
     except AutoPyramidError as exc:
         print(f"autopyramid: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    finally:
-        if _freezing:
-            _freezing = False
-            gc.unfreeze()
-
-
-def _loaded(load, *args, **kwargs):
-    """``load(*args, **kwargs)``, under :func:`main` with automatic
-    collection paused, then everything frozen out of later collections:
-    the records hold no cycle to find. Young garbage (the argument
-    parser's cycles) is collected first. Collection is on again after, as
-    ``http.client`` leaves a cycle per reply. The library loaders leave
-    the collector alone."""
-    if not _freezing:
-        return load(*args, **kwargs)
-    gc.collect(1)
-    gc.disable()
-    try:
-        loaded = load(*args, **kwargs)
-    finally:
-        gc.enable()
-    gc.freeze()
-    return loaded
 
 
 def run_and_exit():
@@ -372,7 +336,7 @@ def _smu_graphs(args, entries, digests) -> tuple[list[list], list[int] | None]:
     lines = None
     if args.graphs:
         flat, lines = [], []
-        for block in _loaded(_lazy.load_penman_file, args.graphs, digests=digests):
+        for block in _lazy.load_penman_file(args.graphs, digests=digests):
             flat.append(block.graph)
             lines.append(block.line)
     elif args.parse_endpoint:
@@ -534,8 +498,7 @@ def _sgu_rows(args, entries, digests):
 def _imported_rows(args, entries, digests):
     if not args.import_path:
         raise InputError("--strategy import needs --import-path")
-    rows = _loaded(
-        import_rows,
+    rows = import_rows(
         args.import_path,
         args.import_tag,
         digests=digests,
@@ -592,9 +555,7 @@ def cmd_extract(args, entries, digests) -> int:
 def _unit_texts(path, entries, digests) -> dict[str, list[str]]:
     """The texts of unit file *path* by example id, in file order."""
     grouped: dict[str, list[str]] = {}
-    rows = _loaded(
-        load_units, path, digests=digests, reference_counts=_reference_counts(entries)
-    )
+    rows = load_units(path, digests=digests, reference_counts=_reference_counts(entries))
     for row in rows:
         grouped.setdefault(row.example_id, []).append(row.text)
     return grouped
@@ -699,7 +660,7 @@ def cmd_metaeval(args, entries, digests) -> int:
         for system in entry.systems:
             cell = (entry.example_id, system.system_id)
             cells[cell] = cell
-    scores = _loaded(load_scores, args.scores, cells, digests=digests)
+    scores = load_scores(args.scores, cells, digests=digests)
 
     system_ids = sorted(s.system_id for s in entries[0].systems)
     if len(system_ids) < 2:

@@ -31,8 +31,9 @@ reading the file again. Files must be UTF-8; lines are those
 first problem in file order is the one reported: a bad row before bytes
 that are not UTF-8 fails on the row. Each row goes straight to the JSON
 scanner and decodes or fails as ``json.JSONDecoder.decode`` would (see
-:func:`_json_lines`). The loaders leave the garbage collector alone; the
-command line pauses it around them.
+:func:`_json_lines`). A string that holds a lone UTF-16 surrogate, which
+only a ``\\u`` escape can make and no UTF-8 output can hold, fails its row
+(:func:`lone_surrogate_field`).
 
 Within one load, equal values the records repeat are held once: a
 dataset's ``system_id`` strings and ``scu_presence`` tuples, a unit
@@ -47,6 +48,7 @@ import codecs
 import json
 import math
 import os
+import re
 import tempfile
 from array import array
 from typing import Iterable, Iterator, NamedTuple
@@ -116,9 +118,7 @@ def is_finite_number(value) -> bool:
     """An int or float, not a bool, with a finite float value.
 
     ``json.loads`` accepts ``NaN`` and ``Infinity``, and overflows ``1e999``
-    to infinity; none of them is a usable score. ``_parse_entry`` and
-    :func:`load_scores` inline the first test, for exact floats, to save a
-    call per row.
+    to infinity; none of them is a usable score.
     """
     if type(value) is float:  # inf - inf and nan - nan are nan
         return value - value == 0.0
@@ -141,6 +141,38 @@ _BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 _scan = json.JSONDecoder().scan_once
 
+_surrogate = re.compile("[\ud800-\udfff]").search
+_surrogate_escape = re.compile(r"\\u[dD][89a-fA-F]").search
+
+
+def lone_surrogate_field(text: str, value) -> str | None:
+    """The field path of the first string in *value*, decoded from JSON
+    *text*, that holds a lone UTF-16 surrogate, keys included and in
+    document order, with the surrogate escaped; ``None`` when no string
+    does. JSON can escape one (``"\\ud800"``); no UTF-8 text can hold it.
+    Only a surrogate escape in *text* can put one in a string, so *value*
+    is walked only when *text* holds one (a paired escape decodes to one
+    character, and passes). The walk keeps its own stack, so it reaches
+    any depth the JSON scanner decodes."""
+    # a backslash is looked for first: that search is about ten times faster
+    if "\\" not in text or not _surrogate_escape(text):
+        return None
+    stack = [("", value)]
+    while stack:
+        path, value = stack.pop()
+        if type(value) is str:
+            if _surrogate(value):
+                return path.encode("utf-8", "backslashreplace").decode("utf-8")
+        elif type(value) is list:
+            stack.extend([(f"{path}[{i}]", item) for i, item in enumerate(value)][::-1])
+        elif type(value) is dict:
+            members = []
+            for key, item in value.items():
+                field = f"{path}.{key}" if path else key
+                members += (field, key), (field, item)  # the key comes first
+            stack.extend(members[::-1])
+    return None
+
 
 def _json_lines(lines: Iterable[str]) -> Iterator[tuple[int, object]]:
     """The number, from 1, and the decoded value of every non-blank line.
@@ -149,9 +181,11 @@ def _json_lines(lines: Iterable[str]) -> Iterator[tuple[int, object]]:
     space or tab, and only spaces and tabs may follow the value: values
     and errors are those of ``json.JSONDecoder.decode`` (lines from
     :meth:`str.splitlines` hold no other JSON whitespace) without its two
-    regex matches. A line that does not decode, or nests deeper than the
-    interpreter's recursion limit, raises :class:`SchemaViolation` naming
-    it, after closing *lines* when they can be closed (a reader's file).
+    regex matches. A line that does not decode, nests deeper than the
+    interpreter's recursion limit, or holds an escape that decodes to a
+    lone surrogate raises :class:`SchemaViolation` naming it (and that
+    string's field), after closing *lines* when they can be closed (a
+    reader's file).
     """
     try:
         for number, line in enumerate(lines, start=1):
@@ -163,6 +197,11 @@ def _json_lines(lines: Iterable[str]) -> Iterator[tuple[int, object]]:
                 raise SchemaViolation("not valid JSON", line=number) from exc
             if end != len(line) and line[end:].strip(" \t"):  # extra data
                 raise SchemaViolation("not valid JSON", line=number)
+            field = lone_surrogate_field(line, value)
+            if field is not None:
+                raise SchemaViolation(
+                    "a lone surrogate escape is not text", line=number, field=field
+                )
             yield number, value
     except SchemaViolation:
         # the error's traceback holds this frame and so the reader: its
@@ -326,10 +365,7 @@ def _parse_entry(value, line: int, hold) -> ReferenceEntry:
         if type(summary) is not str:
             raise _system_error("missing string 'summary'", line, i, ".summary")
         human_score = system.get("human_score")
-        # a finite float passes inline (inf - inf and nan - nan are nan)
-        if human_score is not None and not (
-            type(human_score) is float and human_score - human_score == 0.0
-        ):
+        if human_score is not None:
             if not is_finite_number(human_score):
                 raise _system_error(
                     "'human_score' must be a finite number", line, i, ".human_score"
@@ -431,10 +467,19 @@ def atomic_write_text(path, pieces: Iterable[str]) -> None:
 
 _encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
+# the line breaks of :meth:`str.splitlines` that JSON leaves raw in a string
+_RAW_BREAKS = (("\x85", "\\u0085"), ("\u2028", "\\u2028"), ("\u2029", "\\u2029"))
+
 
 def json_line(row) -> str:
-    """*row* as one compact JSON line of an output file, non-ASCII kept."""
-    return _encode(row) + "\n"
+    """*row* as one compact JSON line of an output file, non-ASCII kept
+    except the three line breaks that JSON need not escape, which
+    :func:`read_input` would break the line at: so the line reads back."""
+    text = _encode(row)
+    if not text.isascii():
+        for char, escape in _RAW_BREAKS:
+            text = text.replace(char, escape)
+    return text + "\n"
 
 
 def save_units(path, rows: Iterable[UnitFileRow]) -> None:
@@ -567,12 +612,9 @@ def load_scores(
             raise SchemaViolation(
                 "rows need string 'example_id' and 'system_id'", line=number
             )
-        if not (type(value) is float and value - value == 0.0):
-            if not is_finite_number(value):
-                raise SchemaViolation(
-                    "'score' must be a finite number", line=number, field="score"
-                )
-            value = float(value)
+        if not is_finite_number(value):
+            raise SchemaViolation("'score' must be a finite number", line=number, field="score")
+        value = float(value)
         cell = cells.get((example_id, system_id))
         if cell is not None and cell not in scores:
             scores[cell] = value

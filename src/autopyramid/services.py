@@ -37,6 +37,7 @@ from time import sleep
 from typing import Callable, Sequence
 from urllib.parse import quote, unquote, urlsplit, urlunsplit
 
+from .data import lone_surrogate_field
 from .errors import InputError, MalformedServiceReply, ServiceUnavailable
 from .manifest import redact_endpoint
 
@@ -168,7 +169,9 @@ def post_json(url: str, payload: dict, *, token: str | None = None, opener=None)
     Basic auth, which takes precedence over *token*. A *token* that cannot
     go in an HTTP header raises :class:`InputError`, before any attempt and
     without the value. *opener* is one from :func:`build_opener`, built per
-    call when omitted.
+    call when omitted. A reply that is not a JSON object, or that holds a
+    string with a lone surrogate (:func:`~autopyramid.data.lone_surrogate_field`),
+    raises :class:`MalformedServiceReply`.
     """
     # imported here so that commands that never call a service skip them
     import base64
@@ -209,12 +212,17 @@ def post_json(url: str, payload: dict, *, token: str | None = None, opener=None)
             failure = (reason if isinstance(reason, BaseException) else exc).__class__.__name__
         else:
             try:
-                reply = json.loads(body)
+                # decoded strictly: json.loads of bytes lets encoded surrogates pass
+                text = body.decode(json.detect_encoding(body))
+                reply = json.loads(text)
             except (ValueError, RecursionError) as exc:
                 # RecursionError: nested deeper than the interpreter's limit
                 raise MalformedServiceReply(f"{where} returned non-JSON data") from exc
             if not isinstance(reply, dict):
                 raise MalformedServiceReply(f"{where} returned a non-object reply")
+            field = lone_surrogate_field(text, reply)
+            if field is not None:
+                raise MalformedServiceReply(f"{where} returned a lone surrogate escape in {field}")
             return reply
         if attempt + 1 < DEFAULT_ATTEMPTS:
             sleep(_retry_delay(attempt, schedule, retry_after))

@@ -763,8 +763,8 @@ def load_scores_oracle(path) -> dict[tuple[str, str], float]:
 # ---------------------------------------------------------------------------
 # The loaders' row checks with every record built by its constructor and
 # every number checked by is_finite_number: the references for the
-# loaders, which build records with tuple.__new__ and pass a finite float
-# inline. The lines come from the loaders' own reader.
+# loaders, which build records with tuple.__new__. The lines come from the
+# loaders' own reader.
 
 _REFERENCE_LABELS = {0: 0, 1: 1}
 

@@ -1212,3 +1212,53 @@ def test_service_reply_nested_past_the_recursion_limit_exits_3(tmp_path, capsys,
     ])
     assert code == 3
     assert capsys.readouterr().err == f"autopyramid: {stub.url} returned non-JSON data\n"
+
+
+def test_a_lone_surrogate_escape_in_the_dataset_exits_2(tmp_path, capsys):
+    dataset = tmp_path / "d.jsonl"
+    dataset.write_text(
+        '{"example_id": "e1", "references": [{"text": "A cat \\ud800 sat here."}]}\n',
+        encoding="utf-8",
+    )
+    out = tmp_path / "units.jsonl"
+    assert main(["extract", "--strategy", "sent", "--input", str(dataset), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "autopyramid: line 1, field references[0].text: a lone surrogate escape is not text\n"
+    )
+    assert not out.exists()
+
+
+def test_a_lone_surrogate_in_a_service_reply_exits_3(tmp_path, stub_service, capsys):
+    stub = stub_service(scripted_chat("First fact # A \udc00 fact"))
+    out = tmp_path / "units.jsonl"
+    assert main([
+        "extract", "--strategy", "sgu", "--input", TOY, "--out", str(out),
+        "--llm-endpoint", stub.url, "--llm-model", "splitter-1",
+    ]) == 3
+    assert capsys.readouterr().err == (
+        f"autopyramid: {stub.url} returned a lone surrogate escape in "
+        "choices[0].message.content\n"
+    )
+    assert not out.exists()
+
+
+def test_units_holding_line_breaks_and_a_surrogate_pair_read_back(tmp_path, capsys):
+    # U+2028 and U+0085 break lines for str.splitlines; a written unit that
+    # held them raw would not read back
+    dataset = write_jsonl(tmp_path / "d.jsonl", [{
+        "example_id": "e1",
+        "references": [{"text": "A cat \U0001F600 sat. Then\u2028it\x85ran.",
+                        "scus": ["a cat sat", "it ran"]}],
+        "systems": [{"system_id": "a", "summary": "A cat sat."},
+                    {"system_id": "b", "summary": "It ran."}],
+    }])
+    units, scores = tmp_path / "units.jsonl", tmp_path / "scores.jsonl"
+    assert main(["extract", "--strategy", "sent", "--input", dataset, "--out", str(units)]) == 0
+    assert units.read_text(encoding="utf-8").splitlines()[1:] == [
+        '{"example_id":"e1","reference_index":0,"strategy":"sentence_split",'
+        '"text":"Then\\u2028it\\u0085ran."}'
+    ]
+    assert [r["text"] for r in read_jsonl(units)] == ["A cat \U0001F600 sat.", "Then\u2028it\x85ran."]
+    assert main(["score", "--input", dataset, "--units", str(units), "--out", str(scores)]) == 0
+    assert main(["intrinsic", "--input", dataset, "--units", str(units)]) == 0
+    assert capsys.readouterr().err == ""

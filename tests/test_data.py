@@ -801,3 +801,93 @@ def test_unit_rows_for_references_the_example_lacks_are_stray(tmp_path):
         import_rows(path, "imported_stu", reference_counts={"e1": 1, "e2": 1})
     assert "line 2, field reference_index: example 'e2' has no reference 1 " in str(info.value)
     assert "(the first of 2 stray rows)" in str(info.value)
+
+
+# ---------------------------------------------------------------------------
+# Lone surrogate escapes: JSON can write one, no UTF-8 output can hold it
+
+LONE = {"high": "\\ud800", "low": "\\udc00"}
+
+# each loader's call, a good line (the dataset's holds a surrogate pair
+# escape, one character), and a second line whose "@" becomes a lone
+# surrogate escape, with the field that string is at
+SURROGATE_LOADS = {
+    "dataset": (
+        load_dataset,
+        '{"example_id": "e1", "references": [{"text": "A cat \\ud83d\\ude00 sat."}]}',
+        '{"example_id": "e2", "references": [{"text": "A cat @ sat here."}]}',
+        "references[0].text",
+    ),
+    "dataset-key": (
+        load_dataset,
+        '{"example_id": "e1", "references": [{"text": "A cat sat."}]}',
+        '{"example_id": "e2", "references": [{"text": "A cat."}], '
+        '"systems": [{"system_id": "s", "summary": "x", "n@te": 1}]}',
+        "systems[0].n@te",
+    ),
+    "units": (
+        load_units,
+        '{"example_id": "e1", "reference_index": 0, "strategy": "ngram", "text": "a b"}',
+        '{"example_id": "e1", "reference_index": 0, "strategy": "ngram", "text": "a @"}',
+        "text",
+    ),
+    "scores": (
+        lambda path: load_scores(path, SCORE_CELLS),
+        '{"example_id": "e1", "system_id": "a", "score": 0.5}',
+        '{"example_id": "e1", "system_id": "b@", "score": 0.5}',
+        "system_id",
+    ),
+}
+
+
+@pytest.mark.parametrize("half", sorted(LONE))
+@pytest.mark.parametrize("kind", sorted(SURROGATE_LOADS))
+def test_a_lone_surrogate_escape_fails_its_line_and_names_the_field(tmp_path, kind, half):
+    load, good, bad, field = SURROGATE_LOADS[kind]
+    path = tmp_path / "in.jsonl"
+    path.write_text(f"{good}\n{bad.replace('@', LONE[half])}\n", encoding="utf-8")
+    with pytest.raises(SchemaViolation) as info:
+        load(path)
+    field = field.replace("@", LONE[half])
+    assert (info.value.line, info.value.field) == (2, field)
+    assert str(info.value) == f"line 2, field {field}: a lone surrogate escape is not text"
+
+
+@pytest.mark.parametrize("half", sorted(LONE))
+def test_import_rows_refuses_a_lone_surrogate_escape(tmp_path, half):
+    path = tmp_path / "units.jsonl"
+    path.write_text(
+        '{"example_id": "e1", "reference_index": 0, "strategy": "smu", '
+        f'"text": "a {LONE[half]} b"}}\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(InputError) as info:
+        import_rows(path, "imported_stu")
+    assert str(info.value) == (
+        f"{path}, line 1, field text: a lone surrogate escape is not text; an import "
+        "file holds unit-file rows (example_id, reference_index, strategy, text)"
+    )
+
+
+def test_lone_surrogate_field_walks_keys_first_and_any_depth():
+    def field(text):
+        return data.lone_surrogate_field(text, json.loads(text))
+
+    assert field('{"a": ["x", {"\\udc00": "\\ud800"}]}') == "a[1].\\udc00"
+    assert field('{"a": "\\ud800", "\\udc00": 1}') == "a"
+    assert field('[[["ok", "\\ud83d\\ude00", "\\u00e9", 1, null]]]') is None
+    # the text holds no surrogate escape, so the value is not walked
+    assert data.lone_surrogate_field('"\\u00e9"', "\ud800") is None
+    deep = "\udfff"
+    for _ in range(DEEP):
+        deep = [deep]
+    assert data.lone_surrogate_field('"\\uDFFF"', deep) == "[0]" * DEEP
+
+
+def test_json_line_escapes_the_line_breaks_json_leaves_raw(tmp_path):
+    row = {"text": "a\x85b\u2028c\u2029dé"}
+    line = data.json_line(row)
+    assert line == '{"text":"a\\u0085b\\u2028c\\u2029dé"}\n'
+    path = tmp_path / "out.jsonl"
+    data.atomic_write_text(path, [line, line])
+    assert [value for _, value in _json_lines(read_input(path))] == [row, row]

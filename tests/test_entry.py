@@ -226,8 +226,7 @@ def test_main_leaves_the_collector_as_it_found_it(capsys, collector, bad_dataset
 def test_a_service_is_called_with_collection_as_the_caller_had_it(
     tmp_path, collector, stub_service
 ):
-    # the inputs are frozen only when the caller had collection on and
-    # nothing frozen; collection is never left off for the service call
+    # collection is as the caller had it, and the command freezes nothing
     frozen = gc.get_freeze_count()
     seen = []
 
@@ -240,7 +239,7 @@ def test_a_service_is_called_with_collection_as_the_caller_had_it(
             "--scorer", "remote", "--nli-endpoint", stub.url]
     assert cli.main(argv) == 0
     on = collector != "disabled"
-    assert seen and set(seen) == {(on, collector == "enabled")}
+    assert seen and set(seen) == {(on, False)}
 
 
 def test_a_closed_stdout_takes_no_report_and_is_no_error(tmp_path, capsys):

@@ -518,3 +518,37 @@ def test_shared_opener_under_concurrent_requests(stub_service):
         sys.setswitchinterval(interval)
     assert texts == [f"T:{g}" for g in graphs]
     assert sorted(payload["graphs"][0] for _, payload, _ in stub.requests) == sorted(graphs)
+
+
+# each client's reply with "@" where a lone surrogate goes, and its field
+_SURROGATE_REPLIES = {
+    "gen": ({"texts": ["a @ b"]}, "texts[0]"),
+    "parse": ({"graphs": ["(a / @)"]}, "graphs[0]"),
+    "presence": ({"probs": [0.5], "n@te": 1}, "n@te"),
+    "chat": ({"choices": [{"message": {"content": "x @"}}]}, "choices[0].message.content"),
+}
+
+
+@pytest.mark.parametrize("half", ["\ud800", "\udfff"], ids=["high", "low"])
+@pytest.mark.parametrize("service", sorted(_SURROGATE_REPLIES))
+def test_a_lone_surrogate_in_a_reply_is_malformed(stub_service, service, half):
+    template, field = _SURROGATE_REPLIES[service]
+    # json.dumps writes the surrogate as its \u escape
+    reply = json.loads(json.dumps(template).replace("@", json.dumps(half)[1:-1]))
+    stub = stub_service(lambda path, body: (200, reply))
+    url = stub.url.replace("http://", "http://alice:s3cret@") + "/svc?key=k3y"
+    with pytest.raises(MalformedServiceReply) as bad:
+        _CALLS[service](url)
+    escaped = field.replace("@", half.encode("utf-8", "backslashreplace").decode())
+    assert str(bad.value) == f"{stub.url}/svc returned a lone surrogate escape in {escaped}"
+
+
+def test_a_reply_holds_a_surrogate_only_as_a_pair(stub_service):
+    # the stub writes the character as the escape pair \ud83d\ude00
+    pair = stub_service(lambda path, body: (200, {"texts": ["\U0001F600"]}))
+    assert GraphToTextClient(pair.url).generate(["(a / a1)"]) == ["\U0001F600"]
+    # json.loads of bytes would decode a surrogate encoded raw with surrogatepass
+    raw = stub_service(raw_body=b'{"texts": ["\xed\xa0\x80"]}')
+    with pytest.raises(MalformedServiceReply) as bad:
+        GraphToTextClient(raw.url).generate(["(a / a1)"])
+    assert str(bad.value) == f"{raw.url} returned non-JSON data"
