@@ -16,7 +16,9 @@ so returns graphs that need no second check.
 
 Files hold one graph per blank-line-separated block. Lines starting with
 '#' are comments; a ``# ::snt <text>`` comment carries the source sentence
-for the block.
+for the block. :func:`load_penman_file` gives the blocks one at a time, as
+it reads them, so a caller that takes a graph at a time never holds the
+graphs of the whole file.
 """
 
 from __future__ import annotations
@@ -416,42 +418,46 @@ class PenmanEntry:
 _SNT_PREFIX = "# ::snt "
 
 
-def load_penman_file(path, *, digests: dict | None = None) -> list[PenmanEntry]:
-    """Read blank-line-separated PENMAN blocks from *path*.
+def load_penman_file(path, *, digests: dict | None = None) -> Iterator[PenmanEntry]:
+    """The blank-line-separated PENMAN blocks of *path*, each parsed and
+    given as the file is read.
 
     '#'-prefixed lines are ignored except for ``# ::snt``, whose text is
-    attached to the following graph. Parse errors carry file-absolute line
-    numbers. The lines come from :func:`~autopyramid.data.read_input` as
-    it reads the file, so only the block being read is held beside the
-    entries; *digests* is as for that function.
+    attached to the following graph. The file is opened by this call, so a
+    missing file fails here; the entries come as they are iterated, and
+    only the block being read is held beside the one given. A parse error
+    carries file-absolute line numbers, and the file as ``path``. The lines
+    come from :func:`~autopyramid.data.read_input`, and *digests* is as for
+    that function: the digest is stored once the iterator has run to its
+    end.
     """
-    entries: list[PenmanEntry] = []
+    return _entries(read_input(path, digests), path)
+
+
+def _entries(lines: Iterator[str], path) -> Iterator[PenmanEntry]:
     block: list[str] = []
     block_start = 1
     sentence: str | None = None
-
-    def flush():
-        nonlocal block, sentence
-        if any(line.strip() for line in block):
-            graph = parse_penman("\n".join(block), first_line=block_start)
-            entries.append(PenmanEntry(graph, sentence, block_start))
-        block = []
-        sentence = None
-
-    for number, line in enumerate(read_input(path, digests), start=1):
+    # a blank line past the last ends the last block
+    for number, line in enumerate(itertools.chain(lines, ("",)), start=1):
         stripped = line.strip()
         if not stripped:
-            flush()
+            if block:
+                try:
+                    graph = parse_penman("\n".join(block), first_line=block_start)
+                except MalformedPenman as exc:
+                    exc.path = path
+                    raise
+                yield PenmanEntry(graph, sentence, block_start)
+            block = []
+            sentence = None
             block_start = number + 1
-            continue
-        if stripped.startswith("#"):
-            if stripped.startswith(_SNT_PREFIX.strip() + " "):
-                sentence = stripped[len(_SNT_PREFIX.strip()) :].strip() or None
+        elif stripped.startswith("#"):
+            if stripped.startswith(_SNT_PREFIX):
+                sentence = stripped[len(_SNT_PREFIX) :].strip() or None
             if not block:
                 block_start = number + 1
             else:
                 block.append("")
-            continue
-        block.append(line)
-    flush()
-    return entries
+        else:
+            block.append(line)

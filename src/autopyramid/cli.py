@@ -4,14 +4,17 @@ Every command runs the same way: :func:`main` reads the dataset named by
 ``--input``, the command computes its rows from it, and one writer,
 :func:`_write_output`, writes the rows to ``--out`` and then the output's
 manifest; a command given no ``--out`` writes nothing, and so takes no
-digest of its inputs and does not import ``hashlib``. ``score`` computes
-its rows while the writer writes them, so its temp file beside ``--out``
-is there for the whole scoring run, and a process killed by a signal in
-that time leaves it behind; any error it raises still wins over a failed
-write, as when the rows were made first. A
-command imports only the modules it runs: graph code for ``--strategy
-smu``, the HTTP client for a given endpoint, presence scoring for
-``score`` and statistics for the report commands.
+digest of its inputs and does not import ``hashlib``. ``extract`` and
+``score`` compute their rows while the writer writes them, so their temp
+file beside ``--out`` is there for the whole extraction or scoring run,
+and a process killed by a signal in that time leaves it behind; any error
+they raise still wins over a failed write, as when the rows were made
+first. ``extract --strategy smu`` reads its graphs as it goes, and so
+holds one reference's graphs at a time. A command imports only the modules
+it runs: graph code for ``--strategy smu``, the HTTP client for a given
+endpoint, presence scoring for ``score`` and statistics for the report
+commands. An input error that a loader finds at a line of a file names the
+file first.
 
 Exit codes are stable: 0 on success, 2 for input or usage problems, 3 when
 an external service fails. Every output file is written atomically and
@@ -37,6 +40,7 @@ does the same; a failed flush of standard error leaves through
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -246,7 +250,8 @@ def main(argv=None) -> int:
         print(f"autopyramid: {exc}", file=sys.stderr)
         return EXIT_SERVICE
     except AutoPyramidError as exc:
-        print(f"autopyramid: {exc}", file=sys.stderr)
+        where = f"{exc.path}, " if getattr(exc, "path", None) is not None else ""
+        print(f"autopyramid: {where}{exc}", file=sys.stderr)
         return EXIT_INPUT
 
 
@@ -324,111 +329,110 @@ def _reference_counts(entries) -> dict[str, int]:
     return {entry.example_id: len(entry.references) for entry in entries}
 
 
-def _smu_graphs(args, entries, digests) -> tuple[list[list], list[int] | None]:
-    """The sentence graphs of each reference in dataset order, from a file
-    or the parser service, and the file line of every graph in that order
-    (``None`` from the service). File blocks are consumed positionally: one
-    block per reference sentence. The file's digest goes into *digests*."""
-    wanted = [
-        (entry.example_id, index, split_sentences(reference.text))
-        for entry, index, reference in _each_reference(entries)
-    ]
-    lines = None
+def _smu_graphs(args, entries, digests):
+    """The sentence graphs of each reference in dataset order, one list of
+    ``(graph, line)`` at a time, parsed as it is taken, from a file (line
+    of the block) or the parser service (line ``None``). File blocks are
+    consumed positionally, one per reference sentence; the file's digest
+    goes into *digests* once it has been read to its end."""
+    texts = (reference.text for _, _, reference in _each_reference(entries))
     if args.graphs:
-        flat, lines = [], []
-        for block in _lazy.load_penman_file(args.graphs, digests=digests):
-            flat.append(block.graph)
-            lines.append(block.line)
+        counts = (len(split_sentences(text)) for text in texts)
+        blocks = (
+            (block.graph, block.line)
+            for block in _lazy.load_penman_file(args.graphs, digests=digests)
+        )
     elif args.parse_endpoint:
+        sentences = [split_sentences(text) for text in texts]
+        counts = list(map(len, sentences))
         client = _lazy.ParseServiceClient(
             args.parse_endpoint,
             batch_size=args.batch_size,
             concurrency=args.concurrency,
         )
-        flat = []
-        for text in client.parse_sentences([s for _, _, sents in wanted for s in sents]):
-            try:
-                flat.append(_lazy.parse_penman(text))
-            except MalformedPenman as exc:
-                raise MalformedServiceReply(
-                    f"parse service returned an unparseable graph: {exc}"
-                ) from exc
+        replies = client.parse_sentences([s for listed in sentences for s in listed])
+        blocks = ((_reply_graph(text), None) for text in replies)
     else:
         raise InputError("--strategy smu needs --graphs or --parse-endpoint")
-    graphs = []
-    cursor = 0
-    for example_id, index, sentences in wanted:
-        take = flat[cursor : cursor + len(sentences)]
-        if len(take) < len(sentences):
+    return _per_reference(entries, counts, blocks, args.graphs)
+
+
+def _reply_graph(text: str):
+    try:
+        return _lazy.parse_penman(text)
+    except MalformedPenman as exc:
+        raise MalformedServiceReply(
+            f"parse service returned an unparseable graph: {exc}"
+        ) from exc
+
+
+def _per_reference(entries, counts, blocks, path):
+    """*blocks* in one list for each reference, of the length *counts*
+    gives, then the rest of *blocks*: blocks of file *path* that run out
+    early or are left over fail, once every block has been read."""
+    used = 0
+    for (entry, index, _), count in zip(_each_reference(entries), counts):
+        take = list(itertools.islice(blocks, count))
+        if len(take) < count:
             raise InputError(
-                f"graphs file ended early: example {example_id} reference "
-                f"{index} needs {len(sentences)} graphs"
+                f"{path}: graphs file ended early: example {entry.example_id} "
+                f"reference {index} needs {count} graphs"
             )
-        cursor += len(sentences)
-        graphs.append(take)
-    if cursor != len(flat):
-        raise InputError(f"graphs file has {len(flat)} blocks but the dataset uses {cursor}")
-    return graphs, lines
+        used += count
+        yield take
+    extra = [line for _, line in blocks]
+    if extra:
+        raise InputError(
+            f"{path}, line {extra[0]}: graphs file has {used + len(extra)} blocks but "
+            f"the dataset uses {used}"
+        )
 
 
-def _reference_rows(
-    entries, tag: str, units_of_many, where=lambda exc: ""
-) -> list[UnitFileRow]:
-    """Rows tagged *tag* for the unit texts of each reference, from
-    ``units_of_many(texts)``, which gets the texts of every reference in
-    dataset order and returns one unit list per reference.
+def _reference_rows(entries, tag: str, units_of_many):
+    """Rows tagged *tag* for the unit texts of each reference, made as they
+    are taken: ``units_of_many(texts)`` gets an iterator of the texts of
+    every reference in dataset order and gives one unit list per reference,
+    in that order; every list it gives is taken.
 
     This is the one place that names a failed reference: a
     :class:`ReferenceFailure` that carries its reference's position is
-    raised again with the example and the reference, then ``where(exc)``
-    when that is not empty.
+    raised again with the example and the reference.
     """
-    references = list(_each_reference(entries))
+    references = _each_reference(entries)
+    texts = (reference.text for _, _, reference in _each_reference(entries))
     try:
-        units = units_of_many([reference.text for _, _, reference in references])
+        for units in units_of_many(texts):
+            entry, index, _ = next(references)
+            for text in units:
+                yield UnitFileRow(entry.example_id, index, tag, text)
     except ReferenceFailure as exc:
         if exc.reference is None:
             raise
-        entry, index, _ = references[exc.reference]
-        named = f"example {entry.example_id} reference {index}"
-        detail = where(exc)
-        if detail:
-            named = f"{named}: {detail}"
-        raise type(exc)(f"{named}: {exc}") from exc
-    return [
-        UnitFileRow(entry.example_id, index, tag, text)
-        for (entry, index, _), texts in zip(references, units)
-        for text in texts
-    ]
+        entry, index, _ = list(_each_reference(entries))[exc.reference]
+        raise type(exc)(f"example {entry.example_id} reference {index}: {exc}") from exc
 
 
-def _one_by_one(units_of):
-    """An extractor of many references from ``units_of(k, text)``, which
-    extracts the units of reference *k* alone; a failure carries *k*."""
-
-    def units_of_many(texts):
-        units = []
-        for k, text in enumerate(texts):
-            try:
-                units.append(units_of(k, text))
-            except ReferenceFailure as exc:
-                exc.reference = k
-                raise
-        return units
-
-    return units_of_many
+def _one_by_one(units_of, items):
+    """The unit list ``units_of(item)`` of each of *items*, made as it is
+    taken; a failure carries the item's position."""
+    for k, item in enumerate(items):
+        try:
+            yield units_of(item)
+        except ReferenceFailure as exc:
+            exc.reference = k
+            raise
 
 
-# Each strategy's unit rows and manifest ``extra``, from (args, entries,
-# digests). The extractors are read off this module at call time, so that
-# wrapping them here wraps every call.
+# Each strategy's unit rows, made as they are taken, and manifest
+# ``extra``, from (args, entries, digests). The extractors are read off
+# this module at call time, so that wrapping them here wraps every call.
 
 
 def _sentence_rows(args, entries, digests):
     return _reference_rows(
         entries,
         "sentence_split",
-        _one_by_one(lambda k, text: _lazy.extract_sentence_units(text)),
+        lambda texts: _one_by_one(_lazy.extract_sentence_units, texts),
     ), None
 
 
@@ -437,43 +441,58 @@ def _ngram_rows(args, entries, digests):
     return _reference_rows(
         entries,
         "ngram",
-        _one_by_one(
-            lambda k, text: _lazy.extract_ngram_units(
+        lambda texts: _one_by_one(
+            lambda text: _lazy.extract_ngram_units(
                 text, sizes, args.ngram_fraction, args.seed
-            )
+            ),
+            texts,
         ),
     ), None
 
 
 def _smu_rows(args, entries, digests):
-    graphs, lines = _smu_graphs(args, entries, digests)
+    references = _smu_graphs(args, entries, digests)
+    current = []  # the (graph, line) blocks of the reference being split
 
-    def where(exc):
-        if isinstance(exc, GraphTooLarge) and lines is not None and exc.graph is not None:
-            line = lines[sum(map(len, graphs[: exc.reference])) + exc.graph]
-            return f"graph at line {line} of {args.graphs}"
-        return ""
+    def graph_lists():
+        nonlocal current
+        for current in references:
+            yield [graph for graph, _ in current]
 
     if args.gen_endpoint:
-        # one /gen call for the whole command; the template realizer stays
-        # per reference
+        # one /gen call for the whole command, once every candidate is
+        # serialized; the template realizer goes a reference at a time
         generator = _lazy.GraphToTextClient(
             args.gen_endpoint, batch_size=args.batch_size, concurrency=args.concurrency
         )
 
-        def units_of_many(texts):
-            return _lazy.extract_smu_units_many(graphs, args.split_mode, generator)
+    def units_of_many(texts):
+        try:
+            if args.gen_endpoint:
+                yield from _lazy.extract_smu_units_many(
+                    graph_lists(), args.split_mode, generator
+                )
+            else:
+                yield from _one_by_one(
+                    lambda graphs: _lazy.extract_smu_units(graphs, args.split_mode),
+                    graph_lists(),
+                )
+        except GraphTooLarge as exc:
+            # the graphs are read to their end first, so that a parse or
+            # block-count error there wins, as when every graph was read
+            # before any was split
+            for _ in references:
+                pass
+            if args.graphs:
+                line = current[exc.graph][1]
+                exc.args = (f"graph at line {line} of {args.graphs}: {exc}",)
+            raise
 
-    else:
-        units_of_many = _one_by_one(
-            lambda k, text: _lazy.extract_smu_units(graphs[k], args.split_mode)
-        )
-    rows = _reference_rows(entries, "smu", units_of_many, where)
     extra = {
         "split_mode": args.split_mode,
         "realizer": "remote" if args.gen_endpoint else "template",
     }
-    return rows, extra
+    return _reference_rows(entries, "smu", units_of_many), extra
 
 
 def _sgu_rows(args, entries, digests):
@@ -491,7 +510,7 @@ def _sgu_rows(args, entries, digests):
         "temperature": args.temperature,
     }
     return _reference_rows(
-        entries, "sgu", lambda texts: _lazy.extract_sgu_units_many(texts, client)
+        entries, "sgu", lambda texts: _lazy.extract_sgu_units_many(list(texts), client)
     ), extra
 
 

@@ -10,7 +10,8 @@ One :class:`ReferenceEntry` per line, UTF-8, with exactly these fields::
 ``human_score`` and ``scu_presence`` are optional per system; when present
 the presence labels must align with the gold units pooled across all of
 the entry's references. Loading validates everything and reports the line
-number and field path of the first problem. The records are named tuples,
+number and field path of the first problem, as a :class:`SchemaViolation`
+whose ``path`` is the file. The records are named tuples,
 immutable and compared by their fields; the loaders build them with
 ``tuple.__new__``, which skips the per-field arguments of the generated
 constructor and is safe because no record checks its fields.
@@ -39,12 +40,14 @@ Within one load, equal values the records repeat are held once: a
 dataset's ``system_id`` strings and ``scu_presence`` tuples, a unit
 file's example ids and strategies. A score file's scores are keyed by the
 caller's own cell tuples. Outputs are written as their rows are made:
-:func:`atomic_write_text` takes any iterable of text pieces.
+:func:`atomic_write_text` and :func:`save_units` take any iterable, and
+``extract`` and ``score`` make each row as the writer takes it.
 """
 
 from __future__ import annotations
 
 import codecs
+import functools
 import json
 import math
 import os
@@ -298,6 +301,21 @@ def _lines(path, digests: dict | None) -> Iterator[str | None]:
         digests[str(path)] = hasher.hexdigest()
 
 
+def _naming_the_file(load):
+    """The loader *load*, whose :class:`SchemaViolation` carries the file
+    it was found in as ``path``."""
+
+    @functools.wraps(load)
+    def load_naming_the_file(path, *args, **kwargs):
+        try:
+            return load(path, *args, **kwargs)
+        except SchemaViolation as exc:
+            exc.path = path
+            raise
+
+    return load_naming_the_file
+
+
 def _system_error(message: str, line: int, index: int, name: str) -> SchemaViolation:
     """The error for field *name* of system *index*; the field path is
     built only here, when a system is rejected."""
@@ -411,6 +429,7 @@ def _parse_entry(value, line: int, hold) -> ReferenceEntry:
     return _record(ReferenceEntry, (example_id, references, tuple(systems)))
 
 
+@_naming_the_file
 def load_dataset(path, *, digests: dict | None = None) -> list[ReferenceEntry]:
     """Read and validate a dataset file; entries come back in file order.
 
@@ -499,6 +518,7 @@ def _unit_lines(rows: Iterable[UnitFileRow]) -> Iterator[str]:
         yield json_line(row._asdict())  # the fields, in declared order
 
 
+@_naming_the_file
 def load_units(
     path, *, digests: dict | None = None, reference_counts=None
 ) -> list[UnitFileRow]:
@@ -587,6 +607,7 @@ def import_rows(
     return rows
 
 
+@_naming_the_file
 def load_scores(
     path, cells, *, digests: dict | None = None
 ) -> dict[tuple[str, str], float]:

@@ -13,7 +13,11 @@ class AutoPyramidError(Exception):
 
 
 class InputError(AutoPyramidError):
-    """Invalid input data, file, or argument."""
+    """Invalid input data, file, or argument. A loader that finds a row or
+    a graph at fault sets ``path`` to the file it is in, which the message,
+    giving the line, leaves out; the command line prints it first."""
+
+    path = None
 
 
 class RemoteError(AutoPyramidError):

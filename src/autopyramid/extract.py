@@ -20,7 +20,7 @@ import random
 import re
 import sys
 from bisect import bisect_right
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import _lazy_names
 from .errors import EmptyReference, EmptyReply, GraphTooLarge
@@ -124,12 +124,13 @@ def extract_smu_units(
 
 
 def extract_smu_units_many(
-    graph_lists: Sequence[Sequence[AmrGraph]],
+    graph_lists: Iterable[Sequence[AmrGraph]],
     mode: str,
     generator: GraphToTextClient | None = None,
 ) -> list[list[str]]:
     """Split the sentence graphs of each reference and realize the pieces
-    as text, one unit list per reference, in input order.
+    as text, one unit list per reference, in input order. *graph_lists* is
+    iterated once, a reference's graphs as the split reaches them.
 
     The pieces of every reference go to *generator*'s service in one call,
     each serialized as the split reaches it, or to the template realizer

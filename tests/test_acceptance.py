@@ -100,7 +100,7 @@ def test_splitting_hand_trace_and_golden_snapshot():
             "(g / go-02 :ARG0 (b / boy))",
         ]
 
-        entries = load_penman_file(DATA / "golden_graphs.penman")
+        entries = list(load_penman_file(DATA / "golden_graphs.penman"))
         assert len(entries) == 20
         frozen = json.loads((DATA / "golden_candidates.json").read_text("utf-8"))
         for mode in ("one-cr", "all-deps"):

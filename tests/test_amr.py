@@ -284,7 +284,7 @@ def test_penman_file_roundtrip(tmp_path):
     ]
     path = tmp_path / "graphs.penman"
     save_penman_file(path, entries)
-    loaded = load_penman_file(path)
+    loaded = list(load_penman_file(path))
     assert [e.sentence for e in loaded] == ["The boy wants to go.", None]
     assert [serialize_penman(e.graph) for e in loaded] == [
         serialize_penman(e.graph) for e in entries
@@ -303,7 +303,7 @@ def test_penman_file_comments_and_blank_lines(tmp_path):
         "(c / cat)\n",
         encoding="utf-8",
     )
-    loaded = load_penman_file(path)
+    loaded = list(load_penman_file(path))
     assert len(loaded) == 2
     assert loaded[0].sentence == "A boy."
     assert loaded[1].sentence is None
@@ -315,8 +315,8 @@ def test_penman_file_error_uses_absolute_lines(tmp_path):
     path = tmp_path / "broken.penman"
     path.write_text("(b / boy)\n\n# ::snt x\n(c / cat\n", encoding="utf-8")
     with pytest.raises(MalformedPenman) as info:
-        load_penman_file(path)
-    assert info.value.line == 4
+        list(load_penman_file(path))
+    assert (info.value.line, info.value.path) == (4, path)
 
 
 def test_penman_file_missing(tmp_path):
@@ -334,11 +334,11 @@ def test_save_penman_file_unwritable(tmp_path):
 
 def test_golden_corpus_file_roundtrip(tmp_path):
     source = Path(__file__).parent / "data" / "golden_graphs.penman"
-    entries = load_penman_file(source)
+    entries = list(load_penman_file(source))
     assert len(entries) == 20
     copy = tmp_path / "copy.penman"
     save_penman_file(copy, entries)
-    again = load_penman_file(copy)
+    again = list(load_penman_file(copy))
     assert [e.sentence for e in again] == [e.sentence for e in entries]
     for left, right in zip(entries, again):
         assert serialize_penman(left.graph) == serialize_penman(right.graph)
@@ -463,7 +463,7 @@ def test_parser_matches_the_reference(text, first_line):
 
 def load_outcome(path):
     try:
-        return load_penman_file(path)
+        return list(load_penman_file(path))
     except MalformedPenman as exc:
         return str(exc), exc.line, exc.column
 

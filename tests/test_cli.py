@@ -4,13 +4,17 @@ import errno
 import hashlib
 import json
 import os
+import random
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from autopyramid import cli, data
+from autopyramid.amr import load_penman_file, serialize_penman
 from autopyramid.cli import main
+from autopyramid.data import load_dataset
 from autopyramid.errors import InputError, ServiceUnavailable
 
 from graphgen import (
@@ -18,6 +22,7 @@ from graphgen import (
     chained_penman,
     deep_realization,
     nested_penman,
+    random_graph,
     repeated_edge_penman,
     shared_chain_penman,
 )
@@ -240,9 +245,7 @@ def test_extract_smu_bounds_repeated_edges(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_extract_remote_smu_names_the_reference_and_line_of_a_large_graph(
-    tmp_path, stub_service, capsys
-):
+def two_one_sentence_examples(tmp_path):
     rows = [
         {
             "example_id": f"g{i}",
@@ -251,7 +254,13 @@ def test_extract_remote_smu_names_the_reference_and_line_of_a_large_graph(
         }
         for i in (1, 2)
     ]
-    dataset = write_jsonl(tmp_path / "d.jsonl", rows)
+    return write_jsonl(tmp_path / "d.jsonl", rows)
+
+
+def test_extract_remote_smu_names_the_reference_and_line_of_a_large_graph(
+    tmp_path, stub_service, capsys
+):
+    dataset = two_one_sentence_examples(tmp_path)
     graphs = tmp_path / "g.penman"
     graphs.write_text(
         "(w / want-01 :ARG1 (t / thing))\n\n" + shared_chain_penman(1000) + "\n",
@@ -269,6 +278,58 @@ def test_extract_remote_smu_names_the_reference_and_line_of_a_large_graph(
     assert "Traceback" not in err
     # the split fails before any candidate is sent
     assert stub.requests == []
+    assert not out.exists()
+
+
+# what follows a too-large graph in block 1 of the graphs of a two-example
+# dataset, and the error that wins over it
+SMU_ERRORS_AFTER_A_LARGE_GRAPH = {
+    "parse": ("\n\n(w / want-01 :ARG1\n", "line 3, column 14: role ':ARG1' has no value"),
+    "extra": (
+        "\n\n(w / want-01 :ARG1 (t / thing))\n" * 2,
+        "graphs file has 3 blocks but the dataset uses 2",
+    ),
+    "early": ("\n", "graphs file ended early: example g2 reference 0 needs 1 graphs"),
+}
+
+
+@pytest.mark.parametrize("realizer", ["template", "remote"])
+@pytest.mark.parametrize("case", sorted(SMU_ERRORS_AFTER_A_LARGE_GRAPH))
+def test_smu_graphs_file_errors_win_over_an_earlier_large_graph(
+    tmp_path, stub_service, capsys, realizer, case
+):
+    rest, message = SMU_ERRORS_AFTER_A_LARGE_GRAPH[case]
+    graphs = tmp_path / "g.penman"
+    graphs.write_text(shared_chain_penman(1000) + rest, encoding="utf-8")
+    stub = stub_service(echo_generator)
+    out = tmp_path / "units.jsonl"
+    argv = [
+        "extract", "--strategy", "smu", "--input", two_one_sentence_examples(tmp_path),
+        "--graphs", str(graphs), "--out", str(out),
+    ]
+    if realizer == "remote":
+        argv += ["--gen-endpoint", stub.url]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "more than 10000" not in err and "Traceback" not in err
+    assert stub.requests == []
+    assert not out.exists()
+
+
+def test_smu_unparseable_reply_wins_over_an_earlier_large_graph(tmp_path, stub_service, capsys):
+    replies = [shared_chain_penman(1000), "(w / want-01 :ARG1"]
+    stub = stub_service(lambda path, body: (200, {"graphs": replies[: len(body["sentences"])]}))
+    out = tmp_path / "units.jsonl"
+    capsys.readouterr()
+    assert main([
+        "extract", "--strategy", "smu", "--input", two_one_sentence_examples(tmp_path),
+        "--parse-endpoint", stub.url, "--out", str(out),
+    ]) == 3
+    err = capsys.readouterr().err
+    assert "parse service returned an unparseable graph: line 1, column 14: " in err
+    assert "more than 10000" not in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -310,6 +371,47 @@ def test_extract_smu_via_parse_service(tmp_path, stub_service):
         "--parse-endpoint", stub.url, "--out", str(out),
     ]) == 0
     assert [r["text"] for r in read_jsonl(out)] == ["dog run"]
+
+
+def test_smu_extract_holds_the_graphs_of_one_reference_at_a_time(tmp_path):
+    # 600 examples of two sentences each, so 1,200 graph blocks
+    rng = random.Random(5)
+    rows = [
+        {
+            "example_id": f"e{i}",
+            "references": [{"text": "The boy wants to go. The girl wins.", "scus": []}],
+            "systems": [],
+        }
+        for i in range(600)
+    ]
+    dataset = write_jsonl(tmp_path / "d.jsonl", rows)
+    graphs = tmp_path / "g.penman"
+    graphs.write_text(
+        "\n".join(f"{serialize_penman(random_graph(rng))}\n" for _ in range(1200)),
+        encoding="utf-8",
+    )
+    argv = ["extract", "--strategy", "smu", "--input", dataset, "--graphs", str(graphs),
+            "--out", str(tmp_path / "units.jsonl")]
+    assert main(argv) == 0  # every module the command uses is loaded before measuring
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        load_dataset(dataset)
+        dataset_peak = tracemalloc.get_traced_memory()[1] - start
+        start = tracemalloc.get_traced_memory()[0]
+        held = list(load_penman_file(graphs))
+        graphs_held = tracemalloc.get_traced_memory()[0] - start
+        del held
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        assert main(argv) == 0
+        command_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # holding every graph of the file would cost graphs_held on its own
+    assert command_peak - dataset_peak < graphs_held / 4, (
+        command_peak, dataset_peak, graphs_held
+    )
 
 
 def test_extract_smu_needs_graph_source(tmp_path, capsys):
@@ -1052,7 +1154,7 @@ def test_a_bad_row_before_bad_utf8_exits_2_naming_the_row(tmp_path, capsys, monk
     bad.write_bytes(rows[0] + b"\n{\n" + rows[1] + b"\n" + rows[2] + b"\nx\xff\n")
     capsys.readouterr()
     assert main(["stats", "--input", str(bad)]) == 2
-    assert capsys.readouterr().err == "autopyramid: line 2: not valid JSON\n"
+    assert capsys.readouterr().err == f"autopyramid: {bad}, line 2: not valid JSON\n"
 
 
 UNITS = str(DATA / "golden" / "units.jsonl")
@@ -1083,7 +1185,8 @@ def test_unit_rows_for_references_the_example_lacks_exit_2(tmp_path, capsys, com
     capsys.readouterr()
     assert main(argv) == 2
     assert capsys.readouterr().err == (
-        f"autopyramid: line 4, field reference_index: example {rows[3]['example_id']!r} "
+        f"autopyramid: {units}, line 4, field reference_index: "
+        f"example {rows[3]['example_id']!r} "
         "has no reference 1 (the only stray row)\n"
     )
     assert not (tmp_path / "o").exists()
@@ -1100,7 +1203,7 @@ def test_unit_rows_for_examples_not_in_the_dataset_exit_2(tmp_path, capsys, comm
     capsys.readouterr()
     assert main(argv) == 2
     assert capsys.readouterr().err == (
-        "autopyramid: line 3, field example_id: example 'nope' is not in the dataset "
+        f"autopyramid: {units}, line 3, field example_id: example 'nope' is not in the dataset "
         "(the first of 2 stray rows)\n"
     )
     assert not (tmp_path / "o").exists()
@@ -1113,7 +1216,8 @@ def test_score_rows_for_cells_not_in_the_dataset_exit_2(tmp_path, capsys):
     capsys.readouterr()
     assert main(["metaeval", "--input", TOY, "--scores", scores]) == 2
     assert capsys.readouterr().err == (
-        f"autopyramid: line {len(rows)}: e9/sysA is not in the dataset (the only stray row)\n"
+        f"autopyramid: {scores}, line {len(rows)}: e9/sysA is not in the dataset "
+        "(the only stray row)\n"
     )
 
 
@@ -1125,7 +1229,7 @@ def test_repeated_score_rows_exit_2(tmp_path, capsys):
     assert main(["metaeval", "--input", TOY, "--scores", scores]) == 2
     first = f"{rows[1]['example_id']}/{rows[1]['system_id']}"
     assert capsys.readouterr().err == (
-        f"autopyramid: line 5: {first} repeats line 2 (the first of 2 stray rows)\n"
+        f"autopyramid: {scores}, line 5: {first} repeats line 2 (the first of 2 stray rows)\n"
     )
 
 
@@ -1199,7 +1303,59 @@ def test_json_nested_past_the_recursion_limit_exits_2(tmp_path, capsys, kind):
     }[kind]
     capsys.readouterr()
     assert main(argv) == 2
-    assert capsys.readouterr().err == "autopyramid: line 2: not valid JSON\n"
+    assert capsys.readouterr().err == f"autopyramid: {deep}, line 2: not valid JSON\n"
+
+
+GOOD_GRAPH = "(w / want-01 :ARG1 (t / thing))\n"
+
+# each input that is at fault: the command that reads it as *path*, the
+# file's text, and the message that follows its path
+NAMED_INPUT_ERRORS = {
+    "dataset": (
+        ["stats", "--input", "{path}"],
+        '{"references": [{"text": "A cat."}]}\n',
+        ", line 1, field example_id: missing string 'example_id'",
+    ),
+    "units": (
+        ["score", "--input", TOY, "--units", "{path}", "--out", "{out}"],
+        '{"example_id": "e1", "reference_index": 0, "strategy": "nope", "text": "a"}\n',
+        ", line 1, field strategy: 'strategy' must be one of gold_scu, sentence_split, "
+        "ngram, smu, sgu, imported_stu",
+    ),
+    "graphs-parse": (
+        ["extract", "--strategy", "smu", "--input", "{two}", "--graphs", "{path}",
+         "--out", "{out}"],
+        GOOD_GRAPH + "\n(w / want-01 :ARG1\n",
+        ", line 3, column 14: role ':ARG1' has no value",
+    ),
+    "graphs-extra": (
+        ["extract", "--strategy", "smu", "--input", "{two}", "--graphs", "{path}",
+         "--out", "{out}"],
+        "\n".join([GOOD_GRAPH] * 3),
+        ", line 5: graphs file has 3 blocks but the dataset uses 2",
+    ),
+    "graphs-early": (
+        ["extract", "--strategy", "smu", "--input", "{two}", "--graphs", "{path}",
+         "--out", "{out}"],
+        GOOD_GRAPH,
+        ": graphs file ended early: example g2 reference 0 needs 1 graphs",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NAMED_INPUT_ERRORS))
+def test_an_input_error_names_the_file(tmp_path, capsys, kind):
+    argv, text, tail = NAMED_INPUT_ERRORS[kind]
+    path = tmp_path / "bad"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    values = {"path": str(path), "out": str(out), "two": None}
+    if "{two}" in argv:
+        values["two"] = two_one_sentence_examples(tmp_path)
+    capsys.readouterr()
+    assert main([arg.format(**values) for arg in argv]) == 2
+    assert capsys.readouterr().err == f"autopyramid: {path}{tail}\n"
+    assert not out.exists()
 
 
 def test_service_reply_nested_past_the_recursion_limit_exits_3(tmp_path, capsys, stub_service):
@@ -1223,7 +1379,8 @@ def test_a_lone_surrogate_escape_in_the_dataset_exits_2(tmp_path, capsys):
     out = tmp_path / "units.jsonl"
     assert main(["extract", "--strategy", "sent", "--input", str(dataset), "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        "autopyramid: line 1, field references[0].text: a lone surrogate escape is not text\n"
+        f"autopyramid: {dataset}, line 1, field references[0].text: "
+        "a lone surrogate escape is not text\n"
     )
     assert not out.exists()
 

@@ -849,7 +849,7 @@ def test_a_lone_surrogate_escape_fails_its_line_and_names_the_field(tmp_path, ki
     with pytest.raises(SchemaViolation) as info:
         load(path)
     field = field.replace("@", LONE[half])
-    assert (info.value.line, info.value.field) == (2, field)
+    assert (info.value.path, info.value.line, info.value.field) == (path, 2, field)
     assert str(info.value) == f"line 2, field {field}: a lone surrogate escape is not text"
 
 
