@@ -36,10 +36,17 @@ scanner and decodes or fails as ``json.JSONDecoder.decode`` would (see
 only a ``\\u`` escape can make and no UTF-8 output can hold, fails its row
 (:func:`lone_surrogate_field`).
 
+A dataset load keeps only the fields it is asked for (``fields``, of
+:data:`FIELDS`): every field is still decoded and checked, and one not
+kept is ``None`` in the records, so that code reading it fails rather
+than computes with a stand-in. The example and system ids, and the number
+and order of references and systems, are always kept.
+
 Within one load, equal values the records repeat are held once: a
-dataset's ``system_id`` strings and ``scu_presence`` tuples, a unit
-file's example ids and strategies. A score file's scores are keyed by the
-caller's own cell tuples. Outputs are written as their rows are made:
+dataset's ``system_id`` strings, and a unit file's example ids and
+strategies (a full dataset load holds one ``scu_presence`` tuple per
+system). A score file's scores are keyed by the caller's own cell
+tuples. Outputs are written as their rows are made:
 :func:`atomic_write_text` and :func:`save_units` take any iterable, and
 ``extract`` and ``score`` make each row as the writer takes it.
 """
@@ -76,6 +83,9 @@ VALID_STRATEGIES = (
 
 # how :func:`~autopyramid.smu.split_graph` groups a predicate's core roles
 SPLIT_MODES = ("one-cr", "all-deps")
+
+# the dataset fields a load can drop, in the order of the schema
+FIELDS = ("text", "scus", "summary", "human_score", "scu_presence")
 
 # presence labels by value: a lookup both checks a label and makes it an
 # int, and true, 1.0 and -0.0 hash and compare equal to their int
@@ -322,15 +332,15 @@ def _system_error(message: str, line: int, index: int, name: str) -> SchemaViola
     return SchemaViolation(message, line=line, field=f"systems[{index}]{name}")
 
 
-def _parse_entry(value, line: int, hold) -> ReferenceEntry:
-    """Check one decoded dataset row, then build its records.
+def _parse_entry(value, line: int, hold, fields=FIELDS) -> ReferenceEntry:
+    """Check one decoded dataset row, then build its records, which keep
+    the *fields* named and hold ``None`` for the others.
 
     Errors come in a fixed order: the entry's own fields, each reference,
     the fields of every system, then the first duplicate ``system_id``,
     then the first presence list whose length is not the pooled unit count.
     ``hold(value, value)`` gives the one object kept for values equal to
-    *value* (a dict's ``setdefault``); each ``system_id`` and presence
-    tuple goes through it.
+    *value* (a dict's ``setdefault``); each ``system_id`` goes through it.
     """
     if type(value) is not dict:
         raise SchemaViolation("entry must be an object", line=line, field="")
@@ -370,6 +380,9 @@ def _parse_entry(value, line: int, hold) -> ReferenceEntry:
     systems_raw = value.get("systems", [])
     if type(systems_raw) is not list:
         raise SchemaViolation("'systems' must be a list", line=line, field="systems")
+    keep_summary = "summary" in fields
+    keep_score = "human_score" in fields
+    keep_presence = "scu_presence" in fields
     systems = []
     seen_ids = set()
     duplicate = mismatch = None
@@ -401,15 +414,20 @@ def _parse_entry(value, line: int, hold) -> ReferenceEntry:
                 raise _system_error(
                     "'scu_presence' must be a list of 0/1", line, i, ".scu_presence"
                 )
-            presence = hold(labels, labels)
-            if mismatch is None and len(presence) != pooled:
-                mismatch = i
+            if mismatch is None and len(labels) != pooled:
+                mismatch = i, len(labels)
+            presence = labels if keep_presence else None
         if system_id in seen_ids:
             if duplicate is None:
                 duplicate = i
         else:
             seen_ids.add(system_id)
-        system = (hold(system_id, system_id), summary, human_score, presence)
+        system = (
+            hold(system_id, system_id),
+            summary if keep_summary else None,
+            human_score if keep_score else None,
+            presence,
+        )
         systems.append(_record(SystemSummary, system))
     if duplicate is not None:
         raise SchemaViolation(
@@ -418,28 +436,42 @@ def _parse_entry(value, line: int, hold) -> ReferenceEntry:
             field=f"systems[{duplicate}].system_id",
         )
     if mismatch is not None:
+        index, count = mismatch
         raise PresenceLengthMismatch(
-            f"{len(systems[mismatch].scu_presence)} presence labels for {pooled} gold units",
+            f"{count} presence labels for {pooled} gold units",
             line=line,
-            field=f"systems[{mismatch}].scu_presence",
+            field=f"systems[{index}].scu_presence",
         )
-    references = tuple(
-        [_record(Reference, (r["text"], tuple(r.get("scus", ())))) for r in references_raw]
-    )
+    keep_text = "text" in fields
+    keep_scus = "scus" in fields
+    references = tuple([
+        _record(Reference, (
+            r["text"] if keep_text else None,
+            tuple(r.get("scus", ())) if keep_scus else None,
+        ))
+        for r in references_raw
+    ])
     return _record(ReferenceEntry, (example_id, references, tuple(systems)))
 
 
 @_naming_the_file
-def load_dataset(path, *, digests: dict | None = None) -> list[ReferenceEntry]:
+def load_dataset(
+    path, *, digests: dict | None = None, fields: Iterable[str] = FIELDS
+) -> list[ReferenceEntry]:
     """Read and validate a dataset file; entries come back in file order.
 
-    *digests* is as for :func:`read_input`.
+    Every field is checked, but only those of :data:`FIELDS` that *fields*
+    names are kept; the others are ``None`` in the records. *digests* is
+    as for :func:`read_input`.
     """
+    fields = frozenset(fields)
+    if not fields <= set(FIELDS):
+        raise ValueError(f"unknown dataset fields: {sorted(fields - set(FIELDS))}")
     entries = []
     seen = {}
-    hold = {}.setdefault  # strings and tuples never compare equal
+    hold = {}.setdefault
     for number, raw in _json_lines(read_input(path, digests)):
-        entry = _parse_entry(raw, number, hold)
+        entry = _parse_entry(raw, number, hold, fields)
         if entry.example_id in seen:
             raise DuplicateExampleId(
                 f"example_id {entry.example_id!r} already used on line "

@@ -1358,6 +1358,56 @@ def test_an_input_error_names_the_file(tmp_path, capsys, kind):
     assert not out.exists()
 
 
+# a fault in one field of the toy dataset's second row: how the row is
+# changed, and the message that follows "<path>, line 2, "
+DROPPED_FIELD_FAULTS = {
+    "summary-a-number": (
+        lambda row: row["systems"][1].update(summary=7),
+        "field systems[1].summary: missing string 'summary'",
+    ),
+    "human-score-nan": (
+        lambda row: row["systems"][1].update(human_score=float("nan")),
+        "field systems[1].human_score: 'human_score' must be a finite number",
+    ),
+    "presence-too-long": (
+        lambda row: row["systems"][1].update(scu_presence=[0, 0, 1]),
+        "field systems[1].scu_presence: 3 presence labels for 2 gold units",
+    ),
+    "scus-not-a-list": (
+        lambda row: row["references"][0].update(scus="Rain fell"),
+        "field references[0].scus: 'scus' must be a list",
+    ),
+    "text-missing": (
+        lambda row: row["references"][0].pop("text"),
+        "field references[0].text: missing string 'text'",
+    ),
+}
+
+COMMAND_ARGV = {
+    "extract": ["extract", "--strategy", "sent"],
+    "score": ["score", "--units", "{units}"],
+    "intrinsic": ["intrinsic", "--units", "{units}"],
+    "metaeval": ["metaeval", "--scores", "{units}"],
+    "stats": ["stats"],
+}
+
+
+@pytest.mark.parametrize("fault", sorted(DROPPED_FIELD_FAULTS))
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGV))
+def test_every_command_refuses_a_bad_value_in_any_field(tmp_path, capsys, command, fault):
+    # each command keeps only the fields it reads, and checks every one
+    change, tail = DROPPED_FIELD_FAULTS[fault]
+    rows = read_jsonl(TOY)
+    change(rows[1])
+    dataset = write_jsonl(tmp_path / "d.jsonl", rows)
+    out = tmp_path / "out.jsonl"
+    argv = [arg.format(units=tmp_path / "missing.jsonl") for arg in COMMAND_ARGV[command]]
+    capsys.readouterr()
+    assert main(argv + ["--input", dataset, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"autopyramid: {dataset}, line 2, {tail}\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "d.jsonl"]
+
+
 def test_service_reply_nested_past_the_recursion_limit_exits_3(tmp_path, capsys, stub_service):
     units = sentence_units(tmp_path)
     stub = stub_service(raw_body=DEEP_JSON.encode("ascii"))

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from autopyramid import data
 from autopyramid.data import (
+    FIELDS,
     Reference,
     ReferenceEntry,
     SystemSummary,
@@ -295,7 +296,6 @@ def test_a_load_holds_each_repeated_value_once(tmp_path):
     first, second = load_dataset(path)
     for one, other in zip(first.systems, second.systems):
         assert one.system_id is other.system_id
-    assert first.systems[0].scu_presence is second.systems[0].scu_presence
     units = tmp_path / "u.jsonl"
     save_units(units, [UnitFileRow("example-1", 0, "ngram", "a b"),
                        UnitFileRow("example-2", 0, "ngram", "c d"),
@@ -451,8 +451,8 @@ def test_a_loader_that_stops_on_a_bad_row_leaves_no_file_open(tmp_path, monkeypa
     assert unraisable == []
 
 
-def test_load_dataset_holds_its_records_plus_about_one_chunk(tmp_path):
-    path = tmp_path / "big.jsonl"
+def long_summary_dataset(path):
+    """500 examples x 16 systems whose summaries are most of the bytes."""
     rows = []
     for e in range(500):
         row = valid_row(f"e{e}")
@@ -463,17 +463,44 @@ def test_load_dataset_holds_its_records_plus_about_one_chunk(tmp_path):
         ]
         rows.append(json.dumps(row))
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    size = path.stat().st_size
-    assert size >= 8 * data.CHUNK_SIZE
+    return path
+
+
+def traced_load(path, **kwargs):
+    """The entries of ``load_dataset(path, **kwargs)``, and the bytes the
+    load retained and its peak, under tracemalloc."""
     tracemalloc.start()
     try:
-        entries = load_dataset(path)
+        entries = load_dataset(path, **kwargs)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return entries, retained, peak
+
+
+def test_load_dataset_holds_its_records_plus_about_one_chunk(tmp_path):
+    path = long_summary_dataset(tmp_path / "big.jsonl")
+    size = path.stat().st_size
+    assert size >= 8 * data.CHUNK_SIZE
+    entries, retained, peak = traced_load(path)
     assert len(entries) == 500
     # a whole-file read holds about the file's size beyond the records
     assert peak - retained < size / 4, (peak - retained, size)
+
+
+def test_a_load_of_the_gold_units_alone_retains_under_half_a_full_load(tmp_path):
+    path = long_summary_dataset(tmp_path / "big.jsonl")
+    full, full_retained, _ = traced_load(path)
+    units, units_retained, _ = traced_load(path, fields=("scus",))
+    assert len(units) == len(full) == 500
+    assert [e.pooled_scus() for e in units] == [e.pooled_scus() for e in full]
+    assert units_retained < full_retained / 2, (units_retained, full_retained)
+
+
+def test_load_dataset_refuses_a_field_it_does_not_know(tmp_path):
+    path = write_jsonl(tmp_path / "d.jsonl", [valid_row()])
+    with pytest.raises(ValueError, match="'summaries'"):
+        load_dataset(path, fields=("text", "summaries"))
 
 
 def test_accepted_label_and_score_forms(tmp_path):
@@ -567,9 +594,11 @@ def dataset_rows(draw):
         pooled = sum(len(r["scus"]) for r in references)
         systems = []
         for i in range(draw(st.integers(0, 4))):
-            # some ids repeat, some scores are not finite numbers, some
-            # label lists are a label short or long: several per entry
-            system = {"system_id": f"s{draw(st.sampled_from([i, i, i, 0]))}", "summary": "A b."}
+            # some ids repeat, a few summaries are no text, some scores are
+            # not finite numbers, some label lists are a label short or
+            # long: several per entry
+            system = {"system_id": f"s{draw(st.sampled_from([i, i, i, 0]))}",
+                      "summary": draw(st.sampled_from(["A b."] * 7 + [7]))}
             if draw(st.booleans()):
                 system["human_score"] = draw(st.sampled_from(
                     [0.5, 1, 0, -0.0, 0.25, 0.75, 2, 0.125, float("nan"), float("inf"),
@@ -598,10 +627,33 @@ def outcome(load, path):
         return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "field", None)
 
 
+def reference_keeping(fields):
+    """The reference dataset loader, its records holding ``None`` for
+    every field of ``FIELDS`` not in *fields*."""
+
+    dropped = set(FIELDS) - set(fields)
+
+    def drop(record):
+        return record._replace(**{f: None for f in record._fields if f in dropped})
+
+    def load(path):
+        return [
+            entry._replace(references=tuple(map(drop, entry.references)),
+                           systems=tuple(map(drop, entry.systems)))
+            for entry in load_dataset_oracle(path)
+        ]
+
+    return load
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_load_dataset_matches_its_reference(scratch, data):
     scratch.write_bytes(data.draw(jsonl_file(data.draw(dataset_rows()))))
+    fields = data.draw(st.sets(st.sampled_from(FIELDS)))
+    # kept fields as the reference's, dropped ones None, any error the same
+    assert (outcome(lambda path: load_dataset(path, fields=fields), scratch)
+            == outcome(reference_keeping(fields), scratch))
     assert outcome(load_dataset, scratch) == outcome(load_dataset_oracle, scratch)
 
 
