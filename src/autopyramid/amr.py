@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
-from .data import _BREAKS, read_input
+from .data import read_input
 from .errors import DisconnectedGraph, MalformedPenman
 
 
@@ -160,8 +160,10 @@ class AmrGraph:
 # Parsing
 
 
-# No token spans a line break of ``str.splitlines`` (``_BREAKS``), so a
-# quoted string that is not closed on its own line lexes as bare tokens.
+# what :meth:`str.splitlines` breaks lines at ("\r\n" ends in one of them).
+# No token spans one, so a quoted string that is not closed on its own
+# line lexes as bare tokens.
+_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _QUOTED = rf'"(?:[^"\\{_BREAKS}]|\\[^{_BREAKS}])*"'
 _TOKEN_RE = re.compile(rf"{_QUOTED}|\(|\)|/|[^\s()/]+")
 _NUMBER = r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?"

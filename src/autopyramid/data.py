@@ -22,17 +22,19 @@ is the one record of a unit: the extractors return plain texts, and a
 command tags them with their example, reference and one of
 ``VALID_STRATEGIES``.
 
-Every input file is read once, by :func:`read_input`, in chunks of
-:data:`CHUNK_SIZE` bytes: a loader builds each record while about one chunk
-of raw text is alive, so it holds its records plus that chunk, never a
-copy of the whole file. Asked for one, the reader also takes the SHA-256
-of the bytes parsed, which the caller records in the run manifest without
-reading the file again. Files must be UTF-8; lines are those
-:meth:`str.splitlines` gives for the whole text, counted from 1. The
-first problem in file order is the one reported: a bad row before bytes
-that are not UTF-8 fails on the row. Each row goes straight to the JSON
-scanner and decodes or fails as ``json.JSONDecoder.decode`` would (see
-:func:`_json_lines`). A string that holds a lone UTF-16 surrogate, which
+Every input file is read once, by :func:`read_input`, in blocks of whole
+lines of about :data:`CHUNK_SIZE` bytes: a loader builds each record while
+about one block of raw text is alive, so it holds its records plus that
+block, not a copy of the whole file. A line longer than :data:`CHUNK_SIZE`
+is read whole into one block, and a file with no ``\\n`` is one block.
+Asked for one, the reader also takes the SHA-256 of the bytes parsed,
+which the caller records in the run manifest without reading the file
+again. Files must be UTF-8; lines are those :meth:`str.splitlines` gives
+for the whole text, counted from 1, which break at more than a text-mode
+read does (see :func:`read_input`). The first problem in file order is
+the one reported: a bad row before bytes that are not UTF-8 fails on the
+row. Each row goes straight to the JSON scanner and decodes or fails as
+``json.JSONDecoder.decode`` would (see :func:`_json_lines`). A string that holds a lone UTF-16 surrogate, which
 only a ``\\u`` escape can make and no UTF-8 output can hold, fails its row
 (:func:`lone_surrogate_field`).
 
@@ -53,7 +55,6 @@ tuples. Outputs are written as their rows are made:
 
 from __future__ import annotations
 
-import codecs
 import functools
 import json
 import math
@@ -143,14 +144,12 @@ def is_finite_number(value) -> bool:
         return False
 
 
-# bytes read from an input file at a time: the raw text of about one chunk
-# is alive while a loader builds records from it. Measured on a 5.4 MB
-# dataset, 32-128 KiB read and digest it equally fast and 256 KiB 25%
-# slower; the command's peak RSS is the same at 64-256 KiB.
+# bytes read from an input file at a time, before the rest of the line
+# they end in: about one such block of raw text is alive while a loader
+# builds records from it. With fixed-size reads of a 5.4 MB dataset,
+# 32-128 KiB were equally fast, 256 KiB 25% slower, and a command's peak
+# RSS was the same at 64-256 KiB.
 CHUNK_SIZE = 1 << 16
-
-# what :meth:`str.splitlines` breaks lines at ("\r\n" ends in one of them)
-_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 _scan = json.JSONDecoder().scan_once
 
@@ -225,15 +224,20 @@ def _json_lines(lines: Iterable[str]) -> Iterator[tuple[int, object]]:
 
 
 def read_input(path, digests: dict | None = None) -> Iterator[str]:
-    """The lines of *path*, read :data:`CHUNK_SIZE` bytes at a time.
+    """The lines of *path*, read in blocks of whole lines of about
+    :data:`CHUNK_SIZE` bytes.
 
     The file is opened by this call, so a missing file fails here; the
     lines come as they are iterated, and the file is closed when the last
     has been read or the iterator is dropped. They are the lines
-    :meth:`str.splitlines` gives for the whole text, so the lines a
-    text-mode read would give, whichever chunk a break, a character or a
-    line falls in. A line is held by the reader only until it is taken, and
-    a line longer than a chunk is joined once, at its end.
+    :meth:`str.splitlines` gives for the whole text. So they break where a
+    text-mode read does, at ``\\n``, ``\\r`` and ``\\r\\n``, and also at
+    ``\\v``, ``\\f``, ``\\x1c``-``\\x1e``, U+0085, U+2028 and U+2029, which a
+    text-mode read leaves inside a line. A block ends at a ``\\n``, so no
+    break, character or line is split across blocks: a line longer than
+    :data:`CHUNK_SIZE` is read whole into one block, and a whole file with
+    no ``\\n``, such as one whose lines end in ``\\r`` alone, is one block.
+    A line is held by the reader only until it is taken.
 
     When *digests* is given, the SHA-256 of every byte read is stored in
     it under ``str(path)`` once the file has been read to its end. Bytes
@@ -250,7 +254,7 @@ def _lines(path, digests: dict | None) -> Iterator[str | None]:
     """:func:`read_input`'s iterator, which first yields ``None`` once the
     file is open."""
     try:
-        handle = open(path, "rb", buffering=0)
+        handle = open(path, "rb")
     except OSError as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
     with handle:
@@ -260,53 +264,38 @@ def _lines(path, digests: dict | None) -> Iterator[str | None]:
             import hashlib  # only a command that writes a manifest pays for it
 
             hasher = hashlib.sha256()
-        decode = codecs.getincrementaldecoder("utf-8")().decode
-        pieces = []  # the start of a line that goes on in the next chunk
         count = 0  # the lines given so far
-        cr = False  # the text so far ends in "\r", so a "\n" next ends no line
         while True:
             try:
-                chunk = handle.read(CHUNK_SIZE)
+                block = handle.read(CHUNK_SIZE) + handle.readline()
             except OSError as exc:
                 raise FileUnreadable(f"cannot read {path}: {exc}") from exc
+            if not block:
+                break
             if hasher is not None:
-                hasher.update(chunk)
-            end = not chunk
+                hasher.update(block)
             bad = None
             try:
-                text = decode(chunk, end)
+                text = block.decode("utf-8")
             except UnicodeDecodeError as exc:
+                # each byte that is not UTF-8 becomes a lone surrogate, which
+                # UTF-8 text cannot hold: only then are the lines searched
                 bad = exc
-                text = exc.object[: exc.start].decode("utf-8")  # the valid start
-            del chunk  # freed before the lines are made, to lower the peak
-            if cr and text[:1] == "\n":
-                text = text[1:]
-                cr = False
-            if text:
-                cr = text[-1] == "\r"
-                lines = text.splitlines()
-                # the last line goes on in the next chunk unless a break ends it
-                rest = lines.pop() if text[-1] not in _BREAKS else None
-                del text
-                if pieces and lines:  # the first line ends one begun before
-                    pieces.append(lines[0])
-                    lines[0] = "".join(pieces)
-                    pieces = []
-                if rest is not None:
-                    pieces.append(rest)
-                count += len(lines)
-                # given last first, so that each line is dropped once taken
-                lines.reverse()
-                while lines:
-                    yield lines.pop()
+                text = block.decode("utf-8", "surrogateescape")
+            del block  # freed before the lines are made, to lower the peak
+            lines = text.splitlines()
+            del text
+            if bad is not None:  # the lines before the first that holds one
+                del lines[next(i for i, line in enumerate(lines) if _surrogate(line)):]
+            count += len(lines)
+            # given last first, so that each line is dropped once taken
+            lines.reverse()
+            while lines:
+                yield lines.pop()
             if bad is not None:
                 raise FileUnreadable(
                     f"cannot read {path}: line {count + 1} is not valid UTF-8"
                 ) from bad
-            if end:
-                break
-        if pieces:
-            yield "".join(pieces)
     if hasher is not None:
         digests[str(path)] = hasher.hexdigest()
 

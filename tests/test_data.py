@@ -424,11 +424,9 @@ def test_a_bad_row_before_bad_utf8_is_the_error(tmp_path, monkeypatch, chunk_siz
     assert info.value.line == 2
 
 
-@pytest.mark.parametrize("bad", ["[]", "{"], ids=["not-an-entry", "not-json"])
-def test_a_loader_that_stops_on_a_bad_row_leaves_no_file_open(tmp_path, monkeypatch, bad):
-    path = tmp_path / "d.jsonl"
-    path.write_text(json.dumps(valid_row()) + f"\n{bad}\n" + json.dumps(valid_row()) + "\n")
-    monkeypatch.setattr(data, "CHUNK_SIZE", 16)
+@pytest.fixture
+def opened(monkeypatch):
+    """The files ``data`` opens, each recorded as it is opened."""
     handles = []
 
     def recording_open(*args, **kwargs):
@@ -436,6 +434,33 @@ def test_a_loader_that_stops_on_a_bad_row_leaves_no_file_open(tmp_path, monkeypa
         return handles[-1]
 
     monkeypatch.setattr(data, "open", recording_open, raising=False)
+    return handles
+
+
+@pytest.mark.parametrize("taken", [0, 1], ids=["before-the-first-line", "after-one-line"])
+def test_a_dropped_reader_leaves_no_file_open(tmp_path, monkeypatch, opened, taken):
+    path = tmp_path / "d.jsonl"
+    path.write_text("a\nb\nc\n")
+    gc.collect()
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        lines = read_input(path)
+        assert len(opened) == 1 and not opened[0].closed  # opened by the call
+        assert [next(lines) for _ in range(taken)] == ["a", "b", "c"][:taken]
+        del lines
+        assert opened[0].closed
+        del opened[:]
+        gc.collect()
+    assert unraisable == []
+
+
+@pytest.mark.parametrize("bad", ["[]", "{"], ids=["not-an-entry", "not-json"])
+def test_a_loader_that_stops_on_a_bad_row_leaves_no_file_open(tmp_path, monkeypatch, opened, bad):
+    path = tmp_path / "d.jsonl"
+    path.write_text(json.dumps(valid_row()) + f"\n{bad}\n" + json.dumps(valid_row()) + "\n")
+    monkeypatch.setattr(data, "CHUNK_SIZE", 16)
     gc.collect()
     unraisable = []
     monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
@@ -445,8 +470,8 @@ def test_a_loader_that_stops_on_a_bad_row_leaves_no_file_open(tmp_path, monkeypa
             load_dataset(path)
         assert info.value.line == 2
         # closed while the error, and the frames it holds, are still alive
-        assert len(handles) == 1 and handles[0].closed
-        del handles[:], info
+        assert len(opened) == 1 and opened[0].closed
+        del opened[:], info
         gc.collect()
     assert unraisable == []
 
