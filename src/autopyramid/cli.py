@@ -341,6 +341,10 @@ def _each_reference(entries):
             yield entry, index, reference
 
 
+def _reference_texts(entries):
+    return (reference.text for _, _, reference in _each_reference(entries))
+
+
 def _reference_counts(entries) -> dict[str, int]:
     return {entry.example_id: len(entry.references) for entry in entries}
 
@@ -351,7 +355,7 @@ def _smu_graphs(args, entries, digests):
     of the block) or the parser service (line ``None``). File blocks are
     consumed positionally, one per reference sentence; the file's digest
     goes into *digests* once it has been read to its end."""
-    texts = (reference.text for _, _, reference in _each_reference(entries))
+    texts = _reference_texts(entries)
     if args.graphs:
         counts = (len(split_sentences(text)) for text in texts)
         blocks = (
@@ -404,66 +408,47 @@ def _per_reference(entries, counts, blocks, path):
         )
 
 
-def _reference_rows(entries, tag: str, units_of_many):
+def _reference_rows(entries, tag: str, unit_lists):
     """Rows tagged *tag* for the unit texts of each reference, made as they
-    are taken: ``units_of_many(texts)`` gets an iterator of the texts of
-    every reference in dataset order and gives one unit list per reference,
-    in that order; every list it gives is taken.
+    are taken: *unit_lists* gives one unit list per reference, in dataset
+    order, and is taken to its end.
 
     This is the one place that names a failed reference: a
-    :class:`ReferenceFailure` that carries its reference's position is
-    raised again with the example and the reference.
+    :class:`ReferenceFailure` is raised again with the example and the
+    reference, which is the one at ``reference`` (0 when unset) among
+    those whose lists were not yet taken.
     """
-    references = _each_reference(entries)
-    texts = (reference.text for _, _, reference in _each_reference(entries))
+    taken = 0
     try:
-        for units in units_of_many(texts):
-            entry, index, _ = next(references)
+        for units, (entry, index, _) in zip(unit_lists, _each_reference(entries)):
             for text in units:
                 yield UnitFileRow(entry.example_id, index, tag, text)
+            taken += 1
     except ReferenceFailure as exc:
-        if exc.reference is None:
-            raise
-        entry, index, _ = list(_each_reference(entries))[exc.reference]
+        position = taken + (exc.reference or 0)
+        entry, index, _ = next(itertools.islice(_each_reference(entries), position, None))
         raise type(exc)(f"example {entry.example_id} reference {index}: {exc}") from exc
 
 
-def _one_by_one(units_of, items):
-    """The unit list ``units_of(item)`` of each of *items*, made as it is
-    taken; a failure carries the item's position."""
-    for k, item in enumerate(items):
-        try:
-            yield units_of(item)
-        except ReferenceFailure as exc:
-            exc.reference = k
-            raise
-
-
 # Each strategy's unit rows, made as they are taken, and manifest
-# ``extra``, from (args, entries, digests). The extractors are read off
+# ``extra``, from (args, entries, digests). Each passes _reference_rows one
+# stream of unit lists; an extractor given many references works through
+# all of them before it gives the first list. The extractors are read off
 # this module at call time, so that wrapping them here wraps every call.
 
 
 def _sentence_rows(args, entries, digests):
-    return _reference_rows(
-        entries,
-        "sentence_split",
-        lambda texts: _one_by_one(_lazy.extract_sentence_units, texts),
-    ), None
+    unit_lists = map(_lazy.extract_sentence_units, _reference_texts(entries))
+    return _reference_rows(entries, "sentence_split", unit_lists), None
 
 
 def _ngram_rows(args, entries, digests):
     sizes = _sizes(args.ngram_sizes)
-    return _reference_rows(
-        entries,
-        "ngram",
-        lambda texts: _one_by_one(
-            lambda text: _lazy.extract_ngram_units(
-                text, sizes, args.ngram_fraction, args.seed
-            ),
-            texts,
-        ),
-    ), None
+    unit_lists = (
+        _lazy.extract_ngram_units(text, sizes, args.ngram_fraction, args.seed)
+        for text in _reference_texts(entries)
+    )
+    return _reference_rows(entries, "ngram", unit_lists), None
 
 
 def _smu_rows(args, entries, digests):
@@ -482,17 +467,15 @@ def _smu_rows(args, entries, digests):
             args.gen_endpoint, batch_size=args.batch_size, concurrency=args.concurrency
         )
 
-    def units_of_many(texts):
+    def unit_lists():
         try:
             if args.gen_endpoint:
                 yield from _lazy.extract_smu_units_many(
                     graph_lists(), args.split_mode, generator
                 )
             else:
-                yield from _one_by_one(
-                    lambda graphs: _lazy.extract_smu_units(graphs, args.split_mode),
-                    graph_lists(),
-                )
+                for graphs in graph_lists():
+                    yield _lazy.extract_smu_units(graphs, args.split_mode)
         except GraphTooLarge as exc:
             # the graphs are read to their end first, so that a parse or
             # block-count error there wins, as when every graph was read
@@ -508,7 +491,7 @@ def _smu_rows(args, entries, digests):
         "split_mode": args.split_mode,
         "realizer": "remote" if args.gen_endpoint else "template",
     }
-    return _reference_rows(entries, "smu", units_of_many), extra
+    return _reference_rows(entries, "smu", unit_lists()), extra
 
 
 def _sgu_rows(args, entries, digests):
@@ -520,14 +503,16 @@ def _sgu_rows(args, entries, digests):
         temperature=args.temperature,
         concurrency=args.concurrency,
     )
+
+    def unit_lists():  # the model is asked once the first row is taken
+        yield from _lazy.extract_sgu_units_many(list(_reference_texts(entries)), client)
+
     extra = {
         "sgu_prompt_framing": "system,example-user,example-assistant,reference-user",
         "llm_model": args.llm_model,
         "temperature": args.temperature,
     }
-    return _reference_rows(
-        entries, "sgu", lambda texts: _lazy.extract_sgu_units_many(list(texts), client)
-    ), extra
+    return _reference_rows(entries, "sgu", unit_lists()), extra
 
 
 def _imported_rows(args, entries, digests):
@@ -689,12 +674,9 @@ def cmd_intrinsic(args, entries, digests) -> int:
 def cmd_metaeval(args, entries, digests) -> int:
     if not entries:
         raise EmptyDataset("dataset has no entries")
-    # each cell maps to itself, so that the scores are keyed by these tuples
-    cells = {}
-    for entry in entries:
-        for system in entry.systems:
-            cell = (entry.example_id, system.system_id)
-            cells[cell] = cell
+    cells = {
+        (entry.example_id, system.system_id) for entry in entries for system in entry.systems
+    }
     scores = load_scores(args.scores, cells, digests=digests)
 
     system_ids = sorted(s.system_id for s in entries[0].systems)

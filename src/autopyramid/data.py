@@ -47,8 +47,7 @@ and order of references and systems, are always kept.
 Within one load, equal values the records repeat are held once: a
 dataset's ``system_id`` strings, and a unit file's example ids and
 strategies (a full dataset load holds one ``scu_presence`` tuple per
-system). A score file's scores are keyed by the caller's own cell
-tuples. Outputs are written as their rows are made:
+system). Outputs are written as their rows are made:
 :func:`atomic_write_text` and :func:`save_units` take any iterable, and
 ``extract`` and ``score`` make each row as the writer takes it.
 """
@@ -61,7 +60,6 @@ import math
 import os
 import re
 import tempfile
-from array import array
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
@@ -634,15 +632,14 @@ def load_scores(
 ) -> dict[tuple[str, str], float]:
     """Read a score file into ``{(example_id, system_id): score}``.
 
-    *cells* maps each of the dataset's (example_id, system_id) pairs to
-    itself, and each score is stored under the pair *cells* holds, not a
-    copy made from the row. A row for a cell not among them, or for the
-    cell of an earlier row, is stray: :class:`SchemaViolation` names the
-    line of the first, and of the row it repeats if it does, and the
-    count. *digests* is as for :func:`read_input`.
+    *cells* is any container of the dataset's (example_id, system_id)
+    pairs. A row for a cell not among them, or for the cell of an earlier
+    row, is stray: :class:`SchemaViolation` names the line of the first,
+    and of the row it repeats if it does, and the count. *digests* is as
+    for :func:`read_input`.
     """
     scores = {}
-    lines = array("q")  # the line of each score, in the order of *scores*
+    lines = {}  # the line of each cell's score
     stray = 0
     for number, raw in _json_lines(read_input(path, digests)):
         if type(raw) is not dict:
@@ -656,17 +653,16 @@ def load_scores(
             )
         if not is_finite_number(value):
             raise SchemaViolation("'score' must be a finite number", line=number, field="score")
-        value = float(value)
-        cell = cells.get((example_id, system_id))
-        if cell is not None and cell not in scores:
-            scores[cell] = value
-            lines.append(number)
+        cell = (example_id, system_id)
+        if cell in lines:
+            reason = f"repeats line {lines[cell]}"
+        elif cell not in cells:
+            reason = "is not in the dataset"
+        else:
+            scores[cell] = float(value)
+            lines[cell] = number
             continue
         if not stray:
-            if cell is None:
-                reason = "is not in the dataset"
-            else:  # searched for this message alone, so no cell keeps its line
-                reason = f"repeats line {lines[list(scores).index(cell)]}"
             first_stray = (number, f"{example_id}/{system_id} {reason}")
         stray += 1
     if stray:

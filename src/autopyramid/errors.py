@@ -25,9 +25,10 @@ class RemoteError(AutoPyramidError):
 
 
 class ReferenceFailure(AutoPyramidError):
-    """A failure that concerns one reference summary. An extractor given
-    many references sets ``reference`` to the position of the one that
-    failed, so that the caller can name it."""
+    """A failure that concerns one reference summary. ``reference`` is the
+    position of the failed one among the references given to the call that
+    raised, so that the caller can name it; a call given one reference
+    leaves it unset or 0."""
 
     reference: int | None = None
 

@@ -192,7 +192,7 @@ def extract_sgu_units_many(references: Sequence[str], client: ChatClient) -> lis
     user/assistant turn pair, then the reference; *client* sends one per
     request, with its model and temperature. Each reply is split on '#'; a
     reply with no fragment raises :class:`EmptyReply` carrying the position
-    of its reference.
+    of its reference among *references*.
     """
     units = []
     for k, reply in enumerate(client.complete([_prompt_messages(ref) for ref in references])):

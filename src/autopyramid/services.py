@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import os
+from concurrent.futures import ThreadPoolExecutor
 from time import sleep
 from typing import Callable, Sequence
 from urllib.parse import quote, unquote, urlsplit, urlunsplit
@@ -271,14 +272,8 @@ class BatchClient:
                 )
             return values
 
-        if len(batches) == 1:
-            replies = [one(batches[0])]
-        else:
-            # imported here so that commands that start no thread skip it
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=min(self.concurrency, len(batches))) as pool:
-                replies = list(pool.map(one, batches))
+        with ThreadPoolExecutor(max_workers=min(self.concurrency, len(batches))) as pool:
+            replies = list(pool.map(one, batches))
         out: list = []
         for values in replies:
             out.extend(values)

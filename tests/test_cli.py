@@ -348,6 +348,70 @@ def test_extract_sgu_empty_reply_names_the_example_and_reference(
     assert not out.exists()
 
 
+SMALL_GRAPH = "(w / want-01 :ARG1 (t / thing))"
+# two candidates, the second too large once smu.MAX_SPLIT_SIZE is 4
+LARGE_GRAPH = "(w / want-01 :ARG0 (b / boy) :ARG1 (g / go-02 :ARG0 b))"
+
+# how each unit-list source fails at one reference: the text of that
+# reference and the message
+LATER_REFERENCE_FAILURES = {
+    "sent": ("", "reference has no sentences"),
+    "ngram": ("Two tokens", "reference yields no n-grams"),
+    "smu-template": ("The boy wants to go.", "the candidates of the graph rooted at 'w' "),
+    "smu-remote": ("The boy wants to go.", "the candidates of the graph rooted at 'w' "),
+    "sgu": ("Nothing to split.", "the model reply contains no usable fragment"),
+}
+
+
+@pytest.mark.parametrize("source", sorted(LATER_REFERENCE_FAILURES))
+def test_a_failure_at_a_later_reference_is_named(
+    tmp_path, stub_service, monkeypatch, capsys, source
+):
+    # e1 has 2 references and e2 has 3; the fifth reference overall fails
+    failing, message = LATER_REFERENCE_FAILURES[source]
+    texts = ["The thing is wanted."] * 4 + [failing]
+    dataset = write_jsonl(tmp_path / "d.jsonl", [
+        {
+            "example_id": example_id,
+            "references": [{"text": text, "scus": []} for text in texts[start:stop]],
+            "systems": [],
+        }
+        for example_id, start, stop in (("e1", 0, 2), ("e2", 2, 5))
+    ])
+    out = tmp_path / "units.jsonl"
+    argv = ["extract", "--input", dataset, "--out", str(out)]
+    if source.startswith("smu"):
+        from autopyramid import smu
+
+        monkeypatch.setattr(smu, "MAX_SPLIT_SIZE", 4)
+        graphs = tmp_path / "g.penman"
+        blocks = [SMALL_GRAPH] * 4 + [LARGE_GRAPH]
+        graphs.write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
+        argv += ["--strategy", "smu", "--graphs", str(graphs)]
+        message = f"graph at line 9 of {graphs}: {message}"
+        if source == "smu-remote":
+            stub = stub_service(echo_generator)
+            argv += ["--gen-endpoint", stub.url]
+    elif source == "sgu":
+
+        def chat(path, payload):  # an empty reply for the failing reference alone
+            reference = payload["messages"][-1]["content"]
+            return scripted_chat(" # " if reference == failing else "a # b")(path, payload)
+
+        stub = stub_service(chat)
+        argv += ["--strategy", "sgu", "--llm-endpoint", stub.url, "--llm-model", "splitter-1"]
+    else:
+        argv += ["--strategy", source]
+    capsys.readouterr()
+    assert main(argv) == (3 if source == "sgu" else 2)
+    err = capsys.readouterr().err
+    assert f"autopyramid: example e2 reference 2: {message}" in err
+    assert "Traceback" not in err
+    if source == "smu-remote":
+        assert stub.requests == []
+    assert not out.exists()
+
+
 def test_extract_smu_via_parse_service(tmp_path, stub_service):
     stub = stub_service(
         lambda path, body: (
