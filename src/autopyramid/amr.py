@@ -59,7 +59,8 @@ class AmrGraph:
     order, which drives deterministic serialization. ``AmrGraph(...)``,
     unpickling and copying validate the invariants: the root exists, every
     edge endpoint is a known variable, every node is connected to the root
-    when edge direction is ignored, and each token reads back from
+    when edge direction is ignored (a walk from the root, so edges may
+    come in any order), and each token reads back from
     :func:`serialize_penman`'s text as itself. A variable is a bare token
     that is not a constant, a concept a bare token or a quoted string, a
     role ':' and a bare token, and an attribute value a constant (a
@@ -78,9 +79,7 @@ class AmrGraph:
     def __post_init__(self):
         nodes = dict(self.nodes)
         object.__setattr__(self, "nodes", MappingProxyType(nodes))
-        object.__setattr__(
-            self, "edges", tuple(e if type(e) is Edge else Edge(*e) for e in self.edges)
-        )
+        object.__setattr__(self, "edges", tuple(Edge(*e) for e in self.edges))
         object.__setattr__(
             self, "attributes", tuple(Attribute(*a) for a in self.attributes)
         )
@@ -119,9 +118,8 @@ class AmrGraph:
                 raise ValueError(f"bad variable {var!r}")
             if not (_NAME_RE.fullmatch(concept) or _QUOTED_RE.fullmatch(concept)):
                 raise ValueError(f"bad concept {concept!r} of node {var!r}")
-        # edges mostly come parent first, so this one pass in order usually
-        # reaches every node, and the full search is not needed
-        reached = {self.root}
+        # each edge taken both ways, for the walk that checks connectivity
+        both: dict[str, list[Edge]] = {}
         for source, role, target in self.edges:
             if source not in nodes:
                 raise ValueError(f"edge source {source!r} is not a node")
@@ -129,10 +127,8 @@ class AmrGraph:
                 raise ValueError(f"edge target {target!r} is not a node")
             if not _ROLE_RE.fullmatch(role):
                 raise ValueError(f"bad role label {role!r}")
-            if source in reached:
-                reached.add(target)
-            elif target in reached:
-                reached.add(source)
+            both.setdefault(source, []).append(Edge(source, role, target))
+            both.setdefault(target, []).append(Edge(target, role, source))
         for source, role, value in self.attributes:
             if source not in nodes:
                 raise ValueError(f"attribute owner {source!r} is not a node")
@@ -140,20 +136,12 @@ class AmrGraph:
                 raise ValueError(f"bad role label {role!r}")
             if not _CONSTANT_RE.fullmatch(value):
                 raise ValueError(f"attribute value {value!r} is not a constant")
-        if len(reached) < len(nodes):
-            # the full search: a walk over the edges taken both ways
-            both: dict[str, list[Edge]] = {}
-            for source, role, target in self.edges:
-                both.setdefault(source, []).append(Edge(source, role, target))
-                both.setdefault(target, []).append(Edge(target, role, source))
-            entered: dict[str, Edge | None] = {}
-            for _ in walk(self.root, both, entered):
-                pass
-            unreachable = set(nodes) - entered.keys()
-            if unreachable:
-                raise ValueError(
-                    f"nodes not connected to root: {', '.join(sorted(unreachable))}"
-                )
+        entered: dict[str, Edge | None] = {}
+        for _ in walk(self.root, both, entered):
+            pass
+        unreachable = set(nodes) - entered.keys()
+        if unreachable:
+            raise ValueError(f"nodes not connected to root: {', '.join(sorted(unreachable))}")
 
 
 # ---------------------------------------------------------------------------

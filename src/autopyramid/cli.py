@@ -598,14 +598,8 @@ def cmd_score(args, entries, digests) -> int:
         # every pair of the command in one batched call; the lexical scorer
         # stays per example, so that one example's token bags are alive at
         # a time
-        pairs = (
-            (system.summary, unit)
-            for _, units, systems in examples
-            for system in systems
-            for unit in units
-        )
         scorer = _lazy.prescored(
-            pairs,
+            ((units, [s.summary for s in systems]) for _, units, systems in examples),
             _lazy.remote_scorer(
                 args.nli_endpoint,
                 batch_size=args.batch_size,

@@ -91,10 +91,23 @@ def _probabilities(pairs: list[tuple[str, str]], scorer: PresenceScorer) -> list
     return probabilities
 
 
-def prescored(pairs: Iterable[tuple[str, str]], scorer: PresenceScorer) -> PresenceScorer:
+def _axes(units: Iterable[str], summaries: Iterable[str]) -> tuple[list, list]:
+    """The distinct summaries and unit texts, each in order of first
+    appearance: the rows and columns of the matrix of distinct pairs."""
+    return list(dict.fromkeys(summaries)), list(dict.fromkeys(units))
+
+
+def prescored(
+    examples: Iterable[tuple[Sequence[str], Sequence[str]]], scorer: PresenceScorer
+) -> PresenceScorer:
     """A scorer that answers from one *scorer* call on the distinct pairs
-    of *pairs*, so that the pairs of many examples share one batched call
-    and each example still reads its own. It knows no other pair."""
+    of every ``(units, summaries)`` example, in order of first appearance,
+    so that the pairs of many examples share one batched call.
+    :func:`score_summaries` on any one of the examples reads its pairs from
+    it; it knows no other pair."""
+    pairs = chain.from_iterable(
+        product(*_axes(units, summaries)) for units, summaries in examples
+    )
     distinct = list(dict.fromkeys(pairs))
     by_pair = dict(zip(distinct, _probabilities(distinct, scorer)))
     return lambda wanted: [by_pair[pair] for pair in wanted]
@@ -106,27 +119,22 @@ def score_summaries(
     """Score every summary against every unit text in one scorer call.
 
     Each distinct (summary, unit) pair is scored once, so repeated summaries
-    or unit texts cost nothing extra. Results follow *summaries*, and each
-    keeps the unit order.
+    or unit texts cost nothing extra: the call holds a row per distinct
+    summary and a column per distinct unit, and each result picks its
+    unit's column. Results follow *summaries*, and each keeps the unit
+    order.
     """
     if not units:
         raise NoUnits("cannot score a summary without units")
-    # the distinct pairs are a matrix: a row per distinct summary, a column
-    # per distinct unit, in the order of first appearance
-    rows = list(dict.fromkeys(summaries))
-    columns = list(dict.fromkeys(units))
+    rows, columns = _axes(units, summaries)
     probabilities = _probabilities(list(product(rows, columns)), scorer)
+    column_of = {unit: j for j, unit in enumerate(columns)}
+    picks = [column_of[unit] for unit in units]
     width = len(columns)
-    picks = None
-    if width < len(units):
-        column_of = {unit: j for j, unit in enumerate(columns)}
-        picks = [column_of[unit] for unit in units]
     by_summary = {}
     for i, summary in enumerate(rows):
         row = probabilities[i * width : (i + 1) * width]
-        if picks is not None:
-            row = [row[j] for j in picks]
-        by_summary[summary] = PresenceResult(tuple(map(float, row)))
+        by_summary[summary] = PresenceResult(tuple([float(row[j]) for j in picks]))
     return [by_summary[summary] for summary in summaries]
 
 

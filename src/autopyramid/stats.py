@@ -89,11 +89,7 @@ def _paired(x: Sequence[float], y: Sequence[float]) -> int:
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Sample Pearson correlation; raises on constant or non-finite input,
     and on deviations whose squares overflow."""
-    return _pearson(x, y, _paired(x, y))
-
-
-def _pearson(x: Sequence[float], y: Sequence[float], n: int) -> float:
-    """:func:`pearson` of *n* pairs already checked by :func:`_paired`."""
+    n = _paired(x, y)
     if n < 2:
         raise DegenerateInput("correlation needs at least two points")
     try:
@@ -127,11 +123,6 @@ def average_ranks(values: Sequence[float]) -> list[float]:
     Raises on non-finite input, which has no rank."""
     if not all(map(is_finite_number, values)):
         raise DegenerateInput("ranking needs finite inputs")
-    return _average_ranks(values)
-
-
-def _average_ranks(values: Sequence[float]) -> list[float]:
-    """:func:`average_ranks` of values already checked to be finite."""
     order = sorted(range(len(values)), key=values.__getitem__)
     ranks = [0.0] * len(values)
     i = 0
@@ -147,9 +138,11 @@ def _average_ranks(values: Sequence[float]) -> list[float]:
 
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> float:
-    """Pearson correlation of average ranks."""
-    n = _paired(x, y)
-    return _pearson(_average_ranks(x), _average_ranks(y), n)
+    """:func:`pearson` of the average ranks. The pair is checked first, on
+    the values given, so a length or finiteness error reads as it does for
+    :func:`pearson`."""
+    _paired(x, y)
+    return pearson(average_ranks(x), average_ranks(y))
 
 
 _CORRELATIONS = {"pearson": pearson, "spearman": spearman}

@@ -147,6 +147,16 @@ def test_graph_invariants_enforced():
         AmrGraph(root="b", nodes={"b": "boy", "c": "cat"}, edges=(Edge("b", "ARG0", "c"),))
 
 
+def test_edges_listed_child_first_are_connected():
+    # no pass over the edges in their listed order reaches c; the walk
+    # over the edges taken both ways does
+    parsed = parse_penman("(a / x :r (b / y :s (c / z)))")
+    graph = AmrGraph("a", {"a": "x", "b": "y", "c": "z"}, (("b", ":s", "c"), ("a", ":r", "b")))
+    assert graph.edges == parsed.edges[::-1]
+    assert all(type(edge) is Edge for edge in graph.edges)
+    assert parse_penman(serialize_penman(graph)) == parsed
+
+
 def test_serialize_minimal():
     assert serialize_penman(AmrGraph(root="b", nodes={"b": "boy"})) == "(b / boy)"
 

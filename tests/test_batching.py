@@ -196,6 +196,52 @@ def test_score_summaries_sends_the_distinct_pairs_in_first_seen_order(units, sum
     ]
 
 
+@st.composite
+def scored_examples(draw):
+    """``(units, summaries)`` examples whose texts come from one small
+    pool, so that units and summaries repeat within and across examples."""
+    pool = draw(st.lists(unit_texts, min_size=1, max_size=5))
+    picks = st.integers(0, len(pool) - 1).map(pool.__getitem__)
+    example = st.tuples(st.lists(picks, min_size=1, max_size=5), st.lists(picks, max_size=5))
+    return draw(st.lists(example, max_size=4))
+
+
+def test_prescored_sends_the_distinct_pairs_of_every_example_once():
+    calls = []
+
+    def recording(pairs):
+        calls.append(list(pairs))
+        return pair_specific(pairs)
+
+    examples = [(["u1", "u2", "u1"], ["s1", "s2", "s1"]), (["u2", "u3"], ["s2", "s3"])]
+    scorer = presence.prescored(iter(examples), recording)
+    assert calls == [[
+        ("s1", "u1"), ("s1", "u2"), ("s2", "u1"), ("s2", "u2"),
+        ("s2", "u3"), ("s3", "u2"), ("s3", "u3"),
+    ]]
+    assert scorer([("s3", "u3"), ("s1", "u1")]) == pair_specific([("s3", "u3"), ("s1", "u1")])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(scored_examples())
+def test_prescored_answers_every_pair_that_score_summaries_asks_for(examples):
+    calls = []
+
+    def recording(pairs):
+        calls.append(list(pairs))
+        return pair_specific(pairs)
+
+    scorer = presence.prescored(iter(examples), recording)
+    # the order score sends them in: example by example, each summary
+    # against each of its units
+    pairs = dict.fromkeys((s, u) for units, summaries in examples for s in summaries for u in units)
+    assert calls == [list(pairs)]
+    for units, summaries in examples:
+        assert score_summaries(units, summaries, scorer) == score_summaries(
+            units, summaries, pair_specific
+        )
+
+
 @pytest.mark.parametrize("bad", [math.nan, -0.5, 1.5, math.inf])
 def test_score_summaries_refuses_probabilities_out_of_range(bad):
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
