@@ -6,7 +6,10 @@ Every command runs the same way: :func:`main` reads the dataset named by
 computes its rows from it, and one writer,
 :func:`_write_output`, writes the rows to ``--out`` and then the output's
 manifest; a command given no ``--out`` writes nothing, and so takes no
-digest of its inputs and does not import ``hashlib``. ``extract`` and
+digest of its inputs. The digests are taken with CPython's built-in
+SHA-256 (:func:`~autopyramid.data.read_input`), so a command that calls
+no endpoint loads neither ``hashlib`` nor OpenSSL, except on a build
+without that module. ``extract`` and
 ``score`` compute their rows while the writer writes them, so their temp
 file beside ``--out`` is there for the whole extraction or scoring run,
 and a process killed by a signal in that time leaves it behind; any error

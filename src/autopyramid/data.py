@@ -238,7 +238,10 @@ def read_input(path, digests: dict | None = None) -> Iterator[str]:
     A line is held by the reader only until it is taken.
 
     When *digests* is given, the SHA-256 of every byte read is stored in
-    it under ``str(path)`` once the file has been read to its end. Bytes
+    it under ``str(path)`` once the file has been read to its end, as a
+    hex digest. It is taken with CPython's built-in SHA-256 (``_sha2``,
+    or ``_sha256`` up to 3.11), which loads no OpenSSL, and with
+    ``hashlib.sha256`` only when neither module imports. Bytes
     that are not UTF-8 raise :class:`FileUnreadable` naming the file and
     the line that holds them, after the lines before that one, so the first
     problem in file order is the one reported.
@@ -246,6 +249,20 @@ def read_input(path, digests: dict | None = None) -> Iterator[str]:
     lines = _lines(path, digests)
     next(lines)  # the file is open, and closed with the iterator from here
     return lines
+
+
+def _sha256():
+    """A new SHA-256 hasher: CPython's own, which loads no OpenSSL as
+    ``hashlib`` does (about 3.6 MB of peak RSS), or ``hashlib``'s on a
+    build without it."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256()
 
 
 def _lines(path, digests: dict | None) -> Iterator[str | None]:
@@ -258,10 +275,8 @@ def _lines(path, digests: dict | None) -> Iterator[str | None]:
     with handle:
         yield None
         hasher = None
-        if digests is not None:
-            import hashlib  # only a command that writes a manifest pays for it
-
-            hasher = hashlib.sha256()
+        if digests is not None:  # only a command that writes a manifest pays
+            hasher = _sha256()
         count = 0  # the lines given so far
         while True:
             try:

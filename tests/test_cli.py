@@ -1234,7 +1234,8 @@ def test_a_command_without_out_takes_no_digest(monkeypatch, capsys, argv):
     def refuse(*args, **kwargs):
         raise AssertionError("a digest was taken")
 
-    monkeypatch.setattr(hashlib, "sha256", refuse)
+    # the reader's own hasher, which takes every input's digest
+    monkeypatch.setattr(data, "_sha256", refuse)
     assert main(argv + ["--input", TOY]) == 0
     assert capsys.readouterr().err == ""
 

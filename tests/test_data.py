@@ -7,6 +7,7 @@ import os
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -384,6 +385,39 @@ def test_read_input_joins_what_a_chunk_boundary_splits(tmp_path, chunk_size, mon
     text += "z" * ((chunk_size - 2 - len(text)) % chunk_size) + "𝄞\n"
     path.write_text(text, encoding="utf-8", newline="")
     assert list(read_input(path)) == text.splitlines()
+
+
+def digest_read(path, chunk_size):
+    """The digest :func:`read_input` stores for *path*, read in blocks of
+    about *chunk_size* bytes."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data, "CHUNK_SIZE", chunk_size)
+        digests = {}
+        for _ in read_input(path, digests):
+            pass
+    return digests
+
+
+# the built-in hash the reader takes must give hashlib's (OpenSSL's) digest
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.binary(max_size=24), max_size=12), st.integers(1, 16))
+def test_read_input_digest_is_hashlib_sha256(scratch, pieces, chunk_size):
+    # random bytes, each that is not UTF-8 replaced, in lines that blocks
+    # of about chunk_size bytes split anywhere
+    raw = b"\n".join(piece.decode("utf-8", "replace").encode("utf-8") for piece in pieces)
+    scratch.write_bytes(raw)
+    assert digest_read(scratch, chunk_size) == {str(scratch): hashlib.sha256(raw).hexdigest()}
+
+
+DATA_FILES = sorted(p for p in (Path(__file__).parent / "data").rglob("*") if p.is_file())
+
+
+@pytest.mark.parametrize("chunk_size", [7, data.CHUNK_SIZE])
+@pytest.mark.parametrize("path", DATA_FILES, ids=[p.name for p in DATA_FILES])
+def test_read_input_digest_of_each_test_input_is_hashlib_sha256(path, chunk_size):
+    assert digest_read(path, chunk_size) == {
+        str(path): hashlib.sha256(path.read_bytes()).hexdigest()
+    }
 
 
 @pytest.mark.parametrize(
