@@ -148,11 +148,9 @@ class AmrGraph:
 # Parsing
 
 
-# what :meth:`str.splitlines` breaks lines at ("\r\n" ends in one of them).
-# No token spans one, so a quoted string that is not closed on its own
-# line lexes as bare tokens.
-_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-_QUOTED = rf'"(?:[^"\\{_BREAKS}]|\\[^{_BREAKS}])*"'
+# a quoted string ends at its line's "\n", as a line of the file does, so
+# one that is not closed on its own line lexes as bare tokens
+_QUOTED = r'"(?:[^"\\\n]|\\.)*"'
 _TOKEN_RE = re.compile(rf"{_QUOTED}|\(|\)|/|[^\s()/]+")
 _NUMBER = r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?"
 _NUMBER_RE = re.compile(_NUMBER + "$")
@@ -168,11 +166,11 @@ _CONSTANT_RE = re.compile(rf"{_QUOTED}|[-+]|{_NUMBER}")
 
 
 def _position(text: str, first_line: int, index: int) -> tuple[int, int]:
-    """Line and column of token *index* of *text*, counting the lines of
-    ``str.splitlines``; worked out only for an error message."""
+    """Line and column of token *index* of *text*, whose lines end at
+    ``"\\n"``; worked out only for an error message."""
     positions = (
         (number, match.start() + 1)
-        for number, line in enumerate(text.splitlines(), start=first_line)
+        for number, line in enumerate(text.split("\n"), start=first_line)
         for match in _TOKEN_RE.finditer(line)
     )
     return next(itertools.islice(positions, index, None))

@@ -29,13 +29,13 @@ block, not a copy of the whole file. A line longer than :data:`CHUNK_SIZE`
 is read whole into one block, and a file with no ``\\n`` is one block.
 Asked for one, the reader also takes the SHA-256 of the bytes parsed,
 which the caller records in the run manifest without reading the file
-again. Files must be UTF-8; lines are those :meth:`str.splitlines` gives
-for the whole text, counted from 1, which break at more than a text-mode
-read does (see :func:`read_input`). The first problem in file order is
-the one reported: a bad row before bytes that are not UTF-8 fails on the
-row. Each row goes straight to the JSON scanner and decodes or fails as
-``json.JSONDecoder.decode`` would (see :func:`_json_lines`). A string that holds a lone UTF-16 surrogate, which
-only a ``\\u`` escape can make and no UTF-8 output can hold, fails its row
+again. Files must be UTF-8; a line ends at ``\\n`` and nowhere else, as a
+JSON Lines row does, and lines are counted from 1. The first problem in
+file order is the one reported: a bad row before bytes that are not UTF-8
+fails on the row. Each row goes straight to the JSON scanner and decodes
+or fails as ``json.JSONDecoder.decode`` would (see :func:`_json_lines`).
+A string that holds a lone UTF-16 surrogate, which only a ``\\u`` escape
+can make and no UTF-8 output can hold, fails its row
 (:func:`lone_surrogate_field`).
 
 A dataset load keeps only the fields it is asked for (``fields``, of
@@ -188,24 +188,24 @@ def _json_lines(lines: Iterable[str]) -> Iterator[tuple[int, object]]:
     """The number, from 1, and the decoded value of every non-blank line.
 
     The JSON scanner decodes a line from its first character that is not a
-    space or tab, and only spaces and tabs may follow the value: values
-    and errors are those of ``json.JSONDecoder.decode`` (lines from
-    :meth:`str.splitlines` hold no other JSON whitespace) without its two
-    regex matches. A line that does not decode, nests deeper than the
-    interpreter's recursion limit, or holds an escape that decodes to a
-    lone surrogate raises :class:`SchemaViolation` naming it (and that
-    string's field), after closing *lines* when they can be closed (a
-    reader's file).
+    space, tab or ``\\r``, and only those may follow the value: values and
+    errors are those of ``json.JSONDecoder.decode`` (a line holds no
+    ``\\n``, the one other JSON whitespace) without its two regex matches.
+    So a CRLF file reads as its LF copy does. A line that does not decode,
+    nests deeper than the interpreter's recursion limit, or holds an escape
+    that decodes to a lone surrogate raises :class:`SchemaViolation` naming
+    it (and that string's field), after closing *lines* when they can be
+    closed (a reader's file).
     """
     try:
         for number, line in enumerate(lines, start=1):
             if not line or line.isspace():
                 continue
             try:
-                value, end = _scan(line, len(line) - len(line.lstrip(" \t")))
+                value, end = _scan(line, len(line) - len(line.lstrip(" \t\r")))
             except (StopIteration, ValueError, RecursionError) as exc:
                 raise SchemaViolation("not valid JSON", line=number) from exc
-            if end != len(line) and line[end:].strip(" \t"):  # extra data
+            if end != len(line) and line[end:].strip(" \t\r"):  # extra data
                 raise SchemaViolation("not valid JSON", line=number)
             field = lone_surrogate_field(line, value)
             if field is not None:
@@ -227,15 +227,12 @@ def read_input(path, digests: dict | None = None) -> Iterator[str]:
 
     The file is opened by this call, so a missing file fails here; the
     lines come as they are iterated, and the file is closed when the last
-    has been read or the iterator is dropped. They are the lines
-    :meth:`str.splitlines` gives for the whole text. So they break where a
-    text-mode read does, at ``\\n``, ``\\r`` and ``\\r\\n``, and also at
-    ``\\v``, ``\\f``, ``\\x1c``-``\\x1e``, U+0085, U+2028 and U+2029, which a
-    text-mode read leaves inside a line. A block ends at a ``\\n``, so no
-    break, character or line is split across blocks: a line longer than
-    :data:`CHUNK_SIZE` is read whole into one block, and a whole file with
-    no ``\\n``, such as one whose lines end in ``\\r`` alone, is one block.
-    A line is held by the reader only until it is taken.
+    has been read or the iterator is dropped. A line ends at ``\\n`` and
+    nowhere else, and is given without it; any ``\\r`` before it stays, as
+    JSON whitespace. So a file whose lines end in ``\\r`` alone is one line.
+    A block ends at a ``\\n``, so no character or line is split across
+    blocks: a line longer than :data:`CHUNK_SIZE` is read whole into one
+    block. A line is held by the reader only until it is taken.
 
     When *digests* is given, the SHA-256 of every byte read is stored in
     it under ``str(path)`` once the file has been read to its end, as a
@@ -296,8 +293,10 @@ def _lines(path, digests: dict | None) -> Iterator[str | None]:
                 bad = exc
                 text = block.decode("utf-8", "surrogateescape")
             del block  # freed before the lines are made, to lower the peak
-            lines = text.splitlines()
+            lines = text.split("\n")
             del text
+            if not lines[-1]:  # the empty piece after the block's last "\n"
+                lines.pop()
             if bad is not None:  # the lines before the first that holds one
                 del lines[next(i for i, line in enumerate(lines) if _surrogate(line)):]
             count += len(lines)
@@ -520,14 +519,14 @@ def atomic_write_text(path, pieces: Iterable[str]) -> None:
 
 _encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
-# the line breaks of :meth:`str.splitlines` that JSON leaves raw in a string
+# what JSON leaves raw in a string and :meth:`str.splitlines` breaks lines at
 _RAW_BREAKS = (("\x85", "\\u0085"), ("\u2028", "\\u2028"), ("\u2029", "\\u2029"))
 
 
 def json_line(row) -> str:
     """*row* as one compact JSON line of an output file, non-ASCII kept
-    except the three line breaks that JSON need not escape, which
-    :func:`read_input` would break the line at: so the line reads back."""
+    except U+0085, U+2028 and U+2029, which JSON need not escape and
+    :meth:`str.splitlines` breaks lines at: so any reader reads it back."""
     text = _encode(row)
     if not text.isascii():
         for char, escape in _RAW_BREAKS:

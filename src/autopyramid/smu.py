@@ -79,14 +79,11 @@ def _build_candidate(
     defining: dict[str, Edge | None],
     children: dict[str, list[Edge]],
     positions: dict[str, list[int]],
-    budget: int,
 ) -> AmrGraph:
     """The subgraph of the core roles *group*, each in forward direction
     from the predicate. Every edge in *stored*, the predicate's core-role
     edges as stored, is left out of the expansion; *positions* gives each
-    node's attributes as indices into ``graph.attributes``. Raises
-    :class:`GraphTooLarge` when it would hold more than *budget* nodes,
-    edges and attributes."""
+    node's attributes as indices into ``graph.attributes``."""
     predicate = group[0].source
     nodes: dict[str, str] = {predicate: graph.nodes[predicate]}
     edges: list[Edge] = []
@@ -116,11 +113,6 @@ def _build_candidate(
             else:
                 pending.pop()
     held = sorted(i for var in nodes for i in positions.get(var, ()))
-    if len(nodes) + len(edges) + len(held) > budget:
-        raise GraphTooLarge(
-            f"the candidates of the graph rooted at {graph.root!r} hold more "
-            f"than {MAX_SPLIT_SIZE} nodes, edges and attributes"
-        )
     attributes = tuple(graph.attributes[i] for i in held)
     return AmrGraph._trusted(predicate, nodes, tuple(edges), attributes)
 
@@ -159,7 +151,7 @@ def split_graph(graph: AmrGraph, mode: str = "one-cr") -> list[AmrGraph]:
     for i, attr in enumerate(graph.attributes):
         positions.setdefault(attr.source, []).append(i)
     candidates: list[AmrGraph] = []
-    budget = MAX_SPLIT_SIZE
+    size = 0  # the nodes, edges and attributes of the candidates so far
     for cores in roles.values():
         if not cores:
             continue
@@ -167,10 +159,13 @@ def split_graph(graph: AmrGraph, mode: str = "one-cr") -> list[AmrGraph]:
         forward = [core for _, core in cores]
         groups = [[core] for core in forward] if mode == "one-cr" else [forward]
         for group in groups:
-            candidate = _build_candidate(
-                graph, group, stored, defining, children, positions, budget
-            )
-            budget -= len(candidate.nodes) + len(candidate.edges) + len(candidate.attributes)
+            candidate = _build_candidate(graph, group, stored, defining, children, positions)
+            size += len(candidate.nodes) + len(candidate.edges) + len(candidate.attributes)
+            if size > MAX_SPLIT_SIZE:
+                raise GraphTooLarge(
+                    f"the candidates of the graph rooted at {graph.root!r} hold more "
+                    f"than {MAX_SPLIT_SIZE} nodes, edges and attributes"
+                )
             candidates.append(candidate)
     return candidates
 

@@ -113,12 +113,14 @@ def deep_realization(length: int) -> str:
     return " ".join(["want"] + ["thing"] * (length - 1) + ["end"])
 
 
-# what may stand between two tokens: every str.splitlines break the lexer
-# counts as a new line, and plain blanks
+# what may stand between two tokens: "\n" and "\r\n", which the lexer
+# counts as a new line, and blanks, some of them line breaks to
+# str.splitlines but not to the lexer
 SEPARATORS = [" ", "  ", "\t", "\n", "\r", "\r\n", "\x0c", "\u2028", "\x85"]
 # constant-like values: quoted strings with escapes, and with line breaks
-# inside, which end the string early (a token never spans a break), and
-# bare tokens on either side of the number rule
+# inside, of which a "\n" ends the string early (a token never spans one)
+# and the others are characters of it, and bare tokens on either side of
+# the number rule
 VALUES = [
     "-+",
     "1e5",

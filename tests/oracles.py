@@ -188,9 +188,9 @@ _NUMBER_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
 def _lex(text, first_line=1):
-    """Tokens of each ``str.splitlines`` line, so no token spans a break."""
+    """Tokens of each line, which ends at ``"\\n"``, so no token spans one."""
     tokens = []
-    for offset, line in enumerate(text.splitlines()):
+    for offset, line in enumerate(text.split("\n")):
         for match in _TOKEN_RE.finditer(line):
             tokens.append(_Token(match.group(), first_line + offset, match.start() + 1))
     return tokens
@@ -659,8 +659,8 @@ def json_lines_oracle(lines) -> list[tuple[int, object]]:
 def load_dataset_oracle(path) -> list[ReferenceEntry]:
     """Read and validate a dataset file; entries come back in file order."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            lines = handle.read().split("\n")
     except OSError as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
     entries = []
@@ -688,8 +688,8 @@ def load_dataset_oracle(path) -> list[ReferenceEntry]:
 def load_units_oracle(path) -> list[UnitFileRow]:
     """Read unit rows back; the inverse of :func:`save_units`."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            lines = handle.read().split("\n")
     except OSError as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
     rows = []
@@ -731,8 +731,8 @@ def load_units_oracle(path) -> list[UnitFileRow]:
 
 def load_scores_oracle(path) -> dict[tuple[str, str], float]:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            lines = handle.read().split("\n")
     except OSError as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
     scores = {}

@@ -505,6 +505,32 @@ def test_remote_smu_sends_the_command_in_full_batches(tmp_path, stub_service):
     assert len(stub.requests) - batched == 5
 
 
+def test_crlf_graphs_give_the_units_of_lf_graphs(tmp_path, stub_service):
+    stub = stub_service(echo_generator)
+    args = smu_args(tmp_path, stub.url)
+    graphs = Path(args[args.index("--graphs") + 1])
+    lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
+    assert main([*args, "--out", str(lf)]) == 0
+    graphs.write_bytes(graphs.read_bytes().replace(b"\n", b"\r\n"))
+    assert main([*args, "--out", str(crlf)]) == 0
+    assert crlf.read_bytes() == lf.read_bytes()
+
+
+def test_graphs_whose_lines_end_in_cr_alone_are_one_line(tmp_path, stub_service, capsys):
+    # a line ends only at "\n": the second graph follows the first on line 1
+    stub = stub_service(echo_generator)
+    args = smu_args(tmp_path, stub.url)
+    graphs = Path(args[args.index("--graphs") + 1])
+    graphs.write_bytes(graphs.read_bytes().replace(b"\n", b"\r"))
+    out = tmp_path / "units.jsonl"
+    assert main([*args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"autopyramid: {graphs}, line 1, column {len(TOY_GRAPHS[0]) + 3}: "
+        "unexpected '(' after the graph (unbalanced parentheses?)\n"
+    )
+    assert not out.exists()
+
+
 def test_remote_smu_failing_partway_exits_3_and_writes_nothing(
     tmp_path, stub_service, capsys
 ):

@@ -1516,7 +1516,7 @@ def test_a_lone_surrogate_in_a_service_reply_exits_3(tmp_path, stub_service, cap
 
 def test_units_holding_line_breaks_and_a_surrogate_pair_read_back(tmp_path, capsys):
     # U+2028 and U+0085 break lines for str.splitlines; a written unit that
-    # held them raw would not read back
+    # held them raw would not read back by that rule
     dataset = write_jsonl(tmp_path / "d.jsonl", [{
         "example_id": "e1",
         "references": [{"text": "A cat \U0001F600 sat. Then\u2028it\x85ran.",
@@ -1534,3 +1534,110 @@ def test_units_holding_line_breaks_and_a_surrogate_pair_read_back(tmp_path, caps
     assert main(["score", "--input", dataset, "--units", str(units), "--out", str(scores)]) == 0
     assert main(["intrinsic", "--input", dataset, "--units", str(units)]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_rows_holding_line_breaks_raw_give_what_their_escaped_copies_give(tmp_path, capsys):
+    # RFC 8259 lets U+0085, U+2028 and U+2029 stand raw in a string, and a
+    # JSON Lines row ends only at "\n": so every command gives the same
+    # outputs for the rows written raw as with the three escaped
+    rows = [
+        {"example_id": f"e{k}",
+         "references": [{"text": f"A cat\u2028sat {k}.\x85Then it\u2029ran.",
+                         "scus": ["a cat\u2028sat", "it\x85ran\u2029"]}],
+         "systems": [{"system_id": "a", "summary": "A cat\u2028sat.", "human_score": 0.2 * k,
+                      "scu_presence": [1, 0]},
+                     {"system_id": "b", "summary": "It\x85ran\u2029.", "human_score": 0.5,
+                      "scu_presence": [0, 1]}]}
+        for k in (1, 2)
+    ]
+    produced = {}
+    for ensure_ascii in (False, True):
+        folder = tmp_path / f"ascii-{ensure_ascii}"
+        folder.mkdir()
+        dataset = folder / "d.jsonl"
+        dataset.write_text(
+            "".join(json.dumps(row, ensure_ascii=ensure_ascii) + "\n" for row in rows),
+            encoding="utf-8",
+        )
+        assert ("\u2028" in dataset.read_text(encoding="utf-8")) is not ensure_ascii
+        assert load_dataset(dataset)[1].references[0].text == rows[1]["references"][0]["text"]
+        for name, argv in [
+            ("sent", ["extract", "--strategy", "sent"]),
+            ("ngram", ["extract", "--strategy", "ngram", "--ngram-fraction", "1"]),
+            ("scores", ["score", "--units", str(folder / "sent.jsonl")]),
+            ("intrinsic", ["intrinsic", "--units", str(folder / "sent.jsonl")]),
+            ("metaeval", ["metaeval", "--scores", str(folder / "scores.jsonl")]),
+            ("stats", ["stats"]),
+        ]:
+            out = folder / f"{name}.jsonl"
+            assert main([*argv, "--input", str(dataset), "--out", str(out)]) == 0, name
+            printed = capsys.readouterr()
+            assert printed.err == "", name
+            produced.setdefault(name, []).append((printed.out, out.read_bytes()))
+    for name, (raw, escaped) in produced.items():
+        assert raw == escaped, name
+    assert len(read_jsonl(tmp_path / "ascii-False" / "sent.jsonl")) == 4
+
+
+def test_a_dataset_whose_lines_end_in_cr_alone_is_one_line(tmp_path, capsys):
+    # a row ends only at "\n", so rows that "\r" alone ends run together
+    dataset = tmp_path / "cr.jsonl"
+    dataset.write_bytes(Path(TOY).read_bytes().replace(b"\n", b"\r"))
+    out = tmp_path / "stats.jsonl"
+    assert main(["stats", "--input", str(dataset), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"autopyramid: {dataset}, line 1: not valid JSON\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (lambda rows: rows.clear(), "dataset has no entries"),
+        (
+            lambda rows: rows[1]["systems"][0].update(system_id="other"),
+            "example e2 has systems ['other', 'sysB'], expected ['sysA', 'sysB']",
+        ),
+        (
+            lambda rows: rows[1]["systems"][1].pop("human_score"),
+            "example e2 system sysB has no human score",
+        ),
+    ],
+    ids=["empty", "systems-differ", "no-human-score"],
+)
+def test_metaeval_refuses_a_dataset_it_cannot_correlate(tmp_path, capsys, fault, message):
+    rows = read_jsonl(TOY)
+    fault(rows)
+    dataset = write_jsonl(tmp_path / "d.jsonl", rows)
+    scores = write_jsonl(tmp_path / "s.jsonl", [
+        {"example_id": row["example_id"], "system_id": system["system_id"], "score": 0.5}
+        for row in rows
+        for system in row["systems"]
+    ])
+    out = tmp_path / "table.jsonl"
+    assert main(["metaeval", "--input", dataset, "--scores", scores, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"autopyramid: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, option", [("score", "--units"), ("intrinsic", "--units"), ("metaeval", "--scores")]
+)
+def test_a_unit_or_score_row_that_is_not_an_object_exits_2(tmp_path, capsys, command, option):
+    rows = tmp_path / "rows.jsonl"
+    rows.write_text("\n[1]\n", encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    assert main([command, "--input", TOY, option, str(rows), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"autopyramid: {rows}, line 2: row must be an object\n"
+    assert not out.exists()
+
+
+def test_extract_sgu_sends_and_records_the_temperature_given(tmp_path, stub_service):
+    stub = stub_service(scripted_chat("First fact # Second fact"))
+    out = tmp_path / "units.jsonl"
+    assert main([
+        "extract", "--strategy", "sgu", "--input", TOY, "--out", str(out),
+        "--llm-endpoint", stub.url, "--llm-model", "splitter-1", "--temperature", "0.7",
+    ]) == 0
+    assert [payload["temperature"] for _, payload, _ in stub.requests] == [0.7] * 3
+    manifest = manifest_of(out)
+    assert manifest["config"]["temperature"] == manifest["extra"]["temperature"] == 0.7

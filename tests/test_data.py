@@ -344,8 +344,8 @@ def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("loaders") / "input"
 
 
-# every line break str.splitlines knows, some of which a text-mode read
-# does not translate, around text that is not a break
+# every line break str.splitlines knows, of which the reader breaks only
+# at "\n", around text that is not a break
 BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
           "\u2028", "\u2029"]
 
@@ -364,8 +364,9 @@ LONG = "ab" * 40
 def test_read_input_lines_are_those_of_a_text_mode_read(scratch, pieces):
     raw = "".join(pieces).encode("utf-8")
     scratch.write_bytes(raw)
-    with open(scratch, "r", encoding="utf-8") as handle:
-        expected = handle.read().splitlines()
+    # a text-mode read whose lines end at "\n" alone
+    with open(scratch, "r", encoding="utf-8", newline="\n") as handle:
+        expected = [line.removesuffix("\n") for line in handle]
     for chunk_size in CHUNK_SIZES:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(data, "CHUNK_SIZE", chunk_size)
@@ -378,13 +379,14 @@ def test_read_input_lines_are_those_of_a_text_mode_read(scratch, pieces):
 def test_read_input_joins_what_a_chunk_boundary_splits(tmp_path, chunk_size, monkeypatch):
     monkeypatch.setattr(data, "CHUNK_SIZE", chunk_size)
     path = tmp_path / "split.jsonl"
-    # "\r" ends the first chunk and "\n" starts the second; then a line
-    # of more than ten chunks, and a four-byte character whose first two
-    # bytes end a chunk
-    text = "x" * (chunk_size - 1) + "\r\n" + "y" * (10 * chunk_size + 3) + "\n"
-    text += "z" * ((chunk_size - 2 - len(text)) % chunk_size) + "𝄞\n"
-    path.write_text(text, encoding="utf-8", newline="")
-    assert list(read_input(path)) == text.splitlines()
+    # "\r" ends the first chunk and "\n" starts the second, and the "\r"
+    # stays in its line; then a line of more than ten chunks, and a
+    # four-byte character whose first two bytes end a chunk
+    lines = ["x" * (chunk_size - 1) + "\r", "y" * (10 * chunk_size + 3)]
+    text = "\n".join(lines) + "\n"
+    lines.append("z" * ((chunk_size - 2 - len(text)) % chunk_size) + "𝄞")
+    path.write_text(text + lines[-1] + "\n", encoding="utf-8", newline="")
+    assert list(read_input(path)) == lines
 
 
 def digest_read(path, chunk_size):
@@ -425,9 +427,9 @@ def test_read_input_digest_of_each_test_input_is_hashlib_sha256(path, chunk_size
     [
         (b"\xff", 1),
         (b"ok\n\xff\n", 2),
-        (b"a\r\nb\rc\x85\xff", 3),  # \x85 is a stray byte here, not U+0085
-        ("a\r\nb\rc\x85".encode("utf-8") + b"\xff", 4),
-        ("a\u2028".encode("utf-8") + b"\n\n\xc3", 4),
+        (b"a\r\nb\rc\x85\xff", 2),  # \x85 is a stray byte here, not U+0085
+        ("a\r\nb\rc\x85".encode("utf-8") + b"\xff", 2),  # "\r" and U+0085 end no line
+        ("a\u2028".encode("utf-8") + b"\n\n\xc3", 3),
         ("𝄞\r\n𝄞".encode("utf-8") + b"\xff", 2),
         ("a\r\n".encode("utf-8") + "𝄞".encode("utf-8")[:3], 2),  # cut short at the end
         ((LONG + "\n" + LONG).encode("utf-8") + b"\xed\xa0\x80\n", 2),  # a surrogate
@@ -631,12 +633,13 @@ def mutated(draw, value):
 @st.composite
 def jsonl_file(draw, rows):
     """The bytes of a JSON Lines file holding *rows*, with blank and
-    broken lines mixed in and either line ending."""
+    broken lines mixed in, either line ending, and non-ASCII text raw or
+    escaped."""
     lines = []
     for row in rows:
         while draw(st.integers(0, 5)) == 5:
             lines.append(draw(st.sampled_from(["", " ", "\t", "{", "[1,", "nul"])))
-        lines.append(json.dumps(row))
+        lines.append(json.dumps(row, ensure_ascii=draw(st.booleans())))
     ending = draw(st.sampled_from(["\n", "\r\n"]))
     return "".join(line + ending for line in lines).encode("utf-8")
 
@@ -645,8 +648,10 @@ def jsonl_file(draw, rows):
 def dataset_rows(draw):
     rows = []
     for e in range(draw(st.integers(1, 3))):
+        # when written raw, the second text's line breaks of str.splitlines end no row
+        texts = st.sampled_from(["A b. C d.", "A\u2028b.\x85C\u2029d."])
         references = [
-            {"text": "A b. C d.", "scus": [f"unit {r} {k}" for k in range(draw(st.integers(0, 3)))]}
+            {"text": draw(texts), "scus": [f"unit {r} {k}" for k in range(draw(st.integers(0, 3)))]}
             for r in range(draw(st.integers(1, 2)))
         ]
         pooled = sum(len(r["scus"]) for r in references)
@@ -755,7 +760,7 @@ def test_load_scores_matches_its_reference_and_refuses_stray_rows(scratch, data)
         # a valid file: the reference takes rows for any cell, and lets a
         # repeated cell's last row win
         first, count, seen = None, 0, {}
-        for number, line in enumerate(scratch.read_bytes().decode().splitlines(), 1):
+        for number, line in enumerate(scratch.read_bytes().decode().split("\n"), 1):
             if line.strip():
                 row = json.loads(line)
                 cell = (row["example_id"], row["system_id"])
@@ -782,7 +787,7 @@ DEEP = 50_000
 LINE_PIECES = [
     "1", "-2.5e3", "1e999", '"a b"', '"\\u00e9"', "true", "null", "NaN", "Infinity",
     "-Infinity", "{}", "[]", '{"a": [1, {"b": null}]}', "1 2", "{} {}", "[1,", "{", "nul",
-    '"x', " ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0",
+    '"x', " ", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0",
     "\u2028", "\u3000", "[" * DEEP + "]" * DEEP, "[" * DEEP,
 ]
 

@@ -225,6 +225,17 @@ def test_system_level_examples():
         system_level([[1, 2]], [[1, 2]], "kendall")
 
 
+@pytest.mark.parametrize("correlate", [system_level, summary_level])
+def test_matrices_without_rows_or_with_uneven_rows_and_unknown_kinds_are_refused(correlate):
+    with pytest.raises(LengthMismatch, match=r"^need at least one example row$"):
+        correlate([], [], "pearson")
+    for metric, human in [([[1, 2], [1, 2, 3]], [[1, 2], [1, 2]]), ([[1, 2]], [[1, 2, 3]])]:
+        with pytest.raises(LengthMismatch, match=r"^matrix rows have uneven lengths$"):
+            correlate(metric, human, "pearson")
+    with pytest.raises(ValueError, match=r"^unknown correlation kind 'kendall'$"):
+        correlate([[1, 2]], [[1, 2]], "kendall")
+
+
 def test_summary_level_examples():
     metric = [[0.1, 0.9], [0.3, 0.7]]
     assert summary_level(metric, metric, "pearson").value == 1.0
