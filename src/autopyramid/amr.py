@@ -9,23 +9,22 @@ The accepted grammar is the core PENMAN notation::
 
 A bare token in value position is a variable reference (a re-entrancy) and
 must be defined somewhere in the same graph; forward references are fine.
-Graphs are immutable once built and safe to share across threads. A graph
-is checked once, where it enters: ``AmrGraph(...)``, unpickling and copying
-validate it, while :func:`parse_penman` checks the text as it reads it and
-so returns graphs that need no second check.
+Graphs are named tuples, immutable and safe to share across threads. A
+graph is checked once, where it enters: ``AmrGraph(...)``, ``_replace``,
+unpickling and copying validate it, while :func:`parse_penman` checks the
+text as it reads it and so returns graphs that need no second check.
 
 Files hold one graph per blank-line-separated block. Lines starting with
 '#' are comments; a ``# ::snt <text>`` comment carries the source sentence
 for the block. :func:`load_penman_file` gives the blocks one at a time, as
-it reads them, so a caller that takes a graph at a time never holds the
-graphs of the whole file.
+:class:`PenmanEntry` tuples, as it reads them, so a caller that takes a
+graph at a time never holds the graphs of the whole file.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
@@ -50,17 +49,23 @@ class Attribute(NamedTuple):
     value: str
 
 
-@dataclass(frozen=True)
-class AmrGraph:
-    """A rooted, directed, edge-labeled graph.
+class _GraphFields(NamedTuple):
+    root: str
+    nodes: Mapping[str, str]
+    edges: tuple[Edge, ...] = ()
+    attributes: tuple[Attribute, ...] = ()
+
+
+class AmrGraph(_GraphFields):
+    """A rooted, directed, edge-labeled graph, a named tuple of its fields.
 
     ``nodes`` maps each variable to its single concept, read-only, and is
     left out of the hash; ``edges`` and ``attributes`` preserve input
     order, which drives deterministic serialization. ``AmrGraph(...)``,
-    unpickling and copying validate the invariants: the root exists, every
-    edge endpoint is a known variable, every node is connected to the root
-    when edge direction is ignored (a walk from the root, so edges may
-    come in any order), and each token reads back from
+    ``_replace``, unpickling and copying validate the invariants: the root
+    exists, every edge endpoint is a known variable, every node is
+    connected to the root when edge direction is ignored (a walk from the
+    root, so edges may come in any order), and each token reads back from
     :func:`serialize_penman`'s text as itself. A variable is a bare token
     that is not a constant, a concept a bare token or a quoted string, a
     role ':' and a bare token, and an attribute value a constant (a
@@ -71,37 +76,31 @@ class AmrGraph:
     graph is checked once, where it enters.
     """
 
-    root: str
-    nodes: Mapping[str, str] = field(hash=False)
-    edges: tuple[Edge, ...] = ()
-    attributes: tuple[Attribute, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        nodes = dict(self.nodes)
-        object.__setattr__(self, "nodes", MappingProxyType(nodes))
-        object.__setattr__(self, "edges", tuple(Edge(*e) for e in self.edges))
-        object.__setattr__(
-            self, "attributes", tuple(Attribute(*a) for a in self.attributes)
-        )
-        self._validate(nodes)
+    def __new__(cls, root: str, nodes: Mapping[str, str], edges=(), attributes=()):
+        nodes = dict(nodes)
+        edges = tuple(Edge(*e) for e in edges)
+        attributes = tuple(Attribute(*a) for a in attributes)
+        graph = super().__new__(cls, root, MappingProxyType(nodes), edges, attributes)
+        graph._validate(nodes)
+        return graph
 
     @classmethod
-    def _trusted(
-        cls,
-        root: str,
-        nodes: dict[str, str],
-        edges: tuple[Edge, ...],
-        attributes: tuple[Attribute, ...],
-    ) -> AmrGraph:
+    def _make(cls, iterable):
+        # _replace builds through _make, which would skip the checks
+        return cls(*iterable)
+
+    @classmethod
+    def _trusted(cls, root: str, nodes: dict[str, str], edges, attributes) -> AmrGraph:
         """A graph whose invariants the caller has established: *nodes* is
         a fresh dict the graph takes over, read-only, and *edges* and
-        *attributes* hold only :class:`Edge` and :class:`Attribute`."""
-        graph = object.__new__(cls)
-        object.__setattr__(graph, "root", root)
-        object.__setattr__(graph, "nodes", MappingProxyType(nodes))
-        object.__setattr__(graph, "edges", edges)
-        object.__setattr__(graph, "attributes", attributes)
-        return graph
+        *attributes* are tuples of only :class:`Edge` and :class:`Attribute`."""
+        return tuple.__new__(cls, (root, MappingProxyType(nodes), edges, attributes))
+
+    def __hash__(self):
+        # the read-only node mapping does not hash
+        return hash((self.root, self.edges, self.attributes))
 
     def __reduce__(self):
         # the read-only node mapping does not pickle; a copy is rebuilt
@@ -393,8 +392,7 @@ def serialize_penman(graph: AmrGraph) -> str:
 # Files
 
 
-@dataclass(frozen=True)
-class PenmanEntry:
+class PenmanEntry(NamedTuple):
     """One graph from a PENMAN file plus its optional source sentence, and
     the file line its graph starts on."""
 

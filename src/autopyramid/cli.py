@@ -88,7 +88,7 @@ from .text import split_sentences
 __getattr__ = _lazy_names(
     globals(),
     {
-        "amr": "load_penman_file parse_penman",
+        "amr": "PenmanEntry load_penman_file parse_penman",
         "extract": "extract_ngram_units extract_sentence_units extract_sgu_units_many "
         "extract_smu_units extract_smu_units_many",
         "presence": "lexical_scorer prescored remote_scorer score_summaries score_summary",
@@ -354,17 +354,14 @@ def _reference_counts(entries) -> dict[str, int]:
 
 def _smu_graphs(args, entries, digests):
     """The sentence graphs of each reference in dataset order, one list of
-    ``(graph, line)`` at a time, parsed as it is taken, from a file (line
+    :class:`PenmanEntry` at a time, parsed as it is taken, from a file (line
     of the block) or the parser service (line ``None``). File blocks are
     consumed positionally, one per reference sentence; the file's digest
     goes into *digests* once it has been read to its end."""
     texts = _reference_texts(entries)
     if args.graphs:
         counts = (len(split_sentences(text)) for text in texts)
-        blocks = (
-            (block.graph, block.line)
-            for block in _lazy.load_penman_file(args.graphs, digests=digests)
-        )
+        blocks = _lazy.load_penman_file(args.graphs, digests=digests)
     elif args.parse_endpoint:
         sentences = [split_sentences(text) for text in texts]
         counts = list(map(len, sentences))
@@ -374,7 +371,7 @@ def _smu_graphs(args, entries, digests):
             concurrency=args.concurrency,
         )
         replies = client.parse_sentences([s for listed in sentences for s in listed])
-        blocks = ((_reply_graph(text), None) for text in replies)
+        blocks = (_lazy.PenmanEntry(_reply_graph(text)) for text in replies)
     else:
         raise InputError("--strategy smu needs --graphs or --parse-endpoint")
     return _per_reference(entries, counts, blocks, args.graphs)
@@ -403,7 +400,7 @@ def _per_reference(entries, counts, blocks, path):
             )
         used += count
         yield take
-    extra = [line for _, line in blocks]
+    extra = [block.line for block in blocks]
     if extra:
         raise InputError(
             f"{path}, line {extra[0]}: graphs file has {used + len(extra)} blocks but "
@@ -456,12 +453,12 @@ def _ngram_rows(args, entries, digests):
 
 def _smu_rows(args, entries, digests):
     references = _smu_graphs(args, entries, digests)
-    current = []  # the (graph, line) blocks of the reference being split
+    current = []  # the PenmanEntry blocks of the reference being split
 
     def graph_lists():
         nonlocal current
         for current in references:
-            yield [graph for graph, _ in current]
+            yield [block.graph for block in current]
 
     if args.gen_endpoint:
         # one /gen call for the whole command, once every candidate is
@@ -486,7 +483,7 @@ def _smu_rows(args, entries, digests):
             for _ in references:
                 pass
             if args.graphs:
-                line = current[exc.graph][1]
+                line = current[exc.graph].line
                 exc.args = (f"graph at line {line} of {args.graphs}: {exc}",)
             raise
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from typing import NamedTuple, Sequence
 
 from .data import is_finite_number
@@ -232,12 +233,9 @@ def cohen_kappa(a: Sequence, b: Sequence) -> float:
         raise LengthMismatch("label lists are empty")
     n = len(a)
     observed = sum(1 for u, v in zip(a, b) if u == v) / n
-    labels = set(a) | set(b)
-    expected = 0.0
-    for label in labels:
-        pa = sum(1 for v in a if v == label) / n
-        pb = sum(1 for v in b if v == label) / n
-        expected += pa * pb
+    # a correctly rounded sum, the same in any label order
+    counts_a, counts_b = Counter(a), Counter(b)
+    expected = math.fsum(count / n * (counts_b[label] / n) for label, count in counts_a.items())
     if expected == 1.0:
         return 1.0
     return (observed - expected) / (1.0 - expected)

@@ -1,4 +1,5 @@
-"""Each command loads only the modules it runs.
+"""Each command loads only the modules it runs, and every command leaves
+``dataclasses`` unloaded.
 
 Every command runs on toy in a fresh interpreter, which then reports the
 package modules it holds at exit, whether ``dataclasses`` was loaded at
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from stubs import constant_presence
+from stubs import constant_presence, echo_generator
 from test_batching import TOY_GRAPHS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -94,12 +95,27 @@ def test_report_commands_without_out_load_no_hashlib(argv, extra):
 def test_smu_extract_from_a_graph_file_loads_no_service_client(tmp_path):
     graphs = tmp_path / "toy.penman"
     graphs.write_text("\n\n".join(TOY_GRAPHS) + "\n", encoding="utf-8")
-    modules, _, _, openssl = loaded(
+    modules, at_start, at_exit, openssl = loaded(
         "extract", "--strategy", "smu", "--input", TOY, "--graphs", str(graphs),
         "--out", str(tmp_path / "units.jsonl"),
     )
     assert modules == COMMON | {"extract", "amr", "smu"}
+    assert at_exit == at_start
     assert not openssl
+
+
+def test_remote_smu_extract_adds_only_the_service_client(tmp_path, stub_service):
+    # a graph that splits into one candidate, so that /gen is called too
+    graph = "(s / see-01 :ARG0 (b / boy))"
+    parser = stub_service(lambda path, body: (200, {"graphs": [graph] * len(body["sentences"])}))
+    generator = stub_service(echo_generator)
+    modules, at_start, at_exit, _ = loaded(
+        "extract", "--strategy", "smu", "--input", TOY, "--out", str(tmp_path / "units.jsonl"),
+        "--parse-endpoint", parser.url, "--gen-endpoint", generator.url,
+    )
+    assert modules == COMMON | {"extract", "amr", "smu", "services"}
+    assert at_exit == at_start
+    assert parser.requests and generator.requests
 
 
 def test_remote_score_adds_only_the_service_client(tmp_path, stub_service):

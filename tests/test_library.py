@@ -3,7 +3,8 @@
 ``import autopyramid`` loads no submodule; each documented name is the
 object its module defines, however it is reached. The record types are
 named tuples that keep the fields, defaults, equality, hash and
-immutability they had as frozen dataclasses.
+immutability they had as frozen dataclasses, and a graph checks its
+invariants however it is built, ``_replace`` included.
 """
 
 import os
@@ -16,6 +17,7 @@ import pytest
 
 import autopyramid
 from autopyramid import cli
+from autopyramid.amr import AmrGraph, Edge, PenmanEntry, parse_penman
 from autopyramid.data import Reference, ReferenceEntry, SystemSummary, UnitFileRow
 from autopyramid.presence import PresenceResult
 from autopyramid.stats import CorpusStats, CorrelationReport, EasinessReport
@@ -49,6 +51,7 @@ EXPORTED = {
     "text": ["rouge1_f1", "split_sentences", "tokenize"],
 }
 NAMES = [(module, name) for module, names in EXPORTED.items() for name in names]
+SEE = parse_penman("(s / see-01 :ARG0 (b / boy))")
 
 
 def test_importing_the_package_loads_no_submodule():
@@ -135,6 +138,12 @@ RECORDS = [
         {},
         (2.0, 12.0, 6.0, 1.0, 2.0, 3),
     ),
+    (
+        PenmanEntry,
+        ("graph", "sentence", "line"),
+        {"sentence": None, "line": None},
+        (SEE, "A boy sees.", 3),
+    ),
 ]
 
 
@@ -161,6 +170,28 @@ def test_records_keep_fields_defaults_equality_hash_and_immutability(
     if defaults:
         required = len(fields) - len(defaults)
         assert record(*values[:required])[required:] == tuple(defaults.values())
+
+
+def test_graphs_are_records_that_check_their_invariants():
+    assert AmrGraph._fields == ("root", "nodes", "edges", "attributes")
+    assert AmrGraph._field_defaults == {"edges": (), "attributes": ()}
+    edges = (Edge("s", ":ARG0", "b"),)
+    graph = AmrGraph("s", {"s": "see-01", "b": "boy"}, edges)
+    assert isinstance(graph, tuple) and isinstance(SEE, AmrGraph)
+    assert graph == SEE == ("s", {"s": "see-01", "b": "boy"}, edges, ())
+    # the read-only node mapping is left out of the hash
+    assert hash(graph) == hash(SEE) == hash(("s", edges, ()))
+    assert graph._replace(edges=[("s", ":ARG1", "b")]).edges == (Edge("s", ":ARG1", "b"),)
+    with pytest.raises(ValueError, match="^root 'x' is not a node$"):
+        graph._replace(root="x")
+    with pytest.raises(ValueError, match="^edge target 'x' is not a node$"):
+        SEE._replace(edges=(("s", ":ARG0", "x"),))
+    with pytest.raises(AttributeError):
+        graph.root = "b"
+    with pytest.raises(AttributeError):
+        graph.note = 1
+    with pytest.raises(TypeError):
+        graph.nodes["x"] = "y"
 
 
 def test_presence_result_checks_its_probabilities():

@@ -1,5 +1,9 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -290,6 +294,31 @@ def test_cohen_kappa_errors_and_range():
         a = [rng.choice("xyz") for _ in range(n)]
         b = [rng.choice("xyz") for _ in range(n)]
         assert -1.0 <= cohen_kappa(a, b) <= 1.0
+
+
+KAPPA_PROBE = """
+from autopyramid.stats import cohen_kappa
+a = "l0 l2 l4 l3 l3 l2 l3 l2 l4 l1 l4 l1 l2 l1 l0 l4 l2 l4".split()
+b = "l5 l4 l1 l2 l0 l5 l0 l5 l2 l3 l4 l0 l2 l3 l2 l4 l5 l1".split()
+print(repr(cohen_kappa(a, b)))
+"""
+
+
+def test_cohen_kappa_is_the_same_float_under_any_hash_seed():
+    # string labels hash differently under each seed, so a sum taken in
+    # set order would differ in its last bits
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    values = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", KAPPA_PROBE], env=env, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        values.add(done.stdout)
+    assert len(values) == 1, values
 
 
 # --------------------------------------------------------------------------
