@@ -67,6 +67,7 @@ from .errors import (
     AutoPyramidError,
     DegenerateInput,
     EmptyDataset,
+    EmptyReference,
     FileUnwritable,
     GraphTooLarge,
     InputError,
@@ -476,13 +477,13 @@ def _smu_rows(args, entries, digests):
             else:
                 for graphs in graph_lists():
                     yield _lazy.extract_smu_units(graphs, args.split_mode)
-        except GraphTooLarge as exc:
+        except (GraphTooLarge, EmptyReference) as exc:
             # the graphs are read to their end first, so that a parse or
             # block-count error there wins, as when every graph was read
             # before any was split
             for _ in references:
                 pass
-            if args.graphs:
+            if args.graphs and isinstance(exc, GraphTooLarge):
                 line = current[exc.graph].line
                 exc.args = (f"graph at line {line} of {args.graphs}: {exc}",)
             raise

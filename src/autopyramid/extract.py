@@ -137,7 +137,9 @@ def extract_smu_units_many(
     when it is ``None``. Texts are stripped; empty ones and exact
     duplicates within a reference are dropped, keeping first occurrences.
     A :class:`GraphTooLarge` carries the positions of its reference and
-    of its graph within the reference.
+    of its graph within the reference; a reference whose graphs split into
+    no candidate raises :class:`EmptyReference` carrying its position, so
+    that *generator* is sent nothing.
     """
     counts = []
 
@@ -152,6 +154,10 @@ def extract_smu_units_many(
                     raise
                 count += len(pieces)
                 yield from pieces
+            if not count:
+                exc = EmptyReference("the reference's graphs split into no candidate")
+                exc.reference = k
+                raise exc
             counts.append(count)
 
     if generator is None:

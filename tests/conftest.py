@@ -1,6 +1,6 @@
 import pytest
 
-from stubs import StubService
+from stubs import RawService, StubService
 
 
 @pytest.fixture(autouse=True)
@@ -27,6 +27,20 @@ def stub_service():
 
     def make(handler=None, failures=0, raw_body=None, drops=0):
         stub = StubService(handler or (lambda p, b: (200, {})), failures, raw_body, drops)
+        created.append(stub)
+        return stub
+
+    yield make
+    for stub in created:
+        stub.stop()
+
+
+@pytest.fixture
+def raw_service():
+    created = []
+
+    def make(reply, tls=None):
+        stub = RawService(reply, tls)
         created.append(stub)
         return stub
 

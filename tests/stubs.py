@@ -1,11 +1,41 @@
 """In-process HTTP stub services for contract tests."""
 
 import json
+import re
+import socket
+import socketserver
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 
-class StubService:
+class _TCPStub:
+    """A local threaded TCP server for *handler*, over TLS when *tls*, a
+    server-side :class:`ssl.SSLContext`, is given."""
+
+    def _serve(self, handler, tls=None, server=socketserver.ThreadingTCPServer):
+        self.server = server(("127.0.0.1", 0), handler)
+        self.server.daemon_threads = True
+        self.scheme = "http"
+        if tls is not None:
+            # the handshake runs as each connection is accepted
+            self.server.socket = tls.wrap_socket(self.server.socket, server_side=True)
+            self.scheme = "https"
+        self.thread = threading.Thread(
+            target=lambda: self.server.serve_forever(poll_interval=0.02), daemon=True
+        )
+        self.thread.start()
+
+    @property
+    def url(self):
+        host, port = self.server.server_address
+        return f"{self.scheme}://{host}:{port}"
+
+    def stop(self):
+        self.server.shutdown()
+        self.server.server_close()
+
+
+class StubService(_TCPStub):
     """A local HTTP server with a programmable POST handler.
 
     ``handler(path, payload) -> (status, reply_dict[, reply_headers])``
@@ -66,26 +96,91 @@ class StubService:
             def log_message(self, *_args):
                 pass
 
-        self.server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
-        self.thread = threading.Thread(
-            target=lambda: self.server.serve_forever(poll_interval=0.02), daemon=True
-        )
-        self.thread.start()
+        self._serve(_Handler, server=ThreadingHTTPServer)
 
-    @property
-    def url(self):
-        host, port = self.server.server_address
-        return f"http://{host}:{port}"
 
-    def stop(self):
-        self.server.shutdown()
-        self.server.server_close()
+class RawService(_TCPStub):
+    """A local server that answers every request with the bytes *reply*,
+    whatever the request, and then closes the connection; over TLS when
+    *tls* is given.
+
+    The head of each request, up to its blank line and decoded as Latin-1,
+    is recorded in ``heads``; a body that ``Content-Length`` announces is
+    read before the reply is sent.
+    """
+
+    def __init__(self, reply: bytes, tls=None):
+        self.reply = reply
+        self.heads = []
+        stub = self
+
+        class _Handler(socketserver.StreamRequestHandler):
+            def handle(self):
+                head = _read_head(self.rfile)
+                if head is None:
+                    return
+                stub.heads.append(head)
+                length = re.search(r"(?im)^content-length:\s*(\d+)", head)
+                if length:
+                    self.rfile.read(int(length.group(1)))
+                self.wfile.write(stub.reply)
+
+        self._serve(_Handler, tls)
+
+
+class TunnelProxy(_TCPStub):
+    """A local proxy that answers each ``CONNECT host:port`` with 200 and
+    then relays bytes both ways between the client and that address,
+    recording each ``CONNECT`` head in ``heads``."""
+
+    def __init__(self):
+        self.heads = []
+        stub = self
+
+        class _Handler(socketserver.StreamRequestHandler):
+            rbufsize = 0  # nothing past the head is read before the relay
+
+            def handle(self):
+                head = _read_head(self.rfile)
+                if head is None:
+                    return
+                stub.heads.append(head)
+                host, _, port = head.split()[1].rpartition(":")
+                with socket.create_connection((host, int(port))) as upstream:
+                    self.wfile.write(b"HTTP/1.1 200 Connection established\r\n\r\n")
+                    back = threading.Thread(target=_relay, args=(upstream, self.connection))
+                    back.start()
+                    _relay(self.connection, upstream)
+                    back.join()
+
+        self._serve(_Handler)
+
+
+def _read_head(rfile):
+    """The head of a request on *rfile*, up to its blank line, as Latin-1
+    text; ``None`` when the connection ends first."""
+    head = b""
+    while not head.endswith(b"\r\n\r\n"):
+        line = rfile.readline()
+        if not line:
+            return None
+        head += line
+    return head.decode("latin-1")
+
+
+def _relay(source, sink):
+    """Copy *source* to *sink* until *source* ends, then end *sink*'s
+    sending side."""
+    try:
+        while data := source.recv(65536):
+            sink.sendall(data)
+        sink.shutdown(socket.SHUT_WR)
+    except OSError:
+        pass
 
 
 def dead_endpoint():
     """A URL that refuses connections."""
-    import socket
-
     sock = socket.socket()
     sock.bind(("127.0.0.1", 0))
     port = sock.getsockname()[1]

@@ -16,6 +16,7 @@ from autopyramid.amr import load_penman_file, serialize_penman
 from autopyramid.cli import main
 from autopyramid.data import load_dataset
 from autopyramid.errors import InputError, ServiceUnavailable
+from autopyramid.smu import split_graph
 
 from graphgen import (
     DEEP,
@@ -26,7 +27,7 @@ from graphgen import (
     repeated_edge_penman,
     shared_chain_penman,
 )
-from stubs import constant_presence, dead_endpoint, echo_generator, scripted_chat
+from stubs import constant_presence, dead_endpoint, echo_generator, echo_parser, scripted_chat
 
 DATA = Path(__file__).parent / "data"
 TOY = str(DATA / "toy.jsonl")
@@ -437,6 +438,28 @@ def test_extract_smu_via_parse_service(tmp_path, stub_service):
     assert [r["text"] for r in read_jsonl(out)] == ["dog run"]
 
 
+@pytest.mark.parametrize("realizer", ["template", "remote"])
+def test_extract_smu_of_a_reference_without_candidates_exits_2(
+    tmp_path, stub_service, capsys, realizer
+):
+    # the parser's graphs hold no predicate, so no reference splits
+    parser = stub_service(echo_parser)
+    generator = stub_service(echo_generator)
+    out = tmp_path / "units.jsonl"
+    argv = [
+        "extract", "--strategy", "smu", "--input", TOY, "--out", str(out),
+        "--parse-endpoint", parser.url,
+    ]
+    if realizer == "remote":
+        argv += ["--gen-endpoint", generator.url]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "example e1 reference 0: the reference's graphs split into no candidate" in err
+    assert "Traceback" not in err
+    assert parser.requests and generator.requests == []
+    assert not out.exists()
+
+
 def test_smu_extract_holds_the_graphs_of_one_reference_at_a_time(tmp_path):
     # 600 examples of two sentences each, so 1,200 graph blocks
     rng = random.Random(5)
@@ -449,9 +472,16 @@ def test_smu_extract_holds_the_graphs_of_one_reference_at_a_time(tmp_path):
         for i in range(600)
     ]
     dataset = write_jsonl(tmp_path / "d.jsonl", rows)
+
+    def reference_graphs():  # a reference that splits into no candidate exits 2
+        while True:
+            pair = [random_graph(rng), random_graph(rng)]
+            if any(split_graph(graph) for graph in pair):
+                return pair
+
     graphs = tmp_path / "g.penman"
     graphs.write_text(
-        "\n".join(f"{serialize_penman(random_graph(rng))}\n" for _ in range(1200)),
+        "\n".join(f"{serialize_penman(g)}\n" for _ in range(600) for g in reference_graphs()),
         encoding="utf-8",
     )
     argv = ["extract", "--strategy", "smu", "--input", dataset, "--graphs", str(graphs),

@@ -113,8 +113,9 @@ def test_smu_units_baseline_composition():
     units = extract_smu_units([WANT], "one-cr")
     assert units == ["boy want", "want boy go", "boy go"]
 
-    assert extract_smu_units([], "one-cr") == []
-    assert extract_smu_units([parse_penman("(b / boy)")], "one-cr") == []
+    for graphs in ([], [parse_penman("(b / boy)")]):
+        with pytest.raises(EmptyReference, match="split into no candidate"):
+            extract_smu_units(graphs, "one-cr")
 
 
 def test_smu_units_deduplicate_exact_texts():
@@ -141,14 +142,15 @@ def test_smu_units_through_a_generator():
     assert extract_smu_units([WANT, WANT], "all-deps", generator) == ["(w", "(g"]
     # one call for all candidates of the graphs given, none for no candidate
     assert len(generator.calls) == 1 and len(generator.calls[0]) == 4
-    assert extract_smu_units([parse_penman("(b / boy)")], "one-cr", generator) == []
+    with pytest.raises(EmptyReference):
+        extract_smu_units([parse_penman("(b / boy)")], "one-cr", generator)
     assert len(generator.calls) == 1
 
 
 def test_smu_units_many_equal_the_per_reference_units_in_one_call():
     boy = parse_penman("(b / boy)")
     run = parse_penman("(r / run-01 :ARG0 (d / dog) :ARG1 (p / park))")
-    graph_lists = [[WANT], [], [boy], [WANT, run, WANT], [run]]
+    graph_lists = [[WANT], [boy, run], [WANT, run, WANT], [run]]
     reply = lambda g: f" {g.split()[2]} "  # the concept of the candidate's root
     generator = FakeGenerator(reply)
     many = extract_smu_units_many(graph_lists, "one-cr", generator)
@@ -156,13 +158,18 @@ def test_smu_units_many_equal_the_per_reference_units_in_one_call():
     assert many == [
         extract_smu_units(graphs, "one-cr", FakeGenerator(reply)) for graphs in graph_lists
     ]
-    assert many[0] == many[3][:2] and many[4] == many[3][2:]
-    assert len(generator.calls) == 1 and len(generator.calls[0]) == 3 + 0 + 0 + 8 + 2
+    assert many[0] == many[2][:2] and many[1] == many[3] == many[2][2:]
+    assert len(generator.calls) == 1 and len(generator.calls[0]) == 3 + 2 + 8 + 2
     for mode in ("one-cr", "all-deps"):
         assert extract_smu_units_many(graph_lists, mode) == [
             extract_smu_units(graphs, mode) for graphs in graph_lists
         ]
     assert extract_smu_units_many([], "one-cr", generator) == []
+    # a reference with no candidate fails at its position, before any call
+    for empty in ([], [boy]):
+        with pytest.raises(EmptyReference) as info:
+            extract_smu_units_many([[WANT], empty, [run]], "one-cr", generator)
+        assert info.value.reference == 1
     assert len(generator.calls) == 1
 
 

@@ -5,7 +5,8 @@ Every command runs on toy in a fresh interpreter, which then reports the
 package modules it holds at exit, whether ``dataclasses`` was loaded at
 start and at exit, and whether ``hashlib`` or OpenSSL's ``_hashlib`` was
 loaded at exit. A module that a command does not run, imported at the top
-of another, shows up here as a changed set.
+of another, shows up here as a changed set. A command that calls only http
+endpoints loads neither ``ssl`` nor ``urllib.request``.
 """
 
 import hashlib
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from stubs import constant_presence, echo_generator
+from stubs import constant_presence, dead_endpoint, echo_generator, scripted_chat
 from test_batching import TOY_GRAPHS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -127,6 +128,60 @@ def test_remote_score_adds_only_the_service_client(tmp_path, stub_service):
     assert modules == COMMON | {"presence", "services"}
     assert at_exit == at_start
     assert stub.requests
+
+
+# what urllib.request loads, OpenSSL's TLS with it: none of it serves an
+# http endpoint
+WEB = ("ssl", "_ssl", "http.client", "urllib.request", "email")
+
+WEB_PROBE = f"""
+import sys
+from autopyramid import cli
+
+code = cli.main(sys.argv[1:])
+print(code, *sorted(m for m in {WEB!r} if m in sys.modules))
+"""
+
+
+def web_modules(*argv):
+    """The exit code of a fresh run of the command *argv*, the modules of
+    ``WEB`` it held at exit, and its standard error."""
+    done = python("-c", WEB_PROBE, *argv)
+    code, *modules = done.stdout.splitlines()[-1].split()
+    return int(code), set(modules), done.stderr
+
+
+@pytest.mark.parametrize("command", ["score", "extract-smu", "extract-sgu"])
+def test_commands_on_http_endpoints_load_no_tls_and_no_urllib(tmp_path, stub_service, command):
+    if command == "score":
+        stub = stub_service(constant_presence(0.5))
+        argv = ["score", "--units", UNITS, "--scorer", "remote", "--nli-endpoint", stub.url]
+    elif command == "extract-smu":
+        graph = "(s / see-01 :ARG0 (b / boy))"
+        stub = stub_service(lambda path, body: (200, {"graphs": [graph] * len(body["sentences"])}))
+        generator = stub_service(echo_generator)
+        argv = [
+            "extract", "--strategy", "smu", "--parse-endpoint", stub.url,
+            "--gen-endpoint", generator.url,
+        ]
+    else:
+        stub = stub_service(scripted_chat("A # B"))
+        argv = ["extract", "--strategy", "sgu", "--llm-endpoint", stub.url, "--llm-model", "m"]
+    code, modules, err = web_modules(*argv, "--input", TOY, "--out", str(tmp_path / "out"))
+    assert code == 0, err
+    assert modules == set()
+    assert stub.requests
+
+
+def test_an_https_endpoint_loads_ssl(tmp_path):
+    endpoint = dead_endpoint().replace("http://", "https://")
+    code, modules, err = web_modules(
+        "score", "--input", TOY, "--units", UNITS, "--out", str(tmp_path / "scores.jsonl"),
+        "--scorer", "remote", "--nli-endpoint", endpoint,
+    )
+    assert code == 3
+    assert {"ssl", "_ssl"} <= modules
+    assert err == f"autopyramid: {endpoint} failed after 3 attempts (ConnectionRefusedError)\n"
 
 
 def test_the_module_entry_point_resolves_names_on_first_use():
