@@ -9,12 +9,12 @@ manifest; a command given no ``--out`` writes nothing, and so takes no
 digest of its inputs. The digests are taken with CPython's built-in
 SHA-256 (:func:`~autopyramid.data.read_input`), so a command that calls
 no endpoint loads neither ``hashlib`` nor OpenSSL, except on a build
-without that module. ``extract`` and
-``score`` compute their rows while the writer writes them, so their temp
-file beside ``--out`` is there for the whole extraction or scoring run,
-and a process killed by a signal in that time leaves it behind; any error
-they raise still wins over a failed write, as when the rows were made
-first. ``extract --strategy smu`` reads its graphs as it goes, and so
+without that module. Inputs and usage are checked before ``--out`` is
+opened; rows and service requests come after, and the first fault ends the
+command. ``extract`` and ``score`` compute their rows while the writer
+writes them, so their temp file beside ``--out`` is there for the whole
+run, and a process killed by a signal in that time leaves it behind.
+``extract --strategy smu`` reads its graphs as it goes, and so
 holds one reference's graphs at a time. A command imports only the modules
 it runs: graph code for ``--strategy smu``, the HTTP client for a given
 endpoint, presence scoring for ``score`` and statistics for the report
@@ -48,6 +48,7 @@ import argparse
 import itertools
 import math
 import os
+import re
 import sys
 
 from . import __version__, _lazy_names
@@ -67,7 +68,6 @@ from .errors import (
     AutoPyramidError,
     DegenerateInput,
     EmptyDataset,
-    EmptyReference,
     FileUnwritable,
     GraphTooLarge,
     InputError,
@@ -257,7 +257,7 @@ def main(argv=None) -> int:
     is left as it was found."""
     try:
         args = build_parser().parse_args(argv)
-        _check_endpoints(args)
+        _check_arguments(args)
         # the inputs' digests go into the output's manifest: none without one
         digests = {} if args.out else None
         entries = load_dataset(
@@ -324,15 +324,19 @@ def _write_stdout(text: str) -> None:
         raise FileUnwritable(f"cannot write standard output: {reason}") from exc
 
 
-def _check_endpoints(args) -> None:
-    """Refuse any given ``--*-endpoint`` that is not a usable http(s) URL,
-    before an input is read or an output written."""
+def _check_arguments(args) -> None:
+    """Refuse, before an input is read, an endpoint that is not a usable
+    http(s) URL and, given ``--out``, another option that holds a byte that
+    is not UTF-8 (a lone surrogate), which no manifest or request can hold."""
     for name, value in vars(args).items():
+        option = f"--{name.replace('_', '-')}"
+        if args.out and name != "out" and re.search("[\ud800-\udfff]", str(value)):
+            raise InputError(f"{option} holds a byte that is not UTF-8")
         if name.endswith("_endpoint") and value is not None:
             try:
                 _lazy.check_endpoint(value)
             except InputError as exc:
-                raise InputError(f"--{name.replace('_', '-')}: {exc}") from exc
+                raise InputError(f"{option}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +360,9 @@ def _reference_counts(entries) -> dict[str, int]:
 def _smu_graphs(args, entries, digests):
     """The sentence graphs of each reference in dataset order, one list of
     :class:`PenmanEntry` at a time, parsed as it is taken, from a file (line
-    of the block) or the parser service (line ``None``). File blocks are
-    consumed positionally, one per reference sentence; the file's digest
-    goes into *digests* once it has been read to its end."""
+    of the block) or the parser service (line ``None``, asked at the first).
+    File blocks are consumed positionally, one per reference sentence; the
+    file's digest goes into *digests* once it has been read to its end."""
     texts = _reference_texts(entries)
     if args.graphs:
         counts = (len(split_sentences(text)) for text in texts)
@@ -371,20 +375,21 @@ def _smu_graphs(args, entries, digests):
             batch_size=args.batch_size,
             concurrency=args.concurrency,
         )
-        replies = client.parse_sentences([s for listed in sentences for s in listed])
-        blocks = (_lazy.PenmanEntry(_reply_graph(text)) for text in replies)
+        blocks = _parsed(client, [s for listed in sentences for s in listed])
     else:
         raise InputError("--strategy smu needs --graphs or --parse-endpoint")
     return _per_reference(entries, counts, blocks, args.graphs)
 
 
-def _reply_graph(text: str):
-    try:
-        return _lazy.parse_penman(text)
-    except MalformedPenman as exc:
-        raise MalformedServiceReply(
-            f"parse service returned an unparseable graph: {exc}"
-        ) from exc
+def _parsed(client, sentences):
+    """The :class:`PenmanEntry` of each graph *client* parses *sentences* into."""
+    for text in client.parse_sentences(sentences):
+        try:
+            graph = _lazy.parse_penman(text)
+        except MalformedPenman as exc:
+            message = f"parse service returned an unparseable graph: {exc}"
+            raise MalformedServiceReply(message) from exc
+        yield _lazy.PenmanEntry(graph)
 
 
 def _per_reference(entries, counts, blocks, path):
@@ -477,13 +482,8 @@ def _smu_rows(args, entries, digests):
             else:
                 for graphs in graph_lists():
                     yield _lazy.extract_smu_units(graphs, args.split_mode)
-        except (GraphTooLarge, EmptyReference) as exc:
-            # the graphs are read to their end first, so that a parse or
-            # block-count error there wins, as when every graph was read
-            # before any was split
-            for _ in references:
-                pass
-            if args.graphs and isinstance(exc, GraphTooLarge):
+        except GraphTooLarge as exc:
+            if args.graphs:
                 line = current[exc.graph].line
                 exc.args = (f"graph at line {line} of {args.graphs}: {exc}",)
             raise
@@ -548,19 +548,22 @@ def _write_output(args, digests, rows, *, config=None, extra=None) -> int:
     *rows* are unit rows from ``extract``, which go through the unit-file
     writer that checks them, and the output's JSON lines from any other
     command, written as they are. Either may be a generator, consumed as
-    the file is written; an error it raises leaves ``--out`` as it was.
-    The manifest's config is *config*, else the command's options.
+    the file is written; an error in a row or the manifest leaves ``--out``
+    as it was, as it is renamed last. The manifest's config is *config*,
+    else the command's options.
     """
     if args.out:
-        if args.command == "extract":
-            write_unit_file(args.out, rows)
-        else:
-            atomic_write_text(args.out, rows)
         if config is None:
             config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
-        write_manifest(
-            args.out, command=args.command, config=config, inputs=digests, extra=extra
-        )
+
+        def rows_then_manifest():
+            yield from rows
+            write_manifest(
+                args.out, command=args.command, config=config, inputs=digests, extra=extra
+            )
+
+        write = write_unit_file if args.command == "extract" else atomic_write_text
+        write(args.out, rows_then_manifest())
     return EXIT_OK
 
 
@@ -593,24 +596,19 @@ def cmd_score(args, entries, digests) -> int:
         (entry, grouped[entry.example_id], sorted(entry.systems, key=lambda s: s.system_id))
         for entry in sorted(entries, key=lambda e: e.example_id)
     ]
-    if args.scorer == "remote":
-        if not args.nli_endpoint:
-            raise ServiceUnavailable("--scorer remote needs --nli-endpoint")
-        # every pair of the command in one batched call; the lexical scorer
-        # stays per example, so that one example's token bags are alive at
-        # a time
-        scorer = _lazy.prescored(
-            ((units, [s.summary for s in systems]) for _, units, systems in examples),
-            _lazy.remote_scorer(
-                args.nli_endpoint,
-                batch_size=args.batch_size,
-                concurrency=args.concurrency,
-            ),
-        )
-    else:
-        scorer = _lazy.lexical_scorer
+    if args.scorer == "remote" and not args.nli_endpoint:
+        raise ServiceUnavailable("--scorer remote needs --nli-endpoint")
 
     def lines():  # each row is written as it is scored
+        scorer = _lazy.lexical_scorer
+        if args.scorer == "remote":
+            # every pair of the command in one batched call; the lexical
+            # scorer stays per example, to hold one example's token bags
+            remote = _lazy.remote_scorer(
+                args.nli_endpoint, batch_size=args.batch_size, concurrency=args.concurrency
+            )
+            pairs = ((units, [s.summary for s in systems]) for _, units, systems in examples)
+            scorer = _lazy.prescored(pairs, remote)
         for entry, units, systems in examples:
             results = _lazy.score_summaries(units, [s.summary for s in systems], scorer)
             for system, result in zip(systems, results):

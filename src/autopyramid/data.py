@@ -54,6 +54,7 @@ system). Outputs are written as their rows are made:
 
 from __future__ import annotations
 
+import errno
 import functools
 import json
 import math
@@ -489,15 +490,16 @@ def atomic_write_text(path, pieces: Iterable[str]) -> None:
     """Write the text *pieces* make, in order, to *path* via a temp file and
     rename. *pieces* may be any iterable, a generator included: each piece
     is written as it comes, so neither the pieces nor their joined text
-    are held, and the temp file is there while they are made. A failure to
-    write raises :class:`FileUnwritable` naming *path* and the system's
-    reason, never the temp file, once the rest of *pieces* has been made:
-    an error in making them passes through as it is and wins, as it did
-    when every piece was made before the write. Either way the temp file
-    is gone and *path* is as it was."""
+    are held, and the temp file is there while they are made. A *path* that
+    is a directory or beside which no temp file can be made fails before
+    any piece is made, and a failed write makes no further piece: either
+    raises :class:`FileUnwritable` naming *path* and the system's reason.
+    An error in making a piece passes through as it is. Either way the
+    temp file is gone and *path* is as it was."""
     directory = os.path.dirname(os.fspath(path)) or "."
-    pieces = iter(pieces)
     try:
+        if os.path.isdir(path):  # which the rename would refuse, after every piece
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         fd, temp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             # mkstemp files are 0600; give the output normal permissions
@@ -511,8 +513,6 @@ def atomic_write_text(path, pieces: Iterable[str]) -> None:
             os.unlink(temp)
             raise
     except OSError as exc:
-        for _ in pieces:  # so that an error in making the rest wins
-            pass
         reason = exc.strerror or type(exc).__name__
         raise FileUnwritable(f"cannot write {path}: {reason}") from exc
 

@@ -12,6 +12,22 @@ def fast_retries(monkeypatch):
 
 
 @pytest.fixture
+def opened(monkeypatch):
+    """The files ``autopyramid.data`` opens, each recorded as it is opened:
+    every input file is read through it."""
+    from autopyramid import data
+
+    handles = []
+
+    def recording_open(*args, **kwargs):
+        handles.append(open(*args, **kwargs))
+        return handles[-1]
+
+    monkeypatch.setattr(data, "open", recording_open, raising=False)
+    return handles
+
+
+@pytest.fixture
 def slept(monkeypatch):
     """The pauses between retries, recorded in order instead of slept."""
     from autopyramid import services

@@ -282,8 +282,14 @@ def test_extract_remote_smu_names_the_reference_and_line_of_a_large_graph(
     assert not out.exists()
 
 
+# the split error of shared_chain_penman(1000)
+LARGE_SPLIT_MESSAGE = (
+    "the candidates of the graph rooted at 'n0' hold more than 10000 nodes, edges "
+    "and attributes"
+)
+
 # what follows a too-large graph in block 1 of the graphs of a two-example
-# dataset, and the error that wins over it
+# dataset: a later error, which the large graph's ends the command before
 SMU_ERRORS_AFTER_A_LARGE_GRAPH = {
     "parse": ("\n\n(w / want-01 :ARG1\n", "line 3, column 14: role ':ARG1' has no value"),
     "extra": (
@@ -296,7 +302,7 @@ SMU_ERRORS_AFTER_A_LARGE_GRAPH = {
 
 @pytest.mark.parametrize("realizer", ["template", "remote"])
 @pytest.mark.parametrize("case", sorted(SMU_ERRORS_AFTER_A_LARGE_GRAPH))
-def test_smu_graphs_file_errors_win_over_an_earlier_large_graph(
+def test_an_earlier_large_graph_wins_over_smu_graphs_file_errors(
     tmp_path, stub_service, capsys, realizer, case
 ):
     rest, message = SMU_ERRORS_AFTER_A_LARGE_GRAPH[case]
@@ -313,13 +319,16 @@ def test_smu_graphs_file_errors_win_over_an_earlier_large_graph(
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert message in err
-    assert "more than 10000" not in err and "Traceback" not in err
+    assert err == (
+        f"autopyramid: example g1 reference 0: graph at line 1 of {graphs}: "
+        f"{LARGE_SPLIT_MESSAGE}\n"
+    )
+    assert message not in err
     assert stub.requests == []
     assert not out.exists()
 
 
-def test_smu_unparseable_reply_wins_over_an_earlier_large_graph(tmp_path, stub_service, capsys):
+def test_an_earlier_large_graph_wins_over_an_unparseable_reply(tmp_path, stub_service, capsys):
     replies = [shared_chain_penman(1000), "(w / want-01 :ARG1"]
     stub = stub_service(lambda path, body: (200, {"graphs": replies[: len(body["sentences"])]}))
     out = tmp_path / "units.jsonl"
@@ -327,10 +336,11 @@ def test_smu_unparseable_reply_wins_over_an_earlier_large_graph(tmp_path, stub_s
     assert main([
         "extract", "--strategy", "smu", "--input", two_one_sentence_examples(tmp_path),
         "--parse-endpoint", stub.url, "--out", str(out),
-    ]) == 3
+    ]) == 2
     err = capsys.readouterr().err
-    assert "parse service returned an unparseable graph: line 1, column 14: " in err
-    assert "more than 10000" not in err and "Traceback" not in err
+    assert err == f"autopyramid: example g1 reference 0: {LARGE_SPLIT_MESSAGE}\n"
+    assert "unparseable" not in err
+    assert len(stub.requests) == 1
     assert not out.exists()
 
 
@@ -655,9 +665,8 @@ def test_a_scorer_failing_on_a_later_example_leaves_out_as_it_was(
         assert not scores.exists() and not manifest.exists()
 
 
-def test_a_failing_scorer_wins_over_an_unwritable_out(tmp_path, capsys, monkeypatch):
-    # the scorer's error and exit code, as when every row was scored before
-    # the output was opened
+def test_an_unwritable_out_wins_over_a_failing_scorer(tmp_path, capsys, monkeypatch):
+    # the output is opened before the first row is scored
     units = tmp_path / "units.jsonl"
     assert main(["extract", "--strategy", "sent", "--input", TOY, "--out", str(units)]) == 0
     calls = []
@@ -672,10 +681,77 @@ def test_a_failing_scorer_wins_over_an_unwritable_out(tmp_path, capsys, monkeypa
     capsys.readouterr()
     out = tmp_path / "missing" / "scores.jsonl"
     argv = ["score", "--input", TOY, "--units", str(units), "--out", str(out)]
-    assert main(argv) == 3
-    assert capsys.readouterr().err == "autopyramid: presence service down\n"
-    assert len(calls) == 2
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"autopyramid: cannot write {out}: No such file or directory\n"
+    assert calls == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["units.jsonl", "units.jsonl.manifest.json"]
+
+
+def unwritable_out(tmp_path, kind):
+    """An --out that cannot be written: under a directory that is not
+    there, or a directory itself."""
+    if kind == "missing-directory":
+        return tmp_path / "missing" / "out.jsonl", "No such file or directory"
+    out = tmp_path / "out.jsonl"
+    out.mkdir()
+    return out, "Is a directory"
+
+
+@pytest.mark.parametrize("kind", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", ["extract-sgu", "extract-smu", "score-remote"])
+def test_an_unwritable_out_costs_no_service_request(
+    tmp_path, stub_service, capsys, command, kind
+):
+    out, reason = unwritable_out(tmp_path, kind)
+    if command == "extract-sgu":
+        stubs = [stub_service(scripted_chat("First fact # Second fact"))]
+        argv = [
+            "extract", "--strategy", "sgu", "--input", TOY,
+            "--llm-endpoint", stubs[0].url, "--llm-model", "splitter-1",
+        ]
+    elif command == "extract-smu":
+        stubs = [stub_service(echo_parser), stub_service(echo_generator)]
+        argv = [
+            "extract", "--strategy", "smu", "--input", TOY,
+            "--parse-endpoint", stubs[0].url, "--gen-endpoint", stubs[1].url,
+        ]
+    else:
+        stubs = [stub_service(constant_presence(0.7))]
+        argv = [
+            "score", "--input", TOY, "--units", str(DATA / "golden" / "units.jsonl"),
+            "--scorer", "remote", "--nli-endpoint", stubs[0].url,
+        ]
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"autopyramid: cannot write {out}: {reason}\n"
+    assert [stub.requests for stub in stubs] == [[]] * len(stubs)
+    assert list(tmp_path.rglob("*")) == ([out] if kind == "directory" else [])
+
+
+@pytest.mark.parametrize("kind", ["missing-directory", "directory"])
+def test_an_unwritable_out_makes_no_row(tmp_path, monkeypatch, capsys, opened, kind):
+    out, reason = unwritable_out(tmp_path, kind)
+    calls = []
+    for name in ("lexical_scorer", "extract_smu_units"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, real=real: calls.append(a) or real(*a))
+    graphs = tmp_path / "g.penman"
+    graphs.write_text(SMALL_GRAPH + "\n", encoding="utf-8")
+    dataset = one_sentence_dataset(tmp_path)
+    capsys.readouterr()
+    assert main([
+        "extract", "--strategy", "smu", "--input", dataset,
+        "--graphs", str(graphs), "--out", str(out),
+    ]) == 2
+    assert main([
+        "score", "--input", TOY, "--units", str(DATA / "golden" / "units.jsonl"),
+        "--out", str(out),
+    ]) == 2
+    assert capsys.readouterr().err == f"autopyramid: cannot write {out}: {reason}\n" * 2
+    assert calls == []
+    # the dataset, the graphs file, then the score command's two inputs
+    assert len(opened) == 4
+    assert all(handle.closed for handle in opened)
 
 
 def test_score_remote_against_stub(tmp_path, stub_service):
@@ -1045,6 +1121,55 @@ def test_stats_toy_dataset(tmp_path, capsys):
     assert row["avg_words_per_sentence"] == pytest.approx(26 / 6)
     assert row["refs_per_example"] == 1.0
     assert row["avg_scus"] == 2.0
+
+
+def test_a_path_that_is_not_utf8_is_refused_only_with_out(tmp_path, capsys):
+    # Python decodes a command-line byte that is not UTF-8, here 0xff, to a
+    # lone surrogate, which no manifest can record
+    dataset = tmp_path / "toy\udcff.jsonl"
+    shutil.copyfile(TOY, dataset)
+    out = tmp_path / "s.jsonl"
+    capsys.readouterr()
+    assert main(["stats", "--input", str(dataset), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "autopyramid: --input holds a byte that is not UTF-8\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [dataset.name]
+    # without --out nothing records the path, and it reads
+    assert main(["stats", "--input", str(dataset)]) == 0
+    assert capsys.readouterr().out == (DATA / "golden" / "stats.stdout").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("option", ["--nli-endpoint", "--llm-model"])
+def test_a_request_argument_that_is_not_utf8_is_refused(tmp_path, stub_service, capsys, option):
+    stub = stub_service(constant_presence(0.7))
+    if option == "--nli-endpoint":
+        argv = [
+            "score", "--input", TOY, "--units", str(DATA / "golden" / "units.jsonl"),
+            "--scorer", "remote", "--nli-endpoint", f"{stub.url}/x\udcff",
+        ]
+    else:
+        argv = [
+            "extract", "--strategy", "sgu", "--input", TOY,
+            "--llm-endpoint", stub.url, "--llm-model", "splitter\udcff",
+        ]
+    out = tmp_path / "out.jsonl"
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"autopyramid: {option} holds a byte that is not UTF-8\n"
+    assert stub.requests == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_manifest_that_cannot_be_written_leaves_out_as_it_was(tmp_path, capsys):
+    out = tmp_path / "s.jsonl"
+    out.write_bytes(b"old\n")
+    manifest = tmp_path / "s.jsonl.manifest.json"
+    manifest.mkdir()
+    capsys.readouterr()
+    assert main(["stats", "--input", TOY, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"autopyramid: cannot write {manifest}: Is a directory\n"
+    assert out.read_bytes() == b"old\n"
+    assert manifest.is_dir() and list(manifest.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == [out.name, manifest.name]
 
 
 def test_stats_empty_dataset_exits_2(tmp_path, capsys):

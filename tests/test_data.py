@@ -2,6 +2,7 @@ import copy
 import errno
 import gc
 import hashlib
+import io
 import json
 import os
 import sys
@@ -205,10 +206,12 @@ def test_save_units_rejects_empty_text(tmp_path):
     )
     assert list(tmp_path.iterdir()) == [path]
     assert path.read_bytes() == b"old\n"
-    # and into a directory that is not there, the row's error still wins
-    with pytest.raises(SchemaViolation) as info:
-        save_units(tmp_path / "missing" / "u.jsonl", iter(good + [UnitFileRow("e1", 0, "ngram", "")]))
-    assert (info.value.line, info.value.field) == (4, "text")
+    # and into a directory that is not there, the path is refused before
+    # any row is checked
+    missing = tmp_path / "missing" / "u.jsonl"
+    with pytest.raises(FileUnwritable) as info:
+        save_units(missing, iter(good + [UnitFileRow("e1", 0, "ngram", "")]))
+    assert str(info.value) == f"cannot write {missing}: No such file or directory"
 
 
 @pytest.mark.parametrize("existing", [None, b"old\n"], ids=["new", "existing"])
@@ -261,16 +264,16 @@ def test_atomic_write_text_names_a_failing_write(tmp_path, monkeypatch):
     with pytest.raises(FileUnwritable) as info:
         data.atomic_write_text(path, pieces())
     assert str(info.value) == f"cannot write {path}: {os.strerror(errno.ENOSPC)}"
-    assert made == ["one\n", "two\n"]
+    assert made == ["one\n"]
     assert list(tmp_path.iterdir()) == [path]
     assert path.read_bytes() == b"old\n"
 
 
 @pytest.mark.parametrize("failing", ["write", "temp-file"])
-def test_an_error_making_a_later_piece_wins_over_a_failed_write(
+def test_a_failed_write_wins_over_an_error_making_a_later_piece(
     tmp_path, monkeypatch, failing
 ):
-    # as when every piece was made before the write began
+    # the first fault ends the write: no piece is made after it
     if failing == "write":
         path = tmp_path / "out.txt"
         fail_every_write(monkeypatch)
@@ -285,10 +288,11 @@ def test_an_error_making_a_later_piece_wins_over_a_failed_write(
             yield piece
         raise error
 
-    with pytest.raises(SchemaViolation) as info:
+    with pytest.raises(FileUnwritable) as info:
         data.atomic_write_text(path, pieces())
-    assert info.value is error
-    assert made == ["one\n", "two\n"]
+    reason = errno.ENOSPC if failing == "write" else errno.ENOENT
+    assert str(info.value) == f"cannot write {path}: {os.strerror(reason)}"
+    assert made == (["one\n"] if failing == "write" else [])
     assert list(tmp_path.iterdir()) == []
 
 
@@ -459,19 +463,6 @@ def test_a_bad_row_before_bad_utf8_is_the_error(tmp_path, monkeypatch, chunk_siz
     assert info.value.line == 2
 
 
-@pytest.fixture
-def opened(monkeypatch):
-    """The files ``data`` opens, each recorded as it is opened."""
-    handles = []
-
-    def recording_open(*args, **kwargs):
-        handles.append(open(*args, **kwargs))
-        return handles[-1]
-
-    monkeypatch.setattr(data, "open", recording_open, raising=False)
-    return handles
-
-
 @pytest.mark.parametrize("taken", [0, 1], ids=["before-the-first-line", "after-one-line"])
 def test_a_dropped_reader_leaves_no_file_open(tmp_path, monkeypatch, opened, taken):
     path = tmp_path / "d.jsonl"
@@ -509,6 +500,31 @@ def test_a_loader_that_stops_on_a_bad_row_leaves_no_file_open(tmp_path, monkeypa
         del opened[:], info
         gc.collect()
     assert unraisable == []
+
+
+def test_a_read_that_fails_after_the_open_names_the_file(tmp_path, monkeypatch):
+    path = write_jsonl(tmp_path / "d.jsonl", [valid_row("e1")])
+    handles = []
+
+    class FailingSecondRead(io.BufferedReader):
+        reads = 0
+
+        def read(self, size=-1):
+            self.reads += 1
+            if self.reads == 2:
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            return super().read(size)
+
+    def failing_open(file, mode):
+        assert mode == "rb"
+        handles.append(FailingSecondRead(io.FileIO(file)))
+        return handles[-1]
+
+    monkeypatch.setattr(data, "open", failing_open, raising=False)
+    with pytest.raises(FileUnreadable) as info:
+        load_dataset(path)
+    assert str(info.value) == f"cannot read {path}: [Errno 5] {os.strerror(errno.EIO)}"
+    assert len(handles) == 1 and handles[0].reads == 2 and handles[0].closed
 
 
 def long_summary_dataset(path):

@@ -791,6 +791,24 @@ def test_https_through_a_tunnel_verifies_the_endpoint(
     assert [head.split("\r\n")[0] for head in stub.heads] == ["POST /nli HTTP/1.1"]
 
 
+def test_an_http_endpoint_through_an_https_proxy_verifies_the_proxy(
+    raw_service, monkeypatch, no_proxies, tmp_path
+):
+    proxy = _tls_service(raw_service)
+    host, port = proxy.server.server_address
+    monkeypatch.setenv("http_proxy", f"https://{host}:{port}")
+    _empty_default_store(monkeypatch, tmp_path)
+    with pytest.raises(ServiceUnavailable, match=r"3 attempts \(SSLCertVerificationError\)$"):
+        post_json("http://service.invalid:8080/nli?v=1", {"a": 1})
+    assert proxy.heads == []
+    monkeypatch.setenv("SSL_CERT_FILE", str(TLS / "ca.pem"))
+    assert post_json("http://service.invalid:8080/nli?v=1", {"a": 1}) == {"ok": True}
+    # the request goes to the proxy, over TLS, with the absolute URI
+    assert [head.split("\r\n")[:2] for head in proxy.heads] == [
+        ["POST http://service.invalid:8080/nli?v=1 HTTP/1.1", "Host: service.invalid:8080"]
+    ]
+
+
 def test_a_client_builds_one_tls_context_for_all_its_requests(
     raw_service, monkeypatch, no_proxies
 ):
