@@ -48,7 +48,6 @@ import argparse
 import itertools
 import math
 import os
-import re
 import sys
 
 from . import __version__, _lazy_names
@@ -62,6 +61,7 @@ from .data import (
     load_dataset,
     load_scores,
     load_units,
+    _surrogate,
 )
 from .data import save_units as write_unit_file
 from .errors import (
@@ -330,7 +330,7 @@ def _check_arguments(args) -> None:
     is not UTF-8 (a lone surrogate), which no manifest or request can hold."""
     for name, value in vars(args).items():
         option = f"--{name.replace('_', '-')}"
-        if args.out and name != "out" and re.search("[\ud800-\udfff]", str(value)):
+        if args.out and name != "out" and _surrogate(str(value)):
             raise InputError(f"{option} holds a byte that is not UTF-8")
         if name.endswith("_endpoint") and value is not None:
             try:
@@ -394,8 +394,8 @@ def _parsed(client, sentences):
 
 def _per_reference(entries, counts, blocks, path):
     """*blocks* in one list for each reference, of the length *counts*
-    gives, then the rest of *blocks*: blocks of file *path* that run out
-    early or are left over fail, once every block has been read."""
+    gives: blocks of file *path* that run out early fail, and so does the
+    first block left over once every list has been taken."""
     used = 0
     for (entry, index, _), count in zip(_each_reference(entries), counts):
         take = list(itertools.islice(blocks, count))
@@ -406,11 +406,11 @@ def _per_reference(entries, counts, blocks, path):
             )
         used += count
         yield take
-    extra = [block.line for block in blocks]
-    if extra:
+    extra = next(blocks, None)
+    if extra is not None:
         raise InputError(
-            f"{path}, line {extra[0]}: graphs file has {used + len(extra)} blocks but "
-            f"the dataset uses {used}"
+            f"{path}, line {extra.line}: graphs file has more than the {used} "
+            "blocks the dataset uses"
         )
 
 

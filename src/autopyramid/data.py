@@ -31,9 +31,11 @@ Asked for one, the reader also takes the SHA-256 of the bytes parsed,
 which the caller records in the run manifest without reading the file
 again. Files must be UTF-8; a line ends at ``\\n`` and nowhere else, as a
 JSON Lines row does, and lines are counted from 1. The first problem in
-file order is the one reported: a bad row before bytes that are not UTF-8
-fails on the row. Each row goes straight to the JSON scanner and decodes
-or fails as ``json.JSONDecoder.decode`` would (see :func:`_json_lines`).
+file order is the one reported, and reading stops there: a bad row before
+bytes that are not UTF-8 fails on the row, and so does a row that does
+not fit the dataset before a line that is not JSON. Each row goes
+straight to the JSON scanner and decodes or fails as
+``json.JSONDecoder.decode`` would (see :func:`_json_lines`).
 A string that holds a lone UTF-16 surrogate, which only a ``\\u`` escape
 can make and no UTF-8 output can hold, fails its row
 (:func:`lone_surrogate_field`).
@@ -338,9 +340,10 @@ def _parse_entry(value, line: int, hold, fields=FIELDS) -> ReferenceEntry:
     """Check one decoded dataset row, then build its records, which keep
     the *fields* named and hold ``None`` for the others.
 
-    Errors come in a fixed order: the entry's own fields, each reference,
-    the fields of every system, then the first duplicate ``system_id``,
-    then the first presence list whose length is not the pooled unit count.
+    The first problem is the one raised, in schema order: the entry's own
+    fields, each reference, then each system in full before the next, a
+    repeated ``system_id`` failing at that field and a presence list whose
+    length is not the pooled unit count at ``scu_presence``.
     ``hold(value, value)`` gives the one object kept for values equal to
     *value* (a dict's ``setdefault``); each ``system_id`` goes through it.
     """
@@ -387,13 +390,15 @@ def _parse_entry(value, line: int, hold, fields=FIELDS) -> ReferenceEntry:
     keep_presence = "scu_presence" in fields
     systems = []
     seen_ids = set()
-    duplicate = mismatch = None
     for i, system in enumerate(systems_raw):
         if type(system) is not dict:
             raise _system_error("system must be an object", line, i, "")
         system_id = system.get("system_id")
         if type(system_id) is not str or not system_id:
             raise _system_error("missing string 'system_id'", line, i, ".system_id")
+        if system_id in seen_ids:
+            raise _system_error(f"duplicate system_id {system_id!r}", line, i, ".system_id")
+        seen_ids.add(system_id)
         summary = system.get("summary")
         if type(summary) is not str:
             raise _system_error("missing string 'summary'", line, i, ".summary")
@@ -416,14 +421,13 @@ def _parse_entry(value, line: int, hold, fields=FIELDS) -> ReferenceEntry:
                 raise _system_error(
                     "'scu_presence' must be a list of 0/1", line, i, ".scu_presence"
                 )
-            if mismatch is None and len(labels) != pooled:
-                mismatch = i, len(labels)
+            if len(labels) != pooled:
+                raise PresenceLengthMismatch(
+                    f"{len(labels)} presence labels for {pooled} gold units",
+                    line=line,
+                    field=f"systems[{i}].scu_presence",
+                )
             presence = labels if keep_presence else None
-        if system_id in seen_ids:
-            if duplicate is None:
-                duplicate = i
-        else:
-            seen_ids.add(system_id)
         system = (
             hold(system_id, system_id),
             summary if keep_summary else None,
@@ -431,19 +435,6 @@ def _parse_entry(value, line: int, hold, fields=FIELDS) -> ReferenceEntry:
             presence,
         )
         systems.append(_record(SystemSummary, system))
-    if duplicate is not None:
-        raise SchemaViolation(
-            f"duplicate system_id {systems[duplicate].system_id!r}",
-            line=line,
-            field=f"systems[{duplicate}].system_id",
-        )
-    if mismatch is not None:
-        index, count = mismatch
-        raise PresenceLengthMismatch(
-            f"{count} presence labels for {pooled} gold units",
-            line=line,
-            field=f"systems[{index}].scu_presence",
-        )
     keep_text = "text" in fields
     keep_scus = "scus" in fields
     references = tuple([
@@ -559,12 +550,11 @@ def load_units(
 
     When *reference_counts* (example id to its number of references) is
     given, a row naming any other example, or a reference index its example
-    does not have, is stray: :class:`SchemaViolation` names the line and
-    field of the first and the count. *digests* is as for
+    does not have, is stray: once its own fields pass, it raises
+    :class:`SchemaViolation` naming its line and field. *digests* is as for
     :func:`read_input`. Equal example ids and strategies are held once.
     """
     rows = []
-    stray = 0
     hold = {}.setdefault
     for number, raw in _json_lines(read_input(path, digests)):
         if type(raw) is not dict:
@@ -595,27 +585,21 @@ def load_units(
             )
         if reference_counts is not None:
             count = reference_counts.get(example_id)
-            if count is None or reference_index >= count:
-                if not stray:
-                    first_stray = (number, example_id, reference_index, count)
-                stray += 1
+            if count is None:
+                raise SchemaViolation(
+                    f"example {example_id!r} is not in the dataset",
+                    line=number,
+                    field="example_id",
+                )
+            if reference_index >= count:
+                raise SchemaViolation(
+                    f"example {example_id!r} has no reference {reference_index}",
+                    line=number,
+                    field="reference_index",
+                )
         row = (hold(example_id, example_id), reference_index, hold(strategy, strategy), text)
         rows.append(_record(UnitFileRow, row))
-    if stray:
-        number, example_id, reference_index, count = first_stray
-        if count is None:
-            what, field = "is not in the dataset", "example_id"
-        else:
-            what, field = f"has no reference {reference_index}", "reference_index"
-        raise SchemaViolation(
-            f"example {example_id!r} {what} ({_stray_rows(stray)})", line=number, field=field
-        )
     return rows
-
-
-def _stray_rows(count: int) -> str:
-    """How an error about the first stray row counts the rest."""
-    return "the only stray row" if count == 1 else f"the first of {count} stray rows"
 
 
 def import_rows(
@@ -648,13 +632,11 @@ def load_scores(
 
     *cells* is any container of the dataset's (example_id, system_id)
     pairs. A row for a cell not among them, or for the cell of an earlier
-    row, is stray: :class:`SchemaViolation` names the line of the first,
-    and of the row it repeats if it does, and the count. *digests* is as
-    for :func:`read_input`.
+    row, is stray: :class:`SchemaViolation` names its line, and the line of
+    the row it repeats if it does. *digests* is as for :func:`read_input`.
     """
     scores = {}
     lines = {}  # the line of each cell's score
-    stray = 0
     for number, raw in _json_lines(read_input(path, digests)):
         if type(raw) is not dict:
             raise SchemaViolation("row must be an object", line=number)
@@ -669,17 +651,11 @@ def load_scores(
             raise SchemaViolation("'score' must be a finite number", line=number, field="score")
         cell = (example_id, system_id)
         if cell in lines:
-            reason = f"repeats line {lines[cell]}"
-        elif cell not in cells:
-            reason = "is not in the dataset"
-        else:
-            scores[cell] = float(value)
-            lines[cell] = number
-            continue
-        if not stray:
-            first_stray = (number, f"{example_id}/{system_id} {reason}")
-        stray += 1
-    if stray:
-        number, what = first_stray
-        raise SchemaViolation(f"{what} ({_stray_rows(stray)})", line=number)
+            raise SchemaViolation(
+                f"{example_id}/{system_id} repeats line {lines[cell]}", line=number
+            )
+        if cell not in cells:
+            raise SchemaViolation(f"{example_id}/{system_id} is not in the dataset", line=number)
+        scores[cell] = float(value)
+        lines[cell] = number
     return scores

@@ -121,4 +121,6 @@ class MalformedServiceReply(RemoteError):
 
 
 class EmptyReply(RemoteError, ReferenceFailure):
-    """The language model replied without any usable unit fragment."""
+    """A service replied without any usable unit: the language model with no
+    fragment, or the graph-to-text generator with only blank texts for a
+    reference."""

@@ -139,7 +139,8 @@ def extract_smu_units_many(
     A :class:`GraphTooLarge` carries the positions of its reference and
     of its graph within the reference; a reference whose graphs split into
     no candidate raises :class:`EmptyReference` carrying its position, so
-    that *generator* is sent nothing.
+    that *generator* is sent nothing, and one whose texts are all blank
+    raises :class:`EmptyReply` carrying its position.
     """
     counts = []
 
@@ -166,9 +167,13 @@ def extract_smu_units_many(
         texts = _lazy.realize_remote(candidates(), generator)
     units = []
     start = 0
-    for count in counts:
+    for k, count in enumerate(counts):
         chunk = texts[start : start + count]
         units.append(list(dict.fromkeys(filter(None, map(str.strip, chunk)))))
+        if not units[-1]:
+            exc = EmptyReply("the realized texts of the reference are all blank")
+            exc.reference = k
+            raise exc
         start += count
     return units
 

@@ -51,7 +51,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 from urllib.parse import SplitResult, quote, unquote, urlsplit
 
 from . import __version__
-from .data import lone_surrogate_field
+from .data import _surrogate, lone_surrogate_field
 from .errors import InputError, MalformedServiceReply, ServiceUnavailable
 from .manifest import redact_endpoint
 
@@ -103,7 +103,8 @@ _URL_SAFE = "!#$%&'()*+,/:;=?@[]~"
 
 def check_endpoint(url: str, what: str = "service endpoint") -> SplitResult:
     """*url* split, once it is known to be an http or https URL with a host
-    that parses, and to hold no control character.
+    that parses, and to hold no control character and no byte that is not
+    UTF-8 (a lone surrogate, as Python decodes one from the environment).
 
     Anything else raises :class:`InputError` naming *what* and the URL,
     redacted, so no file, data or ftp URL is ever read, and no CR, LF or
@@ -111,6 +112,8 @@ def check_endpoint(url: str, what: str = "service endpoint") -> SplitResult:
     """
     if any(c < " " or c == "\x7f" for c in url):
         raise InputError(f"{what} {redact_endpoint(url)!r} holds a control character")
+    if _surrogate(url):
+        raise InputError(f"{what} {redact_endpoint(url)!r} holds a byte that is not UTF-8")
     try:
         parts = urlsplit(url)
         parts.port  # raises ValueError on a malformed port

@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from stubs import RawService, StubService
+
+# every property test draws the same examples on every run, whatever their
+# timing: a failure is one the next run sees too
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(autouse=True)

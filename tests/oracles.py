@@ -565,12 +565,15 @@ def _system_error(message: str, line: int, index: int, name: str) -> SchemaViola
     return SchemaViolation(message, line=line, field=f"systems[{index}]{name}")
 
 
-def _parse_system(value, line: int, index: int) -> SystemSummary:
+def _parse_system(value, line: int, index: int, seen_ids: set, pooled: int) -> SystemSummary:
     if not isinstance(value, dict):
         raise _system_error("system must be an object", line, index, "")
     system_id = value.get("system_id")
     if not isinstance(system_id, str) or system_id == "":
         raise _system_error("missing string 'system_id'", line, index, ".system_id")
+    if system_id in seen_ids:
+        raise _system_error(f"duplicate system_id {system_id!r}", line, index, ".system_id")
+    seen_ids.add(system_id)
     summary = value.get("summary")
     if not isinstance(summary, str):
         raise _system_error("missing string 'summary'", line, index, ".summary")
@@ -588,6 +591,12 @@ def _parse_system(value, line: int, index: int) -> SystemSummary:
                 "'scu_presence' must be a list of 0/1", line, index, ".scu_presence"
             )
         presence = tuple(map(int, presence))
+        if len(presence) != pooled:
+            raise PresenceLengthMismatch(
+                f"{len(presence)} presence labels for {pooled} gold units",
+                line=line,
+                field=f"systems[{index}].scu_presence",
+            )
     return SystemSummary(
         system_id=system_id,
         summary=summary,
@@ -618,28 +627,12 @@ def _parse_entry(value, line: int) -> ReferenceEntry:
     )
     systems_raw = value.get("systems", [])
     _require(isinstance(systems_raw, list), "'systems' must be a list", line, "systems")
-    systems = tuple(
-        _parse_system(system, line, i) for i, system in enumerate(systems_raw)
-    )
+    pooled = sum(len(reference.scus) for reference in references)
     seen_ids = set()
-    for i, system in enumerate(systems):
-        if system.system_id in seen_ids:
-            raise SchemaViolation(
-                f"duplicate system_id {system.system_id!r}",
-                line=line,
-                field=f"systems[{i}].system_id",
-            )
-        seen_ids.add(system.system_id)
-    entry = ReferenceEntry(example_id=example_id, references=references, systems=systems)
-    pooled = len(entry.pooled_scus())
-    for i, system in enumerate(systems):
-        if system.scu_presence is not None and len(system.scu_presence) != pooled:
-            raise PresenceLengthMismatch(
-                f"{len(system.scu_presence)} presence labels for {pooled} gold units",
-                line=line,
-                field=f"systems[{i}].scu_presence",
-            )
-    return entry
+    systems = tuple(
+        _parse_system(system, line, i, seen_ids, pooled) for i, system in enumerate(systems_raw)
+    )
+    return ReferenceEntry(example_id=example_id, references=references, systems=systems)
 
 
 def json_lines_oracle(lines) -> list[tuple[int, object]]:
@@ -685,8 +678,10 @@ def load_dataset_oracle(path) -> list[ReferenceEntry]:
     return entries
 
 
-def load_units_oracle(path) -> list[UnitFileRow]:
-    """Read unit rows back; the inverse of :func:`save_units`."""
+def load_units_oracle(path, reference_counts=None) -> list[UnitFileRow]:
+    """Read unit rows back; the inverse of :func:`save_units`. With
+    *reference_counts*, the first row whose example or reference is not
+    among them fails."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
             lines = handle.read().split("\n")
@@ -725,17 +720,33 @@ def load_units_oracle(path) -> list[UnitFileRow]:
             number,
             "text",
         )
+        if reference_counts is not None:
+            _require(
+                example_id in reference_counts,
+                f"example {example_id!r} is not in the dataset",
+                number,
+                "example_id",
+            )
+            _require(
+                reference_index < reference_counts[example_id],
+                f"example {example_id!r} has no reference {reference_index}",
+                number,
+                "reference_index",
+            )
         rows.append(UnitFileRow(example_id, reference_index, strategy, text))
     return rows
 
 
-def load_scores_oracle(path) -> dict[tuple[str, str], float]:
+def load_scores_oracle(path, cells) -> dict[tuple[str, str], float]:
+    """Read a score file; the first row for a cell not in *cells*, or for
+    the cell of an earlier row, fails."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
             lines = handle.read().split("\n")
     except OSError as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
     scores = {}
+    lines_of = {}
     for number, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -756,7 +767,15 @@ def load_scores_oracle(path) -> dict[tuple[str, str], float]:
             raise SchemaViolation(
                 "'score' must be a finite number", line=number, field="score"
             )
-        scores[(example_id, system_id)] = float(value)
+        cell = (example_id, system_id)
+        if cell in lines_of:
+            raise SchemaViolation(
+                f"{example_id}/{system_id} repeats line {lines_of[cell]}", line=number
+            )
+        if cell not in cells:
+            raise SchemaViolation(f"{example_id}/{system_id} is not in the dataset", line=number)
+        lines_of[cell] = number
+        scores[cell] = float(value)
     return scores
 
 
@@ -814,13 +833,17 @@ def parse_entry_reference(value, line: int) -> ReferenceEntry:
         raise SchemaViolation("'systems' must be a list", line=line, field="systems")
     fields = []
     seen_ids = set()
-    duplicate = mismatch = None
     for i, system in enumerate(systems_raw):
         if type(system) is not dict:
             raise _reference_system_error("system must be an object", line, i, "")
         system_id = system.get("system_id")
         if type(system_id) is not str or not system_id:
             raise _reference_system_error("missing string 'system_id'", line, i, ".system_id")
+        if system_id in seen_ids:
+            raise _reference_system_error(
+                f"duplicate system_id {system_id!r}", line, i, ".system_id"
+            )
+        seen_ids.add(system_id)
         summary = system.get("summary")
         if type(summary) is not str:
             raise _reference_system_error("missing string 'summary'", line, i, ".summary")
@@ -843,27 +866,14 @@ def parse_entry_reference(value, line: int) -> ReferenceEntry:
                 raise _reference_system_error(
                     "'scu_presence' must be a list of 0/1", line, i, ".scu_presence"
                 )
+            if len(labels) != pooled:
+                raise PresenceLengthMismatch(
+                    f"{len(labels)} presence labels for {pooled} gold units",
+                    line=line,
+                    field=f"systems[{i}].scu_presence",
+                )
             presence = labels
-            if mismatch is None and len(presence) != pooled:
-                mismatch = i
-        if system_id in seen_ids:
-            if duplicate is None:
-                duplicate = i
-        else:
-            seen_ids.add(system_id)
         fields.append((system_id, summary, human_score, presence))
-    if duplicate is not None:
-        raise SchemaViolation(
-            f"duplicate system_id {fields[duplicate][0]!r}",
-            line=line,
-            field=f"systems[{duplicate}].system_id",
-        )
-    if mismatch is not None:
-        raise PresenceLengthMismatch(
-            f"{len(fields[mismatch][3])} presence labels for {pooled} gold units",
-            line=line,
-            field=f"systems[{mismatch}].scu_presence",
-        )
     return ReferenceEntry(
         example_id,
         tuple(Reference(r["text"], tuple(r.get("scus", ()))) for r in references_raw),
@@ -871,14 +881,9 @@ def parse_entry_reference(value, line: int) -> ReferenceEntry:
     )
 
 
-def _reference_stray_rows(count):
-    return "the only stray row" if count == 1 else f"the first of {count} stray rows"
-
-
 def load_units_reference(path, *, reference_counts=None) -> list[UnitFileRow]:
     """:func:`autopyramid.data.load_units`, row checks and stray rows."""
     rows = []
-    stray = 0
     for number, raw in _json_lines(read_input(path)):
         if type(raw) is not dict:
             raise SchemaViolation("row must be an object", line=number, field="")
@@ -904,22 +909,19 @@ def load_units_reference(path, *, reference_counts=None) -> list[UnitFileRow]:
             raise SchemaViolation("missing non-empty string 'text'", line=number, field="text")
         if reference_counts is not None:
             count = reference_counts.get(example_id)
-            if count is None or reference_index >= count:
-                if not stray:
-                    first_stray = (number, example_id, reference_index, count)
-                stray += 1
+            if count is None:
+                raise SchemaViolation(
+                    f"example {example_id!r} is not in the dataset",
+                    line=number,
+                    field="example_id",
+                )
+            if reference_index >= count:
+                raise SchemaViolation(
+                    f"example {example_id!r} has no reference {reference_index}",
+                    line=number,
+                    field="reference_index",
+                )
         rows.append(UnitFileRow(example_id, reference_index, strategy, text))
-    if stray:
-        number, example_id, reference_index, count = first_stray
-        if count is None:
-            what, field = "is not in the dataset", "example_id"
-        else:
-            what, field = f"has no reference {reference_index}", "reference_index"
-        raise SchemaViolation(
-            f"example {example_id!r} {what} ({_reference_stray_rows(stray)})",
-            line=number,
-            field=field,
-        )
     return rows
 
 
@@ -927,7 +929,6 @@ def load_scores_reference(path, cells) -> dict[tuple[str, str], float]:
     """:func:`autopyramid.data.load_scores`, row checks and stray rows."""
     scores = {}
     lines_of = {}
-    stray = 0
     for number, raw in _json_lines(read_input(path)):
         if type(raw) is not dict:
             raise SchemaViolation("row must be an object", line=number)
@@ -940,19 +941,13 @@ def load_scores_reference(path, cells) -> dict[tuple[str, str], float]:
             raise SchemaViolation("'score' must be a finite number", line=number, field="score")
         cell = (example_id, system_id)
         if cell in lines_of:
-            reason = f"repeats line {lines_of[cell]}"
-        elif cell not in cells:
-            reason = "is not in the dataset"
-        else:
-            lines_of[cell] = number
-            scores[cell] = float(value)
-            continue
-        if not stray:
-            first_stray = (number, f"{example_id}/{system_id} {reason}")
-        stray += 1
-    if stray:
-        number, what = first_stray
-        raise SchemaViolation(f"{what} ({_reference_stray_rows(stray)})", line=number)
+            raise SchemaViolation(
+                f"{example_id}/{system_id} repeats line {lines_of[cell]}", line=number
+            )
+        if cell not in cells:
+            raise SchemaViolation(f"{example_id}/{system_id} is not in the dataset", line=number)
+        lines_of[cell] = number
+        scores[cell] = float(value)
     return scores
 
 

@@ -248,7 +248,7 @@ def graph_parts(draw):
     return root, nodes, tuple(edges), tuple(attributes)
 
 
-@settings(max_examples=500, deadline=None, derandomize=True)
+@settings(max_examples=500)
 @given(graph_parts())
 def test_a_graph_is_refused_or_reads_back_from_its_text(parts):
     try:
@@ -392,7 +392,7 @@ PENMAN_PIECES = [
 ]
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=500)
 @given(
     st.one_of(
         st.text(),
@@ -464,7 +464,7 @@ LINE_PIECES = PENMAN_PIECES + [
 ]
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=500)
 @given(
     st.one_of(
         st.text(),
@@ -486,7 +486,7 @@ def load_outcome(path):
         return str(exc), exc.line, exc.column
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(SEEDS)
 def test_penman_file_matches_the_reference_parser(seed):
     rng = random.Random(seed)

@@ -70,7 +70,7 @@ def pair_dependent(pairs):
 # equivalence with the per-pair and per-cell definitions
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(pair_lists())
 def test_lexical_scorer_equals_lexical_presence(pairs):
     assert lexical_scorer(pairs) == [lexical_presence(p, h) for p, h in pairs]
@@ -89,7 +89,7 @@ def easiness_by_cells(gold, approx):
     )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     drawn_from_pool(min_size=1, max_size=8, elements=unit_texts),
     drawn_from_pool(max_size=8, elements=unit_texts),
@@ -98,7 +98,7 @@ def test_easiness_equals_cell_by_cell_rouge1(gold, approx):
     assert easiness(gold, approx) == easiness_by_cells(gold, approx)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     drawn_from_pool(min_size=1, max_size=6, elements=unit_texts),
     drawn_from_pool(max_size=8),
@@ -177,7 +177,7 @@ def pair_specific(pairs):
     return [zlib.crc32(f"{p}\0{h}".encode("utf-8", "surrogatepass")) / 2**32 for p, h in pairs]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(drawn_from_pool(min_size=1, max_size=8), drawn_from_pool(max_size=8))
 def test_score_summaries_sends_the_distinct_pairs_in_first_seen_order(units, summaries):
     calls = []
@@ -222,7 +222,7 @@ def test_prescored_sends_the_distinct_pairs_of_every_example_once():
     assert scorer([("s3", "u3"), ("s1", "u1")]) == pair_specific([("s3", "u3"), ("s1", "u1")])
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(scored_examples())
 def test_prescored_answers_every_pair_that_score_summaries_asks_for(examples):
     calls = []

@@ -294,7 +294,7 @@ SMU_ERRORS_AFTER_A_LARGE_GRAPH = {
     "parse": ("\n\n(w / want-01 :ARG1\n", "line 3, column 14: role ':ARG1' has no value"),
     "extra": (
         "\n\n(w / want-01 :ARG1 (t / thing))\n" * 2,
-        "graphs file has 3 blocks but the dataset uses 2",
+        "graphs file has more than the 2 blocks the dataset uses",
     ),
     "early": ("\n", "graphs file ended early: example g2 reference 0 needs 1 graphs"),
 }
@@ -362,6 +362,26 @@ def test_extract_sgu_empty_reply_names_the_example_and_reference(
 SMALL_GRAPH = "(w / want-01 :ARG1 (t / thing))"
 # two candidates, the second too large once smu.MAX_SPLIT_SIZE is 4
 LARGE_GRAPH = "(w / want-01 :ARG0 (b / boy) :ARG1 (g / go-02 :ARG0 b))"
+
+
+def test_extract_smu_blank_generator_texts_name_the_example_and_reference(
+    tmp_path, stub_service, capsys
+):
+    stub = stub_service(lambda path, body: (200, {"texts": ["  "] * len(body["graphs"])}))
+    graphs = tmp_path / "g.penman"
+    graphs.write_text(f"{SMALL_GRAPH}\n\n{SMALL_GRAPH}\n", encoding="utf-8")
+    out = tmp_path / "units.jsonl"
+    capsys.readouterr()
+    assert main([
+        "extract", "--strategy", "smu", "--input", two_one_sentence_examples(tmp_path),
+        "--graphs", str(graphs), "--gen-endpoint", stub.url, "--out", str(out),
+    ]) == 3
+    assert capsys.readouterr().err == (
+        "autopyramid: example g1 reference 0: the realized texts of the reference are all blank\n"
+    )
+    assert len(stub.requests) == 1
+    assert not out.exists()
+
 
 # how each unit-list source fails at one reference: the text of that
 # reference and the message
@@ -598,7 +618,7 @@ def test_extract_import_misaligned_with_the_input_exits_2(tmp_path, capsys, row,
         "--import-path", source, "--out", str(out),
     ]) == 2
     assert capsys.readouterr().err == (
-        f"autopyramid: {source}, line 2, {where} (the only stray row); an import file "
+        f"autopyramid: {source}, line 2, {where}; an import file "
         "holds unit-file rows (example_id, reference_index, strategy, text)\n"
     )
     assert not out.exists()
@@ -1159,6 +1179,24 @@ def test_a_request_argument_that_is_not_utf8_is_refused(tmp_path, stub_service, 
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_proxy_that_is_not_utf8_exits_2_naming_it(tmp_path, stub_service, capsys, monkeypatch):
+    stub = stub_service(constant_presence(0.7))
+    for name in [name for name in os.environ if name.lower().endswith("_proxy")]:
+        monkeypatch.delenv(name)
+    monkeypatch.setenv("http_proxy", stub.url.replace("http://", "http://user\udcff:pw@"))
+    out = tmp_path / "out.jsonl"
+    capsys.readouterr()
+    assert main([
+        "score", "--input", TOY, "--units", str(DATA / "golden" / "units.jsonl"),
+        "--scorer", "remote", "--nli-endpoint", f"{stub.url}/nli", "--out", str(out),
+    ]) == 2
+    assert capsys.readouterr().err == (
+        f"autopyramid: http proxy {stub.url!r} holds a byte that is not UTF-8\n"
+    )
+    assert stub.requests == []
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_a_manifest_that_cannot_be_written_leaves_out_as_it_was(tmp_path, capsys):
     out = tmp_path / "s.jsonl"
     out.write_bytes(b"old\n")
@@ -1407,7 +1445,7 @@ def test_unit_rows_for_references_the_example_lacks_exit_2(tmp_path, capsys, com
     assert capsys.readouterr().err == (
         f"autopyramid: {units}, line 4, field reference_index: "
         f"example {rows[3]['example_id']!r} "
-        "has no reference 1 (the only stray row)\n"
+        "has no reference 1\n"
     )
     assert not (tmp_path / "o").exists()
 
@@ -1423,8 +1461,7 @@ def test_unit_rows_for_examples_not_in_the_dataset_exit_2(tmp_path, capsys, comm
     capsys.readouterr()
     assert main(argv) == 2
     assert capsys.readouterr().err == (
-        f"autopyramid: {units}, line 3, field example_id: example 'nope' is not in the dataset "
-        "(the first of 2 stray rows)\n"
+        f"autopyramid: {units}, line 3, field example_id: example 'nope' is not in the dataset\n"
     )
     assert not (tmp_path / "o").exists()
 
@@ -1436,8 +1473,7 @@ def test_score_rows_for_cells_not_in_the_dataset_exit_2(tmp_path, capsys):
     capsys.readouterr()
     assert main(["metaeval", "--input", TOY, "--scores", scores]) == 2
     assert capsys.readouterr().err == (
-        f"autopyramid: {scores}, line {len(rows)}: e9/sysA is not in the dataset "
-        "(the only stray row)\n"
+        f"autopyramid: {scores}, line {len(rows)}: e9/sysA is not in the dataset\n"
     )
 
 
@@ -1449,7 +1485,7 @@ def test_repeated_score_rows_exit_2(tmp_path, capsys):
     assert main(["metaeval", "--input", TOY, "--scores", scores]) == 2
     first = f"{rows[1]['example_id']}/{rows[1]['system_id']}"
     assert capsys.readouterr().err == (
-        f"autopyramid: {scores}, line 5: {first} repeats line 2 (the first of 2 stray rows)\n"
+        f"autopyramid: {scores}, line 5: {first} repeats line 2\n"
     )
 
 
@@ -1552,7 +1588,7 @@ NAMED_INPUT_ERRORS = {
         ["extract", "--strategy", "smu", "--input", "{two}", "--graphs", "{path}",
          "--out", "{out}"],
         "\n".join([GOOD_GRAPH] * 3),
-        ", line 5: graphs file has 3 blocks but the dataset uses 2",
+        ", line 5: graphs file has more than the 2 blocks the dataset uses",
     ),
     "graphs-early": (
         ["extract", "--strategy", "smu", "--input", "{two}", "--graphs", "{path}",
@@ -1576,6 +1612,57 @@ def test_an_input_error_names_the_file(tmp_path, capsys, kind):
     assert main([arg.format(**values) for arg in argv]) == 2
     assert capsys.readouterr().err == f"autopyramid: {path}{tail}\n"
     assert not out.exists()
+
+
+def first_fault_case(tmp_path, kind):
+    """The argv of a command whose *kind* input holds two faults, the first
+    a row or block that does not fit the dataset, and the file."""
+    bad = tmp_path / f"bad-{kind}"
+    out = str(tmp_path / "out")
+    if kind == "units":
+        row = {"example_id": "nope", "reference_index": 0, "strategy": "smu", "text": "a"}
+        bad.write_text(json.dumps(row) + "\n{\n", encoding="utf-8")
+        return ["score", "--input", TOY, "--units", str(bad), "--out", out], bad
+    if kind == "scores":
+        row = {"example_id": "e9", "system_id": "sysA", "score": 0.5}
+        bad.write_text(json.dumps(row) + "\n{\n", encoding="utf-8")
+        return ["metaeval", "--input", TOY, "--scores", str(bad), "--out", out], bad
+    if kind == "graphs":
+        dataset = write_jsonl(tmp_path / "d.jsonl", [ONE_GRAPH_DATASET])
+        bad.write_text(f"{GOOD_GRAPH}\n{GOOD_GRAPH}\n(w / want-01\n", encoding="utf-8")
+        return ["extract", "--strategy", "smu", "--input", dataset, "--graphs", str(bad),
+                "--out", out], bad
+    rows = read_jsonl(TOY)
+    systems = rows[1]["systems"]
+    if kind == "dataset-presence":
+        systems[0]["scu_presence"] = [0, 0, 1]
+    else:  # a repeated system id
+        systems[1]["system_id"] = systems[0]["system_id"]
+    systems[1]["summary"] = 7
+    write_jsonl(bad, rows)
+    return ["stats", "--input", str(bad), "--out", out], bad
+
+
+FIRST_FAULTS = {
+    "units": ", line 1, field example_id: example 'nope' is not in the dataset",
+    "scores": ", line 1: e9/sysA is not in the dataset",
+    "graphs": ", line 3: graphs file has more than the 1 blocks the dataset uses",
+    "dataset-presence": (
+        ", line 2, field systems[0].scu_presence: 3 presence labels for 2 gold units"
+    ),
+    "dataset-duplicate": ", line 2, field systems[1].system_id: duplicate system_id 'sysA'",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FIRST_FAULTS))
+def test_the_first_fault_in_an_input_file_is_the_one_reported(tmp_path, capsys, kind):
+    # a row or block that does not fit the dataset ends the read: a later
+    # fault in the file, in the next line or the next field, is not reached
+    argv, bad = first_fault_case(tmp_path, kind)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"autopyramid: {bad}{FIRST_FAULTS[kind]}\n"
+    assert not (tmp_path / "out").exists()
 
 
 # a fault in one field of the toy dataset's second row: how the row is

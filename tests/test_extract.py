@@ -81,7 +81,7 @@ NGRAM_WORDS = ["the", "The", "cat", "sat", "dog", "ran", "x1", "ß", "É", "Dr."
 NGRAM_BREAKS = [".", "!", "?", ",", "--", "...", "\n"]
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     st.lists(st.sampled_from(NGRAM_WORDS + NGRAM_BREAKS), max_size=40).map(" ".join),
     st.lists(st.integers(1, 6), min_size=1, max_size=5),
@@ -170,6 +170,17 @@ def test_smu_units_many_equal_the_per_reference_units_in_one_call():
         with pytest.raises(EmptyReference) as info:
             extract_smu_units_many([[WANT], empty, [run]], "one-cr", generator)
         assert info.value.reference == 1
+    assert len(generator.calls) == 1
+
+
+def test_smu_units_many_refuse_a_reference_whose_texts_are_all_blank():
+    run = parse_penman("(r / run-01 :ARG0 (d / dog) :ARG1 (p / park))")
+    # the generator answers blank for the candidates of the run graph alone
+    generator = FakeGenerator(lambda g: " \t " if "run-01" in g else g)
+    with pytest.raises(EmptyReply) as info:
+        extract_smu_units_many([[WANT], [run], [WANT]], "one-cr", generator)
+    assert str(info.value) == "the realized texts of the reference are all blank"
+    assert info.value.reference == 1
     assert len(generator.calls) == 1
 
 

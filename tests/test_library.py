@@ -7,7 +7,9 @@ immutability they had as frozen dataclasses, and a graph checks its
 invariants however it is built, ``_replace`` included.
 """
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from importlib import import_module
@@ -212,3 +214,14 @@ def test_presence_result_checks_its_probabilities():
         result.probabilities = (1.0,)
     with pytest.raises(AttributeError):
         result.note = "x"
+
+
+def test_the_readme_library_example_runs_as_documented(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    printed = capsys.readouterr().out.splitlines()
+    (claim,) = re.findall(r"^# units == (.*)$", block, re.MULTILINE)
+    assert namespace["units"] == ast.literal_eval(claim)
+    assert printed[-1] == "['boy want', 'want boy go', 'boy go']"

@@ -737,6 +737,24 @@ def test_a_proxy_that_is_not_http_is_refused_before_any_request(
     assert stub.requests == []
 
 
+def test_a_url_that_is_not_utf8_is_refused_before_any_request(
+    stub_service, monkeypatch, no_proxies
+):
+    # Python decodes a byte that is not UTF-8, here 0xff, in an argument or
+    # the environment to a lone surrogate, which no request can hold
+    stub = stub_service()
+    with pytest.raises(InputError) as bad:
+        post_json(f"{stub.url}/x\udcff", {})
+    assert str(bad.value) == (
+        f"service endpoint '{stub.url}/x\\udcff' holds a byte that is not UTF-8"
+    )
+    monkeypatch.setenv("http_proxy", stub.url.replace("http://", "http://ann\udcff:pw@"))
+    with pytest.raises(InputError) as bad:
+        post_json("http://service.invalid:8080/nli", {})
+    assert str(bad.value) == f"http proxy {stub.url!r} holds a byte that is not UTF-8"
+    assert stub.requests == []
+
+
 TLS = DATA / "tls"
 
 

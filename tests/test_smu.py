@@ -208,7 +208,7 @@ def test_realize_baseline_never_empty():
 REFERENCE_ROLES = ROLES + [":name", ":ARG0-of", ":ARG10", ":ARG2-of", ":ARGx", ":op1"]
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(SEEDS, st.sampled_from(SPLIT_MODES), st.booleans())
 def test_split_and_realize_match_the_reference(seed, mode, turn_edges):
     rng = random.Random(seed)
@@ -249,7 +249,7 @@ role_like = st.one_of(
 )
 
 
-@settings(max_examples=1000, deadline=None, derandomize=True)
+@settings(max_examples=1000)
 @given(role_like)
 def test_role_and_sense_helpers_match_the_patterns(text):
     assert smu._core_role(text) == core_role_oracle(text)

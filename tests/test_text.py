@@ -49,7 +49,7 @@ MIXED_PIECES = [
 ]
 
 
-@settings(max_examples=1000, deadline=None)
+@settings(max_examples=1000)
 @given(
     st.one_of(
         st.text(st.characters(min_codepoint=0, max_codepoint=127)),
@@ -203,7 +203,7 @@ SENTENCE_PIECES = [
 ]
 
 
-@settings(max_examples=1000, deadline=None)
+@settings(max_examples=1000)
 @given(
     st.lists(st.sampled_from(SENTENCE_PIECES), max_size=25),
     st.sampled_from([DEFAULT_ABBREVIATIONS, frozenset(), frozenset({"x_", "a1"})]),
