@@ -1,7 +1,7 @@
 """Command-line surface: extract, score, intrinsic, metaeval, stats.
 
 Every command runs the same way: :func:`main` reads the dataset named by
-``--input``, keeping only the fields the command reads
+``--input``, once, keeping only the fields the command reads
 (:data:`DATASET_FIELDS`; every field is still checked), the command
 computes its rows from it, and one writer,
 :func:`_write_output`, writes the rows to ``--out`` and then the output's
@@ -15,7 +15,10 @@ command. ``extract`` and ``score`` compute their rows while the writer
 writes them, so their temp file beside ``--out`` is there for the whole
 run, and a process killed by a signal in that time leaves it behind.
 ``extract --strategy smu`` reads its graphs as it goes, and so
-holds one reference's graphs at a time. A command imports only the modules
+holds one reference's graphs at a time. ``score`` holds no summary: its
+load writes them to an unnamed temporary file
+(:class:`~autopyramid.presence.SummarySpool`), and it reads each
+example's back as it scores it. A command imports only the modules
 it runs: graph code for ``--strategy smu``, the HTTP client for a given
 endpoint, presence scoring for ``score`` and statistics for the report
 commands. An input error that a loader finds at a line of a file names the
@@ -92,7 +95,8 @@ __getattr__ = _lazy_names(
         "amr": "PenmanEntry load_penman_file parse_penman",
         "extract": "extract_ngram_units extract_sentence_units extract_sgu_units_many "
         "extract_smu_units extract_smu_units_many",
-        "presence": "lexical_scorer prescored remote_scorer score_summaries score_summary",
+        "presence": "SummarySpool lexical_scorer prescored remote_scorer score_summaries "
+        "score_summary",
         "services": "ChatClient GraphToTextClient ParseServiceClient check_endpoint",
         "stats": "corpus_stats easiness summary_level system_level",
     },
@@ -104,11 +108,12 @@ EXIT_INPUT = 2
 EXIT_SERVICE = 3
 
 # the dataset fields each command reads: its load keeps these and drops
-# the rest, so only score holds the summaries (73% of the benchmark
-# datasets' bytes). Kept out of argparse, whose options go into manifests.
+# the rest. No command keeps the summaries (73% of the benchmark datasets'
+# bytes): score spools them. Kept out of argparse, whose options go into
+# manifests.
 DATASET_FIELDS = {
     "extract": ("text",),
-    "score": ("summary",),
+    "score": (),
     "intrinsic": ("scus",),
     "metaeval": ("human_score",),
     "stats": ("text", "scus"),
@@ -255,13 +260,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run the command *argv* names and return its exit code. The collector
     is left as it was found."""
+    spool = None
     try:
         args = build_parser().parse_args(argv)
         _check_arguments(args)
         # the inputs' digests go into the output's manifest: none without one
         digests = {} if args.out else None
+        if args.command == "score":
+            spool = args.spool = _lazy.SummarySpool()
         entries = load_dataset(
-            args.input, digests=digests, fields=DATASET_FIELDS[args.command]
+            args.input,
+            digests=digests,
+            fields=DATASET_FIELDS[args.command],
+            summaries=spool.add if spool else None,
         )
         return args.func(args, entries, digests)
     except SystemExit as exc:  # argparse: usage, --help, --version
@@ -273,6 +284,9 @@ def main(argv=None) -> int:
         where = f"{exc.path}, " if getattr(exc, "path", None) is not None else ""
         print(f"autopyramid: {where}{exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        if spool is not None:
+            spool.close()
 
 
 def run_and_exit():
@@ -537,9 +551,10 @@ STRATEGIES = {
 }
 
 
-# the arguments a manifest's config leaves out: the command, and the paths
-# of its dataset, units, scores and output, which the manifest records apart
-_NOT_CONFIG = ("command", "func", "input", "out", "units", "scores")
+# the arguments a manifest's config leaves out: the command, the paths of
+# its dataset, units, scores and output, which the manifest records apart,
+# and score's spool
+_NOT_CONFIG = ("command", "func", "input", "out", "units", "scores", "spool")
 
 
 def _write_output(args, digests, rows, *, config=None, extra=None) -> int:
@@ -592,10 +607,6 @@ def cmd_score(args, entries, digests) -> int:
     if missing:
         raise NoUnits(f"no units for examples: {', '.join(sorted(missing))}")
 
-    examples = [
-        (entry, grouped[entry.example_id], sorted(entry.systems, key=lambda s: s.system_id))
-        for entry in sorted(entries, key=lambda e: e.example_id)
-    ]
     if args.scorer == "remote" and not args.nli_endpoint:
         raise ServiceUnavailable("--scorer remote needs --nli-endpoint")
 
@@ -607,10 +618,12 @@ def cmd_score(args, entries, digests) -> int:
             remote = _lazy.remote_scorer(
                 args.nli_endpoint, batch_size=args.batch_size, concurrency=args.concurrency
             )
-            pairs = ((units, [s.summary for s in systems]) for _, units, systems in examples)
-            scorer = _lazy.prescored(pairs, remote)
-        for entry, units, systems in examples:
-            results = _lazy.score_summaries(units, [s.summary for s in systems], scorer)
+            pairs = args.spool.examples(entries)
+            scorer = _lazy.prescored(((grouped[e.example_id], t) for e, _, t in pairs), remote)
+        # in id order, each example's summaries read back from the spool
+        for entry, systems, texts in args.spool.examples(entries):
+            units = grouped[entry.example_id]
+            results = _lazy.score_summaries(units, texts, scorer)
             for system, result in zip(systems, results):
                 row = {
                     "example_id": entry.example_id,
@@ -667,10 +680,7 @@ def cmd_intrinsic(args, entries, digests) -> int:
 def cmd_metaeval(args, entries, digests) -> int:
     if not entries:
         raise EmptyDataset("dataset has no entries")
-    cells = {
-        (entry.example_id, system.system_id) for entry in entries for system in entry.systems
-    }
-    scores = load_scores(args.scores, cells, digests=digests)
+    scores = load_scores(args.scores, entries, digests=digests)  # in cell order
 
     system_ids = sorted(s.system_id for s in entries[0].systems)
     if len(system_ids) < 2:
@@ -678,29 +688,31 @@ def cmd_metaeval(args, entries, digests) -> int:
 
     metric_matrix = []
     human_matrix = []
+    first = 0  # the entry's first cell
     for entry in entries:
-        ids = sorted(s.system_id for s in entry.systems)
+        systems = sorted(enumerate(entry.systems), key=lambda pair: pair[1].system_id)
+        ids = [system.system_id for _, system in systems]
         if ids != system_ids:
             raise LengthMismatch(
                 f"example {entry.example_id} has systems {ids}, expected {system_ids}"
             )
-        by_id = {s.system_id: s for s in entry.systems}
         metric_row = []
         human_row = []
-        for system_id in system_ids:
-            if (entry.example_id, system_id) not in scores:
+        for j, system in systems:
+            score = scores[first + j]
+            if score != score:  # NaN: no row
                 raise LengthMismatch(
-                    f"score file has no row for {entry.example_id}/{system_id}"
+                    f"score file has no row for {entry.example_id}/{system.system_id}"
                 )
-            human = by_id[system_id].human_score
-            if human is None:
+            if system.human_score is None:
                 raise LengthMismatch(
-                    f"example {entry.example_id} system {system_id} has no human score"
+                    f"example {entry.example_id} system {system.system_id} has no human score"
                 )
-            metric_row.append(scores[(entry.example_id, system_id)])
-            human_row.append(human)
+            metric_row.append(score)
+            human_row.append(system.human_score)
         metric_matrix.append(metric_row)
         human_matrix.append(human_row)
+        first += len(systems)
 
     levels = ["system", "summary"] if args.level == "both" else [args.level]
     kinds = ["pearson", "spearman"] if args.corr == "both" else [args.corr]

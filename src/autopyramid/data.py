@@ -44,7 +44,9 @@ A dataset load keeps only the fields it is asked for (``fields``, of
 :data:`FIELDS`): every field is still decoded and checked, and one not
 kept is ``None`` in the records, so that code reading it fails rather
 than computes with a stand-in. The example and system ids, and the number
-and order of references and systems, are always kept.
+and order of references and systems, are always kept. A load may also
+hand each summary to a callable as it is checked (``summaries``), which is
+how ``score`` keeps them on disk rather than in the records.
 
 Within one load, equal values the records repeat are held once: a
 dataset's ``system_id`` strings, and a unit file's example ids and
@@ -63,7 +65,7 @@ import math
 import os
 import re
 import tempfile
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     DuplicateExampleId,
@@ -336,9 +338,10 @@ def _system_error(message: str, line: int, index: int, name: str) -> SchemaViola
     return SchemaViolation(message, line=line, field=f"systems[{index}]{name}")
 
 
-def _parse_entry(value, line: int, hold, fields=FIELDS) -> ReferenceEntry:
+def _parse_entry(value, line: int, hold, fields=FIELDS, summaries=None) -> ReferenceEntry:
     """Check one decoded dataset row, then build its records, which keep
-    the *fields* named and hold ``None`` for the others.
+    the *fields* named and hold ``None`` for the others; *summaries*, when
+    given, is called with each summary once its type is checked.
 
     The first problem is the one raised, in schema order: the entry's own
     fields, each reference, then each system in full before the next, a
@@ -402,6 +405,8 @@ def _parse_entry(value, line: int, hold, fields=FIELDS) -> ReferenceEntry:
         summary = system.get("summary")
         if type(summary) is not str:
             raise _system_error("missing string 'summary'", line, i, ".summary")
+        if summaries is not None:
+            summaries(summary)
         human_score = system.get("human_score")
         if human_score is not None:
             if not is_finite_number(human_score):
@@ -449,12 +454,15 @@ def _parse_entry(value, line: int, hold, fields=FIELDS) -> ReferenceEntry:
 
 @_naming_the_file
 def load_dataset(
-    path, *, digests: dict | None = None, fields: Iterable[str] = FIELDS
+    path, *, digests: dict | None = None, fields: Iterable[str] = FIELDS, summaries=None
 ) -> list[ReferenceEntry]:
     """Read and validate a dataset file; entries come back in file order.
 
     Every field is checked, but only those of :data:`FIELDS` that *fields*
-    names are kept; the others are ``None`` in the records. *digests* is
+    names are kept; the others are ``None`` in the records. *summaries*,
+    when given, is called with each system's summary, in file order, once
+    its type is checked, so that a caller may keep them elsewhere; a
+    summary is given even when its row fails a later check. *digests* is
     as for :func:`read_input`.
     """
     fields = frozenset(fields)
@@ -464,7 +472,7 @@ def load_dataset(
     seen = {}
     hold = {}.setdefault
     for number, raw in _json_lines(read_input(path, digests)):
-        entry = _parse_entry(raw, number, hold, fields)
+        entry = _parse_entry(raw, number, hold, fields, summaries)
         if entry.example_id in seen:
             raise DuplicateExampleId(
                 f"example_id {entry.example_id!r} already used on line "
@@ -625,18 +633,27 @@ def import_rows(
 
 
 @_naming_the_file
-def load_scores(
-    path, cells, *, digests: dict | None = None
-) -> dict[tuple[str, str], float]:
-    """Read a score file into ``{(example_id, system_id): score}``.
-
-    *cells* is any container of the dataset's (example_id, system_id)
-    pairs. A row for a cell not among them, or for the cell of an earlier
-    row, is stray: :class:`SchemaViolation` names its line, and the line of
-    the row it repeats if it does. *digests* is as for :func:`read_input`.
+def load_scores(path, entries, *, digests: dict | None = None) -> Sequence[float]:
+    """Read a score file into one ``array('d')`` of the cells of *entries*,
+    the dataset's records: each entry's systems in order, entries in order,
+    and NaN for a cell that no row scores. A row for a cell not in *entries*,
+    or for the cell of an earlier row, is stray: :class:`SchemaViolation`
+    names its line, and the line of the row it repeats if it does.
+    *digests* is as for :func:`read_input`.
     """
-    scores = {}
-    lines = {}  # the line of each cell's score
+    from array import array  # a shared library, loaded by the commands that use it
+
+    places = {}  # each example's first cell, and its systems' places
+    shared = {}  # one places dict for the entries whose systems are the same
+    cells = 0
+    for entry in entries:
+        ids = tuple([system.system_id for system in entry.systems])
+        if ids not in shared:
+            shared[ids] = {s: j for j, s in enumerate(ids)}
+        places[entry.example_id] = cells, shared[ids]
+        cells += len(ids)
+    scores = array("d", [math.nan]) * cells
+    lines = array("q", [0]) * cells  # the line of each cell's score, 0 for none yet
     for number, raw in _json_lines(read_input(path, digests)):
         if type(raw) is not dict:
             raise SchemaViolation("row must be an object", line=number)
@@ -649,13 +666,15 @@ def load_scores(
             )
         if not is_finite_number(value):
             raise SchemaViolation("'score' must be a finite number", line=number, field="score")
-        cell = (example_id, system_id)
-        if cell in lines:
+        place = places.get(example_id)
+        cell = place and place[1].get(system_id)
+        if cell is None:
+            raise SchemaViolation(f"{example_id}/{system_id} is not in the dataset", line=number)
+        cell += place[0]
+        if lines[cell]:
             raise SchemaViolation(
                 f"{example_id}/{system_id} repeats line {lines[cell]}", line=number
             )
-        if cell not in cells:
-            raise SchemaViolation(f"{example_id}/{system_id} is not in the dataset", line=number)
         scores[cell] = float(value)
         lines[cell] = number
     return scores

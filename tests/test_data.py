@@ -310,14 +310,32 @@ def test_a_load_holds_each_repeated_value_once(tmp_path):
         assert rows[0].strategy is rows[1].strategy is rows[2].strategy
 
 
+def score_entries(cells):
+    """Dataset records with the (example_id, system_id) *cells*, each
+    example's systems in the order given."""
+    systems = {}
+    for example_id, system_id in cells:
+        systems.setdefault(example_id, []).append(SystemSummary(system_id, None))
+    return [ReferenceEntry(e, (Reference(None, None),), tuple(s)) for e, s in systems.items()]
+
+
+def scores_by_cell(scores, entries):
+    """The scores ``load_scores(path, entries)`` gives, by (example_id,
+    system_id) and in cell order, the cells no row scores left out."""
+    cells = [(e.example_id, s.system_id) for e in entries for s in e.systems]
+    return {cell: score for cell, score in zip(cells, scores, strict=True) if score == score}
+
+
 def test_load_scores_keys_scores_by_the_cells_given(tmp_path):
-    cells = {cell: cell for cell in [("e1", "sysA"), ("e1", "sysB"), ("e2", "sysA")]}
+    entries = score_entries([("e1", "sysA"), ("e1", "sysB"), ("e2", "sysA")])
     path = write_jsonl(tmp_path / "s.jsonl", [
         {"example_id": "e1", "system_id": "sysB", "score": 1},
         {"example_id": "e1", "system_id": "sysA", "score": 0.5},
     ])
-    scores = load_scores(path, cells)
-    assert scores == {("e1", "sysB"): 1.0, ("e1", "sysA"): 0.5}
+    scores = load_scores(path, entries)
+    # one float a cell of the dataset, in its order, and NaN where no row is
+    assert scores.typecode == "d" and len(scores) == 3 and scores[2] != scores[2]
+    assert scores_by_cell(scores, entries) == {("e1", "sysA"): 0.5, ("e1", "sysB"): 1.0}
 
 
 def test_load_units_validates(tmp_path):
@@ -769,6 +787,18 @@ def score_rows(draw):
 
 
 SCORE_CELLS = {(e, s): (e, s) for e in ("e1", "e2") for s in ("a", "b", "c")}
+SCORE_ENTRIES = score_entries(SCORE_CELLS)
+
+
+def load_scores_by_cell(path):
+    """``load_scores`` on the cells of ``SCORE_CELLS``, as the references
+    give it: by cell, in cell order."""
+    return scores_by_cell(load_scores(path, SCORE_ENTRIES), SCORE_ENTRIES)
+
+
+def in_cell_order(scores):
+    """A reference's scores by cell, in the order of ``SCORE_CELLS``."""
+    return {cell: scores[cell] for cell in SCORE_CELLS if cell in scores}
 
 
 @settings(max_examples=300)
@@ -776,8 +806,8 @@ SCORE_CELLS = {(e, s): (e, s) for e in ("e1", "e2") for s in ("a", "b", "c")}
 def test_load_scores_matches_its_reference_and_refuses_stray_rows(scratch, data):
     scratch.write_bytes(data.draw(jsonl_file(data.draw(score_rows()))))
     # the first row for a cell not in the dataset, or repeating one, fails
-    assert outcome(lambda path: load_scores(path, SCORE_CELLS), scratch) == outcome(
-        lambda path: load_scores_oracle(path, SCORE_CELLS), scratch
+    assert outcome(load_scores_by_cell, scratch) == outcome(
+        lambda path: in_cell_order(load_scores_oracle(path, SCORE_CELLS)), scratch
     )
 
 
@@ -850,8 +880,8 @@ def test_load_units_matches_its_constructor_built_reference(scratch, data):
 @given(st.data())
 def test_load_scores_matches_its_constructor_built_reference(scratch, data):
     scratch.write_bytes(data.draw(jsonl_file(data.draw(score_rows()))))
-    assert record_outcome(lambda: load_scores(scratch, SCORE_CELLS)) == record_outcome(
-        lambda: load_scores_reference(scratch, SCORE_CELLS)
+    assert record_outcome(lambda: load_scores_by_cell(scratch)) == record_outcome(
+        lambda: in_cell_order(load_scores_reference(scratch, SCORE_CELLS))
     )
 
 
@@ -950,7 +980,7 @@ SURROGATE_LOADS = {
         "text",
     ),
     "scores": (
-        lambda path: load_scores(path, SCORE_CELLS),
+        lambda path: load_scores(path, SCORE_ENTRIES),
         '{"example_id": "e1", "system_id": "a", "score": 0.5}',
         '{"example_id": "e1", "system_id": "b@", "score": 0.5}',
         "system_id",

@@ -1,0 +1,270 @@
+"""``score`` keeps its summaries in a spool on disk, and ``metaeval`` its
+scores in one flat array: the outputs follow the ids, not the file order;
+the memory a command holds grows little with the corpus; ``--input`` is
+read once; and the spool is closed, or refused with exit 2, on every path.
+"""
+
+import hashlib
+import json
+import os
+import random
+import re
+import threading
+import tracemalloc
+from pathlib import Path
+
+import pytest
+
+from autopyramid import cli, presence
+from autopyramid.cli import main
+from autopyramid.errors import ServiceUnavailable
+
+DATA = Path(__file__).parent / "data"
+TOY = str(DATA / "toy.jsonl")
+GOLDEN_UNITS = str(DATA / "golden" / "units.jsonl")
+GOLDEN_SCORES = DATA / "golden" / "scores.jsonl"
+
+
+def seeded_rows(examples: int, seed: int, systems: int = 16) -> list[dict]:
+    """Dataset rows of *examples* examples with *systems* systems each: one
+    reference of four sentences, six gold units, and per system a summary
+    that keeps each reference word with the system's skill (about 500
+    bytes) and a human score near that skill."""
+    rng = random.Random(seed)
+    vocabulary = [
+        "".join(rng.choice("bcdfglmnprstvz") + rng.choice("aeiou") for _ in range(3))
+        for _ in range(400)
+    ]
+    rows = []
+    for i in range(examples):
+        sentences = [rng.choices(vocabulary, k=rng.randint(12, 25)) for _ in range(4)]
+        words = [word for sentence in sentences for word in sentence]
+        starts = rng.sample(range(len(words) - 4), 6)
+        row_systems = []
+        for k in range(systems):
+            skill = (k + 1) / (systems + 1)
+            kept = [w if rng.random() < skill else rng.choice(vocabulary) for w in words]
+            human = min(1.0, max(0.0, skill + rng.gauss(0, 0.15)))
+            row_systems.append({
+                "system_id": f"sys{k:02d}",
+                "summary": " ".join(kept) + ".",
+                "human_score": round(human, 4),
+            })
+        rows.append({
+            "example_id": f"ex{i:04d}",
+            "references": [{
+                "text": " ".join(" ".join(s).capitalize() + "." for s in sentences),
+                "scus": [" ".join(words[j : j + 4]) for j in starts],
+            }],
+            "systems": row_systems,
+        })
+    return rows
+
+
+def write_rows(path: Path, rows) -> str:
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    return str(path)
+
+
+def reversed_rows(path: str) -> list[dict]:
+    """The rows of dataset *path* in reverse order, each with its systems
+    reversed too."""
+    rows = [json.loads(line) for line in Path(path).read_text(encoding="utf-8").splitlines()]
+    for row in rows:
+        row["systems"].reverse()
+    return rows[::-1]
+
+
+def outputs(tmp_path: Path, dataset: str, units: str, capsys) -> dict[str, bytes]:
+    """What ``score`` writes and what ``metaeval`` prints and writes, on
+    *dataset* with the unit file *units*."""
+    scores, table = tmp_path / "scores.jsonl", tmp_path / "metaeval.jsonl"
+    assert main(["score", "--input", dataset, "--units", units, "--out", str(scores)]) == 0
+    capsys.readouterr()
+    assert main(["metaeval", "--input", dataset, "--scores", str(scores), "--out", str(table)]) == 0
+    printed = capsys.readouterr()
+    assert printed.err == ""
+    return {
+        "scores": scores.read_bytes(),
+        "metaeval": table.read_bytes(),
+        "metaeval.stdout": printed.out.encode("utf-8"),
+    }
+
+
+@pytest.mark.parametrize("examples", [None, 40], ids=["toy", "40x16"])
+def test_score_and_metaeval_follow_the_ids_not_the_file_order(tmp_path, capsys, examples):
+    dataset = TOY if examples is None else write_rows(
+        tmp_path / "d.jsonl", seeded_rows(examples, seed=11)
+    )
+    units = str(tmp_path / "units.jsonl")
+    assert main(["extract", "--strategy", "sent", "--input", dataset, "--out", units]) == 0
+    (tmp_path / "original").mkdir()
+    (tmp_path / "reversed").mkdir()
+    original = outputs(tmp_path / "original", dataset, units, capsys)
+    turned = write_rows(tmp_path / "reversed.jsonl", reversed_rows(dataset))
+    assert outputs(tmp_path / "reversed", turned, units, capsys) == original
+    if examples is None:
+        assert original["scores"] == GOLDEN_SCORES.read_bytes()
+
+
+def test_memory_held_grows_little_with_the_corpus(tmp_path, capsys):
+    # a summary is about 500 bytes; holding each one, or a key and a line
+    # number per score row, would cost far more than 350 bytes a cell
+    peaks = {}
+    for examples in (100, 400):
+        work = tmp_path / str(examples)
+        work.mkdir()
+        dataset = write_rows(work / "d.jsonl", seeded_rows(examples, seed=3))
+        units, scores = str(work / "units.jsonl"), str(work / "scores.jsonl")
+        argv = {
+            "score": ["score", "--input", dataset, "--units", units, "--out", scores],
+            "metaeval": ["metaeval", "--input", dataset, "--scores", scores],
+        }
+        assert main(["extract", "--strategy", "sent", "--input", dataset, "--out", units]) == 0
+        for command in ("score", "metaeval"):
+            assert main(argv[command]) == 0  # every module it uses is loaded
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                assert main(argv[command]) == 0
+                peaks[command, examples] = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+    capsys.readouterr()
+    added_cells = (400 - 100) * 16
+    for command in ("score", "metaeval"):
+        growth = (peaks[command, 400] - peaks[command, 100]) / added_cells
+        assert growth <= 350, (command, growth, peaks)
+
+
+def test_score_reads_a_fifo_input(tmp_path):
+    if not hasattr(os, "mkfifo"):
+        pytest.skip("no named pipes here")
+    fifo = tmp_path / "toy.jsonl"
+    os.mkfifo(fifo)
+    toy = Path(TOY).read_bytes()
+
+    def feed():
+        try:
+            with open(fifo, "wb") as pipe:
+                pipe.write(toy)
+        except OSError:  # the reader went away: the test fails on its own
+            pass
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    out = tmp_path / "scores.jsonl"
+    try:
+        code = main(["score", "--input", str(fifo), "--units", GOLDEN_UNITS, "--out", str(out)])
+    finally:
+        if writer.is_alive():  # the input was never opened: let the writer go
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert code == 0
+    assert out.read_bytes() == GOLDEN_SCORES.read_bytes()
+
+
+def test_score_uses_the_bytes_it_read_not_the_file_as_it_is_later(tmp_path, monkeypatch):
+    dataset = tmp_path / "toy.jsonl"
+    original = Path(TOY).read_bytes()
+    dataset.write_bytes(original)
+    rows = [json.loads(line) for line in original.decode("utf-8").splitlines()]
+    for row in rows:  # every summary moves to the other system
+        first, second = row["systems"]
+        first["summary"], second["summary"] = second["summary"], first["summary"]
+    load_units = cli.load_units
+
+    def overwrite_then_load(*args, **kwargs):  # the dataset has been loaded
+        write_rows(dataset, rows)
+        return load_units(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_units", overwrite_then_load)
+    out = tmp_path / "scores.jsonl"
+    assert main(["score", "--input", str(dataset), "--units", GOLDEN_UNITS, "--out", str(out)]) == 0
+    assert dataset.read_bytes() != original
+    assert out.read_bytes() == GOLDEN_SCORES.read_bytes()
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text(encoding="utf-8"))
+    assert manifest["inputs"][str(dataset)] == hashlib.sha256(original).hexdigest()
+
+
+@pytest.fixture
+def spools(monkeypatch):
+    """The spools ``score`` makes, in order."""
+    made = []
+
+    class Recorded(presence.SummarySpool):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(cli, "SummarySpool", Recorded, raising=False)
+    return made
+
+
+def failing_scorer(pairs):
+    raise ServiceUnavailable("presence service down")
+
+
+@pytest.mark.parametrize("fault", ["none", "dataset", "units", "out", "scorer"])
+def test_the_spool_is_closed_on_every_path(tmp_path, capsys, monkeypatch, spools, fault):
+    dataset = TOY
+    units = GOLDEN_UNITS
+    out = tmp_path / "scores.jsonl"
+    if fault == "dataset":  # the second row's first summary is no string
+        rows = [json.loads(line) for line in Path(TOY).read_text(encoding="utf-8").splitlines()]
+        rows[1]["systems"][0]["summary"] = 7
+        dataset = write_rows(tmp_path / "bad.jsonl", rows)
+    elif fault == "units":
+        units = str(tmp_path / "missing.jsonl")
+    elif fault == "out":
+        out = tmp_path / "missing" / "scores.jsonl"
+    elif fault == "scorer":
+        monkeypatch.setattr(cli, "lexical_scorer", failing_scorer)
+    code = main(["score", "--input", dataset, "--units", units, "--out", str(out)])
+    assert code == {"none": 0, "scorer": 3}.get(fault, 2), capsys.readouterr().err
+    assert len(spools) == 1 and spools[0]._file.closed
+
+
+def test_a_summary_holding_a_lone_surrogate_escape_exits_2_before_it_is_spooled(
+    tmp_path, capsys, spools
+):
+    dataset = tmp_path / "d.jsonl"
+    toy = Path(TOY).read_text(encoding="utf-8")
+    dataset.write_text(toy.replace('"summary": "The', '"summary": "\\ud800', 1), encoding="utf-8")
+    out = tmp_path / "scores.jsonl"
+    assert main(["score", "--input", str(dataset), "--units", GOLDEN_UNITS, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"autopyramid: {dataset}, line 1, field systems[0].summary: "
+        "a lone surrogate escape is not text\n"
+    )
+    assert spools[0]._file.closed and not spools[0].lengths and not out.exists()
+
+
+def test_a_temporary_directory_that_is_missing_exits_2(tmp_path, capsys, monkeypatch):
+    missing = tmp_path / "missing"
+    monkeypatch.setattr(presence.tempfile, "tempdir", str(missing))
+    out = tmp_path / "scores.jsonl"
+    assert main(["score", "--input", TOY, "--units", GOLDEN_UNITS, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"autopyramid: cannot spool the summaries in {missing}: No such file or directory\n"
+    )
+    assert not out.exists()
+
+
+def test_a_full_temporary_disk_exits_2_and_leaves_out_as_it_was(
+    tmp_path, capsys, monkeypatch, spools
+):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full here")
+    # every write to /dev/full fails with ENOSPC; toy's summaries fit the
+    # spool's buffer, so the failure shows as the first example is read
+    monkeypatch.setattr(presence.tempfile, "TemporaryFile", lambda *args: open("/dev/full", "w+b"))
+    out = tmp_path / "scores.jsonl"
+    assert main(["score", "--input", TOY, "--units", GOLDEN_UNITS, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        r"autopyramid: cannot spool the summaries( in .+)?: No space left on device\n", err
+    ), err
+    assert not out.exists() and not list(tmp_path.glob("*.tmp"))
+    assert spools[0]._file.closed
