@@ -15,10 +15,14 @@ command. ``extract`` and ``score`` compute their rows while the writer
 writes them, so their temp file beside ``--out`` is there for the whole
 run, and a process killed by a signal in that time leaves it behind.
 ``extract --strategy smu`` reads its graphs as it goes, and so
-holds one reference's graphs at a time. ``score`` holds no summary: its
-load writes them to an unnamed temporary file
-(:class:`~autopyramid.presence.SummarySpool`), and it reads each
-example's back as it scores it. A command imports only the modules
+holds one reference's graphs at a time, and ``score`` and ``intrinsic``
+group the unit texts as the rows are read. No command keeps a
+per-system field in its records, so entries whose systems are the same
+share one tuple of them: ``score``'s load writes the summaries to an
+unnamed temporary file (:class:`~autopyramid.presence.SummarySpool`),
+and ``score`` reads each example's back as it scores it, and
+``metaeval``'s load puts the human scores in one array, in the
+dataset's cell order, as the score file's are. A command imports only the modules
 it runs: graph code for ``--strategy smu``, the HTTP client for a given
 endpoint, presence scoring for ``score`` and statistics for the report
 commands. An input error that a loader finds at a line of a file names the
@@ -107,15 +111,16 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_SERVICE = 3
 
-# the dataset fields each command reads: its load keeps these and drops
-# the rest. No command keeps the summaries (73% of the benchmark datasets'
-# bytes): score spools them. Kept out of argparse, whose options go into
-# manifests.
+# the dataset fields each command keeps in its records: its load drops
+# the rest, and so no record per system. No command keeps the summaries
+# (73% of the benchmark datasets' bytes): score spools them, and metaeval
+# puts the human scores in one array. Kept out of argparse, whose options
+# go into manifests.
 DATASET_FIELDS = {
     "extract": ("text",),
     "score": (),
     "intrinsic": ("scus",),
-    "metaeval": ("human_score",),
+    "metaeval": (),
     "stats": ("text", "scus"),
 }
 
@@ -266,13 +271,23 @@ def main(argv=None) -> int:
         _check_arguments(args)
         # the inputs' digests go into the output's manifest: none without one
         digests = {} if args.out else None
+        each_system = None  # what the load hands each system's record to
         if args.command == "score":
             spool = args.spool = _lazy.SummarySpool()
+            each_system = spool.add
+        elif args.command == "metaeval":
+            from array import array  # a shared library, loaded by the command that uses it
+
+            humans = args.human_scores = array("d")  # in cell order, NaN for none
+
+            def each_system(system):
+                humans.append(math.nan if system.human_score is None else system.human_score)
+
         entries = load_dataset(
             args.input,
             digests=digests,
             fields=DATASET_FIELDS[args.command],
-            summaries=spool.add if spool else None,
+            each_system=each_system,
         )
         return args.func(args, entries, digests)
     except SystemExit as exc:  # argparse: usage, --help, --version
@@ -553,8 +568,8 @@ STRATEGIES = {
 
 # the arguments a manifest's config leaves out: the command, the paths of
 # its dataset, units, scores and output, which the manifest records apart,
-# and score's spool
-_NOT_CONFIG = ("command", "func", "input", "out", "units", "scores", "spool")
+# score's spool and metaeval's human scores
+_NOT_CONFIG = ("command", "func", "input", "out", "units", "scores", "spool", "human_scores")
 
 
 def _write_output(args, digests, rows, *, config=None, extra=None) -> int:
@@ -592,10 +607,10 @@ def cmd_extract(args, entries, digests) -> int:
 
 
 def _unit_texts(path, entries, digests) -> dict[str, list[str]]:
-    """The texts of unit file *path* by example id, in file order."""
+    """The texts of unit file *path* by example id, in file order, grouped
+    as its rows are read."""
     grouped: dict[str, list[str]] = {}
-    rows = load_units(path, digests=digests, reference_counts=_reference_counts(entries))
-    for row in rows:
+    for row in load_units(path, digests=digests, reference_counts=_reference_counts(entries)):
         grouped.setdefault(row.example_id, []).append(row.text)
     return grouped
 
@@ -681,6 +696,7 @@ def cmd_metaeval(args, entries, digests) -> int:
     if not entries:
         raise EmptyDataset("dataset has no entries")
     scores = load_scores(args.scores, entries, digests=digests)  # in cell order
+    humans = args.human_scores  # in the same order
 
     system_ids = sorted(s.system_id for s in entries[0].systems)
     if len(system_ids) < 2:
@@ -699,17 +715,17 @@ def cmd_metaeval(args, entries, digests) -> int:
         metric_row = []
         human_row = []
         for j, system in systems:
-            score = scores[first + j]
+            score, human = scores[first + j], humans[first + j]
             if score != score:  # NaN: no row
                 raise LengthMismatch(
                     f"score file has no row for {entry.example_id}/{system.system_id}"
                 )
-            if system.human_score is None:
+            if human != human:  # NaN: no human score
                 raise LengthMismatch(
                     f"example {entry.example_id} system {system.system_id} has no human score"
                 )
             metric_row.append(score)
-            human_row.append(system.human_score)
+            human_row.append(human)
         metric_matrix.append(metric_row)
         human_matrix.append(human_row)
         first += len(systems)

@@ -45,15 +45,19 @@ A dataset load keeps only the fields it is asked for (``fields``, of
 kept is ``None`` in the records, so that code reading it fails rather
 than computes with a stand-in. The example and system ids, and the number
 and order of references and systems, are always kept. A load may also
-hand each summary to a callable as it is checked (``summaries``), which is
-how ``score`` keeps them on disk rather than in the records.
+hand each system's record, every field kept, to a callable once the
+system is checked (``each_system``), which is how ``score`` keeps the
+summaries on disk and ``metaeval`` the human scores in one array, rather
+than in the records.
 
 Within one load, equal values the records repeat are held once: a
-dataset's ``system_id`` strings, and a unit file's example ids and
-strategies (a full dataset load holds one ``scu_presence`` tuple per
-system). Outputs are written as their rows are made:
-:func:`atomic_write_text` and :func:`save_units` take any iterable, and
-``extract`` and ``score`` make each row as the writer takes it.
+dataset's ``system_id`` strings, a unit file's example ids and strategies,
+and, in a load that keeps no per-system field, the ``systems`` tuple of
+the entries whose system ids are the same (a full dataset load holds one
+``scu_presence`` tuple per system). Unit rows, like graphs, come as the
+file is read (:func:`load_units`). Outputs are written as their rows are
+made: :func:`atomic_write_text` and :func:`save_units` take any iterable,
+and ``extract`` and ``score`` make each row as the writer takes it.
 """
 
 from __future__ import annotations
@@ -338,17 +342,19 @@ def _system_error(message: str, line: int, index: int, name: str) -> SchemaViola
     return SchemaViolation(message, line=line, field=f"systems[{index}]{name}")
 
 
-def _parse_entry(value, line: int, hold, fields=FIELDS, summaries=None) -> ReferenceEntry:
+def _parse_entry(value, line: int, hold, fields=FIELDS, each_system=None) -> ReferenceEntry:
     """Check one decoded dataset row, then build its records, which keep
-    the *fields* named and hold ``None`` for the others; *summaries*, when
-    given, is called with each summary once its type is checked.
+    the *fields* named and hold ``None`` for the others; *each_system*,
+    when given, is called with each system's record, every field kept,
+    once that system is checked.
 
     The first problem is the one raised, in schema order: the entry's own
     fields, each reference, then each system in full before the next, a
     repeated ``system_id`` failing at that field and a presence list whose
     length is not the pooled unit count at ``scu_presence``.
     ``hold(value, value)`` gives the one object kept for values equal to
-    *value* (a dict's ``setdefault``); each ``system_id`` goes through it.
+    *value* (a dict's ``setdefault``); each ``system_id`` goes through it,
+    and so does the ``systems`` tuple when no per-system field is kept.
     """
     if type(value) is not dict:
         raise SchemaViolation("entry must be an object", line=line, field="")
@@ -405,8 +411,6 @@ def _parse_entry(value, line: int, hold, fields=FIELDS, summaries=None) -> Refer
         summary = system.get("summary")
         if type(summary) is not str:
             raise _system_error("missing string 'summary'", line, i, ".summary")
-        if summaries is not None:
-            summaries(summary)
         human_score = system.get("human_score")
         if human_score is not None:
             if not is_finite_number(human_score):
@@ -432,14 +436,19 @@ def _parse_entry(value, line: int, hold, fields=FIELDS, summaries=None) -> Refer
                     line=line,
                     field=f"systems[{i}].scu_presence",
                 )
-            presence = labels if keep_presence else None
+            presence = labels
+        if each_system is not None:
+            each_system(_record(SystemSummary, (system_id, summary, human_score, presence)))
         system = (
             hold(system_id, system_id),
             summary if keep_summary else None,
             human_score if keep_score else None,
-            presence,
+            presence if keep_presence else None,
         )
         systems.append(_record(SystemSummary, system))
+    systems = tuple(systems)
+    if not (keep_summary or keep_score or keep_presence):  # id-only records
+        systems = hold(systems, systems)
     keep_text = "text" in fields
     keep_scus = "scus" in fields
     references = tuple([
@@ -449,21 +458,23 @@ def _parse_entry(value, line: int, hold, fields=FIELDS, summaries=None) -> Refer
         ))
         for r in references_raw
     ])
-    return _record(ReferenceEntry, (example_id, references, tuple(systems)))
+    return _record(ReferenceEntry, (example_id, references, systems))
 
 
 @_naming_the_file
 def load_dataset(
-    path, *, digests: dict | None = None, fields: Iterable[str] = FIELDS, summaries=None
+    path, *, digests: dict | None = None, fields: Iterable[str] = FIELDS, each_system=None
 ) -> list[ReferenceEntry]:
     """Read and validate a dataset file; entries come back in file order.
 
     Every field is checked, but only those of :data:`FIELDS` that *fields*
-    names are kept; the others are ``None`` in the records. *summaries*,
-    when given, is called with each system's summary, in file order, once
-    its type is checked, so that a caller may keep them elsewhere; a
-    summary is given even when its row fails a later check. *digests* is
-    as for :func:`read_input`.
+    names are kept; the others are ``None`` in the records. Entries whose
+    system ids are the same share one ``systems`` tuple when *fields*
+    keeps no per-system field. *each_system*, when given, is called with
+    each system's :class:`SystemSummary`, every field kept, in file order,
+    once that system's own checks pass, so that a caller may keep a field
+    elsewhere; a system is given even when its row fails a later check.
+    *digests* is as for :func:`read_input`.
     """
     fields = frozenset(fields)
     if not fields <= set(FIELDS):
@@ -472,7 +483,7 @@ def load_dataset(
     seen = {}
     hold = {}.setdefault
     for number, raw in _json_lines(read_input(path, digests)):
-        entry = _parse_entry(raw, number, hold, fields, summaries)
+        entry = _parse_entry(raw, number, hold, fields, each_system)
         if entry.example_id in seen:
             raise DuplicateExampleId(
                 f"example_id {entry.example_id!r} already used on line "
@@ -550,64 +561,74 @@ def _unit_lines(rows: Iterable[UnitFileRow]) -> Iterator[str]:
         yield json_line(row._asdict())  # the fields, in declared order
 
 
-@_naming_the_file
 def load_units(
     path, *, digests: dict | None = None, reference_counts=None
-) -> list[UnitFileRow]:
-    """Read unit rows back; the inverse of :func:`save_units`.
+) -> Iterator[UnitFileRow]:
+    """The unit rows of *path*, each given as the file is read; the inverse
+    of :func:`save_units`.
 
-    When *reference_counts* (example id to its number of references) is
-    given, a row naming any other example, or a reference index its example
-    does not have, is stray: once its own fields pass, it raises
-    :class:`SchemaViolation` naming its line and field. *digests* is as for
-    :func:`read_input`. Equal example ids and strategies are held once.
+    The file is opened by this call, so a missing file fails here; the
+    rows come as they are iterated, and a row that fails raises
+    :class:`SchemaViolation` naming its line and field, and the file as
+    ``path``. When *reference_counts* (example id to its number of
+    references) is given, a row naming any other example, or a reference
+    index its example does not have, is stray: once its own fields pass,
+    it fails so. *digests* is as for :func:`read_input`: the digest is
+    stored once the iterator has run to its end. Equal example ids and
+    strategies are held once.
     """
-    rows = []
+    return _unit_rows(read_input(path, digests), path, reference_counts)
+
+
+def _unit_rows(lines: Iterator[str], path, reference_counts) -> Iterator[UnitFileRow]:
     hold = {}.setdefault
-    for number, raw in _json_lines(read_input(path, digests)):
-        if type(raw) is not dict:
-            raise SchemaViolation("row must be an object", line=number, field="")
-        example_id = raw.get("example_id")
-        if type(example_id) is not str:
-            raise SchemaViolation(
-                "missing string 'example_id'", line=number, field="example_id"
-            )
-        reference_index = raw.get("reference_index")
-        if type(reference_index) is not int or reference_index < 0:
-            raise SchemaViolation(
-                "'reference_index' must be a non-negative integer",
-                line=number,
-                field="reference_index",
-            )
-        strategy = raw.get("strategy")
-        if type(strategy) is not str or strategy not in VALID_STRATEGIES:
-            raise SchemaViolation(
-                f"'strategy' must be one of {', '.join(VALID_STRATEGIES)}",
-                line=number,
-                field="strategy",
-            )
-        text = raw.get("text")
-        if type(text) is not str or not text or text.isspace():
-            raise SchemaViolation(
-                "missing non-empty string 'text'", line=number, field="text"
-            )
-        if reference_counts is not None:
-            count = reference_counts.get(example_id)
-            if count is None:
+    try:
+        for number, raw in _json_lines(lines):
+            if type(raw) is not dict:
+                raise SchemaViolation("row must be an object", line=number, field="")
+            example_id = raw.get("example_id")
+            if type(example_id) is not str:
                 raise SchemaViolation(
-                    f"example {example_id!r} is not in the dataset",
-                    line=number,
-                    field="example_id",
+                    "missing string 'example_id'", line=number, field="example_id"
                 )
-            if reference_index >= count:
+            reference_index = raw.get("reference_index")
+            if type(reference_index) is not int or reference_index < 0:
                 raise SchemaViolation(
-                    f"example {example_id!r} has no reference {reference_index}",
+                    "'reference_index' must be a non-negative integer",
                     line=number,
                     field="reference_index",
                 )
-        row = (hold(example_id, example_id), reference_index, hold(strategy, strategy), text)
-        rows.append(_record(UnitFileRow, row))
-    return rows
+            strategy = raw.get("strategy")
+            if type(strategy) is not str or strategy not in VALID_STRATEGIES:
+                raise SchemaViolation(
+                    f"'strategy' must be one of {', '.join(VALID_STRATEGIES)}",
+                    line=number,
+                    field="strategy",
+                )
+            text = raw.get("text")
+            if type(text) is not str or not text or text.isspace():
+                raise SchemaViolation(
+                    "missing non-empty string 'text'", line=number, field="text"
+                )
+            if reference_counts is not None:
+                count = reference_counts.get(example_id)
+                if count is None:
+                    raise SchemaViolation(
+                        f"example {example_id!r} is not in the dataset",
+                        line=number,
+                        field="example_id",
+                    )
+                if reference_index >= count:
+                    raise SchemaViolation(
+                        f"example {example_id!r} has no reference {reference_index}",
+                        line=number,
+                        field="reference_index",
+                    )
+            row = (hold(example_id, example_id), reference_index, hold(strategy, strategy), text)
+            yield _record(UnitFileRow, row)
+    except SchemaViolation as exc:
+        exc.path = path
+        raise
 
 
 def import_rows(
@@ -621,15 +642,15 @@ def import_rows(
     *digests* and *reference_counts* are as for :func:`load_units`.
     """
     try:
-        rows = load_units(path, digests=digests, reference_counts=reference_counts)
+        return [
+            _record(UnitFileRow, (row.example_id, row.reference_index, tag, row.text))
+            for row in load_units(path, digests=digests, reference_counts=reference_counts)
+        ]
     except SchemaViolation as exc:
         raise InputError(
             f"{path}, {exc}; an import file holds unit-file rows "
             "(example_id, reference_index, strategy, text)"
         ) from exc
-    for i, row in enumerate(rows):  # in place: no second list of the rows
-        rows[i] = _record(UnitFileRow, (row.example_id, row.reference_index, tag, row.text))
-    return rows
 
 
 @_naming_the_file

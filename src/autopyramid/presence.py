@@ -152,10 +152,11 @@ def score_summary(
 
 class SummarySpool:
     """The summaries of one dataset load, held on disk: :meth:`add` takes
-    each summary in file order and writes it as UTF-8, back to back, into
-    an unnamed temporary file under ``tempfile.gettempdir()`` (``$TMPDIR``
-    when set), keeping its byte length in one array, and :meth:`examples`
-    reads them back an example at a time. The file holds about the
+    each system's record in file order and writes its summary as UTF-8,
+    back to back, into an unnamed temporary file under
+    ``tempfile.gettempdir()`` (``$TMPDIR`` when set), keeping its byte
+    length in one array, and :meth:`examples` reads them back an example
+    at a time. The file holds about the
     dataset's summary bytes until :meth:`close` deletes it. A failure to
     make, write or read it raises :class:`FileUnwritable` with the reason.
     """
@@ -166,8 +167,8 @@ class SummarySpool:
         # 60 writes of the 3.9 MB of summaries, not about 480 of 8 KiB
         self._file = _spooling(tempfile.TemporaryFile, "w+b", 1 << 16)
 
-    def add(self, summary: str) -> None:
-        self.lengths.append(_spooling(self._file.write, summary.encode("utf-8")))
+    def add(self, system) -> None:
+        self.lengths.append(_spooling(self._file.write, system.summary.encode("utf-8")))
 
     def close(self) -> None:
         try:

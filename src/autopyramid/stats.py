@@ -257,25 +257,22 @@ class CorpusStats(NamedTuple):
 
 
 def corpus_stats(dataset) -> CorpusStats:
-    """Token and sentence averages per reference, unit counts per example."""
-    entries = list(dataset)
-    if not entries:
-        raise EmptyDataset("dataset has no entries")
-    references = 0
-    sentences = 0
-    words = 0
-    scus = 0
-    for entry in entries:
+    """Token and sentence averages per reference, unit counts per example,
+    taken in one pass over the entries of *dataset*, any iterable."""
+    examples = references = sentences = words = scus = 0
+    for examples, entry in enumerate(dataset, start=1):
         for reference in entry.references:
             references += 1
             sentences += len(split_sentences(reference.text))
             words += len(tokenize(reference.text))
             scus += len(reference.scus)
+    if not examples:
+        raise EmptyDataset("dataset has no entries")
     return CorpusStats(
         avg_sentences=sentences / references,
         avg_words=words / references,
         avg_words_per_sentence=words / sentences if sentences else 0.0,
-        refs_per_example=references / len(entries),
-        avg_scus=scus / len(entries),
-        examples=len(entries),
+        refs_per_example=references / examples,
+        avg_scus=scus / examples,
+        examples=examples,
     )

@@ -1501,7 +1501,7 @@ def test_manifest_names_the_bytes_parsed_when_the_file_is_replaced(
     real = getattr(cli, loader)
 
     def load_then_replace(path, **kwargs):
-        loaded = real(path, **kwargs)
+        loaded = list(real(path, **kwargs))  # every record taken: the file is read
         Path(path).write_text("replaced after loading\n", encoding="utf-8")
         return loaded
 
@@ -1855,6 +1855,41 @@ def test_metaeval_refuses_a_dataset_it_cannot_correlate(tmp_path, capsys, fault,
         for row in rows
         for system in row["systems"]
     ])
+    out = tmp_path / "table.jsonl"
+    assert main(["metaeval", "--input", dataset, "--scores", scores, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"autopyramid: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["in-order", "systems-reversed"])
+@pytest.mark.parametrize(
+    "no_row, no_human, message",
+    [
+        ({"e2/sysB"}, set(), "score file has no row for e2/sysB"),
+        ({"e2/sysB"}, {"e2/sysB"}, "score file has no row for e2/sysB"),
+        ({"e3/sysA"}, {"e2/sysB"}, "example e2 system sysB has no human score"),
+        ({"e2/sysB"}, {"e3/sysA"}, "score file has no row for e2/sysB"),
+        ({"e2/sysB"}, {"e2/sysA"}, "example e2 system sysA has no human score"),
+    ],
+    ids=["no-row", "no-row-nor-human", "earlier-human", "earlier-row", "first-system-id"],
+)
+def test_metaeval_reports_the_first_cell_fault_in_example_then_system_id_order(
+    tmp_path, capsys, reverse, no_row, no_human, message
+):
+    rows = read_jsonl(TOY)
+    scores = []
+    for row in rows:
+        for system in row["systems"]:
+            cell = f"{row['example_id']}/{system['system_id']}"
+            if cell in no_human:
+                del system["human_score"]
+            if cell not in no_row:
+                scores.append({"example_id": row["example_id"],
+                               "system_id": system["system_id"], "score": 0.5})
+        if reverse:  # the file order is no longer the system-id order
+            row["systems"].reverse()
+    dataset = write_jsonl(tmp_path / "d.jsonl", rows)
+    scores = write_jsonl(tmp_path / "s.jsonl", scores)
     out = tmp_path / "table.jsonl"
     assert main(["metaeval", "--input", dataset, "--scores", scores, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"autopyramid: {message}\n"

@@ -175,7 +175,7 @@ def test_units_roundtrip_byte_identical(tmp_path):
     first = tmp_path / "u1.jsonl"
     second = tmp_path / "u2.jsonl"
     save_units(first, rows)
-    loaded = load_units(first)
+    loaded = list(load_units(first))
     assert loaded == rows
     save_units(second, loaded)
     assert first.read_bytes() == second.read_bytes()
@@ -185,7 +185,7 @@ def test_units_roundtrip_empty(tmp_path):
     path = tmp_path / "u.jsonl"
     save_units(path, [])
     assert path.read_text(encoding="utf-8") == ""
-    assert load_units(path) == []
+    assert list(load_units(path)) == []
 
 
 def test_save_units_rejects_empty_text(tmp_path):
@@ -305,9 +305,40 @@ def test_a_load_holds_each_repeated_value_once(tmp_path):
     save_units(units, [UnitFileRow("example-1", 0, "ngram", "a b"),
                        UnitFileRow("example-2", 0, "ngram", "c d"),
                        UnitFileRow("example-1", 0, "ngram", "e f")])
-    for rows in (load_units(units), import_rows(units, "imported_stu")):
+    for rows in (list(load_units(units)), import_rows(units, "imported_stu")):
         assert rows[0].example_id is rows[2].example_id
         assert rows[0].strategy is rows[1].strategy is rows[2].strategy
+
+
+@pytest.mark.parametrize(
+    "fields, shared",
+    [((), True), (("text", "scus"), True), (("summary",), False),
+     (("human_score",), False), (("scu_presence",), False), (FIELDS, False)],
+)
+def test_a_load_keeping_no_per_system_field_shares_each_systems_tuple(tmp_path, fields, shared):
+    other = valid_row("e3")
+    other["systems"].reverse()  # the same ids, in another order
+    path = write_jsonl(tmp_path / "d.jsonl", [valid_row("e1"), valid_row("e2"), other])
+    first, second, third = load_dataset(path, fields=fields)
+    assert (first.systems is second.systems) is shared
+    assert first.systems == second.systems and first.systems is not third.systems
+    assert [s.system_id for s in third.systems] == ["sysB", "sysA"]
+
+
+def test_each_system_gets_every_field_of_each_checked_system_in_file_order(tmp_path):
+    bad = valid_row("e2")
+    bad["systems"][1]["human_score"] = "high"  # fails after sysA is checked
+    path = write_jsonl(tmp_path / "d.jsonl", [valid_row("e1"), bad])
+    given = []
+    with pytest.raises(SchemaViolation) as info:
+        load_dataset(path, fields=(), each_system=given.append)
+    assert (info.value.line, info.value.field) == (2, "systems[1].human_score")
+    assert given == [
+        SystemSummary("sysA", "The cat sat.", 0.5, (1, 0)),
+        SystemSummary("sysB", "Nothing here."),
+        SystemSummary("sysA", "The cat sat.", 0.5, (1, 0)),
+    ]
+    assert type(given[0].human_score) is float and type(given[0].scu_presence) is tuple
 
 
 def score_entries(cells):
@@ -342,8 +373,20 @@ def test_load_units_validates(tmp_path):
     path = tmp_path / "u.jsonl"
     path.write_text('{"example_id": "e", "reference_index": -1, "strategy": "ngram", "text": "x"}\n', encoding="utf-8")
     with pytest.raises(SchemaViolation) as info:
-        load_units(path)
+        list(load_units(path))
     assert info.value.field == "reference_index"
+
+
+def test_load_units_opens_at_the_call_and_reads_as_the_rows_are_taken(tmp_path):
+    with pytest.raises(FileUnreadable):
+        load_units(tmp_path / "gone.jsonl")
+    path = tmp_path / "u.jsonl"
+    save_units(path, [UnitFileRow("e1", 0, "ngram", "a b"), UnitFileRow("e2", 0, "ngram", "c")])
+    digests = {}
+    rows = load_units(path, digests=digests)
+    assert next(rows) == ("e1", 0, "ngram", "a b") and digests == {}
+    assert list(rows) == [("e2", 0, "ngram", "c")]
+    assert digests == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
 
 
 def test_loaded_entries_are_immutable_tuples(tmp_path):
@@ -621,9 +664,9 @@ def test_unit_rows_for_unknown_examples_are_stray(tmp_path):
     rows = [UnitFileRow("e1", 0, "ngram", "a b c"), UnitFileRow("nope", 0, "ngram", "x"),
             UnitFileRow("e1", 0, "ngram", "d e f"), UnitFileRow("gone", 0, "ngram", "y")]
     save_units(path, rows)
-    assert load_units(path) == rows
+    assert list(load_units(path)) == rows
     with pytest.raises(SchemaViolation) as info:
-        load_units(path, reference_counts={"e1": 1})
+        list(load_units(path, reference_counts={"e1": 1}))
     assert (info.value.line, info.value.field) == (2, "example_id")
     assert str(info.value) == "line 2, field example_id: example 'nope' is not in the dataset"
 
@@ -768,11 +811,13 @@ def unit_rows(draw):
 @given(st.data())
 def test_load_units_matches_its_reference(scratch, data):
     scratch.write_bytes(data.draw(jsonl_file(data.draw(unit_rows()))))
-    assert outcome(load_units, scratch) == outcome(load_units_oracle, scratch)
-    counts = data.draw(st.sampled_from([{"e0": 3, "e1": 3}, {"e0": 1, "e1": 2}, {"e1": 3}]))
-    assert outcome(lambda path: load_units(path, reference_counts=counts), scratch) == outcome(
-        lambda path: load_units_oracle(path, counts), scratch
+    assert outcome(lambda path: list(load_units(path)), scratch) == outcome(
+        load_units_oracle, scratch
     )
+    counts = data.draw(st.sampled_from([{"e0": 3, "e1": 3}, {"e0": 1, "e1": 2}, {"e1": 3}]))
+    assert outcome(
+        lambda path: list(load_units(path, reference_counts=counts)), scratch
+    ) == outcome(lambda path: load_units_oracle(path, counts), scratch)
 
 
 @st.composite
@@ -871,9 +916,9 @@ def test_parse_entry_matches_its_constructor_built_reference(data):
 def test_load_units_matches_its_constructor_built_reference(scratch, data):
     scratch.write_bytes(data.draw(jsonl_file(data.draw(unit_rows()))))
     counts = data.draw(st.sampled_from([None, {"e0": 3, "e1": 3}, {"e0": 1, "e1": 2}, {"e1": 3}]))
-    assert record_outcome(lambda: load_units(scratch, reference_counts=counts)) == record_outcome(
-        lambda: load_units_reference(scratch, reference_counts=counts)
-    )
+    assert record_outcome(
+        lambda: list(load_units(scratch, reference_counts=counts))
+    ) == record_outcome(lambda: load_units_reference(scratch, reference_counts=counts))
 
 
 @settings(max_examples=200)
@@ -936,9 +981,9 @@ def test_unit_rows_for_references_the_example_lacks_are_stray(tmp_path):
     rows = [UnitFileRow("e1", 0, "ngram", "a b c"), UnitFileRow("e2", 1, "ngram", "x"),
             UnitFileRow("e2", 2, "ngram", "y"), UnitFileRow("e1", 0, "ngram", "d e f")]
     save_units(path, rows)
-    assert load_units(path, reference_counts={"e1": 1, "e2": 3}) == rows
+    assert list(load_units(path, reference_counts={"e1": 1, "e2": 3})) == rows
     with pytest.raises(SchemaViolation) as info:
-        load_units(path, reference_counts={"e1": 1, "e2": 2})
+        list(load_units(path, reference_counts={"e1": 1, "e2": 2}))
     assert (info.value.line, info.value.field) == (3, "reference_index")
     assert str(info.value) == (
         "line 3, field reference_index: example 'e2' has no reference 2"
@@ -974,7 +1019,7 @@ SURROGATE_LOADS = {
         "systems[0].n@te",
     ),
     "units": (
-        load_units,
+        lambda path: list(load_units(path)),
         '{"example_id": "e1", "reference_index": 0, "strategy": "ngram", "text": "a b"}',
         '{"example_id": "e1", "reference_index": 0, "strategy": "ngram", "text": "a @"}',
         "text",
