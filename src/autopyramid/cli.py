@@ -1,12 +1,10 @@
 """Command-line surface: extract, score, intrinsic, metaeval, stats.
 
-Every command runs the same way: :func:`main` reads the dataset named by
-``--input``, once, keeping only the fields the command reads
-(:data:`DATASET_FIELDS`; every field is still checked), the command
-computes its rows from it, and one writer,
-:func:`_write_output`, writes the rows to ``--out`` and then the output's
-manifest; a command given no ``--out`` writes nothing, and so takes no
-digest of its inputs. The digests are taken with CPython's built-in
+Every command runs the same way: :func:`main` opens the dataset named by
+``--input``, the command takes each entry once, as it is read and checked,
+and then reads its other inputs, and :func:`_write_output` writes its
+rows to ``--out`` and then the manifest; a command given no ``--out``
+writes nothing, and so takes no digest of its inputs. The digests are taken with CPython's built-in
 SHA-256 (:func:`~autopyramid.data.read_input`), so a command that calls
 no endpoint loads neither ``hashlib`` nor OpenSSL, except on a build
 without that module. Inputs and usage are checked before ``--out`` is
@@ -14,15 +12,13 @@ opened; rows and service requests come after, and the first fault ends the
 command. ``extract`` and ``score`` compute their rows while the writer
 writes them, so their temp file beside ``--out`` is there for the whole
 run, and a process killed by a signal in that time leaves it behind.
-``extract --strategy smu`` reads its graphs as it goes, and so
-holds one reference's graphs at a time, and ``score`` and ``intrinsic``
-group the unit texts as the rows are read. No command keeps a
-per-system field in its records, so entries whose systems are the same
-share one tuple of them: ``score``'s load writes the summaries to an
-unnamed temporary file (:class:`~autopyramid.presence.SummarySpool`),
-and ``score`` reads each example's back as it scores it, and
-``metaeval``'s load puts the human scores in one array, in the
-dataset's cell order, as the score file's are. A command imports only the modules
+
+Of the dataset, ``stats`` keeps running sums, ``extract`` each example's
+id and reference texts, and ``metaeval`` each example's id, a tuple of
+system ids shared by equal ones, and two flat arrays of scores.
+``score`` and ``intrinsic`` spool the summaries, or the gold units, and
+then the unit texts to a temporary file (:mod:`~autopyramid.spool`), and
+read each example's back as they score it. A command imports only the modules
 it runs: graph code for ``--strategy smu``, the HTTP client for a given
 endpoint, presence scoring for ``score`` and statistics for the report
 commands. An input error that a loader finds at a line of a file names the
@@ -39,14 +35,10 @@ takes no report and is no error.
 
 :func:`main` runs a command in process and returns its exit code. A
 process runs it through :func:`run_and_exit`, the target of ``python -m
-autopyramid.cli`` and of the ``autopyramid`` console script: it flushes
-standard output and error and ends the process with ``os._exit``, which
-skips the interpreter's teardown (every output is written and closed by
-then). The text of ``--help`` and ``--version`` is written like a
-report, so it too fails with exit 2 and that line, buffered or not.
-Output left in standard output's buffer that cannot be written at exit
-does the same; a failed flush of standard error leaves through
-``sys.exit`` instead.
+autopyramid.cli`` and of the ``autopyramid`` console script, which ends
+the process with ``os._exit``, skipping the interpreter's teardown. The
+text of ``--help`` and ``--version`` is written like a report, so it too
+fails with exit 2 and that line, buffered or not.
 """
 
 from __future__ import annotations
@@ -99,9 +91,9 @@ __getattr__ = _lazy_names(
         "amr": "PenmanEntry load_penman_file parse_penman",
         "extract": "extract_ngram_units extract_sentence_units extract_sgu_units_many "
         "extract_smu_units extract_smu_units_many",
-        "presence": "SummarySpool lexical_scorer prescored remote_scorer score_summaries "
-        "score_summary",
+        "presence": "lexical_scorer prescored remote_scorer score_summaries score_summary",
         "services": "ChatClient GraphToTextClient ParseServiceClient check_endpoint",
+        "spool": "TextSpool",
         "stats": "corpus_stats easiness summary_level system_level",
     },
 )
@@ -111,18 +103,8 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_SERVICE = 3
 
-# the dataset fields each command keeps in its records: its load drops
-# the rest, and so no record per system. No command keeps the summaries
-# (73% of the benchmark datasets' bytes): score spools them, and metaeval
-# puts the human scores in one array. Kept out of argparse, whose options
-# go into manifests.
-DATASET_FIELDS = {
-    "extract": ("text",),
-    "score": (),
-    "intrinsic": ("scus",),
-    "metaeval": (),
-    "stats": ("text", "scus"),
-}
+# the commands that spool texts, and what the errors call it
+SPOOLED = {"score": "the summaries", "intrinsic": "the units"}
 
 
 def positive_int(text: str) -> int:
@@ -269,27 +251,11 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         _check_arguments(args)
-        # the inputs' digests go into the output's manifest: none without one
+        # the inputs' digests, for the manifest: none without --out
         digests = {} if args.out else None
-        each_system = None  # what the load hands each system's record to
-        if args.command == "score":
-            spool = args.spool = _lazy.SummarySpool()
-            each_system = spool.add
-        elif args.command == "metaeval":
-            from array import array  # a shared library, loaded by the command that uses it
-
-            humans = args.human_scores = array("d")  # in cell order, NaN for none
-
-            def each_system(system):
-                humans.append(math.nan if system.human_score is None else system.human_score)
-
-        entries = load_dataset(
-            args.input,
-            digests=digests,
-            fields=DATASET_FIELDS[args.command],
-            each_system=each_system,
-        )
-        return args.func(args, entries, digests)
+        if args.command in SPOOLED:
+            spool = args.spool = _lazy.TextSpool(SPOOLED[args.command])
+        return args.func(args, load_dataset(args.input, digests=digests), digests)
     except SystemExit as exc:  # argparse: usage, --help, --version
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     except RemoteError as exc:
@@ -373,17 +339,13 @@ def _check_arguments(args) -> None:
 
 
 def _each_reference(entries):
-    for entry in entries:
-        for index, reference in enumerate(entry.references):
-            yield entry, index, reference
+    for example_id, texts in entries:
+        for index, text in enumerate(texts):
+            yield example_id, index, text
 
 
 def _reference_texts(entries):
-    return (reference.text for _, _, reference in _each_reference(entries))
-
-
-def _reference_counts(entries) -> dict[str, int]:
-    return {entry.example_id: len(entry.references) for entry in entries}
+    return (text for _, _, text in _each_reference(entries))
 
 
 def _smu_graphs(args, entries, digests):
@@ -426,11 +388,11 @@ def _per_reference(entries, counts, blocks, path):
     gives: blocks of file *path* that run out early fail, and so does the
     first block left over once every list has been taken."""
     used = 0
-    for (entry, index, _), count in zip(_each_reference(entries), counts):
+    for (example_id, index, _), count in zip(_each_reference(entries), counts):
         take = list(itertools.islice(blocks, count))
         if len(take) < count:
             raise InputError(
-                f"{path}: graphs file ended early: example {entry.example_id} "
+                f"{path}: graphs file ended early: example {example_id} "
                 f"reference {index} needs {count} graphs"
             )
         used += count
@@ -455,18 +417,19 @@ def _reference_rows(entries, tag: str, unit_lists):
     """
     taken = 0
     try:
-        for units, (entry, index, _) in zip(unit_lists, _each_reference(entries)):
+        for units, (example_id, index, _) in zip(unit_lists, _each_reference(entries)):
             for text in units:
-                yield UnitFileRow(entry.example_id, index, tag, text)
+                yield UnitFileRow(example_id, index, tag, text)
             taken += 1
     except ReferenceFailure as exc:
         position = taken + (exc.reference or 0)
-        entry, index, _ = next(itertools.islice(_each_reference(entries), position, None))
-        raise type(exc)(f"example {entry.example_id} reference {index}: {exc}") from exc
+        example_id, index, _ = next(itertools.islice(_each_reference(entries), position, None))
+        raise type(exc)(f"example {example_id} reference {index}: {exc}") from exc
 
 
 # Each strategy's unit rows, made as they are taken, and manifest
-# ``extra``, from (args, entries, digests). Each passes _reference_rows one
+# ``extra``, from (args, entries, digests), entries being (example id,
+# reference texts). Each passes _reference_rows one
 # stream of unit lists; an extractor given many references works through
 # all of them before it gives the first list. The extractors are read off
 # this module at call time, so that wrapping them here wraps every call.
@@ -552,7 +515,7 @@ def _imported_rows(args, entries, digests):
         args.import_path,
         args.import_tag,
         digests=digests,
-        reference_counts=_reference_counts(entries),
+        reference_counts={example_id: len(texts) for example_id, texts in entries},
     )
     return rows, None
 
@@ -566,20 +529,18 @@ STRATEGIES = {
 }
 
 
-# the arguments a manifest's config leaves out: the command, the paths of
-# its dataset, units, scores and output, which the manifest records apart,
-# score's spool and metaeval's human scores
-_NOT_CONFIG = ("command", "func", "input", "out", "units", "scores", "spool", "human_scores")
+# the arguments a manifest's config leaves out: the command, the spool, and
+# the paths of its dataset, units, scores and output, recorded apart
+_NOT_CONFIG = ("command", "func", "input", "out", "units", "scores", "spool")
 
 
 def _write_output(args, digests, rows, *, config=None, extra=None) -> int:
     """Write *rows* to ``--out``, then its manifest; nothing without ``--out``.
 
-    *rows* are unit rows from ``extract``, which go through the unit-file
-    writer that checks them, and the output's JSON lines from any other
-    command, written as they are. Either may be a generator, consumed as
-    the file is written; an error in a row or the manifest leaves ``--out``
-    as it was, as it is renamed last. The manifest's config is *config*,
+    *rows* are unit rows from ``extract``, which the unit-file writer
+    checks, and JSON lines from any other command. Either may be a
+    generator, consumed as the file is written; an error in a row or the
+    manifest leaves ``--out`` as it was. The manifest's config is *config*,
     else the command's options.
     """
     if args.out:
@@ -598,6 +559,7 @@ def _write_output(args, digests, rows, *, config=None, extra=None) -> int:
 
 
 def cmd_extract(args, entries, digests) -> int:
+    entries = [(e.example_id, tuple([r.text for r in e.references])) for e in entries]
     rows, extra = STRATEGIES[args.strategy](args, entries, digests)
     return _write_output(args, digests, rows, extra=extra)
 
@@ -606,24 +568,40 @@ def cmd_extract(args, entries, digests) -> int:
 # score
 
 
-def _unit_texts(path, entries, digests) -> dict[str, list[str]]:
-    """The texts of unit file *path* by example id, in file order, grouped
-    as its rows are read."""
-    grouped: dict[str, list[str]] = {}
-    for row in load_units(path, digests=digests, reference_counts=_reference_counts(entries)):
-        grouped.setdefault(row.example_id, []).append(row.text)
-    return grouped
+def _spool_units(args, places, counts, digests) -> int:
+    """Spool each unit text in group *first* + its example's place; give
+    *first*, the number of examples."""
+    first = len(places)
+    rows = load_units(args.units, digests=digests, reference_counts=counts)
+    for example_id, run in itertools.groupby(rows, key=lambda row: row.example_id):
+        args.spool.add(first + places[example_id], [row.text for row in run])
+    return first
 
 
 def cmd_score(args, entries, digests) -> int:
-    grouped = _unit_texts(args.units, entries, digests)
+    spool, places, counts, systems = args.spool, {}, {}, []
+    hold = {}.setdefault  # one tuple for equal system ids
+    for place, entry in enumerate(entries):
+        places[entry.example_id], counts[entry.example_id] = place, len(entry.references)
+        ids = tuple([system.system_id for system in entry.systems])
+        systems.append(hold(ids, ids))
+        spool.add(place, [system.summary for system in entry.systems])
+    first = _spool_units(args, places, counts, digests)
 
-    missing = [e.example_id for e in entries if not grouped.get(e.example_id)]
+    missing = [e for e, place in places.items() if not spool.size(first + place)]
     if missing:
         raise NoUnits(f"no units for examples: {', '.join(sorted(missing))}")
 
     if args.scorer == "remote" and not args.nli_endpoint:
         raise ServiceUnavailable("--scorer remote needs --nli-endpoint")
+
+    def examples():  # by id: units, summaries by system id
+        for example_id in sorted(places):
+            place = places[example_id]
+            ids, texts = systems[place], spool.texts(place)
+            order = sorted(range(len(ids)), key=ids.__getitem__)
+            units = spool.texts(first + place)
+            yield example_id, units, [ids[j] for j in order], [texts[j] for j in order]
 
     def lines():  # each row is written as it is scored
         scorer = _lazy.lexical_scorer
@@ -633,16 +611,14 @@ def cmd_score(args, entries, digests) -> int:
             remote = _lazy.remote_scorer(
                 args.nli_endpoint, batch_size=args.batch_size, concurrency=args.concurrency
             )
-            pairs = args.spool.examples(entries)
-            scorer = _lazy.prescored(((grouped[e.example_id], t) for e, _, t in pairs), remote)
-        # in id order, each example's summaries read back from the spool
-        for entry, systems, texts in args.spool.examples(entries):
-            units = grouped[entry.example_id]
+            pairs = ((units, texts) for _, units, _, texts in examples())
+            scorer = _lazy.prescored(pairs, remote)
+        for example_id, units, ids, texts in examples():
             results = _lazy.score_summaries(units, texts, scorer)
-            for system, result in zip(systems, results):
+            for system_id, result in zip(ids, results):
                 row = {
-                    "example_id": entry.example_id,
-                    "system_id": system.system_id,
+                    "example_id": example_id,
+                    "system_id": system_id,
                     "score": result.pyramid_score,
                     "units": len(units),
                 }
@@ -656,28 +632,40 @@ def cmd_score(args, entries, digests) -> int:
 
 
 def cmd_intrinsic(args, entries, digests) -> int:
-    if not entries:
-        raise EmptyDataset("dataset has no entries")
-    grouped = _unit_texts(args.units, entries, digests)
-
-    reports = []
-    for entry in entries:
+    spool, places, counts = args.spool, {}, {}
+    empty = None  # the first example with no gold units
+    for place, entry in enumerate(entries):
+        places[entry.example_id], counts[entry.example_id] = place, len(entry.references)
         pooled = entry.pooled_scus()
-        if not pooled:
-            raise NoGoldUnits(f"example {entry.example_id} has no gold units")
-        reports.append(_lazy.easiness(pooled, grouped.get(entry.example_id, [])))
+        if not pooled and empty is None:
+            empty = entry.example_id
+        spool.add(place, pooled)
+    if not places:
+        raise EmptyDataset("dataset has no entries")
+    first = _spool_units(args, places, counts, digests)
+    if empty is not None:
+        raise NoGoldUnits(f"example {empty} has no gold units")
 
-    mean_r = sum(r.easiness_r for r in reports) / len(reports)
-    mean_p = sum(r.easiness_p for r in reports) / len(reports)
-    degenerate = sum(1 for r in reports if r.degenerate)
+    from array import array
+
+    recall, precision = array("d"), array("d")  # in id order, for any file order
+    degenerate = 0
+    for example_id in sorted(places):
+        place = places[example_id]
+        report = _lazy.easiness(spool.texts(place), spool.texts(first + place))
+        recall.append(report.easiness_r)
+        precision.append(report.easiness_p)
+        degenerate += report.degenerate
+    mean_r = sum(recall) / first
+    mean_p = sum(precision) / first
 
     _report([
         f"{'examples':>8}  {'easiness_r':>10}  {'easiness_p':>10}  {'empty_approx':>12}",
-        f"{len(reports):>8}  {mean_r:>10.4f}  {mean_p:>10.4f}  {degenerate:>12}",
+        f"{first:>8}  {mean_r:>10.4f}  {mean_p:>10.4f}  {degenerate:>12}",
     ])
 
     row = {
-        "examples": len(reports),
+        "examples": first,
         "easiness_r": mean_r,
         "easiness_p": mean_p,
         "empty_approx": degenerate,
@@ -693,42 +681,43 @@ def cmd_intrinsic(args, entries, digests) -> int:
 
 
 def cmd_metaeval(args, entries, digests) -> int:
-    if not entries:
-        raise EmptyDataset("dataset has no entries")
-    scores = load_scores(args.scores, entries, digests=digests)  # in cell order
-    humans = args.human_scores  # in the same order
+    from array import array
 
-    system_ids = sorted(s.system_id for s in entries[0].systems)
+    example_ids, systems, humans = [], [], array("d")  # NaN for no human score
+    hold = {}.setdefault  # one tuple for equal system ids
+    for entry in entries:
+        ids = tuple([system.system_id for system in entry.systems])
+        example_ids.append(entry.example_id)
+        systems.append(hold(ids, ids))
+        humans.extend([math.nan if s.human_score is None else s.human_score for s in entry.systems])
+    if not example_ids:
+        raise EmptyDataset("dataset has no entries")
+    scores = load_scores(args.scores, zip(example_ids, systems), digests=digests)
+
+    system_ids = sorted(systems[0])
     if len(system_ids) < 2:
         raise LengthMismatch("meta-evaluation needs at least two systems")
 
-    metric_matrix = []
-    human_matrix = []
-    first = 0  # the entry's first cell
-    for entry in entries:
-        systems = sorted(enumerate(entry.systems), key=lambda pair: pair[1].system_id)
-        ids = [system.system_id for _, system in systems]
-        if ids != system_ids:
+    # each example's cells in system-id order, in place: rows of the matrices
+    width = len(system_ids)
+    for k, (example_id, ids) in enumerate(zip(example_ids, systems)):
+        if sorted(ids) != system_ids:
             raise LengthMismatch(
-                f"example {entry.example_id} has systems {ids}, expected {system_ids}"
+                f"example {example_id} has systems {sorted(ids)}, expected {system_ids}"
             )
-        metric_row = []
-        human_row = []
-        for j, system in systems:
-            score, human = scores[first + j], humans[first + j]
+        row = slice(k * width, (k + 1) * width)
+        cells = sorted(zip(ids, scores[row], humans[row]))
+        for system_id, score, human in cells:
             if score != score:  # NaN: no row
-                raise LengthMismatch(
-                    f"score file has no row for {entry.example_id}/{system.system_id}"
-                )
+                raise LengthMismatch(f"score file has no row for {example_id}/{system_id}")
             if human != human:  # NaN: no human score
-                raise LengthMismatch(
-                    f"example {entry.example_id} system {system.system_id} has no human score"
-                )
-            metric_row.append(score)
-            human_row.append(human)
-        metric_matrix.append(metric_row)
-        human_matrix.append(human_row)
-        first += len(systems)
+                raise LengthMismatch(f"example {example_id} system {system_id} has no human score")
+        _, metric, human = zip(*cells)
+        scores[row], humans[row] = array("d", metric), array("d", human)
+    metric_matrix, human_matrix = (
+        [view[k * width : (k + 1) * width] for k in range(len(example_ids))]
+        for view in (memoryview(scores), memoryview(humans))
+    )
 
     levels = ["system", "summary"] if args.level == "both" else [args.level]
     kinds = ["pearson", "spearman"] if args.corr == "both" else [args.corr]

@@ -40,24 +40,14 @@ A string that holds a lone UTF-16 surrogate, which only a ``\\u`` escape
 can make and no UTF-8 output can hold, fails its row
 (:func:`lone_surrogate_field`).
 
-A dataset load keeps only the fields it is asked for (``fields``, of
-:data:`FIELDS`): every field is still decoded and checked, and one not
-kept is ``None`` in the records, so that code reading it fails rather
-than computes with a stand-in. The example and system ids, and the number
-and order of references and systems, are always kept. A load may also
-hand each system's record, every field kept, to a callable once the
-system is checked (``each_system``), which is how ``score`` keeps the
-summaries on disk and ``metaeval`` the human scores in one array, rather
-than in the records.
-
-Within one load, equal values the records repeat are held once: a
-dataset's ``system_id`` strings, a unit file's example ids and strategies,
-and, in a load that keeps no per-system field, the ``systems`` tuple of
-the entries whose system ids are the same (a full dataset load holds one
-``scu_presence`` tuple per system). Unit rows, like graphs, come as the
-file is read (:func:`load_units`). Outputs are written as their rows are
-made: :func:`atomic_write_text` and :func:`save_units` take any iterable,
-and ``extract`` and ``score`` make each row as the writer takes it.
+A dataset, like a unit file, comes as the file is read: each entry or
+row is given once it is checked (:func:`load_dataset`,
+:func:`load_units`), so a command that folds over it once holds what it
+keeps and one record. Within one load, equal values the records repeat
+are held once: a dataset's ``system_id`` strings, a unit file's example
+ids and strategies. Outputs are written as their rows are made:
+:func:`atomic_write_text` and :func:`save_units` take any iterable, and
+``extract`` and ``score`` make each row as the writer takes it.
 """
 
 from __future__ import annotations
@@ -91,9 +81,6 @@ VALID_STRATEGIES = (
 
 # how :func:`~autopyramid.smu.split_graph` groups a predicate's core roles
 SPLIT_MODES = ("one-cr", "all-deps")
-
-# the dataset fields a load can drop, in the order of the schema
-FIELDS = ("text", "scus", "summary", "human_score", "scu_presence")
 
 # presence labels by value: a lookup both checks a label and makes it an
 # int, and true, 1.0 and -0.0 hash and compare equal to their int
@@ -342,19 +329,15 @@ def _system_error(message: str, line: int, index: int, name: str) -> SchemaViola
     return SchemaViolation(message, line=line, field=f"systems[{index}]{name}")
 
 
-def _parse_entry(value, line: int, hold, fields=FIELDS, each_system=None) -> ReferenceEntry:
-    """Check one decoded dataset row, then build its records, which keep
-    the *fields* named and hold ``None`` for the others; *each_system*,
-    when given, is called with each system's record, every field kept,
-    once that system is checked.
+def _parse_entry(value, line: int, hold) -> ReferenceEntry:
+    """Check one decoded dataset row, then build its records.
 
     The first problem is the one raised, in schema order: the entry's own
     fields, each reference, then each system in full before the next, a
     repeated ``system_id`` failing at that field and a presence list whose
     length is not the pooled unit count at ``scu_presence``.
     ``hold(value, value)`` gives the one object kept for values equal to
-    *value* (a dict's ``setdefault``); each ``system_id`` goes through it,
-    and so does the ``systems`` tuple when no per-system field is kept.
+    *value* (a dict's ``setdefault``); each ``system_id`` goes through it.
     """
     if type(value) is not dict:
         raise SchemaViolation("entry must be an object", line=line, field="")
@@ -394,9 +377,6 @@ def _parse_entry(value, line: int, hold, fields=FIELDS, each_system=None) -> Ref
     systems_raw = value.get("systems", [])
     if type(systems_raw) is not list:
         raise SchemaViolation("'systems' must be a list", line=line, field="systems")
-    keep_summary = "summary" in fields
-    keep_score = "human_score" in fields
-    keep_presence = "scu_presence" in fields
     systems = []
     seen_ids = set()
     for i, system in enumerate(systems_raw):
@@ -437,63 +417,46 @@ def _parse_entry(value, line: int, hold, fields=FIELDS, each_system=None) -> Ref
                     field=f"systems[{i}].scu_presence",
                 )
             presence = labels
-        if each_system is not None:
-            each_system(_record(SystemSummary, (system_id, summary, human_score, presence)))
-        system = (
-            hold(system_id, system_id),
-            summary if keep_summary else None,
-            human_score if keep_score else None,
-            presence if keep_presence else None,
-        )
+        system = (hold(system_id, system_id), summary, human_score, presence)
         systems.append(_record(SystemSummary, system))
-    systems = tuple(systems)
-    if not (keep_summary or keep_score or keep_presence):  # id-only records
-        systems = hold(systems, systems)
-    keep_text = "text" in fields
-    keep_scus = "scus" in fields
     references = tuple([
-        _record(Reference, (
-            r["text"] if keep_text else None,
-            tuple(r.get("scus", ())) if keep_scus else None,
-        ))
-        for r in references_raw
+        _record(Reference, (r["text"], tuple(r.get("scus", ())))) for r in references_raw
     ])
-    return _record(ReferenceEntry, (example_id, references, systems))
+    return _record(ReferenceEntry, (example_id, references, tuple(systems)))
 
 
-@_naming_the_file
-def load_dataset(
-    path, *, digests: dict | None = None, fields: Iterable[str] = FIELDS, each_system=None
-) -> list[ReferenceEntry]:
-    """Read and validate a dataset file; entries come back in file order.
+def load_dataset(path, *, digests: dict | None = None) -> Iterator[ReferenceEntry]:
+    """The entries of dataset file *path*, in file order, each given once
+    it is checked, as the file is read.
 
-    Every field is checked, but only those of :data:`FIELDS` that *fields*
-    names are kept; the others are ``None`` in the records. Entries whose
-    system ids are the same share one ``systems`` tuple when *fields*
-    keeps no per-system field. *each_system*, when given, is called with
-    each system's :class:`SystemSummary`, every field kept, in file order,
-    once that system's own checks pass, so that a caller may keep a field
-    elsewhere; a system is given even when its row fails a later check.
-    *digests* is as for :func:`read_input`.
+    The file is opened by this call, so a missing file fails here; an
+    entry that fails raises :class:`SchemaViolation` naming its line and
+    field, and the file as ``path``, once the entries before it have been
+    taken. *digests* is as for :func:`read_input`: the digest is stored
+    once the iterator has run to its end.
     """
-    fields = frozenset(fields)
-    if not fields <= set(FIELDS):
-        raise ValueError(f"unknown dataset fields: {sorted(fields - set(FIELDS))}")
-    entries = []
+    return _entries(read_input(path, digests), path)
+
+
+def _entries(lines: Iterator[str], path) -> Iterator[ReferenceEntry]:
     seen = {}
     hold = {}.setdefault
-    for number, raw in _json_lines(read_input(path, digests)):
-        entry = _parse_entry(raw, number, hold, fields, each_system)
-        if entry.example_id in seen:
-            raise DuplicateExampleId(
-                f"example_id {entry.example_id!r} already used on line "
-                f"{seen[entry.example_id]}",
-                line=number,
-                field="example_id",
-            )
-        seen[entry.example_id] = number
-        entries.append(entry)
-    return entries
+    try:
+        for number, raw in _json_lines(lines):
+            entry = _parse_entry(raw, number, hold)
+            if entry.example_id in seen:
+                raise DuplicateExampleId(
+                    f"example_id {entry.example_id!r} already used on line "
+                    f"{seen[entry.example_id]}",
+                    line=number,
+                    field="example_id",
+                )
+            seen[entry.example_id] = number
+            yield entry
+    except SchemaViolation as exc:
+        lines.close()  # now, not when the error, which holds this frame, is dropped
+        exc.path = path
+        raise
 
 
 def atomic_write_text(path, pieces: Iterable[str]) -> None:
@@ -627,6 +590,7 @@ def _unit_rows(lines: Iterator[str], path, reference_counts) -> Iterator[UnitFil
             row = (hold(example_id, example_id), reference_index, hold(strategy, strategy), text)
             yield _record(UnitFileRow, row)
     except SchemaViolation as exc:
+        lines.close()
         exc.path = path
         raise
 
@@ -654,24 +618,24 @@ def import_rows(
 
 
 @_naming_the_file
-def load_scores(path, entries, *, digests: dict | None = None) -> Sequence[float]:
-    """Read a score file into one ``array('d')`` of the cells of *entries*,
-    the dataset's records: each entry's systems in order, entries in order,
-    and NaN for a cell that no row scores. A row for a cell not in *entries*,
-    or for the cell of an earlier row, is stray: :class:`SchemaViolation`
-    names its line, and the line of the row it repeats if it does.
-    *digests* is as for :func:`read_input`.
+def load_scores(path, examples, *, digests: dict | None = None) -> Sequence[float]:
+    """Read a score file into one ``array('d')`` of the cells of
+    *examples*, the dataset's ``(example_id, system_ids)`` in file order:
+    each example's systems in order, examples in order, and NaN for a cell
+    that no row scores. A row for a cell not in *examples*, or for the
+    cell of an earlier row, is stray: :class:`SchemaViolation` names its
+    line, and the line of the row it repeats if it does. *digests* is as
+    for :func:`read_input`.
     """
     from array import array  # a shared library, loaded by the commands that use it
 
     places = {}  # each example's first cell, and its systems' places
-    shared = {}  # one places dict for the entries whose systems are the same
+    shared = {}  # one places dict for the examples whose systems are the same
     cells = 0
-    for entry in entries:
-        ids = tuple([system.system_id for system in entry.systems])
+    for example_id, ids in examples:
         if ids not in shared:
             shared[ids] = {s: j for j, s in enumerate(ids)}
-        places[entry.example_id] = cells, shared[ids]
+        places[example_id] = cells, shared[ids]
         cells += len(ids)
     scores = array("d", [math.nan]) * cells
     lines = array("q", [0]) * cells  # the line of each cell's score, 0 for none yet

@@ -8,19 +8,17 @@ weighted equally.
 Two scorers ship with the package: a deterministic lexical fallback that
 needs no network, and a remote scorer backed by an entailment service.
 
-``score`` keeps its summaries in a :class:`SummarySpool`, on disk, and
-reads back one example's summaries at a time.
+``score`` reads each example's summaries and unit texts back from its
+spool (:mod:`autopyramid.spool`), one example at a time.
 """
 
 from __future__ import annotations
 
 import math
-import tempfile
-from array import array
-from itertools import accumulate, chain, product
+from itertools import chain, product
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .errors import FileUnwritable, MalformedServiceReply, NoUnits
+from .errors import MalformedServiceReply, NoUnits
 from .text import TokenBag, bag_overlap, tokenize
 
 PresenceScorer = Callable[[list[tuple[str, str]]], list[float]]
@@ -149,62 +147,3 @@ def score_summary(
     """Score *summary* against every unit; unit order is preserved."""
     return score_summaries(units, [summary], scorer)[0]
 
-
-class SummarySpool:
-    """The summaries of one dataset load, held on disk: :meth:`add` takes
-    each system's record in file order and writes its summary as UTF-8,
-    back to back, into an unnamed temporary file under
-    ``tempfile.gettempdir()`` (``$TMPDIR`` when set), keeping its byte
-    length in one array, and :meth:`examples` reads them back an example
-    at a time. The file holds about the
-    dataset's summary bytes until :meth:`close` deletes it. A failure to
-    make, write or read it raises :class:`FileUnwritable` with the reason.
-    """
-
-    def __init__(self):
-        self.lengths = array("Q")
-        # a buffer of 64 KiB, as the input is read in: at 500 x 16, about
-        # 60 writes of the 3.9 MB of summaries, not about 480 of 8 KiB
-        self._file = _spooling(tempfile.TemporaryFile, "w+b", 1 << 16)
-
-    def add(self, system) -> None:
-        self.lengths.append(_spooling(self._file.write, system.summary.encode("utf-8")))
-
-    def close(self) -> None:
-        try:
-            self._file.close()
-        except OSError:  # a last flush that fails loses bytes no one reads
-            pass
-
-    def examples(self, entries):
-        """Yield ``(entry, systems, summaries)`` for each of *entries*, the
-        records of the load in file order, in example-id order: the entry's
-        systems in system-id order, and their summaries, read back as the
-        example is taken."""
-        places = []  # each entry's id, first byte and first summary
-        start = first = 0
-        for entry in entries:
-            places.append((entry.example_id, start, first, entry))
-            end = first + len(entry.systems)
-            start += sum(self.lengths[first:end])
-            first = end
-        places.sort()  # by id alone: the ids differ
-        for _, start, first, entry in places:
-            lengths = self.lengths[first : first + len(entry.systems)]
-            _spooling(self._file.seek, start)  # which writes out what is buffered
-            data = _spooling(self._file.read, sum(lengths))
-            ends = accumulate(lengths)
-            texts = [data[end - n : end].decode("utf-8") for n, end in zip(lengths, ends)]
-            order = sorted(range(len(texts)), key=lambda j: entry.systems[j].system_id)
-            yield entry, [entry.systems[j] for j in order], [texts[j] for j in order]
-
-
-def _spooling(call, *args):
-    """``call(*args)``, an operation on the spool, whose failure raises
-    :class:`FileUnwritable` with the system's reason."""
-    try:
-        return call(*args)
-    except OSError as exc:
-        where = f" in {tempfile.tempdir}" if tempfile.tempdir else ""
-        reason = exc.strerror or type(exc).__name__
-        raise FileUnwritable(f"cannot spool the summaries{where}: {reason}") from exc

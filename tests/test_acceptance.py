@@ -323,7 +323,7 @@ def test_external_corpus_statistics():
 )
 def test_external_summary_level_correlation():
     with criterion("external-summary-level"):
-        entries = load_dataset(PYRXSUM)
+        entries = list(load_dataset(PYRXSUM))
         scorer = remote_scorer(NLI_ENDPOINT)
         system_ids = sorted(s.system_id for s in entries[0].systems)
         metric_rows = []

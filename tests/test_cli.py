@@ -520,7 +520,7 @@ def test_smu_extract_holds_the_graphs_of_one_reference_at_a_time(tmp_path):
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        load_dataset(dataset)
+        list(load_dataset(dataset))
         dataset_peak = tracemalloc.get_traced_memory()[1] - start
         start = tracemalloc.get_traced_memory()[0]
         held = list(load_penman_file(graphs))
@@ -1802,7 +1802,8 @@ def test_rows_holding_line_breaks_raw_give_what_their_escaped_copies_give(tmp_pa
             encoding="utf-8",
         )
         assert ("\u2028" in dataset.read_text(encoding="utf-8")) is not ensure_ascii
-        assert load_dataset(dataset)[1].references[0].text == rows[1]["references"][0]["text"]
+        second = list(load_dataset(dataset))[1]
+        assert second.references[0].text == rows[1]["references"][0]["text"]
         for name, argv in [
             ("sent", ["extract", "--strategy", "sent"]),
             ("ngram", ["extract", "--strategy", "ngram", "--ngram-fraction", "1"]),

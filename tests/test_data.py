@@ -4,6 +4,7 @@ import gc
 import hashlib
 import io
 import json
+import operator
 import os
 import sys
 import tracemalloc
@@ -16,7 +17,6 @@ from hypothesis import strategies as st
 
 from autopyramid import data
 from autopyramid.data import (
-    FIELDS,
     Reference,
     ReferenceEntry,
     SystemSummary,
@@ -75,7 +75,7 @@ def valid_row(example_id="e1"):
 
 def test_load_dataset_valid(tmp_path):
     path = write_jsonl(tmp_path / "d.jsonl", [valid_row("e1"), valid_row("e2")])
-    entries = load_dataset(path)
+    entries = list(load_dataset(path))
     assert [e.example_id for e in entries] == ["e1", "e2"]
     entry = entries[0]
     assert entry.references[0].scus == ("the cat sat", "a dog barked")
@@ -89,7 +89,7 @@ def test_presence_labels_are_stored_as_ints(tmp_path):
     row = valid_row()
     row["systems"][0]["scu_presence"] = [True, 0.0]
     path = write_jsonl(tmp_path / "d.jsonl", [row])
-    presence = load_dataset(path)[0].systems[0].scu_presence
+    presence = list(load_dataset(path))[0].systems[0].scu_presence
     assert presence == (1, 0)
     assert [type(label) for label in presence] == [int, int]
 
@@ -97,13 +97,13 @@ def test_presence_labels_are_stored_as_ints(tmp_path):
 def test_load_dataset_skips_blank_lines(tmp_path):
     path = tmp_path / "d.jsonl"
     path.write_text(json.dumps(valid_row()) + "\n\n", encoding="utf-8")
-    assert len(load_dataset(path)) == 1
+    assert len(list(load_dataset(path))) == 1
 
 
 def test_load_dataset_duplicate_id(tmp_path):
     path = write_jsonl(tmp_path / "d.jsonl", [valid_row("e1"), valid_row("e1")])
     with pytest.raises(DuplicateExampleId) as info:
-        load_dataset(path)
+        list(load_dataset(path))
     assert info.value.line == 2
 
 
@@ -112,7 +112,7 @@ def test_load_dataset_presence_length(tmp_path):
     row["systems"][0]["scu_presence"] = [1, 0, 1]
     path = write_jsonl(tmp_path / "d.jsonl", [row])
     with pytest.raises(PresenceLengthMismatch) as info:
-        load_dataset(path)
+        list(load_dataset(path))
     assert info.value.line == 1
     assert "scu_presence" in info.value.field
 
@@ -137,7 +137,7 @@ def test_load_dataset_schema_violations(tmp_path, mutate, field):
     mutate(row)
     path = write_jsonl(tmp_path / "d.jsonl", [row])
     with pytest.raises(SchemaViolation) as info:
-        load_dataset(path)
+        list(load_dataset(path))
     assert info.value.line == 1
     assert info.value.field == field
 
@@ -148,7 +148,7 @@ def test_load_dataset_rejects_non_finite_human_score(tmp_path, text):
     path = tmp_path / "d.jsonl"
     path.write_text(json.dumps(valid_row("e0")) + "\n" + row + "\n", encoding="utf-8")
     with pytest.raises(SchemaViolation) as info:
-        load_dataset(path)
+        list(load_dataset(path))
     assert info.value.line == 2
     assert info.value.field == "systems[0].human_score"
 
@@ -157,7 +157,7 @@ def test_load_dataset_bad_json(tmp_path):
     path = tmp_path / "d.jsonl"
     path.write_text("{not json}\n", encoding="utf-8")
     with pytest.raises(SchemaViolation) as info:
-        load_dataset(path)
+        list(load_dataset(path))
     assert info.value.line == 1
 
 
@@ -313,47 +313,71 @@ def test_a_load_holds_each_repeated_value_once(tmp_path):
 @pytest.mark.parametrize(
     "fields, shared",
     [((), True), (("text", "scus"), True), (("summary",), False),
-     (("human_score",), False), (("scu_presence",), False), (FIELDS, False)],
+     (("human_score",), False), (("scu_presence",), False),
+     (("text", "scus", "summary", "human_score", "scu_presence"), False)],
 )
 def test_a_load_keeping_no_per_system_field_shares_each_systems_tuple(tmp_path, fields, shared):
+    """A reader that keeps of each system no field but its id, as `score`
+    and `metaeval` do, can hold one systems tuple for the examples whose
+    ids are the same: the load gives each id as one object. Each other
+    per-system field is a new object in each entry, so keeping any of
+    them leaves nothing to share."""
     other = valid_row("e3")
     other["systems"].reverse()  # the same ids, in another order
     path = write_jsonl(tmp_path / "d.jsonl", [valid_row("e1"), valid_row("e2"), other])
-    first, second, third = load_dataset(path, fields=fields)
-    assert (first.systems is second.systems) is shared
-    assert first.systems == second.systems and first.systems is not third.systems
-    assert [s.system_id for s in third.systems] == ["sysB", "sysA"]
+    first, second, third = load_dataset(path)
+    ids = [tuple([s.system_id for s in e.systems]) for e in (first, second, third)]
+    assert ids[0] == ids[1] and all(map(operator.is_, ids[0], ids[1]))
+    assert ids[2] == ("sysB", "sysA")
+    kept = [name for name in fields if name in SystemSummary._fields]
+    one, same = first.systems[0], second.systems[0]  # sysA, which has every field
+    assert one == same
+    assert all(getattr(one, name) is getattr(same, name) for name in kept) is shared
 
 
-def test_each_system_gets_every_field_of_each_checked_system_in_file_order(tmp_path):
+def test_load_dataset_gives_each_entry_with_every_field_once_it_is_checked(tmp_path):
     bad = valid_row("e2")
     bad["systems"][1]["human_score"] = "high"  # fails after sysA is checked
     path = write_jsonl(tmp_path / "d.jsonl", [valid_row("e1"), bad])
-    given = []
-    with pytest.raises(SchemaViolation) as info:
-        load_dataset(path, fields=(), each_system=given.append)
-    assert (info.value.line, info.value.field) == (2, "systems[1].human_score")
-    assert given == [
+    entries = load_dataset(path)
+    first = next(entries)
+    assert first.systems == (
         SystemSummary("sysA", "The cat sat.", 0.5, (1, 0)),
         SystemSummary("sysB", "Nothing here."),
-        SystemSummary("sysA", "The cat sat.", 0.5, (1, 0)),
-    ]
-    assert type(given[0].human_score) is float and type(given[0].scu_presence) is tuple
+    )
+    assert first.references == (
+        Reference("The cat sat. A dog barked.", ("the cat sat", "a dog barked")),
+    )
+    assert type(first.systems[0].human_score) is float
+    with pytest.raises(SchemaViolation) as info:
+        next(entries)
+    assert (info.value.line, info.value.field, info.value.path) == (2, "systems[1].human_score", path)
+
+
+def test_load_dataset_opens_at_the_call_and_reads_as_the_entries_are_taken(tmp_path):
+    with pytest.raises(FileUnreadable):
+        load_dataset(tmp_path / "gone.jsonl")
+    path = write_jsonl(tmp_path / "d.jsonl", [valid_row("e1"), valid_row("e2")])
+    digests = {}
+    entries = load_dataset(path, digests=digests)
+    assert next(entries).example_id == "e1" and digests == {}
+    assert [e.example_id for e in entries] == ["e2"]
+    assert digests == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
 
 
 def score_entries(cells):
-    """Dataset records with the (example_id, system_id) *cells*, each
-    example's systems in the order given."""
+    """The ``(example_id, system_ids)`` of the (example_id, system_id)
+    *cells*, each example's systems in the order given."""
     systems = {}
     for example_id, system_id in cells:
-        systems.setdefault(example_id, []).append(SystemSummary(system_id, None))
-    return [ReferenceEntry(e, (Reference(None, None),), tuple(s)) for e, s in systems.items()]
+        systems.setdefault(example_id, []).append(system_id)
+    return [(e, tuple(s)) for e, s in systems.items()]
 
 
 def scores_by_cell(scores, entries):
     """The scores ``load_scores(path, entries)`` gives, by (example_id,
     system_id) and in cell order, the cells no row scores left out."""
-    cells = [(e.example_id, s.system_id) for e in entries for s in e.systems]
+    cells = [(e, s) for e, ids in entries for s in ids]
     return {cell: score for cell, score in zip(cells, scores, strict=True) if score == score}
 
 
@@ -391,7 +415,7 @@ def test_load_units_opens_at_the_call_and_reads_as_the_rows_are_taken(tmp_path):
 
 def test_loaded_entries_are_immutable_tuples(tmp_path):
     path = write_jsonl(tmp_path / "d.jsonl", [valid_row()])
-    entry = load_dataset(path)[0]
+    entry = next(load_dataset(path))
     assert isinstance(entry.references, tuple)
     assert isinstance(entry.systems, tuple)
     assert isinstance(entry, ReferenceEntry)
@@ -520,7 +544,7 @@ def test_a_bad_row_before_bad_utf8_is_the_error(tmp_path, monkeypatch, chunk_siz
     row = json.dumps(valid_row())
     path.write_bytes(f"{row}\n{{\n\n\n".encode("utf-8") + b"\xff\n")
     with pytest.raises(SchemaViolation) as info:
-        load_dataset(path)
+        list(load_dataset(path))
     assert info.value.line == 2
 
 
@@ -554,7 +578,7 @@ def test_a_loader_that_stops_on_a_bad_row_leaves_no_file_open(tmp_path, monkeypa
     with warnings.catch_warnings():
         warnings.simplefilter("error", ResourceWarning)
         with pytest.raises(SchemaViolation) as info:
-            load_dataset(path)
+            list(load_dataset(path))
         assert info.value.line == 2
         # closed while the error, and the frames it holds, are still alive
         assert len(opened) == 1 and opened[0].closed
@@ -583,7 +607,7 @@ def test_a_read_that_fails_after_the_open_names_the_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(data, "open", failing_open, raising=False)
     with pytest.raises(FileUnreadable) as info:
-        load_dataset(path)
+        list(load_dataset(path))
     assert str(info.value) == f"cannot read {path}: [Errno 5] {os.strerror(errno.EIO)}"
     assert len(handles) == 1 and handles[0].reads == 2 and handles[0].closed
 
@@ -608,7 +632,7 @@ def traced_load(path, **kwargs):
     load retained and its peak, under tracemalloc."""
     tracemalloc.start()
     try:
-        entries = load_dataset(path, **kwargs)
+        entries = list(load_dataset(path, **kwargs))
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -625,19 +649,19 @@ def test_load_dataset_holds_its_records_plus_about_one_chunk(tmp_path):
     assert peak - retained < size / 4, (peak - retained, size)
 
 
-def test_a_load_of_the_gold_units_alone_retains_under_half_a_full_load(tmp_path):
+def test_a_fold_over_the_dataset_holds_one_entry_at_a_time(tmp_path):
     path = long_summary_dataset(tmp_path / "big.jsonl")
-    full, full_retained, _ = traced_load(path)
-    units, units_retained, _ = traced_load(path, fields=("scus",))
-    assert len(units) == len(full) == 500
-    assert [e.pooled_scus() for e in units] == [e.pooled_scus() for e in full]
-    assert units_retained < full_retained / 2, (units_retained, full_retained)
-
-
-def test_load_dataset_refuses_a_field_it_does_not_know(tmp_path):
-    path = write_jsonl(tmp_path / "d.jsonl", [valid_row()])
-    with pytest.raises(ValueError, match="'summaries'"):
-        load_dataset(path, fields=("text", "summaries"))
+    _, full_retained, _ = traced_load(path)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        examples = sum(1 for _ in load_dataset(path))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # the records of 500 examples, against one entry and one block of lines
+    assert examples == 500
+    assert peak < full_retained / 10, (peak, full_retained)
 
 
 def test_accepted_label_and_score_forms(tmp_path):
@@ -645,7 +669,7 @@ def test_accepted_label_and_score_forms(tmp_path):
     row["systems"][0].update(human_score=1, scu_presence=[True, -0.0])
     row["systems"][1].update(human_score=0, scu_presence=[1.0, False])
     path = write_jsonl(tmp_path / "d.jsonl", [row])
-    first, second = load_dataset(path)[0].systems
+    first, second = next(load_dataset(path)).systems
     assert (first.scu_presence, second.scu_presence) == ((1, 0), (1, 0))
     assert {type(label) for label in first.scu_presence + second.scu_presence} == {int}
     assert (first.human_score, second.human_score) == (1.0, 0.0)
@@ -655,7 +679,7 @@ def test_accepted_label_and_score_forms(tmp_path):
 def test_loaders_record_the_digest_of_the_bytes_read(tmp_path):
     path = write_jsonl(tmp_path / "d.jsonl", [valid_row()])
     digests = {}
-    load_dataset(path, digests=digests)
+    list(load_dataset(path, digests=digests))
     assert digests == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
 
 
@@ -767,34 +791,13 @@ def outcome(load, path):
         return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "field", None)
 
 
-def reference_keeping(fields):
-    """The reference dataset loader, its records holding ``None`` for
-    every field of ``FIELDS`` not in *fields*."""
-
-    dropped = set(FIELDS) - set(fields)
-
-    def drop(record):
-        return record._replace(**{f: None for f in record._fields if f in dropped})
-
-    def load(path):
-        return [
-            entry._replace(references=tuple(map(drop, entry.references)),
-                           systems=tuple(map(drop, entry.systems)))
-            for entry in load_dataset_oracle(path)
-        ]
-
-    return load
-
-
 @settings(max_examples=400)
 @given(st.data())
 def test_load_dataset_matches_its_reference(scratch, data):
     scratch.write_bytes(data.draw(jsonl_file(data.draw(dataset_rows()))))
-    fields = data.draw(st.sets(st.sampled_from(FIELDS)))
-    # kept fields as the reference's, dropped ones None, any error the same
-    assert (outcome(lambda path: load_dataset(path, fields=fields), scratch)
-            == outcome(reference_keeping(fields), scratch))
-    assert outcome(load_dataset, scratch) == outcome(load_dataset_oracle, scratch)
+    assert outcome(lambda path: list(load_dataset(path)), scratch) == outcome(
+        load_dataset_oracle, scratch
+    )
 
 
 @st.composite
@@ -1006,13 +1009,13 @@ LONE = {"high": "\\ud800", "low": "\\udc00"}
 # surrogate escape, with the field that string is at
 SURROGATE_LOADS = {
     "dataset": (
-        load_dataset,
+        lambda path: list(load_dataset(path)),
         '{"example_id": "e1", "references": [{"text": "A cat \\ud83d\\ude00 sat."}]}',
         '{"example_id": "e2", "references": [{"text": "A cat @ sat here."}]}',
         "references[0].text",
     ),
     "dataset-key": (
-        load_dataset,
+        lambda path: list(load_dataset(path)),
         '{"example_id": "e1", "references": [{"text": "A cat sat."}]}',
         '{"example_id": "e2", "references": [{"text": "A cat."}], '
         '"systems": [{"system_id": "s", "summary": "x", "n@te": 1}]}',

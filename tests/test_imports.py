@@ -69,8 +69,8 @@ OFFLINE = [
     pytest.param(
         ["extract", "--strategy", "import", "--import-path", UNITS], set(), id="extract-import"
     ),
-    pytest.param(["score", "--units", UNITS], {"presence"}, id="score"),
-    pytest.param(["intrinsic", "--units", UNITS], {"stats"}, id="intrinsic"),
+    pytest.param(["score", "--units", UNITS], {"presence", "spool"}, id="score"),
+    pytest.param(["intrinsic", "--units", UNITS], {"stats", "spool"}, id="intrinsic"),
     pytest.param(["metaeval", "--scores", SCORES], {"stats"}, id="metaeval"),
     pytest.param(["stats"], {"stats"}, id="stats"),
 ]
@@ -125,7 +125,7 @@ def test_remote_score_adds_only_the_service_client(tmp_path, stub_service):
         "score", "--input", TOY, "--units", UNITS, "--out", str(tmp_path / "scores.jsonl"),
         "--scorer", "remote", "--nli-endpoint", stub.url,
     )
-    assert modules == COMMON | {"presence", "services"}
+    assert modules == COMMON | {"presence", "services", "spool"}
     assert at_exit == at_start
     assert stub.requests
 
