@@ -18,7 +18,9 @@ Files hold one graph per blank-line-separated block. Lines starting with
 '#' are comments; a ``# ::snt <text>`` comment carries the source sentence
 for the block. :func:`load_penman_file` gives the blocks one at a time, as
 :class:`PenmanEntry` tuples, as it reads them, so a caller that takes a
-graph at a time never holds the graphs of the whole file.
+graph at a time never holds the graphs of the whole file. It reads through
+:func:`~autopyramid.data.read_rows`, as every loader does, so the first
+block that does not parse closes the file and names it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import re
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
-from .data import read_input
+from .data import read_rows
 from .errors import DisconnectedGraph, MalformedPenman
 
 
@@ -406,21 +408,16 @@ _SNT_PREFIX = "# ::snt "
 
 def load_penman_file(path, *, digests: dict | None = None) -> Iterator[PenmanEntry]:
     """The blank-line-separated PENMAN blocks of *path*, each parsed and
-    given as the file is read.
+    given as the file is read (:func:`~autopyramid.data.read_rows`).
 
     '#'-prefixed lines are ignored except for ``# ::snt``, whose text is
-    attached to the following graph. The file is opened by this call, so a
-    missing file fails here; the entries come as they are iterated, and
-    only the block being read is held beside the one given. A parse error
-    carries file-absolute line numbers, and the file as ``path``. The lines
-    come from :func:`~autopyramid.data.read_input`, and *digests* is as for
-    that function: the digest is stored once the iterator has run to its
-    end.
+    attached to the following graph. Only the block being read is held
+    beside the one given. A parse error carries file-absolute line numbers.
     """
-    return _entries(read_input(path, digests), path)
+    return read_rows(path, _entries, digests)
 
 
-def _entries(lines: Iterator[str], path) -> Iterator[PenmanEntry]:
+def _entries(lines: Iterator[str]) -> Iterator[PenmanEntry]:
     block: list[str] = []
     block_start = 1
     sentence: str | None = None
@@ -429,11 +426,7 @@ def _entries(lines: Iterator[str], path) -> Iterator[PenmanEntry]:
         stripped = line.strip()
         if not stripped:
             if block:
-                try:
-                    graph = parse_penman("\n".join(block), first_line=block_start)
-                except MalformedPenman as exc:
-                    exc.path = path
-                    raise
+                graph = parse_penman("\n".join(block), first_line=block_start)
                 yield PenmanEntry(graph, sentence, block_start)
             block = []
             sentence = None

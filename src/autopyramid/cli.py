@@ -14,15 +14,18 @@ writes them, so their temp file beside ``--out`` is there for the whole
 run, and a process killed by a signal in that time leaves it behind.
 
 Of the dataset, ``stats`` keeps running sums, ``extract`` each example's
-id and reference texts, and ``metaeval`` each example's id, a tuple of
-system ids shared by equal ones, and two flat arrays of scores.
+id and reference texts, and ``metaeval`` each example's id, the first
+example's system ids, sorted, and the human scores in that cell order, in
+which :func:`~autopyramid.data.load_scores` puts each score as it reads it.
 ``score`` and ``intrinsic`` spool the summaries, or the gold units, and
 then the unit texts to a temporary file (:mod:`~autopyramid.spool`), and
 read each example's back as they score it. A command imports only the modules
 it runs: graph code for ``--strategy smu``, the HTTP client for a given
 endpoint, presence scoring for ``score`` and statistics for the report
 commands. An input error that a loader finds at a line of a file names the
-file first.
+file first. A fault the dataset alone shows (no entries, an example with
+no gold units, systems that cannot be correlated) is reported before a
+second input is opened.
 
 Exit codes are stable: 0 on success, 2 for input or usage problems, 3 when
 an external service fails. Every output file is written atomically and
@@ -104,7 +107,7 @@ EXIT_INPUT = 2
 EXIT_SERVICE = 3
 
 # the commands that spool texts, and what the errors call it
-SPOOLED = {"score": "the summaries", "intrinsic": "the units"}
+SPOOLED = {"score": "the summaries and units", "intrinsic": "the units"}
 
 
 def positive_int(text: str) -> int:
@@ -642,9 +645,9 @@ def cmd_intrinsic(args, entries, digests) -> int:
         spool.add(place, pooled)
     if not places:
         raise EmptyDataset("dataset has no entries")
-    first = _spool_units(args, places, counts, digests)
     if empty is not None:
         raise NoGoldUnits(f"example {empty} has no gold units")
+    first = _spool_units(args, places, counts, digests)
 
     from array import array
 
@@ -683,37 +686,34 @@ def cmd_intrinsic(args, entries, digests) -> int:
 def cmd_metaeval(args, entries, digests) -> int:
     from array import array
 
-    example_ids, systems, humans = [], [], array("d")  # NaN for no human score
-    hold = {}.setdefault  # one tuple for equal system ids
+    # the first example's system ids, sorted, and the human scores of each
+    # example in that order, NaN for none: the cell order of load_scores
+    example_ids, system_ids, humans = [], None, array("d")
+    differ = None  # the first example whose system ids are not those
     for entry in entries:
-        ids = tuple([system.system_id for system in entry.systems])
+        systems = sorted(entry.systems)  # by id, which no two systems share
+        ids = [system.system_id for system in systems]
+        if system_ids is None:
+            system_ids = ids
+        elif ids != system_ids and differ is None:
+            differ = f"example {entry.example_id} has systems {ids}, expected {system_ids}"
         example_ids.append(entry.example_id)
-        systems.append(hold(ids, ids))
-        humans.extend([math.nan if s.human_score is None else s.human_score for s in entry.systems])
+        humans.extend([math.nan if s.human_score is None else s.human_score for s in systems])
     if not example_ids:
         raise EmptyDataset("dataset has no entries")
-    scores = load_scores(args.scores, zip(example_ids, systems), digests=digests)
-
-    system_ids = sorted(systems[0])
     if len(system_ids) < 2:
         raise LengthMismatch("meta-evaluation needs at least two systems")
+    if differ is not None:
+        raise LengthMismatch(differ)
+    scores = load_scores(args.scores, example_ids, system_ids, digests=digests)
 
-    # each example's cells in system-id order, in place: rows of the matrices
     width = len(system_ids)
-    for k, (example_id, ids) in enumerate(zip(example_ids, systems)):
-        if sorted(ids) != system_ids:
-            raise LengthMismatch(
-                f"example {example_id} has systems {sorted(ids)}, expected {system_ids}"
-            )
-        row = slice(k * width, (k + 1) * width)
-        cells = sorted(zip(ids, scores[row], humans[row]))
-        for system_id, score, human in cells:
-            if score != score:  # NaN: no row
+    for cell, (score, human) in enumerate(zip(scores, humans)):
+        if score != score or human != human:  # NaN: no row, or no human score
+            example_id, system_id = example_ids[cell // width], system_ids[cell % width]
+            if score != score:
                 raise LengthMismatch(f"score file has no row for {example_id}/{system_id}")
-            if human != human:  # NaN: no human score
-                raise LengthMismatch(f"example {example_id} system {system_id} has no human score")
-        _, metric, human = zip(*cells)
-        scores[row], humans[row] = array("d", metric), array("d", human)
+            raise LengthMismatch(f"example {example_id} system {system_id} has no human score")
     metric_matrix, human_matrix = (
         [view[k * width : (k + 1) * width] for k in range(len(example_ids))]
         for view in (memoryview(scores), memoryview(humans))

@@ -23,37 +23,40 @@ command tags them with their example, reference and one of
 ``VALID_STRATEGIES``.
 
 Every input file is read once, by :func:`read_input`, in blocks of whole
-lines of about :data:`CHUNK_SIZE` bytes: a loader builds each record while
-about one block of raw text is alive, so it holds its records plus that
-block, not a copy of the whole file. A line longer than :data:`CHUNK_SIZE`
-is read whole into one block, and a file with no ``\\n`` is one block.
-Asked for one, the reader also takes the SHA-256 of the bytes parsed,
-which the caller records in the run manifest without reading the file
-again. Files must be UTF-8; a line ends at ``\\n`` and nowhere else, as a
-JSON Lines row does, and lines are counted from 1. The first problem in
-file order is the one reported, and reading stops there: a bad row before
-bytes that are not UTF-8 fails on the row, and so does a row that does
-not fit the dataset before a line that is not JSON. Each row goes
-straight to the JSON scanner and decodes or fails as
-``json.JSONDecoder.decode`` would (see :func:`_json_lines`).
-A string that holds a lone UTF-16 surrogate, which only a ``\\u`` escape
-can make and no UTF-8 output can hold, fails its row
+lines of about :data:`CHUNK_SIZE` bytes, and every loader, the PENMAN one
+in :mod:`autopyramid.amr` included, is a row parser over
+:func:`read_rows`: the one place that opens a file for a loader, takes its
+digest and, at the first row at fault, closes it and sets the error's
+``path`` to it. A loader builds each record while about one block of raw
+text is alive, so it holds its records plus that block, not a copy of the
+whole file. A line longer than :data:`CHUNK_SIZE` is read whole into one
+block, and a file with no ``\\n`` is one block. Asked for one, the reader
+also takes the SHA-256 of the bytes parsed, which the caller records in
+the run manifest without reading the file again. Files must be UTF-8; a
+line ends at ``\\n`` and nowhere else, as a JSON Lines row does, and lines
+are counted from 1. The first problem in file order is the one reported,
+and reading stops there: a bad row before bytes that are not UTF-8 fails
+on the row, and so does a row that does not fit the dataset before a line
+that is not JSON. Each row goes straight to the JSON scanner and decodes
+or fails as ``json.JSONDecoder.decode`` would (see :func:`_json_lines`). A
+string that holds a lone UTF-16 surrogate, which only a ``\\u`` escape can
+make and no UTF-8 output can hold, fails its row
 (:func:`lone_surrogate_field`).
 
-A dataset, like a unit file, comes as the file is read: each entry or
-row is given once it is checked (:func:`load_dataset`,
-:func:`load_units`), so a command that folds over it once holds what it
-keeps and one record. Within one load, equal values the records repeat
-are held once: a dataset's ``system_id`` strings, a unit file's example
-ids and strategies. Outputs are written as their rows are made:
-:func:`atomic_write_text` and :func:`save_units` take any iterable, and
-``extract`` and ``score`` make each row as the writer takes it.
+A dataset, like a unit file, comes as the file is read: each entry or row
+is given once it is checked (:func:`load_dataset`, :func:`load_units`), so
+a command that folds over it once holds what it keeps and one record; a
+score file's scores go straight into one array, in the cell order the
+caller gives (:func:`load_scores`). Within one load, equal values the
+records repeat are held once: a dataset's ``system_id`` strings, a unit
+file's example ids and strategies. Outputs are written as their rows are
+made: :func:`atomic_write_text` and :func:`save_units` take any iterable,
+and ``extract`` and ``score`` make each row as the writer takes it.
 """
 
 from __future__ import annotations
 
 import errno
-import functools
 import json
 import math
 import os
@@ -66,6 +69,7 @@ from .errors import (
     FileUnreadable,
     FileUnwritable,
     InputError,
+    MalformedPenman,
     PresenceLengthMismatch,
     SchemaViolation,
 )
@@ -190,31 +194,23 @@ def _json_lines(lines: Iterable[str]) -> Iterator[tuple[int, object]]:
     So a CRLF file reads as its LF copy does. A line that does not decode,
     nests deeper than the interpreter's recursion limit, or holds an escape
     that decodes to a lone surrogate raises :class:`SchemaViolation` naming
-    it (and that string's field), after closing *lines* when they can be
-    closed (a reader's file).
+    it (and that string's field).
     """
-    try:
-        for number, line in enumerate(lines, start=1):
-            if not line or line.isspace():
-                continue
-            try:
-                value, end = _scan(line, len(line) - len(line.lstrip(" \t\r")))
-            except (StopIteration, ValueError, RecursionError) as exc:
-                raise SchemaViolation("not valid JSON", line=number) from exc
-            if end != len(line) and line[end:].strip(" \t\r"):  # extra data
-                raise SchemaViolation("not valid JSON", line=number)
-            field = lone_surrogate_field(line, value)
-            if field is not None:
-                raise SchemaViolation(
-                    "a lone surrogate escape is not text", line=number, field=field
-                )
-            yield number, value
-    except SchemaViolation:
-        # the error's traceback holds this frame and so the reader: its
-        # file is closed now, not when the error is dropped
-        if hasattr(lines, "close"):
-            lines.close()
-        raise
+    for number, line in enumerate(lines, start=1):
+        if not line or line.isspace():
+            continue
+        try:
+            value, end = _scan(line, len(line) - len(line.lstrip(" \t\r")))
+        except (StopIteration, ValueError, RecursionError) as exc:
+            raise SchemaViolation("not valid JSON", line=number) from exc
+        if end != len(line) and line[end:].strip(" \t\r"):  # extra data
+            raise SchemaViolation("not valid JSON", line=number)
+        field = lone_surrogate_field(line, value)
+        if field is not None:
+            raise SchemaViolation(
+                "a lone surrogate escape is not text", line=number, field=field
+            )
+        yield number, value
 
 
 def read_input(path, digests: dict | None = None) -> Iterator[str]:
@@ -308,19 +304,29 @@ def _lines(path, digests: dict | None) -> Iterator[str | None]:
         digests[str(path)] = hasher.hexdigest()
 
 
-def _naming_the_file(load):
-    """The loader *load*, whose :class:`SchemaViolation` carries the file
-    it was found in as ``path``."""
+def read_rows(path, rows, digests: dict | None = None) -> Iterator:
+    """The records the row parser *rows* makes of the lines of *path*, given
+    as the file is read: every loader reads its file through this call.
 
-    @functools.wraps(load)
-    def load_naming_the_file(path, *args, **kwargs):
-        try:
-            return load(path, *args, **kwargs)
-        except SchemaViolation as exc:
-            exc.path = path
-            raise
+    The file is opened by this call, so a missing file fails here, and
+    *digests* is as for :func:`read_input`: the digest is stored once the
+    records have run to their end. *rows* takes the iterator of lines and
+    gives the records; a :class:`SchemaViolation` or
+    :class:`MalformedPenman` it raises closes the file at once, not when
+    the error, which holds the reader's frame, is dropped, and carries the
+    file as ``path``. A :class:`FileUnreadable` already names it.
+    """
+    lines = read_input(path, digests)
+    return _named_faults(path, lines, rows(lines))
 
-    return load_naming_the_file
+
+def _named_faults(path, lines, records):
+    try:
+        yield from records
+    except (SchemaViolation, MalformedPenman) as exc:
+        lines.close()
+        exc.path = path
+        raise
 
 
 def _system_error(message: str, line: int, index: int, name: str) -> SchemaViolation:
@@ -427,36 +433,27 @@ def _parse_entry(value, line: int, hold) -> ReferenceEntry:
 
 def load_dataset(path, *, digests: dict | None = None) -> Iterator[ReferenceEntry]:
     """The entries of dataset file *path*, in file order, each given once
-    it is checked, as the file is read.
-
-    The file is opened by this call, so a missing file fails here; an
-    entry that fails raises :class:`SchemaViolation` naming its line and
-    field, and the file as ``path``, once the entries before it have been
-    taken. *digests* is as for :func:`read_input`: the digest is stored
-    once the iterator has run to its end.
+    it is checked (:func:`read_rows`). An entry that fails raises
+    :class:`SchemaViolation` naming its line and field, once the entries
+    before it have been taken.
     """
-    return _entries(read_input(path, digests), path)
+    return read_rows(path, _entries, digests)
 
 
-def _entries(lines: Iterator[str], path) -> Iterator[ReferenceEntry]:
+def _entries(lines: Iterator[str]) -> Iterator[ReferenceEntry]:
     seen = {}
     hold = {}.setdefault
-    try:
-        for number, raw in _json_lines(lines):
-            entry = _parse_entry(raw, number, hold)
-            if entry.example_id in seen:
-                raise DuplicateExampleId(
-                    f"example_id {entry.example_id!r} already used on line "
-                    f"{seen[entry.example_id]}",
-                    line=number,
-                    field="example_id",
-                )
-            seen[entry.example_id] = number
-            yield entry
-    except SchemaViolation as exc:
-        lines.close()  # now, not when the error, which holds this frame, is dropped
-        exc.path = path
-        raise
+    for number, raw in _json_lines(lines):
+        entry = _parse_entry(raw, number, hold)
+        if entry.example_id in seen:
+            raise DuplicateExampleId(
+                f"example_id {entry.example_id!r} already used on line "
+                f"{seen[entry.example_id]}",
+                line=number,
+                field="example_id",
+            )
+        seen[entry.example_id] = number
+        yield entry
 
 
 def atomic_write_text(path, pieces: Iterable[str]) -> None:
@@ -527,72 +524,59 @@ def _unit_lines(rows: Iterable[UnitFileRow]) -> Iterator[str]:
 def load_units(
     path, *, digests: dict | None = None, reference_counts=None
 ) -> Iterator[UnitFileRow]:
-    """The unit rows of *path*, each given as the file is read; the inverse
-    of :func:`save_units`.
+    """The unit rows of *path*, each given as the file is read
+    (:func:`read_rows`); the inverse of :func:`save_units`.
 
-    The file is opened by this call, so a missing file fails here; the
-    rows come as they are iterated, and a row that fails raises
-    :class:`SchemaViolation` naming its line and field, and the file as
-    ``path``. When *reference_counts* (example id to its number of
+    A row that fails raises :class:`SchemaViolation` naming its line and
+    field. When *reference_counts* (example id to its number of
     references) is given, a row naming any other example, or a reference
     index its example does not have, is stray: once its own fields pass,
-    it fails so. *digests* is as for :func:`read_input`: the digest is
-    stored once the iterator has run to its end. Equal example ids and
-    strategies are held once.
+    it fails so. Equal example ids and strategies are held once.
     """
-    return _unit_rows(read_input(path, digests), path, reference_counts)
+    return read_rows(path, lambda lines: _unit_rows(lines, reference_counts), digests)
 
 
-def _unit_rows(lines: Iterator[str], path, reference_counts) -> Iterator[UnitFileRow]:
+def _unit_rows(lines: Iterator[str], reference_counts) -> Iterator[UnitFileRow]:
     hold = {}.setdefault
-    try:
-        for number, raw in _json_lines(lines):
-            if type(raw) is not dict:
-                raise SchemaViolation("row must be an object", line=number, field="")
-            example_id = raw.get("example_id")
-            if type(example_id) is not str:
+    for number, raw in _json_lines(lines):
+        if type(raw) is not dict:
+            raise SchemaViolation("row must be an object", line=number, field="")
+        example_id = raw.get("example_id")
+        if type(example_id) is not str:
+            raise SchemaViolation("missing string 'example_id'", line=number, field="example_id")
+        reference_index = raw.get("reference_index")
+        if type(reference_index) is not int or reference_index < 0:
+            raise SchemaViolation(
+                "'reference_index' must be a non-negative integer",
+                line=number,
+                field="reference_index",
+            )
+        strategy = raw.get("strategy")
+        if type(strategy) is not str or strategy not in VALID_STRATEGIES:
+            raise SchemaViolation(
+                f"'strategy' must be one of {', '.join(VALID_STRATEGIES)}",
+                line=number,
+                field="strategy",
+            )
+        text = raw.get("text")
+        if type(text) is not str or not text or text.isspace():
+            raise SchemaViolation("missing non-empty string 'text'", line=number, field="text")
+        if reference_counts is not None:
+            count = reference_counts.get(example_id)
+            if count is None:
                 raise SchemaViolation(
-                    "missing string 'example_id'", line=number, field="example_id"
+                    f"example {example_id!r} is not in the dataset",
+                    line=number,
+                    field="example_id",
                 )
-            reference_index = raw.get("reference_index")
-            if type(reference_index) is not int or reference_index < 0:
+            if reference_index >= count:
                 raise SchemaViolation(
-                    "'reference_index' must be a non-negative integer",
+                    f"example {example_id!r} has no reference {reference_index}",
                     line=number,
                     field="reference_index",
                 )
-            strategy = raw.get("strategy")
-            if type(strategy) is not str or strategy not in VALID_STRATEGIES:
-                raise SchemaViolation(
-                    f"'strategy' must be one of {', '.join(VALID_STRATEGIES)}",
-                    line=number,
-                    field="strategy",
-                )
-            text = raw.get("text")
-            if type(text) is not str or not text or text.isspace():
-                raise SchemaViolation(
-                    "missing non-empty string 'text'", line=number, field="text"
-                )
-            if reference_counts is not None:
-                count = reference_counts.get(example_id)
-                if count is None:
-                    raise SchemaViolation(
-                        f"example {example_id!r} is not in the dataset",
-                        line=number,
-                        field="example_id",
-                    )
-                if reference_index >= count:
-                    raise SchemaViolation(
-                        f"example {example_id!r} has no reference {reference_index}",
-                        line=number,
-                        field="reference_index",
-                    )
-            row = (hold(example_id, example_id), reference_index, hold(strategy, strategy), text)
-            yield _record(UnitFileRow, row)
-    except SchemaViolation as exc:
-        lines.close()
-        exc.path = path
-        raise
+        row = (hold(example_id, example_id), reference_index, hold(strategy, strategy), text)
+        yield _record(UnitFileRow, row)
 
 
 def import_rows(
@@ -617,49 +601,51 @@ def import_rows(
         ) from exc
 
 
-@_naming_the_file
-def load_scores(path, examples, *, digests: dict | None = None) -> Sequence[float]:
+def load_scores(
+    path, example_ids: Sequence[str], system_ids: Sequence[str], *, digests: dict | None = None
+) -> Sequence[float]:
     """Read a score file into one ``array('d')`` of the cells of
-    *examples*, the dataset's ``(example_id, system_ids)`` in file order:
-    each example's systems in order, examples in order, and NaN for a cell
-    that no row scores. A row for a cell not in *examples*, or for the
-    cell of an earlier row, is stray: :class:`SchemaViolation` names its
-    line, and the line of the row it repeats if it does. *digests* is as
-    for :func:`read_input`.
+    *example_ids* by *system_ids*: the score of ``example_ids[k]`` and
+    ``system_ids[j]`` at ``k * len(system_ids) + j``, and NaN for a cell
+    that no row scores (:func:`read_rows`). A row for any other cell, or
+    for the cell of an earlier row, is stray: :class:`SchemaViolation`
+    names its line, and the line of the row it repeats if it does.
     """
     from array import array  # a shared library, loaded by the commands that use it
 
-    places = {}  # each example's first cell, and its systems' places
-    shared = {}  # one places dict for the examples whose systems are the same
-    cells = 0
-    for example_id, ids in examples:
-        if ids not in shared:
-            shared[ids] = {s: j for j, s in enumerate(ids)}
-        places[example_id] = cells, shared[ids]
-        cells += len(ids)
-    scores = array("d", [math.nan]) * cells
-    lines = array("q", [0]) * cells  # the line of each cell's score, 0 for none yet
-    for number, raw in _json_lines(read_input(path, digests)):
-        if type(raw) is not dict:
-            raise SchemaViolation("row must be an object", line=number)
-        example_id = raw.get("example_id")
-        system_id = raw.get("system_id")
-        value = raw.get("score")
-        if type(example_id) is not str or type(system_id) is not str:
-            raise SchemaViolation(
-                "rows need string 'example_id' and 'system_id'", line=number
-            )
-        if not is_finite_number(value):
-            raise SchemaViolation("'score' must be a finite number", line=number, field="score")
-        place = places.get(example_id)
-        cell = place and place[1].get(system_id)
-        if cell is None:
-            raise SchemaViolation(f"{example_id}/{system_id} is not in the dataset", line=number)
-        cell += place[0]
-        if lines[cell]:
-            raise SchemaViolation(
-                f"{example_id}/{system_id} repeats line {lines[cell]}", line=number
-            )
-        scores[cell] = float(value)
-        lines[cell] = number
+    width = len(system_ids)
+    starts = {example_id: k * width for k, example_id in enumerate(example_ids)}
+    columns = {system_id: j for j, system_id in enumerate(system_ids)}
+    scores = array("d", [math.nan]) * (len(example_ids) * width)
+    line_of = array("q", [0]) * len(scores)  # each cell's score's line, 0 for none yet
+
+    def fill(lines):  # a row parser that gives nothing: each score goes to its cell
+        for number, raw in _json_lines(lines):
+            if type(raw) is not dict:
+                raise SchemaViolation("row must be an object", line=number)
+            example_id = raw.get("example_id")
+            system_id = raw.get("system_id")
+            value = raw.get("score")
+            if type(example_id) is not str or type(system_id) is not str:
+                raise SchemaViolation("rows need string 'example_id' and 'system_id'", line=number)
+            if not is_finite_number(value):
+                raise SchemaViolation(
+                    "'score' must be a finite number", line=number, field="score"
+                )
+            start, column = starts.get(example_id), columns.get(system_id)
+            if start is None or column is None:
+                raise SchemaViolation(
+                    f"{example_id}/{system_id} is not in the dataset", line=number
+                )
+            cell = start + column
+            if line_of[cell]:
+                raise SchemaViolation(
+                    f"{example_id}/{system_id} repeats line {line_of[cell]}", line=number
+                )
+            scores[cell] = float(value)
+            line_of[cell] = number
+            yield
+
+    for _ in read_rows(path, fill, digests):
+        pass
     return scores

@@ -20,7 +20,7 @@ from autopyramid.data import (
     UnitFileRow,
     _json_lines,
     is_finite_number,
-    read_input,
+    read_rows,
 )
 from autopyramid.errors import (
     DuplicateExampleId,
@@ -884,7 +884,7 @@ def parse_entry_reference(value, line: int) -> ReferenceEntry:
 def load_units_reference(path, *, reference_counts=None) -> list[UnitFileRow]:
     """:func:`autopyramid.data.load_units`, row checks and stray rows."""
     rows = []
-    for number, raw in _json_lines(read_input(path)):
+    for number, raw in read_rows(path, _json_lines):
         if type(raw) is not dict:
             raise SchemaViolation("row must be an object", line=number, field="")
         example_id = raw.get("example_id")
@@ -929,7 +929,7 @@ def load_scores_reference(path, cells) -> dict[tuple[str, str], float]:
     """:func:`autopyramid.data.load_scores`, row checks and stray rows."""
     scores = {}
     lines_of = {}
-    for number, raw in _json_lines(read_input(path)):
+    for number, raw in read_rows(path, _json_lines):
         if type(raw) is not dict:
             raise SchemaViolation("row must be an object", line=number)
         example_id = raw.get("example_id")

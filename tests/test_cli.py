@@ -973,6 +973,18 @@ def test_intrinsic_requires_gold_units(tmp_path, capsys):
     assert code == 2
 
 
+def test_intrinsic_reports_no_gold_units_before_it_opens_the_units(tmp_path, capsys):
+    rows = read_jsonl(TOY)
+    for reference in rows[1]["references"]:
+        reference["scus"] = []
+    for system in rows[1]["systems"]:
+        system.pop("scu_presence", None)
+    dataset = write_jsonl(tmp_path / "d.jsonl", rows)
+    missing = tmp_path / "missing.jsonl"
+    assert main(["intrinsic", "--input", dataset, "--units", str(missing)]) == 2
+    assert capsys.readouterr().err == "autopyramid: example e2 has no gold units\n"
+
+
 def test_metaeval_identity(tmp_path, capsys):
     scores = tmp_path / "scores.jsonl"
     rows = []
@@ -1860,6 +1872,32 @@ def test_metaeval_refuses_a_dataset_it_cannot_correlate(tmp_path, capsys, fault,
     assert main(["metaeval", "--input", dataset, "--scores", scores, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"autopyramid: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "fault, scores, message",
+    [
+        (
+            lambda rows: rows[1]["systems"][0].update(system_id="other"),
+            lambda path: write_jsonl(path, [{"example_id": "e9", "system_id": "x", "score": 0.5}]),
+            "example e2 has systems ['other', 'sysB'], expected ['sysA', 'sysB']",
+        ),
+        (
+            lambda rows: [row.update(systems=row["systems"][:1]) for row in rows],
+            lambda path: str(path),
+            "meta-evaluation needs at least two systems",
+        ),
+    ],
+    ids=["systems-differ-and-a-stray-row", "one-system-and-no-score-file"],
+)
+def test_metaeval_reports_a_dataset_fault_before_it_opens_the_scores(
+    tmp_path, capsys, fault, scores, message
+):
+    rows = read_jsonl(TOY)
+    fault(rows)
+    dataset = write_jsonl(tmp_path / "d.jsonl", rows)
+    assert main(["metaeval", "--input", dataset, "--scores", scores(tmp_path / "s.jsonl")]) == 2
+    assert capsys.readouterr().err == f"autopyramid: {message}\n"
 
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["in-order", "systems-reversed"])

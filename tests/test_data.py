@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from autopyramid import data
+from autopyramid.amr import load_penman_file
 from autopyramid.data import (
     Reference,
     ReferenceEntry,
@@ -35,6 +36,7 @@ from autopyramid.errors import (
     FileUnreadable,
     FileUnwritable,
     InputError,
+    MalformedPenman,
     PresenceLengthMismatch,
     SchemaViolation,
 )
@@ -365,32 +367,26 @@ def test_load_dataset_opens_at_the_call_and_reads_as_the_entries_are_taken(tmp_p
     assert digests == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
 
 
-def score_entries(cells):
-    """The ``(example_id, system_ids)`` of the (example_id, system_id)
-    *cells*, each example's systems in the order given."""
-    systems = {}
-    for example_id, system_id in cells:
-        systems.setdefault(example_id, []).append(system_id)
-    return [(e, tuple(s)) for e, s in systems.items()]
-
-
-def scores_by_cell(scores, entries):
-    """The scores ``load_scores(path, entries)`` gives, by (example_id,
-    system_id) and in cell order, the cells no row scores left out."""
-    cells = [(e, s) for e, ids in entries for s in ids]
+def scores_by_cell(scores, example_ids, system_ids):
+    """The scores ``load_scores(path, example_ids, system_ids)`` gives, by
+    (example_id, system_id) and in cell order, the cells no row scores
+    left out."""
+    cells = [(e, s) for e in example_ids for s in system_ids]
     return {cell: score for cell, score in zip(cells, scores, strict=True) if score == score}
 
 
 def test_load_scores_keys_scores_by_the_cells_given(tmp_path):
-    entries = score_entries([("e1", "sysA"), ("e1", "sysB"), ("e2", "sysA")])
     path = write_jsonl(tmp_path / "s.jsonl", [
-        {"example_id": "e1", "system_id": "sysB", "score": 1},
+        {"example_id": "e2", "system_id": "sysB", "score": 1},
         {"example_id": "e1", "system_id": "sysA", "score": 0.5},
+        {"example_id": "e2", "system_id": "sysA", "score": -2},
     ])
-    scores = load_scores(path, entries)
-    # one float a cell of the dataset, in its order, and NaN where no row is
-    assert scores.typecode == "d" and len(scores) == 3 and scores[2] != scores[2]
-    assert scores_by_cell(scores, entries) == {("e1", "sysA"): 0.5, ("e1", "sysB"): 1.0}
+    scores = load_scores(path, ["e1", "e2"], ["sysA", "sysB"])
+    # one float a cell, example by example, and NaN where no row is
+    assert scores.typecode == "d" and len(scores) == 4 and scores[1] != scores[1]
+    assert scores_by_cell(scores, ["e1", "e2"], ["sysA", "sysB"]) == {
+        ("e1", "sysA"): 0.5, ("e2", "sysA"): -2.0, ("e2", "sysB"): 1.0
+    }
 
 
 def test_load_units_validates(tmp_path):
@@ -567,19 +563,42 @@ def test_a_dropped_reader_leaves_no_file_open(tmp_path, monkeypatch, opened, tak
     assert unraisable == []
 
 
-@pytest.mark.parametrize("bad", ["[]", "{"], ids=["not-an-entry", "not-json"])
-def test_a_loader_that_stops_on_a_bad_row_leaves_no_file_open(tmp_path, monkeypatch, opened, bad):
-    path = tmp_path / "d.jsonl"
-    path.write_text(json.dumps(valid_row()) + f"\n{bad}\n" + json.dumps(valid_row()) + "\n")
+UNIT_ROW = {"example_id": "e1", "reference_index": 0, "strategy": "ngram", "text": "a b"}
+SCORE_ROW = {"example_id": "e1", "system_id": "a", "score": 0.5}
+GRAPH = "(w / want-01 :ARG0 (b / boy))"
+
+
+@pytest.mark.parametrize(
+    "load, good, bad, error",
+    [
+        (lambda path: list(load_dataset(path)), json.dumps(valid_row()), "[]", SchemaViolation),
+        (lambda path: list(load_dataset(path)), json.dumps(valid_row()), "{", SchemaViolation),
+        (lambda path: list(load_units(path)), json.dumps(UNIT_ROW), "[]", SchemaViolation),
+        (
+            lambda path: load_scores(path, SCORE_EXAMPLES, SCORE_SYSTEMS),
+            json.dumps(SCORE_ROW),
+            json.dumps({**SCORE_ROW, "system_id": "z"}),
+            SchemaViolation,
+        ),
+        (lambda path: list(load_penman_file(path)), f"{GRAPH}\n", "(b / boy", MalformedPenman),
+    ],
+    ids=["not-an-entry", "not-json", "units", "scores", "graphs"],
+)
+def test_a_loader_that_stops_on_a_bad_row_leaves_no_file_open(
+    tmp_path, monkeypatch, opened, load, good, bad, error
+):
+    path = tmp_path / "in.jsonl"
+    path.write_text(f"{good}\n{bad}\n\n{good}\n")
     monkeypatch.setattr(data, "CHUNK_SIZE", 16)
     gc.collect()
     unraisable = []
     monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
     with warnings.catch_warnings():
         warnings.simplefilter("error", ResourceWarning)
-        with pytest.raises(SchemaViolation) as info:
-            list(load_dataset(path))
-        assert info.value.line == 2
+        with pytest.raises(error) as info:
+            load(path)
+        assert info.value.line == (3 if error is MalformedPenman else 2)
+        assert info.value.path == path
         # closed while the error, and the frames it holds, are still alive
         assert len(opened) == 1 and opened[0].closed
         del opened[:], info
@@ -834,14 +853,15 @@ def score_rows(draw):
     ]
 
 
-SCORE_CELLS = {(e, s): (e, s) for e in ("e1", "e2") for s in ("a", "b", "c")}
-SCORE_ENTRIES = score_entries(SCORE_CELLS)
+SCORE_EXAMPLES, SCORE_SYSTEMS = ("e1", "e2"), ("a", "b", "c")
+SCORE_CELLS = {(e, s): (e, s) for e in SCORE_EXAMPLES for s in SCORE_SYSTEMS}
 
 
 def load_scores_by_cell(path):
     """``load_scores`` on the cells of ``SCORE_CELLS``, as the references
     give it: by cell, in cell order."""
-    return scores_by_cell(load_scores(path, SCORE_ENTRIES), SCORE_ENTRIES)
+    scores = load_scores(path, SCORE_EXAMPLES, SCORE_SYSTEMS)
+    return scores_by_cell(scores, SCORE_EXAMPLES, SCORE_SYSTEMS)
 
 
 def in_cell_order(scores):
@@ -1028,7 +1048,7 @@ SURROGATE_LOADS = {
         "text",
     ),
     "scores": (
-        lambda path: load_scores(path, SCORE_ENTRIES),
+        lambda path: load_scores(path, SCORE_EXAMPLES, SCORE_SYSTEMS),
         '{"example_id": "e1", "system_id": "a", "score": 0.5}',
         '{"example_id": "e1", "system_id": "b@", "score": 0.5}',
         "system_id",

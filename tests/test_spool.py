@@ -176,29 +176,6 @@ def test_score_and_intrinsic_follow_the_ids_not_the_order_of_either_file(tmp_pat
         assert original["intrinsic.stdout"] == (GOLDEN / "intrinsic.stdout").read_bytes()
 
 
-def test_metaeval_keeps_one_system_id_tuple_for_the_examples_whose_ids_are_the_same(
-    tmp_path, monkeypatch
-):
-    rows = seeded_rows(3, seed=2, systems=3)
-    rows[2]["systems"].reverse()  # the same ids, in another order
-    dataset = write_rows(tmp_path / "d.jsonl", rows)
-    units, scores = str(tmp_path / "units.jsonl"), str(tmp_path / "scores.jsonl")
-    assert main(["extract", "--strategy", "sent", "--input", dataset, "--out", units]) == 0
-    assert main(["score", "--input", dataset, "--units", units, "--out", scores]) == 0
-    given = []
-    load_scores = cli.load_scores
-
-    def recording(path, examples, **kwargs):
-        given.extend(examples)
-        return load_scores(path, given, **kwargs)
-
-    monkeypatch.setattr(cli, "load_scores", recording)
-    assert main(["metaeval", "--input", dataset, "--scores", scores]) == 0
-    (_, first), (_, second), (_, third) = given
-    assert first is second and first == ("sys00", "sys01", "sys02")
-    assert third == ("sys02", "sys01", "sys00")
-
-
 def test_memory_held_grows_little_with_the_corpus(tmp_path, capsys):
     # a summary is about 500 bytes, a SystemSummary record with its slot in
     # a list about 90, and a float in a list 32: a command that keeps any
@@ -399,7 +376,7 @@ def test_a_temporary_directory_that_is_missing_exits_2(tmp_path, capsys, monkeyp
     out = tmp_path / "scores.jsonl"
     assert main(["score", "--input", TOY, "--units", GOLDEN_UNITS, "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        f"autopyramid: cannot spool the summaries in {missing}: No such file or directory\n"
+        f"autopyramid: cannot spool the summaries and units in {missing}: No such file or directory\n"
     )
     assert not out.exists()
 
@@ -416,7 +393,7 @@ def test_a_full_temporary_disk_exits_2_and_leaves_out_as_it_was(
     assert main(["score", "--input", TOY, "--units", GOLDEN_UNITS, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert re.fullmatch(
-        r"autopyramid: cannot spool the summaries( in .+)?: No space left on device\n", err
+        r"autopyramid: cannot spool the summaries and units( in .+)?: No space left on device\n", err
     ), err
     assert not out.exists() and not list(tmp_path.glob("*.tmp"))
     assert spools[0]._file.closed
