@@ -17,9 +17,10 @@ Of the dataset, ``stats`` keeps running sums, ``extract`` each example's
 id and reference texts, and ``metaeval`` each example's id, the first
 example's system ids, sorted, and the human scores in that cell order, in
 which :func:`~autopyramid.data.load_scores` puts each score as it reads it.
-``score`` and ``intrinsic`` spool the summaries, or the gold units, and
-then the unit texts to a temporary file (:mod:`~autopyramid.spool`), and
-read each example's back as they score it. A command imports only the modules
+``score`` and ``intrinsic`` each open a spool (:mod:`~autopyramid.spool`)
+in a ``with`` block, write the summaries, in system-id order, or the gold
+units, and then the unit texts to it, and read each example's back in
+example-id order as they score it. A command imports only the modules
 it runs: graph code for ``--strategy smu``, the HTTP client for a given
 endpoint, presence scoring for ``score`` and statistics for the report
 commands. An input error that a loader finds at a line of a file names the
@@ -105,9 +106,6 @@ _lazy = sys.modules[__name__]
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_SERVICE = 3
-
-# the commands that spool texts, and what the errors call it
-SPOOLED = {"score": "the summaries and units", "intrinsic": "the units"}
 
 
 def positive_int(text: str) -> int:
@@ -250,14 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run the command *argv* names and return its exit code. The collector
     is left as it was found."""
-    spool = None
     try:
         args = build_parser().parse_args(argv)
         _check_arguments(args)
         # the inputs' digests, for the manifest: none without --out
         digests = {} if args.out else None
-        if args.command in SPOOLED:
-            spool = args.spool = _lazy.TextSpool(SPOOLED[args.command])
         return args.func(args, load_dataset(args.input, digests=digests), digests)
     except SystemExit as exc:  # argparse: usage, --help, --version
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
@@ -268,9 +263,6 @@ def main(argv=None) -> int:
         where = f"{exc.path}, " if getattr(exc, "path", None) is not None else ""
         print(f"autopyramid: {where}{exc}", file=sys.stderr)
         return EXIT_INPUT
-    finally:
-        if spool is not None:
-            spool.close()
 
 
 def run_and_exit():
@@ -532,9 +524,9 @@ STRATEGIES = {
 }
 
 
-# the arguments a manifest's config leaves out: the command, the spool, and
-# the paths of its dataset, units, scores and output, recorded apart
-_NOT_CONFIG = ("command", "func", "input", "out", "units", "scores", "spool")
+# the arguments a manifest's config leaves out: the command, and the paths
+# of its dataset, units, scores and output, recorded apart
+_NOT_CONFIG = ("command", "func", "input", "out", "units", "scores")
 
 
 def _write_output(args, digests, rows, *, config=None, extra=None) -> int:
@@ -571,63 +563,67 @@ def cmd_extract(args, entries, digests) -> int:
 # score
 
 
-def _spool_units(args, places, counts, digests) -> int:
-    """Spool each unit text in group *first* + its example's place; give
-    *first*, the number of examples."""
+def _spool_units(args, spool, places, counts, digests):
+    """Spool each unit text in group ``len(places)`` + its example's place,
+    and give the reader of both: it gives, in example-id order,
+    ``(example_id, place, texts, units)``, *texts* being the example's own
+    group and *units* its unit texts."""
     first = len(places)
     rows = load_units(args.units, digests=digests, reference_counts=counts)
     for example_id, run in itertools.groupby(rows, key=lambda row: row.example_id):
-        args.spool.add(first + places[example_id], [row.text for row in run])
-    return first
+        spool.add(first + places[example_id], [row.text for row in run])
+
+    def examples():
+        for example_id in sorted(places):
+            place = places[example_id]
+            yield example_id, place, spool.texts(place), spool.texts(first + place)
+
+    return examples
 
 
 def cmd_score(args, entries, digests) -> int:
-    spool, places, counts, systems = args.spool, {}, {}, []
-    hold = {}.setdefault  # one tuple for equal system ids
-    for place, entry in enumerate(entries):
-        places[entry.example_id], counts[entry.example_id] = place, len(entry.references)
-        ids = tuple([system.system_id for system in entry.systems])
-        systems.append(hold(ids, ids))
-        spool.add(place, [system.summary for system in entry.systems])
-    first = _spool_units(args, places, counts, digests)
+    with _lazy.TextSpool("the summaries and units") as spool:
+        places, counts, systems = {}, {}, []
+        hold = {}.setdefault  # one tuple for equal system ids
+        for place, entry in enumerate(entries):
+            places[entry.example_id], counts[entry.example_id] = place, len(entry.references)
+            ordered = sorted(entry.systems)  # by id, which no two systems share
+            ids = tuple([system.system_id for system in ordered])
+            systems.append(hold(ids, ids))
+            spool.add(place, [system.summary for system in ordered])
+        if not places:
+            raise EmptyDataset("dataset has no entries")
+        examples = _spool_units(args, spool, places, counts, digests)
 
-    missing = [e for e, place in places.items() if not spool.size(first + place)]
-    if missing:
-        raise NoUnits(f"no units for examples: {', '.join(sorted(missing))}")
+        missing = [e for e, place in places.items() if not spool.size(len(places) + place)]
+        if missing:
+            raise NoUnits(f"no units for examples: {', '.join(sorted(missing))}")
 
-    if args.scorer == "remote" and not args.nli_endpoint:
-        raise ServiceUnavailable("--scorer remote needs --nli-endpoint")
+        if args.scorer == "remote" and not args.nli_endpoint:
+            raise ServiceUnavailable("--scorer remote needs --nli-endpoint")
 
-    def examples():  # by id: units, summaries by system id
-        for example_id in sorted(places):
-            place = places[example_id]
-            ids, texts = systems[place], spool.texts(place)
-            order = sorted(range(len(ids)), key=ids.__getitem__)
-            units = spool.texts(first + place)
-            yield example_id, units, [ids[j] for j in order], [texts[j] for j in order]
+        def lines():  # each row is written as it is scored
+            scorer = _lazy.lexical_scorer
+            if args.scorer == "remote":
+                # every pair of the command in one batched call; the lexical
+                # scorer stays per example, to hold one example's token bags
+                remote = _lazy.remote_scorer(
+                    args.nli_endpoint, batch_size=args.batch_size, concurrency=args.concurrency
+                )
+                pairs = ((units, texts) for _, _, texts, units in examples())
+                scorer = _lazy.prescored(pairs, remote)
+            for example_id, place, texts, units in examples():
+                results = _lazy.score_summaries(units, texts, scorer)
+                for system_id, result in zip(systems[place], results):
+                    row = {
+                        "example_id": example_id,
+                        "system_id": system_id,
+                        "score": result.pyramid_score,
+                        "units": len(units),
+                    }
+                    yield json_line(row)
 
-    def lines():  # each row is written as it is scored
-        scorer = _lazy.lexical_scorer
-        if args.scorer == "remote":
-            # every pair of the command in one batched call; the lexical
-            # scorer stays per example, to hold one example's token bags
-            remote = _lazy.remote_scorer(
-                args.nli_endpoint, batch_size=args.batch_size, concurrency=args.concurrency
-            )
-            pairs = ((units, texts) for _, units, _, texts in examples())
-            scorer = _lazy.prescored(pairs, remote)
-        for example_id, units, ids, texts in examples():
-            results = _lazy.score_summaries(units, texts, scorer)
-            for system_id, result in zip(ids, results):
-                row = {
-                    "example_id": example_id,
-                    "system_id": system_id,
-                    "score": result.pyramid_score,
-                    "units": len(units),
-                }
-                yield json_line(row)
-
-    return _write_output(args, digests, lines())
+        return _write_output(args, digests, lines())
 
 
 # ---------------------------------------------------------------------------
@@ -635,40 +631,41 @@ def cmd_score(args, entries, digests) -> int:
 
 
 def cmd_intrinsic(args, entries, digests) -> int:
-    spool, places, counts = args.spool, {}, {}
-    empty = None  # the first example with no gold units
-    for place, entry in enumerate(entries):
-        places[entry.example_id], counts[entry.example_id] = place, len(entry.references)
-        pooled = entry.pooled_scus()
-        if not pooled and empty is None:
-            empty = entry.example_id
-        spool.add(place, pooled)
-    if not places:
-        raise EmptyDataset("dataset has no entries")
-    if empty is not None:
-        raise NoGoldUnits(f"example {empty} has no gold units")
-    first = _spool_units(args, places, counts, digests)
+    with _lazy.TextSpool("the units") as spool:
+        places, counts = {}, {}
+        empty = None  # the first example with no gold units
+        for place, entry in enumerate(entries):
+            places[entry.example_id], counts[entry.example_id] = place, len(entry.references)
+            pooled = entry.pooled_scus()
+            if not pooled and empty is None:
+                empty = entry.example_id
+            spool.add(place, pooled)
+        if not places:
+            raise EmptyDataset("dataset has no entries")
+        if empty is not None:
+            raise NoGoldUnits(f"example {empty} has no gold units")
 
-    from array import array
+        from array import array
 
-    recall, precision = array("d"), array("d")  # in id order, for any file order
-    degenerate = 0
-    for example_id in sorted(places):
-        place = places[example_id]
-        report = _lazy.easiness(spool.texts(place), spool.texts(first + place))
-        recall.append(report.easiness_r)
-        precision.append(report.easiness_p)
-        degenerate += report.degenerate
-    mean_r = sum(recall) / first
-    mean_p = sum(precision) / first
+        recall, precision = array("d"), array("d")  # in id order, for any file order
+        degenerate = 0
+        examples = _spool_units(args, spool, places, counts, digests)
+        for _, _, gold, units in examples():
+            report = _lazy.easiness(gold, units)
+            recall.append(report.easiness_r)
+            precision.append(report.easiness_p)
+            degenerate += report.degenerate
+    count = len(places)
+    mean_r = sum(recall) / count
+    mean_p = sum(precision) / count
 
     _report([
         f"{'examples':>8}  {'easiness_r':>10}  {'easiness_p':>10}  {'empty_approx':>12}",
-        f"{first:>8}  {mean_r:>10.4f}  {mean_p:>10.4f}  {degenerate:>12}",
+        f"{count:>8}  {mean_r:>10.4f}  {mean_p:>10.4f}  {degenerate:>12}",
     ])
 
     row = {
-        "examples": first,
+        "examples": count,
         "easiness_r": mean_r,
         "easiness_p": mean_p,
         "empty_approx": degenerate,

@@ -47,11 +47,12 @@ A dataset, like a unit file, comes as the file is read: each entry or row
 is given once it is checked (:func:`load_dataset`, :func:`load_units`), so
 a command that folds over it once holds what it keeps and one record; a
 score file's scores go straight into one array, in the cell order the
-caller gives (:func:`load_scores`). Within one load, equal values the
-records repeat are held once: a dataset's ``system_id`` strings, a unit
-file's example ids and strategies. Outputs are written as their rows are
-made: :func:`atomic_write_text` and :func:`save_units` take any iterable,
-and ``extract`` and ``score`` make each row as the writer takes it.
+caller gives (:func:`load_scores`). Each record holds its own field
+values; a caller that keeps many records shares their equal values
+itself, as :func:`import_rows` does its example ids. Outputs are written
+as their rows are made: :func:`atomic_write_text` and :func:`save_units`
+take any iterable, and ``extract`` and ``score`` make each row as the
+writer takes it.
 """
 
 from __future__ import annotations
@@ -335,15 +336,13 @@ def _system_error(message: str, line: int, index: int, name: str) -> SchemaViola
     return SchemaViolation(message, line=line, field=f"systems[{index}]{name}")
 
 
-def _parse_entry(value, line: int, hold) -> ReferenceEntry:
+def _parse_entry(value, line: int) -> ReferenceEntry:
     """Check one decoded dataset row, then build its records.
 
     The first problem is the one raised, in schema order: the entry's own
     fields, each reference, then each system in full before the next, a
     repeated ``system_id`` failing at that field and a presence list whose
     length is not the pooled unit count at ``scu_presence``.
-    ``hold(value, value)`` gives the one object kept for values equal to
-    *value* (a dict's ``setdefault``); each ``system_id`` goes through it.
     """
     if type(value) is not dict:
         raise SchemaViolation("entry must be an object", line=line, field="")
@@ -423,8 +422,7 @@ def _parse_entry(value, line: int, hold) -> ReferenceEntry:
                     field=f"systems[{i}].scu_presence",
                 )
             presence = labels
-        system = (hold(system_id, system_id), summary, human_score, presence)
-        systems.append(_record(SystemSummary, system))
+        systems.append(_record(SystemSummary, (system_id, summary, human_score, presence)))
     references = tuple([
         _record(Reference, (r["text"], tuple(r.get("scus", ())))) for r in references_raw
     ])
@@ -442,9 +440,8 @@ def load_dataset(path, *, digests: dict | None = None) -> Iterator[ReferenceEntr
 
 def _entries(lines: Iterator[str]) -> Iterator[ReferenceEntry]:
     seen = {}
-    hold = {}.setdefault
     for number, raw in _json_lines(lines):
-        entry = _parse_entry(raw, number, hold)
+        entry = _parse_entry(raw, number)
         if entry.example_id in seen:
             raise DuplicateExampleId(
                 f"example_id {entry.example_id!r} already used on line "
@@ -531,13 +528,12 @@ def load_units(
     field. When *reference_counts* (example id to its number of
     references) is given, a row naming any other example, or a reference
     index its example does not have, is stray: once its own fields pass,
-    it fails so. Equal example ids and strategies are held once.
+    it fails so.
     """
     return read_rows(path, lambda lines: _unit_rows(lines, reference_counts), digests)
 
 
 def _unit_rows(lines: Iterator[str], reference_counts) -> Iterator[UnitFileRow]:
-    hold = {}.setdefault
     for number, raw in _json_lines(lines):
         if type(raw) is not dict:
             raise SchemaViolation("row must be an object", line=number, field="")
@@ -575,8 +571,7 @@ def _unit_rows(lines: Iterator[str], reference_counts) -> Iterator[UnitFileRow]:
                     line=number,
                     field="reference_index",
                 )
-        row = (hold(example_id, example_id), reference_index, hold(strategy, strategy), text)
-        yield _record(UnitFileRow, row)
+        yield _record(UnitFileRow, (example_id, reference_index, strategy, text))
 
 
 def import_rows(
@@ -589,11 +584,10 @@ def import_rows(
     :class:`InputError` naming the file, the line and the unit-file fields.
     *digests* and *reference_counts* are as for :func:`load_units`.
     """
+    hold = {}.setdefault  # the rows are kept: one id object per example
     try:
-        return [
-            _record(UnitFileRow, (row.example_id, row.reference_index, tag, row.text))
-            for row in load_units(path, digests=digests, reference_counts=reference_counts)
-        ]
+        rows = load_units(path, digests=digests, reference_counts=reference_counts)
+        return [_record(UnitFileRow, (hold(e, e), i, tag, text)) for e, i, _, text in rows]
     except SchemaViolation as exc:
         raise InputError(
             f"{path}, {exc}; an import file holds unit-file rows "

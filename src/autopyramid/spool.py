@@ -3,7 +3,7 @@
 ``score`` spools the summaries of its dataset and the texts of its unit
 file, and ``intrinsic`` the gold units and the unit texts, so that neither
 holds every text of its inputs; each reads one example's back as it
-scores it.
+scores it. Each opens its spool with ``with TextSpool(what) as spool:``.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ class TextSpool:
     make a run, and the spool keeps where each text ends and where each
     run starts, and its group, in arrays. :meth:`texts` reads a group's
     texts back in the order they were added, with one read a run. The file
-    holds about the texts' bytes until :meth:`close` deletes it. A failure
-    to make, write or read it raises :class:`FileUnwritable` naming *what*
-    is spooled, with the reason.
+    holds about the texts' bytes until the spool's ``with`` block ends. A
+    failure to make, write or read it raises :class:`FileUnwritable`
+    naming *what* is spooled, with the reason.
     """
 
     def __init__(self, what: str):
@@ -38,8 +38,19 @@ class TextSpool:
         # 60 writes of the 3.9 MB of summaries, not about 480 of 8 KiB
         self._file = self._spooling(tempfile.TemporaryFile, "w+b", 1 << 16)
 
+    def __enter__(self) -> TextSpool:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        try:
+            self._file.close()
+        except OSError:  # a last flush that fails loses bytes no one reads
+            pass
+
     def add(self, group: int, texts) -> None:
         """Write *texts*, in order, in *group*, with one write."""
+        if self._first is not None:  # a read has put the runs in group order
+            raise RuntimeError(f"the spool of {self.what} takes no text once it is read")
         data = [text.encode("utf-8") for text in texts]
         self._spooling(self._file.write, b"".join(data))
         if data and (not self.groups or self.groups[-1] != group):
@@ -47,12 +58,6 @@ class TextSpool:
             self.groups.append(group)
         self.ends.extend([self._size + end for end in accumulate(map(len, data))])
         self._size = self.ends[-1] if self.ends else 0
-
-    def close(self) -> None:
-        try:
-            self._file.close()
-        except OSError:  # a last flush that fails loses bytes no one reads
-            pass
 
     def size(self, group: int) -> int:
         """How many texts *group* holds."""
@@ -72,7 +77,7 @@ class TextSpool:
     def _runs(self, group: int):
         """The first text of each run of *group*, and the text after its
         last, in add order. The runs are put in group order (a counting
-        sort) at the first read; nothing is added after it, and reads go
+        sort) at the first read, after which :meth:`add` refuses; reads go
         to the file itself, not through the buffer a group at a time."""
         if self._first is None:
             self._spooling(self._file.flush)

@@ -946,13 +946,23 @@ def test_intrinsic_matches_library_composition(tmp_path):
     assert 0 < report["easiness_r"] < 1
 
 
-@pytest.mark.parametrize("content", ["", "\n  \n\n"])
-def test_intrinsic_empty_dataset_exits_2(tmp_path, capsys, content):
+EMPTY_DATASETS = ["", "\n  \n\n"]
+
+
+@pytest.mark.parametrize(
+    "command, content",
+    [pytest.param("intrinsic", content, id=content) for content in EMPTY_DATASETS]
+    + [pytest.param("score", content, id=f"score-{content}") for content in EMPTY_DATASETS],
+)
+def test_intrinsic_empty_dataset_exits_2(tmp_path, capsys, command, content):
+    # and score: either fails before it opens --units, here a missing file
     empty = tmp_path / "d.jsonl"
     empty.write_text(content, encoding="utf-8")
-    code = main(["intrinsic", "--input", str(empty), "--units", str(empty)])
-    assert code == 2
+    out = tmp_path / "out.jsonl"
+    argv = [command, "--input", str(empty), "--units", str(tmp_path / "gone.jsonl")]
+    assert main([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err == "autopyramid: dataset has no entries\n"
+    assert not out.exists()
 
 
 def test_intrinsic_requires_gold_units(tmp_path, capsys):

@@ -4,7 +4,6 @@ import gc
 import hashlib
 import io
 import json
-import operator
 import os
 import sys
 import tracemalloc
@@ -299,42 +298,15 @@ def test_a_failed_write_wins_over_an_error_making_a_later_piece(
 
 
 def test_a_load_holds_each_repeated_value_once(tmp_path):
-    path = write_jsonl(tmp_path / "d.jsonl", [valid_row("e1"), valid_row("e2")])
-    first, second = load_dataset(path)
-    for one, other in zip(first.systems, second.systems):
-        assert one.system_id is other.system_id
+    # of the loads, only an import keeps its records, and it holds each
+    # example id once; the tag it gives every row is one object already
     units = tmp_path / "u.jsonl"
     save_units(units, [UnitFileRow("example-1", 0, "ngram", "a b"),
                        UnitFileRow("example-2", 0, "ngram", "c d"),
                        UnitFileRow("example-1", 0, "ngram", "e f")])
-    for rows in (list(load_units(units)), import_rows(units, "imported_stu")):
-        assert rows[0].example_id is rows[2].example_id
-        assert rows[0].strategy is rows[1].strategy is rows[2].strategy
-
-
-@pytest.mark.parametrize(
-    "fields, shared",
-    [((), True), (("text", "scus"), True), (("summary",), False),
-     (("human_score",), False), (("scu_presence",), False),
-     (("text", "scus", "summary", "human_score", "scu_presence"), False)],
-)
-def test_a_load_keeping_no_per_system_field_shares_each_systems_tuple(tmp_path, fields, shared):
-    """A reader that keeps of each system no field but its id, as `score`
-    and `metaeval` do, can hold one systems tuple for the examples whose
-    ids are the same: the load gives each id as one object. Each other
-    per-system field is a new object in each entry, so keeping any of
-    them leaves nothing to share."""
-    other = valid_row("e3")
-    other["systems"].reverse()  # the same ids, in another order
-    path = write_jsonl(tmp_path / "d.jsonl", [valid_row("e1"), valid_row("e2"), other])
-    first, second, third = load_dataset(path)
-    ids = [tuple([s.system_id for s in e.systems]) for e in (first, second, third)]
-    assert ids[0] == ids[1] and all(map(operator.is_, ids[0], ids[1]))
-    assert ids[2] == ("sysB", "sysA")
-    kept = [name for name in fields if name in SystemSummary._fields]
-    one, same = first.systems[0], second.systems[0]  # sysA, which has every field
-    assert one == same
-    assert all(getattr(one, name) is getattr(same, name) for name in kept) is shared
+    rows = import_rows(units, "imported_stu")
+    assert rows[0].example_id is rows[2].example_id
+    assert rows[0].strategy is rows[1].strategy is rows[2].strategy
 
 
 def test_load_dataset_gives_each_entry_with_every_field_once_it_is_checked(tmp_path):
@@ -929,7 +901,7 @@ def test_parse_entry_matches_its_constructor_built_reference(data):
     if data.draw(st.booleans()):  # a row that is not an object
         rows.append(copy.deepcopy(data.draw(st.sampled_from(ODD))))
     for number, row in enumerate(rows, start=1):
-        assert record_outcome(lambda: _parse_entry(row, number, {}.setdefault)) == record_outcome(
+        assert record_outcome(lambda: _parse_entry(row, number)) == record_outcome(
             lambda: parse_entry_reference(row, number)
         )
 

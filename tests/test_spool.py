@@ -319,7 +319,7 @@ def test_score_uses_the_bytes_it_read_not_the_file_as_it_is_later(tmp_path, monk
 
 @pytest.fixture
 def spools(monkeypatch):
-    """The spools ``score`` makes, in order."""
+    """The spools the commands make, in order."""
     made = []
 
     class Recorded(spool.TextSpool):
@@ -331,15 +331,25 @@ def spools(monkeypatch):
     return made
 
 
-def failing_scorer(pairs):
+def failing_scorer(*args):
     raise ServiceUnavailable("presence service down")
 
 
-@pytest.mark.parametrize("fault", ["none", "dataset", "units", "out", "scorer"])
-def test_the_spool_is_closed_on_every_path(tmp_path, capsys, monkeypatch, spools, fault):
+FAULTS = ["none", "dataset", "units", "out", "scorer"]
+
+# what each spooling command scores with, which the scorer fault replaces
+SCORERS = {"score": "lexical_scorer", "intrinsic": "easiness"}
+
+
+@pytest.mark.parametrize(
+    "command, fault",
+    [pytest.param("score", fault, id=fault) for fault in FAULTS]
+    + [pytest.param("intrinsic", fault, id=f"intrinsic-{fault}") for fault in FAULTS],
+)
+def test_the_spool_is_closed_on_every_path(tmp_path, capsys, monkeypatch, spools, command, fault):
     dataset = TOY
     units = GOLDEN_UNITS
-    out = tmp_path / "scores.jsonl"
+    out = tmp_path / "out.jsonl"
     if fault == "dataset":  # the second row's first summary is no string
         rows = [json.loads(line) for line in Path(TOY).read_text(encoding="utf-8").splitlines()]
         rows[1]["systems"][0]["summary"] = 7
@@ -347,10 +357,10 @@ def test_the_spool_is_closed_on_every_path(tmp_path, capsys, monkeypatch, spools
     elif fault == "units":
         units = str(tmp_path / "missing.jsonl")
     elif fault == "out":
-        out = tmp_path / "missing" / "scores.jsonl"
+        out = tmp_path / "missing" / "out.jsonl"
     elif fault == "scorer":
-        monkeypatch.setattr(cli, "lexical_scorer", failing_scorer)
-    code = main(["score", "--input", dataset, "--units", units, "--out", str(out)])
+        monkeypatch.setattr(cli, SCORERS[command], failing_scorer)
+    code = main([command, "--input", dataset, "--units", units, "--out", str(out)])
     assert code == {"none": 0, "scorer": 3}.get(fault, 2), capsys.readouterr().err
     assert len(spools) == 1 and spools[0]._file.closed
 
@@ -373,12 +383,24 @@ def test_a_summary_holding_a_lone_surrogate_escape_exits_2_before_it_is_spooled(
 def test_a_temporary_directory_that_is_missing_exits_2(tmp_path, capsys, monkeypatch):
     missing = tmp_path / "missing"
     monkeypatch.setattr(spool.tempfile, "tempdir", str(missing))
-    out = tmp_path / "scores.jsonl"
-    assert main(["score", "--input", TOY, "--units", GOLDEN_UNITS, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        f"autopyramid: cannot spool the summaries and units in {missing}: No such file or directory\n"
-    )
-    assert not out.exists()
+    out = tmp_path / "out.jsonl"
+    for command, what in [("score", "the summaries and units"), ("intrinsic", "the units")]:
+        assert main([command, "--input", TOY, "--units", GOLDEN_UNITS, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"autopyramid: cannot spool {what} in {missing}: No such file or directory\n"
+        )
+        assert not out.exists()
+
+
+def test_a_spool_takes_no_text_once_it_is_read():
+    # a group index made at the first read would not see a later add
+    with spool.TextSpool("the texts") as texts:
+        texts.add(0, ["a", "b"])
+        assert texts.size(0) == 2
+        with pytest.raises(RuntimeError, match="takes no text once it is read"):
+            texts.add(1, ["c"])
+        assert texts.texts(0) == ["a", "b"] and texts.size(1) == 0
+    assert texts._file.closed
 
 
 def test_a_full_temporary_disk_exits_2_and_leaves_out_as_it_was(
