@@ -7,7 +7,8 @@ rows to ``--out`` and then the manifest; a command given no ``--out``
 writes nothing, and so takes no digest of its inputs. The digests are taken with CPython's built-in
 SHA-256 (:func:`~autopyramid.data.read_input`), so a command that calls
 no endpoint loads neither ``hashlib`` nor OpenSSL, except on a build
-without that module. Inputs and usage are checked before ``--out`` is
+without that module. Usage, with the options a strategy or scorer needs,
+is checked before any input is read, and inputs before ``--out`` is
 opened; rows and service requests come after, and the first fault ends the
 command. ``extract`` and ``score`` compute their rows while the writer
 writes them, so their temp file beside ``--out`` is there for the whole
@@ -81,7 +82,6 @@ from .errors import (
     NoUnits,
     ReferenceFailure,
     RemoteError,
-    ServiceUnavailable,
 )
 from .manifest import write_manifest
 from .text import split_sentences
@@ -316,8 +316,9 @@ def _write_stdout(text: str) -> None:
 
 def _check_arguments(args) -> None:
     """Refuse, before an input is read, an endpoint that is not a usable
-    http(s) URL and, given ``--out``, another option that holds a byte that
-    is not UTF-8 (a lone surrogate), which no manifest or request can hold."""
+    http(s) URL, given ``--out`` another option that holds a byte that is
+    not UTF-8 (a lone surrogate), which no manifest or request can hold,
+    and then a strategy or scorer without an option it needs."""
     for name, value in vars(args).items():
         option = f"--{name.replace('_', '-')}"
         if args.out and name != "out" and _surrogate(str(value)):
@@ -327,6 +328,15 @@ def _check_arguments(args) -> None:
                 _lazy.check_endpoint(value)
             except InputError as exc:
                 raise InputError(f"{option}: {exc}") from exc
+    strategy = getattr(args, "strategy", None)
+    if strategy == "smu" and not (args.graphs or args.parse_endpoint):
+        raise InputError("--strategy smu needs --graphs or --parse-endpoint")
+    if strategy == "sgu" and not (args.llm_endpoint and args.llm_model):
+        raise RemoteError("no LLM endpoint/model configured for sgu units")
+    if strategy == "import" and not args.import_path:
+        raise InputError("--strategy import needs --import-path")
+    if getattr(args, "scorer", None) == "remote" and not args.nli_endpoint:
+        raise RemoteError("--scorer remote needs --nli-endpoint")
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +363,7 @@ def _smu_graphs(args, entries, digests):
     if args.graphs:
         counts = (len(split_sentences(text)) for text in texts)
         blocks = _lazy.load_penman_file(args.graphs, digests=digests)
-    elif args.parse_endpoint:
+    else:
         sentences = [split_sentences(text) for text in texts]
         counts = list(map(len, sentences))
         client = _lazy.ParseServiceClient(
@@ -362,8 +372,6 @@ def _smu_graphs(args, entries, digests):
             concurrency=args.concurrency,
         )
         blocks = _parsed(client, [s for listed in sentences for s in listed])
-    else:
-        raise InputError("--strategy smu needs --graphs or --parse-endpoint")
     return _per_reference(entries, counts, blocks, args.graphs)
 
 
@@ -483,8 +491,6 @@ def _smu_rows(args, entries, digests):
 
 
 def _sgu_rows(args, entries, digests):
-    if entries and not (args.llm_endpoint and args.llm_model):
-        raise ServiceUnavailable("no LLM endpoint/model configured for sgu units")
     client = _lazy.ChatClient(
         args.llm_endpoint,
         args.llm_model,
@@ -504,8 +510,6 @@ def _sgu_rows(args, entries, digests):
 
 
 def _imported_rows(args, entries, digests):
-    if not args.import_path:
-        raise InputError("--strategy import needs --import-path")
     rows = import_rows(
         args.import_path,
         args.import_tag,
@@ -598,9 +602,6 @@ def cmd_score(args, entries, digests) -> int:
         missing = [e for e, place in places.items() if not spool.size(len(places) + place)]
         if missing:
             raise NoUnits(f"no units for examples: {', '.join(sorted(missing))}")
-
-        if args.scorer == "remote" and not args.nli_endpoint:
-            raise ServiceUnavailable("--scorer remote needs --nli-endpoint")
 
         def lines():  # each row is written as it is scored
             scorer = _lazy.lexical_scorer

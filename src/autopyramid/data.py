@@ -22,21 +22,19 @@ is the one record of a unit: the extractors return plain texts, and a
 command tags them with their example, reference and one of
 ``VALID_STRATEGIES``.
 
-Every input file is read once, by :func:`read_input`, in blocks of whole
-lines of about :data:`CHUNK_SIZE` bytes, and every loader, the PENMAN one
-in :mod:`autopyramid.amr` included, is a row parser over
-:func:`read_rows`: the one place that opens a file for a loader, takes its
-digest and, at the first row at fault, closes it and sets the error's
-``path`` to it. A loader builds each record while about one block of raw
-text is alive, so it holds its records plus that block, not a copy of the
-whole file. A line longer than :data:`CHUNK_SIZE` is read whole into one
-block, and a file with no ``\\n`` is one block. Asked for one, the reader
-also takes the SHA-256 of the bytes parsed, which the caller records in
-the run manifest without reading the file again. Files must be UTF-8; a
-line ends at ``\\n`` and nowhere else, as a JSON Lines row does, and lines
-are counted from 1. The first problem in file order is the one reported,
-and reading stops there: a bad row before bytes that are not UTF-8 fails
-on the row, and so does a row that does not fit the dataset before a line
+Every input file is read once, by :func:`read_input`, one line at a
+time, and every loader, the PENMAN one in :mod:`autopyramid.amr`
+included, is a row parser over :func:`read_rows`: the one place that opens
+a file for a loader, takes its digest and, at the first row at fault,
+closes it and sets the error's ``path`` to it. A loader builds each record
+while one line of raw text is alive, so it holds its records plus that
+line, not a copy of the whole file. Asked for one, the reader also takes
+the SHA-256 of the bytes parsed, which the caller records in the run
+manifest without reading the file again. Files must be UTF-8; a line ends
+at ``\\n`` and nowhere else, as a JSON Lines row does, and lines are
+counted from 1. The first problem in file order is the one reported, and
+reading stops there: a bad row before bytes that are not UTF-8 fails on
+the row, and so does a row that does not fit the dataset before a line
 that is not JSON. Each row goes straight to the JSON scanner and decodes
 or fails as ``json.JSONDecoder.decode`` would (see :func:`_json_lines`). A
 string that holds a lone UTF-16 surrogate, which only a ``\\u`` escape can
@@ -143,13 +141,6 @@ def is_finite_number(value) -> bool:
         return False
 
 
-# bytes read from an input file at a time, before the rest of the line
-# they end in: about one such block of raw text is alive while a loader
-# builds records from it. With fixed-size reads of a 5.4 MB dataset,
-# 32-128 KiB were equally fast, 256 KiB 25% slower, and a command's peak
-# RSS was the same at 64-256 KiB.
-CHUNK_SIZE = 1 << 16
-
 _scan = json.JSONDecoder().scan_once
 
 _surrogate = re.compile("[\ud800-\udfff]").search
@@ -215,17 +206,15 @@ def _json_lines(lines: Iterable[str]) -> Iterator[tuple[int, object]]:
 
 
 def read_input(path, digests: dict | None = None) -> Iterator[str]:
-    """The lines of *path*, read in blocks of whole lines of about
-    :data:`CHUNK_SIZE` bytes.
+    """The lines of *path*, read one at a time.
 
     The file is opened by this call, so a missing file fails here; the
     lines come as they are iterated, and the file is closed when the last
     has been read or the iterator is dropped. A line ends at ``\\n`` and
     nowhere else, and is given without it; any ``\\r`` before it stays, as
     JSON whitespace. So a file whose lines end in ``\\r`` alone is one line.
-    A block ends at a ``\\n``, so no character or line is split across
-    blocks: a line longer than :data:`CHUNK_SIZE` is read whole into one
-    block. A line is held by the reader only until it is taken.
+    Each line is read, hashed and decoded on its own, and the reader holds
+    none once it is taken.
 
     When *digests* is given, the SHA-256 of every byte read is stored in
     it under ``str(path)`` once the file has been read to its end, as a
@@ -267,40 +256,17 @@ def _lines(path, digests: dict | None) -> Iterator[str | None]:
         hasher = None
         if digests is not None:  # only a command that writes a manifest pays
             hasher = _sha256()
-        count = 0  # the lines given so far
-        while True:
-            try:
-                block = handle.read(CHUNK_SIZE) + handle.readline()
-            except OSError as exc:
-                raise FileUnreadable(f"cannot read {path}: {exc}") from exc
-            if not block:
-                break
-            if hasher is not None:
-                hasher.update(block)
-            bad = None
-            try:
-                text = block.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                # each byte that is not UTF-8 becomes a lone surrogate, which
-                # UTF-8 text cannot hold: only then are the lines searched
-                bad = exc
-                text = block.decode("utf-8", "surrogateescape")
-            del block  # freed before the lines are made, to lower the peak
-            lines = text.split("\n")
-            del text
-            if not lines[-1]:  # the empty piece after the block's last "\n"
-                lines.pop()
-            if bad is not None:  # the lines before the first that holds one
-                del lines[next(i for i, line in enumerate(lines) if _surrogate(line)):]
-            count += len(lines)
-            # given last first, so that each line is dropped once taken
-            lines.reverse()
-            while lines:
-                yield lines.pop()
-            if bad is not None:
-                raise FileUnreadable(
-                    f"cannot read {path}: line {count + 1} is not valid UTF-8"
-                ) from bad
+        try:
+            for number, line in enumerate(handle, start=1):
+                if hasher is not None:
+                    hasher.update(line)
+                yield line.decode("utf-8").removesuffix("\n")
+        except OSError as exc:
+            raise FileUnreadable(f"cannot read {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise FileUnreadable(
+                f"cannot read {path}: line {number} is not valid UTF-8"
+            ) from exc
     if hasher is not None:
         digests[str(path)] = hasher.hexdigest()
 

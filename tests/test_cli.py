@@ -2,6 +2,7 @@ import argparse
 import builtins
 import errno
 import hashlib
+import io
 import json
 import os
 import random
@@ -628,6 +629,44 @@ def test_extract_import_needs_path(tmp_path, capsys):
     code = main(["extract", "--strategy", "import", "--input", TOY, "--out", str(tmp_path / "u.jsonl")])
     capsys.readouterr()
     assert code == 2
+
+
+# each option a strategy or scorer needs, left out: the options before it,
+# and the exit code and message
+MISSING_OPTIONS = {
+    "smu": (["extract", "--strategy", "smu"], 2, "--strategy smu needs --graphs or --parse-endpoint"),
+    "sgu-endpoint": (
+        ["extract", "--strategy", "sgu", "--llm-model", "m"],
+        3,
+        "no LLM endpoint/model configured for sgu units",
+    ),
+    "sgu-model": (
+        ["extract", "--strategy", "sgu", "--llm-endpoint", "http://127.0.0.1:9/chat"],
+        3,
+        "no LLM endpoint/model configured for sgu units",
+    ),
+    "import": (["extract", "--strategy", "import"], 2, "--strategy import needs --import-path"),
+    "remote": (
+        ["score", "--units", "missing-units.jsonl", "--scorer", "remote"],
+        3,
+        "--scorer remote needs --nli-endpoint",
+    ),
+}
+
+
+@pytest.mark.parametrize("dataset", ["missing", "empty"])
+@pytest.mark.parametrize("argv, code, message", MISSING_OPTIONS.values(), ids=MISSING_OPTIONS)
+def test_a_missing_option_is_refused_before_any_input_is_read(
+    tmp_path, capsys, argv, code, message, dataset
+):
+    # the option is the error, whether the dataset is missing or empty
+    path = tmp_path / "d.jsonl"
+    if dataset == "empty":
+        path.write_bytes(b"")
+    out = tmp_path / "out.jsonl"
+    assert main(argv + ["--input", str(path), "--out", str(out)]) == code
+    assert capsys.readouterr().err == f"autopyramid: {message}\n"
+    assert not out.exists()
 
 
 def test_score_lexical_values(tmp_path):
@@ -1423,11 +1462,13 @@ def test_invalid_utf8_input_exits_2_naming_file_and_line(tmp_path, capsys, kind)
     assert err == f"autopyramid: cannot read {tmp_path / f'bad-{kind}'}: line {line} is not valid UTF-8\n"
 
 
-@pytest.mark.parametrize("chunk_size", [1, 2, 3, 4, 7, data.CHUNK_SIZE])
-def test_a_bad_row_before_bad_utf8_exits_2_naming_the_row(tmp_path, capsys, monkeypatch, chunk_size):
-    # the first problem in file order is the error, whichever chunks the
-    # row and the byte fall in
-    monkeypatch.setattr(data, "CHUNK_SIZE", chunk_size)
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 7, 1 << 16])
+def test_a_bad_row_before_bad_utf8_exits_2_naming_the_row(tmp_path, capsys, monkeypatch, size):
+    # the first problem in file order is the error, whichever reads of a
+    # buffer of size bytes the row and the byte fall in
+    monkeypatch.setattr(
+        data, "open", lambda file, mode: io.BufferedReader(io.FileIO(file), size), raising=False
+    )
     rows = Path(TOY).read_bytes().splitlines()
     bad = tmp_path / "d.jsonl"
     bad.write_bytes(rows[0] + b"\n{\n" + rows[1] + b"\n" + rows[2] + b"\nx\xff\n")

@@ -406,12 +406,24 @@ def scratch(tmp_path_factory):
 BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
           "\u2028", "\u2029"]
 
-# the reader's chunk sizes under test: a break, a character of up to four
-# bytes and a line each fall across chunk boundaries at the small ones
-CHUNK_SIZES = [1, 2, 3, 4, 7, data.CHUNK_SIZE]
+# the sizes of the buffer the reader's file is read through under test: a
+# break, a character of up to four bytes and a line each fall across the
+# buffer's refills at the small ones, and the largest holds any test file
+BUFFER_SIZES = [1, 2, 3, 4, 7, 1 << 16]
 
-# a line longer than ten chunks at every small size
+# a line longer than ten buffers at every small size
 LONG = "ab" * 40
+
+
+def buffered_open(size):
+    """An ``open`` for :mod:`autopyramid.data` whose files are read through
+    a buffer of *size* bytes, so that its reads end anywhere in a line."""
+
+    def open_buffered(file, mode):
+        assert mode == "rb"
+        return io.BufferedReader(io.FileIO(file), size)
+
+    return open_buffered
 
 
 @settings(max_examples=300)
@@ -424,33 +436,33 @@ def test_read_input_lines_are_those_of_a_text_mode_read(scratch, pieces):
     # a text-mode read whose lines end at "\n" alone
     with open(scratch, "r", encoding="utf-8", newline="\n") as handle:
         expected = [line.removesuffix("\n") for line in handle]
-    for chunk_size in CHUNK_SIZES:
+    for size in BUFFER_SIZES:
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(data, "CHUNK_SIZE", chunk_size)
+            patch.setattr(data, "open", buffered_open(size), raising=False)
             digests = {}
-            assert list(read_input(scratch, digests)) == expected, chunk_size
-            assert digests == {str(scratch): hashlib.sha256(raw).hexdigest()}, chunk_size
+            assert list(read_input(scratch, digests)) == expected, size
+            assert digests == {str(scratch): hashlib.sha256(raw).hexdigest()}, size
 
 
-@pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
-def test_read_input_joins_what_a_chunk_boundary_splits(tmp_path, chunk_size, monkeypatch):
-    monkeypatch.setattr(data, "CHUNK_SIZE", chunk_size)
+@pytest.mark.parametrize("size", BUFFER_SIZES)
+def test_read_input_joins_what_a_chunk_boundary_splits(tmp_path, size, monkeypatch):
+    monkeypatch.setattr(data, "open", buffered_open(size), raising=False)
     path = tmp_path / "split.jsonl"
-    # "\r" ends the first chunk and "\n" starts the second, and the "\r"
-    # stays in its line; then a line of more than ten chunks, and a
-    # four-byte character whose first two bytes end a chunk
-    lines = ["x" * (chunk_size - 1) + "\r", "y" * (10 * chunk_size + 3)]
+    # "\r" ends the first buffer and "\n" starts the second, and the "\r"
+    # stays in its line; then a line of more than ten buffers, and a
+    # four-byte character whose first two bytes end a buffer
+    lines = ["x" * (size - 1) + "\r", "y" * (10 * size + 3)]
     text = "\n".join(lines) + "\n"
-    lines.append("z" * ((chunk_size - 2 - len(text)) % chunk_size) + "𝄞")
+    lines.append("z" * ((size - 2 - len(text)) % size) + "𝄞")
     path.write_text(text + lines[-1] + "\n", encoding="utf-8", newline="")
     assert list(read_input(path)) == lines
 
 
-def digest_read(path, chunk_size):
-    """The digest :func:`read_input` stores for *path*, read in blocks of
-    about *chunk_size* bytes."""
+def digest_read(path, size):
+    """The digest :func:`read_input` stores for *path*, read through a
+    buffer of *size* bytes."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(data, "CHUNK_SIZE", chunk_size)
+        patch.setattr(data, "open", buffered_open(size), raising=False)
         digests = {}
         for _ in read_input(path, digests):
             pass
@@ -460,21 +472,21 @@ def digest_read(path, chunk_size):
 # the built-in hash the reader takes must give hashlib's (OpenSSL's) digest
 @settings(max_examples=200)
 @given(st.lists(st.binary(max_size=24), max_size=12), st.integers(1, 16))
-def test_read_input_digest_is_hashlib_sha256(scratch, pieces, chunk_size):
-    # random bytes, each that is not UTF-8 replaced, in lines that blocks
-    # of about chunk_size bytes split anywhere
+def test_read_input_digest_is_hashlib_sha256(scratch, pieces, size):
+    # random bytes, each that is not UTF-8 replaced, in lines that a buffer
+    # of size bytes splits anywhere
     raw = b"\n".join(piece.decode("utf-8", "replace").encode("utf-8") for piece in pieces)
     scratch.write_bytes(raw)
-    assert digest_read(scratch, chunk_size) == {str(scratch): hashlib.sha256(raw).hexdigest()}
+    assert digest_read(scratch, size) == {str(scratch): hashlib.sha256(raw).hexdigest()}
 
 
 DATA_FILES = sorted(p for p in (Path(__file__).parent / "data").rglob("*") if p.is_file())
 
 
-@pytest.mark.parametrize("chunk_size", [7, data.CHUNK_SIZE])
+@pytest.mark.parametrize("size", [7, 1 << 16])
 @pytest.mark.parametrize("path", DATA_FILES, ids=[p.name for p in DATA_FILES])
-def test_read_input_digest_of_each_test_input_is_hashlib_sha256(path, chunk_size):
-    assert digest_read(path, chunk_size) == {
+def test_read_input_digest_of_each_test_input_is_hashlib_sha256(path, size):
+    assert digest_read(path, size) == {
         str(path): hashlib.sha256(path.read_bytes()).hexdigest()
     }
 
@@ -495,19 +507,19 @@ def test_read_input_digest_of_each_test_input_is_hashlib_sha256(path, chunk_size
 def test_read_input_names_the_file_and_line_of_bad_utf8(tmp_path, monkeypatch, raw, line):
     path = tmp_path / "bad.jsonl"
     path.write_bytes(raw)
-    for chunk_size in CHUNK_SIZES:
-        monkeypatch.setattr(data, "CHUNK_SIZE", chunk_size)
+    for size in BUFFER_SIZES:
+        monkeypatch.setattr(data, "open", buffered_open(size), raising=False)
         given = []
         with pytest.raises(FileUnreadable) as info:
             given.extend(read_input(path))
         assert str(info.value) == f"cannot read {path}: line {line} is not valid UTF-8"
         # the lines before the bad one come first
-        assert len(given) == line - 1, chunk_size
+        assert len(given) == line - 1, size
 
 
-@pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
-def test_a_bad_row_before_bad_utf8_is_the_error(tmp_path, monkeypatch, chunk_size):
-    monkeypatch.setattr(data, "CHUNK_SIZE", chunk_size)
+@pytest.mark.parametrize("size", BUFFER_SIZES)
+def test_a_bad_row_before_bad_utf8_is_the_error(tmp_path, monkeypatch, size):
+    monkeypatch.setattr(data, "open", buffered_open(size), raising=False)
     path = tmp_path / "d.jsonl"
     row = json.dumps(valid_row())
     path.write_bytes(f"{row}\n{{\n\n\n".encode("utf-8") + b"\xff\n")
@@ -561,7 +573,6 @@ def test_a_loader_that_stops_on_a_bad_row_leaves_no_file_open(
 ):
     path = tmp_path / "in.jsonl"
     path.write_text(f"{good}\n{bad}\n\n{good}\n")
-    monkeypatch.setattr(data, "CHUNK_SIZE", 16)
     gc.collect()
     unraisable = []
     monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
@@ -582,19 +593,20 @@ def test_a_read_that_fails_after_the_open_names_the_file(tmp_path, monkeypatch):
     path = write_jsonl(tmp_path / "d.jsonl", [valid_row("e1")])
     handles = []
 
-    class FailingSecondRead(io.BufferedReader):
+    class FailingSecondRead(io.FileIO):
+        # the raw file below the buffer, whatever the buffer asks of it
         reads = 0
 
-        def read(self, size=-1):
+        def readinto(self, buffer):
             self.reads += 1
             if self.reads == 2:
                 raise OSError(errno.EIO, os.strerror(errno.EIO))
-            return super().read(size)
+            return super().readinto(buffer)
 
     def failing_open(file, mode):
         assert mode == "rb"
-        handles.append(FailingSecondRead(io.FileIO(file)))
-        return handles[-1]
+        handles.append(FailingSecondRead(file))
+        return io.BufferedReader(handles[-1])
 
     monkeypatch.setattr(data, "open", failing_open, raising=False)
     with pytest.raises(FileUnreadable) as info:
@@ -630,14 +642,14 @@ def traced_load(path, **kwargs):
     return entries, retained, peak
 
 
-def test_load_dataset_holds_its_records_plus_about_one_chunk(tmp_path):
+def test_load_dataset_holds_its_records_plus_about_one_line(tmp_path):
     path = long_summary_dataset(tmp_path / "big.jsonl")
-    size = path.stat().st_size
-    assert size >= 8 * data.CHUNK_SIZE
     entries, retained, peak = traced_load(path)
     assert len(entries) == 500
-    # a whole-file read holds about the file's size beyond the records
-    assert peak - retained < size / 4, (peak - retained, size)
+    # beyond the records: one line of about 6 KB, as bytes and as text, and
+    # the row decoded from it; a reader that held a 64 KiB block of lines,
+    # or the whole 3 MB file, would hold more
+    assert peak - retained < 64 * 1024, peak - retained
 
 
 def test_a_fold_over_the_dataset_holds_one_entry_at_a_time(tmp_path):
@@ -650,7 +662,7 @@ def test_a_fold_over_the_dataset_holds_one_entry_at_a_time(tmp_path):
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    # the records of 500 examples, against one entry and one block of lines
+    # the records of 500 examples, against one entry and one line
     assert examples == 500
     assert peak < full_retained / 10, (peak, full_retained)
 
